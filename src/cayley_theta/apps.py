@@ -95,14 +95,13 @@ def efp_cell(n: int, k: int, group: Optional[SymmetricGroup] = None,
     if group is None:
         group = table.group
     spec = CayleyGraphSpec(group, efp_connection(n, k, group))
-    from .theta import build_lp_D
-    lp = build_lp_D(spec, table)
     cert = solve_theta(spec, table)
     conjectured = efp_conjectured_max(n, k)
     check = cert.exact and Fraction(cert.objective) == conjectured
+    lp_rows, lp_cols = cert.lp_shape
     return EfpCell(n=n, k=k, theta=cert.objective,
                    conjectured_max=conjectured, checkmark=check,
-                   lp_rows=lp.instance.m, lp_cols=lp.instance.n,
+                   lp_rows=lp_rows, lp_cols=lp_cols,
                    runtime_ms=(time.monotonic() - start) * 1000,
                    exact=cert.exact)
 

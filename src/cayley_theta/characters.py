@@ -18,15 +18,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import linalg
 from .errors import CorruptTable, InvalidArgument, NeedsIrreps, SchemaError
 from .groups import (AbelianProductGroup, FiniteGroup, SymmetricGroup,
                      partition_label, partitions, same_group)
+from .linalg import scaled
 
 Scalar = Union[Fraction, complex]
 
@@ -39,10 +40,6 @@ def conj(v: Scalar) -> Scalar:
 
 def is_exact(v) -> bool:
     return isinstance(v, (Fraction, int))
-
-
-def to_complex(v: Scalar) -> complex:
-    return complex(v)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +118,9 @@ class CharacterTable:
         if self.degrees[self.trivial_index] != 1 or any(
                 _ne(v, 1, tol) for v in triv):
             raise CorruptTable("trivial irrep row is not all ones")
+        if all(is_exact(v) for row in self.entries for v in row):
+            _check_orthogonality_exact(self.entries, classes, group.order)
+            return self
         scale = max(tol * group.order, tol)
         for i in range(n_irreps):
             for j in range(i, n_irreps):
@@ -139,6 +139,31 @@ class CharacterTable:
                     raise CorruptTable(
                         f"column orthogonality fails for classes ({k},{l})")
         return self
+
+
+def _check_orthogonality_exact(entries, classes, order):
+    """The orthogonality checks of ``validate`` on a rational table, run
+    on the integers X = L * entries for one lcm L of the denominators:
+    each sum is compared with its wanted value times L^2."""
+    L = lcm(*(v.denominator for row in entries for v in row))
+    X = [[scaled(v, L) for v in row] for row in entries]
+    sizes = [c.size for c in classes]
+    norm = order * L * L
+    for i, row in enumerate(X):
+        weighted = [s * v for s, v in zip(sizes, row)]
+        for j in range(i, len(X)):
+            s = sum(map(mul, weighted, X[j]))
+            if s != (norm if i == j else 0):
+                raise CorruptTable(
+                    f"row orthogonality fails for irreps ({i},{j})")
+    columns = list(zip(*X))
+    for k, col in enumerate(columns):
+        for l in range(k, len(columns)):
+            s = sum(map(mul, col, columns[l]))
+            # the wanted sum is order / |C_k| when k == l
+            if (s * sizes[k] != norm) if k == l else s != 0:
+                raise CorruptTable(
+                    f"column orthogonality fails for classes ({k},{l})")
 
 
 def _ne(value, want, tol):
@@ -611,19 +636,6 @@ def import_irreps(path, group: FiniteGroup) -> IrrepMatrices:
         mats.append(tuple(rows))
     return IrrepMatrices(group=group, degrees=degrees,
                          matrices=tuple(mats)).validate()
-
-
-def export_irreps(irreps: IrrepMatrices, path):
-    data = {
-        "degrees": list(irreps.degrees),
-        "matrices": [[[[ [v.real, v.imag] for v in row]
-                       for row in np.asarray(mat).tolist()]
-                      for mat in mats]
-                     for mats in irreps.matrices],
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-        fh.write("\n")
 
 
 def abelian_irreps(table: CharacterTable) -> IrrepMatrices:

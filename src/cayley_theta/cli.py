@@ -18,8 +18,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .apps import (efp_cell, efp_connection, efp_table, efp_table_csv,
-                   efp_table_grid, gl_connection)
+from .apps import (efp_connection, efp_table, efp_table_csv, efp_table_grid,
+                   gl_connection)
 from .characters import (CharacterTable, ClassFunction, GroupFunction,
                          abelian_character_table, as_float_table,
                          export_character_table, import_character_table,
@@ -152,14 +152,7 @@ def cmd_alpha(args):
 
 
 def cmd_efp_table(args):
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        pairs = [(n, k) for n in range(1, args.nmax + 1)
-                 for k in range(1, n + 1)]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            cells = list(pool.map(_efp_cell_star, pairs))
-    else:
-        cells = efp_table(args.nmax)
+    cells = efp_table(args.nmax)
     for c in cells:
         theta = Fraction(c.theta) if c.exact else float(c.theta)
         mark = "ok" if c.checkmark else "GAP"
@@ -170,10 +163,6 @@ def cmd_efp_table(args):
     if args.csv:
         efp_table_csv(cells, args.csv)
     return 0
-
-
-def _efp_cell_star(pair):
-    return efp_cell(*pair)
 
 
 def cmd_export_sdpa(args):
@@ -263,9 +252,6 @@ def build_parser():
         description="Exact Lovasz theta numbers of Cayley graphs via the "
                     "character linear program.",
         epilog=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized test paths (core "
-                             "computations are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("theta", help="solve the character LP")
@@ -289,7 +275,6 @@ def build_parser():
                        help="theta table for k-intersecting permutations")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--csv")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_efp_table)
 
     p = sub.add_parser("export-sdpa", help="export formulation (A) or (C)")

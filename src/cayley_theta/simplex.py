@@ -1,16 +1,32 @@
-"""Two-phase primal simplex over exact rationals or doubles.
+"""Two-phase primal simplex, exact on integers or approximate in doubles.
 
-Standard form only: maximize c.x subject to A x = b, x >= 0.  Bland's
-pivot rule throughout, which guarantees termination in exact mode;
-float mode runs the same code with epsilon comparisons and an iteration
-cap (a stall raises NumericalFailure rather than returning a wrong
-"optimal").
+Standard form only: maximize c.x subject to A x = b, x >= 0, with
+Bland's pivot rule in both phases.
+
+Exact mode takes rational data and never builds a Fraction inside the
+pivot loop.  The whole system is scaled to integers by one positive lcm
+(scaling row by row would rescale the phase-I artificial columns and
+could change which pivots phase I takes).  The tableau is an integer
+matrix M over one common denominator D, the true tableau being M / D,
+and the reduced costs ride along as its last row.  A pivot on p =
+M[r][c] is fraction-free: every other row becomes
+(M[i] * p - M[i][c] * M[r]) / D, then D = p.  The division is exact
+because D is the determinant of the current basis (Bareiss 1968,
+Edmonds 1967).  Ratios are compared by cross-multiplying.  The pivots,
+and so the result, are those of the same rule run over Fraction.  Bland's
+rule guarantees termination.
+
+Float mode runs the same rule over an explicit tableau of doubles, with
+reduced costs recomputed per column, epsilon comparisons and an
+iteration cap (a stall raises NumericalFailure rather than returning a
+wrong "optimal").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import linalg
@@ -62,6 +78,116 @@ def _num(v, exact):
     return Fraction(v) if exact else float(v)
 
 
+# ---------------------------------------------------------------------------
+# exact mode: fraction-free tableau over the integers
+
+def _pivot_exact(M, basis, row, col, D):
+    """Fraction-free pivot of the tableau M / D on (row, col), with the
+    basis updated; returns the new denominator, kept positive."""
+    p = linalg.eliminate(M, row, col, D)
+    basis[row] = col
+    if p < 0:
+        for i, r in enumerate(M):
+            M[i] = [-a for a in r]
+        p = -p
+    return p
+
+
+def _run_exact(M, basis, ncols, D):
+    """Bland-rule simplex on the tableau M / D: constraint rows with the
+    rhs in the last column, and the reduced costs times D as the last
+    row.  Basic columns carry a reduced cost of exactly 0, so the first
+    positive entry of that row is Bland's entering column.  Returns
+    (status, D) with status 'optimal' or 'unbounded'."""
+    rows = len(M) - 1
+    while True:
+        cost = M[-1]
+        entering = next((j for j in range(ncols) if cost[j] > 0), None)
+        if entering is None:
+            return "optimal", D
+        leaving = None
+        for i in range(rows):
+            a = M[i][entering]
+            if a > 0:
+                # ratio M[i][-1] / a against the best, cross-multiplied
+                rhs = M[i][-1]
+                if leaving is None:
+                    leaving, best_rhs, best_a = i, rhs, a
+                    continue
+                lhs, cur = rhs * best_a, best_rhs * a
+                if lhs < cur or (lhs == cur and basis[i] < basis[leaving]):
+                    leaving, best_rhs, best_a = i, rhs, a
+        if leaving is None:
+            return "unbounded", D
+        D = _pivot_exact(M, basis, leaving, entering, D)
+
+
+def _solve_exact(instance: LpInstance) -> LpSolution:
+    m, n = instance.m, instance.n
+    # one positive lcm for the whole system; scaling rows one by one
+    # would rescale the artificial columns and change phase I's pivots
+    L = lcm(*(v.denominator for row in instance.A for v in row),
+            *(v.denominator for v in instance.b))
+    M = []
+    for i, (row, rhs) in enumerate(zip(instance.A, instance.b)):
+        sign = -1 if rhs < 0 else 1
+        art = [0] * m
+        art[i] = 1
+        M.append([sign * linalg.scaled(v, L) for v in row] + art +
+                 [sign * linalg.scaled(rhs, L)])
+
+    # Phase I: artificial columns n..n+m-1, cost -1 each, all basic
+    basis = [n + i for i in range(m)]
+    cost1 = [sum(col) for col in zip(*M)]
+    cost1[n:n + m] = [0] * m
+    M.append(cost1)
+    _, D = _run_exact(M, basis, n + m, 1)
+    M.pop()
+    if sum(M[i][-1] for i in range(m) if basis[i] >= n) > 0:
+        return LpSolution(status="infeasible")
+
+    # drive leftover artificials out of the basis; drop redundant rows
+    basic = set(basis)
+    keep_rows = list(range(m))
+    i = 0
+    while i < len(M):
+        if basis[i] >= n:
+            row = M[i]
+            col = next((j for j in range(n)
+                        if row[j] and j not in basic), None)
+            if col is None:
+                del M[i], basis[i], keep_rows[i]
+                continue
+            basic.add(col)
+            D = _pivot_exact(M, basis, i, col, D)
+        i += 1
+
+    # Phase II on the original columns, costs scaled to integers
+    cost2 = [Fraction(v) for v in instance.objective]
+    Lc = lcm(*(v.denominator for v in cost2))
+    c = [linalg.scaled(v, Lc) for v in cost2]
+    M = [row[:n] + [row[-1]] for row in M]
+    reduced = [D * cj for cj in c] + [0]
+    for r, bi in zip(M, basis):
+        if c[bi]:
+            reduced = [a - c[bi] * v for a, v in zip(reduced, r)]
+    M.append(reduced)
+    status, D = _run_exact(M, basis, n, D)
+    if status == "unbounded":
+        return LpSolution(status="unbounded")
+
+    x = [Fraction(0)] * n
+    for r, bi in zip(M, basis):
+        x[bi] = Fraction(r[-1], D)
+    value = sum(cv * v for cv, v in zip(cost2, x))
+    dual = _dual_from_basis(instance, basis, keep_rows, True)
+    return LpSolution(status="optimal", x=tuple(x), objective_value=value,
+                      dual=dual, basis=tuple(basis))
+
+
+# ---------------------------------------------------------------------------
+# float mode
+
 def _pivot(T, basis, row, col):
     pr = T[row]
     pv = pr[col]
@@ -80,7 +206,7 @@ def _run(T, basis, cost, ncols, eps, cap):
     iters = 0
     while True:
         iters += 1
-        if cap is not None and iters > cap:
+        if iters > cap:
             raise NumericalFailure(
                 f"no convergence within {cap} simplex iterations")
         entering = None
@@ -110,30 +236,27 @@ def _run(T, basis, cost, ncols, eps, cap):
 
 
 def solve(instance: LpInstance) -> LpSolution:
-    exact = instance.exact
-    eps = Fraction(0) if exact else FLOAT_EPS
+    if instance.exact:
+        return _solve_exact(instance)
+    eps = FLOAT_EPS
     m, n = instance.m, instance.n
-    cap = None if exact else 10 * (m + n) ** 2
+    cap = 10 * (m + n) ** 2
 
-    A = [[_num(v, exact) for v in row] for row in instance.A]
-    b = [_num(v, exact) for v in instance.b]
+    A = [[float(v) for v in row] for row in instance.A]
+    b = [float(v) for v in instance.b]
     for i in range(m):
         if b[i] < 0:
             A[i] = [-v for v in A[i]]
             b[i] = -b[i]
 
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-
     # Phase I: artificial columns n..n+m-1
-    T = [A[i] + [one if j == i else zero for j in range(m)] + [b[i]]
+    T = [A[i] + [1.0 if j == i else 0.0 for j in range(m)] + [b[i]]
          for i in range(m)]
     basis = [n + i for i in range(m)]
-    cost1 = [zero] * n + [-one] * m
+    cost1 = [0.0] * n + [-1.0] * m
     _run(T, basis, cost1, n + m, eps, cap)
     infeas = sum(T[i][-1] for i in range(len(T)) if basis[i] >= n)
-    infeas_tol = 0 if exact else FLOAT_EPS * _scale(instance)
-    if infeas > infeas_tol:
+    if infeas > FLOAT_EPS * _scale(instance):
         return LpSolution(status="infeasible")
 
     # drive leftover artificials out of the basis; drop redundant rows
@@ -142,8 +265,7 @@ def solve(instance: LpInstance) -> LpSolution:
     while i < len(T):
         if basis[i] >= n:
             col = next((j for j in range(n)
-                        if abs(T[i][j]) > (eps if not exact else 0)
-                        and j not in basis), None)
+                        if abs(T[i][j]) > eps and j not in basis), None)
             if col is None:
                 del T[i], basis[i], keep_rows[i]
                 continue
@@ -152,16 +274,16 @@ def solve(instance: LpInstance) -> LpSolution:
 
     # Phase II on the original columns
     T2 = [row[:n] + [row[-1]] for row in T]
-    cost2 = [_num(v, exact) for v in instance.objective]
+    cost2 = [float(v) for v in instance.objective]
     status = _run(T2, basis, cost2, n, eps, cap)
     if status == "unbounded":
         return LpSolution(status="unbounded")
 
-    x = [zero] * n
+    x = [0.0] * n
     for i, bi in enumerate(basis):
         x[bi] = T2[i][-1]
     value = sum(c * v for c, v in zip(cost2, x))
-    dual = _dual_from_basis(instance, basis, keep_rows, exact)
+    dual = _dual_from_basis(instance, basis, keep_rows, False)
     return LpSolution(status="optimal", x=tuple(x), objective_value=value,
                       dual=dual, basis=tuple(basis))
 

@@ -26,7 +26,8 @@ import numpy as np
 from .characters import (CharacterTable, ClassFunction, GroupFunction,
                          IrrepMatrices, conj, fourier_class_scalars,
                          is_exact, is_positive_type)
-from .errors import (InvalidArgument, SizeLimit, WrongFormulation)
+from .errors import (InvalidArgument, NumericalFailure, SizeLimit,
+                     WrongFormulation)
 from .graphs import ConnectionSet, build_cayley
 from .groups import FiniteGroup, same_group
 from .simplex import LpInstance, LpSolution, solve as lp_solve
@@ -67,6 +68,7 @@ class ThetaCertificate:
     f: ClassFunction                # formulation-(B) witness
     exact: bool
     dual: Optional[tuple] = None
+    lp_shape: Optional[tuple] = None    # (rows, columns) of the LP solved
 
 
 # ---------------------------------------------------------------------------
@@ -150,21 +152,27 @@ def _row_key(row, exact):
 
 def solve_theta(spec: CayleyGraphSpec, table: CharacterTable,
                 tol: float = CERT_TOL) -> ThetaCertificate:
+    """Solve the character LP and return its validated certificate.
+
+    A float-mode LP that comes back not optimal, or whose certificate
+    fails validation, raises NumericalFailure; in exact mode either one
+    is an internal error and raises RuntimeError."""
     lp = build_lp_D(spec, table)
     solution = lp_solve(lp.instance)
+    failure = RuntimeError if table.exact else NumericalFailure
     if solution.status != "optimal":
-        raise RuntimeError(
+        raise failure(
             f"theta LP unexpectedly {solution.status}: delta_e/|Gamma| "
-            "is always feasible, so this indicates an internal error")
-    cert = _certificate_from_lp(spec, table, solution)
+            "is always feasible")
+    cert = _certificate_from_lp(spec, table, solution, lp)
     problems = validate_certificate(cert, tol=tol)
     if problems:
-        raise RuntimeError("certificate validation failed: " +
-                           "; ".join(problems))
+        raise failure("certificate validation failed: " +
+                      "; ".join(problems))
     return cert
 
 
-def _certificate_from_lp(spec, table, solution: LpSolution):
+def _certificate_from_lp(spec, table, solution: LpSolution, lp: ThetaLp):
     group = spec.group
     a = solution.x
     exact = table.exact
@@ -185,7 +193,8 @@ def _certificate_from_lp(spec, table, solution: LpSolution):
     f = ClassFunction(group, tuple(values))
     return ThetaCertificate(
         spec=spec, table=table, objective=solution.objective_value,
-        a=tuple(a), f=f, exact=exact, dual=solution.dual)
+        a=tuple(a), f=f, exact=exact, dual=solution.dual,
+        lp_shape=(lp.instance.m, lp.instance.n))
 
 
 def validate_certificate(cert: ThetaCertificate,

@@ -1,14 +1,122 @@
 """Independent oracles used by the test suite.
 
 These deliberately share no code with the solvers they check: the LP
-oracle enumerates basic feasible solutions and extreme rays, and the
-independence-number oracle is a plain subset recursion.
+oracle enumerates basic feasible solutions and extreme rays, the
+reference simplex is the plain two-phase Bland solver over ``Fraction``
+that the package's integer kernel must reproduce pivot for pivot, and
+the independence-number oracle is a plain subset recursion.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from cayley_theta.linalg import solve_square
+
+def solve_square(A, b):
+    """Solve A x = b by Gauss-Jordan over Fraction; None if singular."""
+    n = len(A)
+    M = [[Fraction(v) for v in row] + [Fraction(bi)]
+         for row, bi in zip(A, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if pivot is None:
+            return None
+        M[col], M[pivot] = M[pivot], M[col]
+        pv = M[col][col]
+        M[col] = [v / pv for v in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [a - f * c for a, c in zip(M[r], M[col])]
+    return [M[r][n] for r in range(n)]
+
+
+def _pivot(T, basis, row, col):
+    pv = T[row][col]
+    T[row] = [v / pv for v in T[row]]
+    pr = T[row]
+    for i, r in enumerate(T):
+        if i != row and r[col] != 0:
+            f = r[col]
+            T[i] = [a - f * c for a, c in zip(r, pr)]
+    basis[row] = col
+
+
+def _bland(T, basis, cost, ncols):
+    """Bland's rule with reduced costs recomputed for every column."""
+    while True:
+        entering = None
+        for j in range(ncols):
+            if j in basis:
+                continue
+            r = cost[j] - sum(cost[basis[i]] * T[i][j]
+                              for i in range(len(T)))
+            if r > 0:
+                entering = j
+                break
+        if entering is None:
+            return "optimal"
+        leaving = None
+        best = None
+        for i in range(len(T)):
+            a = T[i][entering]
+            if a > 0:
+                ratio = T[i][-1] / a
+                if (best is None or ratio < best or
+                        (ratio == best and basis[i] < basis[leaving])):
+                    best, leaving = ratio, i
+        if leaving is None:
+            return "unbounded"
+        _pivot(T, basis, leaving, entering)
+
+
+def reference_simplex(c, A, b):
+    """Two-phase Bland simplex over Fraction for max c.x, Ax=b, x>=0.
+
+    Returns (status, x, objective_value, dual, basis) with the same
+    pivots and the same tie-breaks as ``cayley_theta.simplex.solve`` in
+    exact mode; the non-optimal statuses carry None in the other fields.
+    """
+    m, n = len(A), len(c)
+    A = [[Fraction(v) for v in row] for row in A]
+    T = []
+    for i, rhs in enumerate(b):
+        sign = -1 if rhs < 0 else 1
+        T.append([sign * v for v in A[i]] +
+                 [Fraction(int(j == i)) for j in range(m)] +
+                 [sign * Fraction(rhs)])
+    basis = [n + i for i in range(m)]
+    _bland(T, basis, [Fraction(0)] * n + [Fraction(-1)] * m, n + m)
+    if sum(T[i][-1] for i in range(m) if basis[i] >= n) > 0:
+        return "infeasible", None, None, None, None
+    keep_rows = list(range(m))
+    i = 0
+    while i < len(T):
+        if basis[i] >= n:
+            col = next((j for j in range(n)
+                        if T[i][j] != 0 and j not in basis), None)
+            if col is None:
+                del T[i], basis[i], keep_rows[i]
+                continue
+            _pivot(T, basis, i, col)
+        i += 1
+    T = [row[:n] + [row[-1]] for row in T]
+    cost = [Fraction(v) for v in c]
+    if _bland(T, basis, cost, n) == "unbounded":
+        return "unbounded", None, None, None, None
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        x[bi] = T[i][-1]
+    value = sum(cv * v for cv, v in zip(cost, x))
+    k = len(basis)
+    y = solve_square([[A[keep_rows[i]][basis[j]] for i in range(k)]
+                      for j in range(k)], [cost[bi] for bi in basis])
+    dual = None
+    if y is not None:
+        dual = [Fraction(0)] * m
+        for i, row in enumerate(keep_rows):
+            dual[row] = y[i]
+        dual = tuple(dual)
+    return "optimal", tuple(x), value, dual, tuple(basis)
 
 
 def _row_reduce(A, b):

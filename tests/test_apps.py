@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cayley_theta import theta
 from cayley_theta.apps import (EfpCell, GlCell, count_fixing_at_least,
                                efp_cell, efp_conjectured_max, efp_connection,
                                efp_table, efp_table_csv, efp_table_grid,
@@ -76,6 +77,20 @@ def test_efp_cell_small():
     cell42 = efp_cell(4, 2)
     assert cell42.checkmark
     assert Fraction(cell42.theta) == cell42.conjectured_max
+
+
+def test_efp_cell_builds_its_lp_once(monkeypatch):
+    shapes = []
+
+    def counting_build(spec, table):
+        lp = build(spec, table)
+        shapes.append((lp.instance.m, lp.instance.n))
+        return lp
+
+    build = theta.build_lp_D
+    monkeypatch.setattr(theta, "build_lp_D", counting_build)
+    cell = efp_cell(5, 2)
+    assert shapes == [(cell.lp_rows, cell.lp_cols)]
 
 
 def test_efp_table_grid_and_csv(tmp_path):

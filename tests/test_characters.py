@@ -1,14 +1,15 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayley_theta.characters import (ClassFunction, GroupFunction,
-                                     abelian_character_table, abelian_irreps,
-                                     as_float_table, convolve,
+from cayley_theta.characters import (CharacterTable, ClassFunction,
+                                     GroupFunction, abelian_character_table,
+                                     abelian_irreps, as_float_table, convolve,
                                      export_character_table,
                                      fourier_class_scalars, group_matrix,
                                      hook_length_degree,
@@ -231,3 +232,36 @@ def test_abelian_irreps_validate():
     f = GroupFunction(z6, tuple(float(v) for v in (3, 1, 0, 0, 0, 1)))
     assert bool(is_positive_type(f, irreps, tol=1e-8)) == bool(
         is_positive_type(f, table, tol=1e-8))
+
+
+def _with_entry(table, i, k, value):
+    rows = [list(row) for row in table.entries]
+    rows[i][k] = value
+    return replace(table, entries=tuple(tuple(row) for row in rows))
+
+
+@pytest.mark.parametrize("i, k, value, message", [
+    (1, 2, Fraction(1), "row orthogonality fails for irreps (0,1)"),
+    (3, 4, Fraction(1, 2), "row orthogonality fails for irreps (0,3)"),
+])
+def test_corrupted_exact_table_message(i, k, value, message):
+    table = _with_entry(symmetric_character_table(5), i, k, value)
+    with pytest.raises(CorruptTable) as info:
+        table.validate()
+    assert str(info.value) == message
+
+
+def test_exact_column_orthogonality_checked():
+    # four linear characters of Z_2^3 and a fake degree-2 row
+    # 2(delta_e - delta_x) with x = (1,0,0): every row check passes, but
+    # the table is not square, so column orthogonality fails
+    group = make_abelian_product([2, 2, 2])
+    linear = abelian_character_table(group).entries[:4]
+    fake = tuple(Fraction(v) for v in (2, 0, 0, 0, -2, 0, 0, 0))
+    table = CharacterTable(group=group, degrees=(1, 1, 1, 1, 2),
+                           entries=linear + (fake,),
+                           irrep_labels=tuple("abcde"), trivial_index=0,
+                           exact=True)
+    with pytest.raises(CorruptTable) as info:
+        table.validate()
+    assert str(info.value) == "column orthogonality fails for classes (1,1)"

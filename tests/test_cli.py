@@ -78,6 +78,22 @@ def test_efp_table_output(capsys, tmp_path):
     assert csv_path.exists()
 
 
+def test_efp_table_nmax_bound(capsys):
+    code, _, err = run(capsys, "efp-table", "--nmax", "9")
+    assert code == 2
+    assert "n_max <= 8" in err
+
+
+def test_theta_float_failure_is_clean(capsys):
+    # a known float-mode failure: the float LP on S_10 efp:9 comes back
+    # infeasible; it must end in a message and exit 1, not a traceback
+    code, out, err = run(capsys, "theta", "--group", "sym:10",
+                         "--connection", "efp:9", "--float")
+    assert code == 1
+    assert err.startswith("numerical failure: ")
+    assert "Traceback" not in out + err
+
+
 def test_export_sdpa_a(capsys, tmp_path):
     out_path = tmp_path / "c5.dat-s"
     code, out, _ = run(capsys, "export-sdpa", "--formulation", "A",

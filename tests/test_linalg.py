@@ -5,6 +5,8 @@ import numpy as np
 
 from cayley_theta.linalg import exact_psd, rank, solve_square
 
+from oracles import solve_square as reference_solve_square
+
 
 def random_symmetric(rng, n, lo=-3, hi=3):
     M = [[Fraction(0)] * n for _ in range(n)]
@@ -21,6 +23,23 @@ def test_solve_square_known():
     assert x == [Fraction(4, 5), Fraction(7, 5)]
     singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert solve_square(singular, [Fraction(1), Fraction(1)]) is None
+
+
+def test_solve_square_matches_fraction_oracle():
+    rng = random.Random(3)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        A = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+              for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            A[-1] = [a + b for a, b in zip(A[0], A[1 % (n - 1)])]
+        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+             for _ in range(n)]
+        x = solve_square(A, b)
+        assert x == reference_solve_square(A, b)
+        singular += x is None
+    assert singular > 10
 
 
 def test_rank():

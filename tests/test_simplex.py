@@ -7,7 +7,7 @@ from cayley_theta.errors import InvalidArgument
 from cayley_theta.simplex import (LpInstance, dump_lp, solve,
                                   verify_certificate)
 
-from oracles import brute_force_lp
+from oracles import brute_force_lp, reference_simplex
 
 
 def F(*args):
@@ -44,18 +44,21 @@ def test_unbounded():
     assert solve(inst).status == "unbounded"
 
 
+# a classical degenerate instance on which Dantzig's rule cycles
+CYCLING = LpInstance(
+    objective=(F(3, 4), F(-150), F(1, 50), F(-6), F(0), F(0), F(0)),
+    A=((F(1, 4), F(-60), F(-1, 25), F(9), F(1), F(0), F(0)),
+       (F(1, 2), F(-90), F(-1, 50), F(3), F(0), F(1), F(0)),
+       (F(0), F(0), F(1), F(0), F(0), F(0), F(1))),
+    b=(F(0), F(0), F(1)))
+
+
 def test_degenerate_cycling_guard():
     # classical degenerate instance; Bland's rule must terminate
-    inst = LpInstance(
-        objective=(F(3, 4), F(-150), F(1, 50), F(-6), F(0), F(0), F(0)),
-        A=((F(1, 4), F(-60), F(-1, 25), F(9), F(1), F(0), F(0)),
-           (F(1, 2), F(-90), F(-1, 50), F(3), F(0), F(1), F(0)),
-           (F(0), F(0), F(1), F(0), F(0), F(0), F(1))),
-        b=(F(0), F(0), F(1)))
-    sol = solve(inst)
+    sol = solve(CYCLING)
     assert sol.status == "optimal"
     assert sol.objective_value == Fraction(1, 20)
-    assert verify_certificate(inst, sol)
+    assert verify_certificate(CYCLING, sol)
 
 
 def test_redundant_rows():
@@ -107,6 +110,39 @@ def test_against_oracle_random_exact():
             assert verify_certificate(inst, sol)
             checked += 1
     assert checked >= 20
+
+
+def _same_as_reference(inst):
+    sol = solve(inst)
+    ref = reference_simplex(inst.objective, inst.A, inst.b)
+    assert (sol.status, sol.x, sol.objective_value, sol.dual,
+            sol.basis) == ref
+    return sol.status
+
+
+def test_exact_kernel_matches_fraction_reference():
+    """The integer kernel takes the reference's pivots: same status,
+    vertex, value, dual and basis, on redundant rows and on rational
+    data whose denominators differ from row to row."""
+    rng = random.Random(77)
+
+    def value():
+        if rng.random() < 0.3:
+            return F(0)
+        return F(rng.randint(-9, 9), rng.randint(1, 7))
+
+    seen = {_same_as_reference(CYCLING)}
+    for _ in range(400):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 8)
+        A = [tuple(value() for _ in range(n)) for _ in range(m)]
+        b = [value() for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            A[-1], b[-1] = tuple(2 * v for v in A[0]), 2 * b[0]
+        c = tuple(value() for _ in range(n))
+        seen.add(_same_as_reference(
+            LpInstance(objective=c, A=tuple(A), b=tuple(b))))
+    assert seen == {"optimal", "infeasible", "unbounded"}
 
 
 def test_float_mode_matches_exact():

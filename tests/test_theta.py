@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cayley_theta.apps import efp_connection
 from cayley_theta.characters import (IrrepMatrices, abelian_character_table,
                                      abelian_irreps,
                                      symmetric_character_table)
@@ -130,6 +132,19 @@ def test_certificate_matrix_roundtrip():
     f = symmetrize_matrix(A, spec.group)
     for gamma in range(order):
         assert f.values[gamma] == cert.f.at_element(gamma)
+
+
+def test_exact_s8_certificates_pinned():
+    """Exact certificate JSON of S_8 efp:1..8, byte for byte; the sha256
+    was pinned from the Fraction-based simplex the integer kernel
+    replaced."""
+    table = symmetric_character_table(8)
+    docs = [certificate_to_json(solve_theta(CayleyGraphSpec(
+        table.group, efp_connection(8, k, table.group)), table))
+        for k in range(1, 9)]
+    digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
+    assert digest == \
+        "f83490bf1ca652bdcf20ab4408841e0e3ec458bdda884896b452d15fed193550"
 
 
 def test_certificate_json():
