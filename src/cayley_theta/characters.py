@@ -525,11 +525,11 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     if group.order > CONVOLUTION_BOUND:
         raise InvalidArgument(
             f"direct convolution limited to order {CONVOLUTION_BOUND}")
-    inv = [group.invert(b) for b in range(group.order)]
+    inv = group.inverses()
     out = []
     for gamma in range(group.order):
-        s = sum(f.values[b] * g.values[group.multiply(inv[b], gamma)]
-                for b in range(group.order))
+        s = sum(fv * g.values[c] for fv, c in
+                zip(f.values, group.products(inv, gamma).tolist()))
         out.append(s)
     return GroupFunction(group, tuple(out))
 
@@ -550,8 +550,8 @@ def group_matrix(f) -> list:
     else:
         group = f.group
         values = list(f.values)
-    inv = [group.invert(g) for g in range(group.order)]
-    return [[values[group.multiply(b, inv[c])] for c in range(group.order)]
+    inv = group.inverses()
+    return [[values[i] for i in group.products(b, inv).tolist()]
             for b in range(group.order)]
 
 

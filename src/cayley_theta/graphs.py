@@ -11,8 +11,11 @@ of the original graph.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (InvalidArgument, NotAutomorphism, NotTransitive,
                      SchemaError)
@@ -134,6 +137,22 @@ class Graph:
             adj[v] |= 1 << u
         return cls(vertex_count=n, adj=tuple(adj))
 
+    @classmethod
+    def from_matrix(cls, matrix):
+        """Graph of a symmetric boolean adjacency array."""
+        rows = np.packbits(matrix, axis=1, bitorder="little")
+        return cls(vertex_count=len(matrix), adj=tuple(
+            int.from_bytes(row.tobytes(), "little") for row in rows))
+
+    def matrix(self) -> np.ndarray:
+        """The adjacency bitmasks as an n x n boolean array."""
+        n = self.vertex_count
+        width = (n + 7) // 8
+        rows = np.frombuffer(b"".join(m.to_bytes(width, "little")
+                                      for m in self.adj), dtype=np.uint8)
+        return np.unpackbits(rows.reshape(n, width), axis=1, count=n,
+                             bitorder="little").astype(bool)
+
     @property
     def edges(self):
         out = []
@@ -167,15 +186,13 @@ def build_cayley(group: FiniteGroup, connection: ConnectionSet) -> Graph:
             f"Cayley graph materialization limited to order {CAYLEY_BOUND}")
     if not same_group(connection.group, group):
         raise InvalidArgument("connection set belongs to a different group")
-    elems = connection.elements
-    adj = [0] * group.order
-    for x in range(group.order):
-        for s in elems:
-            adj[x] |= 1 << group.multiply(x, s)
-    for x in range(group.order):
-        if adj[x] >> x & 1:
-            raise InvalidArgument("connection set produced a self-loop")
-    return Graph(vertex_count=group.order, adj=tuple(adj))
+    xs = np.arange(group.order)
+    hit = np.zeros((group.order, group.order), dtype=bool)
+    for s in connection.elements:
+        hit[xs, group.products(xs, s)] = True
+    if hit.diagonal().any():
+        raise InvalidArgument("connection set produced a self-loop")
+    return Graph.from_matrix(hit)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +210,6 @@ class AlphaResult:
         return self.lower if self.exact else None
 
 
-class _Deadline(Exception):
-    pass
-
-
 def alpha(graph: Graph, time_budget: Optional[float] = None) -> AlphaResult:
     """Exact maximum independent set by branch-and-bound (maximum clique
     of the complement, greedy-coloring bound, Tomita-style pruning).
@@ -207,75 +220,71 @@ def alpha(graph: Graph, time_budget: Optional[float] = None) -> AlphaResult:
     n = graph.vertex_count
     if n == 0:
         return AlphaResult(0, 0, (), True)
-    comp = graph.complement()
+    comp = ~graph.matrix()
+    np.fill_diagonal(comp, False)
     # deterministic relabeling: complement-degree descending, index ties
-    order = sorted(range(n), key=lambda v: (-comp.degree(v), v))
-    pos = {v: i for i, v in enumerate(order)}
-    adj = [0] * n
-    for v in range(n):
-        mask = comp.adj[v]
-        u = 0
-        m = mask
-        while m:
-            if m & 1:
-                adj[pos[v]] |= 1 << pos[u]
-            m >>= 1
-            u += 1
+    order = np.argsort(-comp.sum(axis=1), kind="stable")
+    adj = Graph.from_matrix(comp[np.ix_(order, order)]).adj
+    order = order.tolist()
+    # apart[v]: the vertices that may share v's color (not v, not adjacent)
+    apart = [~(adj[v] | (1 << v)) for v in range(n)]
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    best = {"size": 0, "mask": 0}
+    best_size = 0
+    best_mask = 0
     full = (1 << n) - 1
 
-    def coloring_bound(P):
-        colors = 0
-        while P:
-            colors += 1
-            Q = P
-            while Q:
-                v = (Q & -Q).bit_length() - 1
-                Q &= ~adj[v] & ~(1 << v)
-                P &= ~(1 << v)
-        return colors
-
-    def expand(R, size, P):
-        if deadline is not None and time.monotonic() > deadline:
-            raise _Deadline
-        if not P:
-            if size > best["size"]:
-                best["size"] = size
-                best["mask"] = R
-            return
+    def node(R, size, P):
+        """Search frame [R, size, verts, bounds, i, avail] of the clique R
+        with candidates P: the candidates in greedy color classes, each
+        with the clique size bound reached by taking it, the next one to
+        branch on (from the end) and the candidates not yet branched on."""
         verts = []
         bounds = []
         left = P
-        color = 0
+        bound = size
         while left:
-            color += 1
+            bound += 1
             Q = left
             while Q:
-                v = (Q & -Q).bit_length() - 1
-                Q &= ~adj[v] & ~(1 << v)
-                left &= ~(1 << v)
+                low = Q & -Q
+                v = low.bit_length() - 1
+                Q &= apart[v]
+                left ^= low
                 verts.append(v)
-                bounds.append(size + color)
-        avail = P
-        for i in range(len(verts) - 1, -1, -1):
-            if bounds[i] <= best["size"]:
-                return
-            v = verts[i]
-            avail &= ~(1 << v)
-            expand(R | (1 << v), size + 1, avail & adj[v])
+                bounds.append(bound)
+        # arrays hold the stack's millions of entries without an int
+        # object each
+        return [R, size, array("l", verts), array("l", bounds),
+                len(verts) - 1, P]
 
+    # depth-first search on an explicit stack, so that alpha is not bounded
+    # by Python's recursion limit; branch order and pruning are those of
+    # the recursive form
     timed_out = False
-    upper = coloring_bound(full)
-    try:
-        expand(0, 0, full)
-    except _Deadline:
-        timed_out = True
+    stack = [node(0, 0, full)]
+    upper = stack[0][3][-1]   # colors used on the whole graph
+    while stack:
+        frame = stack[-1]
+        R, size, verts, bounds, i, avail = frame
+        if i < 0 or bounds[i] <= best_size:
+            stack.pop()
+            continue
+        if deadline is not None and time.monotonic() > deadline:
+            timed_out = True
+            break
+        v = verts[i]
+        avail &= ~(1 << v)
+        frame[4], frame[5] = i - 1, avail
+        P = avail & adj[v]
+        if P:
+            stack.append(node(R | (1 << v), size + 1, P))
+        elif size + 1 > best_size:
+            best_size, best_mask = size + 1, R | (1 << v)
     witness = tuple(sorted(order[i] for i in range(n)
-                           if best["mask"] >> i & 1))
+                           if best_mask >> i & 1))
     if timed_out:
-        return AlphaResult(best["size"], upper, witness, False)
-    return AlphaResult(best["size"], best["size"], witness, True)
+        return AlphaResult(best_size, upper, witness, False)
+    return AlphaResult(best_size, best_size, witness, True)
 
 
 # ---------------------------------------------------------------------------

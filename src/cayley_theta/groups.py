@@ -13,6 +13,17 @@ exported tables) are reproducible byte-for-byte:
 
 Composition convention for permutations: the right factor acts first,
 i.e. ``(p * q)(i) = p(q(i))``.
+
+``multiply`` and ``invert`` give single products.  Work over many pairs
+(Cayley graphs, conjugacy classes, group matrices) goes through
+``products`` and ``inverses``, which act on whole numpy index arrays.
+They read an array of every element, built on the first bulk call: the
+``(n!, n)`` permutations of S_n or the ``(|G|, n, n)`` matrices of
+GL(n, q).  A table group keeps its Cayley table as an array, and
+abelian products compute their digits.  The arrays hold the elements in
+the canonical order above, so indexing is the same on both paths, and a
+group that only ever answers class-level questions (the character table
+and LP of S_10) never builds one.
 """
 
 from __future__ import annotations
@@ -20,13 +31,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import InvalidArgument, NotAGroup
 
 GENERIC_CLASS_BOUND = 10000   # orbit algorithm cutoff
-AXIOM_CHECK_BOUND = 200       # exhaustive associativity cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +134,8 @@ class GroupAction:
 
 class FiniteGroup:
     """Base class: an immutable indexed group.  Subclasses fix the element
-    encoding and supply multiply/invert; conjugacy classes are cached on
-    first request."""
+    encoding and supply multiply/invert and the bulk products; conjugacy
+    classes are cached on first request."""
 
     kind = "table"
     identity = 0
@@ -140,6 +152,29 @@ class FiniteGroup:
     def invert(self, a: int) -> int:
         raise NotImplementedError
 
+    def products(self, a, b) -> np.ndarray:
+        """Products ``a * b`` of index arrays, elementwise under numpy
+        broadcasting; either side may be a single index."""
+        raise NotImplementedError
+
+    def inverses(self) -> np.ndarray:
+        """The inverse of every element, as one index array: g^-1 is
+        g^(order-1) (Lagrange), raised for all g at once by squaring."""
+        result = np.zeros(self.order, dtype=np.int64)
+        power = np.arange(self.order)
+        e = self.order - 1
+        while e:
+            if e & 1:
+                result = self.products(result, power)
+            power = self.products(power, power)
+            e >>= 1
+        return result
+
+    def identity_key(self):
+        """What fixes the element numbering within this class of group;
+        see :func:`same_group`."""
+        return id(self)
+
     def element_label(self, a: int) -> str:
         return str(a)
 
@@ -154,29 +189,27 @@ class FiniteGroup:
             raise InvalidArgument(
                 f"generic conjugacy-class computation limited to order "
                 f"{GENERIC_CLASS_BOUND}, got {self.order}")
-        remaining = set(range(self.order))
-        classes = []
+        hs = np.arange(self.order)
+        inv = self.inverses()
+        class_of = np.full(self.order, -1)
         member_lists = []
-        while remaining:
-            g = min(remaining)
-            orbit = {self.multiply(self.multiply(h, g), self.invert(h))
-                     for h in range(self.order)}
-            remaining -= orbit
-            member_lists.append(tuple(sorted(orbit)))
-        # identity element 0 starts the sweep, so class 0 is the identity class
-        rep_of = [members[0] for members in member_lists]
-        class_of = {}
-        for idx, members in enumerate(member_lists):
-            for m in members:
-                class_of[m] = idx
-        for idx, members in enumerate(member_lists):
-            inv = class_of[self.invert(rep_of[idx])]
-            classes.append(ConjugacyClass(
-                representative=rep_of[idx], size=len(members),
-                label=self.element_label(rep_of[idx]),
-                inverse_class=inv, members=members))
-        self._class_of = class_of
-        return tuple(classes)
+        # the sweep visits each class first at its smallest member, which
+        # is its representative; the identity 0 comes first, so class 0 is
+        # the identity class
+        for g in range(self.order):
+            if class_of[g] < 0:
+                in_orbit = np.zeros(self.order, dtype=bool)
+                in_orbit[self.products(self.products(hs, g), inv)] = True
+                orbit = np.flatnonzero(in_orbit)
+                class_of[orbit] = len(member_lists)
+                member_lists.append(tuple(orbit.tolist()))
+        inverse_class = class_of[inv[[m[0] for m in member_lists]]].tolist()
+        self._class_of = dict(enumerate(class_of.tolist()))
+        return tuple(
+            ConjugacyClass(representative=members[0], size=len(members),
+                           label=self.element_label(members[0]),
+                           inverse_class=inverse_class[idx], members=members)
+            for idx, members in enumerate(member_lists))
 
     def class_index_of(self, g: int) -> int:
         if self._class_of is None:
@@ -190,24 +223,6 @@ class FiniteGroup:
         if members is None:
             raise InvalidArgument("class members not materialized")
         return members
-
-    # -- verification --
-    def check_axioms(self):
-        """Exhaustive group-axiom check; O(order^3), intended for
-        order <= 200."""
-        n = self.order
-        e = self.identity
-        for g in range(n):
-            if self.multiply(e, g) != g or self.multiply(g, e) != g:
-                raise NotAGroup("identity", (g,))
-            if self.multiply(g, self.invert(g)) != e:
-                raise NotAGroup("inverse", (g,))
-        for a in range(n):
-            for b in range(n):
-                ab = self.multiply(a, b)
-                for c in range(n):
-                    if self.multiply(ab, c) != self.multiply(a, self.multiply(b, c)):
-                        raise NotAGroup("associativity", (a, b, c))
 
 
 class AbelianProductGroup(FiniteGroup):
@@ -223,11 +238,12 @@ class AbelianProductGroup(FiniteGroup):
             raise InvalidArgument("at least one modulus required")
         if any(m < 2 for m in moduli):
             raise InvalidArgument(f"moduli must be >= 2, got {moduli}")
-        order = 1
-        for m in moduli:
-            order *= m
+        order = prod(moduli)
         super().__init__(order)
         self.moduli = moduli
+        # place value of each digit, the last modulus varying fastest
+        self._strides = tuple(prod(moduli[i + 1:])
+                              for i in range(len(moduli)))
 
     def decode(self, a: int) -> tuple:
         out = []
@@ -249,17 +265,27 @@ class AbelianProductGroup(FiniteGroup):
     def invert(self, a):
         return self.encode(-x for x in self.decode(a))
 
+    def products(self, a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        out = 0
+        for m, stride in zip(self.moduli, self._strides):
+            out = out + (a // stride + b // stride) % m * stride
+        return out
+
+    def identity_key(self):
+        return self.moduli
+
     def element_label(self, a):
         return "(" + ",".join(str(x) for x in self.decode(a)) + ")"
 
     def _compute_classes(self):
-        classes = []
-        for g in range(self.order):
-            classes.append(ConjugacyClass(
-                representative=g, size=1, label=self.element_label(g),
-                inverse_class=self.invert(g), members=(g,)))
+        inverse = self.inverses().tolist()
         self._class_of = {g: g for g in range(self.order)}
-        return tuple(classes)
+        return tuple(
+            ConjugacyClass(representative=g, size=1,
+                           label=self.element_label(g),
+                           inverse_class=inverse[g], members=(g,))
+            for g in range(self.order))
 
 
 class SymmetricGroup(FiniteGroup):
@@ -275,16 +301,10 @@ class SymmetricGroup(FiniteGroup):
             raise InvalidArgument(f"need 1 <= n <= {self.MAX_N}, got {n}")
         super().__init__(factorial(n))
         self.n = n
-        self._perm_cache = {}
-        self._members_by_type = None
+        self._perms = None
 
     def perm(self, a: int) -> tuple:
-        p = self._perm_cache.get(a)
-        if p is None:
-            p = perm_unrank(a, self.n)
-            if len(self._perm_cache) < 50000:
-                self._perm_cache[a] = p
-        return p
+        return perm_unrank(a, self.n)
 
     def multiply(self, a, b):
         # right factor acts first: (p*q)(i) = p(q(i))
@@ -297,6 +317,28 @@ class SymmetricGroup(FiniteGroup):
         for i, v in enumerate(p):
             inv[v] = i
         return perm_rank(tuple(inv))
+
+    def _perm_array(self) -> np.ndarray:
+        """Row r is the permutation of rank r: ``itertools.permutations``
+        yields them in lexicographic order, which is Lehmer-rank order."""
+        if self._perms is None:
+            self._perms = np.array(
+                list(itertools.permutations(range(self.n))),
+                dtype=np.int64)
+            # a permutation's key reads its entries as base-n digits; the
+            # keys increase with the rank, so searchsorted ranks them
+            self._weights = self.n ** np.arange(self.n - 1, -1, -1)
+            self._keys = self._perms @ self._weights
+        return self._perms
+
+    def products(self, a, b):
+        perms = self._perm_array()
+        p, q = np.broadcast_arrays(perms[a], perms[b])
+        composed = np.take_along_axis(p, q, axis=-1)
+        return np.searchsorted(self._keys, composed @ self._weights)
+
+    def identity_key(self):
+        return self.n
 
     def element_label(self, a):
         return "[" + " ".join(str(v) for v in self.perm(a)) + "]"
@@ -332,8 +374,8 @@ class SymmetricGroup(FiniteGroup):
         members_by_type = None
         if materialize:
             members_by_type = {mu: [] for mu in parts_list}
-            for r in range(self.order):
-                members_by_type[cycle_type(perm_unrank(r, self.n))].append(r)
+            for r, p in enumerate(self._perm_array().tolist()):
+                members_by_type[cycle_type(p)].append(r)
         for mu in parts_list:
             rep = perm_rank(self.canonical_of_type(mu))
             classes.append(ConjugacyClass(
@@ -342,8 +384,6 @@ class SymmetricGroup(FiniteGroup):
                 label=partition_label(mu),
                 inverse_class=index_of_type[mu],  # every class is self-inverse
                 members=tuple(members_by_type[mu]) if materialize else None))
-        if materialize:
-            self._class_of = None  # computed on demand by cycle type
         return tuple(classes)
 
     def class_index_of(self, g):
@@ -447,6 +487,7 @@ class GeneralLinearGroup(FiniteGroup):
         if len(self.matrices) != expected:
             raise NotAGroup("order-formula", (len(self.matrices), expected))
         self.index = {m: i for i, m in enumerate(self.matrices)}
+        self._mats = None
 
     def _invertible(self, mat):
         return self._inverse(mat) is not None
@@ -505,6 +546,28 @@ class GeneralLinearGroup(FiniteGroup):
     def invert(self, a):
         return self.index[self._inverse(self.matrices[a])]
 
+    def products(self, a, b):
+        if self._mats is None:
+            # the field tables as arrays, and the index of every matrix
+            # by its entry vector read as a base-q number (-1: singular)
+            self._mats = np.array(self.matrices, dtype=np.int64)
+            self._add = np.array(self.field.add)
+            self._mul = np.array(self.field.mul)
+            self._weights = self.q ** np.arange(
+                self.n * self.n - 1, -1, -1).reshape(self.n, self.n)
+            self._index_of_key = np.full(self.q ** (self.n * self.n), -1)
+            self._index_of_key[(self._mats * self._weights).sum(
+                axis=(-2, -1))] = np.arange(self.order)
+        A, B = self._mats[a], self._mats[b]
+        terms = self._mul[A[..., :, :, None], B[..., None, :, :]]
+        C = terms[..., 0, :]     # C[i, j] = sum over k of A[i, k] B[k, j]
+        for k in range(1, self.n):
+            C = self._add[C, terms[..., k, :]]
+        return self._index_of_key[(C * self._weights).sum(axis=(-2, -1))]
+
+    def identity_key(self):
+        return (self.q, self.n)
+
     def element_label(self, a):
         return ";".join(" ".join(str(v) for v in row)
                         for row in self.matrices[a])
@@ -545,6 +608,7 @@ class TableGroup(FiniteGroup):
             if inv[g] is None or self.table[inv[g]][g] != 0:
                 raise NotAGroup("inverse", (g,))
         self._inv = tuple(inv)
+        self._array = np.array(self.table)
         for a in range(n):
             for b in range(n):
                 ab = self.table[a][b]
@@ -557,6 +621,12 @@ class TableGroup(FiniteGroup):
 
     def invert(self, a):
         return self._inv[a]
+
+    def products(self, a, b):
+        return self._array[a, b]
+
+    def identity_key(self):
+        return self.table
 
     def element_label(self, a):
         return self.labels[a] if self.labels else str(a)
@@ -604,28 +674,18 @@ def conjugacy_classes(group: FiniteGroup):
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     """Whether two group objects describe the identical indexed group
     (same element numbering, not merely isomorphic)."""
-    if a is b:
-        return True
-    if type(a) is not type(b) or a.order != b.order:
-        return False
-    if isinstance(a, SymmetricGroup):
-        return a.n == b.n
-    if isinstance(a, AbelianProductGroup):
-        return a.moduli == b.moduli
-    if isinstance(a, GeneralLinearGroup):
-        return (a.q, a.n) == (b.q, b.n)
-    if isinstance(a, TableGroup):
-        return a.table == b.table
-    return False
+    return a is b or (type(a) is type(b) and a.order == b.order
+                      and a.identity_key() == b.identity_key())
 
 
 def export_cayley_table(group: FiniteGroup, path):
     """Plain text: first line the order, then order lines of indices."""
+    everything = np.arange(group.order)
     with open(path, "w") as fh:
         fh.write(f"{group.order}\n")
         for a in range(group.order):
-            fh.write(" ".join(str(group.multiply(a, b))
-                              for b in range(group.order)) + "\n")
+            row = group.products(a, everything).tolist()
+            fh.write(" ".join(map(str, row)) + "\n")
 
 
 def import_cayley_table(path) -> TableGroup:

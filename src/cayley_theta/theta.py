@@ -249,12 +249,12 @@ def extract_matrix_solution(cert: ThetaCertificate):
     if group.order > MATRIX_BOUND:
         raise SizeLimit(
             f"matrix extraction limited to order {MATRIX_BOUND}")
-    inv = [group.invert(g) for g in range(group.order)]
+    inv = group.inverses()
     f_elem = [cert.f.values[group.class_index_of(g)]
               for g in range(group.order)]
     order = group.order
-    return [[f_elem[group.multiply(b, inv[c])] / order
-             for c in range(order)] for b in range(order)]
+    return [[f_elem[i] / order for i in group.products(b, inv).tolist()]
+            for b in range(order)]
 
 
 def symmetrize_matrix(A, group: FiniteGroup) -> GroupFunction:
@@ -274,10 +274,11 @@ def symmetrize_matrix(A, group: FiniteGroup) -> GroupFunction:
                     raise InvalidArgument("matrix is not Hermitian")
             elif abs(complex(A[i][j]) - complex(conj(A[j][i]))) > 1e-9:
                 raise InvalidArgument("matrix is not Hermitian")
+    betas = np.arange(order)
     values = []
     for gamma in range(order):
-        s = sum(A[group.multiply(gamma, beta)][beta]
-                for beta in range(order))
+        s = sum(A[row][beta] for beta, row in
+                enumerate(group.products(gamma, betas).tolist()))
         values.append(Fraction(s) if exact and not isinstance(s, Fraction)
                       else s)
     return GroupFunction(group, tuple(values))

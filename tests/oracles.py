@@ -3,12 +3,17 @@
 These deliberately share no code with the solvers they check: the LP
 oracle enumerates basic feasible solutions and extreme rays, the
 reference simplex is the plain two-phase Bland solver over ``Fraction``
-that the package's integer kernel must reproduce pivot for pivot, and
-the independence-number oracle is a plain subset recursion.
+that the package's integer kernel must reproduce pivot for pivot, the
+independence-number oracle is a plain subset recursion, and the group
+oracles use only the single-product ``multiply``/``invert`` that the
+array kernels (``products``/``inverses``) must agree with.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from cayley_theta.errors import NotAGroup
+from cayley_theta.groups import ConjugacyClass
 
 
 def solve_square(A, b):
@@ -204,3 +209,44 @@ def brute_force_alpha(graph) -> int:
         return max(with_v, without_v)
 
     return rec((1 << n) - 1)
+
+
+def check_axioms(group):
+    """Exhaustive group-axiom check through ``multiply``/``invert``;
+    O(order^3), for small groups."""
+    n = group.order
+    e = group.identity
+    for g in range(n):
+        if group.multiply(e, g) != g or group.multiply(g, e) != g:
+            raise NotAGroup("identity", (g,))
+        if group.multiply(g, group.invert(g)) != e:
+            raise NotAGroup("inverse", (g,))
+    for a in range(n):
+        for b in range(n):
+            ab = group.multiply(a, b)
+            for c in range(n):
+                if group.multiply(ab, c) != \
+                        group.multiply(a, group.multiply(b, c)):
+                    raise NotAGroup("associativity", (a, b, c))
+
+
+def reference_classes(group):
+    """Conjugacy classes by the orbit sweep over single products: the
+    orbit of the smallest unswept element, in the order and layout of
+    ``FiniteGroup.conjugacy_classes``."""
+    remaining = set(range(group.order))
+    member_lists = []
+    while remaining:
+        g = min(remaining)
+        orbit = {group.multiply(group.multiply(h, g), group.invert(h))
+                 for h in range(group.order)}
+        remaining -= orbit
+        member_lists.append(tuple(sorted(orbit)))
+    class_of = {m: idx for idx, members in enumerate(member_lists)
+                for m in members}
+    return tuple(
+        ConjugacyClass(representative=members[0], size=len(members),
+                       label=group.element_label(members[0]),
+                       inverse_class=class_of[group.invert(members[0])],
+                       members=members)
+        for members in member_lists)

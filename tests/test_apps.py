@@ -10,9 +10,24 @@ from cayley_theta.apps import (EfpCell, GlCell, count_fixing_at_least,
                                efp_table, efp_table_csv, efp_table_grid,
                                gl_connection, gl_lower_bound,
                                gl_pointwise_stabilizer)
+from cayley_theta.characters import symmetric_character_table
 from cayley_theta.errors import InvalidArgument
 from cayley_theta.graphs import alpha, build_cayley
-from cayley_theta.groups import make_general_linear, make_symmetric
+from cayley_theta.groups import (SymmetricGroup, make_general_linear,
+                                 make_symmetric)
+
+
+def test_s10_table_and_lp_build_no_element_array(monkeypatch):
+    def refuse(self):
+        raise AssertionError("element array built")
+
+    monkeypatch.setattr(SymmetricGroup, "_perm_array", refuse)
+    table = symmetric_character_table(10)
+    for k in range(1, 11):
+        assert efp_connection(10, k, table.group).size > 0
+    spec = theta.CayleyGraphSpec(table.group,
+                                 efp_connection(10, 1, table.group))
+    assert theta.solve_theta(spec, table).objective == math.factorial(9)
 
 
 def brute_count_fixing_at_least(n, s, m):

@@ -69,6 +69,14 @@ def test_alpha_budget_exit_code(capsys):
         assert "alpha in [" in out
 
 
+def test_alpha_deeper_than_the_recursion_limit(capsys):
+    code, out, err = run(capsys, "alpha", "--group", "cyclic:1500",
+                         "--connection", "empty")
+    assert code == 0
+    assert "alpha = 1500" in out
+    assert "Traceback" not in out + err
+
+
 def test_efp_table_output(capsys, tmp_path):
     csv_path = tmp_path / "t.csv"
     code, out, _ = run(capsys, "efp-table", "--nmax", "4",

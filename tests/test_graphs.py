@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from cayley_theta.apps import efp_connection, gl_connection
 from cayley_theta.errors import (InvalidArgument, NotAutomorphism,
                                  NotTransitive, WrongFormulation)
 from cayley_theta.graphs import (ConnectionSet, Graph, alpha,
@@ -9,7 +11,8 @@ from cayley_theta.graphs import (ConnectionSet, Graph, alpha,
                                  export_action, export_graph, import_action_table,
                                  import_graph)
 from cayley_theta.groups import (action_from_generators, action_from_table,
-                                 make_abelian_product, make_symmetric)
+                                 make_abelian_product, make_general_linear,
+                                 make_symmetric)
 
 from oracles import brute_force_alpha
 
@@ -71,6 +74,39 @@ def test_build_cayley_cycle():
     assert sorted(g.edges) == [(0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)]
 
 
+def _inverse_closed_set(group, size, seed):
+    """A seeded inverse-closed, identity-free set of exactly size elements."""
+    rng = random.Random(seed)
+    chosen = set()
+    while len(chosen) < size:
+        x = rng.randrange(1, group.order)
+        pair = {x, group.invert(x)}
+        if len(chosen | pair) <= size:
+            chosen |= pair
+    return sorted(chosen)
+
+
+def test_build_cayley_pinned_graphs():
+    # sha256 of repr(adj) as built one product at a time, before the
+    # array kernels; the arrays must give the same graphs bit for bit
+    s6 = make_symmetric(6)
+    gl25 = make_general_linear(5, 2)
+    X = ConnectionSet.from_elements(s6, _inverse_closed_set(s6, 120, 0))
+    assert not X.conjugation_closed
+    cases = [
+        (s6, efp_connection(6, 2, s6),
+         "7286555e61ede7c05ef5c594cd49e7dd24d09a19542f8fe61359ed5093fec56f"),
+        (gl25, gl_connection(5, 2, 1, gl25),
+         "a3e73132981bdb87a714bcb90da505a120b16fca5902470e88585cae48f89353"),
+        (s6, X,
+         "decbe95ab76f4b459e735201005816fab43fc6e5e34444215ef8c88a1623e599"),
+    ]
+    for group, connection, want in cases:
+        graph = build_cayley(group, connection)
+        assert all(type(mask) is int for mask in graph.adj)
+        assert hashlib.sha256(repr(graph.adj).encode()).hexdigest() == want
+
+
 def test_alpha_known_graphs():
     res = alpha(petersen())
     assert res.exact and res.lower == res.upper == 4
@@ -99,6 +135,14 @@ def test_alpha_against_oracle_random():
         res = alpha(g)
         assert res.exact
         assert res.value == brute_force_alpha(g)
+
+
+def test_alpha_deeper_than_the_recursion_limit():
+    # the empty Cayley graph on Z_1500: the search goes 1500 levels deep
+    z = make_abelian_product([1500])
+    res = alpha(build_cayley(z, ConnectionSet.from_classes(z, [])))
+    assert res.exact and res.value == 1500
+    assert res.witness == tuple(range(1500))
 
 
 def test_alpha_budget_gives_valid_bounds():

@@ -1,13 +1,17 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from cayley_theta.errors import InvalidArgument, NotAGroup
-from cayley_theta.groups import (conjugacy_classes, cycle_type,
-                                 export_cayley_table, import_cayley_table,
-                                 make_abelian_product, make_from_table,
-                                 make_general_linear, make_symmetric,
-                                 partitions, perm_rank, perm_unrank)
+from cayley_theta.groups import (action_from_generators, conjugacy_classes,
+                                 cycle_type, export_cayley_table,
+                                 import_cayley_table, make_abelian_product,
+                                 make_from_table, make_general_linear,
+                                 make_symmetric, partitions, perm_rank,
+                                 perm_unrank, same_group)
+
+from oracles import check_axioms, reference_classes
 
 
 def test_perm_rank_roundtrip():
@@ -154,7 +158,63 @@ def test_axioms_exhaustive_small_groups():
     for group in (make_symmetric(4), make_abelian_product([12]),
                   make_general_linear(2, 2), make_general_linear(3, 2)):
         assert group.order <= 200
-        group.check_axioms()
+        check_axioms(group)
+
+
+def _small_table_group():
+    # the dihedral group of order 8, relabelled so its identity is not 0
+    d4 = action_from_generators([(1, 2, 3, 0), (0, 3, 2, 1)]).group
+    sigma = [3, 1, 2, 0, 4, 5, 6, 7]
+    table = [[0] * 8 for _ in range(8)]
+    for a in range(8):
+        for b in range(8):
+            table[sigma[a]][sigma[b]] = sigma[d4.multiply(a, b)]
+    return make_from_table(table)
+
+
+def test_array_products_match_single_products():
+    for group in (make_symmetric(4), make_abelian_product([3, 4]),
+                  make_abelian_product([2, 2, 2]), make_general_linear(3, 2),
+                  make_general_linear(4, 2), _small_table_group()):
+        n = group.order
+        table = group.products(np.arange(n)[:, None], np.arange(n)[None, :])
+        assert table.tolist() == [[group.multiply(a, b) for b in range(n)]
+                                  for a in range(n)]
+        assert group.inverses().tolist() == [group.invert(a)
+                                             for a in range(n)]
+        # a single index on either side broadcasts
+        assert group.products(n - 1, np.arange(n)).tolist() == \
+            table[n - 1].tolist()
+        assert group.products(np.arange(n), 1).tolist() == \
+            table[:, 1].tolist()
+
+
+def test_generic_classes_match_reference():
+    closure = action_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    for group in (make_general_linear(3, 2), make_general_linear(4, 2),
+                  make_general_linear(5, 2), closure.group):
+        classes = conjugacy_classes(group)
+        assert classes == reference_classes(group)
+        assert all(type(v) is int for c in classes
+                   for v in (c.representative, c.size, c.inverse_class,
+                             *c.members))
+        assert all(type(group.class_index_of(g)) is int
+                   for g in range(group.order))
+
+
+def test_same_group_needs_same_kind_and_numbering():
+    s3 = make_symmetric(3)
+    order_six = [s3, make_general_linear(2, 2), make_abelian_product([6]),
+                 make_abelian_product([2, 3]),
+                 make_from_table([[s3.multiply(a, b) for b in range(6)]
+                                  for a in range(6)])]
+    for i, a in enumerate(order_six):
+        for j, b in enumerate(order_six):
+            assert same_group(a, b) == (i == j)
+    assert same_group(make_symmetric(3), s3)
+    assert same_group(make_general_linear(2, 2), order_six[1])
+    assert same_group(make_abelian_product([2, 3]), order_six[3])
+    assert not same_group(make_abelian_product([3, 2]), order_six[3])
 
 
 def test_class_equation_and_partition_counts():
