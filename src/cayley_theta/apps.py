@@ -17,11 +17,12 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional
 
-from .characters import CharacterTable, symmetric_character_table
+from .characters import (CharacterTable, format_real,
+                         symmetric_character_table)
 from .errors import InvalidArgument
 from .graphs import ConnectionSet
-from .groups import (FiniteGroup, GeneralLinearGroup, SymmetricGroup,
-                     make_general_linear, make_symmetric, partitions)
+from .groups import (GeneralLinearGroup, SymmetricGroup, make_general_linear,
+                     make_symmetric, partitions)
 from .theta import CayleyGraphSpec, solve_theta
 
 
@@ -125,10 +126,9 @@ def efp_table_csv(cells, path):
         writer.writerow(["n", "k", "theta", "conjectured_max", "checkmark",
                          "lp_rows", "lp_cols", "runtime_ms"])
         for c in cells:
-            theta = str(Fraction(c.theta)) if c.exact else float(c.theta)
-            writer.writerow([c.n, c.k, theta, c.conjectured_max,
-                             int(c.checkmark), c.lp_rows, c.lp_cols,
-                             f"{c.runtime_ms:.1f}"])
+            writer.writerow([c.n, c.k, format_real(c.theta, c.exact),
+                             c.conjectured_max, int(c.checkmark), c.lp_rows,
+                             c.lp_cols, f"{c.runtime_ms:.1f}"])
 
 
 def efp_table_grid(cells) -> str:
@@ -200,18 +200,3 @@ def gl_pointwise_stabilizer(group: GeneralLinearGroup, k: int) -> list:
             out.append(idx)
     return out
 
-
-@dataclass(frozen=True)
-class GlCell:
-    q: int
-    n: int
-    k: int
-    alpha_lower: int
-    alpha_exact: Optional[int] = None
-    theta: Optional[float] = None   # float mode only, never rigorous
-
-    def __post_init__(self):
-        if self.alpha_exact is not None and \
-                self.alpha_exact < self.alpha_lower:
-            raise InvalidArgument(
-                "exact alpha below the product lower bound")

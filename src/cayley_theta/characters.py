@@ -6,6 +6,11 @@ symmetric-group tables are computed by the Murnaghan-Nakayama rule and
 are exact integers; abelian tables involve roots of unity and are stored
 approximately unless all moduli are 1 or 2.
 
+One rule decides every exact-or-approximate test here and in ``theta``
+and ``simplex``: exact means tolerance 0.  An exact value is compared
+exactly and never passes through ``complex()`` or ``float()``; an
+approximate one is compared within the tolerance of its call site.
+
 Class ordering conventions: class 0 is always the identity class; for
 symmetric groups classes and irreps are both indexed by partitions in
 the canonical order of :func:`cayley_theta.groups.partitions`.
@@ -20,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -42,6 +47,12 @@ def is_exact(v) -> bool:
     return isinstance(v, (Fraction, int))
 
 
+def format_real(v, exact: bool):
+    """A real result as written to JSON, CSV or the terminal: the
+    rational as a string "p/q" when exact, else a float."""
+    return str(Fraction(v)) if exact else float(v)
+
+
 # ---------------------------------------------------------------------------
 # function types
 
@@ -54,10 +65,6 @@ class ClassFunction:
     def __post_init__(self):
         if len(self.values) != len(self.group.conjugacy_classes()):
             raise InvalidArgument("one value per conjugacy class required")
-
-    @property
-    def exact(self) -> bool:
-        return all(is_exact(v) for v in self.values)
 
     def at_element(self, g: int) -> Scalar:
         return self.values[self.group.class_index_of(g)]
@@ -77,10 +84,6 @@ class GroupFunction:
         if len(self.values) != self.group.order:
             raise InvalidArgument("one value per element required")
 
-    @property
-    def exact(self) -> bool:
-        return all(is_exact(v) for v in self.values)
-
 
 # ---------------------------------------------------------------------------
 # character tables
@@ -97,9 +100,6 @@ class CharacterTable:
     @property
     def classes(self):
         return self.group.conjugacy_classes()
-
-    def entry(self, irrep: int, cls: int) -> Scalar:
-        return self.entries[irrep][cls]
 
     def validate(self, tol: float = 1e-8):
         """Check all table invariants; raise CorruptTable on failure."""
@@ -234,42 +234,6 @@ def mn_character(lam: tuple, mu: tuple) -> int:
     total = 0
     for sign, smaller in _beta_strip_removals(lam, mu[0]):
         total += sign * mn_character(smaller, mu[1:])
-    return total
-
-
-def mn_character_reference(lam: tuple, mu: tuple) -> int:
-    """Independent unmemoized recomputation of chi_lambda(mu).
-
-    Border strips are enumerated directly on the Young diagram: a strip
-    spanning rows i..j forces row r (i <= r < j) down to lam[r+1]-1
-    cells, and the remaining strip cells land in row j.
-    """
-    if not mu:
-        return 1 if not lam else 0
-    k = mu[0]
-    ell = len(lam)
-    lam_pad = lam + (0,)
-    total = 0
-    for i in range(ell):
-        for j in range(i, ell):
-            nu = list(lam)
-            cells = 0
-            ok = True
-            for r in range(i, j):
-                nu[r] = lam_pad[r + 1] - 1
-                if nu[r] < 0:
-                    ok = False
-                    break
-                cells += lam[r] - nu[r]
-            if not ok or cells >= k:
-                continue
-            rest = k - cells
-            nu_j = lam[j] - rest
-            if nu_j < lam_pad[j + 1] or nu_j < 0:
-                continue
-            nu[j] = nu_j
-            smaller = tuple(x for x in nu if x > 0)
-            total += (-1) ** (j - i) * mn_character_reference(smaller, mu[1:])
     return total
 
 
@@ -472,12 +436,9 @@ def is_positive_type(f, rep, tol: float = 1e-9) -> PositiveTypeResult:
     scalars = fourier_class_scalars(f, table)
     scale = max(1.0, float(table.group.order)) * tol
     for i, c in enumerate(scalars):
-        if is_exact(c):
-            if c < 0:
-                return PositiveTypeResult(False, i, c)
-        else:
-            if abs(c.imag) > scale or c.real < -scale:
-                return PositiveTypeResult(False, i, c)
+        eps = 0 if is_exact(c) else scale
+        if abs(c.imag) > eps or c.real < -eps:
+            return PositiveTypeResult(False, i, c)
     return PositiveTypeResult(True)
 
 
@@ -593,11 +554,6 @@ class IrrepMatrices:
                     raise InvalidArgument(
                         f"irrep {i}: homomorphism fails at ({a},{b})")
         return self
-
-    def character_row(self, i: int):
-        classes = self.group.conjugacy_classes()
-        return tuple(complex(np.trace(self.matrices[i][c.representative]))
-                     for c in classes)
 
 
 def as_float_table(table: CharacterTable) -> CharacterTable:

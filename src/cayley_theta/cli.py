@@ -20,11 +20,11 @@ from fractions import Fraction
 from . import __version__
 from .apps import (efp_connection, efp_table, efp_table_csv, efp_table_grid,
                    gl_connection)
-from .characters import (CharacterTable, ClassFunction, GroupFunction,
+from .characters import (CharacterTable, GroupFunction,
                          abelian_character_table, as_float_table,
-                         export_character_table, import_character_table,
-                         import_irreps, is_positive_type,
-                         symmetric_character_table)
+                         export_character_table, format_real,
+                         import_character_table, import_irreps,
+                         is_positive_type, symmetric_character_table)
 from .errors import (CorruptTable, InvalidArgument, NotAGroup, NotAutomorphism,
                      NotTransitive, NumericalFailure, SchemaError,
                      WrongFormulation)
@@ -154,9 +154,8 @@ def cmd_alpha(args):
 def cmd_efp_table(args):
     cells = efp_table(args.nmax)
     for c in cells:
-        theta = Fraction(c.theta) if c.exact else float(c.theta)
         mark = "ok" if c.checkmark else "GAP"
-        print(f"n={c.n} k={c.k} theta={theta} "
+        print(f"n={c.n} k={c.k} theta={format_real(c.theta, c.exact)} "
               f"conjectured={c.conjectured_max} {mark} "
               f"({c.runtime_ms:.0f} ms)")
     print(efp_table_grid(cells), end="")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

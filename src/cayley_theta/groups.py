@@ -715,13 +715,15 @@ def action_from_table(group: FiniteGroup, table) -> GroupAction:
     if table[group.identity] != tuple(range(point_count)):
         raise InvalidArgument("identity must act trivially")
     if group.order <= 200:
+        act = np.array(table, dtype=np.int64)
+        elements = np.arange(group.order)
+        products = group.products(elements[:, None], elements)
+        # one g at a time keeps memory at |G| x points
         for g in range(group.order):
-            for h in range(group.order):
-                gh = group.multiply(g, h)
-                for p in range(point_count):
-                    if table[g][table[h][p]] != table[gh][p]:
-                        raise InvalidArgument(
-                            f"not an action: ({g},{h},{p})")
+            bad = np.flatnonzero(act[g][act] != act[products[g]])
+            if bad.size:
+                h, p = divmod(int(bad[0]), point_count)
+                raise InvalidArgument(f"not an action: ({g},{h},{p})")
     return GroupAction(group=group, point_count=point_count, table=table)
 
 

@@ -3,9 +3,8 @@
 Inputs are lists of lists of Fraction (or int).  ``solve_square`` scales
 each equation to integers and eliminates fraction-free (``eliminate``,
 which the exact simplex shares), so it takes no gcd until it builds the
-solution; ``rank`` and ``exact_psd`` (pivoted
-symmetric elimination) work on Fraction directly.  Floating-point linear
-algebra goes through numpy, not this module.
+solution.  Floating-point linear algebra goes through numpy, not this
+module.
 """
 
 from __future__ import annotations
@@ -60,65 +59,3 @@ def solve_square(A, b):
         D = eliminate(M, col, col, D)
     return [Fraction(M[r][n], D) for r in range(n)]
 
-
-def rank(A):
-    """Rank of a rational matrix by Gaussian elimination."""
-    if not A:
-        return 0
-    M = [list(row) for row in A]
-    rows, cols = len(M), len(M[0])
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if M[i][col] != 0), None)
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        pv = M[r][col]
-        for i in range(r + 1, rows):
-            if M[i][col] != 0:
-                f = M[i][col] / pv
-                M[i] = [a - f * c for a, c in zip(M[i], M[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def exact_psd(M):
-    """Decide positive semidefiniteness of a symmetric rational matrix.
-
-    Returns (True, None) or (False, witness) where the witness is a
-    nonpositive quantity certifying failure (a negative diagonal entry,
-    or a negative Schur-complement pivot).  Uses symmetric pivoting:
-    a PSD matrix with a zero diagonal entry must have the whole row zero,
-    which lets elimination proceed on positive pivots only.
-    """
-    n = len(M)
-    A = [[Fraction(v) for v in row] for row in M]
-    active = list(range(n))
-    while active:
-        pivot = None
-        for i in active:
-            d = A[i][i]
-            if d < 0:
-                return False, d
-            if d > 0:
-                pivot = i
-                break
-        if pivot is None:
-            # all active diagonal entries are zero: rows must vanish
-            for i in active:
-                for j in active:
-                    if A[i][j] != 0:
-                        # 2x2 principal minor [[0, a], [a, d]] has det -a^2 < 0
-                        return False, -A[i][j] * A[i][j]
-            return True, None
-        active.remove(pivot)
-        d = A[pivot][pivot]
-        for i in active:
-            f = A[i][pivot] / d
-            if f == 0:
-                continue
-            for j in active:
-                A[i][j] -= f * A[pivot][j]
-    return True, None

@@ -24,7 +24,7 @@ wrong "optimal").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -72,10 +72,6 @@ class LpSolution:
     objective_value: Optional[object] = None
     dual: Optional[tuple] = None
     basis: Optional[tuple] = None
-
-
-def _num(v, exact):
-    return Fraction(v) if exact else float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +291,11 @@ def _scale(instance):
 def _dual_from_basis(instance, basis, keep_rows, exact):
     """Multipliers y with y.A_B = c_B, solved from the original data;
     dropped redundant rows get y = 0."""
+    num = Fraction if exact else float
     k = len(basis)
-    AT = [[_num(instance.A[keep_rows[i]][basis[j]], exact)
-           for i in range(k)] for j in range(k)]
-    cB = [_num(instance.objective[bi], exact) for bi in basis]
+    AT = [[num(instance.A[keep_rows[i]][basis[j]]) for i in range(k)]
+          for j in range(k)]
+    cB = [num(instance.objective[bi]) for bi in basis]
     if exact:
         y = linalg.solve_square(AT, cB)
     else:
@@ -310,7 +307,7 @@ def _dual_from_basis(instance, basis, keep_rows, exact):
             y = None
     if y is None:
         return None
-    full = [Fraction(0) if exact else 0.0] * instance.m
+    full = [num(0)] * instance.m
     for i, row in enumerate(keep_rows):
         full[row] = y[i]
     return tuple(full)
@@ -359,13 +356,3 @@ def verify_certificate(instance: LpInstance, solution: LpSolution,
         if abs(diff) > eps:
             return VerifyResult(False, "duality gap")
     return VerifyResult(True)
-
-
-def dump_lp(instance: LpInstance) -> str:
-    """Debug dump: one line per row, rationals as p/q."""
-    def fmt(v):
-        return str(Fraction(v)) if instance.exact else repr(float(v))
-    lines = ["max " + " ".join(fmt(c) for c in instance.objective)]
-    for row, rhs in zip(instance.A, instance.b):
-        lines.append(" ".join(fmt(v) for v in row) + " = " + fmt(rhs))
-    return "\n".join(lines) + "\n"

@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .characters import (CharacterTable, ClassFunction, GroupFunction,
-                         IrrepMatrices, conj, fourier_class_scalars,
-                         is_exact, is_positive_type)
+                         IrrepMatrices, conj, format_real, is_exact,
+                         is_positive_type)
 from .errors import (InvalidArgument, NumericalFailure, SizeLimit,
                      WrongFormulation)
 from .graphs import ConnectionSet, build_cayley
@@ -94,9 +94,10 @@ def build_lp_D(spec: CayleyGraphSpec, table: CharacterTable) -> ThetaLp:
     degrees = table.degrees
     n = len(degrees)
     exact = table.exact
+    num = Fraction if exact else float
 
-    rows = [[Fraction(d * d) if exact else float(d * d) for d in degrees]]
-    rhs = [Fraction(group.order) if exact else float(group.order)]
+    rows = [[num(d * d) for d in degrees]]
+    rhs = [num(group.order)]
     labels = ["normalization"]
     seen = {_row_key(rows[0], exact)}
 
@@ -110,18 +111,16 @@ def build_lp_D(spec: CayleyGraphSpec, table: CharacterTable) -> ThetaLp:
             candidates = [([v.real for v in cvals], f"class {c} (re)"),
                           ([v.imag for v in cvals], f"class {c} (im)")]
         for row, label in candidates:
-            if _is_zero_row(row, exact):
-                continue
             key = _row_key(row, exact)
-            if key in seen:
+            if key is None or key in seen:
                 continue
             seen.add(key)
             rows.append(row)
-            rhs.append(Fraction(0) if exact else 0.0)
+            rhs.append(num(0))
             labels.append(label)
 
-    objective = [Fraction(0) if exact else 0.0] * n
-    objective[table.trivial_index] = Fraction(1) if exact else 1.0
+    objective = [num(0)] * n
+    objective[table.trivial_index] = num(1)
     instance = LpInstance(objective=tuple(objective),
                           A=tuple(tuple(r) for r in rows),
                           b=tuple(rhs), exact=exact)
@@ -129,25 +128,17 @@ def build_lp_D(spec: CayleyGraphSpec, table: CharacterTable) -> ThetaLp:
                    row_labels=tuple(labels), kept_classes=kept)
 
 
-def _is_zero_row(row, exact):
-    if exact:
-        return all(v == 0 for v in row)
-    return max(abs(v) for v in row) < ROW_DROP_TOL
-
-
 def _row_key(row, exact):
-    """Sign- and scale-normalized key for duplicate-row detection."""
+    """Sign- and scale-normalized key for duplicate-row detection; None
+    for a row that is zero (exactly, or below ROW_DROP_TOL in floats)."""
     if exact:
         lead = next((v for v in row if v != 0), None)
-        if lead is None:
-            return ("zero",)
-        return tuple(v / lead for v in row)
+        return None if lead is None else tuple(v / lead for v in row)
     scale = max(abs(v) for v in row)
     if scale < ROW_DROP_TOL:
-        return ("zero",)
+        return None
     lead = next(v for v in row if abs(v) > ROW_DROP_TOL)
-    normalized = [v / scale * (1 if lead > 0 else -1) for v in row]
-    return tuple(round(v, 12) for v in normalized)
+    return tuple(round(v / scale * (1 if lead > 0 else -1), 12) for v in row)
 
 
 def solve_theta(spec: CayleyGraphSpec, table: CharacterTable,
@@ -211,12 +202,10 @@ def validate_certificate(cert: ThetaCertificate,
     scale = 0 if cert.exact else tol * max(1.0, float(group.order))
 
     def bad(value, want):
-        if cert.exact:
-            return value != want
-        return abs(complex(value) - complex(want)) > scale
+        return abs(value - want) > scale
 
     for i, ai in enumerate(cert.a):
-        if (ai < 0) if cert.exact else (float(ai) < -scale):
+        if ai < -scale:
             problems.append(f"a[{i}] negative")
     if bad(sum(d * d * ai for d, ai in zip(degrees, cert.a)), group.order):
         problems.append("normalization sum d^2 a != |Gamma|")
@@ -267,12 +256,10 @@ def symmetrize_matrix(A, group: FiniteGroup) -> GroupFunction:
     if len(A) != order or any(len(row) != order for row in A):
         raise InvalidArgument("matrix shape does not match the group")
     exact = all(is_exact(v) for row in A for v in row)
+    tol = 0 if exact else 1e-9
     for i in range(order):
         for j in range(i, order):
-            if exact:
-                if A[i][j] != conj(A[j][i]):
-                    raise InvalidArgument("matrix is not Hermitian")
-            elif abs(complex(A[i][j]) - complex(conj(A[j][i]))) > 1e-9:
+            if abs(A[i][j] - conj(A[j][i])) > tol:
                 raise InvalidArgument("matrix is not Hermitian")
     betas = np.arange(order)
     values = []
@@ -399,21 +386,14 @@ def build_sdp_C(spec: CayleyGraphSpec,
         for entries in (tuple(re_entries), tuple(im_entries)):
             if not entries:
                 continue
-            key = _entries_key(entries)
+            key = (tuple(e[:3] for e in entries),
+                   _row_key([e[3] for e in entries], False))
             if key in seen_rows:
                 continue
             seen_rows.add(key)
             constraints.append((entries, 0.0))
     return SdpInstance(block_sizes=block_sizes, objective=objective,
                        constraints=tuple(constraints))
-
-
-def _entries_key(entries):
-    scale = max(abs(v) for (_, _, _, v) in entries)
-    lead = entries[0][3]
-    sign = 1.0 if lead > 0 else -1.0
-    return tuple((b, i, j, round(sign * v / scale, 12))
-                 for (b, i, j, v) in entries)
 
 
 def export_sdpa(instance: SdpInstance, path):
@@ -469,17 +449,14 @@ def read_sdpa(path) -> SdpInstance:
 # certificate serialization
 
 def certificate_to_json(cert: ThetaCertificate) -> str:
-    def fmt(v):
-        return str(Fraction(v)) if cert.exact else float(v)
-
     classes = cert.spec.group.conjugacy_classes()
     data = {
         "schema": 1,
         "exact": cert.exact,
-        "theta": fmt(cert.objective),
-        "a": {label: fmt(v)
+        "theta": format_real(cert.objective, cert.exact),
+        "a": {label: format_real(v, cert.exact)
               for label, v in zip(cert.table.irrep_labels, cert.a)},
-        "f": {c.label: fmt(v)
+        "f": {c.label: format_real(v, cert.exact)
               for c, v in zip(classes, cert.f.values)},
     }
     return json.dumps(data, indent=1)

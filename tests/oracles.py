@@ -4,9 +4,11 @@ These deliberately share no code with the solvers they check: the LP
 oracle enumerates basic feasible solutions and extreme rays, the
 reference simplex is the plain two-phase Bland solver over ``Fraction``
 that the package's integer kernel must reproduce pivot for pivot, the
-independence-number oracle is a plain subset recursion, and the group
+independence-number oracle is a plain subset recursion, the group
 oracles use only the single-product ``multiply``/``invert`` that the
-array kernels (``products``/``inverses``) must agree with.
+array kernels (``products``/``inverses``) must agree with, the PSD test
+is symmetric elimination over ``Fraction``, and the character oracle
+walks border strips on the Young diagram instead of beta-sets.
 """
 
 from fractions import Fraction
@@ -250,3 +252,79 @@ def reference_classes(group):
                        inverse_class=class_of[group.invert(members[0])],
                        members=members)
         for members in member_lists)
+
+
+def exact_psd(M):
+    """Decide positive semidefiniteness of a symmetric rational matrix.
+
+    Returns (True, None) or (False, witness) where the witness is a
+    nonpositive quantity certifying failure (a negative diagonal entry,
+    or a negative Schur-complement pivot).  Uses symmetric pivoting:
+    a PSD matrix with a zero diagonal entry must have the whole row zero,
+    which lets elimination proceed on positive pivots only.
+    """
+    n = len(M)
+    A = [[Fraction(v) for v in row] for row in M]
+    active = list(range(n))
+    while active:
+        pivot = None
+        for i in active:
+            d = A[i][i]
+            if d < 0:
+                return False, d
+            if d > 0:
+                pivot = i
+                break
+        if pivot is None:
+            # all active diagonal entries are zero: rows must vanish
+            for i in active:
+                for j in active:
+                    if A[i][j] != 0:
+                        # 2x2 principal minor [[0, a], [a, d]] has det -a^2 < 0
+                        return False, -A[i][j] * A[i][j]
+            return True, None
+        active.remove(pivot)
+        d = A[pivot][pivot]
+        for i in active:
+            f = A[i][pivot] / d
+            if f == 0:
+                continue
+            for j in active:
+                A[i][j] -= f * A[pivot][j]
+    return True, None
+
+
+def mn_character_reference(lam: tuple, mu: tuple) -> int:
+    """Independent unmemoized recomputation of chi_lambda(mu).
+
+    Border strips are enumerated directly on the Young diagram: a strip
+    spanning rows i..j forces row r (i <= r < j) down to lam[r+1]-1
+    cells, and the remaining strip cells land in row j.
+    """
+    if not mu:
+        return 1 if not lam else 0
+    k = mu[0]
+    ell = len(lam)
+    lam_pad = lam + (0,)
+    total = 0
+    for i in range(ell):
+        for j in range(i, ell):
+            nu = list(lam)
+            cells = 0
+            ok = True
+            for r in range(i, j):
+                nu[r] = lam_pad[r + 1] - 1
+                if nu[r] < 0:
+                    ok = False
+                    break
+                cells += lam[r] - nu[r]
+            if not ok or cells >= k:
+                continue
+            rest = k - cells
+            nu_j = lam[j] - rest
+            if nu_j < lam_pad[j + 1] or nu_j < 0:
+                continue
+            nu[j] = nu_j
+            smaller = tuple(x for x in nu if x > 0)
+            total += (-1) ** (j - i) * mn_character_reference(smaller, mu[1:])
+    return total

@@ -15,21 +15,19 @@ from cayley_theta.characters import (ClassFunction, GroupFunction,
                                      abelian_character_table,
                                      export_character_table, group_matrix,
                                      import_character_table, is_positive_type,
-                                     mn_character, mn_character_reference,
-                                     as_float_table,
+                                     mn_character, as_float_table,
                                      symmetric_character_table)
 from cayley_theta.graphs import (ConnectionSet, Graph, alpha,
                                  blowup_connection, build_cayley)
 from cayley_theta.groups import (action_from_generators, action_from_table,
                                  make_abelian_product, make_general_linear,
                                  make_symmetric, partitions)
-from cayley_theta.linalg import exact_psd
 from cayley_theta.simplex import LpInstance, solve, verify_certificate
 from cayley_theta.theta import (CayleyGraphSpec, build_sdp_A, export_sdpa,
                                 extract_matrix_solution, read_sdpa,
                                 solve_theta, symmetrize_matrix)
 
-from oracles import brute_force_lp
+from oracles import brute_force_lp, exact_psd, mn_character_reference
 
 
 def report(criterion: str, ok: bool):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cayley_theta import theta
-from cayley_theta.apps import (EfpCell, GlCell, count_fixing_at_least,
+from cayley_theta.apps import (EfpCell, count_fixing_at_least,
                                efp_cell, efp_conjectured_max, efp_connection,
                                efp_table, efp_table_csv, efp_table_grid,
                                gl_connection, gl_lower_bound,
@@ -153,9 +153,3 @@ def test_gl_alpha_meets_lower_bound():
         group = make_general_linear(q, n)
         g = build_cayley(group, gl_connection(q, n, k, group))
         assert alpha(g).value == gl_lower_bound(q, n, k)
-
-
-def test_gl_cell_validation():
-    GlCell(q=2, n=2, k=1, alpha_lower=2, alpha_exact=2)
-    with pytest.raises(InvalidArgument):
-        GlCell(q=2, n=2, k=1, alpha_lower=3, alpha_exact=2)

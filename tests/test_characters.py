@@ -15,12 +15,12 @@ from cayley_theta.characters import (CharacterTable, ClassFunction,
                                      hook_length_degree,
                                      import_character_table, involute,
                                      is_positive_type, mn_character,
-                                     mn_character_reference,
                                      symmetric_character_table)
 from cayley_theta.errors import CorruptTable, NeedsIrreps, SchemaError
 from cayley_theta.groups import (make_abelian_product, make_general_linear,
                                  make_symmetric, partitions)
-from cayley_theta.linalg import exact_psd
+
+from oracles import exact_psd, mn_character_reference
 
 
 def test_abelian_table_z5():
@@ -141,6 +141,17 @@ def test_bochner_float_abelian():
     M = np.array(group_matrix(f), dtype=float)
     want = bool(np.linalg.eigvalsh(M).min() > -1e-8)
     assert bool(res) == want
+
+
+def test_bochner_exact_means_tolerance_zero():
+    z2 = make_abelian_product([2])
+    table = abelian_character_table(z2)
+    assert table.exact
+    res = is_positive_type(
+        ClassFunction(z2, (Fraction(1), 1 + Fraction(1, 10**12))), table)
+    assert not res and res.irrep == 1
+    assert is_positive_type(ClassFunction(z2, (1.0, 1.0 + 1e-12)),
+                            as_float_table(table))
 
 
 def test_non_class_function_needs_irreps():

