@@ -18,7 +18,6 @@ the canonical order of :func:`cayley_theta.groups.partitions`.
 
 from __future__ import annotations
 
-import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +28,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import CorruptTable, InvalidArgument, NeedsIrreps, SchemaError
+from .errors import (CorruptTable, InvalidArgument, NeedsIrreps, SchemaError,
+                     SizeLimit)
 from .groups import (AbelianProductGroup, FiniteGroup, SymmetricGroup,
                      partition_label, partitions, same_group)
 from .linalg import scaled
@@ -37,6 +37,10 @@ from .linalg import scaled
 Scalar = Union[Fraction, complex]
 
 CONVOLUTION_BOUND = 5000
+# an abelian table has order**2 entries, each a Python object
+ABELIAN_TABLE_BOUND = 2000
+# entries per block of table rows held as a numpy array at a time
+ROW_BLOCK = 1 << 13
 
 
 def conj(v: Scalar) -> Scalar:
@@ -178,31 +182,45 @@ def _ne(value, want, tol):
 def abelian_character_table(group: FiniteGroup) -> CharacterTable:
     """Characters of a product of cyclic groups: chi_j(x) =
     prod_t exp(2*pi*i*j_t*x_t/m_t).  Exact (entries +-1) when every
-    modulus is 2; approximate complex otherwise."""
+    modulus is 2; approximate complex otherwise.
+
+    The phases come from one integer matrix N[j, x] = sum_t j_t*x_t*(L/m_t)
+    with L = lcm(moduli), built ROW_BLOCK entries at a time.  An exact
+    entry is +-1 by the parity of N.  An approximate entry is cos(y) +
+    i*sin(y) with y = (2*pi)*(N/L): N and L are below 2^53, so N/L is the
+    correctly rounded phase, and (cos y, sin y) is what cmath.exp(i*y)
+    returns for it."""
     if not isinstance(group, AbelianProductGroup):
         raise InvalidArgument("abelian_character_table needs an "
                               "abelian-product group")
+    if group.order > ABELIAN_TABLE_BOUND:
+        raise SizeLimit(f"abelian character tables limited to order "
+                        f"{ABELIAN_TABLE_BOUND}, got {group.order}")
     moduli = group.moduli
     exact = all(m <= 2 for m in moduli)
+    L = lcm(*moduli)
+    elements = np.arange(group.order)
+    digits = np.stack([elements // s % m for m, s in
+                       zip(moduli, group.strides)], axis=1)
+    weighted = digits * np.array([L // m for m in moduli])
+    signs = (Fraction(1), Fraction(-1))
+    step = max(1, ROW_BLOCK // group.order)
     entries = []
-    labels = []
-    for j in range(group.order):
-        js = group.decode(j)
-        row = []
-        for x in range(group.order):
-            xs = group.decode(x)
-            if exact:
-                sign = sum(a * b for a, b in zip(js, xs))
-                row.append(Fraction(-1 if sign % 2 else 1))
-            else:
-                phase = sum(Fraction(a * b, m) for a, b, m in
-                            zip(js, xs, moduli))
-                row.append(cmath.exp(2j * cmath.pi * float(phase)))
-        entries.append(tuple(row))
-        labels.append("chi" + group.element_label(j))
+    for start in range(0, group.order, step):
+        N = digits[start:start + step] @ weighted.T
+        if exact:
+            entries += [tuple(map(signs.__getitem__, row))
+                        for row in (N % 2).tolist()]
+            continue
+        y = (2 * np.pi) * (N / L)
+        z = np.empty(y.shape, dtype=complex)
+        z.real, z.imag = np.cos(y), np.sin(y)
+        entries += map(tuple, z.tolist())
     return CharacterTable(
         group=group, degrees=(1,) * group.order,
-        entries=tuple(entries), irrep_labels=tuple(labels),
+        entries=tuple(entries),
+        irrep_labels=tuple("chi" + group.element_label(j)
+                           for j in range(group.order)),
         trivial_index=0, exact=exact)
 
 
@@ -384,21 +402,60 @@ def import_character_table(path, group: FiniteGroup) -> CharacterTable:
 # ---------------------------------------------------------------------------
 # Fourier analysis
 
+def _row_blocks(table: CharacterTable):
+    """(first row, rows) over the table's rows, about ROW_BLOCK entries at
+    a time as one numpy array: of objects when the table is exact, so
+    that Python does the arithmetic, else complex."""
+    dtype = object if table.exact else complex
+    step = max(1, ROW_BLOCK // len(table.classes))
+    for start in range(0, len(table.entries), step):
+        yield start, np.array(table.entries[start:start + step], dtype=dtype)
+
+
+def _terms(weights, rows):
+    """The products weights[k] * rows[i, k], each rounded as Python rounds
+    the scalar product: numpy may fuse the multiply and add of a complex
+    product, CPython does not, so an approximate one is written out in
+    real and imaginary parts."""
+    if rows.dtype == object:
+        return np.array(weights, dtype=object) * rows
+    w = np.array([complex(x) for x in weights])
+    out = np.empty(rows.shape, dtype=complex)
+    out.real = w.real * rows.real - w.imag * rows.imag
+    out.imag = w.real * rows.imag + w.imag * rows.real
+    return out
+
+
+def _ordered_sum(terms, start=0):
+    """start + terms[:, 0] + terms[:, 1] + ..., added strictly in that
+    order as Python's sum() adds: cumsum (add.accumulate) adds in order,
+    where add.reduce may add pairwise."""
+    terms[:, 0] += start
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def row_combination(table: CharacterTable, weights) -> list:
+    """sum_pi weights[pi] * chi_pi(C) for every class C, summed in irrep
+    order from 0, bit for bit as the scalar sum()."""
+    acc = 0
+    for start, rows in _row_blocks(table):
+        acc = _ordered_sum(
+            _terms(weights[start:start + len(rows)], rows.T), acc)
+    return acc.tolist()
+
+
 def fourier_class_scalars(f: ClassFunction, table: CharacterTable):
     """Scalars c_pi with fhat(pi) = c_pi * I for a class function f:
-    c_pi = (1/d_pi) sum_C |C| f(C) chi_pi(C)."""
+    c_pi = (1/d_pi) sum_C |C| f(C) chi_pi(C), summed in class order from
+    0, bit for bit as the scalar sum()."""
     if not same_group(f.group, table.group):
         raise InvalidArgument("function and table use different groups")
-    classes = table.classes
-    out = []
-    for i, d in enumerate(table.degrees):
-        s = sum(c.size * fv * table.entries[i][k]
-                for k, (c, fv) in enumerate(zip(classes, f.values)))
-        if is_exact(s):
-            out.append(Fraction(s) / d)
-        else:
-            out.append(complex(s) / d)
-    return tuple(out)
+    weights = [c.size * fv for c, fv in zip(table.classes, f.values)]
+    sums = []
+    for _, rows in _row_blocks(table):
+        sums += _ordered_sum(_terms(weights, rows)).tolist()
+    return tuple(Fraction(s) / d if is_exact(s) else complex(s) / d
+                 for s, d in zip(sums, table.degrees))
 
 
 @dataclass(frozen=True)

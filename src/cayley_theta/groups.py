@@ -242,8 +242,8 @@ class AbelianProductGroup(FiniteGroup):
         super().__init__(order)
         self.moduli = moduli
         # place value of each digit, the last modulus varying fastest
-        self._strides = tuple(prod(moduli[i + 1:])
-                              for i in range(len(moduli)))
+        self.strides = tuple(prod(moduli[i + 1:])
+                             for i in range(len(moduli)))
 
     def decode(self, a: int) -> tuple:
         out = []
@@ -268,7 +268,7 @@ class AbelianProductGroup(FiniteGroup):
     def products(self, a, b):
         a, b = np.asarray(a), np.asarray(b)
         out = 0
-        for m, stride in zip(self.moduli, self._strides):
+        for m, stride in zip(self.moduli, self.strides):
             out = out + (a // stride + b // stride) % m * stride
         return out
 
@@ -712,6 +712,9 @@ def action_from_table(group: FiniteGroup, table) -> GroupAction:
     point_count = len(table[0])
     if any(len(row) != point_count for row in table):
         raise InvalidArgument("ragged action table")
+    if any(not 0 <= p < point_count for row in table for p in row):
+        raise InvalidArgument(
+            f"action table entries must be points 0..{point_count - 1}")
     if table[group.identity] != tuple(range(point_count)):
         raise InvalidArgument("identity must act trivially")
     if group.order <= 200:

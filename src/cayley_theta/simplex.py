@@ -16,10 +16,13 @@ Edmonds 1967).  Ratios are compared by cross-multiplying.  The pivots,
 and so the result, are those of the same rule run over Fraction.  Bland's
 rule guarantees termination.
 
-Float mode runs the same rule over an explicit tableau of doubles, with
-reduced costs recomputed per column, epsilon comparisons and an
-iteration cap (a stall raises NumericalFailure rather than returning a
-wrong "optimal").
+Float mode runs the same rule over a tableau of doubles kept as a list
+of numpy rows.  Each iteration recomputes all reduced costs as one
+accumulation over the basis rows, in row order from 0, and a pivot is
+two row operations per row; so every double, and every pivot, is the
+one the same rule computes over plain lists of floats (the reference in
+the tests).  Comparisons are within FLOAT_EPS, and an iteration cap
+turns a stall into NumericalFailure rather than a wrong "optimal".
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
+
+import numpy as np
 
 from . import linalg
 from .errors import InvalidArgument, NumericalFailure
@@ -185,37 +190,34 @@ def _solve_exact(instance: LpInstance) -> LpSolution:
 # float mode
 
 def _pivot(T, basis, row, col):
-    pr = T[row]
-    pv = pr[col]
-    T[row] = [v / pv for v in pr]
-    pr = T[row]
+    pr = T[row] = T[row] / T[row][col]
     for i, r in enumerate(T):
         if i != row and r[col] != 0:
-            f = r[col]
-            T[i] = [a - f * c for a, c in zip(r, pr)]
+            T[i] = r - r[col] * pr
     basis[row] = col
 
 
-def _run(T, basis, cost, ncols, eps, cap):
-    """Bland-rule simplex on an explicit tableau (rhs in the last column).
-    Returns 'optimal' or 'unbounded'."""
+def _run(T, basis, cost, eps, cap):
+    """Bland-rule simplex on a tableau of numpy rows (rhs in the last
+    column) for the costs ``cost``.  Returns 'optimal' or 'unbounded'."""
+    ncols = len(cost)
+    cost = np.array(cost, dtype=float)
     iters = 0
     while True:
         iters += 1
         if iters > cap:
             raise NumericalFailure(
                 f"no convergence within {cap} simplex iterations")
-        entering = None
-        for j in range(ncols):
-            if j in basis:
-                continue
-            r = cost[j] - sum(cost[basis[i]] * T[i][j]
-                              for i in range(len(T)))
-            if r > eps:
-                entering = j
-                break
-        if entering is None:
+        # reduced costs c_j - sum_i c_B[i] T[i][j], summed in row order
+        z = np.zeros(ncols + 1)
+        for r, bi in zip(T, basis):
+            z += cost[bi] * r
+        eligible = cost - z[:ncols] > eps
+        eligible[basis] = False
+        candidates = np.flatnonzero(eligible)
+        if not candidates.size:
             return "optimal"
+        entering = int(candidates[0])
         leaving = None
         best_ratio = None
         for i in range(len(T)):
@@ -238,19 +240,19 @@ def solve(instance: LpInstance) -> LpSolution:
     m, n = instance.m, instance.n
     cap = 10 * (m + n) ** 2
 
-    A = [[float(v) for v in row] for row in instance.A]
-    b = [float(v) for v in instance.b]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-
     # Phase I: artificial columns n..n+m-1
-    T = [A[i] + [1.0 if j == i else 0.0 for j in range(m)] + [b[i]]
-         for i in range(m)]
+    T = []
+    for i, (row, rhs) in enumerate(zip(instance.A, instance.b)):
+        r = np.zeros(n + m + 1)
+        r[:n] = [float(v) for v in row]
+        r[n + i] = 1.0
+        r[-1] = float(rhs)
+        if r[-1] < 0:
+            r[:n] = -r[:n]
+            r[-1] = -r[-1]
+        T.append(r)
     basis = [n + i for i in range(m)]
-    cost1 = [0.0] * n + [-1.0] * m
-    _run(T, basis, cost1, n + m, eps, cap)
+    _run(T, basis, [0.0] * n + [-1.0] * m, eps, cap)
     infeas = sum(T[i][-1] for i in range(len(T)) if basis[i] >= n)
     if infeas > FLOAT_EPS * _scale(instance):
         return LpSolution(status="infeasible")
@@ -269,15 +271,15 @@ def solve(instance: LpInstance) -> LpSolution:
         i += 1
 
     # Phase II on the original columns
-    T2 = [row[:n] + [row[-1]] for row in T]
+    T2 = [np.append(row[:n], row[-1]) for row in T]
     cost2 = [float(v) for v in instance.objective]
-    status = _run(T2, basis, cost2, n, eps, cap)
+    status = _run(T2, basis, cost2, eps, cap)
     if status == "unbounded":
         return LpSolution(status="unbounded")
 
     x = [0.0] * n
     for i, bi in enumerate(basis):
-        x[bi] = T2[i][-1]
+        x[bi] = float(T2[i][-1])
     value = sum(c * v for c, v in zip(cost2, x))
     dual = _dual_from_basis(instance, basis, keep_rows, False)
     return LpSolution(status="optimal", x=tuple(x), objective_value=value,
@@ -299,7 +301,6 @@ def _dual_from_basis(instance, basis, keep_rows, exact):
     if exact:
         y = linalg.solve_square(AT, cB)
     else:
-        import numpy as np
         try:
             y = list(np.linalg.solve(np.array(AT, dtype=float),
                                      np.array(cB, dtype=float)))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .characters import (CharacterTable, ClassFunction, GroupFunction,
                          IrrepMatrices, conj, format_real, is_exact,
-                         is_positive_type)
+                         is_positive_type, row_combination)
 from .errors import (InvalidArgument, NumericalFailure, SizeLimit,
                      WrongFormulation)
 from .graphs import ConnectionSet, build_cayley
@@ -166,25 +166,18 @@ def solve_theta(spec: CayleyGraphSpec, table: CharacterTable,
 def _certificate_from_lp(spec, table, solution: LpSolution, lp: ThetaLp):
     group = spec.group
     a = solution.x
-    exact = table.exact
-    classes = group.conjugacy_classes()
-    values = []
-    for k, cls in enumerate(classes):
-        g = sum(d * ai * table.entries[i][k]
-                for i, (d, ai) in enumerate(zip(table.degrees, a)))
-        if exact:
-            values.append(Fraction(g) / group.order)
-        else:
-            # real symmetrization f = (g + g o inv)/2 soaks up float residue
-            ginv = sum(d * ai * table.entries[i][cls.inverse_class]
-                       for i, (d, ai) in
-                       enumerate(zip(table.degrees, a)))
-            values.append(((complex(g) + complex(ginv)) / 2).real /
-                          group.order)
+    g = row_combination(table, [d * ai for d, ai in zip(table.degrees, a)])
+    if table.exact:
+        values = [Fraction(v) / group.order for v in g]
+    else:
+        # real symmetrization f = (g + g o inv)/2 soaks up float residue
+        values = [((complex(v) + complex(g[cls.inverse_class])) / 2).real /
+                  group.order
+                  for v, cls in zip(g, group.conjugacy_classes())]
     f = ClassFunction(group, tuple(values))
     return ThetaCertificate(
         spec=spec, table=table, objective=solution.objective_value,
-        a=tuple(a), f=f, exact=exact, dual=solution.dual,
+        a=tuple(a), f=f, exact=table.exact, dual=solution.dual,
         lp_shape=(lp.instance.m, lp.instance.n))
 
 

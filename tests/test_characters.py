@@ -20,7 +20,8 @@ from cayley_theta.errors import CorruptTable, NeedsIrreps, SchemaError
 from cayley_theta.groups import (make_abelian_product, make_general_linear,
                                  make_symmetric, partitions)
 
-from oracles import exact_psd, mn_character_reference
+from oracles import (exact_psd, mn_character_reference,
+                     reference_abelian_table, reference_fourier_scalars)
 
 
 def test_abelian_table_z5():
@@ -33,6 +34,53 @@ def test_abelian_table_z5():
     # some row must be the character k -> w^k
     assert any(all(abs(table.entries[i][k] - w ** k) < 1e-12 for k in range(5))
                for i in range(5))
+
+
+@pytest.mark.parametrize("moduli", [(5,), (12,), (211,), (3, 5, 7),
+                                    (4, 6)])
+def test_abelian_table_bits_match_cmath_reference(moduli):
+    """The table built from one integer phase matrix has, entry for
+    entry, the bits of one cmath.exp per entry of a Fraction phase."""
+    group = make_abelian_product(moduli)
+    table = abelian_character_table(group)
+
+    def bits(entries):
+        return [[(v.real.hex(), v.imag.hex()) for v in row]
+                for row in entries]
+
+    assert all(type(v) is complex for row in table.entries for v in row)
+    assert bits(table.entries) == bits(reference_abelian_table(group))
+
+
+def test_abelian_table_exact_matches_reference():
+    group = make_abelian_product([2] * 7)
+    table = abelian_character_table(group)
+    assert table.exact
+    assert all(type(v) is Fraction for row in table.entries for v in row)
+    assert table.entries == reference_abelian_table(group)
+
+
+def test_fourier_scalars_bits_match_scalar_reference():
+    """Complex, float and rational class functions on approximate and
+    exact tables: every scalar has the bits of the product-by-product
+    sum (numpy's fused complex product would change some)."""
+    rng = random.Random(12)
+    tables = [abelian_character_table(make_abelian_product(m))
+              for m in ((12,), (3, 5), (2, 2, 2))]
+    tables += [symmetric_character_table(6)]
+    tables += [as_float_table(t) for t in tables if t.exact]
+    for table in tables:
+        for kind in (complex, float, Fraction):
+            values = tuple(
+                complex(rng.gauss(0, 1), rng.gauss(0, 1)) if kind is complex
+                else rng.gauss(0, 1) if kind is float
+                else Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                for _ in table.classes)
+            f = ClassFunction(table.group, values)
+            got = fourier_class_scalars(f, table)
+            want = reference_fourier_scalars(f, table)
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
 def test_abelian_table_klein_exact():

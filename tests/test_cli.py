@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cayley_theta.cli import cli_dispatch
 from cayley_theta.graphs import export_action, export_graph, Graph
 from cayley_theta.groups import (action_from_table, export_cayley_table,
@@ -175,6 +177,30 @@ def test_blowup_command(capsys, tmp_path):
     assert code == 0
     assert "connection set: 1 4" in out
     assert "alpha(blowup) = 2" in out
+
+
+@pytest.mark.parametrize("bad", [7, -1])
+def test_blowup_rejects_action_entries_outside_the_points(capsys, tmp_path,
+                                                          bad):
+    g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    gp = tmp_path / "c5.txt"
+    export_graph(g, gp)
+    z5 = make_abelian_product([5])
+    rows = [[z5.multiply(a, p) for p in range(5)] for a in range(5)]
+    rows[1][2] = bad
+    ap = tmp_path / "act.txt"
+    ap.write_text("5 5\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in rows))
+    code, _, err = run(capsys, "blowup", "--graph", str(gp),
+                       "--action", str(ap), "--group", "cyclic:5")
+    assert code == 2
+    assert "entries must be points 0..4" in err
+
+
+def test_chartable_bound_checked_before_allocating(capsys):
+    code, _, err = run(capsys, "chartable", "--group", "cyclic:3000000")
+    assert code == 2
+    assert "abelian character tables limited to order" in err
 
 
 def test_table_group_roundtrip_via_cli(capsys, tmp_path):

@@ -219,6 +219,22 @@ def test_action_table_reports_first_failing_triple():
         action_from_table(s5, natural)
 
 
+@pytest.mark.parametrize("bad", [7, -1])
+def test_action_table_rejects_entries_outside_the_points(bad):
+    z5 = make_abelian_product([5])
+    regular = [[z5.multiply(g, p) for p in range(5)] for g in range(5)]
+    regular[2][3] = bad
+    with pytest.raises(InvalidArgument, match=r"points 0\.\.4$"):
+        action_from_table(z5, regular)
+    # also above the order that gates the exhaustive axiom check
+    z211 = make_abelian_product([211])
+    elements = np.arange(211)
+    regular = z211.products(elements[:, None], elements).tolist()
+    regular[100][5] = 211 if bad > 0 else bad
+    with pytest.raises(InvalidArgument, match=r"points 0\.\.210$"):
+        action_from_table(z211, regular)
+
+
 def test_same_group_needs_same_kind_and_numbering():
     s3 = make_symmetric(3)
     order_six = [s3, make_general_linear(2, 2), make_abelian_product([6]),

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from cayley_theta.errors import InvalidArgument
+from cayley_theta.errors import InvalidArgument, NumericalFailure
 from cayley_theta.simplex import LpInstance, solve, verify_certificate
 
-from oracles import brute_force_lp, reference_simplex
+from oracles import brute_force_lp, reference_float_simplex, reference_simplex
 
 
 def F(*args):
@@ -142,6 +142,52 @@ def test_exact_kernel_matches_fraction_reference():
         seen.add(_same_as_reference(
             LpInstance(objective=c, A=tuple(A), b=tuple(b))))
     assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def _float_outcome(solver, inst):
+    try:
+        return repr(solver(inst))
+    except NumericalFailure as exc:
+        return f"NumericalFailure: {exc}"
+
+
+def test_float_kernel_matches_list_reference():
+    """The float kernel on numpy rows returns the list-of-floats
+    kernel's solution bit for bit (repr round-trips every double, and
+    shows a numpy scalar as such), or raises the same NumericalFailure:
+    on the cycling instance, redundant rows, integer data and data
+    with no short binary expansion."""
+    rng = random.Random(1905)
+    instances = [LpInstance(
+        objective=tuple(float(v) for v in CYCLING.objective),
+        A=tuple(tuple(float(v) for v in row) for row in CYCLING.A),
+        b=tuple(float(v) for v in CYCLING.b), exact=False)]
+    for _ in range(600):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 9)
+        integral = rng.random() < 0.5
+
+        def value():
+            if rng.random() < 0.25:
+                return 0.0
+            if integral:
+                return float(rng.randint(-6, 6))
+            return rng.uniform(-5, 5)
+        A = [tuple(value() for _ in range(n)) for _ in range(m)]
+        b = [value() for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            A[-1], b[-1] = tuple(2 * v for v in A[0]), 2 * b[0]
+        c = tuple(value() for _ in range(n))
+        instances.append(LpInstance(objective=c, A=tuple(A), b=tuple(b),
+                                    exact=False))
+    statuses = set()
+    for inst in instances:
+        got = _float_outcome(solve, inst)
+        assert got == _float_outcome(reference_float_simplex, inst)
+        statuses.add(got.split("'")[1] if got.startswith("Lp") else got)
+        if "optimal" in got:
+            assert all(type(v) is float for v in solve(inst).x)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
 def test_float_mode_matches_exact():

@@ -151,9 +151,8 @@ def test_exact_s8_certificates_pinned():
 
 def test_float_s8_certificates_pinned_and_near_exact():
     """Float certificate JSON of S_8 efp:1..8 through as_float_table, byte
-    for byte (the LP runs in pure-Python doubles, so the bits are
-    stable), and each float theta within 1e-9 relative of the exact
-    one."""
+    for byte (every float sum keeps its order, so the bits are stable),
+    and each float theta within 1e-9 relative of the exact one."""
     table = symmetric_character_table(8)
     ftable = as_float_table(table)
     docs = []
@@ -167,6 +166,30 @@ def test_float_s8_certificates_pinned_and_near_exact():
     digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
     assert digest == \
         "1ab463fe34507cffc6a36d6a9534ba14e949a8092c55842c2c8c64e4936488eb"
+
+
+# the connection sets of the benchmark's abelian_wide workload on Z_701
+Z701_SETS = ((1, 700), (208, 210, 289, 323, 328, 350, 351, 373, 378, 412,
+                        491, 493))
+
+
+@pytest.mark.parametrize("moduli, classes, digest", [
+    ((701,), Z701_SETS[0],
+     "d169f137273713d5f451e9c7f436c801cdf3cf4f89b3eda05cff6c18c1966014"),
+    ((701,), Z701_SETS[1],
+     "55a7a9e2d3f9691410c5b78460e2355dac2bd3fa4931072ffff01c14112f769f"),
+    ((3, 5, 7), (7, 28, 35, 43, 70, 104),
+     "b8f97c1cb3a513d1cd6e363f6b9fd78347cfa5728aca1dfcbb6f0b3708deaa48"),
+])
+def test_float_abelian_certificates_pinned(moduli, classes, digest):
+    """Float certificate JSON on abelian groups, byte for byte; the
+    sha256 was pinned from the scalar table, certificate and simplex
+    loops that the numpy versions replaced."""
+    group = make_abelian_product(moduli)
+    spec = CayleyGraphSpec(group, ConnectionSet.from_classes(group, classes))
+    cert = solve_theta(spec, abelian_character_table(group))
+    assert hashlib.sha256(
+        certificate_to_json(cert).encode()).hexdigest() == digest
 
 
 def test_validate_certificate_exact_means_tolerance_zero():
