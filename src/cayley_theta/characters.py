@@ -36,10 +36,9 @@ from .linalg import scaled
 
 Scalar = Union[Fraction, complex]
 
-CONVOLUTION_BOUND = 5000
 # an abelian table has order**2 entries, each a Python object
 ABELIAN_TABLE_BOUND = 2000
-# entries per block of table rows held as a numpy array at a time
+# entries per numpy block: table rows, or pairs of irrep matrices
 ROW_BLOCK = 1 << 13
 
 
@@ -535,44 +534,6 @@ def _is_positive_type_irreps(f, irreps: "IrrepMatrices", tol):
     return PositiveTypeResult(True)
 
 
-def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """(f * g)(gamma) = sum_beta f(beta) g(beta^-1 gamma)."""
-    if not same_group(f.group, g.group):
-        raise InvalidArgument("convolution needs a shared group")
-    group = f.group
-    if group.order > CONVOLUTION_BOUND:
-        raise InvalidArgument(
-            f"direct convolution limited to order {CONVOLUTION_BOUND}")
-    inv = group.inverses()
-    out = []
-    for gamma in range(group.order):
-        s = sum(fv * g.values[c] for fv, c in
-                zip(f.values, group.products(inv, gamma).tolist()))
-        out.append(s)
-    return GroupFunction(group, tuple(out))
-
-
-def involute(f: GroupFunction) -> GroupFunction:
-    """f^*(gamma) = conj(f(gamma^-1))."""
-    group = f.group
-    return GroupFunction(group, tuple(
-        conj(f.values[group.invert(g)]) for g in range(group.order)))
-
-
-def group_matrix(f) -> list:
-    """The |G| x |G| matrix M(beta, gamma) = f(beta * gamma^-1); f is of
-    positive type iff M is positive semidefinite."""
-    if isinstance(f, ClassFunction):
-        group = f.group
-        values = [f.at_element(g) for g in range(group.order)]
-    else:
-        group = f.group
-        values = list(f.values)
-    inv = group.inverses()
-    return [[values[i] for i in group.products(b, inv).tolist()]
-            for b in range(group.order)]
-
-
 # ---------------------------------------------------------------------------
 # explicit representation matrices
 
@@ -589,6 +550,13 @@ class IrrepMatrices:
         group = self.group
         if sum(d * d for d in self.degrees) != group.order:
             raise InvalidArgument("sum of squared degrees != group order")
+        # pi(a) pi(b) = pi(ab) on every pair, or on 2000 seeded pairs
+        if group.order > 60:
+            left, right = np.random.default_rng(0).integers(
+                0, group.order, size=(2000, 2)).T
+        else:
+            left, right = np.divmod(np.arange(group.order ** 2), group.order)
+        prods = group.products(left, right)
         for i, mats in enumerate(self.matrices):
             d = self.degrees[i]
             if len(mats) != group.order:
@@ -599,17 +567,17 @@ class IrrepMatrices:
                 defect = np.abs(mats[g] @ mats[g].conj().T - np.eye(d)).max()
                 if defect > tol:
                     raise InvalidArgument(f"irrep {i}: pi({g}) not unitary")
-            pairs = ((a, b) for a in range(group.order)
-                     for b in range(group.order))
-            if group.order > 60:
-                rng = np.random.default_rng(0)
-                pairs = ((int(a), int(b)) for a, b in
-                         rng.integers(0, group.order, size=(2000, 2)))
-            for a, b in pairs:
-                prod = mats[a] @ mats[b]
-                if np.abs(prod - mats[group.multiply(a, b)]).max() > tol:
-                    raise InvalidArgument(
-                        f"irrep {i}: homomorphism fails at ({a},{b})")
+            stack = np.array(mats)
+            block = max(1, ROW_BLOCK // (d * d))
+            for s in range(0, len(prods), block):
+                a, b = left[s:s + block], right[s:s + block]
+                defect = np.abs(stack[a] @ stack[b] -
+                                stack[prods[s:s + block]]).max(axis=(1, 2))
+                bad = np.flatnonzero(defect > tol)
+                if bad.size:
+                    k = bad[0]
+                    raise InvalidArgument(f"irrep {i}: homomorphism fails "
+                                          f"at ({a[k]},{b[k]})")
         return self
 
 

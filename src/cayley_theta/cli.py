@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 invalid input, 3 time budget exhausted (partial
-results are still printed).
+Exit codes: 0 success, 1 numerical failure of a float computation, 2
+invalid input, 3 time budget exhausted (partial results are still
+printed).
 
 Group specs:       sym:N | cyclic:M1[,M2,...] | gl:Q,N | table:FILE
 Connection specs:  efp:K | gl-rank:K | classes:I,J,... | elements:FILE

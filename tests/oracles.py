@@ -3,27 +3,25 @@
 These deliberately share no code with the solvers they check: the LP
 oracle enumerates basic feasible solutions and extreme rays, the
 reference simplex is the plain two-phase Bland solver over ``Fraction``
-that the package's integer kernel must reproduce pivot for pivot, the
-reference float simplex is the same solver over lists of floats that
-the numpy-row kernel must reproduce bit for bit, the reference abelian
-table computes one ``cmath.exp`` per entry and the reference Fourier
-scalars one product per entry, the independence-number
-oracle is a plain subset recursion, the group
+that the package's integer kernel must reproduce pivot for pivot when it
+starts cold, the reference abelian table computes one ``cmath.exp`` per
+entry and the reference Fourier scalars one product per entry, the
+independence-number oracle is a plain subset recursion, the group
 oracles use only the single-product ``multiply``/``invert`` that the
 array kernels (``products``/``inverses``) must agree with, the PSD test
-is symmetric elimination over ``Fraction``, and the character oracle
-walks border strips on the Young diagram instead of beta-sets.
+is symmetric elimination over ``Fraction`` on the group matrix (the
+direct check of Bochner's criterion), the convolution is the defining
+sum, and the character oracle walks border strips on the Young diagram
+instead of beta-sets.
 """
 
 import cmath
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
-from cayley_theta import simplex
-from cayley_theta.errors import NotAGroup, NumericalFailure
-from cayley_theta.groups import ConjugacyClass
+from cayley_theta.characters import ClassFunction, GroupFunction, conj
+from cayley_theta.errors import InvalidArgument, NotAGroup
+from cayley_theta.groups import ConjugacyClass, same_group
 
 
 def solve_square(A, b):
@@ -88,8 +86,9 @@ def reference_simplex(c, A, b):
     """Two-phase Bland simplex over Fraction for max c.x, Ax=b, x>=0.
 
     Returns (status, x, objective_value, dual, basis) with the same
-    pivots and the same tie-breaks as ``cayley_theta.simplex.solve`` in
-    exact mode; the non-optimal statuses carry None in the other fields.
+    pivots and the same tie-breaks as the cold start of
+    ``cayley_theta.simplex.solve`` in exact mode; the non-optimal
+    statuses carry None in the other fields.
     """
     m, n = len(A), len(c)
     A = [[Fraction(v) for v in row] for row in A]
@@ -132,113 +131,6 @@ def reference_simplex(c, A, b):
             dual[row] = y[i]
         dual = tuple(dual)
     return "optimal", tuple(x), value, dual, tuple(basis)
-
-
-def _float_pivot(T, basis, row, col):
-    pv = T[row][col]
-    T[row] = [v / pv for v in T[row]]
-    pr = T[row]
-    for i, r in enumerate(T):
-        if i != row and r[col] != 0:
-            f = r[col]
-            T[i] = [a - f * c for a, c in zip(r, pr)]
-    basis[row] = col
-
-
-def _float_bland(T, basis, cost, ncols, eps, cap):
-    """Bland's rule over lists of floats; each reduced cost is summed
-    left to right from 0, one column at a time."""
-    iters = 0
-    while True:
-        iters += 1
-        if iters > cap:
-            raise NumericalFailure(
-                f"no convergence within {cap} simplex iterations")
-        entering = None
-        for j in range(ncols):
-            if j in basis:
-                continue
-            z = 0
-            for i in range(len(T)):
-                z += cost[basis[i]] * T[i][j]
-            if cost[j] - z > eps:
-                entering = j
-                break
-        if entering is None:
-            return "optimal"
-        leaving = None
-        best = None
-        for i in range(len(T)):
-            a = T[i][entering]
-            if a > eps:
-                ratio = T[i][-1] / a
-                if (best is None or ratio < best or
-                        (ratio == best and basis[i] < basis[leaving])):
-                    best, leaving = ratio, i
-        if leaving is None:
-            return "unbounded"
-        _float_pivot(T, basis, leaving, entering)
-
-
-def reference_float_simplex(instance):
-    """The two-phase Bland simplex in doubles over lists of floats, as an
-    ``LpSolution``; ``cayley_theta.simplex.solve`` must return the same
-    solution bit for bit, or raise the same NumericalFailure."""
-    eps = simplex.FLOAT_EPS
-    m, n = instance.m, instance.n
-    cap = 10 * (m + n) ** 2
-    A = [[float(v) for v in row] for row in instance.A]
-    b = [float(v) for v in instance.b]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-    T = [A[i] + [1.0 if j == i else 0.0 for j in range(m)] + [b[i]]
-         for i in range(m)]
-    basis = [n + i for i in range(m)]
-    _float_bland(T, basis, [0.0] * n + [-1.0] * m, n + m, eps, cap)
-    infeas = 0
-    for i in range(len(T)):
-        if basis[i] >= n:
-            infeas += T[i][-1]
-    if infeas > eps * max([1.0] + [abs(v) for v in b]):
-        return simplex.LpSolution(status="infeasible")
-    keep_rows = list(range(m))
-    i = 0
-    while i < len(T):
-        if basis[i] >= n:
-            col = next((j for j in range(n)
-                        if abs(T[i][j]) > eps and j not in basis), None)
-            if col is None:
-                del T[i], basis[i], keep_rows[i]
-                continue
-            _float_pivot(T, basis, i, col)
-        i += 1
-    T = [row[:n] + [row[-1]] for row in T]
-    cost = [float(v) for v in instance.objective]
-    if _float_bland(T, basis, cost, n, eps, cap) == "unbounded":
-        return simplex.LpSolution(status="unbounded")
-    x = [0.0] * n
-    for i, bi in enumerate(basis):
-        x[bi] = T[i][-1]
-    value = 0
-    for c, v in zip(cost, x):
-        value += c * v
-    k = len(basis)
-    AT = [[float(instance.A[keep_rows[i]][basis[j]]) for i in range(k)]
-          for j in range(k)]
-    try:
-        y = list(np.linalg.solve(np.array(AT, dtype=float),
-                                 np.array([cost[bi] for bi in basis])))
-        dual = [0.0] * m
-        for i, row in enumerate(keep_rows):
-            dual[row] = y[i]
-        dual = tuple(dual)
-    except np.linalg.LinAlgError:
-        dual = None
-    return simplex.LpSolution(status="optimal", x=tuple(x),
-                              objective_value=value, dual=dual,
-                              basis=tuple(basis))
 
 
 def reference_abelian_table(group):
@@ -403,6 +295,47 @@ def reference_classes(group):
                        inverse_class=class_of[group.invert(members[0])],
                        members=members)
         for members in member_lists)
+
+
+CONVOLUTION_BOUND = 5000
+
+
+def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
+    """(f * g)(gamma) = sum_beta f(beta) g(beta^-1 gamma)."""
+    if not same_group(f.group, g.group):
+        raise InvalidArgument("convolution needs a shared group")
+    group = f.group
+    if group.order > CONVOLUTION_BOUND:
+        raise InvalidArgument(
+            f"direct convolution limited to order {CONVOLUTION_BOUND}")
+    inv = group.inverses()
+    out = []
+    for gamma in range(group.order):
+        s = sum(fv * g.values[c] for fv, c in
+                zip(f.values, group.products(inv, gamma).tolist()))
+        out.append(s)
+    return GroupFunction(group, tuple(out))
+
+
+def involute(f: GroupFunction) -> GroupFunction:
+    """f^*(gamma) = conj(f(gamma^-1))."""
+    group = f.group
+    return GroupFunction(group, tuple(
+        conj(f.values[group.invert(g)]) for g in range(group.order)))
+
+
+def group_matrix(f) -> list:
+    """The |G| x |G| matrix M(beta, gamma) = f(beta * gamma^-1); f is of
+    positive type iff M is positive semidefinite."""
+    if isinstance(f, ClassFunction):
+        group = f.group
+        values = [f.at_element(g) for g in range(group.order)]
+    else:
+        group = f.group
+        values = list(f.values)
+    inv = group.inverses()
+    return [[values[i] for i in group.products(b, inv).tolist()]
+            for b in range(group.order)]
 
 
 def exact_psd(M):

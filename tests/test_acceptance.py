@@ -13,7 +13,7 @@ from cayley_theta.apps import (efp_conjectured_max, efp_connection, efp_table,
                                gl_connection, gl_lower_bound)
 from cayley_theta.characters import (ClassFunction, GroupFunction,
                                      abelian_character_table,
-                                     export_character_table, group_matrix,
+                                     export_character_table,
                                      import_character_table, is_positive_type,
                                      mn_character, as_float_table,
                                      symmetric_character_table)
@@ -27,7 +27,8 @@ from cayley_theta.theta import (CayleyGraphSpec, build_sdp_A, export_sdpa,
                                 extract_matrix_solution, read_sdpa,
                                 solve_theta, symmetrize_matrix)
 
-from oracles import brute_force_lp, exact_psd, mn_character_reference
+from oracles import (brute_force_lp, exact_psd, group_matrix,
+                     mn_character_reference)
 
 
 def report(criterion: str, ok: bool):

@@ -9,19 +9,20 @@ from hypothesis import strategies as st
 
 from cayley_theta.characters import (CharacterTable, ClassFunction,
                                      GroupFunction, abelian_character_table,
-                                     abelian_irreps, as_float_table, convolve,
+                                     abelian_irreps, as_float_table,
                                      export_character_table,
-                                     fourier_class_scalars, group_matrix,
+                                     fourier_class_scalars,
                                      hook_length_degree,
-                                     import_character_table, involute,
+                                     import_character_table,
                                      is_positive_type, mn_character,
                                      symmetric_character_table)
 from cayley_theta.errors import CorruptTable, NeedsIrreps, SchemaError
 from cayley_theta.groups import (make_abelian_product, make_general_linear,
                                  make_symmetric, partitions)
 
-from oracles import (exact_psd, mn_character_reference,
-                     reference_abelian_table, reference_fourier_scalars)
+from oracles import (convolve, exact_psd, group_matrix, involute,
+                     mn_character_reference, reference_abelian_table,
+                     reference_fourier_scalars)
 
 
 def test_abelian_table_z5():

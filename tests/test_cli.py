@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cayley_theta import simplex
 from cayley_theta.cli import cli_dispatch
 from cayley_theta.graphs import export_action, export_graph, Graph
 from cayley_theta.groups import (action_from_table, export_cayley_table,
@@ -94,14 +95,27 @@ def test_efp_table_nmax_bound(capsys):
     assert "n_max <= 8" in err
 
 
-def test_theta_float_failure_is_clean(capsys):
-    # a known float-mode failure: the float LP on S_10 efp:9 comes back
-    # infeasible; it must end in a message and exit 1, not a traceback
+def test_theta_float_failure_is_clean(capsys, monkeypatch):
+    # a float LP that reaches the iteration cap (forced by a cap of 0)
+    # must end in a message and exit 1, not a traceback
+    monkeypatch.setattr(simplex, "ITERATIONS_PER_COLUMN", 0)
     code, out, err = run(capsys, "theta", "--group", "sym:10",
                          "--connection", "efp:9", "--float")
     assert code == 1
-    assert err.startswith("numerical failure: ")
+    assert err == ("numerical failure: no convergence within 0 simplex "
+                   "iterations\n")
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("n, k, want", [(9, 5, "50.9090909"),
+                                        (10, 9, "1.0000000")])
+def test_theta_float_s9_s10(capsys, n, k, want):
+    # these float solves came back infeasible or wrong from the
+    # Bland-rule kernel in doubles
+    code, out, err = run(capsys, "theta", "--group", f"sym:{n}",
+                         "--connection", f"efp:{k}", "--float")
+    assert code == 0
+    assert out == f"theta \u2248 {want}\n"
 
 
 def test_export_sdpa_a(capsys, tmp_path):

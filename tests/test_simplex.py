@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from cayley_theta import simplex
 from cayley_theta.errors import InvalidArgument, NumericalFailure
 from cayley_theta.simplex import LpInstance, solve, verify_certificate
 
-from oracles import brute_force_lp, reference_float_simplex, reference_simplex
+from oracles import brute_force_lp, reference_simplex
 
 
 def F(*args):
@@ -111,18 +112,9 @@ def test_against_oracle_random_exact():
     assert checked >= 20
 
 
-def _same_as_reference(inst):
-    sol = solve(inst)
-    ref = reference_simplex(inst.objective, inst.A, inst.b)
-    assert (sol.status, sol.x, sol.objective_value, sol.dual,
-            sol.basis) == ref
-    return sol.status
-
-
-def test_exact_kernel_matches_fraction_reference():
-    """The integer kernel takes the reference's pivots: same status,
-    vertex, value, dual and basis, on redundant rows and on rational
-    data whose denominators differ from row to row."""
+def _fraction_reference_instances():
+    """CYCLING and 400 seeded LPs with redundant rows and rational data
+    whose denominators differ from row to row."""
     rng = random.Random(77)
 
     def value():
@@ -130,7 +122,7 @@ def test_exact_kernel_matches_fraction_reference():
             return F(0)
         return F(rng.randint(-9, 9), rng.randint(1, 7))
 
-    seen = {_same_as_reference(CYCLING)}
+    instances = [CYCLING]
     for _ in range(400):
         m = rng.randint(1, 5)
         n = rng.randint(1, 8)
@@ -139,29 +131,101 @@ def test_exact_kernel_matches_fraction_reference():
         if m > 1 and rng.random() < 0.3:
             A[-1], b[-1] = tuple(2 * v for v in A[0]), 2 * b[0]
         c = tuple(value() for _ in range(n))
-        seen.add(_same_as_reference(
-            LpInstance(objective=c, A=tuple(A), b=tuple(b))))
+        instances.append(LpInstance(objective=c, A=tuple(A), b=tuple(b)))
+    return instances
+
+
+def _reference(inst):
+    return reference_simplex(inst.objective, inst.A, inst.b)
+
+
+def test_exact_kernel_matches_fraction_reference():
+    """The cold-start integer kernel takes the reference's pivots: same
+    status, vertex, value, dual and basis."""
+    seen = set()
+    for inst in _fraction_reference_instances():
+        sol = simplex._solve_exact_cold(inst)
+        assert (sol.status, sol.x, sol.objective_value, sol.dual,
+                sol.basis) == _reference(inst)
+        seen.add(sol.status)
     assert seen == {"optimal", "infeasible", "unbounded"}
 
 
-def _float_outcome(solver, inst):
-    try:
-        return repr(solver(inst))
-    except NumericalFailure as exc:
-        return f"NumericalFailure: {exc}"
+def _matches_reference_value(inst):
+    """Exact ``solve`` has the reference's status and value, and its
+    optimal answers pass the independent check."""
+    sol = solve(inst)
+    status, _, value, _, _ = _reference(inst)
+    assert (sol.status, sol.objective_value) == (status, value)
+    if status == "optimal":
+        assert verify_certificate(inst, sol)
+    return sol
 
 
-def test_float_kernel_matches_list_reference():
-    """The float kernel on numpy rows returns the list-of-floats
-    kernel's solution bit for bit (repr round-trips every double, and
-    shows a numpy scalar as such), or raises the same NumericalFailure:
-    on the cycling instance, redundant rows, integer data and data
-    with no short binary expansion."""
+def test_exact_solve_matches_fraction_reference():
+    """Exact solve, guided by the float basis, reaches the reference's
+    status and optimal value on the same LPs."""
+    for inst in _fraction_reference_instances():
+        _matches_reference_value(inst)
+
+
+def test_exact_solve_when_the_float_stage_raises(monkeypatch):
+    """A float failure falls back to the cold start, which is the
+    reference pivot for pivot."""
+    def fail(A, b, c):
+        raise NumericalFailure("forced")
+    monkeypatch.setattr(simplex, "_float_basis", fail)
+    for inst in _fraction_reference_instances():
+        sol = solve(inst)
+        assert (sol.status, sol.x, sol.objective_value, sol.dual,
+                sol.basis) == _reference(inst)
+
+
+def test_exact_solve_repairs_a_wrong_float_basis(monkeypatch):
+    """The float stage returns the optimal basis of the opposite
+    objective: feasible, mostly not optimal.  Exact Bland pivots repair
+    it to the reference's optimum."""
+    real, real_cold = simplex._float_basis, simplex._solve_exact_cold
+    guide, cold = [], []
+
+    def opposite(A, b, c):
+        result = real(A, b, -c)
+        guide[:] = result[1] or []
+        return result
+    monkeypatch.setattr(simplex, "_float_basis", opposite)
+    monkeypatch.setattr(simplex, "_solve_exact_cold",
+                        lambda inst: cold.append(inst) or real_cold(inst))
+    repaired = 0
+    for inst in _fraction_reference_instances():
+        cold.clear()
+        sol = _matches_reference_value(inst)
+        if not cold and sol.status == "optimal":
+            repaired += set(guide) != set(sol.basis)
+    assert repaired >= 20
+
+
+def test_exact_solve_from_a_random_basis(monkeypatch):
+    """Random columns as the float basis: singular, infeasible or merely
+    feasible; each ends at the reference's answer."""
+    rng = random.Random(3)
+    monkeypatch.setattr(simplex, "_float_basis", lambda A, b, c: (
+        "optimal", rng.sample(range(A.shape[1]), min(A.shape)), None, None))
+    for inst in _fraction_reference_instances():
+        _matches_reference_value(inst)
+
+
+@pytest.mark.parametrize("bland_after", [simplex.DEGENERATE_RUN, 0],
+                         ids=["dantzig", "bland"])
+def test_float_kernel_matches_exact(monkeypatch, bland_after):
+    """The float solver against exact solve on the same data (every
+    double is a rational): the same status, the optimum within 1e-9
+    relative, and every optimal float answer passes verify_certificate;
+    on the cycling instance, redundant rows, integer data and data with
+    no short binary expansion.  Run once as configured and once with
+    Bland's rule from the first pivot."""
+    monkeypatch.setattr(simplex, "DEGENERATE_RUN", bland_after)
     rng = random.Random(1905)
-    instances = [LpInstance(
-        objective=tuple(float(v) for v in CYCLING.objective),
-        A=tuple(tuple(float(v) for v in row) for row in CYCLING.A),
-        b=tuple(float(v) for v in CYCLING.b), exact=False)]
+    instances = [CYCLING]
     for _ in range(600):
         m = rng.randint(1, 6)
         n = rng.randint(1, 9)
@@ -178,15 +242,25 @@ def test_float_kernel_matches_list_reference():
         if m > 1 and rng.random() < 0.3:
             A[-1], b[-1] = tuple(2 * v for v in A[0]), 2 * b[0]
         c = tuple(value() for _ in range(n))
-        instances.append(LpInstance(objective=c, A=tuple(A), b=tuple(b),
-                                    exact=False))
+        instances.append(LpInstance(
+            objective=tuple(F(v) for v in c),
+            A=tuple(tuple(F(v) for v in row) for row in A),
+            b=tuple(F(v) for v in b)))
     statuses = set()
-    for inst in instances:
-        got = _float_outcome(solve, inst)
-        assert got == _float_outcome(reference_float_simplex, inst)
-        statuses.add(got.split("'")[1] if got.startswith("Lp") else got)
-        if "optimal" in got:
-            assert all(type(v) is float for v in solve(inst).x)
+    for exact in instances:
+        inst = LpInstance(
+            objective=tuple(float(v) for v in exact.objective),
+            A=tuple(tuple(float(v) for v in row) for row in exact.A),
+            b=tuple(float(v) for v in exact.b), exact=False)
+        want = solve(exact)
+        got = solve(inst)
+        assert got.status == want.status
+        statuses.add(got.status)
+        if got.status == "optimal":
+            assert abs(got.objective_value - want.objective_value) <= \
+                1e-9 * abs(want.objective_value)
+            assert verify_certificate(inst, got)
+            assert all(type(v) is float for v in got.x)
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
 

@@ -15,6 +15,7 @@ from cayley_theta.errors import InvalidArgument, WrongFormulation
 from cayley_theta.graphs import ConnectionSet, alpha, build_cayley
 from cayley_theta.groups import (make_abelian_product, make_symmetric,
                                  perm_unrank)
+from cayley_theta.simplex import LpSolution, verify_certificate
 from cayley_theta.theta import (CayleyGraphSpec, build_lp_D, build_sdp_A,
                                 build_sdp_C, certificate_to_json,
                                 export_sdpa, extract_matrix_solution,
@@ -49,6 +50,35 @@ def s3_irreps():
                          matrices=(tuple(sign_m), tuple(std_m),
                                    tuple(triv_m)),
                          labels=("sign", "standard", "trivial"))
+
+
+def _corrupted(irreps, irrep, element):
+    """The irreps with one matrix turned by a phase: still unitary, no
+    longer a homomorphism."""
+    mats = [list(m) for m in irreps.matrices]
+    mats[irrep][element] = mats[irrep][element] * np.exp(0.5j)
+    return replace(irreps, matrices=tuple(tuple(m) for m in mats))
+
+
+@pytest.mark.parametrize("moduli, irrep, element, pair", [
+    (None, 1, 4, "(1,2)"),          # S_3, the degree-2 irrep, all pairs
+    ((12,), 5, 7, "(1,6)"),         # all pairs
+    ((101,), 3, 40, "(40,2)"),      # 2000 seeded pairs
+    ((5, 13), 20, 33, "(33,17)"),   # 2000 seeded pairs
+])
+def test_irrep_validate_reports_first_failing_pair(moduli, irrep, element,
+                                                   pair):
+    """A corrupted matrix is reported at the pair the one-pair-at-a-time
+    check reported (pinned from it), in the same words."""
+    if moduli is None:
+        irreps = s3_irreps()
+    else:
+        irreps = abelian_irreps(abelian_character_table(
+            make_abelian_product(moduli)))
+    irreps.validate()
+    with pytest.raises(InvalidArgument) as exc:
+        _corrupted(irreps, irrep, element).validate()
+    assert str(exc.value) == f"irrep {irrep}: homomorphism fails at {pair}"
 
 
 def test_s3_exact_theta():
@@ -151,7 +181,7 @@ def test_exact_s8_certificates_pinned():
 
 def test_float_s8_certificates_pinned_and_near_exact():
     """Float certificate JSON of S_8 efp:1..8 through as_float_table, byte
-    for byte (every float sum keeps its order, so the bits are stable),
+    for byte (the float simplex and every float sum are deterministic),
     and each float theta within 1e-9 relative of the exact one."""
     table = symmetric_character_table(8)
     ftable = as_float_table(table)
@@ -165,7 +195,7 @@ def test_float_s8_certificates_pinned_and_near_exact():
         docs.append(certificate_to_json(cert))
     digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
     assert digest == \
-        "1ab463fe34507cffc6a36d6a9534ba14e949a8092c55842c2c8c64e4936488eb"
+        "450149954a5147616c9c22041a5cf7cadd2a29d0f92ea9a4ed800685dfb0d131"
 
 
 # the connection sets of the benchmark's abelian_wide workload on Z_701
@@ -175,21 +205,55 @@ Z701_SETS = ((1, 700), (208, 210, 289, 323, 328, 350, 351, 373, 378, 412,
 
 @pytest.mark.parametrize("moduli, classes, digest", [
     ((701,), Z701_SETS[0],
-     "d169f137273713d5f451e9c7f436c801cdf3cf4f89b3eda05cff6c18c1966014"),
+     "eae17640cd6ed1514345d25697c3c3377b1f10bc44e151bceaa9e91d1d89267f"),
     ((701,), Z701_SETS[1],
-     "55a7a9e2d3f9691410c5b78460e2355dac2bd3fa4931072ffff01c14112f769f"),
+     "6e4c1c3b9435542d237f95c8258e47c0327dd750c33b760de95ec546bd68af37"),
     ((3, 5, 7), (7, 28, 35, 43, 70, 104),
-     "b8f97c1cb3a513d1cd6e363f6b9fd78347cfa5728aca1dfcbb6f0b3708deaa48"),
-])
+     "ba879f843935c30ff50fd46d578a92533db6f8b075f0970cfc9262ad5d3a5a19"),
+], ids=["z701-cycle", "z701-12-classes", "z3xz5xz7"])
 def test_float_abelian_certificates_pinned(moduli, classes, digest):
-    """Float certificate JSON on abelian groups, byte for byte; the
-    sha256 was pinned from the scalar table, certificate and simplex
-    loops that the numpy versions replaced."""
+    """Float certificate JSON on abelian groups, byte for byte, and the
+    LP certificate behind it passes verify_certificate at its default
+    tolerance (the 12-class Z_701 set failed it before the float simplex
+    was equilibrated)."""
     group = make_abelian_product(moduli)
     spec = CayleyGraphSpec(group, ConnectionSet.from_classes(group, classes))
-    cert = solve_theta(spec, abelian_character_table(group))
+    table = abelian_character_table(group)
+    cert = solve_theta(spec, table)
     assert hashlib.sha256(
         certificate_to_json(cert).encode()).hexdigest() == digest
+    _assert_lp_certified(spec, table, cert)
+
+
+def _assert_lp_certified(spec, table, cert):
+    claim = LpSolution(status="optimal", x=cert.a,
+                       objective_value=cert.objective, dual=cert.dual)
+    assert verify_certificate(build_lp_D(spec, table).instance, claim)
+
+
+# exact theta of Cay(S_n, efp:k), k = 1..n, as the cold-start Bland
+# simplex computes it
+EFP_THETA = {
+    9: (40320, 5040, 720, Fraction(864, 5), Fraction(560, 11), 11, 2, 1, 1),
+    10: (362880, 40320, 5040, Fraction(20629080, 27727), 210, 56, 12, 2, 1,
+         1),
+}
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_efp_theta_s9_s10_exact_and_float(n):
+    """Exact theta of S_9 and S_10 efp:k equals the pinned value, and the
+    float theta is certified and within 1e-9 relative of it (the Bland
+    kernel in doubles failed S_9 k = 5 and S_10 k = 2-6, 9, 10)."""
+    table = symmetric_character_table(n)
+    ftable = as_float_table(table)
+    for k, want in enumerate(EFP_THETA[n], start=1):
+        spec = CayleyGraphSpec(table.group,
+                               efp_connection(n, k, table.group))
+        assert solve_theta(spec, table).objective == want
+        cert = solve_theta(spec, ftable)
+        assert abs(cert.objective - want) <= 1e-9 * want
+        _assert_lp_certified(spec, ftable, cert)
 
 
 def test_validate_certificate_exact_means_tolerance_zero():
