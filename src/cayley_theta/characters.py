@@ -563,12 +563,16 @@ class IrrepMatrices:
                 raise InvalidArgument("one matrix per element required")
             if np.abs(mats[0] - np.eye(d)).max() > tol:
                 raise InvalidArgument(f"irrep {i}: pi(e) != I")
-            for g in range(group.order):
-                defect = np.abs(mats[g] @ mats[g].conj().T - np.eye(d)).max()
-                if defect > tol:
-                    raise InvalidArgument(f"irrep {i}: pi({g}) not unitary")
             stack = np.array(mats)
             block = max(1, ROW_BLOCK // (d * d))
+            for s in range(0, group.order, block):
+                part = stack[s:s + block]
+                defect = np.abs(part @ part.conj().transpose(0, 2, 1) -
+                                np.eye(d)).max(axis=(1, 2))
+                bad = np.flatnonzero(defect > tol)
+                if bad.size:
+                    raise InvalidArgument(
+                        f"irrep {i}: pi({s + bad[0]}) not unitary")
             for s in range(0, len(prods), block):
                 a, b = left[s:s + block], right[s:s + block]
                 defect = np.abs(stack[a] @ stack[b] -

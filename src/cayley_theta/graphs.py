@@ -6,13 +6,22 @@ which keeps the branch-and-bound inner loops cheap.  The independence
 number is computed as a maximum clique of the complement with a greedy
 coloring bound; a coloring of the complement is exactly a clique cover
 of the original graph.
+
+Three exact rules keep the search small.  On a Cayley graph, left
+multiplication x -> gx is an automorphism ((gy)^-1 (gx) = y^-1 x), so
+the graph is vertex-transitive and some maximum independent set holds
+vertex 0: the search starts from {0} alone.  A candidate set whose
+greedy coloring needs one color per vertex is a clique of the
+complement and is taken whole, without branching.  Candidates whose
+color bound cannot beat the incumbent are not stored (the coloring rule
+of BBMC, San Segundo et al., Comput. Oper. Res. 2011).
 """
 
 from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -124,6 +133,8 @@ class ConnectionSet:
 class Graph:
     vertex_count: int
     adj: tuple   # adj[v] = bitmask of neighbors
+    # proven vertex-transitive by the constructor (only build_cayley does)
+    transitive: bool = False
 
     @classmethod
     def from_edges(cls, n: int, edges):
@@ -155,16 +166,9 @@ class Graph:
 
     @property
     def edges(self):
-        out = []
-        for u in range(self.vertex_count):
-            mask = self.adj[u] >> (u + 1)
-            v = u + 1
-            while mask:
-                if mask & 1:
-                    out.append((u, v))
-                mask >>= 1
-                v += 1
-        return out
+        """The edges (u, v), u < v, in row-major order."""
+        us, vs = np.nonzero(np.triu(self.matrix(), 1))
+        return list(zip(us.tolist(), vs.tolist()))
 
     def has_edge(self, u, v):
         return bool(self.adj[u] >> v & 1)
@@ -192,7 +196,8 @@ def build_cayley(group: FiniteGroup, connection: ConnectionSet) -> Graph:
         hit[xs, group.products(xs, s)] = True
     if hit.diagonal().any():
         raise InvalidArgument("connection set produced a self-loop")
-    return Graph.from_matrix(hit)
+    # x -> gx is an automorphism: (gy)^-1 (gx) = y^-1 x
+    return replace(Graph.from_matrix(hit), transitive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +219,18 @@ def alpha(graph: Graph, time_budget: Optional[float] = None) -> AlphaResult:
     """Exact maximum independent set by branch-and-bound (maximum clique
     of the complement, greedy-coloring bound, Tomita-style pruning).
 
+    On a ``transitive`` graph the search starts from the clique {v0} of
+    the complement, v0 = vertex 0, with v0's complement neighbours as
+    candidates: an automorphism moves any maximum independent set onto
+    one that holds v0.  Other graphs start from the whole vertex set.
+    A candidate set colored with one color per vertex is a clique of the
+    complement, taken whole as a leaf.  Candidates whose color bound is
+    not above the incumbent are not stored: the incumbent only grows, so
+    they would be pruned anyway.
+
     If the time budget (seconds) runs out, certified lower/upper bounds
-    are returned with ``exact=False``.
+    are returned with ``exact=False``; the upper bound is the coloring
+    bound of the first frame (1 + its colors on a transitive graph).
     """
     n = graph.vertex_count
     if n == 0:
@@ -234,35 +249,48 @@ def alpha(graph: Graph, time_budget: Optional[float] = None) -> AlphaResult:
     full = (1 << n) - 1
 
     def node(R, size, P):
-        """Search frame [R, size, verts, bounds, i, avail] of the clique R
-        with candidates P: the candidates in greedy color classes, each
-        with the clique size bound reached by taking it, the next one to
-        branch on (from the end) and the candidates not yet branched on."""
+        """(frame, bound) of the clique R with candidates P.  The frame
+        [R, size, verts, bounds, i, avail] holds the candidates in greedy
+        color classes whose clique size bound beats the incumbent, each
+        with that bound, the next one to branch on (from the end) and the
+        candidates not yet branched on; bound is the coloring bound."""
+        nonlocal best_size, best_mask
         verts = []
         bounds = []
         left = P
         bound = size
         while left:
             bound += 1
+            keep = bound > best_size
             Q = left
             while Q:
                 low = Q & -Q
                 v = low.bit_length() - 1
                 Q &= apart[v]
                 left ^= low
-                verts.append(v)
-                bounds.append(bound)
+                if keep:
+                    verts.append(v)
+                    bounds.append(bound)
+        if bound - size == P.bit_count():
+            # one color per candidate: P is a clique, nothing to branch on
+            if bound > best_size:
+                best_size, best_mask = bound, R | P
+            verts, bounds = [], []
         # arrays hold the stack's millions of entries without an int
         # object each
         return [R, size, array("l", verts), array("l", bounds),
-                len(verts) - 1, P]
+                len(verts) - 1, P], bound
 
     # depth-first search on an explicit stack, so that alpha is not bounded
     # by Python's recursion limit; branch order and pruning are those of
     # the recursive form
     timed_out = False
-    stack = [node(0, 0, full)]
-    upper = stack[0][3][-1]   # colors used on the whole graph
+    if graph.transitive:
+        v0 = order.index(0)
+        root, upper = node(1 << v0, 1, adj[v0])
+    else:
+        root, upper = node(0, 0, full)
+    stack = [root]
     while stack:
         frame = stack[-1]
         R, size, verts, bounds, i, avail = frame
@@ -277,7 +305,7 @@ def alpha(graph: Graph, time_budget: Optional[float] = None) -> AlphaResult:
         frame[4], frame[5] = i - 1, avail
         P = avail & adj[v]
         if P:
-            stack.append(node(R | (1 << v), size + 1, P))
+            stack.append(node(R | (1 << v), size + 1, P)[0])
         elif size + 1 > best_size:
             best_size, best_mask = size + 1, R | (1 << v)
     witness = tuple(sorted(order[i] for i in range(n)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ from .simplex import LpInstance, LpSolution, solve as lp_solve
 
 MATRIX_BOUND = 2000
 ROW_DROP_TOL = 1e-12
+WRITE_BATCH = 1 << 14   # SDPA entry lines per write
 CERT_TOL = 1e-8
 
 
@@ -391,24 +393,45 @@ def build_sdp_C(spec: CayleyGraphSpec,
 
 def export_sdpa(instance: SdpInstance, path):
     """SDPA sparse format (.dat-s).  Convention, stated in the header:
-    the file encodes  max <F0, Y>  s.t.  <Fk, Y> = c_k,  Y PSD."""
+    the file encodes  max <F0, Y>  s.t.  <Fk, Y> = c_k,  Y PSD.
+
+    Each distinct index and value is formatted once, and the entry lines
+    are written WRITE_BATCH at a time.  Indices are 1-based, as
+    ``SdpInstance`` states, and at most max(block size, block count)."""
+    sizes = instance.block_sizes
+    ints = [str(x) for x in range(max(max(sizes, default=0), len(sizes))
+                                   + 1)]
+    reals = _Reprs()
+    matrices = chain([(0, instance.objective)],
+                     ((k, entries) for k, (entries, _) in
+                      enumerate(instance.constraints, start=1)))
+    lines = (f"{k} {ints[b]} {ints[i]} {ints[j]} {reals[v]}\n"
+             for k, entries in matrices for (b, i, j, v) in entries)
     with open(path, "w") as fh:
         fh.write('"convention: maximize <F0,Y> subject to <Fk,Y> = c_k, '
                  'Y block-diagonal PSD"\n')
         fh.write(f"{len(instance.constraints)}\n")
-        fh.write(f"{len(instance.block_sizes)}\n")
-        fh.write(" ".join(str(s) for s in instance.block_sizes) + "\n")
+        fh.write(f"{len(sizes)}\n")
+        fh.write(" ".join(str(s) for s in sizes) + "\n")
         fh.write(" ".join(_fmt(rhs) for (_, rhs) in instance.constraints)
                  + "\n")
-        for (b, i, j, v) in instance.objective:
-            fh.write(f"0 {b} {i} {j} {_fmt(v)}\n")
-        for k, (entries, _) in enumerate(instance.constraints, start=1):
-            for (b, i, j, v) in entries:
-                fh.write(f"{k} {b} {i} {j} {_fmt(v)}\n")
+        while batch := list(islice(lines, WRITE_BATCH)):
+            fh.write("".join(batch))
 
 
 def _fmt(v: float) -> str:
     return repr(float(v))
+
+
+class _Reprs(dict):
+    """_fmt of each value, computed once.  Zeros are not kept: 0.0 and
+    -0.0 are one key but two reprs."""
+
+    def __missing__(self, v):
+        text = _fmt(v)
+        if v:
+            self[v] = text
+        return text
 
 
 def read_sdpa(path) -> SdpInstance:

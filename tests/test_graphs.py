@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cayley_theta.apps import efp_connection, gl_connection
+from cayley_theta.apps import efp_connection, gl_connection, gl_lower_bound
 from cayley_theta.errors import (InvalidArgument, NotAutomorphism,
                                  NotTransitive, WrongFormulation)
 from cayley_theta.graphs import (ConnectionSet, Graph, alpha,
@@ -124,6 +124,12 @@ def test_alpha_known_graphs():
                                     for j in range(i + 1, 5)])
     assert alpha(complete).value == 1
 
+    # K_{1,3}, centre 0: a search rooted at vertex 0 would give 1
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    assert not star.transitive and not star.complement().transitive
+    res = alpha(star)
+    assert res.exact and res.value == 3 and res.witness == (1, 2, 3)
+
 
 def test_alpha_against_oracle_random():
     rng = random.Random(99)
@@ -145,17 +151,90 @@ def test_alpha_deeper_than_the_recursion_limit():
     assert res.witness == tuple(range(1500))
 
 
+def _independent(graph, witness):
+    return all(not graph.has_edge(u, v) for u in witness for v in witness
+               if u != v)
+
+
+def _cayley_cases():
+    """(group, connection) pairs: every inverse-closed union of classes of
+    S_4, and seeded inverse-closed element sets on four groups."""
+    s4 = make_symmetric(4)
+    classes = s4.conjugacy_classes()
+    cases = []
+    for mask in range(1 << (len(classes) - 1)):
+        picked = [i + 1 for i in range(len(classes) - 1) if mask >> i & 1]
+        if all(classes[i].inverse_class in picked for i in picked):
+            cases.append((s4, ConnectionSet.from_classes(s4, picked)))
+    for group, counts in ((make_abelian_product([12]), (1, 2, 3, 4)),
+                          (make_abelian_product([2, 2, 2, 2]), (3, 5, 8)),
+                          (s4, (2, 4, 6)),
+                          (make_general_linear(3, 2), (3, 6, 10))):
+        for seed, count in enumerate(counts):
+            picked = random.Random(seed).sample(range(1, group.order), count)
+            cases.append((group, ConnectionSet.from_elements(
+                group, picked + [group.invert(x) for x in picked])))
+    return cases
+
+
+def test_alpha_transitive_root_matches_plain_search():
+    # the search rooted at vertex 0 of a Cayley graph against the search
+    # over all roots of the same adjacency, and the brute force oracle
+    for group, connection in _cayley_cases():
+        cay = build_cayley(group, connection)
+        assert cay.transitive
+        plain = Graph(cay.vertex_count, cay.adj)
+        assert not plain.transitive
+        res = alpha(cay)
+        want = alpha(plain)
+        assert res.exact and want.exact
+        assert res.value == want.value
+        if cay.vertex_count <= 16:
+            assert res.value == brute_force_alpha(cay)
+        assert len(res.witness) == res.value
+        assert _independent(cay, res.witness)
+        assert 0 in res.witness   # the search holds the identity
+
+
+def test_alpha_clique_candidates_need_no_search():
+    # candidates that form a clique of the complement are taken whole when
+    # their frame is made, before the first look at the clock
+    z = make_abelian_product([12])
+    cases = [(build_cayley(z, ConnectionSet.from_classes(z, [])), 12),
+             (build_cayley(z, ConnectionSet.from_elements(
+                 z, range(1, 12))), 1),
+             (Graph.from_edges(6, []), 6)]
+    for graph, want in cases:
+        res = alpha(graph, time_budget=1e-6)
+        assert res.exact and res.value == want
+
+
+def test_alpha_pinned_cayley_cells():
+    s6 = make_symmetric(6)
+    gl27 = make_general_linear(7, 2)
+    assert alpha(build_cayley(s6, efp_connection(6, 1, s6))).value == 120
+    assert alpha(build_cayley(s6, efp_connection(6, 3, s6))).value == 6
+    res = alpha(build_cayley(gl27, gl_connection(7, 2, 1, gl27)))
+    assert res.exact and res.value == 42 == gl_lower_bound(7, 2, 1)
+
+
 def test_alpha_budget_gives_valid_bounds():
     rng = random.Random(3)
     n = 40
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < 0.2]
-    g = Graph.from_edges(n, edges)
-    res = alpha(g, time_budget=1e-6)
-    assert res.lower <= res.upper
-    w = res.witness
-    assert len(w) == res.lower
-    assert all(not g.has_edge(u, v) for u in w for v in w if u != v)
+    # on a Cayley graph the upper bound is 1 + the colors of the root's
+    # candidates; on C_5 that bound is tight
+    z5 = make_abelian_product([5])
+    tested = [Graph.from_edges(n, edges),
+              build_cayley(z5, ConnectionSet.from_elements(z5, [1, 4]))]
+    tested += [build_cayley(*case) for case in _cayley_cases()[-6:]]
+    for g in tested:
+        res = alpha(g, time_budget=1e-6)
+        assert res.lower <= alpha(g).value <= res.upper
+        w = res.witness
+        assert len(w) == res.lower
+        assert _independent(g, w)
 
 
 def test_blowup_petersen():

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cayley_theta import characters
 from cayley_theta.apps import efp_connection
 from cayley_theta.characters import (IrrepMatrices, abelian_character_table,
                                      abelian_irreps, as_float_table,
@@ -52,11 +54,12 @@ def s3_irreps():
                          labels=("sign", "standard", "trivial"))
 
 
-def _corrupted(irreps, irrep, element):
-    """The irreps with one matrix turned by a phase: still unitary, no
-    longer a homomorphism."""
+def _corrupted(irreps, irrep, elements, factor=np.exp(0.5j)):
+    """The irreps with the matrices of some elements of one irrep scaled
+    by factor; a phase keeps them unitary but breaks the homomorphism."""
     mats = [list(m) for m in irreps.matrices]
-    mats[irrep][element] = mats[irrep][element] * np.exp(0.5j)
+    for element in elements:
+        mats[irrep][element] = mats[irrep][element] * factor
     return replace(irreps, matrices=tuple(tuple(m) for m in mats))
 
 
@@ -67,18 +70,27 @@ def _corrupted(irreps, irrep, element):
     ((5, 13), 20, 33, "(33,17)"),   # 2000 seeded pairs
 ])
 def test_irrep_validate_reports_first_failing_pair(moduli, irrep, element,
-                                                   pair):
+                                                   pair, monkeypatch):
     """A corrupted matrix is reported at the pair the one-pair-at-a-time
-    check reported (pinned from it), in the same words."""
+    check reported (pinned from it), in the same words.  Two matrices
+    scaled by 2 are reported as not unitary at the first of them, as the
+    one-element-at-a-time check did, also when the blocks are tiny."""
     if moduli is None:
         irreps = s3_irreps()
     else:
         irreps = abelian_irreps(abelian_character_table(
             make_abelian_product(moduli)))
     irreps.validate()
-    with pytest.raises(InvalidArgument) as exc:
-        _corrupted(irreps, irrep, element).validate()
-    assert str(exc.value) == f"irrep {irrep}: homomorphism fails at {pair}"
+    last = irreps.group.order - 1
+    for row_block in (characters.ROW_BLOCK, 3):
+        monkeypatch.setattr(characters, "ROW_BLOCK", row_block)
+        with pytest.raises(InvalidArgument) as exc:
+            _corrupted(irreps, irrep, [element]).validate()
+        assert str(exc.value) == \
+            f"irrep {irrep}: homomorphism fails at {pair}"
+        with pytest.raises(InvalidArgument) as exc:
+            _corrupted(irreps, irrep, [last, element], 2.0).validate()
+        assert str(exc.value) == f"irrep {irrep}: pi({element}) not unitary"
 
 
 def test_s3_exact_theta():
@@ -303,6 +315,27 @@ def test_build_sdp_A_structure(tmp_path):
     export_sdpa(sdp3, path)
     back = read_sdpa(path)
     assert back == sdp3
+
+
+def test_sdp_A_export_bytes_pinned(tmp_path):
+    # S_4 with a seeded inverse-closed set that is not conjugation-closed;
+    # sha256 of the file as written one entry line at a time
+    s4 = make_symmetric(4)
+    rng = random.Random(4)
+    chosen = set()
+    while len(chosen) < 8:
+        x = rng.randrange(1, 24)
+        pair = {x, s4.invert(x)}
+        if len(chosen | pair) <= 8:
+            chosen |= pair
+    X = ConnectionSet.from_elements(s4, chosen)
+    assert not X.conjugation_closed
+    sdp = build_sdp_A(CayleyGraphSpec(s4, X))
+    path = tmp_path / "s4.dat-s"
+    export_sdpa(sdp, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "c10b439e49fe47b256c58f669407ce789459897bbfb4136da5b64c8fef8756f8"
+    assert read_sdpa(path) == sdp
 
 
 def test_build_sdp_C_s3(tmp_path):
