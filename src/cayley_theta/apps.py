@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional
 
+import numpy as np
+
 from .characters import (CharacterTable, format_real,
                          symmetric_character_table)
 from .errors import InvalidArgument
@@ -161,14 +163,8 @@ def gl_connection(q: int, n: int, k: int,
     if group is None:
         group = make_general_linear(q, n)
     f = group.field
-    elems = []
-    for idx, mat in enumerate(group.matrices):
-        shifted = tuple(
-            tuple(f.add[mat[i][j]][f.neg[1] if i == j else 0]
-                  for j in range(n))
-            for i in range(n))
-        if group.mat_rank(shifted) > n - k:
-            elems.append(idx)
+    shifted = f.add[group.element_array, f.neg[np.eye(n, dtype=np.int64)]]
+    elems = np.flatnonzero(group.ranks(shifted) > n - k).tolist()
     # from_elements verifies inverse closure and detects the class union,
     # which certifies conjugation closure
     conn = ConnectionSet.from_elements(group, elems)
@@ -192,11 +188,6 @@ def gl_lower_bound(q: int, n: int, k: int) -> int:
 def gl_pointwise_stabilizer(group: GeneralLinearGroup, k: int) -> list:
     """Indices of the matrices fixing the first k standard basis vectors;
     an explicit independent set in Cay(GL, X_{q,n,k})."""
-    n = group.n
-    out = []
-    for idx, mat in enumerate(group.matrices):
-        if all(mat[i][j] == (1 if i == j else 0)
-               for j in range(k) for i in range(n)):
-            out.append(idx)
-    return out
-
+    columns = group.element_array[:, :, :k]
+    fixed = columns == np.eye(group.n, dtype=np.int64)[:, :k]
+    return np.flatnonzero(fixed.all(axis=(1, 2))).tolist()

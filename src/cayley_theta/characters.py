@@ -104,8 +104,9 @@ class CharacterTable:
     def classes(self):
         return self.group.conjugacy_classes()
 
-    def validate(self, tol: float = 1e-8):
+    def validate(self):
         """Check all table invariants; raise CorruptTable on failure."""
+        tol = 1e-8
         group = self.group
         classes = self.classes
         n_irreps = len(self.degrees)
@@ -546,7 +547,8 @@ class IrrepMatrices:
     matrices: tuple
     labels: tuple = None
 
-    def validate(self, tol: float = 1e-8):
+    def validate(self):
+        tol = 1e-8
         group = self.group
         if sum(d * d for d in self.degrees) != group.order:
             raise InvalidArgument("sum of squared degrees != group order")

@@ -26,9 +26,7 @@ from .characters import (CharacterTable, GroupFunction,
                          export_character_table, format_real,
                          import_character_table, import_irreps,
                          is_positive_type, symmetric_character_table)
-from .errors import (CorruptTable, InvalidArgument, NotAGroup, NotAutomorphism,
-                     NotTransitive, NumericalFailure, SchemaError,
-                     WrongFormulation)
+from .errors import InvalidArgument, NumericalFailure
 from .graphs import (ConnectionSet, alpha, build_cayley, blowup_connection,
                      import_action_table, import_graph)
 from .groups import (AbelianProductGroup, GeneralLinearGroup, SymmetricGroup,
@@ -48,15 +46,25 @@ def _digest(path):
     return h.hexdigest()
 
 
+def _ints(spec, tokens, count=None):
+    """The tokens of a spec as integers, ``count`` of them if given."""
+    try:
+        values = [int(t) for t in tokens]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise InvalidArgument(f"malformed spec {spec!r}")
+    return values
+
+
 def parse_group(spec: str):
     kind, _, rest = spec.partition(":")
     if kind == "sym":
-        return make_symmetric(int(rest))
+        return make_symmetric(*_ints(spec, [rest], 1))
     if kind == "cyclic":
-        return make_abelian_product([int(t) for t in rest.split(",")])
+        return make_abelian_product(_ints(spec, rest.split(",")))
     if kind == "gl":
-        q, n = rest.split(",")
-        return make_general_linear(int(q), int(n))
+        return make_general_linear(*_ints(spec, rest.split(","), 2))
     if kind == "table":
         return import_cayley_table(rest)
     raise InvalidArgument(f"unknown group spec {spec!r}")
@@ -67,18 +75,19 @@ def parse_connection(spec: str, group):
     if kind == "efp":
         if not isinstance(group, SymmetricGroup):
             raise InvalidArgument("efp connection sets need a sym: group")
-        return efp_connection(group.n, int(rest), group)
+        return efp_connection(group.n, *_ints(spec, [rest], 1), group)
     if kind == "gl-rank":
         if not isinstance(group, GeneralLinearGroup):
             raise InvalidArgument("gl-rank connection sets need a gl: group")
-        return gl_connection(group.q, group.n, int(rest), group)
+        return gl_connection(group.q, group.n, *_ints(spec, [rest], 1),
+                             group)
     if kind == "classes":
         return ConnectionSet.from_classes(
-            group, [int(t) for t in rest.split(",")])
+            group, _ints(spec, rest.split(",")))
     if kind == "elements":
         with open(rest) as fh:
-            elems = [int(t) for t in fh.read().replace(",", " ").split()]
-        return ConnectionSet.from_elements(group, elems)
+            tokens = fh.read().replace(",", " ").split()
+        return ConnectionSet.from_elements(group, _ints(spec, tokens))
     if kind == "empty":
         return ConnectionSet.from_classes(group, [])
     raise InvalidArgument(f"unknown connection spec {spec!r}")
@@ -201,19 +210,22 @@ def cmd_chartable(args):
 
 def cmd_bochner(args):
     group = parse_group(args.group)
+    values = []
     with open(args.function) as fh:
-        raw = json.load(fh)
-    if len(raw) != group.order:
+        try:
+            for v in json.load(fh):
+                if isinstance(v, str):
+                    values.append(Fraction(v))
+                elif isinstance(v, list):
+                    values.append(complex(v[0], v[1]))
+                else:
+                    values.append(Fraction(v) if isinstance(v, int)
+                                  else complex(v))
+        except (ValueError, TypeError, IndexError) as exc:
+            raise InvalidArgument(f"malformed function file: {exc}") from exc
+    if len(values) != group.order:
         raise InvalidArgument(
             f"function file must list {group.order} values")
-    values = []
-    for v in raw:
-        if isinstance(v, str):
-            values.append(Fraction(v))
-        elif isinstance(v, list):
-            values.append(complex(v[0], v[1]))
-        else:
-            values.append(Fraction(v) if isinstance(v, int) else complex(v))
     f = GroupFunction(group, tuple(values))
     rep = import_irreps(args.irreps, group) if args.irreps else \
         default_table(group, args.chartable)
@@ -322,9 +334,7 @@ def cli_dispatch(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InvalidArgument, SchemaError, CorruptTable, NotAGroup,
-            WrongFormulation, NotTransitive, NotAutomorphism,
-            FileNotFoundError) as exc:
+    except (InvalidArgument, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except NumericalFailure as exc:

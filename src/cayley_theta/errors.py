@@ -2,10 +2,11 @@
 
 
 class InvalidArgument(ValueError):
-    """A precondition on an operation's arguments was violated."""
+    """A precondition on an operation's arguments was violated.  Every
+    input error below is one, so the CLI maps them all to exit code 2."""
 
 
-class NotAGroup(ValueError):
+class NotAGroup(InvalidArgument):
     """A Cayley table fails a group axiom.
 
     Carries the failing axiom name and a witness tuple of element indices.
@@ -17,20 +18,20 @@ class NotAGroup(ValueError):
         self.witness = witness
 
 
-class SchemaError(ValueError):
+class SchemaError(InvalidArgument):
     """A data file does not match its documented schema."""
 
 
-class CorruptTable(ValueError):
+class CorruptTable(InvalidArgument):
     """An imported character table violates a table invariant."""
 
 
-class WrongFormulation(ValueError):
+class WrongFormulation(InvalidArgument):
     """The LP formulation requires a conjugation-closed connection set;
     callers with general connection sets should export formulation (A) or (C)."""
 
 
-class NeedsIrreps(ValueError):
+class NeedsIrreps(InvalidArgument):
     """The requested check needs full irreducible representation matrices,
     not just a character table."""
 
@@ -43,7 +44,7 @@ class SizeLimit(InvalidArgument):
     """The instance exceeds a documented size bound."""
 
 
-class NotTransitive(ValueError):
+class NotTransitive(InvalidArgument):
     """A group action is not transitive; carries the orbit partition."""
 
     def __init__(self, orbits):
@@ -51,7 +52,7 @@ class NotTransitive(ValueError):
         self.orbits = orbits
 
 
-class NotAutomorphism(ValueError):
+class NotAutomorphism(InvalidArgument):
     """A group element does not act by graph automorphisms."""
 
     def __init__(self, element, edge):

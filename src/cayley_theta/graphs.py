@@ -176,12 +176,6 @@ class Graph:
     def degree(self, v):
         return bin(self.adj[v]).count("1")
 
-    def complement(self):
-        full = (1 << self.vertex_count) - 1
-        return Graph(self.vertex_count, tuple(
-            (full ^ self.adj[v]) & ~(1 << v)
-            for v in range(self.vertex_count)))
-
 
 def build_cayley(group: FiniteGroup, connection: ConnectionSet) -> Graph:
     """Cay(Gamma, X): x ~ y iff y^-1 x in X; regular of degree |X|."""

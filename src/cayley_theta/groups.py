@@ -17,13 +17,15 @@ i.e. ``(p * q)(i) = p(q(i))``.
 ``multiply`` and ``invert`` give single products.  Work over many pairs
 (Cayley graphs, conjugacy classes, group matrices) goes through
 ``products`` and ``inverses``, which act on whole numpy index arrays.
-They read an array of every element, built on the first bulk call: the
-``(n!, n)`` permutations of S_n or the ``(|G|, n, n)`` matrices of
-GL(n, q).  A table group keeps its Cayley table as an array, and
-abelian products compute their digits.  The arrays hold the elements in
-the canonical order above, so indexing is the same on both paths, and a
-group that only ever answers class-level questions (the character table
-and LP of S_10) never builds one.
+S_n reads an array of its ``(n!, n)`` permutations, built on the first
+bulk call, so a group that only ever answers class-level questions (the
+character table and LP of S_10) never builds it.  GL(n, q) builds its
+``(|G|, n, n)`` matrix array and its inverse index at construction, by
+one Gauss-Jordan elimination over F_q of every entry vector at once;
+its ``multiply`` and ``invert`` read them too.  A table group keeps its
+Cayley table as an array, and abelian products compute their digits.
+The arrays hold the elements in the canonical order above, so indexing
+is the same on both paths.
 """
 
 from __future__ import annotations
@@ -137,7 +139,6 @@ class FiniteGroup:
     encoding and supply multiply/invert and the bulk products; conjugacy
     classes are cached on first request."""
 
-    kind = "table"
     identity = 0
 
     def __init__(self, order: int):
@@ -230,8 +231,6 @@ class AbelianProductGroup(FiniteGroup):
     Element index is the mixed-radix encoding with the last modulus varying
     fastest."""
 
-    kind = "abelian-product"
-
     def __init__(self, moduli):
         moduli = tuple(int(m) for m in moduli)
         if not moduli:
@@ -293,7 +292,6 @@ class SymmetricGroup(FiniteGroup):
     Conjugacy classes are classified analytically by cycle type; members
     are enumerated lazily and only on demand."""
 
-    kind = "symmetric"
     MAX_N = 10
 
     def __init__(self, n: int):
@@ -405,7 +403,8 @@ _PRIMES = {2, 3, 5, 7}
 
 
 class FiniteField:
-    """Arithmetic tables for F_q, q in {2,3,4,5,7,8,9}."""
+    """Arithmetic tables for F_q, q in {2,3,4,5,7,8,9}, as numpy arrays:
+    ``add[a, b]``, ``mul[a, b]``, ``neg[a]`` and ``inv[a]`` (0 for a = 0)."""
 
     def __init__(self, q: int):
         if q in _PRIMES:
@@ -415,52 +414,56 @@ class FiniteField:
         else:
             raise InvalidArgument(f"unsupported field size {q}")
         self.q = q
-        self.p = p
         deg = len(poly) if poly else 1
-        self.add = [[0] * q for _ in range(q)]
-        self.mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(q):
-                da, db = self._digits(a, deg), self._digits(b, deg)
-                self.add[a][b] = self._enc([(x + y) % p for x, y in zip(da, db)])
-                prod = [0] * (2 * deg - 1)
-                for i, x in enumerate(da):
-                    for j, y in enumerate(db):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-                # reduce modulo the fixed polynomial: x^deg = -poly
-                for k in range(2 * deg - 2, deg - 1, -1):
-                    c = prod[k]
-                    if c:
-                        prod[k] = 0
-                        for i, coef in enumerate(poly):
-                            prod[k - deg + i] = (prod[k - deg + i] - c * coef) % p
-                self.mul[a][b] = self._enc(prod[:deg])
-        self.neg = [next(b for b in range(q) if self.add[a][b] == 0)
-                    for a in range(q)]
-        self.inv = [0] * q
-        for a in range(1, q):
-            self.inv[a] = next(b for b in range(1, q) if self.mul[a][b] == 1)
+        # digits[a] lists the coefficients of a, constant term first
+        place = p ** np.arange(deg)
+        digits = np.arange(q)[:, None] // place % p
+        self.add = (digits[:, None] + digits[None, :]) % p @ place
+        prod = np.zeros((q, q, 2 * deg - 1), dtype=np.int64)
+        for i in range(deg):
+            prod[..., i:i + deg] += digits[:, None, i, None] * digits[None]
+        # reduce modulo the fixed polynomial: x^deg = -poly
+        for k in range(2 * deg - 2, deg - 1, -1):
+            for i, coef in enumerate(poly):
+                prod[..., k - deg + i] -= prod[..., k] * coef
+        self.mul = prod[..., :deg] % p @ place
+        self.neg = np.argmin(self.add, axis=1)       # the b with a + b = 0
+        self.inv = np.argmax(self.mul == 1, axis=1)
 
-    def _digits(self, a, deg):
-        out = []
-        for _ in range(deg):
-            a, r = divmod(a, self.p)
-            out.append(r)
-        return out
-
-    def _enc(self, digits):
-        a = 0
-        for d in reversed(digits):
-            a = a * self.p + d
-        return a
+    def row_reduce(self, stack, width=None):
+        """Gauss-Jordan elimination over F_q of a stack of matrices
+        ``(..., rows, cols)``, all at once.  Pivots are sought in the first
+        ``width`` columns (all by default), each the first nonzero entry
+        at or below the next pivot row.  Returns the reduced stack, where
+        each pivot is 1 and alone in its column, and the rank of each
+        matrix (its number of pivots)."""
+        stack = np.asarray(stack)
+        M = stack.reshape(-1, *stack.shape[-2:]).astype(np.int64)
+        rank = np.zeros(len(M), dtype=np.int64)
+        for col in range(M.shape[2] if width is None else width):
+            candidates = ((M[:, :, col] != 0) &
+                          (np.arange(M.shape[1]) >= rank[:, None]))
+            found = np.flatnonzero(candidates.any(axis=1))
+            piv, r = candidates[found].argmax(axis=1), rank[found]
+            top = M[found, piv]
+            M[found, piv] = M[found, r]
+            top = self.mul[self.inv[top[:, col]][:, None], top]
+            M[found, r] = top
+            factor = self.neg[M[found, :, col]]
+            factor[np.arange(len(found)), r] = 0
+            M[found] = self.add[M[found],
+                                self.mul[factor[:, :, None], top[:, None]]]
+            rank[found] += 1
+        return M.reshape(stack.shape), rank.reshape(stack.shape[:-2])
 
 
 class GeneralLinearGroup(FiniteGroup):
     """GL(n, F_q).  Elements are the invertible matrices, the identity
     first, the rest in lexicographic order of the row-major entry
-    vector."""
+    vector.  ``element_array`` holds them as one ``(|G|, n, n)`` array,
+    found with their inverses by one Gauss-Jordan pass over ``[M | I]``
+    for every entry vector M."""
 
-    kind = "general-linear"
     MAX_ORDER = 10000
 
     def __init__(self, q: int, n: int):
@@ -475,94 +478,47 @@ class GeneralLinearGroup(FiniteGroup):
                 f"|GL({n},F_{q})| = {expected} exceeds bound {self.MAX_ORDER}")
         super().__init__(expected)
         self.q, self.n, self.field = q, n, field
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n))
-                      for i in range(n))
-        mats = []
-        for entries in itertools.product(range(q), repeat=n * n):
-            mat = tuple(tuple(entries[i * n + j] for j in range(n))
-                        for i in range(n))
-            if mat != ident and self._invertible(mat):
-                mats.append(mat)
-        self.matrices = (ident,) + tuple(mats)
-        if len(self.matrices) != expected:
-            raise NotAGroup("order-formula", (len(self.matrices), expected))
-        self.index = {m: i for i, m in enumerate(self.matrices)}
-        self._mats = None
+        # a matrix's key reads its row-major entries as a base-q number, so
+        # the key of every entry vector is its lexicographic rank
+        self._weights = q ** np.arange(n * n - 1, -1, -1).reshape(n, n)
+        every = np.arange(q ** (n * n))[:, None, None] // self._weights % q
+        eye = np.broadcast_to(np.eye(n, dtype=np.int64), every.shape)
+        reduced, rank = field.row_reduce(
+            np.concatenate([every, eye], axis=2), n)
+        identity = int(np.trace(self._weights))     # the key of I
+        keys = np.flatnonzero(rank == n)
+        keys = np.concatenate([[identity], keys[keys != identity]])
+        if len(keys) != expected:
+            raise NotAGroup("order-formula", (len(keys), expected))
+        self.element_array = every[keys]
+        self.matrices = tuple(tuple(map(tuple, m))
+                              for m in self.element_array.tolist())
+        # the index of every matrix by its key (-1: singular)
+        self._index_of_key = np.full(len(every), -1)
+        self._index_of_key[keys] = np.arange(expected)
+        self._inverses = self._index_of_key[
+            (reduced[keys, :, n:] * self._weights).sum(axis=(-2, -1))]
 
-    def _invertible(self, mat):
-        return self._inverse(mat) is not None
-
-    def _inverse(self, mat):
-        f, n = self.field, self.n
-        aug = [list(mat[i]) + [1 if j == i else 0 for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                return None
-            aug[col], aug[piv] = aug[piv], aug[col]
-            s = f.inv[aug[col][col]]
-            aug[col] = [f.mul[s][v] for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    c = f.neg[aug[r][col]]
-                    aug[r] = [f.add[v][f.mul[c][w]]
-                              for v, w in zip(aug[r], aug[col])]
-        return tuple(tuple(row[n:]) for row in aug)
-
-    def mat_mul(self, A, B):
-        f, n = self.field, self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = 0
-                for k in range(n):
-                    s = f.add[s][f.mul[A[i][k]][B[k][j]]]
-                row.append(s)
-            out.append(tuple(row))
-        return tuple(out)
-
-    def mat_rank(self, mat):
-        f, n = self.field, self.n
-        M = [list(r) for r in mat]
-        rank = 0
-        for col in range(n):
-            piv = next((r for r in range(rank, n) if M[r][col] != 0), None)
-            if piv is None:
-                continue
-            M[rank], M[piv] = M[piv], M[rank]
-            for r in range(rank + 1, n):
-                if M[r][col] != 0:
-                    c = f.neg[f.mul[M[r][col]][f.inv[M[rank][col]]]]
-                    M[r] = [f.add[v][f.mul[c][w]]
-                            for v, w in zip(M[r], M[rank])]
-            rank += 1
-        return rank
+    def ranks(self, stack) -> np.ndarray:
+        """The rank over F_q of every matrix in a stack ``(..., n, n)``."""
+        return self.field.row_reduce(stack)[1]
 
     def multiply(self, a, b):
-        return self.index[self.mat_mul(self.matrices[a], self.matrices[b])]
+        return int(self.products(a, b))
 
     def invert(self, a):
-        return self.index[self._inverse(self.matrices[a])]
+        return int(self._inverses[a])
+
+    def inverses(self):
+        return self._inverses
 
     def products(self, a, b):
-        if self._mats is None:
-            # the field tables as arrays, and the index of every matrix
-            # by its entry vector read as a base-q number (-1: singular)
-            self._mats = np.array(self.matrices, dtype=np.int64)
-            self._add = np.array(self.field.add)
-            self._mul = np.array(self.field.mul)
-            self._weights = self.q ** np.arange(
-                self.n * self.n - 1, -1, -1).reshape(self.n, self.n)
-            self._index_of_key = np.full(self.q ** (self.n * self.n), -1)
-            self._index_of_key[(self._mats * self._weights).sum(
-                axis=(-2, -1))] = np.arange(self.order)
-        A, B = self._mats[a], self._mats[b]
-        terms = self._mul[A[..., :, :, None], B[..., None, :, :]]
+        f = self.field
+        A, B = self.element_array[a], self.element_array[b]
+        terms = f.mul[A[..., :, :, None], B[..., None, :, :]]
         C = terms[..., 0, :]     # C[i, j] = sum over k of A[i, k] B[k, j]
         for k in range(1, self.n):
-            C = self._add[C, terms[..., k, :]]
+            C = f.add[C, terms[..., k, :]]
         return self._index_of_key[(C * self._weights).sum(axis=(-2, -1))]
 
     def identity_key(self):
@@ -577,8 +533,6 @@ class TableGroup(FiniteGroup):
     """Group given by an explicit Cayley table (verified on construction).
     If the identity is not element 0 the table is relabelled by swapping
     it with 0."""
-
-    kind = "table"
 
     def __init__(self, table, labels=None):
         table = [list(row) for row in table]

@@ -425,8 +425,8 @@ class VerifyResult:
         return self.ok
 
 
-def verify_certificate(instance: LpInstance, solution: LpSolution,
-                       tol: float = FLOAT_EPS) -> VerifyResult:
+def verify_certificate(instance: LpInstance,
+                       solution: LpSolution) -> VerifyResult:
     """Re-check an optimality certificate by pure re-evaluation: primal
     feasibility, dual feasibility (reduced costs <= 0), and zero duality
     gap.  Shares no state with the solver."""
@@ -435,7 +435,7 @@ def verify_certificate(instance: LpInstance, solution: LpSolution,
     if solution.x is None or solution.dual is None:
         return VerifyResult(False, "missing primal or dual vector")
     exact = instance.exact
-    eps = 0 if exact else tol * _scale(instance)
+    eps = 0 if exact else FLOAT_EPS * _scale(instance)
     x, y = solution.x, solution.dual
     for xi in x:
         if xi < -eps:

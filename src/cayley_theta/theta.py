@@ -143,8 +143,8 @@ def _row_key(row, exact):
     return tuple(round(v / scale * (1 if lead > 0 else -1), 12) for v in row)
 
 
-def solve_theta(spec: CayleyGraphSpec, table: CharacterTable,
-                tol: float = CERT_TOL) -> ThetaCertificate:
+def solve_theta(spec: CayleyGraphSpec,
+                table: CharacterTable) -> ThetaCertificate:
     """Solve the character LP and return its validated certificate.
 
     A float-mode LP that comes back not optimal, or whose certificate
@@ -158,7 +158,7 @@ def solve_theta(spec: CayleyGraphSpec, table: CharacterTable,
             f"theta LP unexpectedly {solution.status}: delta_e/|Gamma| "
             "is always feasible")
     cert = _certificate_from_lp(spec, table, solution, lp)
-    problems = validate_certificate(cert, tol=tol)
+    problems = validate_certificate(cert)
     if problems:
         raise failure("certificate validation failed: " +
                       "; ".join(problems))
@@ -183,8 +183,7 @@ def _certificate_from_lp(spec, table, solution: LpSolution, lp: ThetaLp):
         lp_shape=(lp.instance.m, lp.instance.n))
 
 
-def validate_certificate(cert: ThetaCertificate,
-                         tol: float = CERT_TOL) -> list:
+def validate_certificate(cert: ThetaCertificate) -> list:
     """Re-check every certificate invariant from scratch; returns a list
     of violation descriptions (empty when valid).  Shares no code with
     the LP builder: constraints are re-evaluated over all connection
@@ -194,7 +193,7 @@ def validate_certificate(cert: ThetaCertificate,
     group = spec.group
     classes = group.conjugacy_classes()
     degrees = table.degrees
-    scale = 0 if cert.exact else tol * max(1.0, float(group.order))
+    scale = 0 if cert.exact else CERT_TOL * max(1.0, float(group.order))
 
     def bad(value, want):
         return abs(value - want) > scale
@@ -217,7 +216,7 @@ def validate_certificate(cert: ThetaCertificate,
         problems.append("sum of f != objective")
     if bad(cert.a[table.trivial_index], cert.objective):
         problems.append("objective != trivial coefficient")
-    pt = is_positive_type(cert.f, table, tol=tol)
+    pt = is_positive_type(cert.f, table, tol=CERT_TOL)
     if not pt:
         problems.append(f"f not of positive type (irrep {pt.irrep})")
     return problems

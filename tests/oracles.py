@@ -11,13 +11,15 @@ oracles use only the single-product ``multiply``/``invert`` that the
 array kernels (``products``/``inverses``) must agree with, the PSD test
 is symmetric elimination over ``Fraction`` on the group matrix (the
 direct check of Bochner's criterion), the convolution is the defining
-sum, and the character oracle walks border strips on the Young diagram
-instead of beta-sets.
+sum, the character oracle walks border strips on the Young diagram
+instead of beta-sets, and the GL(n, q) oracles multiply matrices by the
+defining triple loop over the field tables and read rank(A - I) off the
+number of vectors that A fixes, with no elimination.
 """
 
 import cmath
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from cayley_theta.characters import ClassFunction, GroupFunction, conj
 from cayley_theta.errors import InvalidArgument, NotAGroup
@@ -295,6 +297,41 @@ def reference_classes(group):
                        inverse_class=class_of[group.invert(members[0])],
                        members=members)
         for members in member_lists)
+
+
+def matrix_product(field, A, B) -> tuple:
+    """A B over F_q, one table lookup per term of each entry's sum."""
+    n = len(A)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            s = 0
+            for k in range(n):
+                s = field.add[s][field.mul[A[i][k]][B[k][j]]]
+            row.append(int(s))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def shift_rank(field, A) -> int:
+    """rank(A - I) over F_q from |ker(A - I)| = q^(n - rank): count the
+    vectors v with A v = v."""
+    n, q = len(A), field.q
+    fixed = 0
+    for v in product(range(q), repeat=n):
+        image = []
+        for i in range(n):
+            s = 0
+            for k in range(n):
+                s = field.add[s][field.mul[A[i][k]][v[k]]]
+            image.append(int(s))
+        fixed += image == list(v)
+    nullity = 0
+    while q ** nullity < fixed:
+        nullity += 1
+    assert q ** nullity == fixed
+    return n - nullity
 
 
 CONVOLUTION_BOUND = 5000

@@ -230,3 +230,24 @@ def test_table_group_roundtrip_via_cli(capsys, tmp_path):
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "theta", "--group", "sym:3")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("bochner", "--group", "sym:3", "--function", "{tmp}/not_class.json"),
+    ("bochner", "--group", "sym:3", "--function", "{tmp}/broken.json"),
+    ("theta", "--group", "sym:x", "--connection", "efp:1"),
+    ("theta", "--group", "sym:3", "--connection", "efp:x"),
+    ("theta", "--group", "sym:3", "--connection", "classes:1,a"),
+    ("alpha", "--group", "gl:2", "--connection", "empty"),
+    ("theta", "--group", "sym:3", "--connection", "efp:1",
+     "--chartable", "{tmp}"),
+])
+def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
+    # a transposition's value differs from the other two in its class
+    (tmp_path / "not_class.json").write_text(
+        json.dumps(["1", "1", "0", "0", "0", "0"]))
+    (tmp_path / "broken.json").write_text('["1", "0"')
+    code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

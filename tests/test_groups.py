@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from cayley_theta.apps import gl_connection, gl_pointwise_stabilizer
 from cayley_theta.errors import InvalidArgument, NotAGroup
 from cayley_theta.groups import (action_from_generators, action_from_table,
                                  conjugacy_classes, cycle_type,
@@ -12,7 +14,8 @@ from cayley_theta.groups import (action_from_generators, action_from_table,
                                  make_symmetric, partitions, perm_rank,
                                  perm_unrank, same_group)
 
-from oracles import check_axioms, reference_classes
+from oracles import (check_axioms, matrix_product, reference_classes,
+                     shift_rank)
 
 
 def test_perm_rank_roundtrip():
@@ -99,6 +102,61 @@ def test_general_linear_examples():
         make_general_linear(6, 2)       # not a prime power
     with pytest.raises(InvalidArgument):
         make_general_linear(3, 3)       # order 11232 > bound
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3), (5, 2)])
+def test_gl_arithmetic_against_field_table_oracles(q, n):
+    group = make_general_linear(q, n)
+    f, mats = group.field, group.matrices
+    everything = np.arange(group.order)
+    table = group.products(everything[:, None], everything).tolist()
+    for a, row in enumerate(table):
+        assert [mats[c] for c in row] == [matrix_product(f, mats[a], B)
+                                          for B in mats]
+    assert not group.products(everything, group.inverses()).any()
+    shifted = f.add[group.element_array, f.neg[np.eye(n, dtype=np.int64)]]
+    ranks = [shift_rank(f, A) for A in mats]
+    assert group.ranks(shifted).tolist() == ranks
+    for k in range(1, n + 1):
+        assert gl_connection(q, n, k, group).elements == tuple(
+            a for a, r in enumerate(ranks) if r > n - k)
+
+
+GL_CASES = [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (8, 2),
+            (9, 2), (2, 3)]
+
+
+def _gl_digest(q, n):
+    """sha256 over the matrices, products, inverses, classes, rank
+    connection sets and stabilizers of GL(n, q).  Products cover every
+    pair up to order 500 and 64 seeded rows above it."""
+    group = make_general_linear(q, n)
+    h = hashlib.sha256(repr(group.matrices).encode())
+    everything = np.arange(group.order)
+    rng = np.random.default_rng(0)
+    rows = everything if group.order <= 500 else np.sort(
+        rng.choice(group.order, size=64, replace=False))
+    h.update(group.products(rows[:, None], everything)
+             .astype("<i8").tobytes())
+    h.update(group.inverses().astype("<i8").tobytes())
+    h.update(repr([group.invert(a) for a in range(group.order)]).encode())
+    pairs = rng.integers(0, group.order, size=(500, 2)).tolist()
+    h.update(repr([group.multiply(a, b) for a, b in pairs]).encode())
+    h.update(repr(conjugacy_classes(group)).encode())
+    for k in range(1, n + 1):
+        conn = gl_connection(q, n, k, group)
+        h.update(repr((conn.elements, conn.as_classes)).encode())
+        h.update(repr(gl_pointwise_stabilizer(group, k)).encode())
+    return h.hexdigest()
+
+
+def test_gl_outputs_pinned():
+    # taken from the scalar Gauss-Jordan and matrix product that built
+    # GL(n, q) before the batched elimination
+    digest = hashlib.sha256("".join(
+        _gl_digest(q, n) for q, n in GL_CASES).encode()).hexdigest()
+    assert digest == \
+        "ba1c6fc323dc9fd3daed5cb541417498f9fc039e6b8a2a73afc92989d3ff0a68"
 
 
 def test_gl22_classes_match_s3():
