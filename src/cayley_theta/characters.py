@@ -1,10 +1,11 @@
 """Character tables and class-function Fourier analysis.
 
-Scalars are either exact (``fractions.Fraction``) or approximate
-(``complex``); a table is exact only when every entry is exact.  The
-symmetric-group tables are computed by the Murnaghan-Nakayama rule and
-are exact integers; abelian tables involve roots of unity and are stored
-approximately unless all moduli are 1 or 2.
+Scalars are either exact (``int`` or ``fractions.Fraction``) or
+approximate (``complex``); a table is exact only when every entry is
+exact, and holds its entries in one numpy array of the matching kind.
+The symmetric-group tables are computed by the Murnaghan-Nakayama rule
+and are exact integers; abelian tables involve roots of unity and are
+stored approximately unless all moduli are 1 or 2.
 
 One rule decides every exact-or-approximate test here and in ``theta``
 and ``simplex``: exact means tolerance 0.  An exact value is compared
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from operator import mul
 from typing import Optional, Union
 
 import numpy as np
@@ -31,12 +31,11 @@ import numpy as np
 from .errors import (CorruptTable, InvalidArgument, NeedsIrreps, SchemaError,
                      SizeLimit)
 from .groups import (AbelianProductGroup, FiniteGroup, SymmetricGroup,
-                     partition_label, partitions, same_group)
-from .linalg import scaled
+                     parse_ints, partition_label, partitions, same_group)
 
 Scalar = Union[Fraction, complex]
 
-# an abelian table has order**2 entries, each a Python object
+# an abelian table has order**2 entries
 ABELIAN_TABLE_BOUND = 2000
 # entries per numpy block: table rows, or pairs of irrep matrices
 ROW_BLOCK = 1 << 13
@@ -91,83 +90,78 @@ class GroupFunction:
 # ---------------------------------------------------------------------------
 # character tables
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
+    """entries[irrep, class] is one read-only 2-D numpy array: of Python
+    ints and Fractions (dtype object) when every entry is rational, else
+    complex128.  Whatever the constructor is given is normalised to one
+    of the two, and ``exact`` is read from the dtype."""
     group: FiniteGroup
     degrees: tuple
-    entries: tuple          # entries[irrep][class]
+    entries: np.ndarray
     irrep_labels: tuple
     trivial_index: int
-    exact: bool
+
+    def __post_init__(self):
+        X = np.asarray(self.entries)
+        rational = X.dtype.kind in "iu" or X.dtype == object and all(
+            isinstance(v, (int, Fraction)) for v in X.flat)
+        # an integer array becomes Python ints, which cannot overflow
+        X = X.astype(object if rational else complex, copy=False)
+        X.setflags(write=False)
+        object.__setattr__(self, "entries", X)
+
+    @property
+    def exact(self) -> bool:
+        return self.entries.dtype == object
 
     @property
     def classes(self):
         return self.group.conjugacy_classes()
 
     def validate(self):
-        """Check all table invariants; raise CorruptTable on failure."""
-        tol = 1e-8
-        group = self.group
-        classes = self.classes
-        n_irreps = len(self.degrees)
-        if any(len(row) != len(classes) for row in self.entries):
+        """Check all table invariants; raise CorruptTable on failure.
+        Orthogonality is checked on the two Gram matrices of the entry
+        array, in the table's own arithmetic, with tolerance 0 when
+        exact; the first failing pair of the upper triangle, in
+        row-major order, is reported."""
+        X = self.entries
+        order = self.group.order
+        sizes = [c.size for c in self.classes]
+        if X.shape != (len(self.degrees), len(sizes)):
             raise CorruptTable("entry matrix shape mismatch")
-        if sum(d * d for d in self.degrees) != group.order:
+        if sum(d * d for d in self.degrees) != order:
             raise CorruptTable("sum of squared degrees != group order")
-        for i, d in enumerate(self.degrees):
-            if _ne(self.entries[i][0], d, tol):
-                raise CorruptTable(
-                    f"identity-class entry of irrep {i} is not its degree")
-        triv = self.entries[self.trivial_index]
-        if self.degrees[self.trivial_index] != 1 or any(
-                _ne(v, 1, tol) for v in triv):
+        tol = 0 if self.exact else 1e-8
+        wrong = np.flatnonzero(
+            np.abs(X[:, 0] - np.array(self.degrees, dtype=X.dtype)) > tol)
+        if wrong.size:
+            raise CorruptTable(
+                f"identity-class entry of irrep {wrong[0]} is not its degree")
+        if self.degrees[self.trivial_index] != 1 or np.any(
+                np.abs(X[self.trivial_index] - 1) > tol):
             raise CorruptTable("trivial irrep row is not all ones")
-        if all(is_exact(v) for row in self.entries for v in row):
-            _check_orthogonality_exact(self.entries, classes, group.order)
-            return self
-        scale = max(tol * group.order, tol)
-        for i in range(n_irreps):
-            for j in range(i, n_irreps):
-                s = sum(c.size * self.entries[i][k] * conj(self.entries[j][k])
-                        for k, c in enumerate(classes))
-                want = group.order if i == j else 0
-                if _ne(s, want, scale):
-                    raise CorruptTable(
-                        f"row orthogonality fails for irreps ({i},{j})")
-        for k in range(len(classes)):
-            for l in range(k, len(classes)):
-                s = sum(self.entries[i][k] * conj(self.entries[i][l])
-                        for i in range(n_irreps))
-                want = Fraction(group.order, classes[k].size) if k == l else 0
-                if _ne(s, want, scale):
-                    raise CorruptTable(
-                        f"column orthogonality fails for classes ({k},{l})")
+        tol *= max(order, 1)
+        rows = (X * np.array(sizes, dtype=X.dtype)) @ X.conj().T
+        bad = _first_miss(rows, order * np.eye(len(X), dtype=X.dtype), tol)
+        if bad:
+            raise CorruptTable(f"row orthogonality fails for irreps {bad}")
+        # the column sums want order / |C_k| on the diagonal
+        columns = X.T @ X.conj()
+        want = np.diag(np.array([Fraction(order, s) for s in sizes],
+                                dtype=X.dtype))
+        bad = _first_miss(columns, want, tol)
+        if bad:
+            raise CorruptTable(
+                f"column orthogonality fails for classes {bad}")
         return self
 
 
-def _check_orthogonality_exact(entries, classes, order):
-    """The orthogonality checks of ``validate`` on a rational table, run
-    on the integers X = L * entries for one lcm L of the denominators:
-    each sum is compared with its wanted value times L^2."""
-    L = lcm(*(v.denominator for row in entries for v in row))
-    X = [[scaled(v, L) for v in row] for row in entries]
-    sizes = [c.size for c in classes]
-    norm = order * L * L
-    for i, row in enumerate(X):
-        weighted = [s * v for s, v in zip(sizes, row)]
-        for j in range(i, len(X)):
-            s = sum(map(mul, weighted, X[j]))
-            if s != (norm if i == j else 0):
-                raise CorruptTable(
-                    f"row orthogonality fails for irreps ({i},{j})")
-    columns = list(zip(*X))
-    for k, col in enumerate(columns):
-        for l in range(k, len(columns)):
-            s = sum(map(mul, col, columns[l]))
-            # the wanted sum is order / |C_k| when k == l
-            if (s * sizes[k] != norm) if k == l else s != 0:
-                raise CorruptTable(
-                    f"column orthogonality fails for classes ({k},{l})")
+def _first_miss(gram, want, tol):
+    """The pair "(i,j)", i <= j, first in row-major order at which the
+    Gram matrix misses its wanted value by more than tol; None if none."""
+    miss = np.argwhere(np.triu(np.abs(gram - want) > tol))
+    return f"({miss[0][0]},{miss[0][1]})" if len(miss) else None
 
 
 def _ne(value, want, tol):
@@ -203,25 +197,22 @@ def abelian_character_table(group: FiniteGroup) -> CharacterTable:
     digits = np.stack([elements // s % m for m, s in
                        zip(moduli, group.strides)], axis=1)
     weighted = digits * np.array([L // m for m in moduli])
-    signs = (Fraction(1), Fraction(-1))
     step = max(1, ROW_BLOCK // group.order)
-    entries = []
+    entries = np.empty((group.order, group.order),
+                       dtype=int if exact else complex)
     for start in range(0, group.order, step):
         N = digits[start:start + step] @ weighted.T
+        block = entries[start:start + step]
         if exact:
-            entries += [tuple(map(signs.__getitem__, row))
-                        for row in (N % 2).tolist()]
+            block[:] = 1 - 2 * (N % 2)
             continue
         y = (2 * np.pi) * (N / L)
-        z = np.empty(y.shape, dtype=complex)
-        z.real, z.imag = np.cos(y), np.sin(y)
-        entries += map(tuple, z.tolist())
+        block.real, block.imag = np.cos(y), np.sin(y)
     return CharacterTable(
-        group=group, degrees=(1,) * group.order,
-        entries=tuple(entries),
+        group=group, degrees=(1,) * group.order, entries=entries,
         irrep_labels=tuple("chi" + group.element_label(j)
                            for j in range(group.order)),
-        trivial_index=0, exact=exact)
+        trivial_index=0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +261,18 @@ def symmetric_character_table(n: int) -> CharacterTable:
     """Exact character table of S_n; irreps and classes are both indexed
     by partitions of n in canonical order, so the trivial irrep (n)
     comes last."""
-    if not 1 <= n <= SymmetricGroup.MAX_N:
-        raise InvalidArgument(f"need 1 <= n <= {SymmetricGroup.MAX_N}")
     group = SymmetricGroup(n)
     parts = partitions(n)
-    entries = []
-    degrees = []
-    for lam in parts:
-        row = tuple(Fraction(mn_character(lam, mu)) for mu in parts)
-        entries.append(row)
-        degree = int(row[0])
+    entries = [[mn_character(lam, mu) for mu in parts] for lam in parts]
+    degrees = tuple(row[0] for row in entries)
+    for lam, degree in zip(parts, degrees):
         if degree != hook_length_degree(lam):
             raise CorruptTable(
                 f"degree of {lam} disagrees with the hook-length formula")
-        degrees.append(degree)
     return CharacterTable(
-        group=group, degrees=tuple(degrees), entries=tuple(entries),
+        group=group, degrees=degrees, entries=entries,
         irrep_labels=tuple(partition_label(lam) for lam in parts),
-        trivial_index=len(parts) - 1, exact=True).validate()
+        trivial_index=len(parts) - 1).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +289,9 @@ def _parse_scalar(v, exact: bool) -> Scalar:
     if exact:
         if not isinstance(v, str):
             raise SchemaError(f"exact entries must be rational strings: {v!r}")
-        return Fraction(v)
+        # a valid table's rational entries are integers: keep them ints
+        v = Fraction(v)
+        return v.numerator if v.denominator == 1 else v
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, list) and len(v) == 2:
@@ -322,7 +309,7 @@ def export_character_table(table: CharacterTable, path):
         "irrep_labels": list(table.irrep_labels),
         "exact": table.exact,
         "entries": [_format_scalar(v, table.exact)
-                    for row in table.entries for v in row],
+                    for v in table.entries.ravel().tolist()],
     }
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1)
@@ -356,12 +343,16 @@ def _match_class_order(file_sizes, group_classes):
     return perm
 
 
-def import_character_table(path, group: FiniteGroup) -> CharacterTable:
+def _load_json(path):
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
+
+
+def import_character_table(path, group: FiniteGroup) -> CharacterTable:
+    data = _load_json(path)
     for key in ("group_order", "class_sizes", "degrees", "exact", "entries"):
         if key not in data:
             raise SchemaError(f"missing field {key!r}")
@@ -376,26 +367,23 @@ def import_character_table(path, group: FiniteGroup) -> CharacterTable:
             f"{len(classes)}")
     perm = _match_class_order(list(data["class_sizes"]), classes)
     exact = bool(data["exact"])
-    degrees = tuple(int(d) for d in data["degrees"])
+    degrees = tuple(parse_ints(data["degrees"], "degrees"))
     n_irreps = len(degrees)
     flat = data["entries"]
     if len(flat) != n_irreps * len(classes):
         raise SchemaError("entry count mismatch")
-    rows = []
-    for i in range(n_irreps):
-        file_row = flat[i * len(classes):(i + 1) * len(classes)]
-        rows.append(tuple(_parse_scalar(file_row[perm[k]], exact)
-                          for k in range(len(classes))))
+    entries = np.array([_parse_scalar(v, exact) for v in flat],
+                       dtype=object if exact else complex)
+    entries = entries.reshape(n_irreps, len(classes))[:, perm]
     labels = data.get("irrep_labels") or [f"irrep{i}"
                                           for i in range(n_irreps)]
-    trivial = next((i for i in range(n_irreps)
-                    if degrees[i] == 1 and
-                    all(not _ne(v, 1, 1e-8) for v in rows[i])), None)
-    if trivial is None:
+    trivial = np.flatnonzero((np.array(degrees) == 1) & np.all(
+        np.abs(entries - 1) <= (0 if exact else 1e-8), axis=1))
+    if not trivial.size:
         raise CorruptTable("no trivial irrep row found")
     table = CharacterTable(
-        group=group, degrees=degrees, entries=tuple(rows),
-        irrep_labels=tuple(labels), trivial_index=trivial, exact=exact)
+        group=group, degrees=degrees, entries=entries,
+        irrep_labels=tuple(labels), trivial_index=int(trivial[0]))
     return table.validate()
 
 
@@ -404,12 +392,11 @@ def import_character_table(path, group: FiniteGroup) -> CharacterTable:
 
 def _row_blocks(table: CharacterTable):
     """(first row, rows) over the table's rows, about ROW_BLOCK entries at
-    a time as one numpy array: of objects when the table is exact, so
-    that Python does the arithmetic, else complex."""
-    dtype = object if table.exact else complex
+    a time, as slices of the entry array (so the temporaries built from
+    them stay bounded)."""
     step = max(1, ROW_BLOCK // len(table.classes))
     for start in range(0, len(table.entries), step):
-        yield start, np.array(table.entries[start:start + step], dtype=dtype)
+        yield start, table.entries[start:start + step]
 
 
 def _terms(weights, rows):
@@ -593,21 +580,18 @@ def as_float_table(table: CharacterTable) -> CharacterTable:
         return table
     return CharacterTable(
         group=table.group, degrees=table.degrees,
-        entries=tuple(tuple(complex(v) for v in row)
-                      for row in table.entries),
-        irrep_labels=table.irrep_labels,
-        trivial_index=table.trivial_index, exact=False)
+        entries=table.entries.astype(complex),
+        irrep_labels=table.irrep_labels, trivial_index=table.trivial_index)
 
 
 def import_irreps(path, group: FiniteGroup) -> IrrepMatrices:
     """Read representation matrices from JSON: {"degrees": [...],
     "matrices": [irrep][element][row][col] with entries [re, im]}."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     for key in ("degrees", "matrices"):
         if key not in data:
             raise SchemaError(f"missing field {key!r}")
-    degrees = tuple(int(d) for d in data["degrees"])
+    degrees = tuple(parse_ints(data["degrees"], "degrees"))
     mats = []
     for i, per_elem in enumerate(data["matrices"]):
         if len(per_elem) != group.order:
@@ -631,7 +615,7 @@ def abelian_irreps(table: CharacterTable) -> IrrepMatrices:
     if not isinstance(group, AbelianProductGroup):
         raise InvalidArgument("abelian_irreps needs an abelian group")
     mats = tuple(
-        tuple(np.array([[complex(table.entries[i][g])]]) for g in
+        tuple(np.array([[complex(table.entries[i, g])]]) for g in
               range(group.order))
         for i in range(len(table.degrees)))
     return IrrepMatrices(group=group, degrees=table.degrees, matrices=mats,

@@ -31,7 +31,7 @@ from .graphs import (ConnectionSet, alpha, build_cayley, blowup_connection,
                      import_action_table, import_graph)
 from .groups import (AbelianProductGroup, GeneralLinearGroup, SymmetricGroup,
                      import_cayley_table, make_abelian_product,
-                     make_general_linear, make_symmetric)
+                     make_general_linear, make_symmetric, parse_ints)
 from .theta import (CayleyGraphSpec, build_sdp_A, build_sdp_C,
                     certificate_to_json, export_sdpa, solve_theta)
 
@@ -48,13 +48,7 @@ def _digest(path):
 
 def _ints(spec, tokens, count=None):
     """The tokens of a spec as integers, ``count`` of them if given."""
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError:
-        values = None
-    if values is None or count not in (None, len(values)):
-        raise InvalidArgument(f"malformed spec {spec!r}")
-    return values
+    return parse_ints(tokens, f"spec {spec!r}", count)
 
 
 def parse_group(spec: str):
@@ -203,7 +197,7 @@ def cmd_chartable(args):
         export_character_table(table, args.out)
         print(f"wrote {args.out}")
     else:
-        for label, row in zip(table.irrep_labels, table.entries):
+        for label, row in zip(table.irrep_labels, table.entries.tolist()):
             print(label, " ".join(str(v) for v in row))
     return 0
 

@@ -19,7 +19,8 @@ class NotAGroup(InvalidArgument):
 
 
 class SchemaError(InvalidArgument):
-    """A data file does not match its documented schema."""
+    """A data file, or the text of a spec, does not match its documented
+    format."""
 
 
 class CorruptTable(InvalidArgument):

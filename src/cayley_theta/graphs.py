@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (InvalidArgument, NotAutomorphism, NotTransitive,
                      SchemaError)
-from .groups import FiniteGroup, GroupAction, same_group
+from .groups import FiniteGroup, GroupAction, parse_ints, same_group
 
 CAYLEY_BOUND = 5000
 BLOWUP_VERIFY_BOUND = 2000
@@ -362,12 +362,9 @@ def import_graph(path) -> Graph:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "vertices" or header[2] != "edges":
             raise SchemaError("expected header 'vertices N edges K'")
-        n, k = int(header[1]), int(header[3])
-        edges = []
-        for line in fh:
-            if line.strip():
-                u, v = line.split()
-                edges.append((int(u), int(v)))
+        n, k = parse_ints(header[1::2], f"graph header {' '.join(header)!r}")
+        edges = [parse_ints(line.split(), f"edge {line.strip()!r}", 2)
+                 for line in fh if line.strip()]
     if len(edges) != k:
         raise SchemaError(f"expected {k} edges, found {len(edges)}")
     return Graph.from_edges(n, edges)
@@ -386,11 +383,10 @@ def import_action_table(path, group: FiniteGroup) -> GroupAction:
         header = fh.readline().split()
         if len(header) != 2:
             raise SchemaError("expected header 'ORDER POINTS'")
-        order, npts = int(header[0]), int(header[1])
-        rows = []
-        for line in fh:
-            if line.strip():
-                rows.append([int(t) for t in line.split()])
+        order, npts = parse_ints(
+            header, f"action table header {' '.join(header)!r}")
+        rows = [parse_ints(line.split(), f"action table row {line.strip()!r}")
+                for line in fh if line.strip()]
     if order != group.order or len(rows) != order:
         raise SchemaError("action table does not match the group order")
     if any(len(r) != npts for r in rows):

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, NotAGroup
+from .errors import InvalidArgument, NotAGroup, SchemaError
 
 GENERIC_CLASS_BOUND = 10000   # orbit algorithm cutoff
 
@@ -642,15 +642,26 @@ def export_cayley_table(group: FiniteGroup, path):
             fh.write(" ".join(map(str, row)) + "\n")
 
 
+def parse_ints(tokens, what, count=None) -> list:
+    """Text tokens as integers, ``count`` of them if given; SchemaError
+    "malformed <what>" otherwise."""
+    try:
+        values = [int(t) for t in tokens]
+    except (TypeError, ValueError):
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise SchemaError(f"malformed {what}")
+    return values
+
+
 def import_cayley_table(path) -> TableGroup:
     with open(path) as fh:
         tokens = fh.read().split()
     if not tokens:
-        raise InvalidArgument("empty Cayley table file")
-    n = int(tokens[0])
-    vals = [int(t) for t in tokens[1:]]
+        raise SchemaError("empty Cayley table file")
+    n, *vals = parse_ints(tokens, f"Cayley table {path}")
     if len(vals) != n * n:
-        raise InvalidArgument(
+        raise SchemaError(
             f"expected {n * n} table entries, got {len(vals)}")
     table = [vals[i * n:(i + 1) * n] for i in range(n)]
     return make_from_table(table)

@@ -105,7 +105,8 @@ def build_lp_D(spec: CayleyGraphSpec, table: CharacterTable) -> ThetaLp:
 
     kept = _kept_connection_classes(spec)
     for c in kept:
-        coeffs = [d * table.entries[i][c] for i, d in enumerate(degrees)]
+        coeffs = [d * v for d, v in
+                  zip(degrees, table.entries[:, c].tolist())]
         if exact:
             candidates = [(list(coeffs), f"class {c}")]
         else:
@@ -135,7 +136,8 @@ def _row_key(row, exact):
     for a row that is zero (exactly, or below ROW_DROP_TOL in floats)."""
     if exact:
         lead = next((v for v in row if v != 0), None)
-        return None if lead is None else tuple(v / lead for v in row)
+        return None if lead is None else tuple(Fraction(v, lead)
+                                               for v in row)
     scale = max(abs(v) for v in row)
     if scale < ROW_DROP_TOL:
         return None
@@ -204,8 +206,8 @@ def validate_certificate(cert: ThetaCertificate) -> list:
     if bad(sum(d * d * ai for d, ai in zip(degrees, cert.a)), group.order):
         problems.append("normalization sum d^2 a != |Gamma|")
     for c in spec.connection.as_classes:
-        s = sum(d * ai * table.entries[i][c]
-                for i, (d, ai) in enumerate(zip(degrees, cert.a)))
+        s = sum(d * ai * v for d, ai, v in
+                zip(degrees, cert.a, table.entries[:, c].tolist()))
         if bad(s, 0):
             problems.append(f"constraint violated on connection class {c}")
         if bad(cert.f.values[c], 0):

@@ -162,13 +162,34 @@ def reference_fourier_scalars(f, table):
     """c_pi = (1/d_pi) sum_C |C| f(C) chi_pi(C), one scalar product at a
     time, summed left to right from 0."""
     out = []
-    for row, d in zip(table.entries, table.degrees):
+    for row, d in zip(table.entries.tolist(), table.degrees):
         s = 0
         for c, fv, chi in zip(table.classes, f.values, row):
             s += c.size * fv * chi
         out.append(Fraction(s) / d if isinstance(s, (int, Fraction))
                    else complex(s) / d)
     return tuple(out)
+
+
+def first_orthogonality_failure(table):
+    """The message ``CharacterTable.validate`` gives for the first pair
+    that fails row or column orthogonality, found by the scalar double
+    loops over Python numbers (tolerance 0 when exact); None if none."""
+    X = table.entries.tolist()
+    sizes = [c.size for c in table.classes]
+    order = table.group.order
+    tol = 0 if table.exact else 1e-8 * max(order, 1)
+    for i in range(len(X)):
+        for j in range(i, len(X)):
+            s = sum(z * a * conj(b) for z, a, b in zip(sizes, X[i], X[j]))
+            if abs(s - (order if i == j else 0)) > tol:
+                return f"row orthogonality fails for irreps ({i},{j})"
+    for k in range(len(sizes)):
+        for l in range(k, len(sizes)):
+            s = sum(row[k] * conj(row[l]) for row in X)
+            if abs(s - (Fraction(order, sizes[k]) if k == l else 0)) > tol:
+                return f"column orthogonality fails for classes ({k},{l})"
+    return None
 
 
 def _row_reduce(A, b):

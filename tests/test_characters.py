@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +21,9 @@ from cayley_theta.errors import CorruptTable, NeedsIrreps, SchemaError
 from cayley_theta.groups import (make_abelian_product, make_general_linear,
                                  make_symmetric, partitions)
 
-from oracles import (convolve, exact_psd, group_matrix, involute,
-                     mn_character_reference, reference_abelian_table,
-                     reference_fourier_scalars)
+from oracles import (convolve, exact_psd, first_orthogonality_failure,
+                     group_matrix, involute, mn_character_reference,
+                     reference_abelian_table, reference_fourier_scalars)
 
 
 def test_abelian_table_z5():
@@ -33,7 +34,7 @@ def test_abelian_table_z5():
     assert table.degrees == (1,) * 5
     w = complex(math.cos(2 * math.pi / 5), math.sin(2 * math.pi / 5))
     # some row must be the character k -> w^k
-    assert any(all(abs(table.entries[i][k] - w ** k) < 1e-12 for k in range(5))
+    assert any(all(abs(table.entries[i, k] - w ** k) < 1e-12 for k in range(5))
                for i in range(5))
 
 
@@ -49,16 +50,17 @@ def test_abelian_table_bits_match_cmath_reference(moduli):
         return [[(v.real.hex(), v.imag.hex()) for v in row]
                 for row in entries]
 
-    assert all(type(v) is complex for row in table.entries for v in row)
-    assert bits(table.entries) == bits(reference_abelian_table(group))
+    assert table.entries.dtype == complex
+    assert bits(table.entries.tolist()) == bits(reference_abelian_table(group))
 
 
 def test_abelian_table_exact_matches_reference():
     group = make_abelian_product([2] * 7)
     table = abelian_character_table(group)
     assert table.exact
-    assert all(type(v) is Fraction for row in table.entries for v in row)
-    assert table.entries == reference_abelian_table(group)
+    assert all(type(v) is int for v in table.entries.flat)
+    assert table.entries.tolist() == [list(row) for row in
+                                      reference_abelian_table(group)]
 
 
 def test_fourier_scalars_bits_match_scalar_reference():
@@ -98,11 +100,7 @@ def test_symmetric_tables_small_known_values():
     # irrep order: sign, standard, trivial
     assert t3.degrees == (1, 2, 1)
     assert t3.trivial_index == 2
-    assert t3.entries[t3.trivial_index] == (1, 1, 1)
-    sign_row = t3.entries[0]
-    assert sign_row == (1, -1, 1)
-    std_row = t3.entries[1]
-    assert std_row == (2, 0, -1)
+    assert t3.entries.tolist() == [[1, -1, 1], [2, 0, -1], [1, 1, 1]]
 
     t4 = symmetric_character_table(4)
     t4.validate()
@@ -234,7 +232,7 @@ def test_table_json_roundtrip(tmp_path):
     export_character_table(table, path)
     loaded = import_character_table(path, s4)
     loaded.validate()
-    assert loaded.entries == table.entries
+    assert loaded.entries.tolist() == table.entries.tolist()
     assert loaded.trivial_index == table.trivial_index
 
     # complex-valued table round trip
@@ -246,8 +244,7 @@ def test_table_json_roundtrip(tmp_path):
     l5.validate()
     for i in range(5):
         for k in range(5):
-            assert abs(complex(l5.entries[i][k]) -
-                       complex(t5.entries[i][k])) < 1e-12
+            assert abs(l5.entries[i, k] - t5.entries[i, k]) < 1e-12
 
 
 def test_import_rejects_wrong_group_and_corruption(tmp_path):
@@ -295,17 +292,25 @@ def test_abelian_irreps_validate():
 
 
 def _with_entry(table, i, k, value):
-    rows = [list(row) for row in table.entries]
-    rows[i][k] = value
-    return replace(table, entries=tuple(tuple(row) for row in rows))
+    entries = table.entries.copy()
+    entries[i, k] = value
+    return replace(table, entries=entries)
 
 
 @pytest.mark.parametrize("i, k, value, message", [
     (1, 2, Fraction(1), "row orthogonality fails for irreps (0,1)"),
     (3, 4, Fraction(1, 2), "row orthogonality fails for irreps (0,3)"),
+    pytest.param(1, 2, 1.0, "row orthogonality fails for irreps (0,1)",
+                 id="float"),
 ])
 def test_corrupted_exact_table_message(i, k, value, message):
-    table = _with_entry(symmetric_character_table(5), i, k, value)
+    """A float value is written into the float copy of the S_5 table.
+    The Gram-matrix check names the pair the scalar loops name first."""
+    table = symmetric_character_table(5)
+    if isinstance(value, float):
+        table = as_float_table(table)
+    table = _with_entry(table, i, k, value)
+    assert first_orthogonality_failure(table) == message
     with pytest.raises(CorruptTable) as info:
         table.validate()
     assert str(info.value) == message
@@ -314,14 +319,42 @@ def test_corrupted_exact_table_message(i, k, value, message):
 def test_exact_column_orthogonality_checked():
     # four linear characters of Z_2^3 and a fake degree-2 row
     # 2(delta_e - delta_x) with x = (1,0,0): every row check passes, but
-    # the table is not square, so column orthogonality fails
+    # the table is not square, so column orthogonality fails, exactly and
+    # in the float copy
     group = make_abelian_product([2, 2, 2])
     linear = abelian_character_table(group).entries[:4]
-    fake = tuple(Fraction(v) for v in (2, 0, 0, 0, -2, 0, 0, 0))
+    fake = [Fraction(v) for v in (2, 0, 0, 0, -2, 0, 0, 0)]
     table = CharacterTable(group=group, degrees=(1, 1, 1, 1, 2),
-                           entries=linear + (fake,),
-                           irrep_labels=tuple("abcde"), trivial_index=0,
-                           exact=True)
-    with pytest.raises(CorruptTable) as info:
-        table.validate()
-    assert str(info.value) == "column orthogonality fails for classes (1,1)"
+                           entries=np.vstack([linear, [fake]]),
+                           irrep_labels=tuple("abcde"), trivial_index=0)
+    message = "column orthogonality fails for classes (1,1)"
+    for t in (table, as_float_table(table)):
+        assert first_orthogonality_failure(t) == message
+        with pytest.raises(CorruptTable) as info:
+            t.validate()
+        assert str(info.value) == message
+    assert table.exact and not as_float_table(table).exact
+
+
+def test_float_table_export_import_validate_order_401(tmp_path):
+    """The float Z_401 table survives export and import bit for bit, and
+    both orthogonality checks (the import runs them) pass."""
+    group = make_abelian_product([401])
+    table = abelian_character_table(group)
+    path = tmp_path / "z401.json"
+    export_character_table(table, path)
+    loaded = import_character_table(path, group)
+    assert not loaded.exact
+    assert loaded.entries.tobytes() == table.entries.tobytes()
+    assert loaded.validate() is loaded
+
+
+def test_entries_are_one_read_only_array():
+    table = symmetric_character_table(4)
+    assert table.entries.shape == (5, 5) and table.exact
+    with pytest.raises(ValueError):
+        table.entries[0, 0] = 7
+    # a rational entry that is not an integer keeps the table exact
+    fractional = _with_entry(table, 1, 2, Fraction(1, 2))
+    assert fractional.exact and type(fractional.entries[1, 2]) is Fraction
+    assert not _with_entry(as_float_table(table), 1, 2, 0.5).exact

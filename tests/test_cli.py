@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -150,6 +151,45 @@ def test_chartable_export_and_validate(capsys, tmp_path):
     assert code == 2
 
 
+CHARTABLE_STDOUT = {
+    "sym:4": """\
+(1,1,1,1) 1 -1 1 1 -1
+(2,1,1) 3 -1 -1 0 1
+(2,2) 2 0 2 -1 0
+(3,1) 3 1 -1 0 -1
+(4) 1 1 1 1 1
+""",
+    "cyclic:3": """\
+chi(0) (1+0j) (1+0j) (1+0j)
+chi(1) (1+0j) (-0.4999999999999998+0.8660254037844387j) \
+(-0.5000000000000004-0.8660254037844384j)
+chi(2) (1+0j) (-0.5000000000000004-0.8660254037844384j) \
+(-0.4999999999999992+0.8660254037844392j)
+""",
+}
+
+CHARTABLE_EXPORT_SHA256 = {
+    "sym:4": "aacfb0bdeb5ec17b1dfb604de13cfbc8050926330df0e642533c013638b922fa",
+    "cyclic:5":
+        "8215556e38c817c3a3a348e2269c530e558d11ce8d6473e38b13619289408925",
+}
+
+
+@pytest.mark.parametrize("group", sorted(CHARTABLE_STDOUT))
+def test_chartable_stdout_pinned(capsys, group):
+    code, out, _ = run(capsys, "chartable", "--group", group)
+    assert code == 0
+    assert out == CHARTABLE_STDOUT[group]
+
+
+@pytest.mark.parametrize("group", sorted(CHARTABLE_EXPORT_SHA256))
+def test_chartable_export_bytes_pinned(capsys, tmp_path, group):
+    path = tmp_path / "table.json"
+    assert run(capsys, "chartable", "--group", group, "--out", str(path))[0] == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == CHARTABLE_EXPORT_SHA256[group]
+
+
 def test_theta_gl22_with_imported_s3_table(capsys, tmp_path):
     path = tmp_path / "s3.json"
     code, _, _ = run(capsys, "chartable", "--group", "sym:3",
@@ -241,12 +281,30 @@ def test_usage_error_exit_code(capsys):
     ("alpha", "--group", "gl:2", "--connection", "empty"),
     ("theta", "--group", "sym:3", "--connection", "efp:1",
      "--chartable", "{tmp}"),
+    ("alpha", "--graph", "{tmp}/bad_header.txt"),
+    ("alpha", "--graph", "{tmp}/bad_edge.txt"),
+    ("alpha", "--group", "table:{tmp}/bad_table.txt", "--connection",
+     "empty"),
+    ("blowup", "--graph", "{tmp}/path.txt", "--action",
+     "{tmp}/bad_action.txt", "--group", "cyclic:2"),
+    ("bochner", "--group", "cyclic:2", "--function", "{tmp}/ones.json",
+     "--irreps", "{tmp}/broken.json"),
+    ("chartable", "--group", "sym:3", "--validate", "{tmp}/bad_degrees.json"),
 ])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     # a transposition's value differs from the other two in its class
     (tmp_path / "not_class.json").write_text(
         json.dumps(["1", "1", "0", "0", "0", "0"]))
     (tmp_path / "broken.json").write_text('["1", "0"')
+    (tmp_path / "ones.json").write_text('["1", "1"]')
+    (tmp_path / "bad_header.txt").write_text("vertices x edges 1\n0 1\n")
+    (tmp_path / "bad_edge.txt").write_text("vertices 3 edges 1\n0 1 2\n")
+    (tmp_path / "path.txt").write_text("vertices 2 edges 1\n0 1\n")
+    (tmp_path / "bad_table.txt").write_text("2\n0 1\n1 a\n")
+    (tmp_path / "bad_action.txt").write_text("2 2\n0 1\n1 a\n")
+    (tmp_path / "bad_degrees.json").write_text(json.dumps(
+        {"group_order": 6, "class_sizes": [1, 3, 2], "degrees": ["x"],
+         "exact": True, "entries": []}))
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1

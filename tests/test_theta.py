@@ -10,7 +10,8 @@ import pytest
 
 from cayley_theta import characters
 from cayley_theta.apps import efp_connection
-from cayley_theta.characters import (IrrepMatrices, abelian_character_table,
+from cayley_theta.characters import (CharacterTable, IrrepMatrices,
+                                     abelian_character_table,
                                      abelian_irreps, as_float_table,
                                      symmetric_character_table)
 from cayley_theta.errors import InvalidArgument, WrongFormulation
@@ -112,6 +113,23 @@ def test_lp_D_shape_s3():
     assert lp.row_labels[0] == "normalization"
     assert lp.instance.b[0] == 6
     assert len(lp.kept_classes) == 1
+
+
+def test_lp_D_keeps_exact_rows_equal_only_in_doubles():
+    """Duplicate rows are found by exact ratios: columns (1, 10^17, 5, 7)
+    and (1, 10^17 + 1, 5, 7) round to the same doubles but both stay,
+    and a true duplicate of the first is dropped."""
+    group = make_abelian_product([2, 2])
+    big = 10 ** 17
+    table = CharacterTable(
+        group=group, degrees=(1, 1, 1, 1),
+        entries=[[1, 1, 1, 1], [1, big, big + 1, big], [1, 5, 5, 5],
+                 [1, 7, 7, 7]],
+        irrep_labels=tuple("abcd"), trivial_index=0)
+    spec = CayleyGraphSpec(group, ConnectionSet.from_elements(group,
+                                                              [1, 2, 3]))
+    lp = build_lp_D(spec, table)
+    assert lp.row_labels == ("normalization", "class 1", "class 2")
 
 
 def test_wrong_formulation_raises():
