@@ -184,12 +184,18 @@ def build_cayley(group: FiniteGroup, connection: ConnectionSet) -> Graph:
             f"Cayley graph materialization limited to order {CAYLEY_BOUND}")
     if not same_group(connection.group, group):
         raise InvalidArgument("connection set belongs to a different group")
-    xs = np.arange(group.order)
-    hit = np.zeros((group.order, group.order), dtype=bool)
-    for s in connection.elements:
-        hit[xs, group.products(xs, s)] = True
-    if hit.diagonal().any():
+    inside = np.zeros(group.order, dtype=bool)
+    inside[list(connection.elements)] = True
+    if inside[group.identity]:
         raise InvalidArgument("connection set produced a self-loop")
+    # one products row per element of the smaller side: set the arcs
+    # x -> xs of each s in X, or start from all arcs and clear those of
+    # each s outside X (the identity's are the diagonal)
+    direct = 2 * inside.sum() <= group.order - 1
+    xs = np.arange(group.order)
+    hit = np.full((group.order, group.order), not direct)
+    for s in np.flatnonzero(inside == direct):
+        hit[xs, group.products(xs, s)] = direct
     # x -> gx is an automorphism: (gy)^-1 (gx) = y^-1 x
     return replace(Graph.from_matrix(hit), transitive=True)
 

@@ -17,9 +17,9 @@ rows; all-zero and duplicate rows are dropped.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
 from typing import Optional
 
 import numpy as np
@@ -27,10 +27,10 @@ import numpy as np
 from .characters import (CharacterTable, ClassFunction, GroupFunction,
                          IrrepMatrices, conj, format_real, is_exact,
                          is_positive_type, row_combination)
-from .errors import (InvalidArgument, NumericalFailure, SizeLimit,
-                     WrongFormulation)
+from .errors import (InvalidArgument, NumericalFailure, SchemaError,
+                     SizeLimit, WrongFormulation)
 from .graphs import ConnectionSet, build_cayley
-from .groups import FiniteGroup, same_group
+from .groups import FiniteGroup, parse_ints, same_group
 from .simplex import LpInstance, LpSolution, solve as lp_solve
 
 MATRIX_BOUND = 2000
@@ -270,29 +270,123 @@ def symmetrize_matrix(A, group: FiniteGroup) -> GroupFunction:
 # ---------------------------------------------------------------------------
 # SDP instances and SDPA sparse export
 
-@dataclass(frozen=True)
+_TABLE = ("k", "block", "i", "j", "value", "rhs")
+
+
+@dataclass(frozen=True, eq=False)
 class SdpInstance:
     """Maximize <F0, Y> over block-diagonal PSD Y subject to
-    <Fk, Y> = rhs_k.  Matrix entries are (block, i, j, value) with
-    1-based indices and i <= j."""
+    <Fk, Y> = rhs[k-1], k = 1..m.
+
+    Every matrix entry is one row of a table of read-only numpy columns:
+    row r says that matrix k[r] has value[r] (float64) at (i[r], j[r])
+    of block block[r], with 1-based indices and i <= j.  The matrix
+    numbers are nondecreasing, so F0's rows come first.  ``objective``
+    and ``constraints`` read the table as sequences of (block, i, j,
+    value) tuples without copying it; two instances are equal when
+    their tables are."""
     block_sizes: tuple
-    objective: tuple
-    constraints: tuple   # of (entries, rhs)
+    k: np.ndarray
+    block: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    value: np.ndarray
+    rhs: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "block_sizes",
+                           tuple(int(s) for s in self.block_sizes))
+        for name in _TABLE:
+            column = np.ascontiguousarray(
+                getattr(self, name),
+                dtype=float if name in ("value", "rhs") else np.int64)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        k, b, i, j = self.k, self.block, self.i, self.j
+        if not len(k) == len(b) == len(i) == len(j) == len(self.value):
+            raise InvalidArgument("SDP entry columns differ in length")
+        if len(k) and (k[0] < 0 or k[-1] > len(self.rhs)):
+            raise InvalidArgument(
+                f"matrix number {k[0] if k[0] < 0 else k[-1]} outside "
+                f"0..{len(self.rhs)}")
+        if (k[1:] < k[:-1]).any():
+            raise InvalidArgument("SDP entries are not ordered by matrix")
+        sizes = np.array((0,) + self.block_sizes)
+        bad = (b < 1) | (b >= len(sizes))
+        bad |= (i < 1) | (i > j) | (j > sizes[np.where(bad, 0, b)])
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise InvalidArgument(
+                f"entry ({b[r]}, {i[r]}, {j[r]}) of matrix {k[r]} is not "
+                "an upper-triangle entry of a block")
+
+    @classmethod
+    def from_matrices(cls, block_sizes, matrices, rhs):
+        """The instance whose matrix k (F0 first) has the (block, i, j,
+        value) entries ``matrices[k]``."""
+        entries = [e for m in matrices for e in m]
+        index = np.array([e[:3] for e in entries],
+                         dtype=np.int64).reshape(-1, 3)
+        k = np.repeat(np.arange(len(matrices)), [len(m) for m in matrices])
+        return cls(block_sizes, k, *index.T, [e[3] for e in entries], rhs)
+
+    def _matrix(self, k: int) -> Sequence:
+        """The entries of Fk as (block, i, j, value) tuples."""
+        lo, hi = np.searchsorted(self.k, [k, k + 1]).tolist()
+        return _View(hi - lo, lambda r: (
+            int(self.block[lo + r]), int(self.i[lo + r]),
+            int(self.j[lo + r]), float(self.value[lo + r])))
+
+    @property
+    def objective(self) -> Sequence:
+        return self._matrix(0)
+
+    @property
+    def constraints(self) -> Sequence:
+        """(entries of Fk, rhs_k) for k = 1..m."""
+        return _View(len(self.rhs), lambda n: (self._matrix(n + 1),
+                                               float(self.rhs[n])))
+
+    def __eq__(self, other):
+        if not isinstance(other, SdpInstance):
+            return NotImplemented
+        return self.block_sizes == other.block_sizes and all(
+            np.array_equal(getattr(self, c), getattr(other, c))
+            for c in _TABLE)
+
+
+class _View(Sequence):
+    """A read-only sequence of n items, item(r) the r-th."""
+
+    def __init__(self, n, item):
+        self._n, self._item = n, item
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, r):
+        return self._item(range(self._n)[r])
 
 
 def build_sdp_A(spec: CayleyGraphSpec) -> SdpInstance:
+    """Formulation (A) on one block of order |Gamma|: maximize the sum of
+    all entries subject to trace 1 and a zero on every edge."""
     group = spec.group
     if group.order > MATRIX_BOUND:
         raise SizeLimit(f"formulation (A) limited to order {MATRIX_BOUND}")
-    graph = build_cayley(group, spec.connection)
+    us, vs = np.nonzero(np.triu(
+        build_cayley(group, spec.connection).matrix(), 1))
     n = group.order
-    objective = tuple((1, i, j, 1.0)
-                      for i in range(1, n + 1) for j in range(i, n + 1))
-    constraints = [(tuple((1, i, i, 1.0) for i in range(1, n + 1)), 1.0)]
-    for (u, v) in graph.edges:
-        constraints.append((((1, u + 1, v + 1, 1.0),), 0.0))
-    return SdpInstance(block_sizes=(n,), objective=objective,
-                       constraints=tuple(constraints))
+    rows, cols = np.triu_indices(n)
+    diagonal = np.arange(n)
+    k = np.concatenate([np.zeros(len(rows), dtype=np.int64),
+                        np.ones(n, dtype=np.int64),
+                        np.arange(2, len(us) + 2)])
+    return SdpInstance(
+        block_sizes=(n,), k=k, block=np.ones_like(k),
+        i=np.concatenate([rows, diagonal, us]) + 1,
+        j=np.concatenate([cols, diagonal, vs]) + 1,
+        value=np.ones(len(k)), rhs=np.r_[1.0, np.zeros(len(us))])
 
 
 def _embed(mat):
@@ -343,15 +437,14 @@ def build_sdp_C(spec: CayleyGraphSpec,
     if trivial is None:
         raise InvalidArgument("no trivial irrep among the supplied matrices")
 
-    objective = ((trivial + 1, 1, 1, 1.0),)
-
     norm_entries = []
     for i, d in enumerate(degrees):
         size = block_sizes[i]
         coeff = float(d) if size == d else d / 2.0
         for k in range(1, size + 1):
             norm_entries.append((i + 1, k, k, coeff))
-    constraints = [(tuple(norm_entries), float(group.order))]
+    matrices = [[(trivial + 1, 1, 1, 1.0)], norm_entries]
+    rhs = [float(group.order)]
 
     kept = []
     seen = set()
@@ -387,79 +480,88 @@ def build_sdp_C(spec: CayleyGraphSpec,
             if key in seen_rows:
                 continue
             seen_rows.add(key)
-            constraints.append((entries, 0.0))
-    return SdpInstance(block_sizes=block_sizes, objective=objective,
-                       constraints=tuple(constraints))
+            matrices.append(entries)
+            rhs.append(0.0)
+    return SdpInstance.from_matrices(block_sizes, matrices, rhs)
 
 
 def export_sdpa(instance: SdpInstance, path):
     """SDPA sparse format (.dat-s).  Convention, stated in the header:
     the file encodes  max <F0, Y>  s.t.  <Fk, Y> = c_k,  Y PSD.
 
-    Each distinct index and value is formatted once, and the entry lines
-    are written WRITE_BATCH at a time.  Indices are 1-based, as
-    ``SdpInstance`` states, and at most max(block size, block count)."""
-    sizes = instance.block_sizes
-    ints = [str(x) for x in range(max(max(sizes, default=0), len(sizes))
-                                   + 1)]
-    reals = _Reprs()
-    matrices = chain([(0, instance.objective)],
-                     ((k, entries) for k, (entries, _) in
-                      enumerate(instance.constraints, start=1)))
-    lines = (f"{k} {ints[b]} {ints[i]} {ints[j]} {reals[v]}\n"
-             for k, entries in matrices for (b, i, j, v) in entries)
+    An entry line is "k b i j v".  Each distinct index and each distinct
+    value is formatted once (values keyed by their bits, so 0.0 and -0.0
+    stay apart), and so is each distinct "j v" suffix.  Consecutive
+    lines with one "k b i " prefix form a run, written as prefix +
+    prefix.join(suffixes).  Lines go out WRITE_BATCH at a time; a run
+    cut by a batch boundary gives the same bytes."""
+    t = instance
+    ints = list(map(str, range(max(*t.block_sizes, len(t.block_sizes),
+                                   len(t.rhs)) + 1)))
+    reals, value_no = _reprs(t.value)
+    pairs, suffix_no = np.unique(t.j * len(reals) + value_no,
+                                 return_inverse=True)
+    suffixes = np.array([f"{ints[j]} {reals[v]}\n" for j, v in zip(
+        *(c.tolist() for c in np.divmod(pairs, len(reals) or 1)))],
+        dtype=object)
+    rhs_reals, rhs_no = _reprs(t.rhs)
     with open(path, "w") as fh:
         fh.write('"convention: maximize <F0,Y> subject to <Fk,Y> = c_k, '
                  'Y block-diagonal PSD"\n')
-        fh.write(f"{len(instance.constraints)}\n")
-        fh.write(f"{len(sizes)}\n")
-        fh.write(" ".join(str(s) for s in sizes) + "\n")
-        fh.write(" ".join(_fmt(rhs) for (_, rhs) in instance.constraints)
-                 + "\n")
-        while batch := list(islice(lines, WRITE_BATCH)):
-            fh.write("".join(batch))
+        fh.write(f"{len(t.rhs)}\n{len(t.block_sizes)}\n")
+        fh.write(" ".join(ints[s] for s in t.block_sizes) + "\n")
+        fh.write(" ".join([rhs_reals[c] for c in rhs_no.tolist()]) + "\n")
+        for lo in range(0, len(t.k), WRITE_BATCH):
+            batch = slice(lo, lo + WRITE_BATCH)
+            k, b, i = t.k[batch], t.block[batch], t.i[batch]
+            starts = np.flatnonzero(np.r_[True, (k[1:] != k[:-1]) |
+                                          (b[1:] != b[:-1]) |
+                                          (i[1:] != i[:-1])])
+            ends = starts[1:].tolist() + [len(k)]
+            lines = suffixes[suffix_no[batch]].tolist()
+            prefixes = [f"{ints[x]} {ints[y]} {ints[z]} " for x, y, z in
+                        zip(*(c[starts].tolist() for c in (k, b, i)))]
+            fh.write("".join([p + p.join(lines[s:e]) for p, s, e in
+                              zip(prefixes, starts.tolist(), ends)]))
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-class _Reprs(dict):
-    """_fmt of each value, computed once.  Zeros are not kept: 0.0 and
-    -0.0 are one key but two reprs."""
-
-    def __missing__(self, v):
-        text = _fmt(v)
-        if v:
-            self[v] = text
-        return text
+def _reprs(values):
+    """The repr of each distinct double, told apart by its bits, and the
+    number of each value's repr in that list."""
+    bits, numbers = np.unique(values.view(np.int64), return_inverse=True)
+    return [repr(v) for v in bits.view(np.float64).tolist()], numbers
 
 
 def read_sdpa(path) -> SdpInstance:
-    """Minimal reader for round-trip checks of this package's exports."""
+    """Reader for round-trip checks of this package's exports.  A file
+    that is not SDPA sparse format raises SchemaError, and an entry that
+    is not an upper-triangle entry of a block of a matrix 0..m raises
+    InvalidArgument."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh
                  if ln.strip() and not ln.lstrip().startswith(('"', "*"))]
-    m = int(lines[0])
-    nblocks = int(lines[1])
-    sizes = tuple(int(t) for t in lines[2].split())
-    if len(sizes) != nblocks:
-        raise InvalidArgument("block count mismatch in SDPA file")
-    rhs = [float(t) for t in lines[3].split()]
+    if len(lines) < 4:
+        raise SchemaError("SDPA file ends inside its header")
+    (m,) = parse_ints(lines[0].split(), "SDPA constraint count", 1)
+    (nblocks,) = parse_ints(lines[1].split(), "SDPA block count", 1)
+    sizes = parse_ints(lines[2].split(), "SDPA block sizes", nblocks)
+    entries = [ln.split() for ln in lines[4:]]
+    short = next((ln for ln, e in zip(lines[4:], entries) if len(e) != 5),
+                 None)
+    if short is not None:
+        raise SchemaError(f"SDPA entry line {short!r} needs 5 fields")
+    try:
+        rhs = [float(t) for t in lines[3].split()]
+        index = np.array([e[:4] for e in entries],
+                         dtype=np.int64).reshape(-1, 4)
+        value = np.array([float(e[4]) for e in entries])
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(f"malformed SDPA file: {exc}") from None
     if len(rhs) != m:
-        raise InvalidArgument("right-hand side count mismatch in SDPA file")
-    objective = []
-    rows = [[] for _ in range(m)]
-    for ln in lines[4:]:
-        kno, b, i, j, v = ln.split()
-        entry = (int(b), int(i), int(j), float(v))
-        if int(kno) == 0:
-            objective.append(entry)
-        else:
-            rows[int(kno) - 1].append(entry)
-    constraints = tuple((tuple(r), rhs[k]) for k, r in enumerate(rows))
-    return SdpInstance(block_sizes=sizes, objective=tuple(objective),
-                       constraints=constraints)
+        raise SchemaError("right-hand side count mismatch in SDPA file")
+    # the entries of one matrix keep their order in the file
+    order = np.argsort(index[:, 0], kind="stable")
+    return SdpInstance(sizes, *index[order].T, value[order], rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,16 @@ array kernels (``products``/``inverses``) must agree with, the PSD test
 is symmetric elimination over ``Fraction`` on the group matrix (the
 direct check of Bochner's criterion), the convolution is the defining
 sum, the character oracle walks border strips on the Young diagram
-instead of beta-sets, and the GL(n, q) oracles multiply matrices by the
+instead of beta-sets, the GL(n, q) oracles multiply matrices by the
 defining triple loop over the field tables and read rank(A - I) off the
-number of vectors that A fixes, with no elimination.
+number of vectors that A fixes, with no elimination, and the SDPA
+reference writer formats one entry line at a time.  The seeded
+inverse-closed sets are test inputs, kept here so that every test
+module draws the same ones.
 """
 
 import cmath
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -262,6 +266,31 @@ def brute_force_lp(c, A, b):
     return "optimal", best
 
 
+def inverse_closed_set(group, size, seed):
+    """A seeded inverse-closed, identity-free set of exactly size elements.
+
+    Raises ValueError as soon as the elements not yet chosen cannot fill
+    the gap, since every later draw would be refused.  The check draws
+    nothing, so every seed that finishes gives the set it gave without
+    the check."""
+    rng = random.Random(seed)
+    inverse = group.inverses().tolist()
+    chosen = set()
+    while len(chosen) < size:
+        free = [x for x in range(1, group.order) if x not in chosen]
+        involutions = sum(inverse[x] == x for x in free)
+        pairs = (len(free) - involutions) // 2
+        gap = size - len(chosen)
+        if gap - 2 * min(pairs, gap // 2) > involutions:
+            raise ValueError(f"no inverse-closed set of size {size} "
+                             f"contains {sorted(chosen)}")
+        x = rng.randrange(1, group.order)
+        pair = {x, inverse[x]}
+        if len(chosen | pair) <= size:
+            chosen |= pair
+    return sorted(chosen)
+
+
 def brute_force_alpha(graph) -> int:
     """Maximum independent set by plain recursion on bitmask candidates."""
     adj = graph.adj
@@ -277,6 +306,23 @@ def brute_force_alpha(graph) -> int:
         return max(with_v, without_v)
 
     return rec((1 << n) - 1)
+
+
+def reference_export_sdpa(instance, path):
+    """SDPA sparse format written one entry line at a time, with one
+    repr per value, read through the instance's ``objective`` and
+    ``constraints``: the bytes ``theta.export_sdpa`` must reproduce."""
+    constraints = list(instance.constraints)
+    with open(path, "w") as fh:
+        fh.write('"convention: maximize <F0,Y> subject to <Fk,Y> = c_k, '
+                 'Y block-diagonal PSD"\n')
+        fh.write(f"{len(constraints)}\n{len(instance.block_sizes)}\n")
+        fh.write(" ".join(str(s) for s in instance.block_sizes) + "\n")
+        fh.write(" ".join(repr(rhs) for _, rhs in constraints) + "\n")
+        matrices = [instance.objective] + [m for m, _ in constraints]
+        for k, entries in enumerate(matrices):
+            for b, i, j, v in entries:
+                fh.write(f"{k} {b} {i} {j} {v!r}\n")
 
 
 def check_axioms(group):

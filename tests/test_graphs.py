@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from cayley_theta.apps import efp_connection, gl_connection, gl_lower_bound
@@ -14,7 +15,7 @@ from cayley_theta.groups import (action_from_generators, action_from_table,
                                  make_abelian_product, make_general_linear,
                                  make_symmetric)
 
-from oracles import brute_force_alpha
+from oracles import brute_force_alpha, inverse_closed_set
 
 
 def petersen():
@@ -72,29 +73,68 @@ def test_build_cayley_cycle():
     assert sorted(g.edges) == [(0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)]
 
 
-def _inverse_closed_set(group, size, seed):
-    """A seeded inverse-closed, identity-free set of exactly size elements.
+def _direct_adjacency(group, elements):
+    """x ~ xs for each s in X, one products row per element of X."""
+    xs = np.arange(group.order)
+    hit = np.zeros((group.order, group.order), dtype=bool)
+    for s in elements:
+        hit[xs, group.products(xs, s)] = True
+    return hit
 
-    Raises ValueError as soon as the elements not yet chosen cannot fill
-    the gap, since every later draw would be refused.  The check draws
-    nothing, so every seed that finishes gives the set it gave without
-    the check."""
-    rng = random.Random(seed)
-    inverse = group.inverses().tolist()
-    chosen = set()
-    while len(chosen) < size:
-        free = [x for x in range(1, group.order) if x not in chosen]
-        involutions = sum(inverse[x] == x for x in free)
-        pairs = (len(free) - involutions) // 2
-        gap = size - len(chosen)
-        if gap - 2 * min(pairs, gap // 2) > involutions:
-            raise ValueError(f"no inverse-closed set of size {size} "
-                             f"contains {sorted(chosen)}")
-        x = rng.randrange(1, group.order)
-        pair = {x, inverse[x]}
-        if len(chosen | pair) <= size:
-            chosen |= pair
-    return sorted(chosen)
+
+def _s6_efp2():
+    s6 = make_symmetric(6)
+    return s6, efp_connection(6, 2, s6)
+
+
+def _gl25_rank1():
+    gl25 = make_general_linear(5, 2)
+    return gl25, gl_connection(5, 2, 1, gl25)
+
+
+def _s4_union(*sizes):
+    """The union of the S_4 classes of these sizes, but the identity's;
+    size 6 picks both the transpositions and the 4-cycles."""
+    s4 = make_symmetric(4)
+    picked = [c for c, cls in enumerate(s4.conjugacy_classes())
+              if c and cls.size in sizes]
+    return s4, ConnectionSet.from_classes(s4, picked)
+
+
+def _cyclic(n, elements):
+    group = make_abelian_product([n])
+    return group, ConnectionSet.from_elements(group, elements)
+
+
+@pytest.mark.parametrize("make, size", [
+    (_s6_efp2, 529),
+    (_gl25_rank1, 365),
+    (lambda: _s4_union(8), 8),
+    (lambda: _s4_union(3, 8), 11),
+    (lambda: _s4_union(6), 12),
+    (lambda: _s4_union(3, 6, 8), 23),
+    (lambda: _cyclic(9, [1, 2, 7, 8]), 4),
+    (lambda: _cyclic(13, [1, 2, 3, 10, 11, 12]), 6),
+    (lambda: _cyclic(9, [1, 2, 3, 6, 7, 8]), 6),
+], ids=["S6-efp2", "GL25-rank1", "S4-8", "S4-11", "S4-12", "S4-23",
+        "Z9-4", "Z13-6", "Z9-6"])
+def test_build_cayley_from_either_side_matches_direct_build(make, size):
+    """When 2|X| > |G| - 1 (S6-efp2, GL25-rank1, S4-12, S4-23, Z9-6),
+    build_cayley clears the arcs of the elements outside X from a full
+    matrix; the graph is the one that sets the arcs of X.  At
+    2|X| = |G| - 1 (Z9-4, Z13-6) it sets them."""
+    group, X = make()
+    assert X.size == size
+    graph = build_cayley(group, X)
+    assert graph.transitive
+    assert (graph.matrix() == _direct_adjacency(group, X.elements)).all()
+
+
+@pytest.mark.parametrize("elements", [[0, 1, 8], list(range(9))])
+def test_build_cayley_rejects_the_identity_on_either_side(elements):
+    z9 = make_abelian_product([9])
+    with pytest.raises(InvalidArgument, match="self-loop"):
+        build_cayley(z9, ConnectionSet(z9, elements=elements))
 
 
 @pytest.mark.parametrize("size,seed", [(6, 2), (8, 3)])
@@ -102,8 +142,8 @@ def test_inverse_closed_set_raises_when_the_gap_cannot_be_filled(size, seed):
     # Z_12 has one involution, 6: drawn toward an even size, it leaves an
     # odd gap that only pairs remain to fill
     with pytest.raises(ValueError, match="no inverse-closed set"):
-        _inverse_closed_set(make_abelian_product([12]), size, seed)
-    chosen = _inverse_closed_set(make_abelian_product([12]), size - 1, seed)
+        inverse_closed_set(make_abelian_product([12]), size, seed)
+    chosen = inverse_closed_set(make_abelian_product([12]), size - 1, seed)
     assert len(chosen) == size - 1 and 6 in chosen
 
 
@@ -112,7 +152,7 @@ def test_build_cayley_pinned_graphs():
     # array kernels; the arrays must give the same graphs bit for bit
     s6 = make_symmetric(6)
     gl25 = make_general_linear(5, 2)
-    X = ConnectionSet.from_elements(s6, _inverse_closed_set(s6, 120, 0))
+    X = ConnectionSet.from_elements(s6, inverse_closed_set(s6, 120, 0))
     assert not X.conjugation_closed
     cases = [
         (s6, efp_connection(6, 2, s6),

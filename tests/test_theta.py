@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 
 from cayley_theta import characters
 from cayley_theta.apps import efp_connection
+from cayley_theta.cli import cli_dispatch
 from cayley_theta.characters import (CharacterTable, IrrepMatrices,
                                      abelian_character_table,
                                      abelian_irreps, as_float_table,
@@ -19,13 +21,14 @@ from cayley_theta.graphs import ConnectionSet, alpha, build_cayley
 from cayley_theta.groups import (make_abelian_product, make_symmetric,
                                  perm_unrank)
 from cayley_theta.simplex import LpSolution, verify_certificate
-from cayley_theta.theta import (CayleyGraphSpec, build_lp_D, build_sdp_A,
-                                build_sdp_C, certificate_to_json,
-                                export_sdpa, extract_matrix_solution,
-                                read_sdpa, solve_theta, symmetrize_matrix,
+from cayley_theta.theta import (WRITE_BATCH, CayleyGraphSpec, SdpInstance,
+                                build_lp_D, build_sdp_A, build_sdp_C,
+                                certificate_to_json, export_sdpa,
+                                extract_matrix_solution, read_sdpa,
+                                solve_theta, symmetrize_matrix,
                                 validate_certificate)
 
-from oracles import exact_psd
+from oracles import exact_psd, inverse_closed_set, reference_export_sdpa
 
 
 def s3_spec():
@@ -388,3 +391,130 @@ def test_sdp_C_works_for_non_closed_sets(tmp_path):
     path = tmp_path / "nc.dat-s"
     export_sdpa(sdp, path)
     assert read_sdpa(path) == sdp
+
+
+def _exports_like_reference(sdp, tmp_path):
+    """export_sdpa writes the reference writer's bytes, and the file reads
+    back to the instance."""
+    fast, slow = tmp_path / "fast.dat-s", tmp_path / "slow.dat-s"
+    export_sdpa(sdp, fast)
+    reference_export_sdpa(sdp, slow)
+    assert fast.read_bytes() == slow.read_bytes()
+    assert read_sdpa(fast) == sdp
+    return fast.read_text()
+
+
+def _s6_spec_120():
+    """S_6 with the seeded inverse-closed set of 120 elements that the
+    benchmark's seed 0 exports."""
+    s6 = make_symmetric(6)
+    X = ConnectionSet.from_elements(s6, inverse_closed_set(s6, 120, 0))
+    assert not X.conjugation_closed
+    return CayleyGraphSpec(s6, X)
+
+
+def test_sdp_A_export_matches_reference_across_batches(tmp_path):
+    sdp = build_sdp_A(_s6_spec_120())
+    assert len(sdp.constraints) == 1 + 720 * 120 // 2
+    assert len(sdp.k) > 4 * WRITE_BATCH
+    # an objective row (one "0 1 i " run) crosses a batch boundary
+    assert (sdp.k[WRITE_BATCH - 1], sdp.i[WRITE_BATCH - 1]) == \
+        (sdp.k[WRITE_BATCH], sdp.i[WRITE_BATCH]) == (0, 24)
+    _exports_like_reference(sdp, tmp_path)
+
+
+def test_sdp_C_export_matches_reference(tmp_path):
+    _exports_like_reference(build_sdp_C(s3_spec(), s3_irreps()), tmp_path)
+    z5 = make_abelian_product([5])
+    spec = CayleyGraphSpec(z5, ConnectionSet.from_elements(z5, [1, 4]))
+    sdp = build_sdp_C(spec, abelian_irreps(abelian_character_table(z5)))
+    _exports_like_reference(sdp, tmp_path)
+
+
+def test_sdp_export_of_odd_values_matches_reference(tmp_path):
+    """Several blocks; negative, subnormal and large values; 0.0 and -0.0
+    as entries; a -0.0 right-hand side and a constraint with no
+    entries."""
+    sdp = SdpInstance.from_matrices(
+        (3, 1, 2),
+        [[(1, 1, 1, 1.0), (1, 1, 3, -2.5), (2, 1, 1, 1e16)],
+         [(1, 1, 1, 5e-324), (1, 1, 2, -0.0), (1, 2, 2, 0.0),
+          (3, 1, 2, -1.7976931348623157e308)],
+         [],
+         [(3, 2, 2, 2.2250738585072014e-308), (3, 1, 1, 1e16),
+          (2, 1, 1, -3.0000000000000004), (3, 1, 2, 0.1)]],
+        [1.0, -0.0, 1.2345678901234567e20])
+    assert len(sdp.constraints) == 3 and len(sdp.constraints[1][0]) == 0
+    text = _exports_like_reference(sdp, tmp_path)
+    assert text.splitlines()[1:5] == [
+        "3", "3", "3 1 2", "1.0 -0.0 1.2345678901234567e+20"]
+    assert "1 1 1 2 -0.0\n1 1 2 2 0.0\n" in text
+    assert "0 2 1 1 1e+16\n" in text and "1 1 1 1 5e-324\n" in text
+
+
+def test_sdp_instance_views():
+    z5 = make_abelian_product([5])
+    sdp = build_sdp_A(CayleyGraphSpec(
+        z5, ConnectionSet.from_elements(z5, [1, 4])))
+    assert len(sdp.objective) == 15
+    assert sdp.objective[0] == (1, 1, 1, 1.0)
+    assert sdp.objective[-1] == (1, 5, 5, 1.0)
+    assert list(sdp.constraints[0][0]) == [(1, i, i, 1.0)
+                                           for i in range(1, 6)]
+    assert sdp.constraints[0][1] == 1.0
+    assert [(tuple(sdp.constraints[k][0]), sdp.constraints[k][1])
+            for k in (1, 2)] == [(((1, 1, 2, 1.0),), 0.0),
+                                 (((1, 1, 5, 1.0),), 0.0)]
+    assert tuple(sdp.constraints[-1][0]) == ((1, 4, 5, 1.0),)
+    with pytest.raises(IndexError):
+        sdp.constraints[6]
+    with pytest.raises(ValueError):
+        sdp.k[0] = 1
+
+
+SDPA_TEXT = ['"a small instance"', "2", "1", "3", "1.0 0.0",
+             "0 1 1 1 1.0", "1 1 1 1 1.0", "2 1 1 2 1.0"]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("-1 1 1 1 1.0", "matrix number -1"),
+    ("3 1 1 1 1.0", "matrix number 3"),
+    ("1 1 1 1", "5 fields"),
+    ("1 1 1 2 1.0 7", "5 fields"),
+    ("1 1 1 4 1.0", r"entry \(1, 1, 4\) of matrix 1"),
+    ("1 2 1 1 1.0", r"entry \(2, 1, 1\) of matrix 1"),
+    ("1 1 0 1 1.0", r"entry \(1, 0, 1\) of matrix 1"),
+    ("1 1 2 1 1.0", r"entry \(1, 2, 1\) of matrix 1"),
+    ("1 1 1 x 1.0", "malformed SDPA file"),
+], ids=["matrix-below-0", "matrix-above-m", "4-fields", "6-fields",
+        "index-outside-block", "no-such-block", "index-0", "below-diagonal",
+        "not-a-number"])
+def test_read_sdpa_rejects_malformed_entries(tmp_path, line, message):
+    """Each of these once read as another instance or raised IndexError or
+    a bare ValueError: matrix -1 landed in constraint m."""
+    path = tmp_path / "bad.dat-s"
+    path.write_text("\n".join(SDPA_TEXT) + "\n")
+    assert len(read_sdpa(path).constraints) == 2
+    path.write_text("\n".join(SDPA_TEXT + [line]) + "\n")
+    with pytest.raises(InvalidArgument, match=message):
+        read_sdpa(path)
+
+
+def test_sdp_A_instance_memory(capsys, tmp_path):
+    """The S_6 instance of 304,321 entries holds one table of numpy
+    columns (about 12 MB); as tuples of tuples it held 36 MB."""
+    spec = _s6_spec_120()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sdp = build_sdp_A(spec)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sdp.k) == 720 * 721 // 2 + 720 + 720 * 120 // 2
+    assert held < 16 * 2**20
+    code = cli_dispatch(["export-sdpa", "--formulation", "A", "--group",
+                         "cyclic:5", "--connection", "classes:1,4",
+                         "--out", str(tmp_path / "c5.dat-s")])
+    out = capsys.readouterr().out
+    assert code == 0 and "[5]" in out and "6 constraint(s)" in out
