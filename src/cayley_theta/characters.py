@@ -12,6 +12,17 @@ and ``simplex``: exact means tolerance 0.  An exact value is compared
 exactly and never passes through ``complex()`` or ``float()``; an
 approximate one is compared within the tolerance of its call site.
 
+Exact Fourier sums have one kernel, ``exact_sums``: row combinations
+sum_pi w_pi chi_pi and the Bochner scalars scale their rational weights
+to integers by the lcm of the denominators, once, take one numpy
+product of those Python ints (which cannot overflow) with the entry
+array, and divide by the lcm once, at the end.  Every other sum is
+complex and added in the order of the scalar sum: on an approximate
+table it has the bits of the scalar sum.  Float or complex weights on
+an exact table are summed as on its approximate copy, so a rational
+weight among them is rounded to a double before its product, where
+the scalar sum would round the exact product.
+
 Class ordering conventions: class 0 is always the identity class; for
 symmetric groups classes and irreps are both indexed by partitions in
 the canonical order of :func:`cayley_theta.groups.partitions`.
@@ -32,6 +43,7 @@ from .errors import (CorruptTable, InvalidArgument, NeedsIrreps, SchemaError,
                      SizeLimit)
 from .groups import (AbelianProductGroup, FiniteGroup, SymmetricGroup,
                      parse_ints, partition_label, partitions, same_group)
+from .linalg import scaled
 
 Scalar = Union[Fraction, complex]
 
@@ -399,13 +411,37 @@ def _row_blocks(table: CharacterTable):
         yield start, table.entries[start:start + step]
 
 
+def exact_sums(weights, matrix, divisors=None) -> Optional[list]:
+    """sum_k weights[k] * matrix[k, j] for every column j of a rational
+    (dtype object) matrix, divided by divisors[j] when they are given.
+
+    The weights are scaled to integers by the lcm L of their
+    denominators, once; the sums are one numpy product of that vector of
+    Python ints, which cannot overflow, with the matrix; each sum is
+    divided by L (times its divisor) once, at the end.  A result has the
+    value and the type of the scalar sum from 0: a Fraction when a
+    weight, a divisor or a term is one, else an int.  None when the
+    matrix or a weight is not rational: such sums take the complex
+    path."""
+    if matrix.dtype != object or not all(map(is_exact, weights)):
+        return None
+    L = lcm(*(w.denominator for w in weights))
+    sums = (np.array([scaled(w, L) for w in weights], dtype=object)
+            @ matrix).tolist()
+    if divisors is None:
+        if not any(isinstance(w, Fraction) for w in weights):
+            return sums
+        divisors = (1,) * len(sums)
+    return [Fraction(s, L * d) for s, d in zip(sums, divisors)]
+
+
 def _terms(weights, rows):
-    """The products weights[k] * rows[i, k], each rounded as Python rounds
-    the scalar product: numpy may fuse the multiply and add of a complex
-    product, CPython does not, so an approximate one is written out in
-    real and imaginary parts."""
-    if rows.dtype == object:
-        return np.array(weights, dtype=object) * rows
+    """The products weights[k] * rows[i, k] as complex numbers, each
+    rounded as Python rounds the scalar product: numpy may fuse the
+    multiply and add of a complex product, CPython does not, so it is
+    written out in real and imaginary parts.  Rational rows and weights
+    are made complex first, as on the approximate copy of the table."""
+    rows = rows.astype(complex, copy=False)
     w = np.array([complex(x) for x in weights])
     out = np.empty(rows.shape, dtype=complex)
     out.real = w.real * rows.real - w.imag * rows.imag
@@ -422,8 +458,13 @@ def _ordered_sum(terms, start=0):
 
 
 def row_combination(table: CharacterTable, weights) -> list:
-    """sum_pi weights[pi] * chi_pi(C) for every class C, summed in irrep
-    order from 0, bit for bit as the scalar sum()."""
+    """sum_pi weights[pi] * chi_pi(C) for every class C: exact by
+    ``exact_sums`` when the table and the weights are rational, else
+    complex, summed in irrep order from 0 (on an approximate table bit
+    for bit as the scalar sum())."""
+    exact = exact_sums(weights, table.entries)
+    if exact is not None:
+        return exact
     acc = 0
     for start, rows in _row_blocks(table):
         acc = _ordered_sum(
@@ -433,16 +474,20 @@ def row_combination(table: CharacterTable, weights) -> list:
 
 def fourier_class_scalars(f: ClassFunction, table: CharacterTable):
     """Scalars c_pi with fhat(pi) = c_pi * I for a class function f:
-    c_pi = (1/d_pi) sum_C |C| f(C) chi_pi(C), summed in class order from
-    0, bit for bit as the scalar sum()."""
+    c_pi = (1/d_pi) sum_C |C| f(C) chi_pi(C): a Fraction by
+    ``exact_sums`` when the table and f are rational, else complex,
+    summed in class order from 0 (on an approximate table bit for bit
+    as the scalar sum())."""
     if not same_group(f.group, table.group):
         raise InvalidArgument("function and table use different groups")
     weights = [c.size * fv for c, fv in zip(table.classes, f.values)]
+    exact = exact_sums(weights, table.entries.T, table.degrees)
+    if exact is not None:
+        return tuple(exact)
     sums = []
     for _, rows in _row_blocks(table):
         sums += _ordered_sum(_terms(weights, rows)).tolist()
-    return tuple(Fraction(s) / d if is_exact(s) else complex(s) / d
-                 for s, d in zip(sums, table.degrees))
+    return tuple(s / d for s, d in zip(sums, table.degrees))
 
 
 @dataclass(frozen=True)

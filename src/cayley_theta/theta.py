@@ -20,6 +20,8 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -31,6 +33,7 @@ from .errors import (InvalidArgument, NumericalFailure, SchemaError,
                      SizeLimit, WrongFormulation)
 from .graphs import ConnectionSet, build_cayley
 from .groups import FiniteGroup, parse_ints, same_group
+from .linalg import scaled
 from .simplex import LpInstance, LpSolution, solve as lp_solve
 
 MATRIX_BOUND = 2000
@@ -133,11 +136,19 @@ def build_lp_D(spec: CayleyGraphSpec, table: CharacterTable) -> ThetaLp:
 
 def _row_key(row, exact):
     """Sign- and scale-normalized key for duplicate-row detection; None
-    for a row that is zero (exactly, or below ROW_DROP_TOL in floats)."""
+    for a row that is zero (exactly, or below ROW_DROP_TOL in floats).
+    An exact row's key is the primitive integer row, its first nonzero
+    entry positive, so two rows share a key iff one is a rational
+    multiple of the other."""
     if exact:
-        lead = next((v for v in row if v != 0), None)
-        return None if lead is None else tuple(Fraction(v, lead)
-                                               for v in row)
+        L = lcm(*(v.denominator for v in row))
+        ints = [scaled(v, L) for v in row]
+        g = gcd(*ints)
+        if g == 0:
+            return None
+        if next(v for v in ints if v) < 0:
+            g = -g
+        return tuple(v // g for v in ints)
     scale = max(abs(v) for v in row)
     if scale < ROW_DROP_TOL:
         return None
@@ -188,8 +199,10 @@ def _certificate_from_lp(spec, table, solution: LpSolution, lp: ThetaLp):
 def validate_certificate(cert: ThetaCertificate) -> list:
     """Re-check every certificate invariant from scratch; returns a list
     of violation descriptions (empty when valid).  Shares no code with
-    the LP builder: constraints are re-evaluated over all connection
-    classes, not just the rows the builder kept."""
+    the LP builder or the certificate's construction: constraints are
+    re-evaluated over all connection classes, not just the rows the
+    builder kept, by plain sums.  Only the Bochner check goes through
+    ``characters.fourier_class_scalars``."""
     problems = []
     spec, table = cert.spec, cert.table
     group = spec.group
@@ -205,9 +218,14 @@ def validate_certificate(cert: ThetaCertificate) -> list:
             problems.append(f"a[{i}] negative")
     if bad(sum(d * d * ai for d, ai in zip(degrees, cert.a)), group.order):
         problems.append("normalization sum d^2 a != |Gamma|")
+    # rational weights are scaled to integers by their own lcm, which
+    # leaves every exact zero test as it is
+    weights = [d * ai for d, ai in zip(degrees, cert.a)]
+    if all(map(is_exact, weights)):
+        L = lcm(*(w.denominator for w in weights))
+        weights = [w.numerator * (L // w.denominator) for w in weights]
     for c in spec.connection.as_classes:
-        s = sum(d * ai * v for d, ai, v in
-                zip(degrees, cert.a, table.entries[:, c].tolist()))
+        s = sum(map(mul, weights, table.entries[:, c].tolist()))
         if bad(s, 0):
             problems.append(f"constraint violated on connection class {c}")
         if bad(cert.f.values[c], 0):
@@ -540,18 +558,23 @@ def read_sdpa(path) -> SdpInstance:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh
                  if ln.strip() and not ln.lstrip().startswith(('"', "*"))]
-    if len(lines) < 4:
+    if len(lines) < 3:
         raise SchemaError("SDPA file ends inside its header")
     (m,) = parse_ints(lines[0].split(), "SDPA constraint count", 1)
+    # with no constraints the right-hand-side line is empty, and went
+    # with the blank lines
+    header = 4 if m else 3
+    if len(lines) < header:
+        raise SchemaError("SDPA file ends inside its header")
     (nblocks,) = parse_ints(lines[1].split(), "SDPA block count", 1)
     sizes = parse_ints(lines[2].split(), "SDPA block sizes", nblocks)
-    entries = [ln.split() for ln in lines[4:]]
-    short = next((ln for ln, e in zip(lines[4:], entries) if len(e) != 5),
-                 None)
+    entries = [ln.split() for ln in lines[header:]]
+    short = next((ln for ln, e in zip(lines[header:], entries)
+                  if len(e) != 5), None)
     if short is not None:
         raise SchemaError(f"SDPA entry line {short!r} needs 5 fields")
     try:
-        rhs = [float(t) for t in lines[3].split()]
+        rhs = [float(t) for t in lines[3].split()] if m else []
         index = np.array([e[:4] for e in entries],
                          dtype=np.int64).reshape(-1, 4)
         value = np.array([float(e[4]) for e in entries])

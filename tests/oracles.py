@@ -5,7 +5,7 @@ oracle enumerates basic feasible solutions and extreme rays, the
 reference simplex is the plain two-phase Bland solver over ``Fraction``
 that the package's integer kernel must reproduce pivot for pivot when it
 starts cold, the reference abelian table computes one ``cmath.exp`` per
-entry and the reference Fourier scalars one product per entry, the
+entry and the reference Fourier sums one product per entry, the
 independence-number oracle is a plain subset recursion, the group
 oracles use only the single-product ``multiply``/``invert`` that the
 array kernels (``products``/``inverses``) must agree with, the PSD test
@@ -162,6 +162,18 @@ def reference_abelian_table(group):
     return tuple(entries)
 
 
+def reference_row_combination(table, weights):
+    """sum_pi weights[pi] * chi_pi(C) for every class C, one scalar
+    product at a time, summed in irrep order from 0."""
+    out = []
+    for column in table.entries.T.tolist():
+        s = 0
+        for w, chi in zip(weights, column):
+            s += w * chi
+        out.append(s)
+    return out
+
+
 def reference_fourier_scalars(f, table):
     """c_pi = (1/d_pi) sum_C |C| f(C) chi_pi(C), one scalar product at a
     time, summed left to right from 0."""
@@ -310,19 +322,18 @@ def brute_force_alpha(graph) -> int:
 
 def reference_export_sdpa(instance, path):
     """SDPA sparse format written one entry line at a time, with one
-    repr per value, read through the instance's ``objective`` and
-    ``constraints``: the bytes ``theta.export_sdpa`` must reproduce."""
-    constraints = list(instance.constraints)
+    repr per value, read row by row from the instance's columns: the
+    bytes ``theta.export_sdpa`` must reproduce."""
+    rows = zip(*(getattr(instance, name).tolist()
+                 for name in ("k", "block", "i", "j", "value")))
     with open(path, "w") as fh:
         fh.write('"convention: maximize <F0,Y> subject to <Fk,Y> = c_k, '
                  'Y block-diagonal PSD"\n')
-        fh.write(f"{len(constraints)}\n{len(instance.block_sizes)}\n")
+        fh.write(f"{len(instance.rhs)}\n{len(instance.block_sizes)}\n")
         fh.write(" ".join(str(s) for s in instance.block_sizes) + "\n")
-        fh.write(" ".join(repr(rhs) for _, rhs in constraints) + "\n")
-        matrices = [instance.objective] + [m for m, _ in constraints]
-        for k, entries in enumerate(matrices):
-            for b, i, j, v in entries:
-                fh.write(f"{k} {b} {i} {j} {v!r}\n")
+        fh.write(" ".join(repr(c) for c in instance.rhs.tolist()) + "\n")
+        for k, b, i, j, v in rows:
+            fh.write(f"{k} {b} {i} {j} {v!r}\n")
 
 
 def check_axioms(group):

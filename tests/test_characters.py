@@ -16,6 +16,7 @@ from cayley_theta.characters import (CharacterTable, ClassFunction,
                                      hook_length_degree,
                                      import_character_table,
                                      is_positive_type, mn_character,
+                                     row_combination,
                                      symmetric_character_table)
 from cayley_theta.errors import CorruptTable, NeedsIrreps, SchemaError
 from cayley_theta.groups import (make_abelian_product, make_general_linear,
@@ -23,7 +24,8 @@ from cayley_theta.groups import (make_abelian_product, make_general_linear,
 
 from oracles import (convolve, exact_psd, first_orthogonality_failure,
                      group_matrix, involute, mn_character_reference,
-                     reference_abelian_table, reference_fourier_scalars)
+                     reference_abelian_table, reference_fourier_scalars,
+                     reference_row_combination)
 
 
 def test_abelian_table_z5():
@@ -84,6 +86,116 @@ def test_fourier_scalars_bits_match_scalar_reference():
             want = reference_fourier_scalars(f, table)
             assert [type(v) for v in got] == [type(v) for v in want]
             assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def _fraction_table():
+    """A hand-built table on S_3 with non-integer Fraction entries: not a
+    character table, but rational, which is all the exact sums need."""
+    return CharacterTable(
+        group=make_symmetric(3), degrees=(1, 2, 1),
+        entries=[[1, Fraction(-1, 2), Fraction(2, 3)],
+                 [2, 0, Fraction(-7, 5)], [1, 1, 1]],
+        irrep_labels=("a", "b", "c"), trivial_index=2)
+
+
+def _exact_weight_sets(n, rng):
+    """Seeded Fractions with large, mixed denominators (a few of them
+    ints), all zeros as ints and as Fractions, one nonzero weight, and
+    small ints."""
+    large = [Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**15))
+             if rng.random() < 0.8 else rng.randint(-10**6, 10**6)
+             for _ in range(n)]
+    single = [0] * n
+    single[rng.randrange(n)] = Fraction(-7, 3)
+    return [large, [0] * n, [Fraction(0)] * n, single,
+            [rng.randint(-9, 9) for _ in range(n)]]
+
+
+EXACT_TABLES = ([symmetric_character_table(n) for n in range(3, 9)] +
+                [abelian_character_table(make_abelian_product([2] * k))
+                 for k in range(1, 8)] + [_fraction_table()])
+
+
+@pytest.mark.parametrize("table", EXACT_TABLES, ids=(
+    [f"S{n}" for n in range(3, 9)] + [f"Z2^{k}" for k in range(1, 8)] +
+    ["fractions"]))
+def test_exact_sums_match_scalar_references(table):
+    """The integer product over a common denominator gives the values
+    and the types of the scalar sums: row combinations and Fourier
+    scalars."""
+    assert table.exact
+    rng = random.Random(len(table.classes))
+    for weights in _exact_weight_sets(len(table.classes), rng):
+        got = row_combination(table, weights)
+        want = reference_row_combination(table, weights)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+        f = ClassFunction(table.group, tuple(weights))
+        got = fourier_class_scalars(f, table)
+        want = reference_fourier_scalars(f, table)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_row_combination_bits_match_scalar_reference():
+    """Approximate sums, and rational tables with float or complex
+    weights, take the complex path: every sum has the bits of the
+    product-by-product sum (its real part, where the reference is a
+    float)."""
+    rng = random.Random(5)
+    tables = [abelian_character_table(make_abelian_product([12])),
+              symmetric_character_table(6), _fraction_table()]
+    tables += [as_float_table(t) for t in tables if t.exact]
+    for table in tables:
+        for kind in (complex, float):
+            weights = [complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                       if kind is complex else rng.gauss(0, 1)
+                       for _ in table.degrees]
+            got = row_combination(table, weights)
+            want = [complex(v) for v in
+                    reference_row_combination(table, weights)]
+            assert all(type(v) is complex for v in got)
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def test_mixed_weights_on_exact_tables_sum_as_on_the_float_copy():
+    """Fractions mixed with float or complex values on an exact table
+    take the complex path of its approximate copy, bit for bit: each
+    Fraction weight is rounded to a double before its product, where
+    the scalar sum rounds the exact product (and adds a leading run of
+    Fraction terms exactly), so the two may differ in the last bits."""
+    rng = random.Random(8)
+    tables = [symmetric_character_table(n) for n in (4, 6)]
+    tables += [abelian_character_table(make_abelian_product([2] * 3)),
+               _fraction_table()]
+    for table in tables:
+        approx = as_float_table(table)
+        for kind in (complex, float):
+            values = [kind(rng.gauss(0, 1)) if rng.random() < 0.4 else
+                      Fraction(rng.randint(-99, 99), rng.randint(1, 30))
+                      for _ in table.classes]
+            values[:2] = [Fraction(1, 10), Fraction(1, 5)]
+            values[-1] = kind(rng.gauss(0, 1))
+            f = ClassFunction(table.group, tuple(values))
+            got = fourier_class_scalars(f, table)
+            assert [repr(v) for v in got] == \
+                [repr(v) for v in fourier_class_scalars(f, approx)]
+            want = reference_fourier_scalars(f, table)
+            assert all(type(v) is complex for v in got + want)
+            scale = max(1.0, max(abs(v) for v in want))
+            assert all(abs(g - w) <= 1e-12 * scale
+                       for g, w in zip(got, want))
+            got = row_combination(table, values)
+            assert [repr(v) for v in got] == \
+                [repr(v) for v in row_combination(approx, values)]
+            want = reference_row_combination(table, values)
+            assert all(abs(g - w) <= 1e-12 * scale
+                       for g, w in zip(got, want))
+    # the example of the docstring: 1/10 + 1/5 is 0.3 when added exactly
+    weights = [Fraction(1, 10), Fraction(1, 5), 0.0, 0.0]
+    table = abelian_character_table(make_abelian_product([2, 2]))
+    assert reference_row_combination(table, weights)[0] == 0.3
+    assert row_combination(table, weights)[0] == 0.1 + 0.2 != 0.3
 
 
 def test_abelian_table_klein_exact():

@@ -135,6 +135,23 @@ def test_lp_D_keeps_exact_rows_equal_only_in_doubles():
     assert lp.row_labels == ("normalization", "class 1", "class 2")
 
 
+def test_lp_D_merges_exact_rows_up_to_a_rational_multiple():
+    """Exact rows are keyed as primitive integer rows with a positive
+    first entry: a row -3/2 times a kept one is dropped, and so is a
+    zero row."""
+    group = make_abelian_product([2, 2])
+    table = CharacterTable(
+        group=group, degrees=(1, 1, 1, 1),
+        entries=[[1, 2, -3, 0], [1, Fraction(4, 3), -2, 0],
+                 [1, -6, 9, 0], [1, Fraction(5, 7), Fraction(-15, 14), 0]],
+        irrep_labels=tuple("abcd"), trivial_index=0)
+    spec = CayleyGraphSpec(group, ConnectionSet.from_elements(group,
+                                                              [1, 2, 3]))
+    lp = build_lp_D(spec, table)
+    assert lp.row_labels == ("normalization", "class 1")
+    assert lp.instance.A[1] == (2, Fraction(4, 3), -6, Fraction(5, 7))
+
+
 def test_wrong_formulation_raises():
     s3 = make_symmetric(3)
     t = next(g for g in range(6) if s3.perm(g) == (1, 0, 2))
@@ -258,6 +275,25 @@ def test_float_abelian_certificates_pinned(moduli, classes, digest):
     _assert_lp_certified(spec, table, cert)
 
 
+# the exact connection set of the benchmark's abelian_wide workload
+Z2_7_SET = (6, 34, 50, 52, 54, 63, 66, 98, 109, 114, 118, 124)
+
+
+def test_exact_abelian_certificate_pinned():
+    """Exact certificate JSON of the 12-class set on Z_2^7, byte for
+    byte; the sha256 was pinned from the per-entry Fraction sums that
+    the integer product over a common denominator replaced."""
+    group = make_abelian_product((2,) * 7)
+    spec = CayleyGraphSpec(group,
+                           ConnectionSet.from_classes(group, Z2_7_SET))
+    table = abelian_character_table(group)
+    cert = solve_theta(spec, table)
+    assert cert.exact and cert.objective == 32
+    assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() \
+        == "54b14b91b59d0f67e26b3d7858a28d1314f0c65dab17fdf36fd1187705f01cfd"
+    _assert_lp_certified(spec, table, cert)
+
+
 def _assert_lp_certified(spec, table, cert):
     claim = LpSolution(status="optimal", x=cert.a,
                        objective_value=cert.objective, dual=cert.dual)
@@ -299,6 +335,29 @@ def test_validate_certificate_exact_means_tolerance_zero():
     fcert = solve_theta(spec, as_float_table(table))
     assert validate_certificate(
         replace(fcert, objective=fcert.objective + 1e-12)) == []
+
+
+def test_validate_certificate_rechecks_each_connection_class_exactly():
+    """A coefficient moved by 10^-12 breaks the constraint of exactly the
+    connection classes where its character is nonzero; f and the other
+    invariants are left as they were."""
+    s5 = symmetric_character_table(5)
+    z2_7 = abelian_character_table(make_abelian_product((2,) * 7))
+    for table, connection in (
+            (s5, efp_connection(5, 2, s5.group)),
+            (z2_7, ConnectionSet.from_classes(z2_7.group, Z2_7_SET))):
+        cert = solve_theta(CayleyGraphSpec(table.group, connection), table)
+        # an irrep that vanishes on some connection class, where one exists
+        j = next((j for j in range(len(table.degrees))
+                  if j != table.trivial_index and
+                  not all(table.entries[j, c]
+                          for c in connection.as_classes)), 1)
+        a = list(cert.a)
+        a[j] += Fraction(1, 10**12)
+        assert validate_certificate(replace(cert, a=tuple(a))) == (
+            ["normalization sum d^2 a != |Gamma|"] +
+            [f"constraint violated on connection class {c}"
+             for c in connection.as_classes if table.entries[j, c]])
 
 
 def test_symmetrize_exact_means_tolerance_zero():
@@ -450,6 +509,17 @@ def test_sdp_export_of_odd_values_matches_reference(tmp_path):
         "3", "3", "3 1 2", "1.0 -0.0 1.2345678901234567e+20"]
     assert "1 1 1 2 -0.0\n1 1 2 2 0.0\n" in text
     assert "0 2 1 1 1e+16\n" in text and "1 1 1 1 5e-324\n" in text
+
+
+def test_sdpa_round_trip_without_constraints(tmp_path):
+    """An instance with no constraints has an empty right-hand-side line,
+    which is read as that header line; it once read as a count
+    mismatch."""
+    sdp = SdpInstance.from_matrices((2,), [[(1, 1, 1, 1.0)]], [])
+    text = _exports_like_reference(sdp, tmp_path)
+    assert text.splitlines()[1:6] == ["0", "1", "2", "", "0 1 1 1 1.0"]
+    empty = SdpInstance.from_matrices((1,), [[]], [])
+    _exports_like_reference(empty, tmp_path)
 
 
 def test_sdp_instance_views():
