@@ -12,16 +12,17 @@ and ``simplex``: exact means tolerance 0.  An exact value is compared
 exactly and never passes through ``complex()`` or ``float()``; an
 approximate one is compared within the tolerance of its call site.
 
-Exact Fourier sums have one kernel, ``exact_sums``: row combinations
-sum_pi w_pi chi_pi and the Bochner scalars scale their rational weights
-to integers by the lcm of the denominators, once, take one numpy
-product of those Python ints (which cannot overflow) with the entry
-array, and divide by the lcm once, at the end.  Every other sum is
-complex and added in the order of the scalar sum: on an approximate
-table it has the bits of the scalar sum.  Float or complex weights on
-an exact table are summed as on its approximate copy, so a rational
-weight among them is rounded to a double before its product, where
-the scalar sum would round the exact product.
+Exact Fourier sums have one kernel, ``linalg.exact_sums``, which the
+exact simplex shares: row combinations sum_pi w_pi chi_pi and the
+Bochner scalars scale their rational weights to integers by the lcm of
+the denominators, once, take one numpy product of those Python ints
+(which cannot overflow) with the entry array, and divide by the lcm
+once, at the end.  Every other sum is complex and added in the order
+of the scalar sum: on an approximate table it has the bits of the
+scalar sum.  Float or complex weights on an exact table are summed as
+on its approximate copy, so a rational weight among them is rounded to
+a double before its product, where the scalar sum would round the
+exact product.
 
 Class ordering conventions: class 0 is always the identity class; for
 symmetric groups classes and irreps are both indexed by partitions in
@@ -43,7 +44,7 @@ from .errors import (CorruptTable, InvalidArgument, NeedsIrreps, SchemaError,
                      SizeLimit)
 from .groups import (AbelianProductGroup, FiniteGroup, SymmetricGroup,
                      parse_ints, partition_label, partitions, same_group)
-from .linalg import scaled
+from .linalg import exact_sums, is_exact
 
 Scalar = Union[Fraction, complex]
 
@@ -55,10 +56,6 @@ ROW_BLOCK = 1 << 13
 
 def conj(v: Scalar) -> Scalar:
     return v.conjugate() if isinstance(v, complex) else v
-
-
-def is_exact(v) -> bool:
-    return isinstance(v, (Fraction, int))
 
 
 def format_real(v, exact: bool):
@@ -409,30 +406,6 @@ def _row_blocks(table: CharacterTable):
     step = max(1, ROW_BLOCK // len(table.classes))
     for start in range(0, len(table.entries), step):
         yield start, table.entries[start:start + step]
-
-
-def exact_sums(weights, matrix, divisors=None) -> Optional[list]:
-    """sum_k weights[k] * matrix[k, j] for every column j of a rational
-    (dtype object) matrix, divided by divisors[j] when they are given.
-
-    The weights are scaled to integers by the lcm L of their
-    denominators, once; the sums are one numpy product of that vector of
-    Python ints, which cannot overflow, with the matrix; each sum is
-    divided by L (times its divisor) once, at the end.  A result has the
-    value and the type of the scalar sum from 0: a Fraction when a
-    weight, a divisor or a term is one, else an int.  None when the
-    matrix or a weight is not rational: such sums take the complex
-    path."""
-    if matrix.dtype != object or not all(map(is_exact, weights)):
-        return None
-    L = lcm(*(w.denominator for w in weights))
-    sums = (np.array([scaled(w, L) for w in weights], dtype=object)
-            @ matrix).tolist()
-    if divisors is None:
-        if not any(isinstance(w, Fraction) for w in weights):
-            return sums
-        divisors = (1,) * len(sums)
-    return [Fraction(s, L * d) for s, d in zip(sums, divisors)]
 
 
 def _terms(weights, rows):

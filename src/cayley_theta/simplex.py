@@ -1,5 +1,5 @@
-"""Two-phase primal simplex: a float solver finds an optimal basis, and
-exact mode rebuilds that basis on integers and checks it.
+"""Two-phase primal simplex: a float solver finds a basis, and exact
+mode proves that basis optimal by LP duality.
 
 Standard form only: maximize c.x subject to A x = b, x >= 0.
 
@@ -17,23 +17,22 @@ into NumericalFailure.  At a claimed optimum the tableau is recomputed
 from the original data for the current basis and priced again, so the
 rounding error of the pivots does not decide optimality.
 
-Exact mode takes rational data and never builds a Fraction inside the
-pivot loop.  It runs the float solver on the float copy of the LP and
-rebuilds the basis it returns in integers: m fraction-free pivots turn
-the scaled data into the tableau M / D of that basis, D being the basis
-determinant (Bareiss 1968, Edmonds 1967), and a pivot on p = M[r][c]
-makes every other row (M[i] * p - M[i][c] * M[r]) / D, an exact
-division, then D = p.  The reduced costs times D ride along as the last
-row, and Bland's rule runs from there: an optimal basis stops at once,
-which is the exact optimality check, and a nearly optimal one is
-repaired by a few exact pivots.  A float failure, or a basis that is
-singular or not primal feasible, falls back to the cold start: phase I
-from the artificial basis, with the whole system scaled to integers by
-one positive lcm (scaling row by row would rescale the artificial
-columns and could change which pivots phase I takes), then phase II,
-both by Bland's rule, whose pivots are those of the same rule run over
-Fraction.  Exact answers never depend on the float solver; it only
-decides where the exact pivots start.
+Exact mode takes rational data, and one function, ``_certify``, proves
+every optimum it returns (float basis, then exact proof, as in QSopt_ex:
+Applegate, Cook, Dash and Espinoza 2007).  For basic columns B on rows
+R it solves A_RB x_B = b_R and A_RB^T y = c_B exactly, so c.x = y.b,
+and accepts only if x_B >= 0, the rows outside R hold at x, and
+c_j <= y.A_j on every column (one integer product over a common
+denominator).  Two routes lead to a basis: the float solver on the
+float copy of the LP, the data float mode uses; and, when that fails or
+its basis is refused, the cold start.  That is phase I from the
+artificial basis, with the whole system scaled to integers by one lcm
+(row by row would rescale the artificial columns and could change
+phase I's pivots), then phase II, both by Bland's rule on the
+fraction-free tableau M / D, D the basis determinant (Bareiss 1968,
+Edmonds 1967), whose pivots are those of the same rule over Fraction.
+It alone decides infeasibility and unboundedness.  Exact answers never
+depend on the float solver; it only proposes the basis to prove.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ class LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# exact mode: fraction-free tableau over the integers
+# exact mode: the duality proof, and the cold start on an integer tableau
 
 def _pivot_exact(M, basis, row, col, D):
     """Fraction-free pivot of the tableau M / D on (row, col), with the
@@ -134,32 +133,39 @@ def _run_exact(M, basis, ncols, D):
         D = _pivot_exact(M, basis, leaving, entering, D)
 
 
-def _phase_two_exact(instance, M, basis, keep_rows, D):
-    """Phase II from a primal feasible basis: M / D holds its constraint
-    rows over the original columns and the rhs."""
-    n = instance.n
-    cost2 = [Fraction(v) for v in instance.objective]
-    Lc = lcm(*(v.denominator for v in cost2))
-    c = [linalg.scaled(v, Lc) for v in cost2]
-    reduced = [D * cj for cj in c] + [0]
-    for r, bi in zip(M, basis):
-        if c[bi]:
-            reduced = [a - c[bi] * v for a, v in zip(reduced, r)]
-    M.append(reduced)
-    status, D = _run_exact(M, basis, n, D)
-    if status == "unbounded":
-        return LpSolution(status="unbounded")
-    x = [Fraction(0)] * n
-    for r, bi in zip(M, basis):
-        x[bi] = Fraction(r[-1], D)
-    value = sum(cv * v for cv, v in zip(cost2, x))
-    dual = _dual_from_basis(instance, basis, keep_rows, True)
-    return LpSolution(status="optimal", x=tuple(x), objective_value=value,
+def _certify(instance: LpInstance, basis, keep_rows):
+    """The optimum at the basic columns ``basis`` on the rows
+    ``keep_rows``, proved by LP duality (see the module docstring), with
+    y = 0 on the other rows; None if A_B is singular or a check
+    fails."""
+    # whole entries as ints: the sums below then multiply ints only
+    A = np.array([[v.numerator if v.denominator == 1 else v for v in row]
+                  for row in instance.A], dtype=object)
+    AB = A[np.ix_(keep_rows, basis)]
+    xB = linalg.solve_square(AB.tolist(), [instance.b[i] for i in keep_rows])
+    if xB is None or any(v < 0 for v in xB):
+        return None
+    dropped = [i for i in range(instance.m) if i not in keep_rows]
+    held = linalg.exact_sums(xB, A[np.ix_(dropped, basis)].T)
+    if any(s != instance.b[i] for i, s in zip(dropped, held)):
+        return None
+    y = linalg.solve_square(AB.T.tolist(),
+                            [instance.objective[j] for j in basis])
+    priced = linalg.exact_sums(y, A[keep_rows])
+    if any(c > s for c, s in zip(instance.objective, priced)):
+        return None
+    x = dict(zip(basis, xB))
+    x = tuple(x.get(j, Fraction(0)) for j in range(instance.n))
+    dual = dict(zip(keep_rows, y))
+    dual = tuple(dual.get(i, Fraction(0)) for i in range(instance.m))
+    value = sum(c * v for c, v in zip(instance.objective, x))
+    return LpSolution(status="optimal", x=x, objective_value=value,
                       dual=dual, basis=tuple(basis))
 
 
 def _solve_exact_cold(instance: LpInstance) -> LpSolution:
-    """Two-phase Bland simplex from the artificial basis."""
+    """Two-phase Bland simplex from the artificial basis; an optimum is
+    the one ``_certify`` proves at the final basis."""
     m, n = instance.m, instance.n
     # one positive lcm for the whole system; scaling rows one by one
     # would rescale the artificial columns and change phase I's pivots
@@ -183,9 +189,11 @@ def _solve_exact_cold(instance: LpInstance) -> LpSolution:
     if sum(M[i][-1] for i in range(m) if basis[i] >= n) > 0:
         return LpSolution(status="infeasible")
 
-    # drive leftover artificials out of the basis; drop redundant rows
+    # drive leftover artificials out of the basis; an artificial n + r
+    # that cannot go marks row r as redundant (not the tableau row it
+    # sits in), so the rows left hold a nonsingular basis
     basic = set(basis)
-    keep_rows = list(range(m))
+    dropped = set()
     i = 0
     while i < len(M):
         if basis[i] >= n:
@@ -193,55 +201,39 @@ def _solve_exact_cold(instance: LpInstance) -> LpSolution:
             col = next((j for j in range(n)
                         if row[j] and j not in basic), None)
             if col is None:
-                del M[i], basis[i], keep_rows[i]
+                dropped.add(basis[i] - n)
+                del M[i], basis[i]
                 continue
             basic.add(col)
             D = _pivot_exact(M, basis, i, col, D)
         i += 1
+    keep_rows = [i for i in range(m) if i not in dropped]
+
+    # Phase II on the original columns, the reduced costs times D last
+    Lc = lcm(*(v.denominator for v in instance.objective))
+    c = [linalg.scaled(v, Lc) for v in instance.objective]
     M = [row[:n] + [row[-1]] for row in M]
-    return _phase_two_exact(instance, M, basis, keep_rows, D)
-
-
-def _solve_exact_from(instance: LpInstance, M, columns):
-    """Pivot the integer rows M = [A | b] onto the basis ``columns`` and
-    finish with exact Bland pivots; None if those columns are not a
-    primal feasible basis of the row space."""
-    m = instance.m
-    basis = [None] * m
-    free = list(range(m))
-    D = 1
-    for col in columns:
-        row = next((i for i in free if M[i][col]), None)
-        if row is None:
-            return None
-        free.remove(row)
-        D = _pivot_exact(M, basis, row, col, D)
-    if any(any(M[i]) for i in free):
-        return None
-    keep_rows = [i for i in range(m) if basis[i] is not None]
-    M = [M[i] for i in keep_rows]
-    if any(r[-1] < 0 for r in M):
-        return None
-    return _phase_two_exact(instance, M, [basis[i] for i in keep_rows],
-                            keep_rows, D)
+    reduced = [D * cj for cj in c] + [0]
+    for r, bi in zip(M, basis):
+        if c[bi]:
+            reduced = [a - c[bi] * v for a, v in zip(reduced, r)]
+    M.append(reduced)
+    if _run_exact(M, basis, n, D)[0] == "unbounded":
+        return LpSolution(status="unbounded")
+    solution = _certify(instance, basis, keep_rows)
+    if solution is None:
+        raise ArithmeticError("the exact simplex stopped at a basis that "
+                              "does not prove its optimum")
+    return solution
 
 
 def _solve_exact(instance: LpInstance) -> LpSolution:
-    # each equation scaled to integers by its own lcm: the same solutions
-    M = []
-    for row, rhs in zip(instance.A, instance.b):
-        vals = list(row) + [rhs]
-        L = lcm(*(v.denominator for v in vals))
-        M.append([linalg.scaled(v, L) for v in vals])
     try:
-        data = np.array(M, dtype=float)
-        status, columns, _, _ = _float_basis(
-            data[:, :-1], data[:, -1],
-            np.array(instance.objective, dtype=float))
+        status, basis, keep_rows, _ = _float_basis(*_float_data(instance))
     except (NumericalFailure, OverflowError):
         status = None
     if status == "optimal":
-        solution = _solve_exact_from(instance, M, columns)
+        solution = _certify(instance, basis, keep_rows)
         if solution is not None:
             return solution
     return _solve_exact_cold(instance)
@@ -370,12 +362,17 @@ def _float_basis(A, b, c):
     return status, basis, keep_rows, T[:-1, -1]
 
 
+def _float_data(instance: LpInstance):
+    """A, b and c of the instance as float arrays."""
+    return (np.array(instance.A, dtype=float),
+            np.array(instance.b, dtype=float),
+            np.array(instance.objective, dtype=float))
+
+
 def solve(instance: LpInstance) -> LpSolution:
     if instance.exact:
         return _solve_exact(instance)
-    A = np.array(instance.A, dtype=float)
-    b = np.array(instance.b, dtype=float)
-    c = np.array(instance.objective, dtype=float)
+    A, b, c = _float_data(instance)
     status, basis, keep_rows, values = _float_basis(A, b, c)
     if status != "optimal":
         return LpSolution(status=status)
@@ -383,7 +380,7 @@ def solve(instance: LpInstance) -> LpSolution:
     for bi, v in zip(basis, values.tolist()):
         x[bi] = v
     value = sum(cv * v for cv, v in zip(c.tolist(), x))
-    dual = _dual_from_basis(instance, basis, keep_rows, False)
+    dual = _dual_from_basis(A, c, basis, keep_rows)
     return LpSolution(status="optimal", x=tuple(x), objective_value=value,
                       dual=dual, basis=tuple(basis))
 
@@ -392,27 +389,16 @@ def _scale(instance):
     return max([1.0] + [abs(float(v)) for v in instance.b])
 
 
-def _dual_from_basis(instance, basis, keep_rows, exact):
-    """Multipliers y with y.A_B = c_B, solved from the original data;
-    dropped redundant rows get y = 0."""
-    num = Fraction if exact else float
-    k = len(basis)
-    AT = [[num(instance.A[keep_rows[i]][basis[j]]) for i in range(k)]
-          for j in range(k)]
-    cB = [num(instance.objective[bi]) for bi in basis]
-    if exact:
-        y = linalg.solve_square(AT, cB)
-    else:
-        try:
-            y = list(np.linalg.solve(np.array(AT, dtype=float).reshape(k, k),
-                                     np.array(cB, dtype=float)))
-        except np.linalg.LinAlgError:
-            y = None
-    if y is None:
+def _dual_from_basis(A, c, basis, keep_rows):
+    """Multipliers y with y.A_B = c_B in doubles, 0 on dropped rows;
+    None when A_B is singular."""
+    try:
+        y = np.linalg.solve(A[np.ix_(keep_rows, basis)].T, c[basis])
+    except np.linalg.LinAlgError:
         return None
-    full = [num(0)] * instance.m
-    for i, row in enumerate(keep_rows):
-        full[row] = y[i]
+    full = [0.0] * len(A)
+    for i, v in zip(keep_rows, y):
+        full[i] = v
     return tuple(full)
 
 

@@ -27,13 +27,13 @@ from typing import Optional
 import numpy as np
 
 from .characters import (CharacterTable, ClassFunction, GroupFunction,
-                         IrrepMatrices, conj, format_real, is_exact,
+                         IrrepMatrices, conj, format_real,
                          is_positive_type, row_combination)
 from .errors import (InvalidArgument, NumericalFailure, SchemaError,
                      SizeLimit, WrongFormulation)
 from .graphs import ConnectionSet, build_cayley
 from .groups import FiniteGroup, parse_ints, same_group
-from .linalg import scaled
+from .linalg import is_exact, scaled
 from .simplex import LpInstance, LpSolution, solve as lp_solve
 
 MATRIX_BOUND = 2000

@@ -108,17 +108,20 @@ def reference_simplex(c, A, b):
     _bland(T, basis, [Fraction(0)] * n + [Fraction(-1)] * m, n + m)
     if sum(T[i][-1] for i in range(m) if basis[i] >= n) > 0:
         return "infeasible", None, None, None, None
-    keep_rows = list(range(m))
+    dropped = set()
     i = 0
     while i < len(T):
         if basis[i] >= n:
             col = next((j for j in range(n)
                         if T[i][j] != 0 and j not in basis), None)
             if col is None:
-                del T[i], basis[i], keep_rows[i]
+                # the artificial's own row is the redundant one
+                dropped.add(basis[i] - n)
+                del T[i], basis[i]
                 continue
             _pivot(T, basis, i, col)
         i += 1
+    keep_rows = [r for r in range(m) if r not in dropped]
     T = [row[:n] + [row[-1]] for row in T]
     cost = [Fraction(v) for v in c]
     if _bland(T, basis, cost, n) == "unbounded":

@@ -68,21 +68,39 @@ def test_abelian_table_exact_matches_reference():
 def test_fourier_scalars_bits_match_scalar_reference():
     """Complex, float and rational class functions on approximate and
     exact tables: every scalar has the bits of the product-by-product
-    sum (numpy's fused complex product would change some)."""
+    sum (numpy's fused complex product would change some).  Fractions
+    mixed with floats on an exact table follow the documented rule
+    instead: the bits of the same sums on the table's float copy, for
+    the Fourier scalars and the row combinations alike."""
     rng = random.Random(12)
     tables = [abelian_character_table(make_abelian_product(m))
               for m in ((12,), (3, 5), (2, 2, 2))]
     tables += [symmetric_character_table(6)]
     tables += [as_float_table(t) for t in tables if t.exact]
+
+    def draw(kind):
+        if kind == "mixed":
+            kind = rng.choice((float, Fraction))
+        if kind is complex:
+            return complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        if kind is float:
+            return rng.gauss(0, 1)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
     for table in tables:
-        for kind in (complex, float, Fraction):
-            values = tuple(
-                complex(rng.gauss(0, 1), rng.gauss(0, 1)) if kind is complex
-                else rng.gauss(0, 1) if kind is float
-                else Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                for _ in table.classes)
-            f = ClassFunction(table.group, values)
+        for kind in (complex, float, Fraction) + ("mixed",) * 8:
+            values = [draw(kind) for _ in table.classes]
+            if kind == "mixed":
+                values[:2] = [Fraction(1, 10), 0.5]
+            f = ClassFunction(table.group, tuple(values))
             got = fourier_class_scalars(f, table)
+            if kind == "mixed" and table.exact:
+                approx = as_float_table(table)
+                assert [repr(v) for v in got] == \
+                    [repr(v) for v in fourier_class_scalars(f, approx)]
+                assert [repr(v) for v in row_combination(table, values)] \
+                    == [repr(v) for v in row_combination(approx, values)]
+                continue
             want = reference_fourier_scalars(f, table)
             assert [type(v) for v in got] == [type(v) for v in want]
             assert [repr(v) for v in got] == [repr(v) for v in want]

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -309,3 +313,19 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_import_sets_one_openblas_thread_unless_set(preset, want):
+    """A fresh interpreter that imports the package, as the CLI does,
+    gets one OpenBLAS thread by default and keeps a caller's setting."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, cayley_theta; "
+         "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == want

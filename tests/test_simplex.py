@@ -181,37 +181,106 @@ def test_exact_solve_when_the_float_stage_raises(monkeypatch):
                 sol.basis) == _reference(inst)
 
 
-def test_exact_solve_repairs_a_wrong_float_basis(monkeypatch):
+def test_exact_solve_refuses_a_wrong_float_basis(monkeypatch):
     """The float stage returns the optimal basis of the opposite
-    objective: feasible, mostly not optimal.  Exact Bland pivots repair
-    it to the reference's optimum."""
+    objective: feasible, mostly not optimal.  Every basis that
+    ``_certify`` refuses ends in the cold start, whose answer is the
+    reference's: status, vertex, value, dual and basis."""
     real, real_cold = simplex._float_basis, simplex._solve_exact_cold
     guide, cold = [], []
 
     def opposite(A, b, c):
         result = real(A, b, -c)
-        guide[:] = result[1] or []
+        guide[:] = [result[0]]
         return result
     monkeypatch.setattr(simplex, "_float_basis", opposite)
     monkeypatch.setattr(simplex, "_solve_exact_cold",
                         lambda inst: cold.append(inst) or real_cold(inst))
-    repaired = 0
+    refused = dict.fromkeys(("optimal", "infeasible", "unbounded"), 0)
     for inst in _fraction_reference_instances():
         cold.clear()
         sol = _matches_reference_value(inst)
-        if not cold and sol.status == "optimal":
-            repaired += set(guide) != set(sol.basis)
-    assert repaired >= 20
+        if cold:
+            assert (sol.status, sol.x, sol.objective_value, sol.dual,
+                    sol.basis) == _reference(inst)
+            refused[guide[0]] += 1
+    # 383 cold starts, 67 of them from a refused optimal float basis
+    assert refused["optimal"] >= 50 and sum(refused.values()) >= 300
 
 
 def test_exact_solve_from_a_random_basis(monkeypatch):
-    """Random columns as the float basis: singular, infeasible or merely
-    feasible; each ends at the reference's answer."""
+    """Random columns on random rows as the float basis: singular,
+    infeasible or merely feasible; each ends at the reference's
+    answer."""
     rng = random.Random(3)
-    monkeypatch.setattr(simplex, "_float_basis", lambda A, b, c: (
-        "optimal", rng.sample(range(A.shape[1]), min(A.shape)), None, None))
+
+    def random_basis(A, b, c):
+        k = min(A.shape)
+        return ("optimal", rng.sample(range(A.shape[1]), k),
+                sorted(rng.sample(range(A.shape[0]), k)), None)
+    monkeypatch.setattr(simplex, "_float_basis", random_basis)
     for inst in _fraction_reference_instances():
         _matches_reference_value(inst)
+
+
+def test_every_exact_optimum_is_certified(monkeypatch):
+    """Whichever route it takes, an optimum that exact solve returns is
+    one that ``_certify`` built."""
+    real = simplex._certify
+    built = []
+    monkeypatch.setattr(simplex, "_certify", lambda *args: built.append(
+        real(*args)) or built[-1])
+    for inst in _fraction_reference_instances():
+        built.clear()
+        sol = solve(inst)
+        if sol.status == "optimal":
+            assert sol is built[-1]
+
+
+def _lp(c, A, b):
+    return LpInstance(objective=tuple(map(F, c)),
+                      A=tuple(tuple(map(F, row)) for row in A),
+                      b=tuple(map(F, b)))
+
+
+def test_certify_proves_an_optimal_basis():
+    # max x0 + x1, x0 + x1 + s = 1, and the redundant 2 x0 + 2 x1 + 2 s = 2
+    inst = _lp((1, 1, 0), ((1, 1, 1), (2, 2, 2)), (1, 2))
+    sol = simplex._certify(inst, [0], [0])
+    assert (sol.x, sol.objective_value, sol.dual, sol.basis) == \
+        ((1, 0, 0), 1, (1, 0), (0,))
+    assert all(type(v) is Fraction for v in sol.x + sol.dual)
+    assert verify_certificate(inst, sol)
+
+
+@pytest.mark.parametrize("c, A, b, basis, keep_rows", [
+    # primal feasible (x = slack = 1), not optimal: c_0 = 1 > y.A_0 = 0
+    ((1, 1, 0), ((1, 1, 1),), (1,), [2], [0]),
+    # singular: column 1 is twice column 0
+    ((1, 1, 0, 0), ((1, 2, 1, 0), (2, 4, 0, 1)), (1, 2), [0, 1], [0, 1]),
+    # x_B = (2, -1) < 0, though y = (1, 0) prices every column
+    ((1, 1, 0, 0), ((1, 1, 1, 0), (1, -1, 0, 1)), (1, 3), [0, 1], [0, 1]),
+    # row 1 is dropped but not redundant: x_0 + x_3 = 2 != 1 at x
+    ((1, 0, 0, 0), ((1, 1, 1, 0), (1, 0, 0, 1)), (2, 1), [0], [0]),
+], ids=["not-optimal", "singular", "negative-x", "row-not-redundant"])
+def test_certify_refuses(c, A, b, basis, keep_rows):
+    assert simplex._certify(_lp(c, A, b), basis, keep_rows) is None
+
+
+def test_cold_start_drops_the_redundant_row_of_its_artificial():
+    """Phase I leaves the artificial of row 1 in tableau row 3, and no
+    column can drive it out.  Dropping row 3 left a singular basis on
+    the kept rows, and the cold start returned no dual; dropping row 1,
+    the artificial's own, gives a certified optimum."""
+    inst = _lp((1, 2, 2, -3, 2),
+               ((0, 0, 2, 0, -1), (2, 1, 3, -3, 0), (4, 2, 4, -6, 1),
+                (0, -1, 0, -3, -1)),
+               (4, 0, -4, -6))
+    sol = simplex._solve_exact_cold(inst)
+    assert sol.objective_value == -2
+    assert verify_certificate(inst, sol)
+    assert (sol.status, sol.x, sol.objective_value, sol.dual,
+            sol.basis) == _reference(inst)
 
 
 @pytest.mark.parametrize("bland_after", [simplex.DEGENERATE_RUN, 0],

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cayley_theta import characters
+from cayley_theta import characters, simplex
 from cayley_theta.apps import efp_connection
 from cayley_theta.cli import cli_dispatch
 from cayley_theta.characters import (CharacterTable, IrrepMatrices,
@@ -292,6 +292,28 @@ def test_exact_abelian_certificate_pinned():
     assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() \
         == "54b14b91b59d0f67e26b3d7858a28d1314f0c65dab17fdf36fd1187705f01cfd"
     _assert_lp_certified(spec, table, cert)
+
+
+def test_exact_efp_and_abelian_lps_are_proved_from_the_float_basis(
+        monkeypatch):
+    """Every exact efp:k LP on S_3-S_10, and the Z_2^7 LP above, is
+    proved optimal at the float basis: none reaches the cold start."""
+    def cold(instance):
+        raise AssertionError("cold start reached")
+    monkeypatch.setattr(simplex, "_solve_exact_cold", cold)
+    specs = []
+    for n in range(3, 11):
+        table = symmetric_character_table(n)
+        specs += [(CayleyGraphSpec(table.group,
+                                   efp_connection(n, k, table.group)), table)
+                  for k in range(1, n + 1)]
+    group = make_abelian_product((2,) * 7)
+    specs.append((CayleyGraphSpec(
+        group, ConnectionSet.from_classes(group, Z2_7_SET)),
+        abelian_character_table(group)))
+    for spec, table in specs:
+        assert simplex.solve(build_lp_D(spec, table).instance).status == \
+            "optimal"
 
 
 def _assert_lp_certified(spec, table, cert):
