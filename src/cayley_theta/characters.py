@@ -5,7 +5,9 @@ approximate (``complex``); a table is exact only when every entry is
 exact, and holds its entries in one numpy array of the matching kind.
 The symmetric-group tables are computed by the Murnaghan-Nakayama rule
 and are exact integers; abelian tables involve roots of unity and are
-stored approximately unless all moduli are 1 or 2.
+stored approximately unless all moduli are 1 or 2.  An abelian table
+is symmetric, chi_j(x) = chi_x(j) in element order, so only the entries
+on and right of its diagonal are computed; the rest are copied.
 
 One rule decides every exact-or-approximate test here and in ``theta``
 and ``simplex``: exact means tolerance 0.  An exact value is compared
@@ -19,10 +21,12 @@ the denominators, once, take one numpy product of those Python ints
 (which cannot overflow) with the entry array, and divide by the lcm
 once, at the end.  Every other sum is complex and added in the order
 of the scalar sum: on an approximate table it has the bits of the
-scalar sum.  Float or complex weights on an exact table are summed as
-on its approximate copy, so a rational weight among them is rounded to
-a double before its product, where the scalar sum would round the
-exact product.
+scalar sum.  Its weights are made one complex array once per call, and
+each block of table rows is multiplied with its slice of that array.
+Float or complex weights on an exact table are summed as on its
+approximate copy, so a rational weight among them is rounded to a
+double before its product, where the scalar sum would round the exact
+product.
 
 Class ordering conventions: class 0 is always the identity class; for
 symmetric groups classes and irreps are both indexed by partitions in
@@ -188,11 +192,14 @@ def abelian_character_table(group: FiniteGroup) -> CharacterTable:
     modulus is 2; approximate complex otherwise.
 
     The phases come from one integer matrix N[j, x] = sum_t j_t*x_t*(L/m_t)
-    with L = lcm(moduli), built ROW_BLOCK entries at a time.  An exact
-    entry is +-1 by the parity of N.  An approximate entry is cos(y) +
-    i*sin(y) with y = (2*pi)*(N/L): N and L are below 2^53, so N/L is the
-    correctly rounded phase, and (cos y, sin y) is what cmath.exp(i*y)
-    returns for it."""
+    with L = lcm(moduli), built a block of rows at a time (at most
+    ROW_BLOCK entries), each block from its diagonal to the right: N is
+    symmetric, so the left part of a block is the transpose of the
+    blocks above it, which are already filled.  An exact entry is +-1 by
+    the parity of N.  An approximate entry is cos(y) + i*sin(y) with
+    y = (2*pi)*(N/L): N and L are below 2^53, so N/L is the correctly
+    rounded phase, and (cos y, sin y) is what cmath.exp(i*y) returns
+    for it."""
     if not isinstance(group, AbelianProductGroup):
         raise InvalidArgument("abelian_character_table needs an "
                               "abelian-product group")
@@ -210,8 +217,10 @@ def abelian_character_table(group: FiniteGroup) -> CharacterTable:
     entries = np.empty((group.order, group.order),
                        dtype=int if exact else complex)
     for start in range(0, group.order, step):
-        N = digits[start:start + step] @ weighted.T
-        block = entries[start:start + step]
+        stop = start + step
+        entries[start:stop, :start] = entries[:start, start:stop].T
+        N = digits[start:stop] @ weighted[start:].T
+        block = entries[start:stop, start:]
         if exact:
             block[:] = 1 - 2 * (N % 2)
             continue
@@ -408,14 +417,15 @@ def _row_blocks(table: CharacterTable):
         yield start, table.entries[start:start + step]
 
 
-def _terms(weights, rows):
-    """The products weights[k] * rows[i, k] as complex numbers, each
-    rounded as Python rounds the scalar product: numpy may fuse the
-    multiply and add of a complex product, CPython does not, so it is
-    written out in real and imaginary parts.  Rational rows and weights
-    are made complex first, as on the approximate copy of the table."""
+def _terms(w, rows):
+    """The products w[k] * rows[i, k] as complex numbers, each rounded as
+    Python rounds the scalar product: numpy may fuse the multiply and
+    add of a complex product, CPython does not, so it is written out in
+    real and imaginary parts.  w is the weights as one complex array,
+    made once per call by the caller (a rational weight by
+    ``complex()``); rational rows are made complex here, as on the
+    approximate copy of the table."""
     rows = rows.astype(complex, copy=False)
-    w = np.array([complex(x) for x in weights])
     out = np.empty(rows.shape, dtype=complex)
     out.real = w.real * rows.real - w.imag * rows.imag
     out.imag = w.real * rows.imag + w.imag * rows.real
@@ -438,10 +448,10 @@ def row_combination(table: CharacterTable, weights) -> list:
     exact = exact_sums(weights, table.entries)
     if exact is not None:
         return exact
+    w = np.array([complex(x) for x in weights])
     acc = 0
     for start, rows in _row_blocks(table):
-        acc = _ordered_sum(
-            _terms(weights[start:start + len(rows)], rows.T), acc)
+        acc = _ordered_sum(_terms(w[start:start + len(rows)], rows.T), acc)
     return acc.tolist()
 
 
@@ -457,9 +467,10 @@ def fourier_class_scalars(f: ClassFunction, table: CharacterTable):
     exact = exact_sums(weights, table.entries.T, table.degrees)
     if exact is not None:
         return tuple(exact)
+    w = np.array([complex(x) for x in weights])
     sums = []
     for _, rows in _row_blocks(table):
-        sums += _ordered_sum(_terms(weights, rows)).tolist()
+        sums += _ordered_sum(_terms(w, rows)).tolist()
     return tuple(s / d for s, d in zip(sums, table.degrees))
 
 

@@ -12,6 +12,17 @@ LP layout (one variable a_pi per irrep, maximize the trivial one):
                       sum_pi d_pi chi_pi(C) a_pi = 0
 Complex character values contribute separate real- and imaginary-part
 rows; all-zero and duplicate rows are dropped.
+
+Duplicate rows are found by one key per row; a row is dropped when it is
+zero or an earlier row has its key.  An exact row's key is the primitive
+integer row with its first nonzero entry positive, so two rows share a
+key iff one is a rational multiple of the other; a zero row has none.
+A float row with no entry above ROW_DROP_TOL in absolute value is zero;
+any other row is divided by its largest |a|, negated when its first
+entry above ROW_DROP_TOL is negative, and rounded to 12 decimals as
+round(v, 12) rounds, and -0.0 counts as 0.0.  Formulation (C) keys its
+rows by the same float key.  The float keys of all candidate rows are
+computed as one array.
 """
 
 from __future__ import annotations
@@ -100,60 +111,84 @@ def build_lp_D(spec: CayleyGraphSpec, table: CharacterTable) -> ThetaLp:
     n = len(degrees)
     exact = table.exact
     num = Fraction if exact else float
-
-    rows = [[num(d * d) for d in degrees]]
-    rhs = [num(group.order)]
-    labels = ["normalization"]
-    seen = {_row_key(rows[0], exact)}
-
     kept = _kept_connection_classes(spec)
-    for c in kept:
-        coeffs = [d * v for d, v in
-                  zip(degrees, table.entries[:, c].tolist())]
-        if exact:
-            candidates = [(list(coeffs), f"class {c}")]
-        else:
-            cvals = [complex(v) for v in coeffs]
-            candidates = [([v.real for v in cvals], f"class {c} (re)"),
-                          ([v.imag for v in cvals], f"class {c} (im)")]
-        for row, label in candidates:
-            key = _row_key(row, exact)
-            if key is None or key in seen:
-                continue
-            seen.add(key)
-            rows.append(row)
-            rhs.append(num(0))
-            labels.append(label)
 
+    # the candidate rows, normalization first, and their keys
+    if exact:
+        rows = [[Fraction(d * d) for d in degrees]]
+        rows += [[d * v for d, v in zip(degrees, column)]
+                 for column in table.entries[:, list(kept)].T.tolist()]
+        labels = ["normalization"] + [f"class {c}" for c in kept]
+        keys = [_exact_row_key(row) for row in rows]
+    else:
+        X = table.entries[:, list(kept)]
+        d = np.array(degrees, dtype=float)
+        # Re and Im of d * chi(C) as Python multiplies int * complex:
+        # d is taken as d + 0j
+        part = np.empty((2 * len(kept), n))
+        part[0::2] = (d[:, None] * X.real - 0.0 * X.imag).T
+        part[1::2] = (d[:, None] * X.imag + 0.0 * X.real).T
+        rows = np.vstack([d * d, part])
+        labels = ["normalization"] + [f"class {c} ({p})" for c in kept
+                                      for p in ("re", "im")]
+        keys = _float_row_keys(rows)
+        rows = rows.tolist()
+
+    # drop the zero rows and every row whose key an earlier row has
+    chosen = []
+    seen = set()
+    for i, key in enumerate(keys):
+        if key is not None and key not in seen:
+            seen.add(key)
+            chosen.append(i)
     objective = [num(0)] * n
     objective[table.trivial_index] = num(1)
-    instance = LpInstance(objective=tuple(objective),
-                          A=tuple(tuple(r) for r in rows),
-                          b=tuple(rhs), exact=exact)
+    instance = LpInstance(
+        objective=tuple(objective), A=tuple(tuple(rows[i]) for i in chosen),
+        b=(num(group.order),) + (num(0),) * (len(chosen) - 1), exact=exact)
     return ThetaLp(instance=instance, irrep_labels=table.irrep_labels,
-                   row_labels=tuple(labels), kept_classes=kept)
+                   row_labels=tuple(labels[i] for i in chosen),
+                   kept_classes=kept)
 
 
-def _row_key(row, exact):
-    """Sign- and scale-normalized key for duplicate-row detection; None
-    for a row that is zero (exactly, or below ROW_DROP_TOL in floats).
-    An exact row's key is the primitive integer row, its first nonzero
-    entry positive, so two rows share a key iff one is a rational
-    multiple of the other."""
-    if exact:
-        L = lcm(*(v.denominator for v in row))
-        ints = [scaled(v, L) for v in row]
-        g = gcd(*ints)
-        if g == 0:
-            return None
-        if next(v for v in ints if v) < 0:
-            g = -g
-        return tuple(v // g for v in ints)
-    scale = max(abs(v) for v in row)
-    if scale < ROW_DROP_TOL:
+def _exact_row_key(row):
+    """The key of an exact row (see the module docstring); None for a
+    zero row."""
+    L = lcm(*(v.denominator for v in row))
+    ints = [scaled(v, L) for v in row]
+    g = gcd(*ints)
+    if g == 0:
         return None
-    lead = next(v for v in row if abs(v) > ROW_DROP_TOL)
-    return tuple(round(v / scale * (1 if lead > 0 else -1), 12) for v in row)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
+def _float_row_keys(rows):
+    """The key of each row of a 2-D float array, as bytes; None for a row
+    with no entry above ROW_DROP_TOL (see the module docstring).
+
+    round(v, 12) rounds the exact decimal value of v; np.rint(v * 1e12)
+    rounds the product in doubles, which is within 2^-14 of v * 10^12
+    for |v| <= 1, so it is redone by round() wherever the product lies
+    within 1e-3 of a half."""
+    rows = np.asarray(rows, dtype=float)
+    big = np.abs(rows) > ROW_DROP_TOL
+    live = big.any(axis=1)
+    keys = [None] * len(rows)
+    rows, big = rows[live], big[live]
+    lead = rows[np.arange(len(rows)), big.argmax(axis=1)]
+    unit = rows / np.abs(rows).max(axis=1, keepdims=True)
+    unit *= np.where(lead > 0, 1.0, -1.0)[:, None]
+    scaled_up = unit * 1e12
+    rounded = np.rint(scaled_up) / 1e12
+    for r, c in np.argwhere(
+            np.abs(scaled_up - np.floor(scaled_up) - 0.5) < 1e-3):
+        rounded[r, c] = round(float(unit[r, c]), 12)
+    rounded += 0.0      # -0.0 becomes 0.0
+    for i, key in zip(np.flatnonzero(live).tolist(), rounded):
+        keys[i] = key.tobytes()
+    return keys
 
 
 def solve_theta(spec: CayleyGraphSpec,
@@ -289,6 +324,8 @@ def symmetrize_matrix(A, group: FiniteGroup) -> GroupFunction:
 # SDP instances and SDPA sparse export
 
 _TABLE = ("k", "block", "i", "j", "value", "rhs")
+# one SDPA entry line "k b i j v"
+_ENTRY = np.dtype([(c, np.int64) for c in _TABLE[:4]] + [("value", float)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,7 +531,7 @@ def build_sdp_C(spec: CayleyGraphSpec,
             if not entries:
                 continue
             key = (tuple(e[:3] for e in entries),
-                   _row_key([e[3] for e in entries], False))
+                   _float_row_keys([[e[3] for e in entries]])[0])
             if key in seen_rows:
                 continue
             seen_rows.add(key)
@@ -554,10 +591,11 @@ def read_sdpa(path) -> SdpInstance:
     """Reader for round-trip checks of this package's exports.  A file
     that is not SDPA sparse format raises SchemaError, and an entry that
     is not an upper-triangle entry of a block of a matrix 0..m raises
-    InvalidArgument."""
+    InvalidArgument.  The entry lines are parsed in one ``np.loadtxt``
+    call; only a file it refuses is split line by line, to name the
+    fault."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh
-                 if ln.strip() and not ln.lstrip().startswith(('"', "*"))]
+        lines = [ln for ln in map(str.strip, fh) if ln and ln[0] not in '"*']
     if len(lines) < 3:
         raise SchemaError("SDPA file ends inside its header")
     (m,) = parse_ints(lines[0].split(), "SDPA constraint count", 1)
@@ -568,23 +606,23 @@ def read_sdpa(path) -> SdpInstance:
         raise SchemaError("SDPA file ends inside its header")
     (nblocks,) = parse_ints(lines[1].split(), "SDPA block count", 1)
     sizes = parse_ints(lines[2].split(), "SDPA block sizes", nblocks)
-    entries = [ln.split() for ln in lines[header:]]
-    short = next((ln for ln, e in zip(lines[header:], entries)
-                  if len(e) != 5), None)
-    if short is not None:
-        raise SchemaError(f"SDPA entry line {short!r} needs 5 fields")
+    body = lines[header:]
     try:
         rhs = [float(t) for t in lines[3].split()] if m else []
-        index = np.array([e[:4] for e in entries],
-                         dtype=np.int64).reshape(-1, 4)
-        value = np.array([float(e[4]) for e in entries])
-    except (ValueError, OverflowError) as exc:
+        # loadtxt warns on no lines at all
+        entries = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1) \
+            if body else np.zeros(0, dtype=_ENTRY)
+    except ValueError as exc:
+        short = next((ln for ln in body if len(ln.split()) != 5), None)
+        if short is not None:
+            raise SchemaError(
+                f"SDPA entry line {short!r} needs 5 fields") from None
         raise SchemaError(f"malformed SDPA file: {exc}") from None
     if len(rhs) != m:
         raise SchemaError("right-hand side count mismatch in SDPA file")
     # the entries of one matrix keep their order in the file
-    order = np.argsort(index[:, 0], kind="stable")
-    return SdpInstance(sizes, *index[order].T, value[order], rhs)
+    entries = entries[np.argsort(entries["k"], kind="stable")]
+    return SdpInstance(sizes, *(entries[c] for c in _TABLE[:5]), rhs)
 
 
 # ---------------------------------------------------------------------------

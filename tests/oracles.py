@@ -14,8 +14,9 @@ direct check of Bochner's criterion), the convolution is the defining
 sum, the character oracle walks border strips on the Young diagram
 instead of beta-sets, the GL(n, q) oracles multiply matrices by the
 defining triple loop over the field tables and read rank(A - I) off the
-number of vectors that A fixes, with no elimination, and the SDPA
-reference writer formats one entry line at a time.  The seeded
+number of vectors that A fixes, with no elimination, the SDPA
+reference writer formats one entry line at a time, and the reference
+character LP keys its rows one row and one entry at a time.  The seeded
 inverse-closed sets are test inputs, kept here so that every test
 module draws the same ones.
 """
@@ -24,10 +25,13 @@ import cmath
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
 from cayley_theta.characters import ClassFunction, GroupFunction, conj
 from cayley_theta.errors import InvalidArgument, NotAGroup
 from cayley_theta.groups import ConjugacyClass, same_group
+from cayley_theta.simplex import LpInstance
+from cayley_theta.theta import ThetaLp
 
 
 def solve_square(A, b):
@@ -337,6 +341,68 @@ def reference_export_sdpa(instance, path):
         fh.write(" ".join(repr(c) for c in instance.rhs.tolist()) + "\n")
         for k, b, i, j, v in rows:
             fh.write(f"{k} {b} {i} {j} {v!r}\n")
+
+
+def reference_row_key(row, exact):
+    """Sign- and scale-normalized key of one LP row, one entry at a time;
+    None for a zero row.  An exact row's key is the primitive integer
+    row with its first nonzero entry positive.  A float row is divided
+    by its largest |a|, negated when its first entry above 1e-12 is
+    negative, and rounded by round(v, 12)."""
+    if exact:
+        L = lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (L // v.denominator) for v in row]
+        g = gcd(*ints)
+        if g == 0:
+            return None
+        if next(v for v in ints if v) < 0:
+            g = -g
+        return tuple(v // g for v in ints)
+    scale = max(abs(v) for v in row)
+    if scale < 1e-12:
+        return None
+    lead = next(v for v in row if abs(v) > 1e-12)
+    return tuple(round(v / scale * (1 if lead > 0 else -1), 12) for v in row)
+
+
+def reference_build_lp_D(spec, table):
+    """The character LP built row by row: the normalization row, then for
+    each kept class C (the smaller of C and its inverse class) the row
+    d * chi(C) when exact, else its real and its imaginary part, each
+    made by Python's int * complex product; a row is kept when its
+    ``reference_row_key`` is not None and new."""
+    classes = spec.group.conjugacy_classes()
+    kept = tuple(c for c in spec.connection.as_classes
+                 if min(c, classes[c].inverse_class) == c)
+    degrees = table.degrees
+    exact = table.exact
+    num = Fraction if exact else float
+    rows = [[num(d * d) for d in degrees]]
+    labels = ["normalization"]
+    seen = {reference_row_key(rows[0], exact)}
+    for c in kept:
+        coeffs = [d * v for d, v in zip(degrees, table.entries[:, c].tolist())]
+        if exact:
+            candidates = [(coeffs, f"class {c}")]
+        else:
+            cvals = [complex(v) for v in coeffs]
+            candidates = [([v.real for v in cvals], f"class {c} (re)"),
+                          ([v.imag for v in cvals], f"class {c} (im)")]
+        for row, label in candidates:
+            key = reference_row_key(row, exact)
+            if key is None or key in seen:
+                continue
+            seen.add(key)
+            rows.append(row)
+            labels.append(label)
+    objective = [num(0)] * len(degrees)
+    objective[table.trivial_index] = num(1)
+    instance = LpInstance(
+        objective=tuple(objective), A=tuple(tuple(r) for r in rows),
+        b=(num(spec.group.order),) + (num(0),) * (len(rows) - 1),
+        exact=exact)
+    return ThetaLp(instance=instance, irrep_labels=table.irrep_labels,
+                   row_labels=tuple(labels), kept_classes=kept)
 
 
 def check_axioms(group):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayley_theta import characters
 from cayley_theta.characters import (CharacterTable, ClassFunction,
                                      GroupFunction, abelian_character_table,
                                      abelian_irreps, as_float_table,
@@ -71,12 +72,14 @@ def test_fourier_scalars_bits_match_scalar_reference():
     sum (numpy's fused complex product would change some).  Fractions
     mixed with floats on an exact table follow the documented rule
     instead: the bits of the same sums on the table's float copy, for
-    the Fourier scalars and the row combinations alike."""
+    the Fourier scalars and the row combinations alike.  Z_211 spans
+    six row blocks, so the weights meet rows of several blocks."""
     rng = random.Random(12)
     tables = [abelian_character_table(make_abelian_product(m))
-              for m in ((12,), (3, 5), (2, 2, 2))]
+              for m in ((12,), (3, 5), (2, 2, 2), (211,))]
     tables += [symmetric_character_table(6)]
     tables += [as_float_table(t) for t in tables if t.exact]
+    assert len(list(characters._row_blocks(tables[3]))) == 6
 
     def draw(kind):
         if kind == "mixed":
@@ -159,9 +162,10 @@ def test_row_combination_bits_match_scalar_reference():
     """Approximate sums, and rational tables with float or complex
     weights, take the complex path: every sum has the bits of the
     product-by-product sum (its real part, where the reference is a
-    float)."""
+    float).  Z_211 spans six row blocks."""
     rng = random.Random(5)
     tables = [abelian_character_table(make_abelian_product([12])),
+              abelian_character_table(make_abelian_product([211])),
               symmetric_character_table(6), _fraction_table()]
     tables += [as_float_table(t) for t in tables if t.exact]
     for table in tables:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cayley_theta import characters, simplex
+from cayley_theta import characters, simplex, theta
 from cayley_theta.apps import efp_connection
 from cayley_theta.cli import cli_dispatch
 from cayley_theta.characters import (CharacterTable, IrrepMatrices,
@@ -28,7 +28,8 @@ from cayley_theta.theta import (WRITE_BATCH, CayleyGraphSpec, SdpInstance,
                                 solve_theta, symmetrize_matrix,
                                 validate_certificate)
 
-from oracles import exact_psd, inverse_closed_set, reference_export_sdpa
+from oracles import (exact_psd, inverse_closed_set, reference_build_lp_D,
+                     reference_export_sdpa, reference_row_key)
 
 
 def s3_spec():
@@ -150,6 +151,125 @@ def test_lp_D_merges_exact_rows_up_to_a_rational_multiple():
     lp = build_lp_D(spec, table)
     assert lp.row_labels == ("normalization", "class 1")
     assert lp.instance.A[1] == (2, Fraction(4, 3), -6, Fraction(5, 7))
+
+
+def _lp_bits(lp):
+    """All that build_lp_D returns: float rows as bytes (signed zeros
+    included), and every value by repr, which shows exact types."""
+    instance = lp.instance
+    rows = None if instance.exact else \
+        np.array(instance.A, dtype=float).tobytes()
+    return (rows, repr(instance.A), repr(instance.b),
+            repr(instance.objective), lp.row_labels, lp.kept_classes,
+            lp.irrep_labels)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_lp_D_matches_reference_on_efp(n):
+    """Every efp:k LP on S_n, exact and float, is the LP that the
+    row-by-row build with one round() per entry makes."""
+    table = symmetric_character_table(n)
+    for k in range(1, n + 1):
+        spec = CayleyGraphSpec(table.group, efp_connection(n, k, table.group))
+        for t in (table, as_float_table(table)):
+            assert _lp_bits(build_lp_D(spec, t)) == \
+                _lp_bits(reference_build_lp_D(spec, t))
+
+
+def test_lp_D_matches_reference_on_abelian_sets():
+    """The benchmark's Z_701 and Z_2^7 LPs, and seeded inverse-closed
+    sets on abelian groups with exact and float tables."""
+    z701 = make_abelian_product((701,))
+    z2_7 = make_abelian_product((2,) * 7)
+    cases = [(z701, Z701_SETS[0]), (z701, Z701_SETS[1]), (z2_7, Z2_7_SET)]
+    cases = [(CayleyGraphSpec(g, ConnectionSet.from_classes(g, classes)),
+              abelian_character_table(g)) for g, classes in cases]
+    for moduli, size, seed in (((12,), 6, 0), ((3, 5, 7), 20, 1),
+                               ((4, 6), 9, 2), ((2,) * 5, 11, 3),
+                               ((211,), 40, 4), ((2, 4, 8), 24, 5),
+                               ((2,) * 4, 7, 6)):
+        group = make_abelian_product(moduli)
+        table = abelian_character_table(group)
+        spec = CayleyGraphSpec(group, ConnectionSet.from_elements(
+            group, inverse_closed_set(group, size, seed)))
+        cases += [(spec, table)]
+        if table.exact:
+            cases += [(spec, as_float_table(table))]
+    assert [t.exact for _, t in cases].count(True) == 3
+    for spec, table in cases:
+        assert _lp_bits(build_lp_D(spec, table)) == \
+            _lp_bits(reference_build_lp_D(spec, table))
+
+
+def test_lp_D_float_duplicate_rows():
+    """A hand-built float table whose columns are the LP rows: rows
+    1e-14 apart merge and rows 1e-9 apart stay; all-zero Im rows and
+    zero columns go; a row whose first entry is below ROW_DROP_TOL takes
+    its sign from the first entry above it, so it merges with its
+    negative, whose rounded row differs from its own only in the signs
+    of its zeros."""
+    group = make_abelian_product((2, 2, 2))
+    base = np.array([0.25, 0.5, -0.75, 1.0, 0.3, -0.2, 0.1, 0.6])
+    small = np.array([1e-13, -1.0, 2.0, 0.5, 0.25, 0.0, 0.0, 0.0])
+    columns = [np.ones(8), base, base + 1e-14 * (np.arange(8) == 4),
+               base + 1e-9 * (np.arange(8) == 4), small,
+               -small + 2e-13 * (np.arange(8) == 0), -3j * base,
+               np.zeros(8)]
+    table = CharacterTable(
+        group=group, degrees=(1,) * 8,
+        entries=np.array(columns, dtype=complex).T,
+        irrep_labels=tuple("abcdefgh"), trivial_index=7)
+    spec = CayleyGraphSpec(group, ConnectionSet.from_elements(
+        group, range(1, 8)))
+    lp = build_lp_D(spec, table)
+    assert lp.row_labels == ("normalization", "class 1 (re)",
+                             "class 3 (re)", "class 4 (re)")
+    assert _lp_bits(lp) == _lp_bits(reference_build_lp_D(spec, table))
+
+
+def test_lp_D_float_rows_keep_the_zeros_of_python_products():
+    """Row entries are Re and Im of d * chi as Python multiplies an int
+    by a complex, d + 0j times chi: a -0.0 real part times d, minus 0.0
+    times a negative imaginary part, is 0.0, not -0.0."""
+    group = make_abelian_product((2, 2))
+    column = [complex(-0.0, -1.0), complex(2.0, -0.0), complex(1.0, 1.0),
+              complex(-0.0, 0.5)]
+    table = CharacterTable(
+        group=group, degrees=(1, 1, 1, 1),
+        entries=np.array([np.ones(4), column, np.ones(4), np.ones(4)],
+                         dtype=complex).T,
+        irrep_labels=tuple("abcd"), trivial_index=0)
+    spec = CayleyGraphSpec(group, ConnectionSet.from_elements(group, [1]))
+    lp = build_lp_D(spec, table)
+    assert lp.row_labels == ("normalization", "class 1 (re)", "class 1 (im)")
+    assert [repr(v) for v in lp.instance.A[1] + lp.instance.A[2]] == [
+        "0.0", "2.0", "1.0", "-0.0", "-1.0", "0.0", "1.0", "0.5"]
+    assert _lp_bits(lp) == _lp_bits(reference_build_lp_D(spec, table))
+
+
+def test_float_row_keys_are_the_rounded_rows():
+    """The array key is, entry for entry, round(v / scale * sign, 12) with
+    -0.0 read as 0.0, also where v * 1e12 in doubles is a half that the
+    exact product is not (or the other way round); a row with nothing
+    above ROW_DROP_TOL has no key."""
+    rng = np.random.default_rng(7)
+    rows = rng.normal(size=(300, 9))
+    rows[::7] *= 1e-13
+    rows[::5, 0] = 1e-13
+    rows[::3, 1:4] = -0.0
+    # near halves of the last decimal, on rows whose largest |a| is 1
+    halves = (rng.integers(0, 10**12, size=(100, 8)) + 0.5) / 1e12
+    halves = np.nextafter(halves,
+                          halves + rng.integers(-1, 2, size=(100, 8)))
+    rows[200:, 0], rows[200:, 1:] = -1.0, halves
+    keys = theta._float_row_keys(rows)
+    assert keys[0] is None and keys[1] is not None
+    for row, key in zip(rows, keys):
+        want = reference_row_key(row.tolist(), False)
+        if want is None:
+            assert key is None
+        else:
+            assert key == (np.array(want) + 0.0).tobytes()
 
 
 def test_wrong_formulation_raises():
@@ -512,6 +632,19 @@ def test_sdp_C_export_matches_reference(tmp_path):
     _exports_like_reference(sdp, tmp_path)
 
 
+def test_sdp_C_export_bytes_pinned(tmp_path):
+    """Formulation (C) on Z_5 x Z_13 with a seeded inverse-closed set of
+    30 elements, byte for byte; its rows are keyed like the LP's."""
+    group = make_abelian_product((5, 13))
+    spec = CayleyGraphSpec(group, ConnectionSet.from_elements(
+        group, inverse_closed_set(group, 30, 1)))
+    sdp = build_sdp_C(spec, abelian_irreps(abelian_character_table(group)))
+    path = tmp_path / "c.dat-s"
+    export_sdpa(sdp, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "1de782f08842d6655ce81b4e8afe3080091cfae64f395858df539091fe1322a5"
+
+
 def test_sdp_export_of_odd_values_matches_reference(tmp_path):
     """Several blocks; negative, subnormal and large values; 0.0 and -0.0
     as entries; a -0.0 right-hand side and a constraint with no
@@ -578,9 +711,11 @@ SDPA_TEXT = ['"a small instance"', "2", "1", "3", "1.0 0.0",
     ("1 1 0 1 1.0", r"entry \(1, 0, 1\) of matrix 1"),
     ("1 1 2 1 1.0", r"entry \(1, 2, 1\) of matrix 1"),
     ("1 1 1 x 1.0", "malformed SDPA file"),
+    ("1 1 1 2.0 1.0", "malformed SDPA file"),
+    ("1 1 1 2 1.0 # note", "5 fields"),
 ], ids=["matrix-below-0", "matrix-above-m", "4-fields", "6-fields",
         "index-outside-block", "no-such-block", "index-0", "below-diagonal",
-        "not-a-number"])
+        "not-a-number", "float-index", "trailing-words"])
 def test_read_sdpa_rejects_malformed_entries(tmp_path, line, message):
     """Each of these once read as another instance or raised IndexError or
     a bare ValueError: matrix -1 landed in constraint m."""
