@@ -25,6 +25,7 @@ from .errors import InvalidArgument
 from .graphs import ConnectionSet
 from .groups import (GeneralLinearGroup, SymmetricGroup, make_general_linear,
                      make_symmetric, partitions)
+from .linalg import is_exact
 from .theta import CayleyGraphSpec, solve_theta
 
 
@@ -87,7 +88,10 @@ class EfpCell:
     lp_rows: int
     lp_cols: int
     runtime_ms: float
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return is_exact(self.theta)
 
 
 def efp_cell(n: int, k: int, group: Optional[SymmetricGroup] = None,
@@ -105,8 +109,7 @@ def efp_cell(n: int, k: int, group: Optional[SymmetricGroup] = None,
     return EfpCell(n=n, k=k, theta=cert.objective,
                    conjectured_max=conjectured, checkmark=check,
                    lp_rows=lp_rows, lp_cols=lp_cols,
-                   runtime_ms=(time.monotonic() - start) * 1000,
-                   exact=cert.exact)
+                   runtime_ms=(time.monotonic() - start) * 1000)
 
 
 def efp_table(n_max: int) -> list:
@@ -128,7 +131,7 @@ def efp_table_csv(cells, path):
         writer.writerow(["n", "k", "theta", "conjectured_max", "checkmark",
                          "lp_rows", "lp_cols", "runtime_ms"])
         for c in cells:
-            writer.writerow([c.n, c.k, format_real(c.theta, c.exact),
+            writer.writerow([c.n, c.k, format_real(c.theta),
                              c.conjectured_max, int(c.checkmark), c.lp_rows,
                              c.lp_cols, f"{c.runtime_ms:.1f}"])
 

@@ -62,10 +62,10 @@ def conj(v: Scalar) -> Scalar:
     return v.conjugate() if isinstance(v, complex) else v
 
 
-def format_real(v, exact: bool):
-    """A real result as written to JSON, CSV or the terminal: the
-    rational as a string "p/q" when exact, else a float."""
-    return str(Fraction(v)) if exact else float(v)
+def format_real(v):
+    """A real result as written to JSON, CSV or the terminal: a string
+    "p/q" when v is exact (an int or Fraction), else a float."""
+    return str(Fraction(v)) if is_exact(v) else float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +296,8 @@ def symmetric_character_table(n: int) -> CharacterTable:
 # ---------------------------------------------------------------------------
 # table file format
 
-def _format_scalar(v: Scalar, exact: bool):
-    if exact:
-        return str(Fraction(v))
-    c = complex(v)
-    return [c.real, c.imag]
+def _format_scalar(v: Scalar):
+    return str(Fraction(v)) if is_exact(v) else [v.real, v.imag]
 
 
 def _parse_scalar(v, exact: bool) -> Scalar:
@@ -326,7 +323,7 @@ def export_character_table(table: CharacterTable, path):
         "degrees": list(table.degrees),
         "irrep_labels": list(table.irrep_labels),
         "exact": table.exact,
-        "entries": [_format_scalar(v, table.exact)
+        "entries": [_format_scalar(v)
                     for v in table.entries.ravel().tolist()],
     }
     with open(path, "w") as fh:

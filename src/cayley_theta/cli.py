@@ -159,7 +159,7 @@ def cmd_efp_table(args):
     cells = efp_table(args.nmax)
     for c in cells:
         mark = "ok" if c.checkmark else "GAP"
-        print(f"n={c.n} k={c.k} theta={format_real(c.theta, c.exact)} "
+        print(f"n={c.n} k={c.k} theta={format_real(c.theta)} "
               f"conjectured={c.conjectured_max} {mark} "
               f"({c.runtime_ms:.0f} ms)")
     print(efp_table_grid(cells), end="")

@@ -120,11 +120,6 @@ class ConnectionSet:
         classes = self.group.conjugacy_classes()
         return sum(classes[i].size for i in self.as_classes)
 
-    def __contains__(self, e: int) -> bool:
-        if self.as_classes is not None:
-            return self.group.class_index_of(e) in self.as_classes
-        return e in self.elements
-
 
 # ---------------------------------------------------------------------------
 # graphs

@@ -693,42 +693,3 @@ def action_from_table(group: FiniteGroup, table) -> GroupAction:
                 h, p = divmod(int(bad[0]), point_count)
                 raise InvalidArgument(f"not an action: ({g},{h},{p})")
     return GroupAction(group=group, point_count=point_count, table=table)
-
-
-def action_from_generators(perms) -> GroupAction:
-    """Close a set of point permutations under composition and build the
-    generated permutation group as a TableGroup acting naturally.
-
-    The closure is enumerated breadth-first from the identity; element 0
-    is the identity and the remaining indices follow discovery order.
-    """
-    perms = [tuple(p) for p in perms]
-    if not perms:
-        raise InvalidArgument("need at least one generator")
-    npts = len(perms[0])
-    if any(len(p) != npts or sorted(p) != list(range(npts)) for p in perms):
-        raise InvalidArgument("generators must be permutations of one set")
-    ident = tuple(range(npts))
-    elements = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in perms:
-                q = tuple(g[p[i]] for i in range(npts))
-                if q not in index:
-                    index[q] = len(elements)
-                    elements.append(q)
-                    nxt.append(q)
-        frontier = nxt
-        if len(elements) > 100000:
-            raise InvalidArgument("generator closure too large")
-    order = len(elements)
-    table = [[0] * order for _ in range(order)]
-    for a, pa in enumerate(elements):
-        for b, pb in enumerate(elements):
-            table[a][b] = index[tuple(pa[pb[i]] for i in range(npts))]
-    group = TableGroup(table)
-    return GroupAction(group=group, point_count=npts,
-                       table=tuple(elements))

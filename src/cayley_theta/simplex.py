@@ -3,6 +3,11 @@ mode proves that basis optimal by LP duality.
 
 Standard form only: maximize c.x subject to A x = b, x >= 0.
 
+An ``LpInstance`` holds c (``objective``), A and b as read-only numpy
+arrays of one dtype, which picks the mode: ``object`` and exact when
+every entry is a Python int or Fraction (a whole one stored as an int)
+or an integer array's, else float64.
+
 Float mode keeps one tableau of doubles, a 2-D numpy array whose last
 row holds the reduced costs.  Every row is equilibrated: its sign makes
 b_i >= 0 and it is divided by its largest |a_ij|, so the fixed
@@ -24,14 +29,14 @@ R it solves A_RB x_B = b_R and A_RB^T y = c_B exactly, so c.x = y.b,
 and accepts only if x_B >= 0, the rows outside R hold at x, and
 c_j <= y.A_j on every column (one integer product over a common
 denominator).  Two routes lead to a basis: the float solver on the
-float copy of the LP, the data float mode uses; and, when that fails or
-its basis is refused, the cold start.  That is phase I from the
-artificial basis, with the whole system scaled to integers by one lcm
-(row by row would rescale the artificial columns and could change
-phase I's pivots), then phase II, both by Bland's rule on the
-fraction-free tableau M / D, D the basis determinant (Bareiss 1968,
-Edmonds 1967), whose pivots are those of the same rule over Fraction.
-It alone decides infeasibility and unboundedness.  Exact answers never
+data rounded to doubles; and, when that fails or its basis is refused,
+the cold start.  That is phase I from the artificial basis, with the
+whole system scaled to integers by one lcm (row by row would rescale
+the artificial columns and could change phase I's pivots), then phase
+II, both by Bland's rule on the fraction-free tableau M / D, D the
+basis determinant (Bareiss 1968, Edmonds 1967), whose pivots are those
+of the same rule over Fraction.  It alone decides infeasibility and
+unboundedness.  Exact answers never
 depend on the float solver; it only proposes the basis to prove.
 """
 
@@ -40,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -50,26 +56,42 @@ from .errors import InvalidArgument, NumericalFailure
 FLOAT_EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpInstance:
-    objective: tuple      # c (maximize)
-    A: tuple              # m rows of length n
-    b: tuple
-    exact: bool = True
+    """max c.x subject to A x = b, x >= 0 (see the module docstring)."""
+    objective: np.ndarray   # c, n entries
+    A: np.ndarray           # m x n
+    b: np.ndarray           # m entries
 
     def __post_init__(self):
-        n = len(self.objective)
-        if n == 0 or len(self.A) == 0:
-            raise InvalidArgument("need at least one row and one column")
-        if any(len(row) != n for row in self.A):
-            raise InvalidArgument("constraint row length mismatch")
-        if len(self.b) != len(self.A):
-            raise InvalidArgument("right-hand side length mismatch")
-        if self.exact:
-            data = list(self.objective) + list(self.b) + \
-                [v for row in self.A for v in row]
-            if not all(isinstance(v, (int, Fraction)) for v in data):
-                raise InvalidArgument("exact instances need rational data")
+        names = ("objective", "A", "b")
+        try:
+            c, A, b = data = [
+                X if isinstance(X, np.ndarray) else np.array(X, dtype=object)
+                for X in (self.objective, self.A, self.b)]
+        except ValueError:
+            raise InvalidArgument("ragged LP data") from None
+        if not (c.size and A.size and c.ndim == b.ndim == 1 and
+                A.shape == (len(b), len(c))):
+            raise InvalidArgument("A is not a nonempty len(b) x len(c) matrix")
+        kinds = {X.dtype.kind for X in data}
+        vs = [v for X in data if X.dtype == object for v in X.flat]
+        if kinds <= set("Oiu") and all(type(v) in (int, Fraction) for v in vs):
+            # whole values as ints: the proof then multiplies ints only
+            data = [np.array([v.numerator if v.denominator == 1 else v
+                              for v in X.astype(object).flat],
+                             dtype=object).reshape(X.shape) for X in data]
+        elif kinds <= set("Oiuf") and all(isinstance(v, Real) for v in vs):
+            data = [X.astype(float) for X in data]
+        else:
+            raise InvalidArgument("LP data must be real numbers")
+        for name, X in zip(names, data):
+            X.setflags(write=False)
+            object.__setattr__(self, name, X)
+
+    @property
+    def exact(self) -> bool:
+        return self.A.dtype == object
 
     @property
     def m(self):
@@ -138,27 +160,24 @@ def _certify(instance: LpInstance, basis, keep_rows):
     ``keep_rows``, proved by LP duality (see the module docstring), with
     y = 0 on the other rows; None if A_B is singular or a check
     fails."""
-    # whole entries as ints: the sums below then multiply ints only
-    A = np.array([[v.numerator if v.denominator == 1 else v for v in row]
-                  for row in instance.A], dtype=object)
+    A, b, c = instance.A, instance.b.tolist(), instance.objective.tolist()
     AB = A[np.ix_(keep_rows, basis)]
-    xB = linalg.solve_square(AB.tolist(), [instance.b[i] for i in keep_rows])
+    xB = linalg.solve_square(AB.tolist(), [b[i] for i in keep_rows])
     if xB is None or any(v < 0 for v in xB):
         return None
     dropped = [i for i in range(instance.m) if i not in keep_rows]
     held = linalg.exact_sums(xB, A[np.ix_(dropped, basis)].T)
-    if any(s != instance.b[i] for i, s in zip(dropped, held)):
+    if any(s != b[i] for i, s in zip(dropped, held)):
         return None
-    y = linalg.solve_square(AB.T.tolist(),
-                            [instance.objective[j] for j in basis])
+    y = linalg.solve_square(AB.T.tolist(), [c[j] for j in basis])
     priced = linalg.exact_sums(y, A[keep_rows])
-    if any(c > s for c, s in zip(instance.objective, priced)):
+    if any(cj > s for cj, s in zip(c, priced)):
         return None
     x = dict(zip(basis, xB))
     x = tuple(x.get(j, Fraction(0)) for j in range(instance.n))
     dual = dict(zip(keep_rows, y))
     dual = tuple(dual.get(i, Fraction(0)) for i in range(instance.m))
-    value = sum(c * v for c, v in zip(instance.objective, x))
+    value = sum(cj * v for cj, v in zip(c, x))
     return LpSolution(status="optimal", x=x, objective_value=value,
                       dual=dual, basis=tuple(basis))
 
@@ -167,12 +186,13 @@ def _solve_exact_cold(instance: LpInstance) -> LpSolution:
     """Two-phase Bland simplex from the artificial basis; an optimum is
     the one ``_certify`` proves at the final basis."""
     m, n = instance.m, instance.n
+    A, b = instance.A.tolist(), instance.b.tolist()
     # one positive lcm for the whole system; scaling rows one by one
     # would rescale the artificial columns and change phase I's pivots
-    L = lcm(*(v.denominator for row in instance.A for v in row),
-            *(v.denominator for v in instance.b))
+    L = lcm(*(v.denominator for row in A for v in row),
+            *(v.denominator for v in b))
     M = []
-    for i, (row, rhs) in enumerate(zip(instance.A, instance.b)):
+    for i, (row, rhs) in enumerate(zip(A, b)):
         sign = -1 if rhs < 0 else 1
         art = [0] * m
         art[i] = 1
@@ -210,8 +230,9 @@ def _solve_exact_cold(instance: LpInstance) -> LpSolution:
     keep_rows = [i for i in range(m) if i not in dropped]
 
     # Phase II on the original columns, the reduced costs times D last
-    Lc = lcm(*(v.denominator for v in instance.objective))
-    c = [linalg.scaled(v, Lc) for v in instance.objective]
+    c = instance.objective.tolist()
+    Lc = lcm(*(v.denominator for v in c))
+    c = [linalg.scaled(v, Lc) for v in c]
     M = [row[:n] + [row[-1]] for row in M]
     reduced = [D * cj for cj in c] + [0]
     for r, bi in zip(M, basis):
@@ -229,7 +250,8 @@ def _solve_exact_cold(instance: LpInstance) -> LpSolution:
 
 def _solve_exact(instance: LpInstance) -> LpSolution:
     try:
-        status, basis, keep_rows, _ = _float_basis(*_float_data(instance))
+        status, basis, keep_rows, _ = _float_basis(
+            instance.A, instance.b, instance.objective)
     except (NumericalFailure, OverflowError):
         status = None
     if status == "optimal":
@@ -319,16 +341,17 @@ def _iterate(data, cost, basis, ncols, budget):
 
 
 def _float_basis(A, b, c):
-    """Solve max c.x, A x = b, x >= 0 in doubles.  Returns (status,
-    basis, keep_rows, values): on 'optimal', the basic columns, the rows
-    that are not redundant, and values[i] = x[basis[i]].  Raises
-    NumericalFailure on non-finite data or at the iteration cap."""
+    """Solve max c.x, A x = b, x >= 0 in doubles, the arrays' entries
+    rounded to them.  Returns (status, basis, keep_rows, values): on
+    'optimal', the basic columns, the rows that are not redundant, and
+    values[i] = x[basis[i]].  Raises NumericalFailure on non-finite data
+    or at the iteration cap."""
     m, n = A.shape
-    if not (np.isfinite(A).all() and np.isfinite(b).all() and
-            np.isfinite(c).all()):
+    data = np.hstack([A, b[:, None]]).astype(float)
+    c = c.astype(float)
+    if not (np.isfinite(data).all() and np.isfinite(c).all()):
         raise NumericalFailure("LP data is not finite")
-    data = np.hstack([A, b[:, None]])
-    data[b < 0] *= -1.0
+    data[data[:, -1] < 0] *= -1.0
     scale = np.abs(data[:, :n]).max(axis=1)
     scale[scale == 0] = 1.0
     data /= scale[:, None]
@@ -362,18 +385,11 @@ def _float_basis(A, b, c):
     return status, basis, keep_rows, T[:-1, -1]
 
 
-def _float_data(instance: LpInstance):
-    """A, b and c of the instance as float arrays."""
-    return (np.array(instance.A, dtype=float),
-            np.array(instance.b, dtype=float),
-            np.array(instance.objective, dtype=float))
-
-
 def solve(instance: LpInstance) -> LpSolution:
     if instance.exact:
         return _solve_exact(instance)
-    A, b, c = _float_data(instance)
-    status, basis, keep_rows, values = _float_basis(A, b, c)
+    A, c = instance.A, instance.objective
+    status, basis, keep_rows, values = _float_basis(A, instance.b, c)
     if status != "optimal":
         return LpSolution(status=status)
     x = [0.0] * instance.n
@@ -383,10 +399,6 @@ def solve(instance: LpInstance) -> LpSolution:
     dual = _dual_from_basis(A, c, basis, keep_rows)
     return LpSolution(status="optimal", x=tuple(x), objective_value=value,
                       dual=dual, basis=tuple(basis))
-
-
-def _scale(instance):
-    return max([1.0] + [abs(float(v)) for v in instance.b])
 
 
 def _dual_from_basis(A, c, basis, keep_rows):
@@ -415,33 +427,30 @@ def verify_certificate(instance: LpInstance,
                        solution: LpSolution) -> VerifyResult:
     """Re-check an optimality certificate by pure re-evaluation: primal
     feasibility, dual feasibility (reduced costs <= 0), and zero duality
-    gap.  Shares no state with the solver."""
+    gap.  Shares no state with the solver; it sums Python scalars."""
     if solution.status != "optimal":
         return VerifyResult(False, "not an optimality claim")
     if solution.x is None or solution.dual is None:
         return VerifyResult(False, "missing primal or dual vector")
-    exact = instance.exact
-    eps = 0 if exact else FLOAT_EPS * _scale(instance)
+    A, b, c = instance.A.tolist(), instance.b.tolist(), \
+        instance.objective.tolist()
+    eps = 0 if instance.exact else FLOAT_EPS * max(1.0, *map(abs, b))
     x, y = solution.x, solution.dual
     for xi in x:
         if xi < -eps:
             return VerifyResult(False, "primal infeasible")
-    for row, rhs in zip(instance.A, instance.b):
+    for row, rhs in zip(A, b):
         resid = sum(a * v for a, v in zip(row, x)) - rhs
         if abs(resid) > eps:
             return VerifyResult(False, "primal infeasible")
     for j in range(instance.n):
-        reduced = instance.objective[j] - sum(
-            instance.A[i][j] * y[i] for i in range(instance.m))
+        reduced = c[j] - sum(A[i][j] * y[i] for i in range(instance.m))
         if reduced > eps:
             return VerifyResult(False, "dual infeasible")
-    gap = sum(c * v for c, v in zip(instance.objective, x)) - \
-        sum(bi * yi for bi, yi in zip(instance.b, y))
-    if abs(gap) > eps:
+    value = sum(cj * v for cj, v in zip(c, x))
+    if abs(value - sum(bi * yi for bi, yi in zip(b, y))) > eps:
         return VerifyResult(False, "duality gap")
     if solution.objective_value is not None:
-        diff = sum(c * v for c, v in zip(instance.objective, x)) - \
-            solution.objective_value
-        if abs(diff) > eps:
+        if abs(value - solution.objective_value) > eps:
             return VerifyResult(False, "duality gap")
     return VerifyResult(True)

@@ -11,7 +11,10 @@ LP layout (one variable a_pi per irrep, maximize the trivial one):
     one row per kept connection class C (one per {C, C^-1} pair):
                       sum_pi d_pi chi_pi(C) a_pi = 0
 Complex character values contribute separate real- and imaginary-part
-rows; all-zero and duplicate rows are dropped.
+rows; all-zero and duplicate rows are dropped.  Both modes make the
+candidate rows as one array (dtype object from an exact table, float64
+from an approximate one) and share one tail: A is its kept rows, and b
+and c take A's dtype, so the LP is exact iff the table is.
 
 Duplicate rows are found by one key per row; a row is dropped when it is
 zero or an earlier row has its key.  An exact row's key is the primitive
@@ -82,22 +85,16 @@ class ThetaCertificate:
     objective: object               # the theta value
     a: tuple                        # one coefficient per irrep
     f: ClassFunction                # formulation-(B) witness
-    exact: bool
     dual: Optional[tuple] = None
     lp_shape: Optional[tuple] = None    # (rows, columns) of the LP solved
+
+    @property
+    def exact(self) -> bool:
+        return self.table.exact
 
 
 # ---------------------------------------------------------------------------
 # formulation (D)
-
-def _kept_connection_classes(spec: CayleyGraphSpec):
-    classes = spec.group.conjugacy_classes()
-    kept = []
-    for c in spec.connection.as_classes:
-        if min(c, classes[c].inverse_class) == c:
-            kept.append(c)
-    return tuple(kept)
-
 
 def build_lp_D(spec: CayleyGraphSpec, table: CharacterTable) -> ThetaLp:
     if not spec.conjugation_closed:
@@ -106,33 +103,30 @@ def build_lp_D(spec: CayleyGraphSpec, table: CharacterTable) -> ThetaLp:
             "(A) or (C) for an external SDP solver instead")
     if not same_group(table.group, spec.group):
         raise InvalidArgument("character table uses a different group")
-    group = spec.group
     degrees = table.degrees
-    n = len(degrees)
-    exact = table.exact
-    num = Fraction if exact else float
-    kept = _kept_connection_classes(spec)
+    # one constraint per {C, C^-1} pair, on the smaller class index
+    classes = spec.group.conjugacy_classes()
+    kept = tuple(c for c in spec.connection.as_classes
+                 if min(c, classes[c].inverse_class) == c)
+    X = table.entries[:, list(kept)]
 
     # the candidate rows, normalization first, and their keys
-    if exact:
-        rows = [[Fraction(d * d) for d in degrees]]
-        rows += [[d * v for d, v in zip(degrees, column)]
-                 for column in table.entries[:, list(kept)].T.tolist()]
+    if table.exact:
+        d = np.array(degrees, dtype=object)
+        rows = np.vstack([d * d, (d[:, None] * X).T])
         labels = ["normalization"] + [f"class {c}" for c in kept]
-        keys = [_exact_row_key(row) for row in rows]
+        keys = [_exact_row_key(row) for row in rows.tolist()]
     else:
-        X = table.entries[:, list(kept)]
         d = np.array(degrees, dtype=float)
         # Re and Im of d * chi(C) as Python multiplies int * complex:
         # d is taken as d + 0j
-        part = np.empty((2 * len(kept), n))
+        part = np.empty((2 * len(kept), len(degrees)))
         part[0::2] = (d[:, None] * X.real - 0.0 * X.imag).T
         part[1::2] = (d[:, None] * X.imag + 0.0 * X.real).T
         rows = np.vstack([d * d, part])
         labels = ["normalization"] + [f"class {c} ({p})" for c in kept
                                       for p in ("re", "im")]
         keys = _float_row_keys(rows)
-        rows = rows.tolist()
 
     # drop the zero rows and every row whose key an earlier row has
     chosen = []
@@ -141,12 +135,13 @@ def build_lp_D(spec: CayleyGraphSpec, table: CharacterTable) -> ThetaLp:
         if key is not None and key not in seen:
             seen.add(key)
             chosen.append(i)
-    objective = [num(0)] * n
-    objective[table.trivial_index] = num(1)
-    instance = LpInstance(
-        objective=tuple(objective), A=tuple(tuple(rows[i]) for i in chosen),
-        b=(num(group.order),) + (num(0),) * (len(chosen) - 1), exact=exact)
-    return ThetaLp(instance=instance, irrep_labels=table.irrep_labels,
+    A = rows[chosen]
+    objective = np.zeros(len(degrees), dtype=A.dtype)
+    objective[table.trivial_index] = 1
+    b = np.zeros(len(chosen), dtype=A.dtype)
+    b[0] = spec.group.order
+    return ThetaLp(instance=LpInstance(objective, A, b),
+                   irrep_labels=table.irrep_labels,
                    row_labels=tuple(labels[i] for i in chosen),
                    kept_classes=kept)
 
@@ -227,7 +222,7 @@ def _certificate_from_lp(spec, table, solution: LpSolution, lp: ThetaLp):
     f = ClassFunction(group, tuple(values))
     return ThetaCertificate(
         spec=spec, table=table, objective=solution.objective_value,
-        a=tuple(a), f=f, exact=table.exact, dual=solution.dual,
+        a=tuple(a), f=f, dual=solution.dual,
         lp_shape=(lp.instance.m, lp.instance.n))
 
 
@@ -633,10 +628,10 @@ def certificate_to_json(cert: ThetaCertificate) -> str:
     data = {
         "schema": 1,
         "exact": cert.exact,
-        "theta": format_real(cert.objective, cert.exact),
-        "a": {label: format_real(v, cert.exact)
+        "theta": format_real(cert.objective),
+        "a": {label: format_real(v)
               for label, v in zip(cert.table.irrep_labels, cert.a)},
-        "f": {c.label: format_real(v, cert.exact)
+        "f": {c.label: format_real(v)
               for c, v in zip(classes, cert.f.values)},
     }
     return json.dumps(data, indent=1)

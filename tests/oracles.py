@@ -17,8 +17,9 @@ defining triple loop over the field tables and read rank(A - I) off the
 number of vectors that A fixes, with no elimination, the SDPA
 reference writer formats one entry line at a time, and the reference
 character LP keys its rows one row and one entry at a time.  The seeded
-inverse-closed sets are test inputs, kept here so that every test
-module draws the same ones.
+inverse-closed sets and the permutation groups closed from generators
+(``action_from_generators``) are test inputs, kept here so that every
+test module makes the same ones.
 """
 
 import cmath
@@ -27,9 +28,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
+import numpy as np
+
 from cayley_theta.characters import ClassFunction, GroupFunction, conj
 from cayley_theta.errors import InvalidArgument, NotAGroup
-from cayley_theta.groups import ConjugacyClass, same_group
+from cayley_theta.groups import (ConjugacyClass, GroupAction, TableGroup,
+                                 same_group)
 from cayley_theta.simplex import LpInstance
 from cayley_theta.theta import ThetaLp
 
@@ -399,29 +403,35 @@ def reference_build_lp_D(spec, table):
     objective[table.trivial_index] = num(1)
     instance = LpInstance(
         objective=tuple(objective), A=tuple(tuple(r) for r in rows),
-        b=(num(spec.group.order),) + (num(0),) * (len(rows) - 1),
-        exact=exact)
+        b=(num(spec.group.order),) + (num(0),) * (len(rows) - 1))
     return ThetaLp(instance=instance, irrep_labels=table.irrep_labels,
                    row_labels=tuple(labels), kept_classes=kept)
 
 
 def check_axioms(group):
-    """Exhaustive group-axiom check through ``multiply``/``invert``;
-    O(order^3), for small groups."""
+    """Exhaustive group-axiom check through ``multiply``/``invert``: the
+    order x order table is made by one ``multiply`` call per product,
+    and the axioms are checked on it.  The witness is the first failure
+    of the loops that call ``multiply`` for every product: g for the
+    identity, then for the inverse, in element order; then (a, b, c) in
+    lexicographic order for associativity."""
     n = group.order
     e = group.identity
-    for g in range(n):
-        if group.multiply(e, g) != g or group.multiply(g, e) != g:
-            raise NotAGroup("identity", (g,))
-        if group.multiply(g, group.invert(g)) != e:
-            raise NotAGroup("inverse", (g,))
+    T = np.array([[group.multiply(a, b) for b in range(n)]
+                  for a in range(n)], dtype=np.int64)
+    inverses = np.array([group.invert(g) for g in range(n)], dtype=np.int64)
+    elements = np.arange(n)
+    no_identity = (T[e] != elements) | (T[:, e] != elements)
+    bad = no_identity | (T[elements, inverses] != e)
+    if bad.any():
+        g = int(np.argmax(bad))
+        raise NotAGroup("identity" if no_identity[g] else "inverse", (g,))
     for a in range(n):
-        for b in range(n):
-            ab = group.multiply(a, b)
-            for c in range(n):
-                if group.multiply(ab, c) != \
-                        group.multiply(a, group.multiply(b, c)):
-                    raise NotAGroup("associativity", (a, b, c))
+        # (ab)c against a(bc) for every (b, c)
+        bad = T[T[a]] != T[a][T]
+        if bad.any():
+            b, c = divmod(int(np.argmax(bad)), n)
+            raise NotAGroup("associativity", (a, b, c))
 
 
 def reference_classes(group):
@@ -596,3 +606,42 @@ def mn_character_reference(lam: tuple, mu: tuple) -> int:
             smaller = tuple(x for x in nu if x > 0)
             total += (-1) ** (j - i) * mn_character_reference(smaller, mu[1:])
     return total
+
+
+def action_from_generators(perms) -> GroupAction:
+    """Close a set of point permutations under composition and build the
+    generated permutation group as a TableGroup acting naturally.
+
+    The closure is enumerated breadth-first from the identity; element 0
+    is the identity and the remaining indices follow discovery order.
+    """
+    perms = [tuple(p) for p in perms]
+    if not perms:
+        raise InvalidArgument("need at least one generator")
+    npts = len(perms[0])
+    if any(len(p) != npts or sorted(p) != list(range(npts)) for p in perms):
+        raise InvalidArgument("generators must be permutations of one set")
+    ident = tuple(range(npts))
+    elements = [ident]
+    index = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in perms:
+                q = tuple(g[p[i]] for i in range(npts))
+                if q not in index:
+                    index[q] = len(elements)
+                    elements.append(q)
+                    nxt.append(q)
+        frontier = nxt
+        if len(elements) > 100000:
+            raise InvalidArgument("generator closure too large")
+    order = len(elements)
+    table = [[0] * order for _ in range(order)]
+    for a, pa in enumerate(elements):
+        for b, pb in enumerate(elements):
+            table[a][b] = index[tuple(pa[pb[i]] for i in range(npts))]
+    group = TableGroup(table)
+    return GroupAction(group=group, point_count=npts,
+                       table=tuple(elements))

@@ -65,7 +65,7 @@ def test_efp_membership_matches_fixed_point_count():
         X = efp_connection(4, k, s4)
         for g in range(24):
             fixed = sum(1 for i, v in enumerate(s4.perm(g)) if v == i)
-            assert (g in X) == (fixed < k)
+            assert (g in X.elements) == (fixed < k)
 
 
 def test_efp_conjectured_max_values():
@@ -141,7 +141,7 @@ def test_gl_lower_bound_and_stabilizer():
         assert len(stab) == gl_lower_bound(q, n, k)
         # the stabilizer is an independent set: differences fix k
         # independent vectors, so rank(AB^-1 - I) <= n - k
-        X = gl_connection(q, n, k, group)
+        X = gl_connection(q, n, k, group).elements
         for a in stab:
             for b in stab:
                 if a != b:

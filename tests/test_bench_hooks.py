@@ -1,27 +1,54 @@
-"""The benchmark's trace hooks name functions that exist.
+"""The benchmark's hooks and answer checks hold on the package.
 
 ``perfbench/spans.py`` replaces ``owner.__dict__[attribute]`` for each
 entry of its TARGETS, so renaming a traced function (say
 ``linalg.solve_square``) breaks ``perfbench/run.py --trace 1`` with a
-KeyError.  The module is run from its source text here, so nothing is
-written beside it."""
+KeyError.  ``perfbench/checks.py`` decides whether a benchmark answer is
+right; its verdicts on the theta workloads are checked here.  The
+modules are run from their source text, so nothing is written beside
+them."""
 
+import sys
 import types
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_spans():
-    module = types.ModuleType("spans")
-    module.__file__ = str(SPANS)
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+def load(name):
+    """perfbench/<name>.py as a module; registered in ``sys.modules``
+    before it runs, because its dataclasses look their module up
+    there."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
 def test_every_traced_function_exists():
-    targets = load_spans().TARGETS
+    targets = load("spans").TARGETS
     assert len(targets) >= 19
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in targets
                if attr not in vars(owner)]
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["efp_grid", "abelian_wide"])
+def test_benchmark_checks_accept_every_theta_answer(workload, tmp_path):
+    """Every operation of the workload, run as the benchmark runs it, is
+    judged "ok" by the benchmark's own checks (the abelian references
+    come from scipy's HiGHS)."""
+    if workload == "abelian_wide":
+        pytest.importorskip("scipy.optimize")
+    workloads, checks = load("workloads"), load("checks")
+    tables = {}
+    verdicts = []
+    for op in workloads.make_ops(workload, 0):
+        output = workloads.run_op(op, tables, str(tmp_path))
+        verdicts.append((op.label, *checks.check_op(op, output, 0)))
+    assert [v for v in verdicts if v[1] != "ok"] == []
+    assert sum(label.startswith("theta") for label, *_ in verdicts) >= 3

@@ -6,16 +6,15 @@ import pytest
 
 from cayley_theta.apps import gl_connection, gl_pointwise_stabilizer
 from cayley_theta.errors import InvalidArgument, NotAGroup
-from cayley_theta.groups import (action_from_generators, action_from_table,
-                                 conjugacy_classes, cycle_type,
-                                 export_cayley_table,
+from cayley_theta.groups import (action_from_table, conjugacy_classes,
+                                 cycle_type, export_cayley_table,
                                  import_cayley_table, make_abelian_product,
                                  make_from_table, make_general_linear,
                                  make_symmetric, partitions, perm_rank,
                                  perm_unrank, same_group)
 
-from oracles import (check_axioms, matrix_product, reference_classes,
-                     shift_rank)
+from oracles import (action_from_generators, check_axioms, matrix_product,
+                     reference_classes, shift_rank)
 
 
 def test_perm_rank_roundtrip():

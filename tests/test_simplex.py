@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cayley_theta import simplex
@@ -320,7 +321,7 @@ def test_float_kernel_matches_exact(monkeypatch, bland_after):
         inst = LpInstance(
             objective=tuple(float(v) for v in exact.objective),
             A=tuple(tuple(float(v) for v in row) for row in exact.A),
-            b=tuple(float(v) for v in exact.b), exact=False)
+            b=tuple(float(v) for v in exact.b))
         want = solve(exact)
         got = solve(inst)
         assert got.status == want.status
@@ -346,7 +347,7 @@ def test_float_mode_matches_exact():
         approx = solve(LpInstance(
             objective=tuple(float(v) for v in c),
             A=tuple(tuple(float(v) for v in row) for row in A),
-            b=tuple(float(v) for v in b), exact=False))
+            b=tuple(float(v) for v in b)))
         assert approx.status == exact.status
         if exact.status == "optimal":
             assert abs(approx.objective_value -
@@ -354,12 +355,49 @@ def test_float_mode_matches_exact():
 
 
 def test_input_validation():
-    with pytest.raises(InvalidArgument):
-        LpInstance(objective=(), A=(), b=())
-    with pytest.raises(InvalidArgument):
-        LpInstance(objective=(F(1),), A=((F(1), F(2)),), b=(F(1),))
-    with pytest.raises(InvalidArgument):
-        LpInstance(objective=(0.5,), A=((F(1),),), b=(F(1),), exact=True)
+    """Empty, ragged, nested, mis-sized, string and complex data."""
+    for c, A, b in [
+            ((), (), ()),
+            ((F(1),), ((F(1), F(2)),), (F(1),)),
+            ((1, 2), ((1, 2), (3,)), (1, 2)),
+            ((1, 2), ((1, 2), (3, (4, 5))), (1, 2)),
+            ((1,), [np.zeros((2, 2)), np.zeros((2, 3))], (1,)),
+            ((1,), ((1,),), (1, 2)),
+            (("1",), ((1,),), (1,)),
+            ((1,), ((1,),), ("1",)),
+            ((1,), ((1j,),), (1,)),
+            ((1.0,), np.array([[1 + 0j]]), (1.0,))]:
+        with pytest.raises(InvalidArgument):
+            LpInstance(objective=c, A=A, b=b)
+
+
+def test_instance_dtype_is_read_from_the_data():
+    """All-rational data (Python ints, Fractions, integer arrays) is
+    held as dtype object with whole values as ints, and the instance is
+    exact; one float anywhere makes all three arrays float64."""
+    inst = LpInstance(objective=(F(1), 0), A=((F(3, 2), F(4, 2)),),
+                      b=np.array([5]))
+    assert inst.exact is True
+    assert [X.dtype for X in (inst.objective, inst.A, inst.b)] == \
+        [object] * 3
+    values = inst.objective.tolist() + inst.A[0].tolist() + inst.b.tolist()
+    assert values == [1, 0, F(3, 2), 2, 5]
+    assert [type(v) for v in values] == [int, int, Fraction, int, int]
+
+    inst = LpInstance(objective=(F(1), 0), A=((F(3, 2), 2),), b=(5.0,))
+    assert inst.exact is False
+    assert [X.dtype for X in (inst.objective, inst.A, inst.b)] == \
+        [np.float64] * 3
+    assert inst.A.tolist() == [[1.5, 2.0]]
+
+
+def test_instance_arrays_are_read_only_copies():
+    A = np.array([[1.0, 2.0]])
+    inst = LpInstance(objective=(1.0, 0.0), A=A, b=(1.0,))
+    assert A.flags.writeable
+    for X in (inst.objective, inst.A, inst.b):
+        with pytest.raises(ValueError):
+            X[0] = 0
 
 
 def test_verify_rejects_tampered_solution():

@@ -150,18 +150,20 @@ def test_lp_D_merges_exact_rows_up_to_a_rational_multiple():
                                                               [1, 2, 3]))
     lp = build_lp_D(spec, table)
     assert lp.row_labels == ("normalization", "class 1")
-    assert lp.instance.A[1] == (2, Fraction(4, 3), -6, Fraction(5, 7))
+    assert lp.instance.A[1].tolist() == [2, Fraction(4, 3), -6,
+                                         Fraction(5, 7)]
 
 
 def _lp_bits(lp):
     """All that build_lp_D returns: float rows as bytes (signed zeros
-    included), and every value by repr, which shows exact types."""
+    included), and every value by repr, which shows exact types (of the
+    lists, as numpy elides the middle of a large array's repr)."""
     instance = lp.instance
-    rows = None if instance.exact else \
-        np.array(instance.A, dtype=float).tobytes()
-    return (rows, repr(instance.A), repr(instance.b),
-            repr(instance.objective), lp.row_labels, lp.kept_classes,
-            lp.irrep_labels)
+    rows = None if instance.exact else instance.A.tobytes()
+    return (rows, instance.A.dtype,
+            *(repr(X.tolist()) for X in (instance.A, instance.b,
+                                         instance.objective)),
+            lp.row_labels, lp.kept_classes, lp.irrep_labels)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -242,7 +244,8 @@ def test_lp_D_float_rows_keep_the_zeros_of_python_products():
     spec = CayleyGraphSpec(group, ConnectionSet.from_elements(group, [1]))
     lp = build_lp_D(spec, table)
     assert lp.row_labels == ("normalization", "class 1 (re)", "class 1 (im)")
-    assert [repr(v) for v in lp.instance.A[1] + lp.instance.A[2]] == [
+    A = lp.instance.A
+    assert [repr(v) for v in A[1].tolist() + A[2].tolist()] == [
         "0.0", "2.0", "1.0", "-0.0", "-1.0", "0.0", "1.0", "0.5"]
     assert _lp_bits(lp) == _lp_bits(reference_build_lp_D(spec, table))
 
