@@ -3,11 +3,15 @@
 Scalars are either exact (``int`` or ``fractions.Fraction``) or
 approximate (``complex``); a table is exact only when every entry is
 exact, and holds its entries in one numpy array of the matching kind.
-The symmetric-group tables are computed by the Murnaghan-Nakayama rule
-and are exact integers; abelian tables involve roots of unity and are
-stored approximately unless all moduli are 1 or 2.  An abelian table
-is symmetric, chi_j(x) = chi_x(j) in element order, so only the entries
-on and right of its diagonal are computed; the rest are copied.
+The symmetric-group tables are exact integers, computed by the
+Murnaghan-Nakayama rule on int64 arrays, where ``mn_table`` shows they
+cannot overflow: the table of S_m is one signed strip matrix times
+columns of the table of S_(m-r) for each smallest class part r.
+``mn_character`` is the same rule on one entry, memoised.  Abelian
+tables involve roots of unity and are stored approximately unless all
+moduli are 1 or 2.  An abelian table is symmetric, chi_j(x) = chi_x(j)
+in element order, so only the entries on and right of its diagonal are
+computed; the rest are copied.
 
 One rule decides every exact-or-approximate test here and in ``theta``
 and ``simplex``: exact means tolerance 0.  An exact value is compared
@@ -56,6 +60,8 @@ Scalar = Union[Fraction, complex]
 ABELIAN_TABLE_BOUND = 2000
 # entries per numpy block: table rows, or pairs of irrep matrices
 ROW_BLOCK = 1 << 13
+# the largest n with n * sqrt(n!) < 2^63 (see ``mn_table``)
+MN_TABLE_MAX_N = 31
 
 
 def conj(v: Scalar) -> Scalar:
@@ -228,8 +234,7 @@ def abelian_character_table(group: FiniteGroup) -> CharacterTable:
         block.real, block.imag = np.cos(y), np.sin(y)
     return CharacterTable(
         group=group, degrees=(1,) * group.order, entries=entries,
-        irrep_labels=tuple("chi" + group.element_label(j)
-                           for j in range(group.order)),
+        irrep_labels=tuple("chi" + x for x in group.element_labels()),
         trivial_index=0)
 
 
@@ -275,14 +280,52 @@ def hook_length_degree(lam: tuple) -> int:
     return factorial(n) // hooks
 
 
+def mn_table(n: int) -> np.ndarray:
+    """chi_lambda(mu) for all partitions lambda and mu of n, as an int64
+    array with rows and columns in canonical order.
+
+    The tables T_m of S_m are built for m = 1..n from smaller ones by
+    the Murnaghan-Nakayama rule on the smallest part r of each class
+    mu: chi_lambda(mu) = sum over the border r-strips of lambda of
+    (-1)^height * chi_nu(mu without r), nu the rest of lambda.  So
+    T_m[:, cols_r] = H_r @ T_(m-r)[:, mu without r], one product for
+    each r, with H_r[lambda, nu] the sign of the r-strip that leaves
+    nu (``_beta_strip_removals``; different strips leave different nu).
+    Every entry is at most chi_lambda(1) <= sqrt(m!) in absolute value
+    and each is a sum of at most m of them, so for n <= MN_TABLE_MAX_N
+    no partial sum reaches 2^63 and the int64 arithmetic is exact."""
+    if n > MN_TABLE_MAX_N:
+        raise SizeLimit(f"Murnaghan-Nakayama tables limited to n <= "
+                        f"{MN_TABLE_MAX_N}, got {n}")
+    tables = [np.ones((1, 1), dtype=np.int64)]
+    index = [{(): 0}]
+    for m in range(1, n + 1):
+        parts = partitions(m)
+        index.append({lam: i for i, lam in enumerate(parts)})
+        T = np.empty((len(parts), len(parts)), dtype=np.int64)
+        cols_of = {}
+        for j, mu in enumerate(parts):
+            cols_of.setdefault(mu[-1], []).append(j)
+        for r, cols in cols_of.items():
+            smaller = index[m - r]
+            H = np.zeros((len(parts), len(smaller)), dtype=np.int64)
+            for i, lam in enumerate(parts):
+                for sign, nu in _beta_strip_removals(lam, r):
+                    H[i, smaller[nu]] = sign
+            rest = [smaller[parts[j][:-1]] for j in cols]
+            T[:, cols] = H @ tables[m - r][:, rest]
+        tables.append(T)
+    return tables[n]
+
+
 def symmetric_character_table(n: int) -> CharacterTable:
-    """Exact character table of S_n; irreps and classes are both indexed
-    by partitions of n in canonical order, so the trivial irrep (n)
-    comes last."""
+    """Exact character table of S_n (``mn_table``); irreps and classes
+    are both indexed by partitions of n in canonical order, so the
+    trivial irrep (n) comes last."""
     group = SymmetricGroup(n)
     parts = partitions(n)
-    entries = [[mn_character(lam, mu) for mu in parts] for lam in parts]
-    degrees = tuple(row[0] for row in entries)
+    entries = mn_table(n)
+    degrees = tuple(entries[:, 0].tolist())
     for lam, degree in zip(parts, degrees):
         if degree != hook_length_degree(lam):
             raise CorruptTable(

@@ -277,14 +277,19 @@ class AbelianProductGroup(FiniteGroup):
     def element_label(self, a):
         return "(" + ",".join(str(x) for x in self.decode(a)) + ")"
 
+    def element_labels(self) -> list:
+        """``element_label`` of every element, in element order: one pass
+        over the digit tuples, the last digit varying fastest."""
+        digits = itertools.product(*(map(str, range(m)) for m in self.moduli))
+        return ["(" + ",".join(d) + ")" for d in digits]
+
     def _compute_classes(self):
         inverse = self.inverses().tolist()
         self._class_of = {g: g for g in range(self.order)}
         return tuple(
-            ConjugacyClass(representative=g, size=1,
-                           label=self.element_label(g),
+            ConjugacyClass(representative=g, size=1, label=label,
                            inverse_class=inverse[g], members=(g,))
-            for g in range(self.order))
+            for g, label in enumerate(self.element_labels()))
 
 
 class SymmetricGroup(FiniteGroup):

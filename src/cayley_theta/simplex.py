@@ -25,8 +25,9 @@ rounding error of the pivots does not decide optimality.
 Exact mode takes rational data, and one function, ``_certify``, proves
 every optimum it returns (float basis, then exact proof, as in QSopt_ex:
 Applegate, Cook, Dash and Espinoza 2007).  For basic columns B on rows
-R it solves A_RB x_B = b_R and A_RB^T y = c_B exactly, so c.x = y.b,
-and accepts only if x_B >= 0, the rows outside R hold at x, and
+R it solves A_RB x_B = b_R and A_RB^T y = c_B exactly, modulo primes
+with an exact check (``linalg.solve_square``), so c.x = y.b, and
+accepts only if x_B >= 0, the rows outside R hold at x, and
 c_j <= y.A_j on every column (one integer product over a common
 denominator).  Two routes lead to a basis: the float solver on the
 data rounded to doubles; and, when that fails or its basis is refused,
@@ -35,9 +36,9 @@ whole system scaled to integers by one lcm (row by row would rescale
 the artificial columns and could change phase I's pivots), then phase
 II, both by Bland's rule on the fraction-free tableau M / D, D the
 basis determinant (Bareiss 1968, Edmonds 1967), whose pivots are those
-of the same rule over Fraction.  It alone decides infeasibility and
-unboundedness.  Exact answers never
-depend on the float solver; it only proposes the basis to prove.
+of the same rule over Fraction; fraction-free elimination appears only
+here.  It alone decides infeasibility and unboundedness.  Exact answers
+never depend on the float solver; it only proposes the basis to prove.
 """
 
 from __future__ import annotations

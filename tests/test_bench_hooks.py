@@ -4,15 +4,19 @@
 entry of its TARGETS, so renaming a traced function (say
 ``linalg.solve_square``) breaks ``perfbench/run.py --trace 1`` with a
 KeyError.  ``perfbench/checks.py`` decides whether a benchmark answer is
-right; its verdicts on the theta workloads are checked here.  The
-modules are run from their source text, so nothing is written beside
-them."""
+right; its verdicts on the theta workloads are checked here.
+``perfbench/worker.py`` clears the package's memos before every pass,
+so that each pass pays for the work it times.  The modules are run from
+their source text, so nothing is written beside them."""
 
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from cayley_theta import characters, groups
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,3 +56,35 @@ def test_benchmark_checks_accept_every_theta_answer(workload, tmp_path):
         verdicts.append((op.label, *checks.check_op(op, output, 0)))
     assert [v for v in verdicts if v[1] != "ok"] == []
     assert sum(label.startswith("theta") for label, *_ in verdicts) >= 3
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """perfbench/worker.py as a module; its own imports (``hostspeed``,
+    ``workloads``) are found on sys.path, written no bytecode for, and
+    dropped from ``sys.modules`` afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    yield load("worker")
+    for name in ("hostspeed", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def test_every_memo_the_benchmark_clears_can_be_cleared(worker):
+    assert set(worker.MEMOS) == {characters.mn_character, groups.partitions}
+    assert all(callable(getattr(memo, "cache_clear", None))
+               for memo in worker.MEMOS)
+
+
+def test_no_memo_outside_the_cleared_ones_keeps_the_s_n_table(worker):
+    """After the benchmark's memos are cleared, each S_8 table is built
+    anew: a cached builder would let every pass after the first skip
+    the work the benchmark times."""
+    for memo in worker.MEMOS:
+        memo.cache_clear()
+    first, second = (characters.symmetric_character_table(8)
+                     for _ in range(2))
+    assert first is not second
+    assert not np.shares_memory(first.entries, second.entries)
+    assert not np.shares_memory(characters.mn_table(8),
+                                characters.mn_table(8))

@@ -17,9 +17,10 @@ from cayley_theta.characters import (CharacterTable, ClassFunction,
                                      hook_length_degree,
                                      import_character_table,
                                      is_positive_type, mn_character,
-                                     row_combination,
+                                     mn_table, row_combination,
                                      symmetric_character_table)
-from cayley_theta.errors import CorruptTable, NeedsIrreps, SchemaError
+from cayley_theta.errors import (CorruptTable, NeedsIrreps, SchemaError,
+                                 SizeLimit)
 from cayley_theta.groups import (make_abelian_product, make_general_linear,
                                  make_symmetric, partitions)
 
@@ -246,6 +247,31 @@ def test_mn_against_reference_small_n():
         for lam in partitions(n):
             for mu in partitions(n):
                 assert mn_character(lam, mu) == mn_character_reference(lam, mu)
+
+
+@pytest.mark.parametrize("n", list(range(1, 11)) + [12])
+def test_mn_table_matches_the_memoised_rule(n):
+    """The table built from smaller tables equals ``mn_character`` (the
+    rule on the largest part, one entry at a time) entry by entry; n = 12
+    is past ``SymmetricGroup.MAX_N``, which the builder does not need."""
+    parts = partitions(n)
+    table = mn_table(n)
+    assert table.dtype == np.int64
+    assert table.tolist() == [[mn_character(lam, mu) for mu in parts]
+                              for lam in parts]
+    if n <= 7:
+        assert table.tolist() == [[mn_character_reference(lam, mu)
+                                   for mu in parts] for lam in parts]
+
+
+def test_mn_table_bound():
+    """MN_TABLE_MAX_N is the largest n with n * sqrt(n!) < 2^63, the
+    bound on every partial sum of the int64 table products."""
+    n = characters.MN_TABLE_MAX_N
+    assert n * n * math.factorial(n) < 2**126
+    assert (n + 1) ** 2 * math.factorial(n + 1) >= 2**126
+    with pytest.raises(SizeLimit):
+        mn_table(n + 1)
 
 
 def test_hook_length_degrees():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cayley_theta.apps import gl_connection, gl_pointwise_stabilizer
+from cayley_theta.characters import abelian_character_table
 from cayley_theta.errors import InvalidArgument, NotAGroup
 from cayley_theta.groups import (action_from_table, conjugacy_classes,
                                  cycle_type, export_cayley_table,
@@ -40,6 +41,19 @@ def test_abelian_examples():
         make_abelian_product([1, 3])
     with pytest.raises(InvalidArgument):
         make_abelian_product([])
+
+
+@pytest.mark.parametrize("moduli", [[701], [2] * 7, [3, 4, 5]])
+def test_abelian_labels_from_the_digits_match_element_label(moduli):
+    """The labels made in one pass over the digits, as the classes and
+    the character table carry them, are ``element_label``'s byte for
+    byte."""
+    group = make_abelian_product(moduli)
+    want = [group.element_label(g) for g in range(group.order)]
+    assert group.element_labels() == want
+    assert [c.label for c in conjugacy_classes(group)] == want
+    table = abelian_character_table(group)
+    assert table.irrep_labels == tuple("chi" + label for label in want)
 
 
 def test_z2xz3_isomorphic_to_z6():
