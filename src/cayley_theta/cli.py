@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 numerical failure of a float computation, 2
-invalid input, 3 time budget exhausted (partial results are still
-printed).
+Exit codes: 0 success, 1 numerical failure (a float computation
+stalled, or no exact route proved an answer), 2 invalid input, 3 time
+budget exhausted (partial results are still printed).
 
 Group specs:       sym:N | cyclic:M1[,M2,...] | gl:Q,N | table:FILE
 Connection specs:  efp:K | gl-rank:K | classes:I,J,... | elements:FILE
@@ -263,8 +263,9 @@ def build_parser():
     p = sub.add_parser("theta", help="solve the character LP")
     p.add_argument("--group", required=True)
     p.add_argument("--connection", required=True)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--float", dest="float_mode", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true")
+    mode.add_argument("--float", dest="float_mode", action="store_true")
     p.add_argument("--chartable", help="imported character table file")
     p.add_argument("--json", help="write a JSON run report")
     p.set_defaults(func=cmd_theta)

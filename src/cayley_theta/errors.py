@@ -38,7 +38,8 @@ class NeedsIrreps(InvalidArgument):
 
 
 class NumericalFailure(RuntimeError):
-    """Float-mode computation stalled; no wrong answer was returned."""
+    """A float computation stalled, or no exact route proved an answer
+    (exact ``simplex.solve``); no wrong answer was returned."""
 
 
 class SizeLimit(InvalidArgument):

@@ -223,10 +223,13 @@ def alpha(graph: Graph, time_budget: Optional[float] = None) -> AlphaResult:
     not above the incumbent are not stored: the incumbent only grows, so
     they would be pruned anyway.
 
-    If the time budget (seconds) runs out, certified lower/upper bounds
+    The time budget is in seconds; NaN or a negative one raises
+    InvalidArgument.  If it runs out, certified lower/upper bounds
     are returned with ``exact=False``; the upper bound is the coloring
     bound of the first frame (1 + its colors on a transitive graph).
     """
+    if time_budget is not None and not time_budget >= 0:
+        raise InvalidArgument(f"time budget must be >= 0, not {time_budget}")
     n = graph.vertex_count
     if n == 0:
         return AlphaResult(0, 0, (), True)

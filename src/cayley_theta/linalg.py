@@ -17,9 +17,8 @@ succeeds once the product of the primes passes 2 H^2.  A prime at which
 A' is singular divides det A'; once the product of such primes passes
 H, det A' = 0 and the system is singular.
 
-``eliminate`` is the fraction-free (Bareiss) pivot of the exact
-simplex's cold start.  ``exact_sums`` is the one kernel of exact
-vector-matrix sums, for the character sums and the simplex's proof.
+``exact_sums`` is the one kernel of exact vector-matrix sums, for the
+character sums and the simplex's proof.
 Floating-point linear algebra goes through numpy, not this module.
 """
 
@@ -64,24 +63,6 @@ def exact_sums(weights, matrix, divisors=None) -> Optional[list]:
             return sums
         divisors = (1,) * len(sums)
     return [Fraction(s, L * d) for s, d in zip(sums, divisors)]
-
-
-def eliminate(M, row, col, D):
-    """Fraction-free pivot of the integer matrix M / D on (row, col), in
-    place; returns the new denominator p = M[row][col].  Every other row
-    becomes (M[i] * p - M[i][col] * M[row]) / D, an exact division when
-    D is the previous pivot (Bareiss); the pivot row is unchanged."""
-    pr = M[row]
-    p = pr[col]
-    for i, r in enumerate(M):
-        if i == row:
-            continue
-        f = r[col]
-        if f:
-            M[i] = [(a * p - f * c) // D for a, c in zip(r, pr)]
-        elif p != D:
-            M[i] = [a * p // D for a in r]
-    return p
 
 
 def _is_prime(n: int) -> bool:

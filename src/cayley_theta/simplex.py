@@ -23,29 +23,28 @@ from the original data for the current basis and priced again, so the
 rounding error of the pivots does not decide optimality.
 
 Exact mode takes rational data, and one function, ``_certify``, proves
-every optimum it returns (float basis, then exact proof, as in QSopt_ex:
+every answer it returns (float basis, then exact proof, as in QSopt_ex:
 Applegate, Cook, Dash and Espinoza 2007).  For basic columns B on rows
 R it solves A_RB x_B = b_R and A_RB^T y = c_B exactly, modulo primes
 with an exact check (``linalg.solve_square``), so c.x = y.b, and
 accepts only if x_B >= 0, the rows outside R hold at x, and
 c_j <= y.A_j on every column (one integer product over a common
-denominator).  Two routes lead to a basis: the float solver on the
-data rounded to doubles; and, when that fails or its basis is refused,
-the cold start.  That is phase I from the artificial basis, with the
-whole system scaled to integers by one lcm (row by row would rescale
-the artificial columns and could change phase I's pivots), then phase
-II, both by Bland's rule on the fraction-free tableau M / D, D the
-basis determinant (Bareiss 1968, Edmonds 1967), whose pivots are those
-of the same rule over Fraction; fraction-free elimination appears only
-here.  It alone decides infeasibility and unboundedness.  Exact answers
-never depend on the float solver; it only proposes the basis to prove.
+denominator).  The float solver, on the data rounded to doubles,
+proposes the basis; exact answers never depend on it beyond that.  An
+optimum is the LP's own basis, proved.  Infeasible and unbounded are
+proved as optima of two auxiliary LPs, each feasible and bounded by
+construction: phase I, max -sum(s) over [A sign | I] (x, s) = b sign,
+whose optimum is below 0 exactly when the LP is infeasible; and the
+ray LP, max c.d over A d = 0, sum(d) + t = 1, whose optimum is above 0
+exactly when a feasible LP is unbounded.  When no route yields a
+proof, exact mode raises NumericalFailure; it never returns an
+unproved status.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from numbers import Real
 from typing import Optional
 
@@ -113,48 +112,7 @@ class LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# exact mode: the duality proof, and the cold start on an integer tableau
-
-def _pivot_exact(M, basis, row, col, D):
-    """Fraction-free pivot of the tableau M / D on (row, col), with the
-    basis updated; returns the new denominator, kept positive."""
-    p = linalg.eliminate(M, row, col, D)
-    basis[row] = col
-    if p < 0:
-        for i, r in enumerate(M):
-            M[i] = [-a for a in r]
-        p = -p
-    return p
-
-
-def _run_exact(M, basis, ncols, D):
-    """Bland-rule simplex on the tableau M / D: constraint rows with the
-    rhs in the last column, and the reduced costs times D as the last
-    row.  Basic columns carry a reduced cost of exactly 0, so the first
-    positive entry of that row is Bland's entering column.  Returns
-    (status, D) with status 'optimal' or 'unbounded'."""
-    rows = len(M) - 1
-    while True:
-        cost = M[-1]
-        entering = next((j for j in range(ncols) if cost[j] > 0), None)
-        if entering is None:
-            return "optimal", D
-        leaving = None
-        for i in range(rows):
-            a = M[i][entering]
-            if a > 0:
-                # ratio M[i][-1] / a against the best, cross-multiplied
-                rhs = M[i][-1]
-                if leaving is None:
-                    leaving, best_rhs, best_a = i, rhs, a
-                    continue
-                lhs, cur = rhs * best_a, best_rhs * a
-                if lhs < cur or (lhs == cur and basis[i] < basis[leaving]):
-                    leaving, best_rhs, best_a = i, rhs, a
-        if leaving is None:
-            return "unbounded", D
-        D = _pivot_exact(M, basis, leaving, entering, D)
-
+# exact mode: every answer is an optimum that the duality proof accepts
 
 def _certify(instance: LpInstance, basis, keep_rows):
     """The optimum at the basic columns ``basis`` on the rows
@@ -183,83 +141,54 @@ def _certify(instance: LpInstance, basis, keep_rows):
                       dual=dual, basis=tuple(basis))
 
 
-def _solve_exact_cold(instance: LpInstance) -> LpSolution:
-    """Two-phase Bland simplex from the artificial basis; an optimum is
-    the one ``_certify`` proves at the final basis."""
-    m, n = instance.m, instance.n
-    A, b = instance.A.tolist(), instance.b.tolist()
-    # one positive lcm for the whole system; scaling rows one by one
-    # would rescale the artificial columns and change phase I's pivots
-    L = lcm(*(v.denominator for row in A for v in row),
-            *(v.denominator for v in b))
-    M = []
-    for i, (row, rhs) in enumerate(zip(A, b)):
-        sign = -1 if rhs < 0 else 1
-        art = [0] * m
-        art[i] = 1
-        M.append([sign * linalg.scaled(v, L) for v in row] + art +
-                 [sign * linalg.scaled(rhs, L)])
-
-    # Phase I: artificial columns n..n+m-1, cost -1 each, all basic
-    basis = [n + i for i in range(m)]
-    cost1 = [sum(col) for col in zip(*M)]
-    cost1[n:n + m] = [0] * m
-    M.append(cost1)
-    _, D = _run_exact(M, basis, n + m, 1)
-    M.pop()
-    if sum(M[i][-1] for i in range(m) if basis[i] >= n) > 0:
-        return LpSolution(status="infeasible")
-
-    # drive leftover artificials out of the basis; an artificial n + r
-    # that cannot go marks row r as redundant (not the tableau row it
-    # sits in), so the rows left hold a nonsingular basis
-    basic = set(basis)
-    dropped = set()
-    i = 0
-    while i < len(M):
-        if basis[i] >= n:
-            row = M[i]
-            col = next((j for j in range(n)
-                        if row[j] and j not in basic), None)
-            if col is None:
-                dropped.add(basis[i] - n)
-                del M[i], basis[i]
-                continue
-            basic.add(col)
-            D = _pivot_exact(M, basis, i, col, D)
-        i += 1
-    keep_rows = [i for i in range(m) if i not in dropped]
-
-    # Phase II on the original columns, the reduced costs times D last
-    c = instance.objective.tolist()
-    Lc = lcm(*(v.denominator for v in c))
-    c = [linalg.scaled(v, Lc) for v in c]
-    M = [row[:n] + [row[-1]] for row in M]
-    reduced = [D * cj for cj in c] + [0]
-    for r, bi in zip(M, basis):
-        if c[bi]:
-            reduced = [a - c[bi] * v for a, v in zip(reduced, r)]
-    M.append(reduced)
-    if _run_exact(M, basis, n, D)[0] == "unbounded":
-        return LpSolution(status="unbounded")
-    solution = _certify(instance, basis, keep_rows)
-    if solution is None:
-        raise ArithmeticError("the exact simplex stopped at a basis that "
-                              "does not prove its optimum")
-    return solution
-
-
-def _solve_exact(instance: LpInstance) -> LpSolution:
+def _proved(instance: LpInstance) -> Optional[LpSolution]:
+    """The optimum at the float stage's basis, as ``_certify`` proves
+    it; None if the float stage fails or its basis is refused."""
     try:
         status, basis, keep_rows, _ = _float_basis(
             instance.A, instance.b, instance.objective)
     except (NumericalFailure, OverflowError):
-        status = None
-    if status == "optimal":
-        solution = _certify(instance, basis, keep_rows)
-        if solution is not None:
-            return solution
-    return _solve_exact_cold(instance)
+        return None
+    if status != "optimal":
+        return None
+    return _certify(instance, basis, keep_rows)
+
+
+def _phase_one(instance: LpInstance) -> LpInstance:
+    """Phase I as an LP of its own (see the module docstring), with
+    sign_i = -1 where b_i < 0: feasible at x = 0 and bounded by 0."""
+    m, n = instance.m, instance.n
+    sign = np.where(instance.b < 0, -1, 1)
+    return LpInstance(objective=np.repeat([0, -1], [n, m]),
+                      A=np.hstack([instance.A * sign[:, None],
+                                   np.eye(m, dtype=int)]),
+                      b=instance.b * sign)
+
+
+def _ray(instance: LpInstance) -> LpInstance:
+    """The ray LP (see the module docstring): feasible at t = 1 and
+    bounded by the largest c_j."""
+    m, n = instance.m, instance.n
+    A = np.zeros((m + 1, n + 1), dtype=object)
+    A[:m, :n] = instance.A
+    A[m] = 1
+    return LpInstance(objective=np.append(instance.objective, 0), A=A,
+                      b=np.append(np.zeros(m, dtype=int), 1))
+
+
+def _solve_exact(instance: LpInstance) -> LpSolution:
+    solution = _proved(instance)
+    if solution is not None:
+        return solution
+    phase_one = _proved(_phase_one(instance))
+    if phase_one is not None:
+        if phase_one.objective_value < 0:
+            return LpSolution(status="infeasible")
+        ray = _proved(_ray(instance))
+        if ray is not None and ray.objective_value > 0:
+            return LpSolution(status="unbounded")
+    raise NumericalFailure("no exact route proves an answer: the float "
+                           "stage gave no basis that LP duality accepts")
 
 
 # ---------------------------------------------------------------------------

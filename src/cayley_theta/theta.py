@@ -192,7 +192,8 @@ def solve_theta(spec: CayleyGraphSpec,
 
     A float-mode LP that comes back not optimal, or whose certificate
     fails validation, raises NumericalFailure; in exact mode either one
-    is an internal error and raises RuntimeError."""
+    is an internal error and raises RuntimeError.  Exact mode also
+    raises NumericalFailure when ``simplex.solve`` proves no answer."""
     lp = build_lp_D(spec, table)
     solution = lp_solve(lp.instance)
     failure = RuntimeError if table.exact else NumericalFailure

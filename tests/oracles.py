@@ -3,8 +3,8 @@
 These deliberately share no code with the solvers they check: the LP
 oracle enumerates basic feasible solutions and extreme rays, the
 reference simplex is the plain two-phase Bland solver over ``Fraction``
-that the package's integer kernel must reproduce pivot for pivot when it
-starts cold, the reference abelian table computes one ``cmath.exp`` per
+whose status and optimum exact ``solve`` must reach from its proofs,
+the reference abelian table computes one ``cmath.exp`` per
 entry and the reference Fourier sums one product per entry, the
 independence-number oracle is a plain subset recursion, the group
 oracles use only the single-product ``multiply``/``invert`` that the
@@ -99,10 +99,9 @@ def _bland(T, basis, cost, ncols):
 def reference_simplex(c, A, b):
     """Two-phase Bland simplex over Fraction for max c.x, Ax=b, x>=0.
 
-    Returns (status, x, objective_value, dual, basis) with the same
-    pivots and the same tie-breaks as the cold start of
-    ``cayley_theta.simplex.solve`` in exact mode; the non-optimal
-    statuses carry None in the other fields.
+    Returns (status, x, objective_value, dual, basis); the non-optimal
+    statuses carry None in the other fields.  A redundant row is dropped
+    where phase I leaves its own artificial basic.
     """
     m, n = len(A), len(c)
     A = [[Fraction(v) for v in row] for row in A]

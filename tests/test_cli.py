@@ -54,6 +54,14 @@ def test_theta_bad_group_exit_code(capsys):
     assert "error:" in err
 
 
+def test_theta_exact_and_float_are_exclusive(capsys):
+    code, out, err = run(capsys, "theta", "--group", "sym:3",
+                         "--connection", "efp:1", "--exact", "--float")
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 def test_theta_exact_rejected_for_float_table(capsys):
     code, _, err = run(capsys, "theta", "--group", "cyclic:5",
                        "--connection", "classes:1,4", "--exact")
@@ -97,7 +105,7 @@ def test_efp_table_output(capsys, tmp_path):
 def test_efp_table_nmax_bound(capsys):
     code, _, err = run(capsys, "efp-table", "--nmax", "9")
     assert code == 2
-    assert "n_max <= 8" in err
+    assert err == "error: efp_table needs 1 <= n_max <= 8, not 9\n"
 
 
 def test_theta_float_failure_is_clean(capsys, monkeypatch):
@@ -294,6 +302,14 @@ def test_usage_error_exit_code(capsys):
     ("bochner", "--group", "cyclic:2", "--function", "{tmp}/ones.json",
      "--irreps", "{tmp}/broken.json"),
     ("chartable", "--group", "sym:3", "--validate", "{tmp}/bad_degrees.json"),
+    ("alpha", "--group", "sym:3", "--connection", "efp:1", "--budget", "nan"),
+    ("alpha", "--group", "sym:3", "--connection", "efp:1", "--budget", "-1"),
+    ("blowup", "--graph", "{tmp}/path.txt", "--action", "{tmp}/action.txt",
+     "--group", "cyclic:2", "--alpha", "--budget", "nan"),
+    ("blowup", "--graph", "{tmp}/path.txt", "--action", "{tmp}/action.txt",
+     "--group", "cyclic:2", "--alpha", "--budget", "-1"),
+    ("efp-table", "--nmax", "0"),
+    ("efp-table", "--nmax", "-3"),
 ])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     # a transposition's value differs from the other two in its class
@@ -306,6 +322,7 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     (tmp_path / "path.txt").write_text("vertices 2 edges 1\n0 1\n")
     (tmp_path / "bad_table.txt").write_text("2\n0 1\n1 a\n")
     (tmp_path / "bad_action.txt").write_text("2 2\n0 1\n1 a\n")
+    (tmp_path / "action.txt").write_text("2 2\n0 1\n1 0\n")
     (tmp_path / "bad_degrees.json").write_text(json.dumps(
         {"group_order": 6, "class_sizes": [1, 3, 2], "degrees": ["x"],
          "exact": True, "entries": []}))

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cayley_theta import simplex
+from cayley_theta.cli import cli_dispatch
 from cayley_theta.errors import InvalidArgument, NumericalFailure
 from cayley_theta.simplex import LpInstance, solve, verify_certificate
 
@@ -140,18 +142,6 @@ def _reference(inst):
     return reference_simplex(inst.objective, inst.A, inst.b)
 
 
-def test_exact_kernel_matches_fraction_reference():
-    """The cold-start integer kernel takes the reference's pivots: same
-    status, vertex, value, dual and basis."""
-    seen = set()
-    for inst in _fraction_reference_instances():
-        sol = simplex._solve_exact_cold(inst)
-        assert (sol.status, sol.x, sol.objective_value, sol.dual,
-                sol.basis) == _reference(inst)
-        seen.add(sol.status)
-    assert seen == {"optimal", "infeasible", "unbounded"}
-
-
 def _matches_reference_value(inst):
     """Exact ``solve`` has the reference's status and value, and its
     optimal answers pass the independent check."""
@@ -170,72 +160,172 @@ def test_exact_solve_matches_fraction_reference():
         _matches_reference_value(inst)
 
 
-def test_exact_solve_when_the_float_stage_raises(monkeypatch):
-    """A float failure falls back to the cold start, which is the
-    reference pivot for pivot."""
+def test_exact_solve_when_the_float_stage_raises(monkeypatch, capsys):
+    """With no float basis there is nothing to prove: exact solve raises
+    NumericalFailure on every LP, and ``theta --exact`` exits 1 with a
+    message, not a traceback."""
     def fail(A, b, c):
         raise NumericalFailure("forced")
     monkeypatch.setattr(simplex, "_float_basis", fail)
     for inst in _fraction_reference_instances():
-        sol = solve(inst)
-        assert (sol.status, sol.x, sol.objective_value, sol.dual,
-                sol.basis) == _reference(inst)
+        with pytest.raises(NumericalFailure):
+            solve(inst)
+    code = cli_dispatch(["theta", "--group", "sym:4", "--connection",
+                         "efp:2", "--exact"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == ("numerical failure: no exact route proves an answer: "
+                   "the float stage gave no basis that LP duality "
+                   "accepts\n")
+    assert "Traceback" not in out + err
+
+
+def _solve_with_float_stage(monkeypatch, stub):
+    """Exact solve of every reference instance, with the float stage
+    replaced by ``stub`` for the LP under test only; the auxiliary LPs
+    keep the real one.  Every answer is the reference's status and
+    value; only an optimal LP, whose stubbed basis ``_certify`` refused,
+    may raise NumericalFailure.  Returns the count of each outcome."""
+    real = simplex._float_basis
+    under_test = []
+    monkeypatch.setattr(simplex, "_float_basis", lambda A, b, c: (
+        stub if A is under_test[0].A else real)(A, b, c))
+    outcomes = Counter()
+    for inst in _fraction_reference_instances():
+        under_test[:] = [inst]
+        try:
+            outcomes[_matches_reference_value(inst).status] += 1
+        except NumericalFailure:
+            assert _reference(inst)[0] == "optimal"
+            outcomes["failure"] += 1
+    return outcomes
 
 
 def test_exact_solve_refuses_a_wrong_float_basis(monkeypatch):
     """The float stage returns the optimal basis of the opposite
-    objective: feasible, mostly not optimal.  Every basis that
-    ``_certify`` refuses ends in the cold start, whose answer is the
-    reference's: status, vertex, value, dual and basis."""
-    real, real_cold = simplex._float_basis, simplex._solve_exact_cold
-    guide, cold = [], []
-
-    def opposite(A, b, c):
-        result = real(A, b, -c)
-        guide[:] = [result[0]]
-        return result
-    monkeypatch.setattr(simplex, "_float_basis", opposite)
-    monkeypatch.setattr(simplex, "_solve_exact_cold",
-                        lambda inst: cold.append(inst) or real_cold(inst))
-    refused = dict.fromkeys(("optimal", "infeasible", "unbounded"), 0)
-    for inst in _fraction_reference_instances():
-        cold.clear()
-        sol = _matches_reference_value(inst)
-        if cold:
-            assert (sol.status, sol.x, sol.objective_value, sol.dual,
-                    sol.basis) == _reference(inst)
-            refused[guide[0]] += 1
-    # 383 cold starts, 67 of them from a refused optimal float basis
-    assert refused["optimal"] >= 50 and sum(refused.values()) >= 300
+    objective: feasible, mostly not optimal.  A refused basis of an
+    infeasible or unbounded LP still ends in the reference's status;
+    one of an optimal LP ends in NumericalFailure, never in a wrong
+    answer."""
+    real = simplex._float_basis
+    outcomes = _solve_with_float_stage(
+        monkeypatch, lambda A, b, c: real(A, b, -c))
+    # 206 infeasible, 121 unbounded, 18 optimal, 56 failures
+    assert outcomes["failure"] >= 50 and outcomes["optimal"] >= 10
+    assert outcomes["infeasible"] >= 100 and outcomes["unbounded"] >= 50
 
 
 def test_exact_solve_from_a_random_basis(monkeypatch):
     """Random columns on random rows as the float basis: singular,
     infeasible or merely feasible; each ends at the reference's
-    answer."""
+    answer or, on an optimal LP, in NumericalFailure."""
     rng = random.Random(3)
 
     def random_basis(A, b, c):
         k = min(A.shape)
         return ("optimal", rng.sample(range(A.shape[1]), k),
                 sorted(rng.sample(range(A.shape[0]), k)), None)
-    monkeypatch.setattr(simplex, "_float_basis", random_basis)
+    outcomes = _solve_with_float_stage(monkeypatch, random_basis)
+    # 206 infeasible, 121 unbounded, 16 optimal, 58 failures
+    assert outcomes["failure"] >= 50
+    assert outcomes["infeasible"] >= 100 and outcomes["unbounded"] >= 50
+
+
+@pytest.mark.parametrize("unproved", ["_phase_one", "_ray"])
+def test_exact_solve_with_an_unproved_auxiliary_lp(monkeypatch, unproved):
+    """With the float stage failing on the LP itself and on one
+    auxiliary LP, no answer rests on that LP.  Without phase I every LP
+    raises NumericalFailure: a ray proves nothing about an LP not known
+    to be feasible.  Without the ray LP an infeasible LP is still
+    answered, and every feasible one raises."""
+    real, build = simplex._float_basis, getattr(simplex, unproved)
+    failing = []
+
+    def float_stage(A, b, c):
+        if any(A is lp.A for lp in failing):
+            raise NumericalFailure("forced")
+        return real(A, b, c)
+    monkeypatch.setattr(simplex, "_float_basis", float_stage)
+    monkeypatch.setattr(simplex, unproved, lambda inst: failing.append(
+        build(inst)) or failing[-1])
     for inst in _fraction_reference_instances():
-        _matches_reference_value(inst)
+        failing[:] = [inst]
+        if unproved == "_ray" and _reference(inst)[0] == "infeasible":
+            assert solve(inst).status == "infeasible"
+        else:
+            with pytest.raises(NumericalFailure):
+                solve(inst)
 
 
 def test_every_exact_optimum_is_certified(monkeypatch):
-    """Whichever route it takes, an optimum that exact solve returns is
-    one that ``_certify`` built."""
+    """Every answer of exact solve is an optimum that ``_certify``
+    built: an optimum of the LP itself; for 'infeasible', an optimum
+    below 0 of phase I, max -sum(s) over [A sign | I] (x, s) = b sign;
+    for 'unbounded', an optimum 0 of phase I, then one above 0 of the
+    ray LP, max c.d over A d = 0, sum(d) + t = 1.  Each auxiliary LP is
+    rebuilt here and its optimum re-checked."""
     real = simplex._certify
     built = []
-    monkeypatch.setattr(simplex, "_certify", lambda *args: built.append(
-        real(*args)) or built[-1])
+    monkeypatch.setattr(simplex, "_certify", lambda inst, *args: built.append(
+        (inst, real(inst, *args))) or built[-1][1])
+
+    def proved(entry, c, A, b):
+        aux, proof = entry
+        assert (aux.objective.tolist(), aux.A.tolist(), aux.b.tolist()) == \
+            (c, A, b)
+        assert verify_certificate(aux, proof)
+        return proof.objective_value
+
+    seen = set()
     for inst in _fraction_reference_instances():
         built.clear()
         sol = solve(inst)
+        seen.add(sol.status)
         if sol.status == "optimal":
-            assert sol is built[-1]
+            assert built[-1][0] is inst and built[-1][1] is sol
+            continue
+        m, n = inst.m, inst.n
+        A, b, c = inst.A.tolist(), inst.b.tolist(), inst.objective.tolist()
+        sign = [-1 if v < 0 else 1 for v in b]
+        phase_one = ([0] * n + [-1] * m,
+                     [[s * v for v in row] + [int(i == j) for j in range(m)]
+                      for i, (s, row) in enumerate(zip(sign, A))],
+                     [s * v for s, v in zip(sign, b)])
+        if sol.status == "infeasible":
+            assert proved(built[-1], *phase_one) < 0
+        else:
+            assert proved(built[-2], *phase_one) == 0
+            assert proved(built[-1], c + [0], [row + [0] for row in A] +
+                          [[1] * (n + 1)], [0] * m + [1]) > 0
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_near_dependent_rows_fail_cleanly_or_agree():
+    """Rational LPs whose last row is the float sum of two others, so
+    the rows are independent only beyond double precision: exact solve
+    either raises NumericalFailure, where the float stage's basis is
+    refused, or gives the reference's status and value; never another
+    status."""
+    rng = random.Random(31)
+    outcomes = Counter()
+    for _ in range(150):
+        m = rng.randint(3, 5)
+        n = rng.randint(m, 7)
+        A = [[rng.uniform(-5, 5) for _ in range(n)] for _ in range(m - 1)]
+        b = [rng.uniform(-5, 5) for _ in range(m - 1)]
+        A.append([u + v for u, v in zip(A[0], A[1])])
+        b.append(b[0] + b[1])
+        c = [rng.uniform(-5, 5) for _ in range(n)]
+        inst = LpInstance(objective=tuple(map(F, c)),
+                          A=tuple(tuple(map(F, row)) for row in A),
+                          b=tuple(map(F, b)))
+        try:
+            outcomes[_matches_reference_value(inst).status] += 1
+        except NumericalFailure:
+            outcomes["failure"] += 1
+    # 75 infeasible, 26 unbounded, 35 optimal, 14 failures
+    assert all(outcomes[k] for k in (
+        "optimal", "infeasible", "unbounded", "failure")), outcomes
 
 
 def _lp(c, A, b):
@@ -268,20 +358,20 @@ def test_certify_refuses(c, A, b, basis, keep_rows):
     assert simplex._certify(_lp(c, A, b), basis, keep_rows) is None
 
 
-def test_cold_start_drops_the_redundant_row_of_its_artificial():
-    """Phase I leaves the artificial of row 1 in tableau row 3, and no
-    column can drive it out.  Dropping row 3 left a singular basis on
-    the kept rows, and the cold start returned no dual; dropping row 1,
-    the artificial's own, gives a certified optimum."""
+def test_exact_solve_proves_an_lp_with_a_dependent_row():
+    """Row 2 is twice row 1 minus row 0.  The reference's phase I leaves
+    the artificial of row 1 in tableau row 3, where no column can drive
+    it out; exact solve proves the same optimum, -2, with a dual on the
+    original rows."""
     inst = _lp((1, 2, 2, -3, 2),
                ((0, 0, 2, 0, -1), (2, 1, 3, -3, 0), (4, 2, 4, -6, 1),
                 (0, -1, 0, -3, -1)),
                (4, 0, -4, -6))
-    sol = simplex._solve_exact_cold(inst)
-    assert sol.objective_value == -2
+    sol = solve(inst)
+    assert sol.status == "optimal" and sol.objective_value == -2
+    assert _reference(inst)[2] == -2
+    assert len(sol.dual) == 4
     assert verify_certificate(inst, sol)
-    assert (sol.status, sol.x, sol.objective_value, sol.dual,
-            sol.basis) == _reference(inst)
 
 
 @pytest.mark.parametrize("bland_after", [simplex.DEGENERATE_RUN, 0],

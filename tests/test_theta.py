@@ -419,17 +419,31 @@ def test_exact_abelian_certificate_pinned():
 
 def test_exact_efp_and_abelian_lps_are_proved_from_the_float_basis(
         monkeypatch):
-    """Every exact efp:k LP on S_3-S_10, and the Z_2^7 LP above, is
-    proved optimal at the float basis: none reaches the cold start."""
-    def cold(instance):
-        raise AssertionError("cold start reached")
-    monkeypatch.setattr(simplex, "_solve_exact_cold", cold)
+    """Every exact efp:k LP on S_3-S_10, the Z_2^7 LP above, and seeded
+    class sets on S_5-S_9 and Z_2^2-Z_2^7 are proved optimal at the
+    float basis: none reaches the phase-I LP of the exact fallback."""
+    def fallback(instance):
+        raise AssertionError("exact fallback reached")
+    monkeypatch.setattr(simplex, "_phase_one", fallback)
+    rng = random.Random(16)
     specs = []
     for n in range(3, 11):
         table = symmetric_character_table(n)
-        specs += [(CayleyGraphSpec(table.group,
-                                   efp_connection(n, k, table.group)), table)
-                  for k in range(1, n + 1)]
+        group = table.group
+        specs += [(CayleyGraphSpec(group, efp_connection(n, k, group)),
+                   table) for k in range(1, n + 1)]
+        if n in range(5, 10):
+            c = len(group.conjugacy_classes())
+            specs += [(CayleyGraphSpec(group, ConnectionSet.from_classes(
+                group, rng.sample(range(1, c), rng.randint(1, c - 1)))),
+                table) for _ in range(20)]
+    for k in range(2, 8):
+        group = make_abelian_product((2,) * k)
+        table = abelian_character_table(group)
+        specs += [(CayleyGraphSpec(group, ConnectionSet.from_classes(
+            group, rng.sample(range(1, group.order),
+                              rng.randint(1, group.order - 1)))), table)
+            for _ in range(10)]
     group = make_abelian_product((2,) * 7)
     specs.append((CayleyGraphSpec(
         group, ConnectionSet.from_classes(group, Z2_7_SET)),
@@ -445,8 +459,8 @@ def _assert_lp_certified(spec, table, cert):
     assert verify_certificate(build_lp_D(spec, table).instance, claim)
 
 
-# exact theta of Cay(S_n, efp:k), k = 1..n, as the cold-start Bland
-# simplex computes it
+# exact theta of Cay(S_n, efp:k), k = 1..n, as first computed by an
+# exact two-phase Bland simplex from the artificial basis
 EFP_THETA = {
     9: (40320, 5040, 720, Fraction(864, 5), Fraction(560, 11), 11, 2, 1, 1),
     10: (362880, 40320, 5040, Fraction(20629080, 27727), 210, 56, 12, 2, 1,
