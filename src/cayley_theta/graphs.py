@@ -28,10 +28,10 @@ import numpy as np
 
 from .errors import (InvalidArgument, NotAutomorphism, NotTransitive,
                      SchemaError)
-from .groups import FiniteGroup, GroupAction, parse_ints, same_group
+from .groups import (FiniteGroup, GroupAction, action_from_table, parse_ints,
+                     same_group)
 
 CAYLEY_BOUND = 5000
-BLOWUP_VERIFY_BOUND = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -321,33 +321,34 @@ def blowup_connection(action: GroupAction, graph: Graph,
     """Connection set X = {gamma : {x0, gamma.x0} in E} turning a
     vertex-transitive graph into a Cayley graph on the acting group.
 
-    The action is verified to be by automorphisms and transitive; the
+    The action is verified to be transitive and by automorphisms, on
+    the generators only: automorphisms are closed under products.  The
     contract alpha(G).|Gamma| = |V|.alpha(Cay(Gamma, X)) is asserted by
     the test suite, not here.
     """
-    group = action.group
     if action.point_count != graph.vertex_count:
         raise InvalidArgument("action and graph disagree on the vertex set")
     if not 0 <= base_point < graph.vertex_count:
         raise InvalidArgument(f"no vertex {base_point}")
-    if group.order <= BLOWUP_VERIFY_BOUND:
-        edges = graph.edges
-        for g in range(group.order):
-            for (u, v) in edges:
-                if not graph.has_edge(action.act(g, u), action.act(g, v)):
-                    raise NotAutomorphism(g, (u, v))
-    seen = set()
+    act, M = action.table, graph.matrix()
+    for h in action.group.generators():
+        # h permutes the vertices, so it is an automorphism iff it maps
+        # no edge to a non-edge; the first edge it breaks is the witness
+        broken = M & ~M[np.ix_(act[h], act[h])]
+        if broken.any():
+            u, v = divmod(int(np.argmax(broken)), graph.vertex_count)
+            raise NotAutomorphism(h, (u, v))
+    seen = np.zeros(graph.vertex_count, dtype=bool)
     orbits = []
     for p in range(graph.vertex_count):
-        if p not in seen:
-            orbit = {action.act(g, p) for g in range(group.order)}
-            seen |= orbit
-            orbits.append(sorted(orbit))
+        if not seen[p]:
+            orbit = np.unique(act[:, p])
+            seen[orbit] = True
+            orbits.append(orbit.tolist())
     if len(orbits) != 1:
         raise NotTransitive(orbits)
-    X = [g for g in range(group.order)
-         if graph.has_edge(base_point, action.act(g, base_point))]
-    return ConnectionSet.from_elements(group, X)
+    X = np.flatnonzero(M[base_point, act[:, base_point]])
+    return ConnectionSet.from_elements(action.group, X.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +376,11 @@ def import_graph(path) -> Graph:
 
 
 def export_action(action: GroupAction, path):
-    with open(path, "w") as fh:
-        fh.write(f"{action.group.order} {action.point_count}\n")
-        for row in action.table:
-            fh.write(" ".join(str(p) for p in row) + "\n")
+    np.savetxt(path, action.table, fmt="%d", comments="",
+               header=f"{action.group.order} {action.point_count}")
 
 
 def import_action_table(path, group: FiniteGroup) -> GroupAction:
-    from .groups import action_from_table
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:

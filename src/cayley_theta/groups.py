@@ -14,18 +14,23 @@ exported tables) are reproducible byte-for-byte:
 Composition convention for permutations: the right factor acts first,
 i.e. ``(p * q)(i) = p(q(i))``.
 
-``multiply`` and ``invert`` give single products.  Work over many pairs
-(Cayley graphs, conjugacy classes, group matrices) goes through
-``products`` and ``inverses``, which act on whole numpy index arrays.
-S_n reads an array of its ``(n!, n)`` permutations, built on the first
+Work over many pairs (Cayley graphs, conjugacy classes, group
+matrices) goes through ``products`` and ``inverses``, which act on whole
+numpy index arrays; single products ``multiply`` and ``invert`` read
+them, except in abelian products and S_n, which compute scalars.  S_n
+reads an array of its ``(n!, n)`` permutations, built on the first
 bulk call, so a group that only ever answers class-level questions (the
 character table and LP of S_10) never builds it.  GL(n, q) builds its
 ``(|G|, n, n)`` matrix array and its inverse index at construction, by
-one Gauss-Jordan elimination over F_q of every entry vector at once;
-its ``multiply`` and ``invert`` read them too.  A table group keeps its
-Cayley table as an array, and abelian products compute their digits.
-The arrays hold the elements in the canonical order above, so indexing
-is the same on both paths.
+one Gauss-Jordan elimination over F_q of every entry vector at once.
+A table group keeps its Cayley table as an array, and abelian products
+compute their digits.  The arrays hold the elements in the canonical
+order above, so indexing is the same on both paths.
+
+Cayley and action tables are checked in full at every order through
+``FiniteGroup.generators``, at most log2|G| elements: associativity
+(Light's test) and the action axiom each hold on a set closed under
+products, so they hold on G once they hold on a generating set.
 """
 
 from __future__ import annotations
@@ -122,21 +127,44 @@ class ConjugacyClass:
     members: Optional[tuple] = None   # omitted for large symmetric groups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupAction:
     """An action of ``group`` on points {0..point_count-1}; ``table`` has
-    one row per group element giving the image of every point."""
+    one row per group element giving the image of every point, kept as a
+    read-only int64 array.  Checked on construction: the first (g, h, p)
+    with g.(h.p) != (gh).p, h a generator, in the order (h, g, p)."""
     group: "FiniteGroup"
     point_count: int
-    table: tuple   # table[g][p] = g . p
+    table: np.ndarray   # table[g, p] = g . p
 
-    def act(self, g: int, p: int) -> int:
-        return self.table[g][p]
+    def __post_init__(self):
+        group, count = self.group, self.point_count
+        if len(self.table) != group.order:
+            raise InvalidArgument("action table must have one row per element")
+        if any(len(row) != count for row in self.table):
+            raise InvalidArgument("ragged action table")
+        act = np.array(self.table)     # dtype object if an entry is huge
+        if ((act < 0) | (act >= count)).any():
+            raise InvalidArgument(
+                f"action table entries must be points 0..{count - 1}")
+        act = act.astype(np.int64, copy=False)
+        if (act[group.identity] != np.arange(count)).any():
+            raise InvalidArgument("identity must act trivially")
+        elements = np.arange(group.order)
+        for h in group.generators():
+            # g.(h.p) against (gh).p, for every g and p
+            bad = (np.take(act, act[h], axis=1)
+                   != act[group.products(elements, h)])
+            if bad.any():
+                g, p = divmod(int(np.argmax(bad)), count)
+                raise InvalidArgument(f"not an action: ({g},{h},{p})")
+        act.setflags(write=False)
+        object.__setattr__(self, "table", act)
 
 
 class FiniteGroup:
     """Base class: an immutable indexed group.  Subclasses fix the element
-    encoding and supply multiply/invert and the bulk products; conjugacy
+    encoding and supply the bulk products; inverses and conjugacy
     classes are cached on first request."""
 
     identity = 0
@@ -145,13 +173,14 @@ class FiniteGroup:
         self.order = order
         self._classes = None
         self._class_of = None
+        self._inverses = None
 
     # -- group operations (element indices) --
     def multiply(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return int(self.products(a, b))
 
     def invert(self, a: int) -> int:
-        raise NotImplementedError
+        return int(self.inverses()[a])
 
     def products(self, a, b) -> np.ndarray:
         """Products ``a * b`` of index arrays, elementwise under numpy
@@ -159,17 +188,38 @@ class FiniteGroup:
         raise NotImplementedError
 
     def inverses(self) -> np.ndarray:
-        """The inverse of every element, as one index array: g^-1 is
-        g^(order-1) (Lagrange), raised for all g at once by squaring."""
-        result = np.zeros(self.order, dtype=np.int64)
-        power = np.arange(self.order)
-        e = self.order - 1
-        while e:
-            if e & 1:
-                result = self.products(result, power)
-            power = self.products(power, power)
-            e >>= 1
-        return result
+        """The inverse of every element, as one index array, computed
+        once: g^-1 is g^(order-1) (Lagrange), raised for all g at once by
+        squaring."""
+        if self._inverses is None:
+            result = np.zeros(self.order, dtype=np.int64)
+            power = np.arange(self.order)
+            e = self.order - 1
+            while e:
+                if e & 1:
+                    result = self.products(result, power)
+                power = self.products(power, power)
+                e >>= 1
+            result.setflags(write=False)
+            self._inverses = result
+        return self._inverses
+
+    def generators(self):
+        """Each generator is the smallest element outside the closure of
+        the ones before it under right multiplication; each at least
+        doubles that subgroup, so there are at most log2(order).  Each is
+        yielded before the closure grows, so a failing check stops there."""
+        inside = np.arange(self.order) == self.identity
+        gens = []
+        while not inside.all():
+            g = int(np.argmin(inside))
+            yield g
+            gens.append(g)
+            frontier = np.flatnonzero(inside)
+            while frontier.size:
+                reached = self.products(frontier[:, None], gens).ravel()
+                frontier = np.unique(reached[~inside[reached]])
+                inside[frontier] = True
 
     def identity_key(self):
         """What fixes the element numbering within this class of group;
@@ -508,15 +558,6 @@ class GeneralLinearGroup(FiniteGroup):
         """The rank over F_q of every matrix in a stack ``(..., n, n)``."""
         return self.field.row_reduce(stack)[1]
 
-    def multiply(self, a, b):
-        return int(self.products(a, b))
-
-    def invert(self, a):
-        return int(self._inverses[a])
-
-    def inverses(self):
-        return self._inverses
-
     def products(self, a, b):
         f = self.field
         A, B = self.element_array[a], self.element_array[b]
@@ -535,76 +576,50 @@ class GeneralLinearGroup(FiniteGroup):
 
 
 class TableGroup(FiniteGroup):
-    """Group given by an explicit Cayley table (verified on construction).
-    If the identity is not element 0 the table is relabelled by swapping
-    it with 0."""
+    """Group given by an explicit Cayley table, kept as one read-only
+    int64 array and checked on construction: Latin rows and columns, a
+    two-sided identity (swapped with 0), two-sided inverses, and Light's
+    test (x g) y = x (g y) for all x, y and each generator g."""
 
-    def __init__(self, table, labels=None):
-        table = [list(row) for row in table]
+    def __init__(self, table):
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
             raise InvalidArgument("table must be square and nonempty")
-        full = set(range(n))
-        for i, row in enumerate(table):
-            if set(row) != full:
-                raise NotAGroup("latin-square-row", (i,))
-        for j in range(n):
-            if {table[i][j] for i in range(n)} != full:
-                raise NotAGroup("latin-square-column", (j,))
-        e = next((g for g in range(n)
-                  if all(table[g][h] == h and table[h][g] == h
-                         for h in range(n))), None)
-        if e is None:
+        T = np.array(table)     # dtype object if an entry is huge
+        elements = np.arange(n)
+        for lines, kind in ((T, "row"), (T.T, "column")):
+            bad = (np.sort(lines, axis=1) != elements).any(axis=1)
+            if bad.any():
+                raise NotAGroup(f"latin-square-{kind}", (int(np.argmax(bad)),))
+        T = T.astype(np.int64, copy=False)
+        found = np.flatnonzero((T == elements).all(axis=1)
+                               & (T.T == elements).all(axis=1))
+        if not found.size:
             raise NotAGroup("identity", ())
-        if e != 0:
-            table, labels = _swap_labels(table, labels, e)
+        # sigma swaps the identity e with 0; it is its own inverse
+        e = int(found[0])
+        sigma = elements.copy()
+        sigma[[0, e]] = e, 0
+        T = sigma[T[np.ix_(sigma, sigma)]]
+        inverse = np.argmax(T == 0, axis=1)     # g inverse[g] = 0
+        bad = T[inverse, elements] != 0
+        if bad.any():
+            raise NotAGroup("inverse", (int(np.argmax(bad)),))
         super().__init__(n)
-        self.table = tuple(tuple(row) for row in table)
-        self.labels = tuple(labels) if labels else None
-        inv = [None] * n
-        for g in range(n):
-            inv[g] = next((h for h in range(n) if self.table[g][h] == 0), None)
-            if inv[g] is None or self.table[inv[g]][g] != 0:
-                raise NotAGroup("inverse", (g,))
-        self._inv = tuple(inv)
-        self._array = np.array(self.table)
-        for a in range(n):
-            for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                        raise NotAGroup("associativity", (a, b, c))
-
-    def multiply(self, a, b):
-        return self.table[a][b]
-
-    def invert(self, a):
-        return self._inv[a]
+        T.setflags(write=False)
+        self._table = T
+        for g in self.generators():
+            # (x g) y against x (g y); np.take is faster than T[:, T[g]]
+            bad = T[T[:, g]] != np.take(T, T[g], axis=1)
+            if bad.any():
+                x, y = divmod(int(np.argmax(bad)), n)
+                raise NotAGroup("associativity", (x, g, y))
 
     def products(self, a, b):
-        return self._array[a, b]
+        return self._table[a, b]
 
     def identity_key(self):
-        return self.table
-
-    def element_label(self, a):
-        return self.labels[a] if self.labels else str(a)
-
-
-def _swap_labels(table, labels, e):
-    """Relabel the table so that element e becomes 0."""
-    n = len(table)
-    sigma = list(range(n))
-    sigma[0], sigma[e] = e, 0
-    new = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            new[sigma[a]][sigma[b]] = sigma[table[a][b]]
-    if labels:
-        relabeled = list(labels)
-        relabeled[0], relabeled[e] = labels[e], labels[0]
-        labels = relabeled
-    return new, labels
+        return self._table.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +637,8 @@ def make_general_linear(q: int, n: int) -> GeneralLinearGroup:
     return GeneralLinearGroup(q, n)
 
 
-def make_from_table(table, labels=None) -> TableGroup:
-    return TableGroup(table, labels)
+def make_from_table(table) -> TableGroup:
+    return TableGroup(table)
 
 
 def conjugacy_classes(group: FiniteGroup):
@@ -668,33 +683,11 @@ def import_cayley_table(path) -> TableGroup:
     if len(vals) != n * n:
         raise SchemaError(
             f"expected {n * n} table entries, got {len(vals)}")
-    table = [vals[i * n:(i + 1) * n] for i in range(n)]
-    return make_from_table(table)
+    return make_from_table(np.reshape(vals, (n, n)))
 
 
 def action_from_table(group: FiniteGroup, table) -> GroupAction:
-    """Wrap an explicit action table after checking the action axioms on
-    generatable spot checks: identity row and compatibility on all pairs
-    when the group is small."""
-    table = tuple(tuple(row) for row in table)
-    if len(table) != group.order:
-        raise InvalidArgument("action table must have one row per element")
-    point_count = len(table[0])
-    if any(len(row) != point_count for row in table):
-        raise InvalidArgument("ragged action table")
-    if any(not 0 <= p < point_count for row in table for p in row):
-        raise InvalidArgument(
-            f"action table entries must be points 0..{point_count - 1}")
-    if table[group.identity] != tuple(range(point_count)):
-        raise InvalidArgument("identity must act trivially")
-    if group.order <= 200:
-        act = np.array(table, dtype=np.int64)
-        elements = np.arange(group.order)
-        products = group.products(elements[:, None], elements)
-        # one g at a time keeps memory at |G| x points
-        for g in range(group.order):
-            bad = np.flatnonzero(act[g][act] != act[products[g]])
-            if bad.size:
-                h, p = divmod(int(bad[0]), point_count)
-                raise InvalidArgument(f"not an action: ({g},{h},{p})")
-    return GroupAction(group=group, point_count=point_count, table=table)
+    """The action of ``group`` with the given table, on as many points as
+    its first row has; checked in full by ``GroupAction``."""
+    return GroupAction(group=group, point_count=len(next(iter(table), ())),
+                       table=table)

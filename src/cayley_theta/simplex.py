@@ -274,8 +274,8 @@ def _float_basis(A, b, c):
     """Solve max c.x, A x = b, x >= 0 in doubles, the arrays' entries
     rounded to them.  Returns (status, basis, keep_rows, values): on
     'optimal', the basic columns, the rows that are not redundant, and
-    values[i] = x[basis[i]].  Raises NumericalFailure on non-finite data
-    or at the iteration cap."""
+    values[i] = x[basis[i]].  Raises NumericalFailure on non-finite data,
+    at the iteration cap, or when phase I reports unbounded."""
     m, n = A.shape
     data = np.hstack([A, b[:, None]]).astype(float)
     c = c.astype(float)
@@ -292,7 +292,9 @@ def _float_basis(A, b, c):
     data1 = np.hstack([data[:, :n], np.eye(m), data[:, n:]])
     cost1 = np.append(np.zeros(n), -np.ones(m))
     basis = list(range(n, n + m))
-    _, T = _iterate(data1, cost1, basis, n + m, budget)
+    status, T = _iterate(data1, cost1, basis, n + m, budget)
+    if status == "unbounded":     # phase I is bounded by 0
+        raise NumericalFailure("phase I of the float simplex is unbounded")
     rhs_tol = FEAS_TOL * max(1.0, float(data[:, -1].max()))
     if any(T[i, -1] > rhs_tol for i in range(m) if basis[i] >= n):
         return "infeasible", None, None, None

@@ -8,7 +8,9 @@ the reference abelian table computes one ``cmath.exp`` per
 entry and the reference Fourier sums one product per entry, the
 independence-number oracle is a plain subset recursion, the group
 oracles use only the single-product ``multiply``/``invert`` that the
-array kernels (``products``/``inverses``) must agree with, the PSD test
+array kernels (``products``/``inverses``) must agree with (the axiom
+and action oracles try every triple, where the package checks the
+generators only), the PSD test
 is symmetric elimination over ``Fraction`` on the group matrix (the
 direct check of Bochner's criterion), the convolution is the defining
 sum, the character oracle walks border strips on the Young diagram
@@ -431,6 +433,20 @@ def check_axioms(group):
         if bad.any():
             b, c = divmod(int(np.argmax(bad)), n)
             raise NotAGroup("associativity", (a, b, c))
+
+
+def action_axiom_failures(group, table) -> list:
+    """Every (g, h, p) with g.(h.p) != (gh).p, in lexicographic order:
+    the exhaustive check of the action axiom, one ``multiply`` call per
+    pair (g, h)."""
+    points = range(len(table[0]))
+    failures = []
+    for g in range(group.order):
+        for h in range(group.order):
+            gh = group.multiply(g, h)
+            failures.extend((g, h, p) for p in points
+                            if table[g][table[h][p]] != table[gh][p])
+    return failures
 
 
 def reference_classes(group):

@@ -121,6 +121,19 @@ def test_efp_table_grid_and_csv(tmp_path):
     assert len(lines) == 11
 
 
+def test_efp_table_runs_to_the_symmetric_group_bound():
+    """The grid reaches n = SymmetricGroup.MAX_N with every cell exact;
+    two of its gaps above n = 8 are pinned."""
+    cells = {(c.n, c.k): c for c in efp_table(SymmetricGroup.MAX_N)}
+    assert len(cells) == 55 and all(c.exact for c in cells.values())
+    for n, k, value, conjectured in ((9, 6, 11, 9), (10, 5, 210, 132)):
+        cell = cells[n, k]
+        assert cell.theta == value and not cell.checkmark
+        assert cell.conjectured_max == conjectured
+    with pytest.raises(InvalidArgument, match="n_max <= 10, not 11"):
+        efp_table(SymmetricGroup.MAX_N + 1)
+
+
 def test_gl_connection_sizes():
     assert gl_connection(2, 2, 1).size == 2
     assert gl_connection(3, 2, 1).size == 27

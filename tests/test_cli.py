@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cayley_theta import simplex
@@ -103,9 +104,9 @@ def test_efp_table_output(capsys, tmp_path):
 
 
 def test_efp_table_nmax_bound(capsys):
-    code, _, err = run(capsys, "efp-table", "--nmax", "9")
+    code, _, err = run(capsys, "efp-table", "--nmax", "11")
     assert code == 2
-    assert err == "error: efp_table needs 1 <= n_max <= 8, not 9\n"
+    assert err == "error: efp_table needs 1 <= n_max <= 10, not 11\n"
 
 
 def test_theta_float_failure_is_clean(capsys, monkeypatch):
@@ -263,6 +264,46 @@ def test_blowup_rejects_action_entries_outside_the_points(capsys, tmp_path,
     assert "entries must be points 0..4" in err
 
 
+def _cycle_blowup(capsys, tmp_path, rows):
+    """Exit code and stderr of ``blowup`` for C_n, Z_n and an action
+    table."""
+    n = len(rows)
+    gp, ap = tmp_path / "cycle.txt", tmp_path / "act.txt"
+    export_graph(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]),
+                 gp)
+    np.savetxt(ap, rows, fmt="%d", header=f"{n} {n}", comments="")
+    code, _, err = run(capsys, "blowup", "--graph", str(gp), "--action",
+                       str(ap), "--group", f"cyclic:{n}")
+    return code, err
+
+
+def test_blowup_refuses_large_non_actions_and_non_automorphisms(capsys,
+                                                                 tmp_path):
+    """Z_211 on itself with two entries of row 3 swapped is not an
+    action; Z_2003 rotating C_2003 conjugated by the swap of vertices 0
+    and 5 is not by automorphisms.  Both exit 2."""
+    rotations = (np.arange(211)[:, None] + np.arange(211)) % 211
+    rotations[3, [1, 2]] = rotations[3, [2, 1]]
+    assert _cycle_blowup(capsys, tmp_path, rotations) == (
+        2, "error: not an action: (2,1,1)\n")
+    rotations = (np.arange(2003)[:, None] + np.arange(2003)) % 2003
+    swap = np.arange(2003)
+    swap[[0, 5]] = [5, 0]
+    assert _cycle_blowup(capsys, tmp_path, swap[rotations[:, swap]]) == (
+        2, "error: element 1 does not preserve adjacency on edge (0, 1)\n")
+
+
+def test_s6_cayley_table_loads_via_cli(capsys, tmp_path):
+    """The order-720 table is checked in full on load (Light's test on
+    two generators), then used."""
+    path = tmp_path / "s6.txt"
+    export_cayley_table(make_symmetric(6), path)
+    code, out, _ = run(capsys, "alpha", "--group", f"table:{path}",
+                       "--connection", "empty")
+    assert code == 0
+    assert "alpha = 720" in out
+
+
 def test_chartable_bound_checked_before_allocating(capsys):
     code, _, err = run(capsys, "chartable", "--group", "cyclic:3000000")
     assert code == 2
@@ -297,6 +338,10 @@ def test_usage_error_exit_code(capsys):
     ("alpha", "--graph", "{tmp}/bad_edge.txt"),
     ("alpha", "--group", "table:{tmp}/bad_table.txt", "--connection",
      "empty"),
+    ("alpha", "--group", "table:{tmp}/huge_table.txt", "--connection",
+     "empty"),
+    ("blowup", "--graph", "{tmp}/path.txt", "--action",
+     "{tmp}/huge_action.txt", "--group", "cyclic:2"),
     ("blowup", "--graph", "{tmp}/path.txt", "--action",
      "{tmp}/bad_action.txt", "--group", "cyclic:2"),
     ("bochner", "--group", "cyclic:2", "--function", "{tmp}/ones.json",
@@ -322,6 +367,8 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     (tmp_path / "path.txt").write_text("vertices 2 edges 1\n0 1\n")
     (tmp_path / "bad_table.txt").write_text("2\n0 1\n1 a\n")
     (tmp_path / "bad_action.txt").write_text("2 2\n0 1\n1 a\n")
+    (tmp_path / "huge_table.txt").write_text(f"2\n0 1\n1 {2 ** 70}\n")
+    (tmp_path / "huge_action.txt").write_text(f"2 2\n0 1\n1 {-2 ** 70}\n")
     (tmp_path / "action.txt").write_text("2 2\n0 1\n1 0\n")
     (tmp_path / "bad_degrees.json").write_text(json.dumps(
         {"group_order": 6, "class_sizes": [1, 3, 2], "degrees": ["x"],

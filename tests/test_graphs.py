@@ -355,6 +355,40 @@ def test_blowup_rejects_bad_actions():
         blowup_connection(action_from_table(z2, triv), c5)
 
 
+def test_blowup_checks_automorphisms_at_every_order():
+    """Z_2003 rotating C_2003, conjugated by the swap of vertices 0 and
+    5, is a transitive action but not by automorphisms: its generator 1
+    maps the edge (0, 1) to (6, 2).  It is refused, where once no element
+    was checked above order 2000; the rotations themselves pass."""
+    n = 2003
+    cycle = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    z = make_abelian_product([n])
+    rotations = (np.arange(n)[:, None] + np.arange(n)) % n
+    X = blowup_connection(action_from_table(z, rotations), cycle)
+    assert X.elements == (1, n - 1)
+    swap = np.arange(n)
+    swap[[0, 5]] = [5, 0]
+    conjugated = action_from_table(z, swap[rotations[:, swap]])
+    with pytest.raises(NotAutomorphism) as caught:
+        blowup_connection(conjugated, cycle)
+    assert (caught.value.element, caught.value.edge) == (1, (0, 1))
+    assert not cycle.has_edge(6, 2)
+
+
+def test_blowup_witness_is_a_broken_edge():
+    """On the dihedral action of order 10 on C_5 with the letters 1 and
+    2 renamed, the reported element maps the reported edge to a
+    non-edge."""
+    c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    action = action_from_generators([[2, 3, 1, 4, 0], [0, 3, 4, 1, 2]])
+    assert action.group.order == 10
+    with pytest.raises(NotAutomorphism) as caught:
+        blowup_connection(action, c5)
+    (u, v), g = caught.value.edge, caught.value.element
+    assert c5.has_edge(u, v)
+    assert not c5.has_edge(*action.table[g, [u, v]].tolist())
+
+
 def test_graph_file_roundtrip(tmp_path):
     g = petersen()
     path = tmp_path / "petersen.txt"
@@ -371,5 +405,4 @@ def test_action_file_roundtrip(tmp_path):
     path = tmp_path / "act.txt"
     export_action(act, path)
     act2 = import_action_table(path, z5)
-    assert all(act2.act(g, p) == act.act(g, p)
-               for g in range(5) for p in range(5))
+    assert act2.table.tolist() == act.table.tolist()

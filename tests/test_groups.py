@@ -1,21 +1,26 @@
 import hashlib
 import itertools
+import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayley_theta.apps import gl_connection, gl_pointwise_stabilizer
 from cayley_theta.characters import abelian_character_table
 from cayley_theta.errors import InvalidArgument, NotAGroup
-from cayley_theta.groups import (action_from_table, conjugacy_classes,
+from cayley_theta.groups import (GroupAction, action_from_table,
+                                 conjugacy_classes,
                                  cycle_type, export_cayley_table,
                                  import_cayley_table, make_abelian_product,
                                  make_from_table, make_general_linear,
                                  make_symmetric, partitions, perm_rank,
                                  perm_unrank, same_group)
 
-from oracles import (action_from_generators, check_axioms, matrix_product,
-                     reference_classes, shift_rank)
+from oracles import (action_axiom_failures, action_from_generators,
+                     check_axioms, matrix_product, reference_classes,
+                     shift_rank)
 
 
 def test_perm_rank_roundtrip():
@@ -274,20 +279,28 @@ def test_generic_classes_match_reference():
                    for g in range(group.order))
 
 
+def _fails(group, table, g, h, p):
+    return table[g][table[h][p]] != table[group.multiply(g, h)][p]
+
+
 def test_action_table_reports_first_failing_triple():
-    """The first (g, h, p), in that loop order, with g.(h.p) != (gh).p;
-    pinned from the check that made one multiply call per pair."""
+    """The first (g, h, p), in the order (generator h, then g, then p),
+    with g.(h.p) != (gh).p; each one a real failure of the axiom."""
     z5 = make_abelian_product([5])
+    assert list(z5.generators()) == [1]
     regular = [[z5.multiply(g, p) for p in range(5)] for g in range(5)]
     regular[3][1], regular[3][2] = regular[3][2], regular[3][1]
-    with pytest.raises(InvalidArgument, match=r"not an action: \(1,2,1\)$"):
+    with pytest.raises(InvalidArgument, match=r"not an action: \(2,1,1\)$"):
         action_from_table(z5, regular)
+    assert _fails(z5, regular, 2, 1, 1)
+    assert (2, 1, 1) in action_axiom_failures(z5, regular)
     s5 = make_symmetric(5)
     natural = [list(s5.perm(g)) for g in range(s5.order)]
     assert action_from_table(s5, natural).point_count == 5
     natural[77][3], natural[77][4] = natural[77][4], natural[77][3]
-    with pytest.raises(InvalidArgument, match=r"not an action: \(1,77,3\)$"):
+    with pytest.raises(InvalidArgument, match=r"not an action: \(76,1,3\)$"):
         action_from_table(s5, natural)
+    assert _fails(s5, natural, 76, 1, 3)
 
 
 @pytest.mark.parametrize("bad", [7, -1])
@@ -297,13 +310,263 @@ def test_action_table_rejects_entries_outside_the_points(bad):
     regular[2][3] = bad
     with pytest.raises(InvalidArgument, match=r"points 0\.\.4$"):
         action_from_table(z5, regular)
-    # also above the order that gates the exhaustive axiom check
+    # the same on Z_211: the range is checked before the action axiom
     z211 = make_abelian_product([211])
     elements = np.arange(211)
     regular = z211.products(elements[:, None], elements).tolist()
     regular[100][5] = 211 if bad > 0 else bad
     with pytest.raises(InvalidArgument, match=r"points 0\.\.210$"):
         action_from_table(z211, regular)
+
+
+def test_action_axiom_is_checked_at_every_order():
+    """Z_211 acting on itself with two entries of row 3 swapped is not
+    an action; nor is Z_2003 on C_2003 with row 1 turned into a
+    reflection.  Both are refused, as the same defect on Z_5 is."""
+    z211 = make_abelian_product([211])
+    elements = np.arange(211)
+    regular = z211.products(elements[:, None], elements)
+    assert action_from_table(z211, regular).point_count == 211
+    regular[3, [1, 2]] = regular[3, [2, 1]]
+    with pytest.raises(InvalidArgument, match=r"not an action: \(2,1,1\)$"):
+        action_from_table(z211, regular)
+    z2003 = make_abelian_product([2003])
+    rows = (np.arange(2003)[:, None] + np.arange(2003)) % 2003
+    rows[1] = -np.arange(2003) % 2003
+    with pytest.raises(InvalidArgument, match=r"not an action: \(1,1,0\)$"):
+        action_from_table(z2003, rows)
+
+
+def test_action_built_directly_is_checked():
+    z5 = make_abelian_product([5])
+    rows = [[(g + p) % 5 for p in range(5)] for g in range(5)]
+    assert GroupAction(group=z5, point_count=5, table=rows).table[3, 4] == 2
+    rows[4] = rows[3]
+    with pytest.raises(InvalidArgument, match=r"not an action"):
+        GroupAction(group=z5, point_count=5, table=rows)
+    with pytest.raises(InvalidArgument, match=r"ragged"):
+        GroupAction(group=z5, point_count=4, table=rows)
+
+
+def test_generators_are_greedy_and_generate():
+    """Each generator is the smallest element outside the closure of the
+    ones before it; together they generate the group, and there are at
+    most log2 of the order."""
+    for group in (make_symmetric(1), make_symmetric(5),
+                  make_abelian_product([2] * 6), make_abelian_product([4, 6]),
+                  make_general_linear(3, 2), _small_table_group()):
+        closure = {group.identity}
+        gens = list(group.generators())
+        for g in gens:
+            assert g == min(set(range(group.order)) - closure)
+            while True:
+                grown = closure | {group.multiply(x, h) for x in closure
+                                   for h in gens[:gens.index(g) + 1]}
+                if grown == closure:
+                    break
+                closure = grown
+        assert closure == set(range(group.order))
+        assert 2 ** len(gens) <= group.order
+
+
+def _reference_relabel(rows):
+    """The table relabelled by the swap of its identity with 0."""
+    n = len(rows)
+    e = next(e for e in range(n) if rows[e] == list(range(n))
+             and all(rows[h][e] == h for h in range(n)))
+    sigma = list(range(n))
+    sigma[0], sigma[e] = e, 0
+    return [[sigma[rows[sigma[a]][sigma[b]]] for b in range(n)]
+            for a in range(n)]
+
+
+class _Square:
+    """A Latin square with a two-sided identity, read as ``check_axioms``
+    reads a group; ``invert`` is the right inverse."""
+
+    def __init__(self, rows):
+        self.rows = _reference_relabel(rows)
+        self.order = len(rows)
+        self.identity = 0
+
+    def multiply(self, a, b):
+        return self.rows[a][b]
+
+    def invert(self, g):
+        return self.rows[g].index(0)
+
+
+def _random_loop(n, rng):
+    """A Latin square of order n whose row and column 0 are the
+    identity, filled cell by cell in random order of the candidates."""
+    rows = [[j if i == 0 else i if j == 0 else None for j in range(n)]
+            for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(rows[i][:j]) | {rows[r][j] for r in range(i)}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for v in options:
+            rows[i][j] = v
+            if fill(k + 1):
+                return True
+        rows[i][j] = None
+        return False
+
+    fill(0)
+    return rows
+
+
+def _table(group):
+    everything = np.arange(group.order)
+    return group.products(everything[:, None], everything).tolist()
+
+
+SMALL_GROUPS = [make_abelian_product([4]), make_abelian_product([2, 2]),
+                make_abelian_product([6]), make_abelian_product([2, 2, 2]),
+                make_abelian_product([2, 4]), make_symmetric(3),
+                make_symmetric(4), make_general_linear(2, 2),
+                make_general_linear(3, 2), _small_table_group()]
+
+
+@st.composite
+def latin_squares_with_identity(draw):
+    """Random loops of order 1-7, and group tables, some with one
+    intercalate (a 2 x 2 Latin subsquare away from the identity)
+    swapped; each relabelled by a random permutation."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 7))
+        rows = _random_loop(n, random.Random(draw(st.integers(0, 2 ** 32))))
+    else:
+        rows = _table(draw(st.sampled_from(SMALL_GROUPS)))
+        n = len(rows)
+        intercalates = [(a, b, c, d)
+                        for a, b in itertools.combinations(range(1, n), 2)
+                        for c, d in itertools.combinations(range(1, n), 2)
+                        if rows[a][c] == rows[b][d]
+                        and rows[a][d] == rows[b][c]]
+        if intercalates and draw(st.booleans()):
+            a, b, c, d = draw(st.sampled_from(intercalates))
+            for r in (a, b):
+                rows[r][c], rows[r][d] = rows[r][d], rows[r][c]
+    sigma = draw(st.permutations(range(n)))
+    relabelled = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            relabelled[sigma[a]][sigma[b]] = sigma[rows[a][b]]
+    return relabelled
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(latin_squares_with_identity())
+def test_table_group_accepts_exactly_the_groups(rows):
+    """TableGroup accepts a Latin square with an identity exactly when
+    the exhaustive ``check_axioms`` does; an associativity witness
+    (x, g, y) is a real failure in the relabelled table."""
+    square = _Square(rows)
+    try:
+        check_axioms(square)
+        is_group = True
+    except NotAGroup:
+        is_group = False
+    try:
+        group = make_from_table(rows)
+    except NotAGroup as exc:
+        assert not is_group
+        T = square.rows
+        if exc.axiom == "associativity":
+            x, g, y = exc.witness
+            assert T[T[x][g]][y] != T[x][T[g][y]]
+        else:
+            assert exc.axiom == "inverse"
+            g, = exc.witness
+            assert T[T[g].index(0)][g] != 0
+    else:
+        assert is_group
+        assert _table(group) == square.rows
+
+
+def _coset_action(group, k):
+    """G acting on the left cosets of the cyclic subgroup <k>, numbered
+    by first appearance; k = 0 gives the regular action."""
+    sub, x = {0}, k
+    while x not in sub:
+        sub.add(x)
+        x = group.multiply(x, k)
+    coset_of, reps = {}, []
+    for g in range(group.order):
+        coset = frozenset(group.multiply(g, h) for h in sub)
+        if coset not in coset_of:
+            coset_of[coset] = len(reps)
+            reps.append(g)
+    return [[coset_of[frozenset(group.multiply(group.multiply(g, r), h)
+                                for h in sub)] for r in reps]
+            for g in range(group.order)]
+
+
+ACTION_GROUPS = [make_abelian_product([6]), make_abelian_product([2, 2, 2]),
+                 make_symmetric(3), make_symmetric(4),
+                 make_general_linear(2, 2), _small_table_group()]
+
+
+@st.composite
+def action_tables(draw):
+    """Coset actions of small groups (and S_n on its letters), left as
+    they are, with the points renamed, or with one row changed: two
+    entries swapped, another row copied in, or a random map."""
+    group = draw(st.sampled_from(ACTION_GROUPS))
+    if hasattr(group, "perm") and draw(st.booleans()):
+        rows = [list(group.perm(g)) for g in range(group.order)]
+    else:
+        rows = _coset_action(group, draw(st.integers(0, group.order - 1)))
+    count = len(rows[0])
+    change = draw(st.sampled_from(["none", "rename", "swap", "copy", "map"]))
+    r = draw(st.integers(0, group.order - 1))
+    if change == "rename":
+        sigma = draw(st.permutations(range(count)))
+        renamed = [[0] * count for _ in rows]
+        for g, row in enumerate(rows):
+            for p, q in enumerate(row):
+                renamed[g][sigma[p]] = sigma[q]
+        rows = renamed
+    elif change == "swap":
+        p, q = draw(st.lists(st.integers(0, count - 1), min_size=2,
+                             max_size=2))
+        rows[r][p], rows[r][q] = rows[r][q], rows[r][p]
+    elif change == "copy":
+        rows[r] = list(rows[draw(st.integers(0, group.order - 1))])
+    elif change == "map":
+        rows[r] = draw(st.lists(st.integers(0, count - 1), min_size=count,
+                                max_size=count))
+    return group, rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(action_tables())
+def test_action_check_accepts_exactly_the_actions(case):
+    """An action table is accepted exactly when the exhaustive (g, h, p)
+    oracle finds no failure and the identity fixes every point; a
+    reported triple is one of the oracle's failures."""
+    group, rows = case
+    failures = action_axiom_failures(group, rows)
+    is_action = rows[0] == list(range(len(rows[0]))) and not failures
+    try:
+        action = action_from_table(group, rows)
+    except InvalidArgument as exc:
+        assert not is_action
+        found = re.fullmatch(r"not an action: \((\d+),(\d+),(\d+)\)",
+                             str(exc))
+        if found:
+            assert tuple(map(int, found.groups())) in failures
+        else:
+            assert str(exc) == "identity must act trivially"
+    else:
+        assert is_action
+        assert action.table.tolist() == rows
 
 
 def test_same_group_needs_same_kind_and_numbering():

@@ -180,6 +180,29 @@ def test_exact_solve_when_the_float_stage_raises(monkeypatch, capsys):
     assert "Traceback" not in out + err
 
 
+def test_float_phase_one_unbounded_is_a_numerical_failure(monkeypatch):
+    """Phase I is bounded by 0, so 'unbounded' from it is a breakdown in
+    doubles.  Forced at phase I's first pivot, where the artificials are
+    still basic, float solve raises NumericalFailure instead of reading
+    them as 'infeasible' on a feasible LP; exact solve, with no float
+    basis left to prove, raises it too."""
+    real = simplex._iterate
+
+    def phase_one_stops(data, cost, basis, ncols, budget):
+        m = len(basis)
+        if (cost[-m:] == -1).all() and not cost[:-m].any():
+            return "unbounded", simplex._reprice(data, cost, basis)
+        return real(data, cost, basis, ncols, budget)
+
+    monkeypatch.setattr(simplex, "_iterate", phase_one_stops)
+    for number in (float, F):
+        inst = LpInstance(objective=(number(1), number(1), number(0)),
+                          A=((number(1), number(1), number(1)),),
+                          b=(number(1),))
+        with pytest.raises(NumericalFailure):
+            solve(inst)
+
+
 def _solve_with_float_stage(monkeypatch, stub):
     """Exact solve of every reference instance, with the float stage
     replaced by ``stub`` for the LP under test only; the auxiliary LPs
