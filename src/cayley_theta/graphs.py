@@ -28,10 +28,13 @@ import numpy as np
 
 from .errors import (InvalidArgument, NotAutomorphism, NotTransitive,
                      SchemaError)
-from .groups import (FiniteGroup, GroupAction, action_from_table, parse_ints,
-                     same_group)
+from .groups import (FiniteGroup, GroupAction, action_from_table, load_rows,
+                     parse_ints, same_group)
 
 CAYLEY_BOUND = 5000
+# products per group.products call in build_cayley; at order CAYLEY_BOUND
+# a call takes 52 whole columns
+PRODUCTS_PER_CALL = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +186,17 @@ def build_cayley(group: FiniteGroup, connection: ConnectionSet) -> Graph:
     inside[list(connection.elements)] = True
     if inside[group.identity]:
         raise InvalidArgument("connection set produced a self-loop")
-    # one products row per element of the smaller side: set the arcs
+    # a products column per element of the smaller side: set the arcs
     # x -> xs of each s in X, or start from all arcs and clear those of
-    # each s outside X (the identity's are the diagonal)
+    # each s outside X (the identity's are the diagonal); one products
+    # call per block of whole columns
     direct = 2 * inside.sum() <= group.order - 1
-    xs = np.arange(group.order)
+    side = np.flatnonzero(inside == direct)
+    xs = np.arange(group.order)[:, None]
     hit = np.full((group.order, group.order), not direct)
-    for s in np.flatnonzero(inside == direct):
-        hit[xs, group.products(xs, s)] = direct
+    width = PRODUCTS_PER_CALL // group.order
+    for lo in range(0, len(side), width):
+        hit[xs, group.products(xs, side[None, lo:lo + width])] = direct
     # x -> gx is an automorphism: (gy)^-1 (gx) = y^-1 x
     return replace(Graph.from_matrix(hit), transitive=True)
 
@@ -237,7 +243,7 @@ def alpha(graph: Graph, time_budget: Optional[float] = None) -> AlphaResult:
     np.fill_diagonal(comp, False)
     # deterministic relabeling: complement-degree descending, index ties
     order = np.argsort(-comp.sum(axis=1), kind="stable")
-    adj = Graph.from_matrix(comp[np.ix_(order, order)]).adj
+    adj = Graph.from_matrix(np.take(comp[order], order, axis=1)).adj
     order = order.tolist()
     # apart[v]: the vertices that may share v's color (not v, not adjacent)
     apart = [~(adj[v] | (1 << v)) for v in range(n)]
@@ -334,7 +340,7 @@ def blowup_connection(action: GroupAction, graph: Graph,
     for h in action.group.generators():
         # h permutes the vertices, so it is an automorphism iff it maps
         # no edge to a non-edge; the first edge it breaks is the witness
-        broken = M & ~M[np.ix_(act[h], act[h])]
+        broken = M & ~np.take(M[act[h]], act[h], axis=1)
         if broken.any():
             u, v = divmod(int(np.argmax(broken)), graph.vertex_count)
             raise NotAutomorphism(h, (u, v))
@@ -387,8 +393,11 @@ def import_action_table(path, group: FiniteGroup) -> GroupAction:
             raise SchemaError("expected header 'ORDER POINTS'")
         order, npts = parse_ints(
             header, f"action table header {' '.join(header)!r}")
+        lines = [line for line in fh if line.strip()]
+    rows = load_rows(lines)
+    if rows is None:
         rows = [parse_ints(line.split(), f"action table row {line.strip()!r}")
-                for line in fh if line.strip()]
+                for line in lines]
     if order != group.order or len(rows) != order:
         raise SchemaError("action table does not match the group order")
     if any(len(r) != npts for r in rows):

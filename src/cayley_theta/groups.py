@@ -386,8 +386,8 @@ class SymmetricGroup(FiniteGroup):
 
     def products(self, a, b):
         perms = self._perm_array()
-        p, q = np.broadcast_arrays(perms[a], perms[b])
-        composed = np.take_along_axis(p, q, axis=-1)
+        # p(q(i)) is entry a * n + q(i) of the flat permutation array
+        composed = perms.ravel()[np.asarray(a)[..., None] * self.n + perms[b]]
         return np.searchsorted(self._keys, composed @ self._weights)
 
     def identity_key(self):
@@ -559,13 +559,19 @@ class GeneralLinearGroup(FiniteGroup):
         return self.field.row_reduce(stack)[1]
 
     def products(self, a, b):
-        f = self.field
-        A, B = self.element_array[a], self.element_array[b]
-        terms = f.mul[A[..., :, :, None], B[..., None, :, :]]
-        C = terms[..., 0, :]     # C[i, j] = sum over k of A[i, k] B[k, j]
-        for k in range(1, self.n):
-            C = f.add[C, terms[..., k, :]]
-        return self._index_of_key[(C * self._weights).sum(axis=(-2, -1))]
+        # C[i, j] = sum over k of A[i, k] B[k, j], through the flat field
+        # tables (entry x * q + y is x op y) on the broadcast leading axes;
+        # the key sums C[i, j] times its weight
+        n, q = self.n, self.q
+        mul, add = self.field.mul.ravel(), self.field.add.ravel()
+        A, B = self.element_array[a] * q, self.element_array[b]
+        key = 0
+        for (i, j), weight in np.ndenumerate(self._weights):
+            c = mul[A[..., i, 0] + B[..., 0, j]]
+            for k in range(1, n):
+                c = add[c * q + mul[A[..., i, k] + B[..., k, j]]]
+            key = key + c * int(weight)
+        return self._index_of_key[key]
 
     def identity_key(self):
         return (self.q, self.n)
@@ -674,12 +680,32 @@ def parse_ints(tokens, what, count=None) -> list:
     return values
 
 
+def load_rows(lines) -> Optional[np.ndarray]:
+    """Text lines of integers as one int64 array, a row per line, parsed
+    by ``np.loadtxt``; None if it refuses them (a malformed entry, ragged
+    rows, or an entry too large for int64), for the caller to parse
+    token by token and name the fault."""
+    if not lines:
+        return np.zeros((0, 0), dtype=np.int64)
+    try:
+        return np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
 def import_cayley_table(path) -> TableGroup:
     with open(path) as fh:
-        tokens = fh.read().split()
-    if not tokens:
+        lines = [line for line in fh if line.strip()]
+    if not lines:
         raise SchemaError("empty Cayley table file")
-    n, *vals = parse_ints(tokens, f"Cayley table {path}")
+    what = f"Cayley table {path}"
+    header = lines[0].split()
+    rows = load_rows(lines[1:]) if len(header) == 1 else None
+    if rows is None:
+        n, *vals = parse_ints(" ".join(lines).split(), what)
+    else:
+        (n,) = parse_ints(header, what)
+        vals = rows.ravel()
     if len(vals) != n * n:
         raise SchemaError(
             f"expected {n * n} table entries, got {len(vals)}")

@@ -540,40 +540,36 @@ def export_sdpa(instance: SdpInstance, path):
     """SDPA sparse format (.dat-s).  Convention, stated in the header:
     the file encodes  max <F0, Y>  s.t.  <Fk, Y> = c_k,  Y PSD.
 
-    An entry line is "k b i j v".  Each distinct index and each distinct
-    value is formatted once (values keyed by their bits, so 0.0 and -0.0
-    stay apart), and so is each distinct "j v" suffix.  Consecutive
-    lines with one "k b i " prefix form a run, written as prefix +
-    prefix.join(suffixes).  Lines go out WRITE_BATCH at a time; a run
-    cut by a batch boundary gives the same bytes."""
+    An entry line is "k b i j v", written as four parts "k ", "b i ",
+    "j " and "v\n".  One object array holds each string a part can be,
+    a table per part: "b i " at row before[b - 1] + i of its table, and
+    "v\n" at the value's number among the distinct values (keyed by
+    their bits, so 0.0 and -0.0 stay apart).  Lines go out WRITE_BATCH at
+    a time: one fancy index of that array gives the four parts of every
+    line of the batch, in line order, and one join writes them."""
     t = instance
-    ints = list(map(str, range(max(*t.block_sizes, len(t.block_sizes),
-                                   len(t.rhs)) + 1)))
     reals, value_no = _reprs(t.value)
-    pairs, suffix_no = np.unique(t.j * len(reals) + value_no,
-                                 return_inverse=True)
-    suffixes = np.array([f"{ints[j]} {reals[v]}\n" for j, v in zip(
-        *(c.tolist() for c in np.divmod(pairs, len(reals) or 1)))],
-        dtype=object)
+    tables = [[f"{k} " for k in range(len(t.rhs) + 1)],
+              [f"{b} {i} " for b, size in enumerate(t.block_sizes, 1)
+               for i in range(1, size + 1)],
+              [f"{j} " for j in range(max(t.block_sizes, default=0) + 1)],
+              [r + "\n" for r in reals]]
+    strings = np.array([s for table in tables for s in table], dtype=object)
+    first = np.cumsum([0] + [len(table) for table in tables[:-1]])
+    before = np.cumsum((-1,) + t.block_sizes)
     rhs_reals, rhs_no = _reprs(t.rhs)
     with open(path, "w") as fh:
         fh.write('"convention: maximize <F0,Y> subject to <Fk,Y> = c_k, '
                  'Y block-diagonal PSD"\n')
         fh.write(f"{len(t.rhs)}\n{len(t.block_sizes)}\n")
-        fh.write(" ".join(ints[s] for s in t.block_sizes) + "\n")
+        fh.write(" ".join(map(str, t.block_sizes)) + "\n")
         fh.write(" ".join([rhs_reals[c] for c in rhs_no.tolist()]) + "\n")
         for lo in range(0, len(t.k), WRITE_BATCH):
             batch = slice(lo, lo + WRITE_BATCH)
-            k, b, i = t.k[batch], t.block[batch], t.i[batch]
-            starts = np.flatnonzero(np.r_[True, (k[1:] != k[:-1]) |
-                                          (b[1:] != b[:-1]) |
-                                          (i[1:] != i[:-1])])
-            ends = starts[1:].tolist() + [len(k)]
-            lines = suffixes[suffix_no[batch]].tolist()
-            prefixes = [f"{ints[x]} {ints[y]} {ints[z]} " for x, y, z in
-                        zip(*(c[starts].tolist() for c in (k, b, i)))]
-            fh.write("".join([p + p.join(lines[s:e]) for p, s, e in
-                              zip(prefixes, starts.tolist(), ends)]))
+            rows = first + np.stack(
+                [t.k[batch], before[t.block[batch] - 1] + t.i[batch],
+                 t.j[batch], value_no[batch]], axis=1)
+            fh.write("".join(strings[rows.ravel()].tolist()))
 
 
 def _reprs(values):

@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from cayley_theta import graphs
 from cayley_theta.apps import efp_connection, gl_connection, gl_lower_bound
 from cayley_theta.errors import (InvalidArgument, NotAutomorphism,
-                                 NotTransitive, WrongFormulation)
+                                 NotTransitive, SchemaError, WrongFormulation)
 from cayley_theta.graphs import (ConnectionSet, Graph, alpha,
                                  blowup_connection, build_cayley,
                                  export_action, export_graph, import_action_table,
@@ -106,7 +107,7 @@ def _cyclic(n, elements):
     return group, ConnectionSet.from_elements(group, elements)
 
 
-@pytest.mark.parametrize("make, size", [
+EITHER_SIDE = pytest.mark.parametrize("make, size", [
     (_s6_efp2, 529),
     (_gl25_rank1, 365),
     (lambda: _s4_union(8), 8),
@@ -118,6 +119,18 @@ def _cyclic(n, elements):
     (lambda: _cyclic(9, [1, 2, 3, 6, 7, 8]), 6),
 ], ids=["S6-efp2", "GL25-rank1", "S4-8", "S4-11", "S4-12", "S4-23",
         "Z9-4", "Z13-6", "Z9-6"])
+
+
+class _SevenColumns:
+    """Stands in for graphs.PRODUCTS_PER_CALL: 7 products columns per
+    call at every order, so that the blocks split a side unevenly (or
+    one block holds it)."""
+
+    def __floordiv__(self, order):
+        return 7
+
+
+@EITHER_SIDE
 def test_build_cayley_from_either_side_matches_direct_build(make, size):
     """When 2|X| > |G| - 1 (S6-efp2, GL25-rank1, S4-12, S4-23, Z9-6),
     build_cayley clears the arcs of the elements outside X from a full
@@ -128,6 +141,30 @@ def test_build_cayley_from_either_side_matches_direct_build(make, size):
     graph = build_cayley(group, X)
     assert graph.transitive
     assert (graph.matrix() == _direct_adjacency(group, X.elements)).all()
+
+
+@EITHER_SIDE
+def test_build_cayley_in_7_column_blocks_matches_direct_build(
+        make, size, monkeypatch):
+    monkeypatch.setattr(graphs, "PRODUCTS_PER_CALL", _SevenColumns())
+    test_build_cayley_from_either_side_matches_direct_build(make, size)
+
+
+def test_build_cayley_at_the_order_bound():
+    """Z_5000 with X = +-{1..1249}: the larger direct side, 2498 of the
+    5000 elements, in blocks of whole columns."""
+    z = make_abelian_product([graphs.CAYLEY_BOUND])
+    half = np.arange(1, 1250)
+    X = ConnectionSet.from_elements(z, np.r_[half, z.order - half])
+    assert X.size == 2498
+    graph = build_cayley(z, X)
+    assert graph.transitive
+    M = graph.matrix()
+    assert (M.sum(axis=1) == 2498).all()
+    # x ~ y iff y - x is in X: row 0 marks X, and each row is the one
+    # above it shifted right by one
+    assert np.flatnonzero(M[0]).tolist() == list(X.elements)
+    assert (M[1:, 1:] == M[:-1, :-1]).all() and (M[1:, 0] == M[:-1, -1]).all()
 
 
 @pytest.mark.parametrize("elements", [[0, 1, 8], list(range(9))])
@@ -166,6 +203,11 @@ def test_build_cayley_pinned_graphs():
         graph = build_cayley(group, connection)
         assert all(type(mask) is int for mask in graph.adj)
         assert hashlib.sha256(repr(graph.adj).encode()).hexdigest() == want
+
+
+def test_build_cayley_pinned_graphs_in_7_column_blocks(monkeypatch):
+    monkeypatch.setattr(graphs, "PRODUCTS_PER_CALL", _SevenColumns())
+    test_build_cayley_pinned_graphs()
 
 
 def test_alpha_known_graphs():
@@ -396,6 +438,31 @@ def test_graph_file_roundtrip(tmp_path):
     g2 = import_graph(path)
     assert g2.vertex_count == 10
     assert sorted(g2.edges) == sorted(g.edges)
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("2 2\n0 1\n1 0\n", None),
+    ("2 2\n\n0 1\n  \n1 0\n", None),
+    ("2 2\n0 1\n1 a\n", (SchemaError, "malformed action table row '1 a'$")),
+    ("2 2\n0 1\n1\n", (SchemaError, "ragged action table$")),
+    ("2 2\n0 1\n1 0 1\n", (SchemaError, "ragged action table$")),
+    ("2 3\n0 1\n1 0\n", (SchemaError, "ragged action table$")),
+    ("2 2\n0 1 1 0\n", (SchemaError, "does not match the group order$")),
+    ("2 2\n0 1\n1 0\n1 0\n", (SchemaError, "does not match the group order$")),
+    ("2 2\n", (SchemaError, "does not match the group order$")),
+    (f"2 2\n0 1\n1 {-2 ** 70}\n", (InvalidArgument, r"points 0\.\.1$")),
+])
+def test_action_file_faults(tmp_path, text, outcome):
+    """Rows of int64 are read as one array; a file with a fault is read
+    line by line, and the message names the fault."""
+    path = tmp_path / "act.txt"
+    path.write_text(text)
+    z2 = make_abelian_product([2])
+    if outcome is None:
+        assert import_action_table(path, z2).table.tolist() == [[0, 1], [1, 0]]
+    else:
+        with pytest.raises(outcome[0], match=outcome[1]):
+            import_action_table(path, z2)
 
 
 def test_action_file_roundtrip(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cayley_theta.apps import gl_connection, gl_pointwise_stabilizer
 from cayley_theta.characters import abelian_character_table
-from cayley_theta.errors import InvalidArgument, NotAGroup
+from cayley_theta.errors import InvalidArgument, NotAGroup, SchemaError
 from cayley_theta.groups import (GroupAction, action_from_table,
                                  conjugacy_classes,
                                  cycle_type, export_cayley_table,
@@ -264,6 +264,45 @@ def test_array_products_match_single_products():
             table[n - 1].tolist()
         assert group.products(np.arange(n), 1).tolist() == \
             table[:, 1].tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_symmetric_products_in_every_shape(n):
+    """S_n products against composing the permutation tuples, the right
+    factor first, for scalars and index arrays of every shape."""
+    group = make_symmetric(n)
+    perms = [group.perm(r) for r in range(group.order)]
+
+    def compose(a, b):
+        return perm_rank(tuple(perms[a][i] for i in perms[b]))
+
+    last = np.int64(group.order - 1)
+    single = group.products(last, np.int64(group.order // 2))
+    assert single.shape == () and int(single) == compose(
+        group.order - 1, group.order // 2)
+    everything = np.arange(group.order)
+    table = [[compose(a, b) for b in everything] for a in everything]
+    assert group.products(last, everything).tolist() == table[-1]
+    assert group.products(everything, 0).tolist() == \
+        [row[0] for row in table]
+    assert group.products(everything[:, None], everything[None, :]).tolist() \
+        == table
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, group.order, size=(3, 4, 5))
+    b = rng.integers(0, group.order, size=(4, 1))
+    want = [[[compose(x, y) for x in row] for row, (y,) in zip(block, b)]
+            for block in a.tolist()]
+    assert group.products(a, b).tolist() == want
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_gl_extension_field_products_against_oracle(q):
+    group = make_general_linear(q, 2)
+    f, mats = group.field, group.matrices
+    a, b = np.random.default_rng(q).integers(0, group.order, size=(2, 2000))
+    assert [mats[c] for c in group.products(a, b).tolist()] == [
+        matrix_product(f, mats[x], mats[y])
+        for x, y in zip(a.tolist(), b.tolist())]
 
 
 def test_generic_classes_match_reference():
@@ -647,3 +686,32 @@ def test_cayley_table_file_roundtrip(tmp_path):
     assert g.order == 6
     assert all(g.multiply(a, b) == s3.multiply(a, b)
                for a in range(6) for b in range(6))
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("2\n0 1\n1 0\n", None),
+    # other layouts of the same tokens
+    ("2\n0 1 1 0\n", None),
+    ("2 0 1\n1 0\n", None),
+    ("\n2\n\n0 1\n 1 0 \n", None),
+    ("", (SchemaError, "empty Cayley table file$")),
+    ("2\n0 1\n1 a\n", (SchemaError, "malformed Cayley table ")),
+    ("2\n0 1\n1 1.0\n", (SchemaError, "malformed Cayley table ")),
+    ("x\n0 1\n1 0\n", (SchemaError, "malformed Cayley table ")),
+    ("2\n0 1\n1\n", (SchemaError, "expected 4 table entries, got 3$")),
+    ("2\n0 1\n1 0 1\n", (SchemaError, "expected 4 table entries, got 5$")),
+    (f"2\n0 1\n1 {2 ** 70}\n", (NotAGroup, r"latin-square-row fails at \(1,\)")),
+    ("0\n", (InvalidArgument, "square and nonempty")),
+])
+def test_cayley_table_file_layouts_and_faults(tmp_path, text, outcome):
+    """A table of one row per line is read as one array; any other layout
+    is read token by token, as is a file with a fault, which the message
+    names."""
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    if outcome is None:
+        assert import_cayley_table(path).products(
+            np.arange(2)[:, None], np.arange(2)).tolist() == [[0, 1], [1, 0]]
+    else:
+        with pytest.raises(outcome[0], match=outcome[1]):
+            import_cayley_table(path)

@@ -635,7 +635,7 @@ def test_sdp_A_export_matches_reference_across_batches(tmp_path):
     sdp = build_sdp_A(_s6_spec_120())
     assert len(sdp.constraints) == 1 + 720 * 120 // 2
     assert len(sdp.k) > 4 * WRITE_BATCH
-    # an objective row (one "0 1 i " run) crosses a batch boundary
+    # row i = 24 of the objective crosses a batch boundary
     assert (sdp.k[WRITE_BATCH - 1], sdp.i[WRITE_BATCH - 1]) == \
         (sdp.k[WRITE_BATCH], sdp.i[WRITE_BATCH]) == (0, 24)
     _exports_like_reference(sdp, tmp_path)
