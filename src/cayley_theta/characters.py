@@ -143,12 +143,15 @@ class CharacterTable:
         Orthogonality is checked on the two Gram matrices of the entry
         array, in the table's own arithmetic, with tolerance 0 when
         exact; the first failing pair of the upper triangle, in
-        row-major order, is reported."""
+        row-major order, is reported.  Approximate entries must be
+        finite: a NaN passes every "misses by more than tol" test."""
         X = self.entries
         order = self.group.order
         sizes = [c.size for c in self.classes]
         if X.shape != (len(self.degrees), len(sizes)):
             raise CorruptTable("entry matrix shape mismatch")
+        if not self.exact and not np.isfinite(X).all():
+            raise CorruptTable("an entry is not finite")
         if sum(d * d for d in self.degrees) != order:
             raise CorruptTable("sum of squared degrees != group order")
         tol = 0 if self.exact else 1e-8
@@ -161,19 +164,48 @@ class CharacterTable:
                 np.abs(X[self.trivial_index] - 1) > tol):
             raise CorruptTable("trivial irrep row is not all ones")
         tol *= max(order, 1)
+        X = _int64_entries(X, sizes, order)
         rows = (X * np.array(sizes, dtype=X.dtype)) @ X.conj().T
         bad = _first_miss(rows, order * np.eye(len(X), dtype=X.dtype), tol)
         if bad:
             raise CorruptTable(f"row orthogonality fails for irreps {bad}")
-        # the column sums want order / |C_k| on the diagonal
+        # the column sums want order / |C_k| on the diagonal, an integer
+        # (a class size divides the group order)
         columns = X.T @ X.conj()
-        want = np.diag(np.array([Fraction(order, s) for s in sizes],
-                                dtype=X.dtype))
+        want = np.diag(np.array([order // s for s in sizes], dtype=X.dtype))
         bad = _first_miss(columns, want, tol)
         if bad:
             raise CorruptTable(
                 f"column orthogonality fails for classes {bad}")
         return self
+
+
+def _int64_entries(X, sizes, order):
+    """The entry array X as int64 when every entry is an int and no
+    partial sum of an entry of either Gram product in ``validate`` can
+    reach 2^63; else X itself (Python ints, which cannot overflow,
+    Fractions or complex).
+
+    By Cauchy-Schwarz a partial sum of the row Gram entry (i, j) is at
+    most sqrt(N_i N_j), N_i = sum_k |C_k| X[i, k]^2, and one of the
+    column Gram entry (k, l) at most sqrt(M_k M_l), M_k = sum_i
+    X[i, k]^2; a product |C_k| X[i, k] is at most sqrt(|C_k| N_i).  So
+    N_i, M_k and |G| below 2^62 suffice; N and M are bounded in
+    doubles, whose rounding is far inside that margin.  A valid table
+    has N_i = |G| and M_k = |G| / |C_k|, so it takes int64 whenever
+    |G| < 2^62; a corrupt one may fall back, which leaves its verdict
+    and the pair it names unchanged."""
+    if order >= 1 << 62 or not all(type(v) is int for v in X.flat):
+        return X
+    try:
+        Y = X.astype(np.int64)
+    except OverflowError:
+        return X
+    squares = Y.astype(float) ** 2
+    if max((squares @ np.array(sizes, dtype=float)).max(),
+           squares.sum(axis=0).max()) >= 2.0 ** 62:
+        return X
+    return Y
 
 
 def _first_miss(gram, want, tol):
@@ -448,13 +480,18 @@ def import_character_table(path, group: FiniteGroup) -> CharacterTable:
 # ---------------------------------------------------------------------------
 # Fourier analysis
 
-def _row_blocks(table: CharacterTable):
-    """(first row, rows) over the table's rows, about ROW_BLOCK entries at
-    a time, as slices of the entry array (so the temporaries built from
-    them stay bounded)."""
+def _row_blocks(table: CharacterTable, rows=None):
+    """The given rows of the table (all of them by default), about
+    ROW_BLOCK entries at a time, so that the temporaries built from a
+    block stay bounded: slices of the entry array when every row is
+    taken, else slices of the array of row indices."""
     step = max(1, ROW_BLOCK // len(table.classes))
-    for start in range(0, len(table.entries), step):
-        yield start, table.entries[start:start + step]
+    count = len(table.entries) if rows is None else len(rows)
+    for start in range(0, count, step):
+        if rows is None:
+            yield slice(start, start + step)
+        else:
+            yield rows[start:start + step]
 
 
 def _terms(w, rows):
@@ -472,6 +509,16 @@ def _terms(w, rows):
     return out
 
 
+def _real_terms(w2, rows):
+    """``_terms`` for real weights, as one real product: w2 is each
+    weight twice, so the float64 view of a row of complex entries
+    times w2 is w[k] * Re and w[k] * Im, in place of w[k] * Re - 0 * Im
+    and w[k] * Im + 0 * Re.  The two differ at most in the sign of a
+    zero, which an ordered sum cannot see (``row_combination``)."""
+    rows = np.ascontiguousarray(rows, dtype=complex)
+    return (rows.view(float) * w2).view(complex)
+
+
 def _ordered_sum(terms, start=0):
     """start + terms[:, 0] + terms[:, 1] + ..., added strictly in that
     order as Python's sum() adds: cumsum (add.accumulate) adds in order,
@@ -484,14 +531,22 @@ def row_combination(table: CharacterTable, weights) -> list:
     """sum_pi weights[pi] * chi_pi(C) for every class C: exact by
     ``exact_sums`` when the table and the weights are rational, else
     complex, summed in irrep order from 0 (on an approximate table bit
-    for bit as the scalar sum())."""
+    for bit as the scalar sum()).
+
+    Only the rows of nonzero weights are summed (a certificate's weights
+    are an LP vertex, with at most one nonzero entry per LP row).  This
+    keeps every bit: a zero weight times a finite entry is +-0; the
+    ordered sum starts from +0, and under round-to-nearest x + y is -0
+    only when x and y both are, so neither part of the running sum is
+    ever -0, and adding +-0 to it changes nothing.  Every weight zero
+    gives complex zeros."""
     exact = exact_sums(weights, table.entries)
     if exact is not None:
         return exact
     w = np.array([complex(x) for x in weights])
-    acc = 0
-    for start, rows in _row_blocks(table):
-        acc = _ordered_sum(_terms(w[start:start + len(rows)], rows.T), acc)
+    acc = np.zeros(len(table.classes), dtype=complex)
+    for rows in _row_blocks(table, np.flatnonzero(w)):
+        acc = _ordered_sum(_terms(w[rows], table.entries[rows].T), acc)
     return acc.tolist()
 
 
@@ -500,7 +555,13 @@ def fourier_class_scalars(f: ClassFunction, table: CharacterTable):
     c_pi = (1/d_pi) sum_C |C| f(C) chi_pi(C): a Fraction by
     ``exact_sums`` when the table and f are rational, else complex,
     summed in class order from 0 (on an approximate table bit for bit
-    as the scalar sum())."""
+    as the scalar sum()).
+
+    When every weight |C| f(C) is real, as a theta certificate's is,
+    the products are ``_real_terms``: one real product, which rounds
+    each part as CPython's float * complex does up to the sign of a
+    zero, and the sign of a zero term cannot change an ordered sum from
+    0 (``row_combination``).  Complex weights take ``_terms``."""
     if not same_group(f.group, table.group):
         raise InvalidArgument("function and table use different groups")
     weights = [c.size * fv for c, fv in zip(table.classes, f.values)]
@@ -508,9 +569,12 @@ def fourier_class_scalars(f: ClassFunction, table: CharacterTable):
     if exact is not None:
         return tuple(exact)
     w = np.array([complex(x) for x in weights])
+    real, w2 = not w.imag.any(), np.repeat(w.real, 2)
     sums = []
-    for _, rows in _row_blocks(table):
-        sums += _ordered_sum(_terms(w, rows)).tolist()
+    for rows in _row_blocks(table):
+        block = table.entries[rows]
+        terms = _real_terms(w2, block) if real else _terms(w, block)
+        sums += _ordered_sum(terms).tolist()
     return tuple(s / d for s, d in zip(sums, table.degrees))
 
 

@@ -706,6 +706,8 @@ def import_cayley_table(path) -> TableGroup:
     else:
         (n,) = parse_ints(header, what)
         vals = rows.ravel()
+    if n < 0:
+        raise SchemaError(f"negative group order {n} in {what}")
     if len(vals) != n * n:
         raise SchemaError(
             f"expected {n * n} table entries, got {len(vals)}")

@@ -8,9 +8,10 @@ from 2^31 - 1, S is reduced by Gauss-Jordan on one int64 array mod p
 (a product of two residues is below 2^62).  The residues of the
 solution are combined by the Chinese remainder theorem, and rational
 reconstruction makes a candidate u / D from them, with one common
-denominator D.  It is accepted only if A' u = D b' holds exactly (one
-product of Python ints); since A' had full rank mod p, it is
-nonsingular and u / D is its one solution.  By Cramer's rule every
+denominator D, after 1, 2, 4, 8, ... primes at which A' is regular.
+It is accepted only if A' u = D b' holds exactly (one product of
+Python ints); since A' had full rank mod p, it is nonsingular and
+u / D is its one solution.  By Cramer's rule every
 numerator and denominator of the solution is at most H, the Hadamard
 bound (the product of the norms of the rows of S), so reconstruction
 succeeds once the product of the primes passes 2 H^2.  A prime at which
@@ -50,18 +51,25 @@ def exact_sums(weights, matrix, divisors=None) -> Optional[list]:
     Python ints, which cannot overflow, with the matrix; each sum is
     divided by L (times its divisor) once, at the end.  A result has the
     value and the type of the scalar sum from 0: a Fraction when a
-    weight, a divisor or a term is one, else an int.  None when the
-    matrix or a weight is not rational: such sums take the complex
-    path."""
+    weight, a divisor or a term is one, else an int.  When every result
+    is a Fraction (a weight or a divisor is one), the rows of zero
+    weights, which add nothing, are left out of the product; otherwise
+    a zero weight times a Fraction entry still makes its sum a Fraction.
+    None when the matrix or a weight is not rational: such sums take
+    the complex path."""
     if matrix.dtype != object or not all(map(is_exact, weights)):
         return None
+    fractions = divisors is not None or any(
+        isinstance(w, Fraction) for w in weights)
+    if fractions:
+        live = [k for k, w in enumerate(weights) if w]
+        weights, matrix = [weights[k] for k in live], matrix[live]
     L = lcm(*(w.denominator for w in weights))
     sums = (np.array([scaled(w, L) for w in weights], dtype=object)
             @ matrix).tolist()
-    if divisors is None:
-        if not any(isinstance(w, Fraction) for w in weights):
-            return sums
-        divisors = (1,) * len(sums)
+    if not fractions:
+        return sums
+    divisors = (1,) * len(sums) if divisors is None else divisors
     return [Fraction(s, L * d) for s, d in zip(sums, divisors)]
 
 
@@ -153,8 +161,12 @@ def solve_square(A, b):
 
     Modular (see the module docstring): one Gauss-Jordan mod p per prime
     (``_solve_mod``), CRT, then rational reconstruction (``_candidate``)
-    after each prime, until a candidate passes the exact check, or until
-    the primes at which A is singular multiply past the Hadamard bound.
+    after 1, 2, 4, 8, ... primes at which A is regular, until a
+    candidate passes the exact check, or until the primes at which A is
+    singular multiply past the Hadamard bound.  Reconstruction fails
+    until P is large enough, and a failed try costs about as much as
+    one elimination; trying only at doubled counts bounds the failed
+    tries by log2 of the primes needed, for at most twice the primes.
     """
     n = len(A)
     rows = []
@@ -163,9 +175,10 @@ def solve_square(A, b):
         L = lcm(*(v.denominator for v in vals))
         rows.append([scaled(v, L) for v in vals])
     S = np.array(rows, dtype=object).reshape(n, n + 1)
-    # x mod P; the product Z of the primes at which A' is singular; the
+    # x mod P, the product of the first ``good`` primes at which A' is
+    # regular; the product Z of the primes at which it is singular; the
     # Hadamard bound H, made when Z is first compared with it
-    residues, P, Z, H = [0] * n, 1, 1, None
+    residues, P, good, Z, H = [0] * n, 1, 0, 1, None
     for k in count():
         p = _prime(k)
         xp = _solve_mod(S, p)
@@ -181,6 +194,9 @@ def solve_square(A, b):
         residues = [r + P * ((x - r) * t % p)
                     for r, x in zip(residues, xp.tolist())]
         P *= p
+        good += 1
+        if good & (good - 1):
+            continue
         candidate = _candidate(residues, P)
         if candidate is None:
             continue

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from dataclasses import replace
@@ -179,6 +180,65 @@ def test_row_combination_bits_match_scalar_reference():
                     reference_row_combination(table, weights)]
             assert all(type(v) is complex for v in got)
             assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def _zero_weight_sets(n, rng, draw):
+    """Weight vectors whose zero terms the sums skip or multiply by one
+    real product: all +0, all -0, zeros first and last, one live
+    weight, -0 mixed with live weights, and every weight live."""
+    dense = [draw() for _ in range(n)]
+    ends = dense[:]
+    ends[0] = ends[-1] = 0.0
+    single = [0.0] * n
+    single[rng.randrange(n)] = draw()
+    signed = [-0.0 if rng.random() < 0.5 else v for v in dense]
+    return [[0.0] * n, [-0.0] * n, ends, single, signed, dense]
+
+
+FLOAT_TABLES = [
+    as_float_table(symmetric_character_table(6)),
+    abelian_character_table(make_abelian_product([211])),
+    abelian_character_table(make_abelian_product([3, 5, 7]))]
+# entries in column-major order, as a table imported with its classes
+# permuted may hold them
+FLOAT_TABLES.append(replace(FLOAT_TABLES[0], entries=np.asfortranarray(
+    FLOAT_TABLES[0].entries)))
+
+
+@pytest.mark.parametrize("table", FLOAT_TABLES,
+                         ids=["S6", "Z211", "Z3x5x7", "S6-column-major"])
+def test_zero_weights_leave_the_float_sums_bit_for_bit(monkeypatch, table):
+    """Row combinations over the nonzero weights only, and Bochner
+    scalars of real weights as one real product, have the bits of the
+    scalar sums over every term (repr tells -0.0 from 0.0), on tables of
+    one or several row blocks (Z_211 spans six).  Weights with an
+    imaginary part still take ``_terms``."""
+    rng = random.Random(len(table.classes))
+    calls = []
+    for name in ("_terms", "_real_terms"):
+        def spy(*args, _name=name, _kernel=getattr(characters, name)):
+            calls.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(characters, name, spy)
+    for kind in (float, complex):
+        def draw():
+            if kind is float:
+                return rng.gauss(0, 1)
+            return complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        for weights in _zero_weight_sets(len(table.classes), rng, draw):
+            got = row_combination(table, weights)
+            want = reference_row_combination(table, weights)
+            assert all(type(v) is complex for v in got)
+            assert [repr(v) for v in got] == [repr(complex(v))
+                                               for v in want]
+            calls.clear()
+            f = ClassFunction(table.group, tuple(
+                w / c.size for w, c in zip(weights, table.classes)))
+            got = fourier_class_scalars(f, table)
+            want = reference_fourier_scalars(f, table)
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+            real = not any(complex(w).imag for w in weights)
+            assert set(calls) == {"_real_terms" if real else "_terms"}
 
 
 def test_mixed_weights_on_exact_tables_sum_as_on_the_float_copy():
@@ -474,6 +534,45 @@ def test_corrupted_exact_table_message(i, k, value, message):
     with pytest.raises(CorruptTable) as info:
         table.validate()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, int64", [
+    (5, True), (Fraction(5), False), (2 ** 40, False), (-2 ** 70, False)],
+    ids=["int", "fraction", "past-the-bound", "past-int64"])
+@pytest.mark.parametrize("i, k", [(3, 4), (10, 12)])
+def test_corrupted_s7_table_same_pair_in_int64_and_object(i, k, value,
+                                                          int64):
+    """The Gram products run in int64 only when every entry is an int
+    and no partial sum can overflow; a Fraction or a huge entry keeps
+    Python ints.  Either way the same first failing pair is named."""
+    table = _with_entry(symmetric_character_table(7), i, k, value)
+    sizes = [c.size for c in table.classes]
+    taken = characters._int64_entries(table.entries, sizes,
+                                      table.group.order)
+    assert (taken.dtype == np.int64) == int64
+    message = first_orthogonality_failure(table)
+    assert message is not None
+    with pytest.raises(CorruptTable) as info:
+        table.validate()
+    assert str(info.value) == message
+    with pytest.raises(CorruptTable) as info:
+        _with_entry(table, i, k, Fraction(value)).validate()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_imported_table_with_a_non_finite_entry_is_corrupt(tmp_path, bad):
+    """JSON reads NaN and Infinity; a NaN misses no value by more than a
+    tolerance, so without the finiteness check such a table passed every
+    test of ``validate``."""
+    group = make_abelian_product([3])
+    path = tmp_path / "z3.json"
+    export_character_table(abelian_character_table(group), path)
+    data = json.loads(path.read_text())
+    data["entries"][4] = [bad, 0.0]
+    path.write_text(json.dumps(data))
+    with pytest.raises(CorruptTable, match="an entry is not finite"):
+        import_character_table(path, group)
 
 
 def test_exact_column_orthogonality_checked():

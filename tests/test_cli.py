@@ -379,6 +379,20 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["-1\n0\n", "-2\n0 0 0 0\n"],
+                         ids=["order-1", "order-2"])
+def test_negative_order_cayley_table_exits_2(capsys, tmp_path, text):
+    """A negative order whose square matches the entry count is refused
+    as a schema error, not passed on to the reshape."""
+    path = tmp_path / "negative.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, "alpha", "--group", f"table:{path}",
+                       "--connection", "empty")
+    assert code == 2
+    assert err == f"error: negative group order {text.split()[0]} in " \
+        f"Cayley table {path}\n"
+
+
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
 def test_import_sets_one_openblas_thread_unless_set(preset, want):
     """A fresh interpreter that imports the package, as the CLI does,

@@ -59,12 +59,44 @@ def count_primes(monkeypatch):
 
 def test_solve_square_answer_needing_several_primes(monkeypatch):
     """x = 1 / (2^40 + 1) has a 41-bit denominator: reconstruction needs
-    a modulus above 2^81, so three 31-bit primes."""
+    a modulus above 2^81, so three 31-bit primes.  It is tried after 1,
+    2 and 4 primes only, so the answer comes from the fourth."""
     primes = count_primes(monkeypatch)
+    moduli = []
+    candidate = linalg._candidate
+
+    def counted(residues, P):
+        moduli.append(P)
+        return candidate(residues, P)
+    monkeypatch.setattr(linalg, "_candidate", counted)
     A = [[Fraction(2**40 + 1), Fraction(3)], [Fraction(0), Fraction(1)]]
     b = [Fraction(1), Fraction(0)]
     assert solve_square(A, b) == [Fraction(1, 2**40 + 1), 0]
-    assert primes == [2**31 - 1, 2147483629, 2147483587]
+    assert primes == [2**31 - 1, 2147483629, 2147483587, 2147483579]
+    assert moduli == [math.prod(primes[:k]) for k in (1, 2, 4)]
+
+
+def test_solve_square_reconstructs_after_doubled_prime_counts(monkeypatch):
+    """A dense 12 x 12 system needs several primes; reconstruction is
+    tried only after 1, 2, 4, 8, ... primes, and the answer is the
+    exact one."""
+    primes = count_primes(monkeypatch)
+    counts = []
+    candidate = linalg._candidate
+
+    def counted(residues, P):
+        counts.append(len(primes))
+        return candidate(residues, P)
+    monkeypatch.setattr(linalg, "_candidate", counted)
+    rng = random.Random(12)
+    A = [[Fraction(rng.randint(-50, 50), rng.randint(1, 60))
+          for _ in range(12)] for _ in range(12)]
+    b = [Fraction(rng.randint(-50, 50), rng.randint(1, 60))
+         for _ in range(12)]
+    assert solve_square(A, b) == reference_solve_square(A, b)
+    assert len(counts) >= 4
+    assert counts == [2 ** k for k in range(len(counts))]
+    assert len(primes) == counts[-1]
 
 
 def test_solve_square_singular_mod_the_first_prime(monkeypatch):

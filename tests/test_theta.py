@@ -371,6 +371,21 @@ def test_float_s8_certificates_pinned_and_near_exact():
         "450149954a5147616c9c22041a5cf7cadd2a29d0f92ea9a4ed800685dfb0d131"
 
 
+def test_float_s10_certificates_pinned():
+    """Float certificate JSON of S_10 efp:1..10 through as_float_table
+    (the float cells of the benchmark's efp_grid), byte for byte; the
+    sha256 was pinned from the sums over every irrep and class that the
+    zero-weight skip and the real Bochner product replaced."""
+    table = symmetric_character_table(10)
+    ftable = as_float_table(table)
+    docs = [certificate_to_json(solve_theta(CayleyGraphSpec(
+        table.group, efp_connection(10, k, table.group)), ftable))
+        for k in range(1, 11)]
+    digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
+    assert digest == \
+        "c40cbf2525dadcd7f3886607fac1aae2a7dc29d7dff69ee122271d4cfde94f95"
+
+
 # the connection sets of the benchmark's abelian_wide workload on Z_701
 Z701_SETS = ((1, 700), (208, 210, 289, 323, 328, 350, 351, 373, 378, 412,
                         491, 493))
