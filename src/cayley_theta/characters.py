@@ -614,7 +614,8 @@ def is_positive_type(f, rep, tol: float = 1e-9) -> PositiveTypeResult:
     scale = max(1.0, float(table.group.order)) * tol
     for i, c in enumerate(scalars):
         eps = 0 if is_exact(c) else scale
-        if abs(c.imag) > eps or c.real < -eps:
+        # within tolerance, so that NaN and +-inf fail
+        if not (abs(c.imag) <= eps and c.real >= -eps):
             return PositiveTypeResult(False, i, c)
     return PositiveTypeResult(True)
 
@@ -647,7 +648,7 @@ def _is_positive_type_irreps(f, irreps: "IrrepMatrices", tol):
             fhat += complex(values[g]) * mats[g]
         herm_defect = np.abs(fhat - fhat.conj().T).max()
         scale = max(1.0, float(np.abs(fhat).max())) * tol * 10
-        if herm_defect > scale:
+        if not herm_defect <= scale:
             return PositiveTypeResult(False, i, herm_defect)
         eigs = np.linalg.eigvalsh((fhat + fhat.conj().T) / 2)
         if eigs.min() < -max(1.0, float(group.order)) * tol:

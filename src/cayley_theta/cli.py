@@ -12,6 +12,7 @@ Connection specs:  efp:K | gl-rank:K | classes:I,J,... | elements:FILE
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import sys
@@ -215,6 +216,9 @@ def cmd_bochner(args):
                 else:
                     values.append(Fraction(v) if isinstance(v, int)
                                   else complex(v))
+                if isinstance(values[-1], complex) and \
+                        not cmath.isfinite(values[-1]):
+                    raise ValueError(f"value {len(values) - 1} is not finite")
         except (ValueError, TypeError, IndexError) as exc:
             raise InvalidArgument(f"malformed function file: {exc}") from exc
     if len(values) != group.order:

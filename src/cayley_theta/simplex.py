@@ -20,7 +20,11 @@ that do not move the vertex, Bland's rule takes over until one does,
 so the rule cannot cycle; an iteration cap turns a stall in doubles
 into NumericalFailure.  At a claimed optimum the tableau is recomputed
 from the original data for the current basis and priced again, so the
-rounding error of the pivots does not decide optimality.
+rounding error of the pivots does not decide optimality.  A float
+answer thus depends only on the sequence of pivots and on that final
+reprice.  Each pivot's elementwise operations are unfused, a divide of
+the pivot row, then a multiply and a subtract per entry, so a kernel
+that makes the same choices with other numpy calls gives the same bits.
 
 Exact mode takes rational data, and one function, ``_certify``, proves
 every answer it returns (float basis, then exact proof, as in QSopt_ex:
@@ -202,37 +206,46 @@ ITERATIONS_PER_COLUMN = 50   # cap, per row and column of the LP
 
 
 def _pivot(T, basis, row, col):
+    """Pivot T on (row, col).  The pivot column comes out as the unit
+    vector without being set: the pivot row divided by its pivot holds
+    1 there, exactly, and every other row loses t * 1, so holds +0."""
     pr = T[row] / T[row, col]
-    f = T[:, col].copy()
-    f[row] = 0.0
-    T -= np.outer(f, pr)
+    T -= T[:, col, None] * pr
     T[row] = pr
-    T[:, col] = 0.0
-    T[row, col] = 1.0
     basis[row] = col
 
 
-def _reprice(data, cost, basis):
+def _reprice(data, cost, basis, body=None):
     """The tableau of ``basis`` recomputed from the data [A | b], with
     the reduced-cost row c - c_B B^-1 A (rhs entry -c_B x_B) last and
-    the rhs rounded up to 0 where it is negative."""
-    try:
-        body = np.linalg.solve(data[:, basis], data)
-    except np.linalg.LinAlgError:
-        raise NumericalFailure("singular basis in the float simplex")
+    the rhs rounded up to 0 where it is negative.  A caller who knows
+    B^-1 [A | b] passes it as ``body``, which is overwritten."""
+    if body is None:
+        try:
+            body = np.linalg.solve(data[:, basis], data)
+        except np.linalg.LinAlgError:
+            raise NumericalFailure("singular basis in the float simplex")
     np.maximum(body[:, -1], 0.0, out=body[:, -1])
     red = np.append(cost, 0.0) - cost[basis] @ body
     return np.vstack([body, red])
 
 
-def _iterate(data, cost, basis, ncols, budget):
+def _iterate(data, cost, basis, ncols, budget, body=None):
     """Primal simplex from the feasible ``basis`` of the equilibrated
     data [A | b] for the costs ``cost``; columns >= ncols never enter.
-    ``budget`` is [iterations left, cap], shared by both phases.  Returns
-    (status, tableau), the status 'optimal' or 'unbounded'."""
+    ``body`` is as in ``_reprice``, for the first tableau.  ``budget``
+    is [iterations left, cap], shared by both phases.  Returns (status,
+    tableau), the status 'optimal' or 'unbounded'.
+
+    The entering column is the first largest eligible reduced cost
+    (Dantzig) or the first eligible one (Bland): d.argmax() is the first
+    largest, unless d holds a NaN, where it stops; only then, or at an
+    optimum, is the mask d > opt_tol, false at a NaN, applied to d.
+    Harris's row is the first largest pivot among the rows whose ratio
+    is within the bound; the row of the smallest ratio always is."""
     m = len(basis)
     opt_tol = OPT_TOL * max(1.0, float(np.abs(cost).max()))
-    T = _reprice(data, cost, basis)
+    T = _reprice(data, cost, basis, body)
     stalled = 0
     fresh = True
     while True:
@@ -241,32 +254,34 @@ def _iterate(data, cost, basis, ncols, budget):
             raise NumericalFailure(
                 f"no convergence within {budget[1]} simplex iterations")
         d = T[-1, :ncols]
-        eligible = np.flatnonzero(d > opt_tol)
-        if not eligible.size:
+        bland = stalled >= DEGENERATE_RUN
+        col = int((d > opt_tol).argmax() if bland else d.argmax())
+        if not d[col] > opt_tol:    # none is eligible, or d holds a NaN
+            col = int(np.where(d > opt_tol, d, -np.inf).argmax())
+        if not d[col] > opt_tol:
             if fresh:
                 return "optimal", T
             T = _reprice(data, cost, basis)
             fresh = True
             continue
-        bland = stalled >= DEGENERATE_RUN
-        col = int(eligible[0 if bland else np.argmax(d[eligible])])
         a = T[:m, col]
         rhs = T[:m, -1]
-        rows = np.flatnonzero(a > PIVOT_TOL)
+        rows = (a > PIVOT_TOL).nonzero()[0]
         if not rows.size:
             return "unbounded", T
-        ratios = rhs[rows] / a[rows]
+        a_rows, rhs_rows = a[rows], rhs[rows]
+        ratios = rhs_rows / a_rows
         if bland:
             tied = rows[ratios == ratios.min()]
             row = int(tied[np.argmin(np.asarray(basis)[tied])])
         else:
             # Harris: the largest pivot among the rows within tolerance
-            bound = ((rhs[rows] + FEAS_TOL) / a[rows]).min()
-            near = rows[ratios <= bound]
-            row = int(near[np.argmax(a[near])])
+            bound = ((rhs_rows + FEAS_TOL) / a_rows).min()
+            row = int(rows[np.where(ratios <= bound, a_rows,
+                                    -np.inf).argmax()])
         stalled = stalled + 1 if rhs[row] <= FEAS_TOL else 0
         _pivot(T, basis, row, col)
-        np.maximum(T[:m, -1], 0.0, out=T[:m, -1])
+        np.maximum(rhs, 0.0, out=rhs)
         fresh = False
 
 
@@ -288,11 +303,12 @@ def _float_basis(A, b, c):
     cap = ITERATIONS_PER_COLUMN * (m + n)
     budget = [cap, cap]
 
-    # Phase I on [A | I | b]: minimize the artificials
+    # Phase I on [A | I | b]: minimize the artificials, from the basis I,
+    # whose tableau is the data (a solve could only flip a zero's sign)
     data1 = np.hstack([data[:, :n], np.eye(m), data[:, n:]])
     cost1 = np.append(np.zeros(n), -np.ones(m))
     basis = list(range(n, n + m))
-    status, T = _iterate(data1, cost1, basis, n + m, budget)
+    status, T = _iterate(data1, cost1, basis, n + m, budget, data1.copy())
     if status == "unbounded":     # phase I is bounded by 0
         raise NumericalFailure("phase I of the float simplex is unbounded")
     rhs_tol = FEAS_TOL * max(1.0, float(data[:, -1].max()))
@@ -359,7 +375,8 @@ def verify_certificate(instance: LpInstance,
                        solution: LpSolution) -> VerifyResult:
     """Re-check an optimality certificate by pure re-evaluation: primal
     feasibility, dual feasibility (reduced costs <= 0), and zero duality
-    gap.  Shares no state with the solver; it sums Python scalars."""
+    gap.  Shares no state with the solver; it sums Python scalars.  Each
+    test asks that a value lie within tolerance, so NaN and +-inf fail."""
     if solution.status != "optimal":
         return VerifyResult(False, "not an optimality claim")
     if solution.x is None or solution.dual is None:
@@ -369,20 +386,20 @@ def verify_certificate(instance: LpInstance,
     eps = 0 if instance.exact else FLOAT_EPS * max(1.0, *map(abs, b))
     x, y = solution.x, solution.dual
     for xi in x:
-        if xi < -eps:
+        if not xi >= -eps:
             return VerifyResult(False, "primal infeasible")
     for row, rhs in zip(A, b):
         resid = sum(a * v for a, v in zip(row, x)) - rhs
-        if abs(resid) > eps:
+        if not abs(resid) <= eps:
             return VerifyResult(False, "primal infeasible")
     for j in range(instance.n):
         reduced = c[j] - sum(A[i][j] * y[i] for i in range(instance.m))
-        if reduced > eps:
+        if not reduced <= eps:
             return VerifyResult(False, "dual infeasible")
     value = sum(cj * v for cj, v in zip(c, x))
-    if abs(value - sum(bi * yi for bi, yi in zip(b, y))) > eps:
+    if not abs(value - sum(bi * yi for bi, yi in zip(b, y))) <= eps:
         return VerifyResult(False, "duality gap")
     if solution.objective_value is not None:
-        if abs(value - solution.objective_value) > eps:
+        if not abs(value - solution.objective_value) <= eps:
             return VerifyResult(False, "duality gap")
     return VerifyResult(True)

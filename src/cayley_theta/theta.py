@@ -237,15 +237,15 @@ def validate_certificate(cert: ThetaCertificate) -> list:
     problems = []
     spec, table = cert.spec, cert.table
     group = spec.group
-    classes = group.conjugacy_classes()
     degrees = table.degrees
     scale = 0 if cert.exact else CERT_TOL * max(1.0, float(group.order))
 
     def bad(value, want):
-        return abs(value - want) > scale
+        # not "within scale", so that NaN and +-inf are bad too
+        return not abs(value - want) <= scale
 
     for i, ai in enumerate(cert.a):
-        if ai < -scale:
+        if not ai >= -scale:
             problems.append(f"a[{i}] negative")
     if bad(sum(d * d * ai for d, ai in zip(degrees, cert.a)), group.order):
         problems.append("normalization sum d^2 a != |Gamma|")
@@ -255,8 +255,10 @@ def validate_certificate(cert: ThetaCertificate) -> list:
     if all(map(is_exact, weights)):
         L = lcm(*(w.denominator for w in weights))
         weights = [w.numerator * (L // w.denominator) for w in weights]
-    for c in spec.connection.as_classes:
-        s = sum(map(mul, weights, table.entries[:, c].tolist()))
+    connection = spec.connection.as_classes
+    columns = table.entries[:, list(connection)].T.tolist()
+    for c, column in zip(connection, columns):
+        s = sum(map(mul, weights, column))
         if bad(s, 0):
             problems.append(f"constraint violated on connection class {c}")
         if bad(cert.f.values[c], 0):

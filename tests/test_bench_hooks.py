@@ -11,6 +11,7 @@ their source text, so nothing is written beside them."""
 
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,23 @@ def test_benchmark_checks_accept_every_theta_answer(workload, tmp_path):
         verdicts.append((op.label, *checks.check_op(op, output, 0)))
     assert [v for v in verdicts if v[1] != "ok"] == []
     assert sum(label.startswith("theta") for label, *_ in verdicts) >= 3
+
+
+def test_benchmark_checks_fail_a_certificate_of_nans(tmp_path):
+    """The first float theta answer of efp_grid, with its certificate
+    replaced by NaNs, is judged "failed" by the benchmark's checks."""
+    workloads, checks = load("workloads"), load("checks")
+    tables = {}
+    for op in workloads.make_ops("efp_grid", 0):
+        output = workloads.run_op(op, tables, str(tmp_path))
+        if op.kind == "theta" and not op.exact:
+            break
+    spec, table, cert = output
+    nan = float("nan")
+    bad = replace(cert, a=(nan,) * len(cert.a), objective=nan,
+                  dual=(nan,) * len(cert.dual))
+    assert checks.check_op(op, output, 0)[0] == "ok"
+    assert checks.check_op(op, (spec, table, bad), 0)[0] == "failed"
 
 
 @pytest.fixture

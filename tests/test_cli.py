@@ -328,6 +328,10 @@ def test_usage_error_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ("bochner", "--group", "sym:3", "--function", "{tmp}/not_class.json"),
     ("bochner", "--group", "sym:3", "--function", "{tmp}/broken.json"),
+    ("bochner", "--group", "cyclic:7", "--function", "{tmp}/nan.json"),
+    ("bochner", "--group", "cyclic:7", "--function", "{tmp}/inf.json"),
+    ("bochner", "--group", "cyclic:7", "--function", "{tmp}/1e400.json"),
+    ("bochner", "--group", "cyclic:7", "--function", "{tmp}/nan_pair.json"),
     ("theta", "--group", "sym:x", "--connection", "efp:1"),
     ("theta", "--group", "sym:3", "--connection", "efp:x"),
     ("theta", "--group", "sym:3", "--connection", "classes:1,a"),
@@ -361,6 +365,10 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     (tmp_path / "not_class.json").write_text(
         json.dumps(["1", "1", "0", "0", "0", "0"]))
     (tmp_path / "broken.json").write_text('["1", "0"')
+    # not finite: NaN passed the positive-type test; JSON reads 1e400 as inf
+    for name, value in (("nan", "NaN"), ("inf", "Infinity"),
+                        ("1e400", "1e400"), ("nan_pair", "[0, NaN]")):
+        (tmp_path / f"{name}.json").write_text(f"[{value}, 0, 0, 0, 0, 0, 0]")
     (tmp_path / "ones.json").write_text('["1", "1"]')
     (tmp_path / "bad_header.txt").write_text("vertices x edges 1\n0 1\n")
     (tmp_path / "bad_edge.txt").write_text("vertices 3 edges 1\n0 1 2\n")

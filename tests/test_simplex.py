@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,9 +7,13 @@ import numpy as np
 import pytest
 
 from cayley_theta import simplex
+from cayley_theta.apps import efp_connection
+from cayley_theta.characters import as_float_table, symmetric_character_table
 from cayley_theta.cli import cli_dispatch
 from cayley_theta.errors import InvalidArgument, NumericalFailure
-from cayley_theta.simplex import LpInstance, solve, verify_certificate
+from cayley_theta.simplex import (LpInstance, LpSolution, solve,
+                                 verify_certificate)
+from cayley_theta.theta import CayleyGraphSpec, build_lp_D
 
 from oracles import brute_force_lp, reference_simplex
 
@@ -188,11 +193,11 @@ def test_float_phase_one_unbounded_is_a_numerical_failure(monkeypatch):
     basis left to prove, raises it too."""
     real = simplex._iterate
 
-    def phase_one_stops(data, cost, basis, ncols, budget):
+    def phase_one_stops(data, cost, basis, ncols, budget, *body):
         m = len(basis)
         if (cost[-m:] == -1).all() and not cost[:-m].any():
             return "unbounded", simplex._reprice(data, cost, basis)
-        return real(data, cost, basis, ncols, budget)
+        return real(data, cost, basis, ncols, budget, *body)
 
     monkeypatch.setattr(simplex, "_iterate", phase_one_stops)
     for number in (float, F):
@@ -397,16 +402,10 @@ def test_exact_solve_proves_an_lp_with_a_dependent_row():
     assert verify_certificate(inst, sol)
 
 
-@pytest.mark.parametrize("bland_after", [simplex.DEGENERATE_RUN, 0],
-                         ids=["dantzig", "bland"])
-def test_float_kernel_matches_exact(monkeypatch, bland_after):
-    """The float solver against exact solve on the same data (every
-    double is a rational): the same status, the optimum within 1e-9
-    relative, and every optimal float answer passes verify_certificate;
-    on the cycling instance, redundant rows, integer data and data with
-    no short binary expansion.  Run once as configured and once with
-    Bland's rule from the first pivot."""
-    monkeypatch.setattr(simplex, "DEGENERATE_RUN", bland_after)
+def _float_kernel_instances():
+    """The cycling instance and 600 seeded rational LPs whose entries
+    are doubles: redundant rows, integer data and data with no short
+    binary expansion."""
     rng = random.Random(1905)
     instances = [CYCLING]
     for _ in range(600):
@@ -429,8 +428,20 @@ def test_float_kernel_matches_exact(monkeypatch, bland_after):
             objective=tuple(F(v) for v in c),
             A=tuple(tuple(F(v) for v in row) for row in A),
             b=tuple(F(v) for v in b)))
+    return instances
+
+
+@pytest.mark.parametrize("bland_after", [simplex.DEGENERATE_RUN, 0],
+                         ids=["dantzig", "bland"])
+def test_float_kernel_matches_exact(monkeypatch, bland_after):
+    """The float solver against exact solve on the same data (every
+    double is a rational): the same status, the optimum within 1e-9
+    relative, and every optimal float answer passes verify_certificate.
+    Run once as configured and once with Bland's rule from the first
+    pivot."""
+    monkeypatch.setattr(simplex, "DEGENERATE_RUN", bland_after)
     statuses = set()
-    for exact in instances:
+    for exact in _float_kernel_instances():
         inst = LpInstance(
             objective=tuple(float(v) for v in exact.objective),
             A=tuple(tuple(float(v) for v in row) for row in exact.A),
@@ -445,6 +456,68 @@ def test_float_kernel_matches_exact(monkeypatch, bland_after):
             assert verify_certificate(inst, got)
             assert all(type(v) is float for v in got.x)
     assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_float_pricing_passes_over_a_nan(monkeypatch):
+    """A NaN reduced cost is never eligible: with d = (NaN, 1, 0) at the
+    start, Dantzig's rule enters column 1, and the reprice at the claimed
+    optimum, from NaN-free data, then enters column 0."""
+    entered = []
+    real = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda T, basis, row, col: (
+        entered.append(col), real(T, basis, row, col)))
+    data = np.array([[1.0, 1.0, 1.0, 1.0]])
+    body = data.copy()
+    body[0, 0] = np.nan
+    basis = [2]
+    status, T = simplex._iterate(data, np.array([5.0, 1.0, 0.0]), basis,
+                                 3, [10, 10], body)
+    assert (status, basis, entered, T[0, -1]) == ("optimal", [0], [1, 0], 1)
+
+
+def _efp_instances():
+    """Every efp:k LP on S_3-S_10 as solve_theta builds it, from the
+    exact table and from its float copy."""
+    instances = []
+    for n in range(3, 11):
+        table = symmetric_character_table(n)
+        for k in range(1, n + 1):
+            spec = CayleyGraphSpec(table.group,
+                                   efp_connection(n, k, table.group))
+            instances += [build_lp_D(spec, t).instance
+                          for t in (table, as_float_table(table))]
+    return instances
+
+
+@pytest.mark.parametrize("lps, bland_after, pivots, digest", [
+    (_efp_instances, simplex.DEGENERATE_RUN, 2626,
+     "20dac00bb4b3110401241c4a1bab6af1fdc6d977ef816463d6000b37d50fefc0"),
+    (_float_kernel_instances, simplex.DEGENERATE_RUN, 1349,
+     "17a77171a95daaee02f35d8209707689cff6a7e6bb8ab26f02fe2bfd037e2f3d"),
+    (_float_kernel_instances, 0, 1478,
+     "32b33b53f1a288f3249bbbdb13f7ee6cbc4877f222e2c525ccbe95807459ecda"),
+], ids=["efp", "sweep-dantzig", "sweep-bland"])
+def test_float_stage_pinned(monkeypatch, lps, bland_after, pivots, digest):
+    """The float stage itself, bit for bit: a sha256 over the status,
+    basis, kept rows and the bytes of the basic values that
+    ``_float_basis`` returns on each LP, and the number of pivots it
+    makes.  Any change to the order or the rounding of the pivots'
+    arithmetic shows here, also where no certificate pin sees it."""
+    monkeypatch.setattr(simplex, "DEGENERATE_RUN", bland_after)
+    count = [0]
+    real = simplex._pivot
+
+    def counted(*args):
+        count[0] += 1
+        return real(*args)
+    monkeypatch.setattr(simplex, "_pivot", counted)
+    sha = hashlib.sha256()
+    for inst in lps():
+        status, basis, keep_rows, values = simplex._float_basis(
+            inst.A, inst.b, inst.objective)
+        sha.update(repr((status, basis, keep_rows)).encode())
+        sha.update(b"" if values is None else values.tobytes())
+    assert (count[0], sha.hexdigest()) == (pivots, digest)
 
 
 def test_float_mode_matches_exact():
@@ -522,3 +595,29 @@ def test_verify_rejects_tampered_solution():
     bad = replace(sol, objective_value=F(2), x=(F(2), F(0), F(-1)))
     res = verify_certificate(inst, bad)
     assert not res
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("x, dual, value", [
+    ((NAN, NAN), (NAN,), NAN),
+    ((0.5, 0.5), (NAN,), 1.0),
+    ((0.5, 0.5), (1.0,), NAN),
+    ((NAN, 0.5), (1.0,), 1.0),
+    ((INF, 0.0), (1.0,), 1.0),
+    ((0.5, 0.5), (INF,), 1.0),
+    ((0.5, 0.5), (1.0,), -INF),
+], ids=["all-nan", "nan-dual", "nan-value", "nan-x", "inf-x", "inf-dual",
+        "inf-value"])
+def test_verify_rejects_non_finite_certificates(x, dual, value):
+    """Each check asks for a value within tolerance, so NaN and +-inf
+    fail; the four NaN cases passed every check when the checks asked for a
+    miss by more than the tolerance.  On max x1 + x2, x1 + x2 = 1."""
+    inst = LpInstance(objective=(1.0, 1.0), A=((1.0, 1.0),), b=(1.0,))
+    good = LpSolution(status="optimal", x=(0.5, 0.5), objective_value=1.0,
+                      dual=(1.0,))
+    assert verify_certificate(inst, good)
+    claim = LpSolution(status="optimal", x=x, objective_value=value,
+                       dual=dual)
+    assert not verify_certificate(inst, claim)

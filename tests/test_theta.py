@@ -300,6 +300,30 @@ def test_cycle_7_float_theta():
     assert abs(cert.objective - 7 * c / (1 + c)) < 1e-9
 
 
+def test_non_finite_certificates_fail_validation():
+    """A certificate whose a, f and objective are NaN, or +inf, fails
+    validate_certificate and the Bochner test, by characters or by
+    irreducible matrices; every check asks that a value lie within
+    tolerance (a NaN certificate of the Z_7 cycle, and a NaN function on
+    S_3, passed when they asked for a miss by more than it)."""
+    z7 = make_abelian_product([7])
+    spec = CayleyGraphSpec(z7, ConnectionSet.from_elements(z7, [1, 6]))
+    table = abelian_character_table(z7)
+    cert = solve_theta(spec, table)
+    assert validate_certificate(cert) == []
+    irreps = s3_irreps()
+    for v in (math.nan, math.inf):
+        bad = replace(cert, a=(v,) * len(cert.a), objective=v,
+                      f=characters.ClassFunction(z7, (v,) * z7.order))
+        # inf * 0 in the Fourier sums warns, as numpy does
+        with np.errstate(invalid="ignore"):
+            assert "normalization sum d^2 a != |Gamma|" in \
+                validate_certificate(bad)
+            assert not characters.is_positive_type(bad.f, table)
+            assert not characters.is_positive_type(
+                characters.GroupFunction(irreps.group, (v,) * 6), irreps)
+
+
 def test_klein_four_cycle_exact():
     # Cay(Z2 x Z2, {(0,1),(1,0)}) is the 4-cycle: theta = alpha = 2
     k4 = make_abelian_product([2, 2])
