@@ -550,6 +550,15 @@ def row_combination(table: CharacterTable, weights) -> list:
     return acc.tolist()
 
 
+def _complex_array(values, what) -> np.ndarray:
+    """The values as one complex array; a rational value beyond the range
+    of a double raises InvalidArgument naming ``what`` it is."""
+    try:
+        return np.array([complex(x) for x in values], dtype=complex)
+    except OverflowError:
+        raise InvalidArgument(f"{what} too large for a double") from None
+
+
 def fourier_class_scalars(f: ClassFunction, table: CharacterTable):
     """Scalars c_pi with fhat(pi) = c_pi * I for a class function f:
     c_pi = (1/d_pi) sum_C |C| f(C) chi_pi(C): a Fraction by
@@ -568,7 +577,7 @@ def fourier_class_scalars(f: ClassFunction, table: CharacterTable):
     exact = exact_sums(weights, table.entries.T, table.degrees)
     if exact is not None:
         return tuple(exact)
-    w = np.array([complex(x) for x in weights])
+    w = _complex_array(weights, "a weight |C| f(C) is")
     real, w2 = not w.imag.any(), np.repeat(w.real, 2)
     sums = []
     for rows in _row_blocks(table):
@@ -641,11 +650,12 @@ def _is_positive_type_irreps(f, irreps: "IrrepMatrices", tol):
         values = [f.at_element(g) for g in range(group.order)]
     else:
         values = list(f.values)
+    values = _complex_array(values, "a value of f is").tolist()
     for i, mats in enumerate(irreps.matrices):
         d = irreps.degrees[i]
         fhat = np.zeros((d, d), dtype=complex)
         for g in range(group.order):
-            fhat += complex(values[g]) * mats[g]
+            fhat += values[g] * mats[g]
         herm_defect = np.abs(fhat - fhat.conj().T).max()
         scale = max(1.0, float(np.abs(fhat).max())) * tol * 10
         if not herm_defect <= scale:

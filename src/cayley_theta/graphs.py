@@ -160,7 +160,7 @@ class Graph:
         rows = np.frombuffer(b"".join(m.to_bytes(width, "little")
                                       for m in self.adj), dtype=np.uint8)
         return np.unpackbits(rows.reshape(n, width), axis=1, count=n,
-                             bitorder="little").astype(bool)
+                             bitorder="little").view(bool)
 
     @property
     def edges(self):
@@ -239,11 +239,15 @@ def alpha(graph: Graph, time_budget: Optional[float] = None) -> AlphaResult:
     n = graph.vertex_count
     if n == 0:
         return AlphaResult(0, 0, (), True)
-    comp = ~graph.matrix()
+    comp = graph.matrix()
+    np.logical_not(comp, out=comp)
     np.fill_diagonal(comp, False)
     # deterministic relabeling: complement-degree descending, index ties
     order = np.argsort(-comp.sum(axis=1), kind="stable")
-    adj = Graph.from_matrix(np.take(comp[order], order, axis=1)).adj
+    # rows, then columns, each rebinding comp; np.ix_ is slower by 6x
+    comp = comp[order]
+    adj = Graph.from_matrix(comp[:, order]).adj
+    del comp
     order = order.tolist()
     # apart[v]: the vertices that may share v's color (not v, not adjacent)
     apart = [~(adj[v] | (1 << v)) for v in range(n)]

@@ -46,6 +46,15 @@ import numpy as np
 from .errors import InvalidArgument, NotAGroup, SchemaError
 
 GENERIC_CLASS_BOUND = 10000   # orbit algorithm cutoff
+# entries per block of rows in the checks of Cayley and action tables
+BLOCK_ENTRIES = 1 << 20
+
+
+def _row_blocks(rows: int, width: int) -> list:
+    """Slices of consecutive rows of a rows x width array, each of about
+    BLOCK_ENTRIES entries (at least one row)."""
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +140,9 @@ class ConjugacyClass:
 class GroupAction:
     """An action of ``group`` on points {0..point_count-1}; ``table`` has
     one row per group element giving the image of every point, kept as a
-    read-only int64 array.  Checked on construction: the first (g, h, p)
-    with g.(h.p) != (gh).p, h a generator, in the order (h, g, p)."""
+    read-only int32 array.  Checked on construction, a block of rows at
+    a time: the first (g, h, p) with g.(h.p) != (gh).p, h a generator,
+    in the order (h, g, p)."""
     group: "FiniteGroup"
     point_count: int
     table: np.ndarray   # table[g, p] = g . p
@@ -143,21 +153,25 @@ class GroupAction:
             raise InvalidArgument("action table must have one row per element")
         if any(len(row) != count for row in self.table):
             raise InvalidArgument("ragged action table")
-        act = np.array(self.table)     # dtype object if an entry is huge
-        if ((act < 0) | (act >= count)).any():
-            raise InvalidArgument(
-                f"action table entries must be points 0..{count - 1}")
-        act = act.astype(np.int64, copy=False)
+        act = np.asarray(self.table)     # dtype object if an entry is huge
+        blocks = _row_blocks(group.order, count)
+        for rows in blocks:
+            if ((act[rows] < 0) | (act[rows] >= count)).any():
+                raise InvalidArgument(
+                    f"action table entries must be points 0..{count - 1}")
+        act = act.astype(np.int32)
         if (act[group.identity] != np.arange(count)).any():
             raise InvalidArgument("identity must act trivially")
         elements = np.arange(group.order)
         for h in group.generators():
-            # g.(h.p) against (gh).p, for every g and p
-            bad = (np.take(act, act[h], axis=1)
-                   != act[group.products(elements, h)])
-            if bad.any():
-                g, p = divmod(int(np.argmax(bad)), count)
-                raise InvalidArgument(f"not an action: ({g},{h},{p})")
+            for rows in blocks:
+                # g.(h.p) against (gh).p, for every g of the block and p
+                bad = (np.take(act[rows], act[h], axis=1)
+                       != act[group.products(elements[rows], h)])
+                if bad.any():
+                    g, p = divmod(int(np.argmax(bad)), count)
+                    raise InvalidArgument(
+                        f"not an action: ({rows.start + g},{h},{p})")
         act.setflags(write=False)
         object.__setattr__(self, "table", act)
 
@@ -372,23 +386,40 @@ class SymmetricGroup(FiniteGroup):
         return perm_rank(tuple(inv))
 
     def _perm_array(self) -> np.ndarray:
-        """Row r is the permutation of rank r: ``itertools.permutations``
-        yields them in lexicographic order, which is Lehmer-rank order."""
+        """Row r is the permutation of rank r, as int8: Lehmer-rank order
+        is lexicographic order, so the rows starting with f are f
+        followed by the permutations of n - 1 in their order, each entry
+        >= f raised by one."""
         if self._perms is None:
-            self._perms = np.array(
-                list(itertools.permutations(range(self.n))),
-                dtype=np.int64)
+            perms = np.zeros((1, 0), dtype=np.int8)
+            for m in range(1, self.n + 1):
+                sub, perms = perms, np.empty((len(perms) * m, m),
+                                             dtype=np.int8)
+                for f in range(m):
+                    block = perms[f * len(sub):(f + 1) * len(sub)]
+                    block[:, 0] = f
+                    block[:, 1:] = sub + (sub >= f)
+            self._perms = perms
             # a permutation's key reads its entries as base-n digits; the
             # keys increase with the rank, so searchsorted ranks them
-            self._weights = self.n ** np.arange(self.n - 1, -1, -1)
-            self._keys = self._perms @ self._weights
+            self._keys = self._key(lambda i: perms[:, i])
         return self._perms
+
+    def _key(self, entry):
+        """The keys of the permutations whose i-th entries are entry(i),
+        by Horner's rule, one position at a time."""
+        key = entry(0).astype(np.int64)
+        for i in range(1, self.n):
+            key *= self.n
+            key += entry(i)
+        return key
 
     def products(self, a, b):
         perms = self._perm_array()
         # p(q(i)) is entry a * n + q(i) of the flat permutation array
-        composed = perms.ravel()[np.asarray(a)[..., None] * self.n + perms[b]]
-        return np.searchsorted(self._keys, composed @ self._weights)
+        flat, rows, b = perms.ravel(), np.asarray(a) * self.n, np.asarray(b)
+        return np.searchsorted(
+            self._keys, self._key(lambda i: flat[rows + perms[b, i]]))
 
     def identity_key(self):
         return self.n
@@ -583,31 +614,54 @@ class GeneralLinearGroup(FiniteGroup):
 
 class TableGroup(FiniteGroup):
     """Group given by an explicit Cayley table, kept as one read-only
-    int64 array and checked on construction: Latin rows and columns, a
-    two-sided identity (swapped with 0), two-sided inverses, and Light's
-    test (x g) y = x (g y) for all x, y and each generator g."""
+    int32 array and checked on construction, a block of rows at a time:
+    Latin rows and columns, a two-sided identity (swapped with 0),
+    two-sided inverses, and Light's test (x g) y = x (g y) for all x, y
+    and each generator g.  An array given to the constructor is read,
+    not copied; the int32 table is the one copy."""
 
     def __init__(self, table):
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
             raise InvalidArgument("table must be square and nonempty")
-        T = np.array(table)     # dtype object if an entry is huge
+        T = np.asarray(table)     # dtype object if an entry is huge
         elements = np.arange(n)
-        for lines, kind in ((T, "row"), (T.T, "column")):
-            bad = (np.sort(lines, axis=1) != elements).any(axis=1)
+        blocks = _row_blocks(n, n)
+        # a line is Latin iff it sorts to 0..n-1, so after the rows every
+        # entry is an element
+        for rows in blocks:
+            bad = (np.sort(T[rows], axis=1) != elements).any(axis=1)
             if bad.any():
-                raise NotAGroup(f"latin-square-{kind}", (int(np.argmax(bad)),))
-        T = T.astype(np.int64, copy=False)
-        found = np.flatnonzero((T == elements).all(axis=1)
-                               & (T.T == elements).all(axis=1))
+                raise NotAGroup("latin-square-row",
+                                (rows.start + int(np.argmax(bad)),))
+        T = T.astype(np.int32)
+        for cols in blocks:
+            lines = np.ascontiguousarray(T[:, cols].T)
+            lines.sort(axis=1)
+            bad = (lines != elements).any(axis=1)
+            if bad.any():
+                raise NotAGroup("latin-square-column",
+                                (cols.start + int(np.argmax(bad)),))
+        identity_row, identity_column = np.zeros((2, n), dtype=bool)
+        for rows in blocks:
+            identity_row[rows] = (T[rows] == elements).all(axis=1)
+            identity_column[rows] = (T[:, rows].T == elements).all(axis=1)
+        found = np.flatnonzero(identity_row & identity_column)
         if not found.size:
             raise NotAGroup("identity", ())
-        # sigma swaps the identity e with 0; it is its own inverse
         e = int(found[0])
-        sigma = elements.copy()
-        sigma[[0, e]] = e, 0
-        T = sigma[T[np.ix_(sigma, sigma)]]
-        inverse = np.argmax(T == 0, axis=1)     # g inverse[g] = 0
+        if e:
+            # swap the identity e with 0: rows, columns, then entries
+            T[[0, e]] = T[[e, 0]]
+            T[:, [0, e]] = T[:, [e, 0]]
+            for rows in blocks:
+                block = T[rows]
+                zero = block == 0
+                block[block == e] = 0
+                block[zero] = e
+        inverse = np.empty(n, dtype=np.int64)   # g inverse[g] = 0
+        for rows in blocks:
+            inverse[rows] = np.argmax(T[rows] == 0, axis=1)
         bad = T[inverse, elements] != 0
         if bad.any():
             raise NotAGroup("inverse", (int(np.argmax(bad)),))
@@ -615,11 +669,14 @@ class TableGroup(FiniteGroup):
         T.setflags(write=False)
         self._table = T
         for g in self.generators():
-            # (x g) y against x (g y); np.take is faster than T[:, T[g]]
-            bad = T[T[:, g]] != np.take(T, T[g], axis=1)
-            if bad.any():
-                x, y = divmod(int(np.argmax(bad)), n)
-                raise NotAGroup("associativity", (x, g, y))
+            for rows in blocks:
+                # (x g) y against x (g y); np.take is faster than T[:, T[g]]
+                bad = T[T[rows, g]] != np.take(T[rows], T[g], axis=1)
+                if bad.any():
+                    x, y = divmod(int(np.argmax(bad)), n)
+                    raise NotAGroup("associativity", (rows.start + x, g, y))
+        inverse.setflags(write=False)
+        self._inverses = inverse
 
     def products(self, a, b):
         return self._table[a, b]

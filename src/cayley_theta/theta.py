@@ -52,7 +52,8 @@ from .simplex import LpInstance, LpSolution, solve as lp_solve
 
 MATRIX_BOUND = 2000
 ROW_DROP_TOL = 1e-12
-WRITE_BATCH = 1 << 14   # SDPA entry lines per write
+WRITE_BATCH = 1 << 14   # SDPA entry lines per write, entries per check
+INDEX_BOUND = 2 ** 31   # SDP block sizes and constraint counts stay below
 CERT_TOL = 1e-8
 
 
@@ -322,7 +323,7 @@ def symmetrize_matrix(A, group: FiniteGroup) -> GroupFunction:
 # SDP instances and SDPA sparse export
 
 _TABLE = ("k", "block", "i", "j", "value", "rhs")
-# one SDPA entry line "k b i j v"
+# one SDPA entry line "k b i j v", read wide enough to check the indices
 _ENTRY = np.dtype([(c, np.int64) for c in _TABLE[:4]] + [("value", float)])
 
 
@@ -333,11 +334,15 @@ class SdpInstance:
 
     Every matrix entry is one row of a table of read-only numpy columns:
     row r says that matrix k[r] has value[r] (float64) at (i[r], j[r])
-    of block block[r], with 1-based indices and i <= j.  The matrix
-    numbers are nondecreasing, so F0's rows come first.  ``objective``
-    and ``constraints`` read the table as sequences of (block, i, j,
-    value) tuples without copying it; two instances are equal when
-    their tables are."""
+    of block block[r], with 1-based indices and i <= j.  The indices are
+    int32: a block size or a constraint count of 2^31 or more is
+    refused, and the columns given are checked before they are
+    narrowed, the block and triangle checks WRITE_BATCH rows at a
+    time.  The matrix numbers are
+    nondecreasing, so F0's rows come first.  ``objective`` and
+    ``constraints`` read the table as sequences of (block, i, j, value)
+    tuples without copying it; two instances are equal when their
+    tables are."""
     block_sizes: tuple
     k: np.ndarray
     block: np.ndarray
@@ -349,29 +354,44 @@ class SdpInstance:
     def __post_init__(self):
         object.__setattr__(self, "block_sizes",
                            tuple(int(s) for s in self.block_sizes))
-        for name in _TABLE:
+        if max(self.block_sizes, default=0) >= INDEX_BOUND:
+            raise InvalidArgument(
+                f"SDP block size {max(self.block_sizes)} is not below 2^31")
+        if len(self.rhs) >= INDEX_BOUND:
+            raise InvalidArgument(
+                f"{len(self.rhs)} SDP constraints are not below 2^31")
+        columns = {name: np.asarray(getattr(self, name)) for name in _TABLE}
+        for name in _TABLE[:4]:
+            if columns[name].dtype.kind not in "iu":
+                columns[name] = columns[name].astype(np.int64)
+        self._check(*(columns[name] for name in _TABLE))
+        for name, column in columns.items():
             column = np.ascontiguousarray(
-                getattr(self, name),
-                dtype=float if name in ("value", "rhs") else np.int64)
+                column, dtype=float if name in ("value", "rhs") else np.int32)
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-        k, b, i, j = self.k, self.block, self.i, self.j
-        if not len(k) == len(b) == len(i) == len(j) == len(self.value):
+
+    def _check(self, k, b, i, j, value, rhs):
+        """The checks of the entry table, on the columns as given."""
+        if not len(k) == len(b) == len(i) == len(j) == len(value):
             raise InvalidArgument("SDP entry columns differ in length")
-        if len(k) and (k[0] < 0 or k[-1] > len(self.rhs)):
+        if len(k) and (k[0] < 0 or k[-1] > len(rhs)):
             raise InvalidArgument(
                 f"matrix number {k[0] if k[0] < 0 else k[-1]} outside "
-                f"0..{len(self.rhs)}")
+                f"0..{len(rhs)}")
         if (k[1:] < k[:-1]).any():
             raise InvalidArgument("SDP entries are not ordered by matrix")
         sizes = np.array((0,) + self.block_sizes)
-        bad = (b < 1) | (b >= len(sizes))
-        bad |= (i < 1) | (i > j) | (j > sizes[np.where(bad, 0, b)])
-        if bad.any():
-            r = int(np.argmax(bad))
-            raise InvalidArgument(
-                f"entry ({b[r]}, {i[r]}, {j[r]}) of matrix {k[r]} is not "
-                "an upper-triangle entry of a block")
+        for lo in range(0, len(k), WRITE_BATCH):
+            r = slice(lo, lo + WRITE_BATCH)
+            bad = (b[r] < 1) | (b[r] >= len(sizes))
+            bad |= ((i[r] < 1) | (i[r] > j[r])
+                    | (j[r] > sizes[np.where(bad, 0, b[r])]))
+            if bad.any():
+                e = r.start + int(np.argmax(bad))
+                raise InvalidArgument(
+                    f"entry ({b[e]}, {i[e]}, {j[e]}) of matrix {k[e]} is "
+                    "not an upper-triangle entry of a block")
 
     @classmethod
     def from_matrices(cls, block_sizes, matrices, rhs):
@@ -423,23 +443,35 @@ class _View(Sequence):
 
 def build_sdp_A(spec: CayleyGraphSpec) -> SdpInstance:
     """Formulation (A) on one block of order |Gamma|: maximize the sum of
-    all entries subject to trace 1 and a zero on every edge."""
+    all entries subject to trace 1 and a zero on every edge.  Each
+    column is filled once, in place, row by row of the adjacency array:
+    the objective's upper triangle, the trace's diagonal, then one
+    constraint per edge u < v."""
     group = spec.group
     if group.order > MATRIX_BOUND:
         raise SizeLimit(f"formulation (A) limited to order {MATRIX_BOUND}")
-    us, vs = np.nonzero(np.triu(
-        build_cayley(group, spec.connection).matrix(), 1))
+    adjacent = build_cayley(group, spec.connection).matrix()
     n = group.order
-    rows, cols = np.triu_indices(n)
-    diagonal = np.arange(n)
-    k = np.concatenate([np.zeros(len(rows), dtype=np.int64),
-                        np.ones(n, dtype=np.int64),
-                        np.arange(2, len(us) + 2)])
-    return SdpInstance(
-        block_sizes=(n,), k=k, block=np.ones_like(k),
-        i=np.concatenate([rows, diagonal, us]) + 1,
-        j=np.concatenate([cols, diagonal, vs]) + 1,
-        value=np.ones(len(k)), rhs=np.r_[1.0, np.zeros(len(us))])
+    triangle, edges = n * (n + 1) // 2, np.count_nonzero(adjacent) // 2
+    k, block, i, j = (np.ones(triangle + n + edges, dtype=np.int32)
+                      for _ in range(4))
+    k[:triangle] = 0
+    k[triangle + n:] = np.arange(2, edges + 2, dtype=np.int32)
+    one_to_n = np.arange(1, n + 1, dtype=np.int32)
+    i[triangle:triangle + n] = j[triangle:triangle + n] = one_to_n
+    top, at = 0, triangle + n
+    for u in range(n):
+        i[top:top + n - u] = u + 1
+        j[top:top + n - u] = one_to_n[u:]
+        top += n - u
+        vs = np.flatnonzero(adjacent[u, u + 1:])
+        i[at:at + len(vs)] = u + 1
+        j[at:at + len(vs)] = vs + u + 2
+        at += len(vs)
+    rhs = np.zeros(edges + 1)
+    rhs[0] = 1.0
+    return SdpInstance(block_sizes=(n,), k=k, block=block, i=i, j=j,
+                       value=np.ones(len(k)), rhs=rhs)
 
 
 def _embed(mat):
@@ -545,40 +577,61 @@ def export_sdpa(instance: SdpInstance, path):
     An entry line is "k b i j v", written as four parts "k ", "b i ",
     "j " and "v\n".  One object array holds each string a part can be,
     a table per part: "b i " at row before[b - 1] + i of its table, and
-    "v\n" at the value's number among the distinct values (keyed by
-    their bits, so 0.0 and -0.0 stay apart).  Lines go out WRITE_BATCH at
-    a time: one fancy index of that array gives the four parts of every
-    line of the batch, in line order, and one join writes them."""
+    "v\n" at the value's number among the distinct values (sorted by
+    their bits, so 0.0 and -0.0 stay apart).  Lines go out WRITE_BATCH
+    at a time.  k never decreases, so a batch spans the k[0]..k[-1] of
+    its first and last lines; their "k " strings are made per batch, at
+    row k - k[0] of the first table.  One fancy index of that array then
+    gives the four parts of every line of the batch, in line order, and
+    one join writes them."""
     t = instance
-    reals, value_no = _reprs(t.value)
-    tables = [[f"{k} " for k in range(len(t.rhs) + 1)],
+    bits = _distinct_bits(t.value)
+    # the "k " slots a batch needs: k[-1] - k[0] + 1 over its rows
+    ends = np.arange(WRITE_BATCH, len(t.k) + WRITE_BATCH, WRITE_BATCH)
+    span = (t.k[ends.clip(max=len(t.k)) - 1]
+            - t.k[::WRITE_BATCH]).max(initial=-1) + 1
+    tables = [[""] * int(span),
               [f"{b} {i} " for b, size in enumerate(t.block_sizes, 1)
                for i in range(1, size + 1)],
               [f"{j} " for j in range(max(t.block_sizes, default=0) + 1)],
-              [r + "\n" for r in reals]]
+              [repr(v) + "\n" for v in bits.view(np.float64).tolist()]]
     strings = np.array([s for table in tables for s in table], dtype=object)
     first = np.cumsum([0] + [len(table) for table in tables[:-1]])
     before = np.cumsum((-1,) + t.block_sizes)
-    rhs_reals, rhs_no = _reprs(t.rhs)
     with open(path, "w") as fh:
         fh.write('"convention: maximize <F0,Y> subject to <Fk,Y> = c_k, '
                  'Y block-diagonal PSD"\n')
         fh.write(f"{len(t.rhs)}\n{len(t.block_sizes)}\n")
         fh.write(" ".join(map(str, t.block_sizes)) + "\n")
-        fh.write(" ".join([rhs_reals[c] for c in rhs_no.tolist()]) + "\n")
+        fh.write(" ".join(_reprs(t.rhs).tolist()) + "\n")
         for lo in range(0, len(t.k), WRITE_BATCH):
             batch = slice(lo, lo + WRITE_BATCH)
+            k = t.k[batch]
+            low, high = int(k[0]), int(k[-1])
+            strings[:high + 1 - low] = [f"{c} " for c in range(low, high + 1)]
             rows = first + np.stack(
-                [t.k[batch], before[t.block[batch] - 1] + t.i[batch],
-                 t.j[batch], value_no[batch]], axis=1)
+                [k - low, before[t.block[batch] - 1] + t.i[batch],
+                 t.j[batch],
+                 np.searchsorted(bits, t.value[batch].view(np.int64))],
+                axis=1)
             fh.write("".join(strings[rows.ravel()].tolist()))
 
 
+def _distinct_bits(values):
+    """The distinct bit patterns of an array of doubles, sorted; by one
+    sort, as np.unique without return_inverse hashes them, ten times
+    slower on 300,000 equal values (numpy 2.4)."""
+    bits = np.sort(values.view(np.int64))
+    return np.concatenate([bits[:1], bits[1:][bits[1:] != bits[:-1]]])
+
+
 def _reprs(values):
-    """The repr of each distinct double, told apart by its bits, and the
-    number of each value's repr in that list."""
-    bits, numbers = np.unique(values.view(np.int64), return_inverse=True)
-    return [repr(v) for v in bits.view(np.float64).tolist()], numbers
+    """The repr of each double, one repr made per distinct value (told
+    apart by its bits), as an object array."""
+    bits = _distinct_bits(values)
+    reprs = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                     dtype=object)
+    return reprs[np.searchsorted(bits, values.view(np.int64))]
 
 
 def read_sdpa(path) -> SdpInstance:

@@ -20,8 +20,8 @@ from cayley_theta.characters import (CharacterTable, ClassFunction,
                                      is_positive_type, mn_character,
                                      mn_table, row_combination,
                                      symmetric_character_table)
-from cayley_theta.errors import (CorruptTable, NeedsIrreps, SchemaError,
-                                 SizeLimit)
+from cayley_theta.errors import (CorruptTable, InvalidArgument, NeedsIrreps,
+                                 SchemaError, SizeLimit)
 from cayley_theta.groups import (make_abelian_product, make_general_linear,
                                  make_symmetric, partitions)
 
@@ -419,6 +419,23 @@ def test_bochner_exact_means_tolerance_zero():
     assert not res and res.irrep == 1
     assert is_positive_type(ClassFunction(z2, (1.0, 1.0 + 1e-12)),
                             as_float_table(table))
+
+
+def test_bochner_refuses_a_rational_too_large_for_a_double():
+    """10^400 on Z_7 once raised OverflowError from ``complex()`` on the
+    float table's route and on the irreps' route; the exact S_3 table
+    sums it exactly."""
+    z7 = make_abelian_product([7])
+    f = GroupFunction(z7, (Fraction(10) ** 400,) + (Fraction(0),) * 6)
+    table = abelian_character_table(z7)
+    assert not table.exact
+    for rep in (table, abelian_irreps(table)):
+        with pytest.raises(InvalidArgument, match="too large for a double"):
+            is_positive_type(f, rep)
+    s3 = make_symmetric(3)
+    assert is_positive_type(
+        GroupFunction(s3, (Fraction(10) ** 400,) + (Fraction(0),) * 5),
+        symmetric_character_table(3))
 
 
 def test_non_class_function_needs_irreps():

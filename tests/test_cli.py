@@ -229,6 +229,16 @@ def test_bochner_command(capsys, tmp_path):
     assert "positive-type: no" in out
 
 
+def test_bochner_takes_a_huge_rational_on_an_exact_table(capsys, tmp_path):
+    """The exact S_3 table sums 1e400 exactly; the float Z_7 table exits
+    2 on it (test_input_errors_exit_2_without_traceback)."""
+    fn = tmp_path / "huge.json"
+    fn.write_text(json.dumps(["1e400"] + ["0"] * 5))
+    code, out, _ = run(capsys, "bochner", "--group", "sym:3",
+                       "--function", str(fn))
+    assert code == 0 and out == "positive-type: yes\n"
+
+
 def test_blowup_command(capsys, tmp_path):
     g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     gp = tmp_path / "c5.txt"
@@ -332,6 +342,7 @@ def test_usage_error_exit_code(capsys):
     ("bochner", "--group", "cyclic:7", "--function", "{tmp}/inf.json"),
     ("bochner", "--group", "cyclic:7", "--function", "{tmp}/1e400.json"),
     ("bochner", "--group", "cyclic:7", "--function", "{tmp}/nan_pair.json"),
+    ("bochner", "--group", "cyclic:7", "--function", "{tmp}/huge.json"),
     ("theta", "--group", "sym:x", "--connection", "efp:1"),
     ("theta", "--group", "sym:3", "--connection", "efp:x"),
     ("theta", "--group", "sym:3", "--connection", "classes:1,a"),
@@ -369,6 +380,8 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     for name, value in (("nan", "NaN"), ("inf", "Infinity"),
                         ("1e400", "1e400"), ("nan_pair", "[0, NaN]")):
         (tmp_path / f"{name}.json").write_text(f"[{value}, 0, 0, 0, 0, 0, 0]")
+    # a rational beyond a double, which the float Z_7 table cannot take
+    (tmp_path / "huge.json").write_text(json.dumps(["1e400"] + ["0"] * 6))
     (tmp_path / "ones.json").write_text('["1", "1"]')
     (tmp_path / "bad_header.txt").write_text("vertices x edges 1\n0 1\n")
     (tmp_path / "bad_edge.txt").write_text("vertices 3 edges 1\n0 1 2\n")

@@ -1,12 +1,17 @@
 import hashlib
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cayley_theta import groups
 from cayley_theta.apps import gl_connection, gl_pointwise_stabilizer
 from cayley_theta.characters import abelian_character_table
 from cayley_theta.errors import InvalidArgument, NotAGroup, SchemaError
@@ -264,6 +269,16 @@ def test_array_products_match_single_products():
             table[n - 1].tolist()
         assert group.products(np.arange(n), 1).tolist() == \
             table[:, 1].tolist()
+
+
+def test_sn_element_array_is_lexicographic_int8():
+    """The S_n permutation array is built from that of S_(n-1); row r is
+    the r-th of ``itertools.permutations``, as int8."""
+    for n in range(1, 9):
+        perms = make_symmetric(n)._perm_array()
+        assert perms.dtype == np.int8
+        assert perms.tolist() == [
+            list(p) for p in itertools.permutations(range(n))]
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -527,6 +542,104 @@ def test_table_group_accepts_exactly_the_groups(rows):
     else:
         assert is_group
         assert _table(group) == square.rows
+
+
+def _check_outcome(make, *args):
+    """What a constructor that checks a table makes of it: the table it
+    keeps (and a group's inverses), or its error."""
+    try:
+        made = make(*args)
+    except InvalidArgument as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(made, GroupAction):
+        return made.table.dtype, made.table.tolist()
+    return made._table.dtype, _table(made), made.inverses().tolist()
+
+
+def test_table_and_action_checks_do_not_depend_on_the_blocks(monkeypatch):
+    """Seeded tables and action tables, good and faulty, give the same
+    group, action or error (and witness) with one row per block of the
+    checks as with the default blocks.  The faults: a repeated entry in
+    a row or a column, no identity, no inverse, associativity, an
+    identity that moves a point, and the action axiom."""
+    rng = random.Random(21)
+    # S_3 with the intercalate of rows 1, 3 and columns 2, 3 swapped
+    non_associative = _table(make_symmetric(3))
+    for r in (1, 3):
+        non_associative[r][2:4] = non_associative[r][3:1:-1]
+    n = 5
+    cases = [(make_from_table, [list(range(n))] * n),
+             (make_from_table, [[(2 * i + j) % n for j in range(n)]
+                                for i in range(n)]),
+             (make_from_table, non_associative)]
+    for _ in range(60):
+        rows = _table(rng.choice(SMALL_GROUPS)) if rng.random() < 0.5 \
+            else _random_loop(rng.randint(1, 7), rng)
+        n = len(rows)
+        if n > 2 and rng.random() < 0.4:
+            # a swap in a row leaves its columns with a repeat; a copy,
+            # the row itself
+            a, c, d = rng.randrange(n), *rng.sample(range(n), 2)
+            if rng.random() < 0.5:
+                rows[a][c], rows[a][d] = rows[a][d], rows[a][c]
+            else:
+                rows[a][c] = rows[a][d]
+        sigma = rng.sample(range(n), n)
+        relabelled = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                relabelled[sigma[a]][sigma[b]] = sigma[rows[a][b]]
+        cases.append((make_from_table, relabelled))
+    for _ in range(60):
+        group = rng.choice(ACTION_GROUPS)
+        rows = _coset_action(group, rng.randrange(group.order))
+        r, count = rng.randrange(group.order), len(rows[0])
+        if rng.random() < 0.6:
+            rows[r] = [rng.randrange(count) for _ in range(count)]
+        cases.append((action_from_table, group, rows))
+    default = [_check_outcome(*case) for case in cases]
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 1)
+    assert [_check_outcome(*case) for case in cases] == default
+    kinds = {o[1].split(" fails")[0] if o[0] == "NotAGroup" else
+             o[1].split(":")[0] if isinstance(o[0], str) else "ok"
+             for o in default}
+    assert kinds == {"ok", "not a group: latin-square-row",
+                     "not a group: latin-square-column",
+                     "not a group: identity", "not a group: inverse",
+                     "not a group: associativity", "not an action",
+                     "identity must act trivially"}
+
+
+MEMORY_PROBE = """
+import resource
+import numpy as np
+from cayley_theta.groups import (action_from_table, make_abelian_product,
+                                 make_from_table)
+n = {n}
+table = np.add.outer(np.arange(n), np.arange(n))
+np.remainder(table, n, out=table)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+{build}
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+@pytest.mark.parametrize("n, build, bound_mb", [
+    (5000, "make_from_table(table)", 160),
+    (2003, "action_from_table(make_abelian_product([n]), table)", 40),
+], ids=["table-Z5000", "action-Z2003"])
+def test_table_checks_run_in_bounded_memory(n, build, bound_mb):
+    """Z_5000 as an int64 Cayley table (200 MB), and Z_2003 acting on
+    C_2003 (32 MB): their checks once held about 790 and 96 MB above
+    the table (a copy of it, whole-table sorts, gathers and masks).
+    Now they hold its int32 copy (100 and 16 MB) and blocks of rows.
+    Peak RSS is read in a fresh interpreter."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(
+        Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE.format(n=n, build=build)],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert float(out) < bound_mb
 
 
 def _coset_action(group, k):

@@ -769,9 +769,10 @@ SDPA_TEXT = ['"a small instance"', "2", "1", "3", "1.0 0.0",
     ("1 1 1 x 1.0", "malformed SDPA file"),
     ("1 1 1 2.0 1.0", "malformed SDPA file"),
     ("1 1 1 2 1.0 # note", "5 fields"),
+    ("1 1 1 4294967298 1.0", r"entry \(1, 1, 4294967298\) of matrix 1"),
 ], ids=["matrix-below-0", "matrix-above-m", "4-fields", "6-fields",
         "index-outside-block", "no-such-block", "index-0", "below-diagonal",
-        "not-a-number", "float-index", "trailing-words"])
+        "not-a-number", "float-index", "trailing-words", "index-past-int32"])
 def test_read_sdpa_rejects_malformed_entries(tmp_path, line, message):
     """Each of these once read as another instance or raised IndexError or
     a bare ValueError: matrix -1 landed in constraint m."""
@@ -783,9 +784,60 @@ def test_read_sdpa_rejects_malformed_entries(tmp_path, line, message):
         read_sdpa(path)
 
 
+def test_read_sdpa_refuses_indices_past_int32(tmp_path):
+    """The index columns are int32: a block size of 2^31 is refused (one
+    less is read), and an index past 2^31 is checked before the columns
+    are narrowed, where it would wrap to 2 and pass."""
+    path = tmp_path / "wide.dat-s"
+    for size in (2 ** 31 - 1, 2 ** 31):
+        path.write_text(f"1\n1\n{size}\n1.0\n1 1 1 1 1.0\n")
+        if size < 2 ** 31:
+            assert read_sdpa(path).block_sizes == (size,)
+        else:
+            with pytest.raises(InvalidArgument,
+                               match="block size 2147483648 is not below"):
+                read_sdpa(path)
+    with pytest.raises(InvalidArgument, match=r"entry \(1, 1, 4294967298\)"):
+        SdpInstance.from_matrices((3,), [[(1, 1, 2 ** 32 + 2, 1.0)]], [])
+
+
+def test_sdp_instance_checks_every_batch():
+    """The block and triangle checks run WRITE_BATCH rows at a time: a
+    bad entry past the first batch is named.  Matrix numbers that
+    decrease anywhere are refused."""
+    rows = 2 * WRITE_BATCH + 5
+    k, one = np.zeros(rows, dtype=np.int64), np.ones(rows, dtype=np.int64)
+    assert len(SdpInstance((1,), k, one, one, one, one, [1.0]).k) == rows
+    j = one.copy()
+    j[WRITE_BATCH + 3] = 2
+    with pytest.raises(InvalidArgument, match=r"entry \(1, 1, 2\) of matrix 0"):
+        SdpInstance((1,), k, one, one, j, one, [1.0])
+    k[WRITE_BATCH + 3] = 1
+    with pytest.raises(InvalidArgument, match="not ordered by matrix"):
+        SdpInstance((1,), k, one, one, one, one, [1.0])
+
+
+def test_sdp_A_build_and_export_memory(tmp_path):
+    """Building and exporting the S_6 instance once peaked at 24 MB
+    (tracemalloc): int64 columns, two int64 triangle index arrays and
+    a numbering of every value and every k at once.  With int32
+    columns filled in place and writes numbered per batch it stays
+    below 12 MB, the instance about 7.3 MB of it."""
+    spec = _s6_spec_120()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        export_sdpa(build_sdp_A(spec), tmp_path / "s6.dat-s")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 def test_sdp_A_instance_memory(capsys, tmp_path):
     """The S_6 instance of 304,321 entries holds one table of numpy
-    columns (about 12 MB); as tuples of tuples it held 36 MB."""
+    columns, int32 indices and float64 values (about 7.3 MB); with int64
+    indices it held 12 MB, and as tuples of tuples 36 MB."""
     spec = _s6_spec_120()
     tracemalloc.start()
     try:
@@ -795,7 +847,7 @@ def test_sdp_A_instance_memory(capsys, tmp_path):
     finally:
         tracemalloc.stop()
     assert len(sdp.k) == 720 * 721 // 2 + 720 + 720 * 120 // 2
-    assert held < 16 * 2**20
+    assert held < 8 * 2**20
     code = cli_dispatch(["export-sdpa", "--formulation", "A", "--group",
                          "cyclic:5", "--connection", "classes:1,4",
                          "--out", str(tmp_path / "c5.dat-s")])
