@@ -1,11 +1,11 @@
 """Cayley graphs, exact independence numbers, and vertex-transitive
 blowups.
 
-Graphs are stored as adjacency bitmasks (one Python int per vertex),
-which keeps the branch-and-bound inner loops cheap.  The independence
-number is computed as a maximum clique of the complement with a greedy
+A graph is its n x n boolean adjacency array.  The independence number
+is computed as a maximum clique of the complement with a greedy
 coloring bound; a coloring of the complement is exactly a clique cover
-of the original graph.
+of the original graph.  Only that search holds bitmasks (one Python int
+per vertex), which keeps its inner loops cheap.
 
 Three exact rules keep the search small.  On a Cayley graph, left
 multiplication x -> gx is an automorphism ((gy)^-1 (gx) = y^-1 x), so
@@ -21,19 +21,20 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import (InvalidArgument, NotAutomorphism, NotTransitive,
-                     SchemaError)
+                     SchemaError, SizeLimit)
 from .groups import (FiniteGroup, GroupAction, action_from_table, load_rows,
                      parse_ints, same_group)
 
+# vertices of a Cayley graph or of a graph given by its edges
 CAYLEY_BOUND = 5000
-# products per group.products call in build_cayley; at order CAYLEY_BOUND
-# a call takes 52 whole columns
+# products per group.products call in build_cayley, and adjacency entries
+# per block of rows in alpha; at order CAYLEY_BOUND a block takes 52
 PRODUCTS_PER_CALL = 1 << 18
 
 
@@ -127,52 +128,50 @@ class ConnectionSet:
 # ---------------------------------------------------------------------------
 # graphs
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    vertex_count: int
-    adj: tuple   # adj[v] = bitmask of neighbors
-    # proven vertex-transitive by the constructor (only build_cayley does)
+    """A simple graph on the vertices 0..n-1: its symmetric n x n boolean
+    adjacency array, False on the diagonal, made read-only, not copied.
+    ``transitive``: the constructor proved the graph vertex-transitive
+    (only build_cayley does)."""
+    adjacency: np.ndarray
     transitive: bool = False
+
+    def __post_init__(self):
+        self.adjacency.setflags(write=False)
 
     @classmethod
     def from_edges(cls, n: int, edges):
-        adj = [0] * n
+        """The graph on n <= CAYLEY_BOUND vertices with these edges."""
+        if n < 0:
+            raise InvalidArgument(f"negative vertex count {n}")
+        if n > CAYLEY_BOUND:
+            raise SizeLimit(
+                f"graphs limited to {CAYLEY_BOUND} vertices, got {n}")
+        adjacency = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if u == v:
                 raise InvalidArgument(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidArgument(f"edge ({u},{v}) out of range")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return cls(vertex_count=n, adj=tuple(adj))
+            adjacency[u, v] = adjacency[v, u] = True
+        return cls(adjacency)
 
-    @classmethod
-    def from_matrix(cls, matrix):
-        """Graph of a symmetric boolean adjacency array."""
-        rows = np.packbits(matrix, axis=1, bitorder="little")
-        return cls(vertex_count=len(matrix), adj=tuple(
-            int.from_bytes(row.tobytes(), "little") for row in rows))
-
-    def matrix(self) -> np.ndarray:
-        """The adjacency bitmasks as an n x n boolean array."""
-        n = self.vertex_count
-        width = (n + 7) // 8
-        rows = np.frombuffer(b"".join(m.to_bytes(width, "little")
-                                      for m in self.adj), dtype=np.uint8)
-        return np.unpackbits(rows.reshape(n, width), axis=1, count=n,
-                             bitorder="little").view(bool)
+    @property
+    def vertex_count(self) -> int:
+        return len(self.adjacency)
 
     @property
     def edges(self):
         """The edges (u, v), u < v, in row-major order."""
-        us, vs = np.nonzero(np.triu(self.matrix(), 1))
+        us, vs = np.nonzero(np.triu(self.adjacency, 1))
         return list(zip(us.tolist(), vs.tolist()))
 
     def has_edge(self, u, v):
-        return bool(self.adj[u] >> v & 1)
+        return bool(self.adjacency[u, v])
 
     def degree(self, v):
-        return bin(self.adj[v]).count("1")
+        return int(np.count_nonzero(self.adjacency[v]))
 
 
 def build_cayley(group: FiniteGroup, connection: ConnectionSet) -> Graph:
@@ -198,7 +197,7 @@ def build_cayley(group: FiniteGroup, connection: ConnectionSet) -> Graph:
     for lo in range(0, len(side), width):
         hit[xs, group.products(xs, side[None, lo:lo + width])] = direct
     # x -> gx is an automorphism: (gy)^-1 (gx) = y^-1 x
-    return replace(Graph.from_matrix(hit), transitive=True)
+    return Graph(hit, transitive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +238,19 @@ def alpha(graph: Graph, time_budget: Optional[float] = None) -> AlphaResult:
     n = graph.vertex_count
     if n == 0:
         return AlphaResult(0, 0, (), True)
-    comp = graph.matrix()
-    np.logical_not(comp, out=comp)
-    np.fill_diagonal(comp, False)
-    # deterministic relabeling: complement-degree descending, index ties
-    order = np.argsort(-comp.sum(axis=1), kind="stable")
-    # rows, then columns, each rebinding comp; np.ix_ is slower by 6x
-    comp = comp[order]
-    adj = Graph.from_matrix(comp[:, order]).adj
-    del comp
+    # relabeling: complement-degree descending (degree ascending), index ties
+    order = np.argsort(np.count_nonzero(graph.adjacency, axis=1),
+                       kind="stable")
+    # adj[v]: v's complement neighbours, a bitmask; blocks of PRODUCTS_PER_CALL
+    # entries are gathered by rows, then columns (np.ix_ is 6x slower)
+    adj = []
+    rows = PRODUCTS_PER_CALL // n
+    for lo in range(0, n, rows):
+        comp = graph.adjacency[order[lo:lo + rows]][:, order]
+        np.logical_not(comp, out=comp)
+        np.fill_diagonal(comp[:, lo:], False)
+        adj.extend(int.from_bytes(row.tobytes(), "little") for row in
+                   np.packbits(comp, axis=1, bitorder="little"))
     order = order.tolist()
     # apart[v]: the vertices that may share v's color (not v, not adjacent)
     apart = [~(adj[v] | (1 << v)) for v in range(n)]
@@ -340,7 +343,7 @@ def blowup_connection(action: GroupAction, graph: Graph,
         raise InvalidArgument("action and graph disagree on the vertex set")
     if not 0 <= base_point < graph.vertex_count:
         raise InvalidArgument(f"no vertex {base_point}")
-    act, M = action.table, graph.matrix()
+    act, M = action.table, graph.adjacency
     for h in action.group.generators():
         # h permutes the vertices, so it is an automorphism iff it maps
         # no edge to a non-edge; the first edge it breaks is the witness

@@ -550,7 +550,7 @@ class GeneralLinearGroup(FiniteGroup):
     found with their inverses by one Gauss-Jordan pass over ``[M | I]``
     for every entry vector M."""
 
-    MAX_ORDER = 10000
+    MAX_ORDER = GENERIC_CLASS_BOUND
 
     def __init__(self, q: int, n: int):
         field = FiniteField(q)
@@ -668,6 +668,7 @@ class TableGroup(FiniteGroup):
         super().__init__(n)
         T.setflags(write=False)
         self._table = T
+        self._digest = None
         for g in self.generators():
             for rows in blocks:
                 # (x g) y against x (g y); np.take is faster than T[:, T[g]]
@@ -682,7 +683,14 @@ class TableGroup(FiniteGroup):
         return self._table[a, b]
 
     def identity_key(self):
-        return self._table.tobytes()
+        """The sha256 digest of the int32 table, computed on first use
+        from its buffer."""
+        if self._digest is None:
+            # imported here: loading OpenSSL would add 3.6 MB to the peak
+            # RSS of every process that imports this module
+            import hashlib
+            self._digest = hashlib.sha256(self._table).digest()
+        return self._digest
 
 
 # ---------------------------------------------------------------------------

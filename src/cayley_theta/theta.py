@@ -450,7 +450,7 @@ def build_sdp_A(spec: CayleyGraphSpec) -> SdpInstance:
     group = spec.group
     if group.order > MATRIX_BOUND:
         raise SizeLimit(f"formulation (A) limited to order {MATRIX_BOUND}")
-    adjacent = build_cayley(group, spec.connection).matrix()
+    adjacent = build_cayley(group, spec.connection).adjacency
     n = group.order
     triangle, edges = n * (n + 1) // 2, np.count_nonzero(adjacent) // 2
     k, block, i, j = (np.ones(triangle + n + edges, dtype=np.int32)
@@ -483,14 +483,14 @@ def _embed(mat):
     return np.vstack([top, bot])
 
 
-def _sym_entries(block, mat, coeff, tol=ROW_DROP_TOL):
+def _sym_entries(block, mat, coeff):
     """Upper-triangle entries of coeff * sym(mat) as SDPA tuples."""
     sym = (mat + mat.T) / 2 * coeff
     out = []
     d = sym.shape[0]
     for i in range(d):
         for j in range(i, d):
-            if abs(sym[i, j]) > tol:
+            if abs(sym[i, j]) > ROW_DROP_TOL:
                 out.append((block, i + 1, j + 1, float(sym[i, j])))
     return tuple(out)
 

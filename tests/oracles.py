@@ -315,9 +315,16 @@ def inverse_closed_set(group, size, seed):
     return sorted(chosen)
 
 
+def bitmasks(graph) -> tuple:
+    """The neighbours of each vertex as a Python int, bit u for vertex u:
+    the graph format the package once stored."""
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in
+                 np.packbits(graph.adjacency, axis=1, bitorder="little"))
+
+
 def brute_force_alpha(graph) -> int:
     """Maximum independent set by plain recursion on bitmask candidates."""
-    adj = graph.adj
+    adj = bitmasks(graph)
     n = graph.vertex_count
 
     def rec(candidates):

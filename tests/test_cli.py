@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayley_theta import simplex
 from cayley_theta.cli import cli_dispatch
-from cayley_theta.graphs import export_action, export_graph, Graph
+from cayley_theta.graphs import (CAYLEY_BOUND, Graph, export_action,
+                                 export_graph)
 from cayley_theta.groups import (action_from_table, export_cayley_table,
                                  make_abelian_product, make_symmetric)
 
@@ -370,6 +372,12 @@ def test_usage_error_exit_code(capsys):
      "--group", "cyclic:2", "--alpha", "--budget", "-1"),
     ("efp-table", "--nmax", "0"),
     ("efp-table", "--nmax", "-3"),
+    ("alpha", "--graph", "{tmp}/negative_graph.txt"),
+    ("alpha", "--graph", "{tmp}/huge_graph.txt"),
+    ("blowup", "--graph", "{tmp}/negative_graph.txt", "--action",
+     "{tmp}/action.txt", "--group", "cyclic:2"),
+    ("blowup", "--graph", "{tmp}/huge_graph.txt", "--action",
+     "{tmp}/action.txt", "--group", "cyclic:2"),
 ])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     # a transposition's value differs from the other two in its class
@@ -385,6 +393,9 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     (tmp_path / "ones.json").write_text('["1", "1"]')
     (tmp_path / "bad_header.txt").write_text("vertices x edges 1\n0 1\n")
     (tmp_path / "bad_edge.txt").write_text("vertices 3 edges 1\n0 1 2\n")
+    # vertex counts refused before the n x n array is allocated
+    (tmp_path / "negative_graph.txt").write_text("vertices -3 edges 0\n")
+    (tmp_path / "huge_graph.txt").write_text("vertices 3000000 edges 0\n")
     (tmp_path / "path.txt").write_text("vertices 2 edges 1\n0 1\n")
     (tmp_path / "bad_table.txt").write_text("2\n0 1\n1 a\n")
     (tmp_path / "bad_action.txt").write_text("2 2\n0 1\n1 a\n")
@@ -398,6 +409,54 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+_COUNT = st.one_of(st.integers(-3, 12),
+                   st.sampled_from([CAYLEY_BOUND + 1, 3_000_000, 10 ** 12]))
+_TOKEN = st.one_of(st.integers(-2, 14).map(str),
+                   st.sampled_from(["x", "1.5", "-", "0x3", "1e3", "edges"]))
+
+
+@st.composite
+def _graph_files(draw):
+    """Graph file text: headers well formed or not, with counts small,
+    negative or huge; edge lines with self-loops, vertices out of range,
+    ragged or extra fields and non-integers; edge counts that match the
+    edge lines or not.  Most parts are drawn well formed, so that some
+    files are accepted."""
+    def mostly(good, bad):
+        return st.sampled_from(range(4)).flatmap(
+            lambda i: bad if i == 3 else good)
+
+    n = draw(mostly(st.integers(0, 12), _COUNT))
+    top = min(max(n, 1), 13)
+    vertex = mostly(st.integers(0, top - 1), st.sampled_from([-1, 13]))
+    lines = draw(st.lists(mostly(
+        st.tuples(vertex, vertex).map(lambda e: f"{e[0]} {e[1]}"),
+        st.lists(_TOKEN, max_size=4).map(" ".join)), max_size=12))
+    k = draw(mostly(st.just(sum(1 for line in lines if line.strip())),
+                    _COUNT))
+    return "\n".join([draw(mostly(
+        st.just(f"vertices {n} edges {k}"),
+        st.sampled_from([f"vertices {n}", f"vertices {n} edges {k} 0",
+                         f"edges {k} vertices {n}", f"vertices x edges {k}",
+                         ""])))] + lines) + "\n"
+
+
+@given(text=_graph_files())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_graph_files_fuzzed_through_the_cli(tmp_path_factory, text):
+    """``alpha --graph`` and ``blowup --graph`` (Z_3 rotating 3 points)
+    exit 0-3 on every file, with no exception out of cli_dispatch; an
+    accepted graph has at most 12 vertices."""
+    base = tmp_path_factory.getbasetemp()
+    graph, action = base / "fuzz_graph.txt", base / "fuzz_action.txt"
+    graph.write_text(text)
+    action.write_text("3 3\n0 1 2\n1 2 0\n2 0 1\n")
+    assert cli_dispatch(["alpha", "--graph", str(graph)]) in (0, 1, 2, 3)
+    assert cli_dispatch(["blowup", "--graph", str(graph), "--action",
+                         str(action), "--group", "cyclic:3",
+                         "--alpha"]) in (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("text", ["-1\n0\n", "-2\n0 0 0 0\n"],

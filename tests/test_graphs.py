@@ -8,7 +8,8 @@ import pytest
 from cayley_theta import graphs
 from cayley_theta.apps import efp_connection, gl_connection, gl_lower_bound
 from cayley_theta.errors import (InvalidArgument, NotAutomorphism,
-                                 NotTransitive, SchemaError, WrongFormulation)
+                                 NotTransitive, SchemaError, SizeLimit,
+                                 WrongFormulation)
 from cayley_theta.graphs import (ConnectionSet, Graph, alpha,
                                  blowup_connection, build_cayley,
                                  export_action, export_graph, import_action_table,
@@ -16,7 +17,7 @@ from cayley_theta.graphs import (ConnectionSet, Graph, alpha,
 from cayley_theta.groups import (action_from_table, make_abelian_product,
                                  make_general_linear, make_symmetric)
 
-from oracles import (action_from_generators, brute_force_alpha,
+from oracles import (action_from_generators, bitmasks, brute_force_alpha,
                      inverse_closed_set)
 
 
@@ -37,6 +38,33 @@ def test_graph_basics():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(InvalidArgument):
         Graph.from_edges(3, [(1, 1)])
+
+
+def test_graph_adjacency_is_read_only():
+    z6 = make_abelian_product([6])
+    for g in (Graph.from_edges(3, [(0, 1)]), Graph(np.zeros((3, 3), bool)),
+              build_cayley(z6, ConnectionSet.from_elements(z6, [1, 5]))):
+        before = g.adjacency.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            g.adjacency[0, 2] = True
+        assert (g.adjacency == before).all()
+
+
+@pytest.mark.parametrize("n, error", [
+    (-3, InvalidArgument), (graphs.CAYLEY_BOUND + 1, SizeLimit),
+    (3_000_000, SizeLimit), (10 ** 12, SizeLimit)])
+def test_from_edges_refuses_vertex_counts_before_allocating(n, error):
+    """A vertex count below 0 or above CAYLEY_BOUND is refused before the
+    n x n array is made; 3,000,000 vertices once took terabytes."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as caught:
+            Graph.from_edges(n, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(caught.value) is error
+    assert peak < 2 ** 20
 
 
 def test_connection_set_from_classes_excludes_identity():
@@ -124,8 +152,9 @@ EITHER_SIDE = pytest.mark.parametrize("make, size", [
 
 class _SevenColumns:
     """Stands in for graphs.PRODUCTS_PER_CALL: 7 products columns per
-    call at every order, so that the blocks split a side unevenly (or
-    one block holds it)."""
+    call in build_cayley and 7 rows per block in alpha at every order,
+    so that the blocks split a side or the vertices unevenly (or one
+    block holds them)."""
 
     def __floordiv__(self, order):
         return 7
@@ -141,7 +170,7 @@ def test_build_cayley_from_either_side_matches_direct_build(make, size):
     assert X.size == size
     graph = build_cayley(group, X)
     assert graph.transitive
-    assert (graph.matrix() == _direct_adjacency(group, X.elements)).all()
+    assert (graph.adjacency == _direct_adjacency(group, X.elements)).all()
 
 
 @EITHER_SIDE
@@ -160,7 +189,7 @@ def test_build_cayley_at_the_order_bound():
     assert X.size == 2498
     graph = build_cayley(z, X)
     assert graph.transitive
-    M = graph.matrix()
+    M = graph.adjacency
     assert (M.sum(axis=1) == 2498).all()
     # x ~ y iff y - x is in X: row 0 marks X, and each row is the one
     # above it shifted right by one
@@ -203,8 +232,9 @@ def test_inverse_closed_set_raises_when_the_gap_cannot_be_filled(size, seed):
 
 
 def test_build_cayley_pinned_graphs():
-    # sha256 of repr(adj) as built one product at a time, before the
-    # array kernels; the arrays must give the same graphs bit for bit
+    # sha256 of the repr of the bitmask tuple that Graph once stored, as
+    # built one product at a time, before the array kernels; the arrays
+    # must give the same graphs bit for bit
     s6 = make_symmetric(6)
     gl25 = make_general_linear(5, 2)
     X = ConnectionSet.from_elements(s6, inverse_closed_set(s6, 120, 0))
@@ -219,13 +249,51 @@ def test_build_cayley_pinned_graphs():
     ]
     for group, connection, want in cases:
         graph = build_cayley(group, connection)
-        assert all(type(mask) is int for mask in graph.adj)
-        assert hashlib.sha256(repr(graph.adj).encode()).hexdigest() == want
+        assert graph.adjacency.shape == (group.order, group.order)
+        assert graph.adjacency.dtype == bool
+        assert hashlib.sha256(
+            repr(bitmasks(graph)).encode()).hexdigest() == want
 
 
 def test_build_cayley_pinned_graphs_in_7_column_blocks(monkeypatch):
     monkeypatch.setattr(graphs, "PRODUCTS_PER_CALL", _SevenColumns())
     test_build_cayley_pinned_graphs()
+
+
+def test_alpha_in_7_row_blocks_gives_the_same_answers(monkeypatch):
+    """The complement's bitmasks are built a block of rows at a time; 7
+    rows per block split every graph here unevenly, or hold it whole."""
+    s6, efp2 = _s6_efp2()
+    z = make_abelian_product([1500])
+    rng = random.Random(5)
+    cases = [petersen(), Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+             Graph.from_edges(0, []), build_cayley(s6, efp2),
+             build_cayley(*_gl25_rank1()),
+             build_cayley(z, ConnectionSet.from_classes(z, []))]
+    cases += [build_cayley(*case) for case in _cayley_cases()]
+    for n in (5, 7, 13, 40):
+        cases.append(Graph.from_edges(n, [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if rng.random() < 0.3]))
+    want = [alpha(g) for g in cases]
+    monkeypatch.setattr(graphs, "PRODUCTS_PER_CALL", _SevenColumns())
+    assert [alpha(g) for g in cases] == want
+
+
+def test_alpha_memory_at_the_order_bound():
+    """alpha on Cay(Z_5000, empty) holds the complement's bitmasks and one
+    block of rows beside its 25 MB graph: 8 MB traced, where unpacking
+    the graph's bitmasks and relabelling the whole complement took 54 MB."""
+    z = make_abelian_product([graphs.CAYLEY_BOUND])
+    graph = build_cayley(z, ConnectionSet.from_classes(z, []))
+    tracemalloc.start()
+    try:
+        res = alpha(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exact and res.witness == tuple(range(graphs.CAYLEY_BOUND))
+    assert peak <= 16 * 2 ** 20
 
 
 def test_alpha_known_graphs():
@@ -304,7 +372,7 @@ def test_alpha_transitive_root_matches_plain_search():
     for group, connection in _cayley_cases():
         cay = build_cayley(group, connection)
         assert cay.transitive
-        plain = Graph(cay.vertex_count, cay.adj)
+        plain = Graph(cay.adjacency)
         assert not plain.transitive
         res = alpha(cay)
         want = alpha(plain)

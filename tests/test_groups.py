@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -734,6 +735,34 @@ def test_same_group_needs_same_kind_and_numbering():
     assert same_group(make_general_linear(2, 2), order_six[1])
     assert same_group(make_abelian_product([2, 3]), order_six[3])
     assert not same_group(make_abelian_product([3, 2]), order_six[3])
+    # table groups: the same table is the same group, a renumbered one
+    # (elements 1 and 2 swapped) is not
+    table = [[s3.multiply(a, b) for b in range(6)] for a in range(6)]
+    assert same_group(make_from_table(table), order_six[4])
+    swap = [0, 2, 1, 3, 4, 5]
+    renumbered = [[0] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            renumbered[swap[a]][swap[b]] = swap[table[a][b]]
+    assert make_from_table(renumbered).order == 6
+    assert not same_group(make_from_table(renumbered), order_six[4])
+
+
+def test_same_group_copies_no_table():
+    """Two Z_3000 table groups from one table are one group; the key is a
+    digest of each table, so the comparison copies neither (the bytes of
+    both tables once peaked at 69 MB)."""
+    n = 3000
+    elements = np.arange(n, dtype=np.int32)
+    table = (elements[:, None] + elements) % n
+    a, b = make_from_table(table), make_from_table(table)
+    tracemalloc.start()
+    try:
+        assert same_group(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_class_equation_and_partition_counts():
