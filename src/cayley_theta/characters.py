@@ -433,12 +433,16 @@ def _match_class_order(file_sizes, group_classes):
     return perm
 
 
-def _load_json(path):
+def _load_json(path) -> dict:
     with open(path) as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            data = json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # the decoder recurses once per nesting level
             raise SchemaError(f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaError("not a JSON object")
+    return data
 
 
 def import_character_table(path, group: FiniteGroup) -> CharacterTable:
@@ -645,17 +649,18 @@ def _as_class_function(f: GroupFunction):
 
 
 def _is_positive_type_irreps(f, irreps: "IrrepMatrices", tol):
+    """fhat(pi) = sum_g f(g) pi(g) for each irrep: one product of the
+    values with the stack, added in element order from 0 (bit for bit as
+    the sum element by element)."""
     group = irreps.group
     if isinstance(f, ClassFunction):
         values = [f.at_element(g) for g in range(group.order)]
     else:
         values = list(f.values)
-    values = _complex_array(values, "a value of f is").tolist()
-    for i, mats in enumerate(irreps.matrices):
-        d = irreps.degrees[i]
-        fhat = np.zeros((d, d), dtype=complex)
-        for g in range(group.order):
-            fhat += values[g] * mats[g]
+    values = _complex_array(values, "a value of f is")
+    for i, (d, stack) in enumerate(zip(irreps.degrees, irreps.matrices)):
+        terms = (values[:, None, None] * stack).reshape(group.order, d * d)
+        fhat = _ordered_sum(terms.T).reshape(d, d)
         herm_defect = np.abs(fhat - fhat.conj().T).max()
         scale = max(1.0, float(np.abs(fhat).max())) * tol * 10
         if not herm_defect <= scale:
@@ -669,18 +674,29 @@ def _is_positive_type_irreps(f, irreps: "IrrepMatrices", tol):
 # ---------------------------------------------------------------------------
 # explicit representation matrices
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrrepMatrices:
-    """Unitary matrices pi(gamma) for every irrep and group element;
-    matrices[i][g] is a numpy complex array of shape (d_i, d_i)."""
+    """Unitary matrices pi(g) for every irrep and group element:
+    matrices[i] is one read-only complex array of shape (|G|, d_i, d_i),
+    pi_i(g) at [g].  Whatever the constructor is given for an irrep (a
+    sequence of d x d matrices, or one array) is normalised to that
+    form; a complex array is made read-only, not copied."""
     group: FiniteGroup
     degrees: tuple
     matrices: tuple
-    labels: tuple = None
+
+    def __post_init__(self):
+        stacks = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
+        for stack in stacks:
+            stack.setflags(write=False)
+        object.__setattr__(self, "matrices", stacks)
 
     def validate(self):
         tol = 1e-8
         group = self.group
+        if len(self.matrices) != len(self.degrees):
+            raise InvalidArgument(f"{len(self.matrices)} irreps given for "
+                                  f"{len(self.degrees)} degrees")
         if sum(d * d for d in self.degrees) != group.order:
             raise InvalidArgument("sum of squared degrees != group order")
         # pi(a) pi(b) = pi(ab) on every pair, or on 2000 seeded pairs
@@ -690,13 +706,14 @@ class IrrepMatrices:
         else:
             left, right = np.divmod(np.arange(group.order ** 2), group.order)
         prods = group.products(left, right)
-        for i, mats in enumerate(self.matrices):
-            d = self.degrees[i]
-            if len(mats) != group.order:
-                raise InvalidArgument("one matrix per element required")
-            if np.abs(mats[0] - np.eye(d)).max() > tol:
+        for i, (d, stack) in enumerate(zip(self.degrees, self.matrices)):
+            if stack.shape != (group.order, d, d):
+                raise InvalidArgument(
+                    f"irrep {i}: expected {group.order} matrices {d} x {d}")
+            if not np.isfinite(stack).all():
+                raise InvalidArgument(f"irrep {i}: an entry is not finite")
+            if np.abs(stack[0] - np.eye(d)).max() > tol:
                 raise InvalidArgument(f"irrep {i}: pi(e) != I")
-            stack = np.array(mats)
             block = max(1, ROW_BLOCK // (d * d))
             for s in range(0, group.order, block):
                 part = stack[s:s + block]
@@ -730,37 +747,39 @@ def as_float_table(table: CharacterTable) -> CharacterTable:
 
 def import_irreps(path, group: FiniteGroup) -> IrrepMatrices:
     """Read representation matrices from JSON: {"degrees": [...],
-    "matrices": [irrep][element][row][col] with entries [re, im]}."""
+    "matrices": [irrep][element][row][col] with entries [re, im]}, one
+    list per degree, each of |G| d x d matrices of numeric pairs."""
     data = _load_json(path)
     for key in ("degrees", "matrices"):
         if key not in data:
             raise SchemaError(f"missing field {key!r}")
     degrees = tuple(parse_ints(data["degrees"], "degrees"))
-    mats = []
-    for i, per_elem in enumerate(data["matrices"]):
-        if len(per_elem) != group.order:
-            raise SchemaError(
-                f"irrep {i}: expected {group.order} matrices")
-        rows = []
-        for m in per_elem:
-            arr = np.array([[complex(e[0], e[1]) for e in row]
-                            for row in m])
-            if arr.shape != (degrees[i], degrees[i]):
-                raise SchemaError(f"irrep {i}: matrix shape mismatch")
-            rows.append(arr)
-        mats.append(tuple(rows))
+    lists = data["matrices"]
+    if not isinstance(lists, list):
+        raise SchemaError("matrices must be a list, one entry per irrep")
+    if len(lists) != len(degrees):
+        i = min(len(lists), len(degrees))
+        raise SchemaError(f"irrep {i}: {len(lists)} irreps given for "
+                          f"{len(degrees)} degrees")
+    stacks = []
+    for i, (d, mats) in enumerate(zip(degrees, lists)):
+        try:
+            pairs = np.array(mats)
+        except (ValueError, TypeError):     # ragged
+            pairs = None
+        if pairs is None or pairs.dtype.kind not in "iuf" or \
+                pairs.shape != (group.order, d, d, 2):
+            raise SchemaError(f"irrep {i}: expected {group.order} matrices "
+                              f"{d} x {d} of numeric [re, im] pairs")
+        stacks.append(pairs.astype(float).view(complex)[..., 0])
     return IrrepMatrices(group=group, degrees=degrees,
-                         matrices=tuple(mats)).validate()
+                         matrices=tuple(stacks)).validate()
 
 
 def abelian_irreps(table: CharacterTable) -> IrrepMatrices:
-    """1x1 representation matrices read off an abelian character table."""
-    group = table.group
-    if not isinstance(group, AbelianProductGroup):
+    """1x1 representation matrices read off an abelian character table:
+    views of its entries when the table is approximate."""
+    if not isinstance(table.group, AbelianProductGroup):
         raise InvalidArgument("abelian_irreps needs an abelian group")
-    mats = tuple(
-        tuple(np.array([[complex(table.entries[i, g])]]) for g in
-              range(group.order))
-        for i in range(len(table.degrees)))
-    return IrrepMatrices(group=group, degrees=table.degrees, matrices=mats,
-                         labels=table.irrep_labels)
+    return IrrepMatrices(group=table.group, degrees=table.degrees,
+                         matrices=tuple(table.entries[:, :, None, None]))

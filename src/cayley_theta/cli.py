@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import hashlib
 import json
 import sys
 import time
@@ -41,6 +40,7 @@ BUDGET_ERROR = 3
 
 
 def _digest(path):
+    import hashlib      # loads OpenSSL; only the --json report needs it
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         h.update(fh.read())

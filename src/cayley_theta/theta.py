@@ -474,100 +474,79 @@ def build_sdp_A(spec: CayleyGraphSpec) -> SdpInstance:
                        value=np.ones(len(k)), rhs=rhs)
 
 
-def _embed(mat):
-    """Real embedding [[X, -Y], [Y, X]] of a complex matrix X + iY;
-    <embed(A), embed(B)> = 2 Re <A, B> for Hermitian A."""
-    X, Y = mat.real, mat.imag
-    top = np.hstack([X, -Y])
-    bot = np.hstack([Y, X])
-    return np.vstack([top, bot])
-
-
-def _sym_entries(block, mat, coeff):
-    """Upper-triangle entries of coeff * sym(mat) as SDPA tuples."""
-    sym = (mat + mat.T) / 2 * coeff
-    out = []
-    d = sym.shape[0]
-    for i in range(d):
-        for j in range(i, d):
-            if abs(sym[i, j]) > ROW_DROP_TOL:
-                out.append((block, i + 1, j + 1, float(sym[i, j])))
-    return tuple(out)
-
-
 def build_sdp_C(spec: CayleyGraphSpec,
                 irreps: IrrepMatrices) -> SdpInstance:
     """Block SDP over the irreps; valid for arbitrary connection sets.
     Complex blocks of degree > 1 are realified by the standard 2x2
     embedding (doubling the block); degree-1 blocks stay 1x1 with the
-    complex constraint split into real and imaginary rows."""
+    complex constraint split into real and imaginary rows.
+
+    Each kept element x (one per {x, x^-1} pair, in first-seen order)
+    gives a real and an imaginary candidate row with one column per
+    upper-triangle position of every block, filled one irrep at a time
+    for all kept elements: coeff * (P + P^T) / 2 of the block's matrix
+    P, or of the embeddings [[X, -Y], [Y, X]] and [[-Y, -X], [X, -Y]]
+    of pi(x) = X + iY.  Entries of at most ROW_DROP_TOL in absolute
+    value are dropped, and with them every row left empty and every row
+    whose kept positions and float key an earlier row has."""
     group = spec.group
     if not same_group(irreps.group, group):
         raise InvalidArgument("irreps belong to a different group")
     irreps.validate()
-    degrees = irreps.degrees
-    n_irreps = len(degrees)
-    is_real = []
-    for i in range(n_irreps):
-        im_max = max(float(np.abs(m.imag).max()) for m in irreps.matrices[i])
-        is_real.append(degrees[i] == 1 or im_max < 1e-10)
-    block_sizes = tuple(
-        d if (is_real[i] or d == 1) else 2 * d
-        for i, d in enumerate(degrees))
-
-    trivial = next(
-        (i for i in range(n_irreps) if degrees[i] == 1 and
-         max(abs(complex(m[0, 0]) - 1) for m in irreps.matrices[i]) < 1e-8),
-        None)
+    degrees, stacks = irreps.degrees, irreps.matrices
+    block_sizes = tuple(2 * d if d > 1 and np.abs(m.imag).max() >= 1e-10
+                        else d for d, m in zip(degrees, stacks))
+    trivial = next((i for i, (d, m) in enumerate(zip(degrees, stacks))
+                    if d == 1 and np.abs(m[:, 0, 0] - 1).max() < 1e-8), None)
     if trivial is None:
         raise InvalidArgument("no trivial irrep among the supplied matrices")
 
-    norm_entries = []
-    for i, d in enumerate(degrees):
-        size = block_sizes[i]
-        coeff = float(d) if size == d else d / 2.0
-        for k in range(1, size + 1):
-            norm_entries.append((i + 1, k, k, coeff))
-    matrices = [[(trivial + 1, 1, 1, 1.0)], norm_entries]
-    rhs = [float(group.order)]
+    coeffs = [d / 2.0 if s > d else float(d)
+              for d, s in zip(degrees, block_sizes)]
 
-    kept = []
-    seen = set()
-    for x in spec.connection.elements:
-        pair = min(x, group.invert(x))
-        if pair not in seen:
-            seen.add(pair)
-            kept.append(pair)
+    xs = np.array(spec.connection.elements, dtype=np.int64)
+    pairs = np.minimum(xs, group.inverses()[xs])
+    kept = pairs[np.sort(np.unique(pairs, return_index=True)[1])]
+    width = sum(s * (s + 1) // 2 for s in block_sizes)
+    rows = np.zeros((len(kept), 2, width))
+    where = np.zeros((3, width), dtype=np.int64)    # block, i, j
+    at = 0
+    for b, (d, s, m, coeff) in enumerate(
+            zip(degrees, block_sizes, stacks, coeffs), 1):
+        r, c = np.triu_indices(s)
+        cols = slice(at, at + len(r))
+        at += len(r)
+        where[0, cols], where[1, cols], where[2, cols] = b, r + 1, c + 1
+        X, Y = m[kept].real, m[kept].imag
+        if s > d:
+            parts = (np.block([[X, -Y], [Y, X]]),
+                     np.block([[-Y, -X], [X, -Y]]))
+        else:
+            parts = (X, Y) if d == 1 else (X,)
+        for p, part in enumerate(parts):
+            rows[:, p, cols] = (part[:, r, c] + part[:, c, r]) / 2 * coeff
+    rows = rows.reshape(-1, width)
+    live = np.abs(rows) > ROW_DROP_TOL
+    rows[~live] = 0.0
+    chosen, seen = [], set()
+    for n, key in enumerate(_float_row_keys(rows)):
+        if key is not None and (live[n].tobytes(), key) not in seen:
+            seen.add((live[n].tobytes(), key))
+            chosen.append(n)
+    row, col = np.nonzero(live[chosen])
 
-    seen_rows = set()
-    for x in kept:
-        re_entries = []
-        im_entries = []
-        for i, d in enumerate(degrees):
-            mat = irreps.matrices[i][x]
-            if degrees[i] == 1:
-                v = complex(mat[0, 0])
-                if abs(v.real) > ROW_DROP_TOL:
-                    re_entries.append((i + 1, 1, 1, d * v.real))
-                if abs(v.imag) > ROW_DROP_TOL:
-                    im_entries.append((i + 1, 1, 1, d * v.imag))
-            elif is_real[i]:
-                re_entries.extend(_sym_entries(i + 1, mat.real, float(d)))
-            else:
-                re_entries.extend(_sym_entries(i + 1, _embed(mat), d / 2.0))
-                im_entries.extend(
-                    _sym_entries(i + 1, _embed(1j * mat), d / 2.0))
-        for entries in (tuple(re_entries), tuple(im_entries)):
-            if not entries:
-                continue
-            key = (tuple(e[:3] for e in entries),
-                   _float_row_keys([[e[3] for e in entries]])[0])
-            if key in seen_rows:
-                continue
-            seen_rows.add(key)
-            matrices.append(entries)
-            rhs.append(0.0)
-    return SdpInstance.from_matrices(block_sizes, matrices, rhs)
+    # F0 (the trivial irrep), the normalization (the block diagonals),
+    # then the kept rows
+    diagonal = np.flatnonzero(where[1] == where[2])
+    k = np.concatenate([[0], np.ones(len(diagonal), dtype=np.int64),
+                        2 + row])
+    index = np.concatenate([[[trivial + 1], [1], [1]], where[:, diagonal],
+                            where[:, col]], axis=1)
+    value = np.concatenate([[1.0], np.repeat(coeffs, block_sizes),
+                            rows[chosen][row, col]])
+    rhs = np.zeros(len(chosen) + 1)
+    rhs[0] = group.order
+    return SdpInstance(block_sizes, k, *index, value, rhs)
 
 
 def export_sdpa(instance: SdpInstance, path):

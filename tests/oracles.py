@@ -37,7 +37,7 @@ from cayley_theta.errors import InvalidArgument, NotAGroup
 from cayley_theta.groups import (ConjugacyClass, GroupAction, TableGroup,
                                  same_group)
 from cayley_theta.simplex import LpInstance
-from cayley_theta.theta import ThetaLp
+from cayley_theta.theta import SdpInstance, ThetaLp
 
 
 def solve_square(A, b):
@@ -375,6 +375,59 @@ def reference_row_key(row, exact):
         return None
     lead = next(v for v in row if abs(v) > 1e-12)
     return tuple(round(v / scale * (1 if lead > 0 else -1), 12) for v in row)
+
+
+def reference_build_sdp_C(spec, irreps):
+    """Formulation (C) one kept element and one matrix entry at a time:
+    the instance ``theta.build_sdp_C`` must equal.  A complex irrep of
+    degree d > 1 takes the real embedding E(M) = [[Re M, -Im M],
+    [Im M, Re M]] of pi(x) and of i pi(x), with coefficient d / 2; any
+    other irrep takes Re pi(x), and a 1x1 one Im pi(x) too, with
+    coefficient d.  Each part gives the entries of coeff * (P + P^T) / 2
+    above 1e-12 in its upper triangle; a row is kept when it is not
+    empty and no earlier row has its positions and ``reference_row_key``."""
+    group = spec.group
+    degrees = irreps.degrees
+    mats = [list(stack) for stack in irreps.matrices]
+    complex_ = [d > 1 and max(abs(m.imag).max() for m in ms) >= 1e-10
+                for d, ms in zip(degrees, mats)]
+    sizes = tuple(2 * d if c else d for d, c in zip(degrees, complex_))
+    trivial = next(i for i, d in enumerate(degrees) if d == 1 and
+                   all(abs(complex(m[0, 0]) - 1) < 1e-8 for m in mats[i]))
+    coeffs = [d / 2 if c else float(d) for d, c in zip(degrees, complex_)]
+    matrices = [[(trivial + 1, 1, 1, 1.0)],
+                [(i + 1, k, k, coeffs[i]) for i, size in enumerate(sizes)
+                 for k in range(1, size + 1)]]
+    rhs = [float(group.order)]
+
+    def embed(m):
+        return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+    kept = []
+    for x in spec.connection.elements:
+        if min(x, group.invert(x)) not in kept:
+            kept.append(min(x, group.invert(x)))
+    seen = set()
+    for x in kept:
+        rows = ([], [])
+        for i, d in enumerate(degrees):
+            m = mats[i][x]
+            parts = ((embed(m), embed(1j * m)) if complex_[i] else
+                     (m.real, m.imag) if d == 1 else (m.real,))
+            for entries, part in zip(rows, parts):
+                for a in range(sizes[i]):
+                    for b in range(a, sizes[i]):
+                        v = (part[a, b] + part[b, a]) / 2 * coeffs[i]
+                        if abs(v) > 1e-12:
+                            entries.append((i + 1, a + 1, b + 1, float(v)))
+        for entries in filter(None, rows):
+            key = (tuple(e[:3] for e in entries),
+                   reference_row_key([e[3] for e in entries], False))
+            if key not in seen:
+                seen.add(key)
+                matrices.append(entries)
+                rhs.append(0.0)
+    return SdpInstance.from_matrices(sizes, matrices, rhs)
 
 
 def reference_build_lp_D(spec, table):

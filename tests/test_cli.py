@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -337,6 +338,36 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "no-such-command")[0] == 2
 
 
+_Z3_BOCHNER = ("bochner", "--group", "cyclic:3", "--function",
+               "{tmp}/ones3.json")
+_Z3_EXPORT = ("export-sdpa", "--formulation", "C", "--group", "cyclic:3",
+              "--connection", "classes:1,2", "--out", "{tmp}/c.dat-s")
+
+
+def _z3_irreps():
+    """The irreps file of Z_3: chi_j(x) = exp(2 pi i j x / 3)."""
+    return {"degrees": [1, 1, 1],
+            "matrices": [[[[[math.cos(t), math.sin(t)]]] for t in
+                          (2 * math.pi * j * x / 3 for x in range(3))]
+                         for j in range(3)]}
+
+
+def _malformed_z3_irreps():
+    """Irreps files of Z_3, each with one fault: pi_1(2) with an entry
+    that is a string pair, a 1-list or a scalar, or a NaN; one irrep
+    more, or one fewer, than the degrees."""
+    files = {}
+    for name, entry in (("string", ["a", 0]), ("pair", [1]), ("scalar", 1),
+                        ("nan", [math.nan, 0])):
+        files[name] = _z3_irreps()
+        files[name]["matrices"][1][2] = [[entry]]
+    files["extra"] = _z3_irreps()
+    files["extra"]["matrices"].append(files["extra"]["matrices"][0])
+    files["missing"] = _z3_irreps()
+    del files["missing"]["matrices"][2]
+    return files
+
+
 @pytest.mark.parametrize("argv", [
     ("bochner", "--group", "sym:3", "--function", "{tmp}/not_class.json"),
     ("bochner", "--group", "sym:3", "--function", "{tmp}/broken.json"),
@@ -378,6 +409,11 @@ def test_usage_error_exit_code(capsys):
      "{tmp}/action.txt", "--group", "cyclic:2"),
     ("blowup", "--graph", "{tmp}/huge_graph.txt", "--action",
      "{tmp}/action.txt", "--group", "cyclic:2"),
+    *[argv + ("--irreps", f"{{tmp}}/irreps_{name}.json")
+      for name in ("string", "pair", "scalar", "extra", "missing", "nan")
+      for argv in (_Z3_BOCHNER, _Z3_EXPORT)],
+    ("chartable", "--group", "sym:3", "--validate", "{tmp}/five.json"),
+    _Z3_BOCHNER + ("--irreps", "{tmp}/deep.json"),
 ])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     # a transposition's value differs from the other two in its class
@@ -405,6 +441,11 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     (tmp_path / "bad_degrees.json").write_text(json.dumps(
         {"group_order": 6, "class_sizes": [1, 3, 2], "degrees": ["x"],
          "exact": True, "entries": []}))
+    (tmp_path / "ones3.json").write_text('["1", "1", "1"]')
+    (tmp_path / "five.json").write_text("5")    # JSON, but not an object
+    (tmp_path / "deep.json").write_text("[" * 10 ** 5 + "]" * 10 ** 5)
+    for name, data in _malformed_z3_irreps().items():
+        (tmp_path / f"irreps_{name}.json").write_text(json.dumps(data))
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -459,6 +500,80 @@ def test_graph_files_fuzzed_through_the_cli(tmp_path_factory, text):
                          "--alpha"]) in (0, 1, 2, 3)
 
 
+def test_irreps_file_short_of_an_irrep_exits_2(capsys, tmp_path):
+    """Lists for two of Z_3's three degrees once answered "yes" for a
+    function whose third Fourier coefficient is -1, and ended export in
+    an IndexError; the full file answers "no" at irrep 2."""
+    function, irreps = tmp_path / "f.json", tmp_path / "irreps.json"
+    root3 = math.sqrt(3) / 3
+    function.write_text(json.dumps([[1 / 3, 0], [1 / 3, -root3],
+                                    [1 / 3, root3]]))
+    bochner = ("bochner", "--group", "cyclic:3", "--function", str(function),
+               "--irreps", str(irreps))
+    irreps.write_text(json.dumps(_z3_irreps()))
+    code, out, _ = run(capsys, *bochner)
+    assert code == 0 and out.startswith("positive-type: no (irrep 2, ")
+    irreps.write_text(json.dumps(_malformed_z3_irreps()["missing"]))
+    want = "error: irrep 2: 2 irreps given for 3 degrees\n"
+    assert run(capsys, *bochner) == (2, "", want)
+    export = [a.format(tmp=tmp_path) for a in _Z3_EXPORT]
+    assert run(capsys, *export, "--irreps", str(irreps)) == (2, "", want)
+
+
+_JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
+              st.sampled_from([0.5, math.nan, math.inf, 1e300, 2 ** 70,
+                               "a", "1"])),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+@st.composite
+def _irreps_files(draw):
+    """Irreps files of Z_3: the good file with up to three faults, each
+    in a list at some depth below "matrices" (an irrep's list, a matrix,
+    a row, a pair): an item dropped, repeated or replaced by drawn JSON.
+    At times the degrees are drawn too, a field is dropped, or the whole
+    file is drawn.  A file drawn with no fault is accepted."""
+    data = _z3_irreps()
+    for _ in range(draw(st.integers(0, 3))):
+        node = data["matrices"]
+        for _ in range(draw(st.integers(0, 4))):
+            item = node[draw(st.integers(0, len(node) - 1))]
+            if not (isinstance(item, list) and item):
+                break
+            node = item
+        i = draw(st.integers(0, len(node) - 1))
+        fault = draw(st.sampled_from(["drop", "repeat", "replace"]))
+        if fault == "drop" and len(node) > 1:
+            del node[i]
+        elif fault == "repeat":
+            node.append(node[i])
+        else:
+            node[i] = draw(_JUNK)
+    if draw(st.integers(0, 4)) == 4:
+        data["degrees"] = draw(st.lists(st.one_of(
+            st.integers(-1, 3), st.sampled_from(["x", 1.5, None])),
+            max_size=4))
+    if draw(st.integers(0, 9)) == 9:
+        del data[draw(st.sampled_from(["degrees", "matrices"]))]
+    return draw(_JUNK) if draw(st.integers(0, 19)) == 19 else data
+
+
+@given(data=_irreps_files())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_irreps_files_fuzzed_through_the_cli(tmp_path_factory, data):
+    """``bochner --irreps`` and ``export-sdpa --formulation C`` on Z_3
+    exit 0-3 on every irreps file, with no exception out of
+    cli_dispatch."""
+    base = tmp_path_factory.getbasetemp()
+    irreps = base / "fuzz_irreps.json"
+    irreps.write_text(json.dumps(data))
+    (base / "ones3.json").write_text('["1", "1", "1"]')
+    for argv in (_Z3_BOCHNER, _Z3_EXPORT):
+        argv = [a.format(tmp=base) for a in argv] + ["--irreps", str(irreps)]
+        assert cli_dispatch(argv) in (0, 1, 2, 3)
+
+
 @pytest.mark.parametrize("text", ["-1\n0\n", "-2\n0 0 0 0\n"],
                          ids=["order-1", "order-2"])
 def test_negative_order_cayley_table_exits_2(capsys, tmp_path, text):
@@ -487,3 +602,17 @@ def test_import_sets_one_openblas_thread_unless_set(preset, want):
          "print(os.environ['OPENBLAS_NUM_THREADS'])"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == want
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    """Only the --json report of ``theta`` digests files, so importing the
+    CLI does not load hashlib (and with it OpenSSL); numpy alone does
+    not load it either."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; a = 'hashlib' in "
+         "sys.modules; import cayley_theta.cli; "
+         "print(a, 'hashlib' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "False"]

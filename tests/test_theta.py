@@ -18,8 +18,8 @@ from cayley_theta.characters import (CharacterTable, IrrepMatrices,
                                      symmetric_character_table)
 from cayley_theta.errors import InvalidArgument, WrongFormulation
 from cayley_theta.graphs import ConnectionSet, alpha, build_cayley
-from cayley_theta.groups import (make_abelian_product, make_symmetric,
-                                 perm_unrank)
+from cayley_theta.groups import (TableGroup, make_abelian_product,
+                                 make_symmetric, perm_unrank)
 from cayley_theta.simplex import LpSolution, verify_certificate
 from cayley_theta.theta import (WRITE_BATCH, CayleyGraphSpec, SdpInstance,
                                 build_lp_D, build_sdp_A, build_sdp_C,
@@ -29,7 +29,8 @@ from cayley_theta.theta import (WRITE_BATCH, CayleyGraphSpec, SdpInstance,
                                 validate_certificate)
 
 from oracles import (exact_psd, inverse_closed_set, reference_build_lp_D,
-                     reference_export_sdpa, reference_row_key)
+                     reference_build_sdp_C, reference_export_sdpa,
+                     reference_row_key)
 
 
 def s3_spec():
@@ -55,8 +56,24 @@ def s3_irreps():
         triv_m.append(np.array([[1.0 + 0j]]))
     return IrrepMatrices(group=s3, degrees=(1, 2, 1),
                          matrices=(tuple(sign_m), tuple(std_m),
-                                   tuple(triv_m)),
-                         labels=("sign", "standard", "trivial"))
+                                   tuple(triv_m)))
+
+
+def z3_s3_irreps():
+    """Z_3 x S_3 as a table group, (a, g) at 6a + g, with the irreps
+    chi_j (x) rho, j-major, rho from ``s3_irreps``: for j = 1, 2 the
+    standard irrep becomes complex of degree 2."""
+    s3, rhos = make_symmetric(3), s3_irreps()
+    a, g = np.divmod(np.arange(18), 6)
+    group = TableGroup(6 * ((a[:, None] + a) % 3) +
+                       s3.products(g[:, None], g))
+    mats = []
+    for j in range(3):
+        chi = np.exp(2j * np.pi * j * a / 3)
+        for rho in rhos.matrices:
+            mats.append(tuple(chi[x] * rho[g[x]] for x in range(18)))
+    return IrrepMatrices(group=group, degrees=rhos.degrees * 3,
+                         matrices=tuple(mats))
 
 
 def _corrupted(irreps, irrep, elements, factor=np.exp(0.5j)):
@@ -699,6 +716,62 @@ def test_sdp_C_export_bytes_pinned(tmp_path):
     export_sdpa(sdp, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "1de782f08842d6655ce81b4e8afe3080091cfae64f395858df539091fe1322a5"
+
+
+def test_sdp_C_and_bochner_on_complex_irreps_pinned(tmp_path):
+    """Formulation (C) and the Bochner test on Z_3 x S_3, whose complex
+    degree-2 irreps take the 2x2 real embedding (blocks of size 4).  The
+    SDPA bytes over four seeded inverse-closed sets and one witness of
+    a complex irrep are pinned from the element-by-element code.  The
+    irreps are read-only stacks, and abelian irreps are views of the
+    character table."""
+    irreps = z3_s3_irreps()
+    group = irreps.group
+    digest = hashlib.sha256()
+    for size, seed in [(4, 0), (7, 1), (10, 2), (13, 3)]:
+        spec = CayleyGraphSpec(group, ConnectionSet.from_elements(
+            group, inverse_closed_set(group, size, seed)))
+        sdp = build_sdp_C(spec, irreps)
+        assert sdp.block_sizes == (1, 2, 1, 1, 4, 1, 1, 4, 1)
+        assert len(sdp.constraints) == size + 1
+        path = tmp_path / f"c{seed}.dat-s"
+        export_sdpa(sdp, path)
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == \
+        "43ec2b3957565e761ad6043e843233abce724086a204dfc1b29c1897c5414f50"
+    values = [0.0] * 18
+    values[0] = 1.0
+    for x in inverse_closed_set(group, 5, 3):
+        values[x] = 0.5
+    result = characters.is_positive_type(
+        characters.GroupFunction(group, tuple(values)), irreps)
+    assert (result.ok, result.irrep, result.witness) == \
+        (False, 4, -0.3660254037844389)
+    for d, stack in zip(irreps.degrees, irreps.matrices):
+        assert stack.shape == (18, d, d) and not stack.flags.writeable
+    table = abelian_character_table(make_abelian_product([3, 4]))
+    for row, stack in zip(table.entries, abelian_irreps(table).matrices):
+        assert np.shares_memory(stack, table.entries)
+        assert stack.shape == (12, 1, 1) and not stack.flags.writeable
+        assert (stack[:, 0, 0] == row).all()
+
+
+@pytest.mark.parametrize("irreps", [
+    z3_s3_irreps, s3_irreps,
+    lambda: abelian_irreps(abelian_character_table(
+        make_abelian_product([4, 6])))], ids=["z3xs3", "s3", "z4xz6"])
+def test_build_sdp_C_matches_reference(irreps):
+    """The per-irrep build equals the element-by-element one on seeded
+    inverse-closed sets of twelve sizes."""
+    irreps = irreps()
+    group = irreps.group
+    for seed in range(12):
+        xs = random.Random(seed).sample(range(1, group.order),
+                                        1 + seed % (group.order - 1))
+        spec = CayleyGraphSpec(group, ConnectionSet.from_elements(
+            group, xs + group.inverses()[xs].tolist()))
+        assert build_sdp_C(spec, irreps) == \
+            reference_build_sdp_C(spec, irreps)
 
 
 def test_sdp_export_of_odd_values_matches_reference(tmp_path):
