@@ -23,10 +23,11 @@ exact simplex shares: row combinations sum_pi w_pi chi_pi and the
 Bochner scalars scale their rational weights to integers by the lcm of
 the denominators, once, take one numpy product of those Python ints
 (which cannot overflow) with the entry array, and divide by the lcm
-once, at the end.  Every other sum is complex and added in the order
-of the scalar sum: on an approximate table it has the bits of the
-scalar sum.  Its weights are made one complex array once per call, and
-each block of table rows is multiplied with its slice of that array.
+once, at the end.  Every other sum is float or complex, as the scalar
+sum is, and added in the order of the scalar sum: on an approximate
+table it has the bits of the scalar sum.  Its weights are made one
+array once per call (``_weights``), and each block of table rows is
+multiplied with its slice of that array (``_terms``).
 Float or complex weights on an exact table are summed as on its
 approximate copy, so a rational weight among them is rounded to a
 double before its product, where the scalar sum would round the exact
@@ -40,6 +41,7 @@ the canonical order of :func:`cayley_theta.groups.partitions`.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,6 +64,7 @@ ABELIAN_TABLE_BOUND = 2000
 ROW_BLOCK = 1 << 13
 # the largest n with n * sqrt(n!) < 2^63 (see ``mn_table``)
 MN_TABLE_MAX_N = 31
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def conj(v: Scalar) -> Scalar:
@@ -113,8 +116,9 @@ class GroupFunction:
 class CharacterTable:
     """entries[irrep, class] is one read-only 2-D numpy array: of Python
     ints and Fractions (dtype object) when every entry is rational, else
-    complex128.  Whatever the constructor is given is normalised to one
-    of the two, and ``exact`` is read from the dtype."""
+    float64 when no entry has a nonzero imaginary part, else complex128.
+    Whatever the constructor is given is normalised to one of the
+    three; ``exact`` and realness are read from the dtype."""
     group: FiniteGroup
     degrees: tuple
     entries: np.ndarray
@@ -127,6 +131,9 @@ class CharacterTable:
             isinstance(v, (int, Fraction)) for v in X.flat)
         # an integer array becomes Python ints, which cannot overflow
         X = X.astype(object if rational else complex, copy=False)
+        # the scan stops at the first row with an imaginary part
+        if not rational and not any(row.imag.any() for row in X):
+            X = X.real.copy(order="K")
         X.setflags(write=False)
         object.__setattr__(self, "entries", X)
 
@@ -152,6 +159,8 @@ class CharacterTable:
             raise CorruptTable("entry matrix shape mismatch")
         if not self.exact and not np.isfinite(X).all():
             raise CorruptTable("an entry is not finite")
+        if min(self.degrees, default=1) < 1:
+            raise CorruptTable("a degree is not positive")
         if sum(d * d for d in self.degrees) != order:
             raise CorruptTable("sum of squared degrees != group order")
         tol = 0 if self.exact else 1e-8
@@ -216,9 +225,7 @@ def _first_miss(gram, want, tol):
 
 
 def _ne(value, want, tol):
-    if is_exact(value):
-        return value != want
-    return abs(complex(value) - complex(want)) > tol
+    return value != want if is_exact(value) else abs(value - want) > tol
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +383,21 @@ def _format_scalar(v: Scalar):
 
 
 def _parse_scalar(v, exact: bool) -> Scalar:
-    if exact:
-        if not isinstance(v, str):
-            raise SchemaError(f"exact entries must be rational strings: {v!r}")
-        # a valid table's rational entries are integers: keep them ints
-        v = Fraction(v)
-        return v.numerator if v.denominator == 1 else v
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(v[0], v[1])
-    raise SchemaError(f"bad approximate entry {v!r}")
+    """An exact entry is a "p" or "p/q" string (Fraction() would build a
+    huge int for "1e999999999"), an approximate one a JSON number or an
+    [re, im] pair of them."""
+    try:
+        if exact and isinstance(v, str) and _RATIONAL.fullmatch(v):
+            v = Fraction(v)
+            # a valid table's rational entries are integers: keep ints
+            return v.numerator if v.denominator == 1 else v
+        x, y = v if isinstance(v, list) and len(v) == 2 else (v, 0)
+        if not exact and type(x) in (int, float) and type(y) in (int, float):
+            return complex(x, y)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise SchemaError(f"bad {'exact' if exact else 'approximate'} entry "
+                      f"{v!r} in entries")
 
 
 def export_character_table(table: CharacterTable, path):
@@ -455,22 +466,28 @@ def import_character_table(path, group: FiniteGroup) -> CharacterTable:
             f"file is for a group of order {data['group_order']}, "
             f"got order {group.order}")
     classes = group.conjugacy_classes()
-    if len(data["class_sizes"]) != len(classes):
+    sizes = parse_ints(data["class_sizes"], "class_sizes")
+    if len(sizes) != len(classes):
         raise SchemaError(
-            f"file has {len(data['class_sizes'])} classes, group has "
-            f"{len(classes)}")
-    perm = _match_class_order(list(data["class_sizes"]), classes)
-    exact = bool(data["exact"])
+            f"file has {len(sizes)} classes, group has {len(classes)}")
+    perm = _match_class_order(sizes, classes)
+    exact = data["exact"]
+    if not isinstance(exact, bool):
+        raise SchemaError("exact must be true or false")
     degrees = tuple(parse_ints(data["degrees"], "degrees"))
     n_irreps = len(degrees)
     flat = data["entries"]
-    if len(flat) != n_irreps * len(classes):
-        raise SchemaError("entry count mismatch")
+    if not isinstance(flat, list) or len(flat) != n_irreps * len(classes):
+        raise SchemaError(
+            f"entries must be a list of {n_irreps * len(classes)} values")
     entries = np.array([_parse_scalar(v, exact) for v in flat],
                        dtype=object if exact else complex)
     entries = entries.reshape(n_irreps, len(classes))[:, perm]
     labels = data.get("irrep_labels") or [f"irrep{i}"
                                           for i in range(n_irreps)]
+    if not (isinstance(labels, list) and len(labels) == n_irreps
+            and all(isinstance(label, str) for label in labels)):
+        raise SchemaError(f"irrep_labels must be {n_irreps} strings")
     trivial = np.flatnonzero((np.array(degrees) == 1) & np.all(
         np.abs(entries - 1) <= (0 if exact else 1e-8), axis=1))
     if not trivial.size:
@@ -499,28 +516,19 @@ def _row_blocks(table: CharacterTable, rows=None):
 
 
 def _terms(w, rows):
-    """The products w[k] * rows[i, k] as complex numbers, each rounded as
-    Python rounds the scalar product: numpy may fuse the multiply and
-    add of a complex product, CPython does not, so it is written out in
-    real and imaginary parts.  w is the weights as one complex array,
-    made once per call by the caller (a rational weight by
-    ``complex()``); rational rows are made complex here, as on the
-    approximate copy of the table."""
-    rows = rows.astype(complex, copy=False)
+    """The products w[k] * rows[i, k], rounded as Python rounds each up to
+    the sign of a zero, which an ordered sum from 0 cannot see; rational
+    rows are taken as floats.  numpy may fuse the multiply and add of a
+    complex product, CPython does not: a complex times a complex is
+    written out in parts, any other product is numpy's."""
+    if rows.dtype == object:
+        rows = rows.astype(float)
+    if not (np.iscomplexobj(w) and np.iscomplexobj(rows)):
+        return rows * w
     out = np.empty(rows.shape, dtype=complex)
     out.real = w.real * rows.real - w.imag * rows.imag
     out.imag = w.real * rows.imag + w.imag * rows.real
     return out
-
-
-def _real_terms(w2, rows):
-    """``_terms`` for real weights, as one real product: w2 is each
-    weight twice, so the float64 view of a row of complex entries
-    times w2 is w[k] * Re and w[k] * Im, in place of w[k] * Re - 0 * Im
-    and w[k] * Im + 0 * Re.  The two differ at most in the sign of a
-    zero, which an ordered sum cannot see (``row_combination``)."""
-    rows = np.ascontiguousarray(rows, dtype=complex)
-    return (rows.view(float) * w2).view(complex)
 
 
 def _ordered_sum(terms, start=0):
@@ -534,8 +542,8 @@ def _ordered_sum(terms, start=0):
 def row_combination(table: CharacterTable, weights) -> list:
     """sum_pi weights[pi] * chi_pi(C) for every class C: exact by
     ``exact_sums`` when the table and the weights are rational, else
-    complex, summed in irrep order from 0 (on an approximate table bit
-    for bit as the scalar sum()).
+    float or complex as the scalar sum is, summed in irrep order from 0
+    (on an approximate table bit for bit as the scalar sum()).
 
     Only the rows of nonzero weights are summed (a certificate's weights
     are an LP vertex, with at most one nonzero entry per LP row).  This
@@ -543,22 +551,25 @@ def row_combination(table: CharacterTable, weights) -> list:
     ordered sum starts from +0, and under round-to-nearest x + y is -0
     only when x and y both are, so neither part of the running sum is
     ever -0, and adding +-0 to it changes nothing.  Every weight zero
-    gives complex zeros."""
+    gives zeros."""
     exact = exact_sums(weights, table.entries)
     if exact is not None:
         return exact
-    w = np.array([complex(x) for x in weights])
-    acc = np.zeros(len(table.classes), dtype=complex)
+    w = _weights(weights, "a weight is")
+    acc = np.zeros(len(table.classes), dtype=np.result_type(
+        w, float if table.exact else table.entries.dtype))
     for rows in _row_blocks(table, np.flatnonzero(w)):
         acc = _ordered_sum(_terms(w[rows], table.entries[rows].T), acc)
     return acc.tolist()
 
 
-def _complex_array(values, what) -> np.ndarray:
-    """The values as one complex array; a rational value beyond the range
-    of a double raises InvalidArgument naming ``what`` it is."""
+def _weights(values, what) -> np.ndarray:
+    """The values as one array, complex128 when a value is a ``complex``,
+    else float64; InvalidArgument naming ``what`` it is for a rational
+    value beyond the range of a double."""
+    kind = complex if any(isinstance(x, complex) for x in values) else float
     try:
-        return np.array([complex(x) for x in values], dtype=complex)
+        return np.array([kind(x) for x in values], dtype=kind)
     except OverflowError:
         raise InvalidArgument(f"{what} too large for a double") from None
 
@@ -566,28 +577,19 @@ def _complex_array(values, what) -> np.ndarray:
 def fourier_class_scalars(f: ClassFunction, table: CharacterTable):
     """Scalars c_pi with fhat(pi) = c_pi * I for a class function f:
     c_pi = (1/d_pi) sum_C |C| f(C) chi_pi(C): a Fraction by
-    ``exact_sums`` when the table and f are rational, else complex,
-    summed in class order from 0 (on an approximate table bit for bit
-    as the scalar sum()).
-
-    When every weight |C| f(C) is real, as a theta certificate's is,
-    the products are ``_real_terms``: one real product, which rounds
-    each part as CPython's float * complex does up to the sign of a
-    zero, and the sign of a zero term cannot change an ordered sum from
-    0 (``row_combination``).  Complex weights take ``_terms``."""
+    ``exact_sums`` when the table and f are rational, else float or
+    complex as the scalar sum is, summed in class order from 0 (on an
+    approximate table bit for bit as the scalar sum())."""
     if not same_group(f.group, table.group):
         raise InvalidArgument("function and table use different groups")
     weights = [c.size * fv for c, fv in zip(table.classes, f.values)]
     exact = exact_sums(weights, table.entries.T, table.degrees)
     if exact is not None:
         return tuple(exact)
-    w = _complex_array(weights, "a weight |C| f(C) is")
-    real, w2 = not w.imag.any(), np.repeat(w.real, 2)
+    w = _weights(weights, "a weight |C| f(C) is")
     sums = []
     for rows in _row_blocks(table):
-        block = table.entries[rows]
-        terms = _real_terms(w2, block) if real else _terms(w, block)
-        sums += _ordered_sum(terms).tolist()
+        sums += _ordered_sum(_terms(w, table.entries[rows])).tolist()
     return tuple(s / d for s, d in zip(sums, table.degrees))
 
 
@@ -657,7 +659,7 @@ def _is_positive_type_irreps(f, irreps: "IrrepMatrices", tol):
         values = [f.at_element(g) for g in range(group.order)]
     else:
         values = list(f.values)
-    values = _complex_array(values, "a value of f is")
+    values = _weights(values, "a value of f is")
     for i, (d, stack) in enumerate(zip(irreps.degrees, irreps.matrices)):
         terms = (values[:, None, None] * stack).reshape(group.order, d * d)
         fhat = _ordered_sum(terms.T).reshape(d, d)
@@ -736,12 +738,13 @@ class IrrepMatrices:
 
 
 def as_float_table(table: CharacterTable) -> CharacterTable:
-    """Approximate copy of a table (for forcing float-mode pipelines)."""
+    """Approximate copy of a table (for forcing float-mode pipelines):
+    float64, as every rational entry is real."""
     if not table.exact:
         return table
     return CharacterTable(
         group=table.group, degrees=table.degrees,
-        entries=table.entries.astype(complex),
+        entries=table.entries.astype(float),
         irrep_labels=table.irrep_labels, trivial_index=table.trivial_index)
 
 
@@ -778,7 +781,7 @@ def import_irreps(path, group: FiniteGroup) -> IrrepMatrices:
 
 def abelian_irreps(table: CharacterTable) -> IrrepMatrices:
     """1x1 representation matrices read off an abelian character table:
-    views of its entries when the table is approximate."""
+    views of its entries when the table is complex."""
     if not isinstance(table.group, AbelianProductGroup):
         raise InvalidArgument("abelian_irreps needs an abelian group")
     return IrrepMatrices(group=table.group, degrees=table.degrees,

@@ -219,7 +219,9 @@ def cmd_bochner(args):
                 if isinstance(values[-1], complex) and \
                         not cmath.isfinite(values[-1]):
                     raise ValueError(f"value {len(values) - 1} is not finite")
-        except (ValueError, TypeError, IndexError) as exc:
+        # the JSON decoder recurses once per nesting level
+        except (ValueError, TypeError, IndexError, ZeroDivisionError,
+                RecursionError) as exc:
             raise InvalidArgument(f"malformed function file: {exc}") from exc
     if len(values) != group.order:
         raise InvalidArgument(

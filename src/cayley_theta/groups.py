@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import InvalidArgument, NotAGroup, SchemaError
 
-GENERIC_CLASS_BOUND = 10000   # orbit algorithm cutoff
+GENERIC_CLASS_BOUND = 10000   # orbit algorithm and abelian class cutoff
 # entries per block of rows in the checks of Cayley and action tables
 BLOCK_ENTRIES = 1 << 20
 
@@ -249,11 +249,14 @@ class FiniteGroup:
             self._classes = self._compute_classes()
         return self._classes
 
-    def _compute_classes(self):
+    def _bound_classes(self):
         if self.order > GENERIC_CLASS_BOUND:
             raise InvalidArgument(
-                f"generic conjugacy-class computation limited to order "
+                f"conjugacy-class computation limited to order "
                 f"{GENERIC_CLASS_BOUND}, got {self.order}")
+
+    def _compute_classes(self):
+        self._bound_classes()
         hs = np.arange(self.order)
         inv = self.inverses()
         class_of = np.full(self.order, -1)
@@ -348,6 +351,7 @@ class AbelianProductGroup(FiniteGroup):
         return ["(" + ",".join(d) + ")" for d in digits]
 
     def _compute_classes(self):
+        self._bound_classes()
         inverse = self.inverses().tolist()
         self._class_of = {g: g for g in range(self.order)}
         return tuple(
@@ -734,11 +738,14 @@ def export_cayley_table(group: FiniteGroup, path):
 
 
 def parse_ints(tokens, what, count=None) -> list:
-    """Text tokens as integers, ``count`` of them if given; SchemaError
-    "malformed <what>" otherwise."""
+    """A list of text tokens or JSON integers as integers, ``count`` of
+    them if given; SchemaError "malformed <what>" otherwise, also for a
+    JSON float or boolean, which int() would truncate or take as 0/1."""
+    typed = isinstance(tokens, list) and all(
+        type(t) in (int, str) for t in tokens)
     try:
-        values = [int(t) for t in tokens]
-    except (TypeError, ValueError):
+        values = [int(t) for t in tokens] if typed else None
+    except ValueError:
         values = None
     if values is None or count not in (None, len(values)):
         raise SchemaError(f"malformed {what}")

@@ -10,11 +10,11 @@ LP layout (one variable a_pi per irrep, maximize the trivial one):
     row 0:            sum_pi d_pi^2 a_pi = |Gamma|
     one row per kept connection class C (one per {C, C^-1} pair):
                       sum_pi d_pi chi_pi(C) a_pi = 0
-Complex character values contribute separate real- and imaginary-part
-rows; all-zero and duplicate rows are dropped.  Both modes make the
+A complex table gives each class a real- and an imaginary-part row;
+all-zero and duplicate rows are dropped.  Every table makes the
 candidate rows as one array (dtype object from an exact table, float64
-from an approximate one) and share one tail: A is its kept rows, and b
-and c take A's dtype, so the LP is exact iff the table is.
+from an approximate one) by one route: A is its kept rows, and b and c
+take A's dtype, so the LP is exact iff the table is.
 
 Duplicate rows are found by one key per row; a row is dropped when it is
 zero or an earlier row has its key.  An exact row's key is the primitive
@@ -74,9 +74,6 @@ class CayleyGraphSpec:
 @dataclass(frozen=True)
 class ThetaLp:
     instance: LpInstance
-    irrep_labels: tuple    # column -> irrep label
-    row_labels: tuple      # row -> description
-    kept_classes: tuple    # class indices whose constraints were kept
 
 
 @dataclass(frozen=True)
@@ -110,24 +107,19 @@ def build_lp_D(spec: CayleyGraphSpec, table: CharacterTable) -> ThetaLp:
     kept = tuple(c for c in spec.connection.as_classes
                  if min(c, classes[c].inverse_class) == c)
     X = table.entries[:, list(kept)]
+    if X.dtype == complex:
+        # for d > 0, d * (Re - 0 * Im) and d * (Im + 0 * Re) are the parts
+        # of d * chi as Python makes them, (d + 0j) * chi, signed zeros too
+        parts = np.empty((len(degrees), 2 * len(kept)))
+        parts[:, 0::2] = X.real - 0.0 * X.imag
+        parts[:, 1::2] = X.imag + 0.0 * X.real
+        X = parts
 
     # the candidate rows, normalization first, and their keys
-    if table.exact:
-        d = np.array(degrees, dtype=object)
-        rows = np.vstack([d * d, (d[:, None] * X).T])
-        labels = ["normalization"] + [f"class {c}" for c in kept]
-        keys = [_exact_row_key(row) for row in rows.tolist()]
-    else:
-        d = np.array(degrees, dtype=float)
-        # Re and Im of d * chi(C) as Python multiplies int * complex:
-        # d is taken as d + 0j
-        part = np.empty((2 * len(kept), len(degrees)))
-        part[0::2] = (d[:, None] * X.real - 0.0 * X.imag).T
-        part[1::2] = (d[:, None] * X.imag + 0.0 * X.real).T
-        rows = np.vstack([d * d, part])
-        labels = ["normalization"] + [f"class {c} ({p})" for c in kept
-                                      for p in ("re", "im")]
-        keys = _float_row_keys(rows)
+    d = np.array(degrees, dtype=X.dtype)
+    rows = np.vstack([d * d, (d[:, None] * X).T])
+    keys = ([_exact_row_key(row) for row in rows.tolist()] if table.exact
+            else _float_row_keys(rows))
 
     # drop the zero rows and every row whose key an earlier row has
     chosen = []
@@ -141,10 +133,7 @@ def build_lp_D(spec: CayleyGraphSpec, table: CharacterTable) -> ThetaLp:
     objective[table.trivial_index] = 1
     b = np.zeros(len(chosen), dtype=A.dtype)
     b[0] = spec.group.order
-    return ThetaLp(instance=LpInstance(objective, A, b),
-                   irrep_labels=table.irrep_labels,
-                   row_labels=tuple(labels[i] for i in chosen),
-                   kept_classes=kept)
+    return ThetaLp(instance=LpInstance(objective, A, b))
 
 
 def _exact_row_key(row):
@@ -218,8 +207,7 @@ def _certificate_from_lp(spec, table, solution: LpSolution, lp: ThetaLp):
         values = [Fraction(v) / group.order for v in g]
     else:
         # real symmetrization f = (g + g o inv)/2 soaks up float residue
-        values = [((complex(v) + complex(g[cls.inverse_class])) / 2).real /
-                  group.order
+        values = [((v + g[cls.inverse_class]) / 2).real / group.order
                   for v, cls in zip(g, group.conjugacy_classes())]
     f = ClassFunction(group, tuple(values))
     return ThetaCertificate(

@@ -195,7 +195,7 @@ def reference_fourier_scalars(f, table):
         for c, fv, chi in zip(table.classes, f.values, row):
             s += c.size * fv * chi
         out.append(Fraction(s) / d if isinstance(s, (int, Fraction))
-                   else complex(s) / d)
+                   else s / d)
     return tuple(out)
 
 
@@ -443,30 +443,26 @@ def reference_build_lp_D(spec, table):
     exact = table.exact
     num = Fraction if exact else float
     rows = [[num(d * d) for d in degrees]]
-    labels = ["normalization"]
     seen = {reference_row_key(rows[0], exact)}
     for c in kept:
         coeffs = [d * v for d, v in zip(degrees, table.entries[:, c].tolist())]
         if exact:
-            candidates = [(coeffs, f"class {c}")]
+            candidates = [coeffs]
         else:
             cvals = [complex(v) for v in coeffs]
-            candidates = [([v.real for v in cvals], f"class {c} (re)"),
-                          ([v.imag for v in cvals], f"class {c} (im)")]
-        for row, label in candidates:
+            candidates = [[v.real for v in cvals], [v.imag for v in cvals]]
+        for row in candidates:
             key = reference_row_key(row, exact)
             if key is None or key in seen:
                 continue
             seen.add(key)
             rows.append(row)
-            labels.append(label)
     objective = [num(0)] * len(degrees)
     objective[table.trivial_index] = num(1)
     instance = LpInstance(
         objective=tuple(objective), A=tuple(tuple(r) for r in rows),
         b=(num(spec.group.order),) + (num(0),) * (len(rows) - 1))
-    return ThetaLp(instance=instance, irrep_labels=table.irrep_labels,
-                   row_labels=tuple(labels), kept_classes=kept)
+    return ThetaLp(instance=instance)
 
 
 def check_axioms(group):

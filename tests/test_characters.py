@@ -162,9 +162,8 @@ def test_exact_sums_match_scalar_references(table):
 
 def test_row_combination_bits_match_scalar_reference():
     """Approximate sums, and rational tables with float or complex
-    weights, take the complex path: every sum has the bits of the
-    product-by-product sum (its real part, where the reference is a
-    float).  Z_211 spans six row blocks."""
+    weights, take the float path: every sum has the type and the bits
+    of the product-by-product sum.  Z_211 spans six row blocks."""
     rng = random.Random(5)
     tables = [abelian_character_table(make_abelian_product([12])),
               abelian_character_table(make_abelian_product([211])),
@@ -176,15 +175,14 @@ def test_row_combination_bits_match_scalar_reference():
                        if kind is complex else rng.gauss(0, 1)
                        for _ in table.degrees]
             got = row_combination(table, weights)
-            want = [complex(v) for v in
-                    reference_row_combination(table, weights)]
-            assert all(type(v) is complex for v in got)
+            want = reference_row_combination(table, weights)
+            assert [type(v) for v in got] == [type(v) for v in want]
             assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
 def _zero_weight_sets(n, rng, draw):
-    """Weight vectors whose zero terms the sums skip or multiply by one
-    real product: all +0, all -0, zeros first and last, one live
+    """Weight vectors whose zero terms the sums skip or multiply by
+    numpy's product: all +0, all -0, zeros first and last, one live
     weight, -0 mixed with live weights, and every weight live."""
     dense = [draw() for _ in range(n)]
     ends = dense[:]
@@ -207,19 +205,13 @@ FLOAT_TABLES.append(replace(FLOAT_TABLES[0], entries=np.asfortranarray(
 
 @pytest.mark.parametrize("table", FLOAT_TABLES,
                          ids=["S6", "Z211", "Z3x5x7", "S6-column-major"])
-def test_zero_weights_leave_the_float_sums_bit_for_bit(monkeypatch, table):
+def test_zero_weights_leave_the_float_sums_bit_for_bit(table):
     """Row combinations over the nonzero weights only, and Bochner
-    scalars of real weights as one real product, have the bits of the
-    scalar sums over every term (repr tells -0.0 from 0.0), on tables of
-    one or several row blocks (Z_211 spans six).  Weights with an
-    imaginary part still take ``_terms``."""
+    scalars of real weights or on a real table as numpy's product, have
+    the type and the bits of the scalar sums over every term (repr
+    tells -0.0 from 0.0), on tables of one or several row blocks (Z_211
+    spans six)."""
     rng = random.Random(len(table.classes))
-    calls = []
-    for name in ("_terms", "_real_terms"):
-        def spy(*args, _name=name, _kernel=getattr(characters, name)):
-            calls.append(_name)
-            return _kernel(*args)
-        monkeypatch.setattr(characters, name, spy)
     for kind in (float, complex):
         def draw():
             if kind is float:
@@ -228,17 +220,13 @@ def test_zero_weights_leave_the_float_sums_bit_for_bit(monkeypatch, table):
         for weights in _zero_weight_sets(len(table.classes), rng, draw):
             got = row_combination(table, weights)
             want = reference_row_combination(table, weights)
-            assert all(type(v) is complex for v in got)
-            assert [repr(v) for v in got] == [repr(complex(v))
-                                               for v in want]
-            calls.clear()
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert [repr(v) for v in got] == [repr(v) for v in want]
             f = ClassFunction(table.group, tuple(
                 w / c.size for w, c in zip(weights, table.classes)))
             got = fourier_class_scalars(f, table)
             want = reference_fourier_scalars(f, table)
             assert [repr(v) for v in got] == [repr(v) for v in want]
-            real = not any(complex(w).imag for w in weights)
-            assert set(calls) == {"_real_terms" if real else "_terms"}
 
 
 def test_mixed_weights_on_exact_tables_sum_as_on_the_float_copy():
@@ -264,7 +252,7 @@ def test_mixed_weights_on_exact_tables_sum_as_on_the_float_copy():
             assert [repr(v) for v in got] == \
                 [repr(v) for v in fourier_class_scalars(f, approx)]
             want = reference_fourier_scalars(f, table)
-            assert all(type(v) is complex for v in got + want)
+            assert [type(v) for v in got] == [type(v) for v in want]
             scale = max(1.0, max(abs(v) for v in want))
             assert all(abs(g - w) <= 1e-12 * scale
                        for g, w in zip(got, want))
@@ -513,9 +501,25 @@ def test_import_into_gl22_from_s3_table(tmp_path):
 
 
 def test_as_float_table():
+    """The float copy of an S_n table is real, so float64; a table with
+    an imaginary part, such as Z_701's, stays complex128."""
     table = as_float_table(symmetric_character_table(4))
     table.validate()
     assert not table.exact
+    assert table.entries.dtype == np.float64
+    z701 = abelian_character_table(make_abelian_product([701]))
+    assert as_float_table(z701).entries.dtype == np.complex128
+
+
+def test_negative_degree_refused():
+    """An irrep's row negated together with its degree passed every
+    other check: its identity-class entry is its degree, and negating a
+    row keeps both orthogonalities."""
+    table = abelian_character_table(make_abelian_product([3]))
+    entries = table.entries.copy()
+    entries[1] *= -1
+    with pytest.raises(CorruptTable, match="a degree is not positive"):
+        replace(table, degrees=(1, -1, 1), entries=entries).validate()
 
 
 def test_abelian_irreps_validate():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -355,7 +356,8 @@ def _z3_irreps():
 def _malformed_z3_irreps():
     """Irreps files of Z_3, each with one fault: pi_1(2) with an entry
     that is a string pair, a 1-list or a scalar, or a NaN; one irrep
-    more, or one fewer, than the degrees."""
+    more, or one fewer, than the degrees; degrees a float and a
+    boolean."""
     files = {}
     for name, entry in (("string", ["a", 0]), ("pair", [1]), ("scalar", 1),
                         ("nan", [math.nan, 0])):
@@ -365,7 +367,36 @@ def _malformed_z3_irreps():
     files["extra"]["matrices"].append(files["extra"]["matrices"][0])
     files["missing"] = _z3_irreps()
     del files["missing"]["matrices"][2]
+    # once read as degrees (1, 1, 1)
+    files["float_degrees"] = {**_z3_irreps(), "degrees": [1.5, 1, True]}
     return files
+
+
+_S3_ENTRIES = [[1, -1, 1], [2, 0, -1], [1, 1, 1]]
+
+
+def _s3_table(exact=True, **fields):
+    """The character table file of S_3, exact ("p/q" strings) or float
+    ([re, im] pairs), with the given fields replaced."""
+    data = {"group_order": 6, "class_sizes": [1, 3, 2],
+            "degrees": [1, 2, 1], "irrep_labels": ["[1,1,1]", "[2,1]", "[3]"],
+            "exact": exact,
+            "entries": [str(v) if exact else [float(v), 0.0]
+                        for row in _S3_ENTRIES for v in row]}
+    return {**data, **fields}
+
+
+def _malformed_s3_tables():
+    """Character table files of S_3, each with one fault in one field."""
+    entries = _s3_table()["entries"]
+    return {"entries_5": _s3_table(entries=5),
+            "sizes_5": _s3_table(class_sizes=5),
+            "sizes_a": _s3_table(class_sizes=["a", 3, 2]),
+            "entry_x": _s3_table(entries=["x"] + entries[1:]),
+            "entry_1_0": _s3_table(entries=["1/0"] + entries[1:]),
+            "labels_5": _s3_table(irrep_labels=5),
+            "exact_no": _s3_table(exact="no"),
+            "degrees_float": _s3_table(degrees=[1, 2.5, 1])}
 
 
 @pytest.mark.parametrize("argv", [
@@ -414,6 +445,12 @@ def _malformed_z3_irreps():
       for argv in (_Z3_BOCHNER, _Z3_EXPORT)],
     ("chartable", "--group", "sym:3", "--validate", "{tmp}/five.json"),
     _Z3_BOCHNER + ("--irreps", "{tmp}/deep.json"),
+    *[("chartable", "--group", "sym:3", "--validate",
+       f"{{tmp}}/table_{name}.json") for name in _malformed_s3_tables()],
+    *[argv + ("--irreps", "{tmp}/irreps_float_degrees.json")
+      for argv in (_Z3_BOCHNER, _Z3_EXPORT)],
+    ("bochner", "--group", "cyclic:3", "--function", "{tmp}/deep.json"),
+    ("bochner", "--group", "cyclic:3", "--function", "{tmp}/zero_den.json"),
 ])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     # a transposition's value differs from the other two in its class
@@ -446,6 +483,9 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     (tmp_path / "deep.json").write_text("[" * 10 ** 5 + "]" * 10 ** 5)
     for name, data in _malformed_z3_irreps().items():
         (tmp_path / f"irreps_{name}.json").write_text(json.dumps(data))
+    for name, data in _malformed_s3_tables().items():
+        (tmp_path / f"table_{name}.json").write_text(json.dumps(data))
+    (tmp_path / "zero_den.json").write_text('["1/0", "0", "0"]')
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -572,6 +612,138 @@ def test_irreps_files_fuzzed_through_the_cli(tmp_path_factory, data):
     for argv in (_Z3_BOCHNER, _Z3_EXPORT):
         argv = [a.format(tmp=base) for a in argv] + ["--irreps", str(irreps)]
         assert cli_dispatch(argv) in (0, 1, 2, 3)
+
+
+_TABLE_JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 7),
+              st.sampled_from([0.5, 2.5, math.nan, math.inf, 1e300, 2 ** 70,
+                               "a", "1", "-1", "1/0", "2/4", "1e5", "",
+                               [1.0, 0.0], [0.0, True]])),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+# well-formed entries of either kind, which the table checks must refuse
+_ENTRIES = st.sampled_from(["0", "1", "-1", "2", "1/2", 1.0, [0.0, 1.0],
+                            [-1.0, 0.0], [1.0, 1e-12]])
+
+
+@st.composite
+def _table_files(draw):
+    """Character table files of S_3, exact or float, with up to three
+    faults: a field replaced by drawn JSON, or an item of a list field
+    (or of an entry's [re, im] pair) dropped, repeated or replaced.
+    Most faults are in the entries, so that most files reach the entry
+    parse and the table checks.  At times a field is dropped, or the
+    whole file is drawn.  Returns the file and whether it was drawn
+    with no fault."""
+    data = _s3_table(exact=draw(st.booleans()))
+    faults = draw(st.integers(0, 3))
+    for _ in range(faults):
+        key = draw(st.sampled_from(["entries"] * 6 + sorted(data)))
+        node = data[key]
+        if not (isinstance(node, list) and node) or \
+                draw(st.integers(0, 3)) == 3:
+            data[key] = draw(_TABLE_JUNK)
+            continue
+        node = data[key] = list(node)
+        i = draw(st.integers(0, len(node) - 1))
+        if isinstance(node[i], list) and node[i] and draw(st.booleans()):
+            node[i] = list(node[i])
+            node, i = node[i], draw(st.integers(0, len(node[i]) - 1))
+        fault = draw(st.sampled_from(["replace", "drop", "repeat"]))
+        if fault == "drop":
+            del node[i]
+        elif fault == "repeat":
+            node.append(node[i])
+        else:
+            node[i] = draw(st.one_of(_ENTRIES, _TABLE_JUNK))
+    if draw(st.integers(0, 9)) == 9:
+        del data[draw(st.sampled_from(sorted(data)))]
+        faults += 1
+    if draw(st.integers(0, 19)) == 19:
+        return draw(_TABLE_JUNK), False
+    return data, faults == 0
+
+
+@given(drawn=_table_files())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_table_files_fuzzed_through_the_cli(tmp_path_factory, drawn):
+    """``chartable --validate`` and ``theta --chartable`` on S_3 exit 0-3
+    on every character table file, with no exception out of
+    cli_dispatch; a file drawn with no fault is accepted."""
+    data, good = drawn
+    path = tmp_path_factory.getbasetemp() / "fuzz_table.json"
+    path.write_text(json.dumps(data))
+    for argv in (["chartable", "--group", "sym:3", "--validate", str(path)],
+                 ["theta", "--group", "sym:3", "--connection", "efp:1",
+                  "--chartable", str(path)]):
+        code = cli_dispatch(argv)
+        assert code in ((0,) if good else (0, 1, 2, 3))
+
+
+_VALUE = st.one_of(st.sampled_from(["1", "0", "1/2", "-1/3", 0.5, [0.5, 0.0],
+                                   [0.0, -1.0]]), _TABLE_JUNK)
+
+
+@given(values=st.one_of(
+    st.sampled_from([3, 6]).flatmap(
+        lambda n: st.lists(_VALUE, min_size=n, max_size=n)), _TABLE_JUNK))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_function_files_fuzzed_through_the_cli(tmp_path_factory, values):
+    """``bochner --function`` on Z_3 (a float table) and on S_3 (an
+    exact one, which needs a class function) exits 0-3 on every
+    function file, with no exception out of cli_dispatch."""
+    path = tmp_path_factory.getbasetemp() / "fuzz_function.json"
+    path.write_text(json.dumps(values))
+    for group in ("cyclic:3", "sym:3"):
+        assert cli_dispatch(["bochner", "--group", group, "--function",
+                             str(path)]) in (0, 1, 2, 3)
+
+
+def test_exact_table_entries_are_rational_strings(capsys, tmp_path):
+    """An exact entry takes the exported "p" or "p/q" form: "1e5" was
+    read by Fraction(), which builds 10^k for "1ek" (10 s at k = 10^7),
+    and "1/0" raised ZeroDivisionError."""
+    entries = _s3_table()["entries"]
+    for value in ("1e5", "1/0", " 1", "1.0"):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(_s3_table(entries=[value] + entries[1:])))
+        assert run(capsys, "chartable", "--group", "sym:3", "--validate",
+                   str(path)) == \
+            (2, "", f"error: bad exact entry {value!r} in entries\n")
+
+
+def test_bochner_witness_on_a_real_float_table(capsys, tmp_path):
+    """A float S_3 table is real, so the Fourier scalars of a rational
+    function on it are floats, and the witness prints as one: f(e) = 1
+    and f = 1/2 on transpositions give 1 - 3/2 on the sign irrep."""
+    group = make_symmetric(3)
+    values = [{0: "1", 1: "1/2"}.get(group.class_index_of(g), "0")
+              for g in range(group.order)]
+    table, function = tmp_path / "table.json", tmp_path / "f.json"
+    table.write_text(json.dumps(_s3_table(exact=False)))
+    function.write_text(json.dumps(values))
+    assert run(capsys, "bochner", "--group", "sym:3", "--function",
+               str(function), "--chartable", str(table)) == \
+        (0, "positive-type: no (irrep 0, witness -0.5)\n", "")
+
+
+def test_huge_abelian_group_exits_2_before_its_classes():
+    """``theta`` on Z_10^8 once made one singleton class per element
+    before any size bound refused it (Z_10^6: about 6 s, 430 MB).  Now its
+    classes are refused before any is made.  The child runs with 1 GB
+    of address space and 30 s at most."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(
+        Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "cayley_theta.cli", "theta", "--group",
+         "cyclic:100000000", "--connection", "empty"],
+        env=env, capture_output=True, text=True, timeout=30,
+        preexec_fn=limit)
+    assert (out.returncode, out.stderr) == (2, (
+        "error: conjugacy-class computation limited to order 10000, got "
+        "100000000\n"))
 
 
 @pytest.mark.parametrize("text", ["-1\n0\n", "-2\n0 0 0 0\n"],
