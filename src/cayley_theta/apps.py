@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional
 
 import numpy as np
 
@@ -23,8 +22,7 @@ from .characters import (CharacterTable, format_real,
                          symmetric_character_table)
 from .errors import InvalidArgument
 from .graphs import ConnectionSet
-from .groups import (GeneralLinearGroup, SymmetricGroup, make_general_linear,
-                     make_symmetric, partitions)
+from .groups import GeneralLinearGroup, SymmetricGroup, partitions
 from .linalg import is_exact
 from .theta import CayleyGraphSpec, solve_theta
 
@@ -32,15 +30,12 @@ from .theta import CayleyGraphSpec, solve_theta
 # ---------------------------------------------------------------------------
 # k-intersecting permutations
 
-def efp_connection(n: int, k: int,
-                   group: Optional[SymmetricGroup] = None) -> ConnectionSet:
+def efp_connection(n: int, k: int, group: SymmetricGroup) -> ConnectionSet:
     """X_{n,k}: union of the S_n classes whose cycle type has fewer than
     k fixed points (parts equal to 1)."""
     if not 1 <= k <= n:
         raise InvalidArgument(f"need 1 <= k <= n, got k={k}, n={n}")
-    if group is None:
-        group = make_symmetric(n)
-    elif group.n != n:
+    if group.n != n:
         raise InvalidArgument("supplied group is not S_n for this n")
     class_indices = [
         i for i, mu in enumerate(partitions(n))
@@ -61,21 +56,14 @@ def count_fixing_at_least(n: int, s: int, m: int) -> int:
                for t in range(m, s + 1))
 
 
-def efp_conjectured_max(n: int, k: int, with_argmax: bool = False):
+def efp_conjectured_max(n: int, k: int) -> int:
     """Largest of the candidate families: permutations with at least k+i
     fixed points among the first k+2i letters, over 0 <= i <= (n-k)/2.
     Equals (n-k)! whenever n >= 2k+1."""
     if not 1 <= k <= n:
         raise InvalidArgument(f"need 1 <= k <= n, got k={k}, n={n}")
-    best = None
-    argmax = []
-    for i in range((n - k) // 2 + 1):
-        count = count_fixing_at_least(n, k + 2 * i, k + i)
-        if best is None or count > best:
-            best, argmax = count, [i]
-        elif count == best:
-            argmax.append(i)
-    return (best, tuple(argmax)) if with_argmax else best
+    return max(count_fixing_at_least(n, k + 2 * i, k + i)
+               for i in range((n - k) // 2 + 1))
 
 
 @dataclass(frozen=True)
@@ -94,13 +82,11 @@ class EfpCell:
         return is_exact(self.theta)
 
 
-def efp_cell(n: int, k: int, group: Optional[SymmetricGroup] = None,
-             table: Optional[CharacterTable] = None) -> EfpCell:
+def efp_cell(table: CharacterTable, k: int) -> EfpCell:
+    """The cell of efp:k on the group of ``table``, an S_n table."""
     start = time.monotonic()
-    if table is None:
-        table = symmetric_character_table(n)
-    if group is None:
-        group = table.group
+    group = table.group
+    n = group.n
     spec = CayleyGraphSpec(group, efp_connection(n, k, group))
     cert = solve_theta(spec, table)
     conjectured = efp_conjectured_max(n, k)
@@ -122,7 +108,7 @@ def efp_table(n_max: int) -> list:
     for n in range(1, n_max + 1):
         table = symmetric_character_table(n)
         for k in range(1, n + 1):
-            cells.append(efp_cell(n, k, table.group, table))
+            cells.append(efp_cell(table, k))
     return cells
 
 
@@ -159,13 +145,13 @@ def efp_table_grid(cells) -> str:
 # k-intersecting invertible matrices
 
 def gl_connection(q: int, n: int, k: int,
-                  group: Optional[GeneralLinearGroup] = None) -> ConnectionSet:
+                  group: GeneralLinearGroup) -> ConnectionSet:
     """X_{q,n,k} = {A in GL(n, F_q) : rank(A - I) > n - k}; closed under
     conjugation and inversion (both verified on construction)."""
     if not 1 <= k <= n:
         raise InvalidArgument(f"need 1 <= k <= n, got k={k}, n={n}")
-    if group is None:
-        group = make_general_linear(q, n)
+    if (group.q, group.n) != (q, n):
+        raise InvalidArgument("supplied group is not GL(n, q) for this q, n")
     f = group.field
     shifted = f.add[group.element_array, f.neg[np.eye(n, dtype=np.int64)]]
     elems = np.flatnonzero(group.ranks(shifted) > n - k).tolist()
@@ -188,10 +174,3 @@ def gl_lower_bound(q: int, n: int, k: int) -> int:
         out *= q ** n - q ** i
     return out
 
-
-def gl_pointwise_stabilizer(group: GeneralLinearGroup, k: int) -> list:
-    """Indices of the matrices fixing the first k standard basis vectors;
-    an explicit independent set in Cay(GL, X_{q,n,k})."""
-    columns = group.element_array[:, :, :k]
-    fixed = columns == np.eye(group.n, dtype=np.int64)[:, :k]
-    return np.flatnonzero(fixed.all(axis=(1, 2))).tolist()

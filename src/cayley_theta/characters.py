@@ -40,6 +40,7 @@ the canonical order of :func:`cayley_theta.groups.partitions`.
 
 from __future__ import annotations
 
+import cmath
 import json
 import re
 from dataclasses import dataclass
@@ -65,6 +66,14 @@ ROW_BLOCK = 1 << 13
 # the largest n with n * sqrt(n!) < 2^63 (see ``mn_table``)
 MN_TABLE_MAX_N = 31
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# a function value given as a string: "p", "p/q" or a decimal whose
+# exponent has at most 5 digits and at most EXPONENT_BOUND in size;
+# Fraction() alone builds 10^k for "1ek" (9.8 s at k = 10^7)
+_FUNCTION_STRING = re.compile(
+    r"-?(?:[0-9]+/[0-9]+|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+    r"(?:[eE](?P<exp>[-+]?[0-9]{1,5}))?)")
+# Python's default limit on the digits of an int read from a string
+EXPONENT_BOUND = 4300
 
 
 def conj(v: Scalar) -> Scalar:
@@ -444,15 +453,18 @@ def _match_class_order(file_sizes, group_classes):
     return perm
 
 
-def _load_json(path) -> dict:
+def _load_json(path, kind=dict):
+    """The JSON value of the file, which must be a ``kind`` (dict or
+    list)."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:
             # the decoder recurses once per nesting level
             raise SchemaError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError("not a JSON object")
+    if not isinstance(data, kind):
+        raise SchemaError(
+            f"not a JSON {'object' if kind is dict else 'list'}")
     return data
 
 
@@ -680,11 +692,11 @@ def _is_positive_type_irreps(f, irreps: "IrrepMatrices", tol):
 class IrrepMatrices:
     """Unitary matrices pi(g) for every irrep and group element:
     matrices[i] is one read-only complex array of shape (|G|, d_i, d_i),
-    pi_i(g) at [g].  Whatever the constructor is given for an irrep (a
-    sequence of d x d matrices, or one array) is normalised to that
-    form; a complex array is made read-only, not copied."""
+    pi_i(g) at [g], and d_i is read off its shape.  Whatever the
+    constructor is given for an irrep (a sequence of d x d matrices, or
+    one array) is normalised to that form; a complex array is made
+    read-only, not copied."""
     group: FiniteGroup
-    degrees: tuple
     matrices: tuple
 
     def __post_init__(self):
@@ -693,12 +705,18 @@ class IrrepMatrices:
             stack.setflags(write=False)
         object.__setattr__(self, "matrices", stacks)
 
+    @property
+    def degrees(self) -> tuple:
+        return tuple(stack.shape[1] for stack in self.matrices)
+
     def validate(self):
         tol = 1e-8
         group = self.group
-        if len(self.matrices) != len(self.degrees):
-            raise InvalidArgument(f"{len(self.matrices)} irreps given for "
-                                  f"{len(self.degrees)} degrees")
+        for i, stack in enumerate(self.matrices):
+            if stack.ndim != 3 or stack.shape[0] != group.order or \
+                    stack.shape[1] != stack.shape[2]:
+                raise InvalidArgument(f"irrep {i}: expected {group.order} "
+                                      "square matrices of one size")
         if sum(d * d for d in self.degrees) != group.order:
             raise InvalidArgument("sum of squared degrees != group order")
         # pi(a) pi(b) = pi(ab) on every pair, or on 2000 seeded pairs
@@ -709,9 +727,6 @@ class IrrepMatrices:
             left, right = np.divmod(np.arange(group.order ** 2), group.order)
         prods = group.products(left, right)
         for i, (d, stack) in enumerate(zip(self.degrees, self.matrices)):
-            if stack.shape != (group.order, d, d):
-                raise InvalidArgument(
-                    f"irrep {i}: expected {group.order} matrices {d} x {d}")
             if not np.isfinite(stack).all():
                 raise InvalidArgument(f"irrep {i}: an entry is not finite")
             if np.abs(stack[0] - np.eye(d)).max() > tol:
@@ -770,13 +785,46 @@ def import_irreps(path, group: FiniteGroup) -> IrrepMatrices:
             pairs = np.array(mats)
         except (ValueError, TypeError):     # ragged
             pairs = None
+        # numpy reads a boolean among numbers as 1 or 0
         if pairs is None or pairs.dtype.kind not in "iuf" or \
-                pairs.shape != (group.order, d, d, 2):
+                pairs.shape != (group.order, d, d, 2) or any(
+                    type(v) is bool for v in np.array(mats, object).flat):
             raise SchemaError(f"irrep {i}: expected {group.order} matrices "
                               f"{d} x {d} of numeric [re, im] pairs")
         stacks.append(pairs.astype(float).view(complex)[..., 0])
-    return IrrepMatrices(group=group, degrees=degrees,
-                         matrices=tuple(stacks)).validate()
+    return IrrepMatrices(group, tuple(stacks)).validate()
+
+
+def import_function(path, group: FiniteGroup) -> GroupFunction:
+    """Read a function from a JSON list of one value per element: a
+    string "p", "p/q" or decimal (``_FUNCTION_STRING``) or a JSON integer
+    as a Fraction, a JSON float as a float, an [re, im] pair of JSON
+    numbers as a complex.  Any other value, a boolean included (type()
+    is bool, not int), and one that is not finite are refused naming
+    its index."""
+    values = []
+    for i, v in enumerate(_load_json(path, list)):
+        try:
+            if isinstance(v, str):
+                form = _FUNCTION_STRING.fullmatch(v)
+                if form and abs(int(form["exp"] or 0)) <= EXPONENT_BOUND:
+                    values.append(Fraction(v))
+            elif type(v) in (int, float):
+                values.append(Fraction(v) if type(v) is int else v)
+            elif isinstance(v, list) and len(v) == 2 and \
+                    all(type(x) in (int, float) for x in v):
+                values.append(complex(*v))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass                # too many digits, "1/0", beyond a double
+        if len(values) != i + 1 or not (is_exact(values[-1]) or
+                                        cmath.isfinite(values[-1])):
+            raise SchemaError(
+                f"malformed function file: value {i} is not a finite "
+                f"number, a \"p\", \"p/q\" or decimal string (exponent at "
+                f"most {EXPONENT_BOUND}) or an [re, im] pair")
+    if len(values) != group.order:
+        raise SchemaError(f"function file must list {group.order} values")
+    return GroupFunction(group, tuple(values))
 
 
 def abelian_irreps(table: CharacterTable) -> IrrepMatrices:
@@ -784,5 +832,4 @@ def abelian_irreps(table: CharacterTable) -> IrrepMatrices:
     views of its entries when the table is complex."""
     if not isinstance(table.group, AbelianProductGroup):
         raise InvalidArgument("abelian_irreps needs an abelian group")
-    return IrrepMatrices(group=table.group, degrees=table.degrees,
-                         matrices=tuple(table.entries[:, :, None, None]))
+    return IrrepMatrices(table.group, tuple(table.entries[:, :, None, None]))

@@ -12,20 +12,18 @@ Connection specs:  efp:K | gl-rank:K | classes:I,J,... | elements:FILE
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .apps import (efp_connection, efp_table, efp_table_csv, efp_table_grid,
                    gl_connection)
-from .characters import (CharacterTable, GroupFunction,
-                         abelian_character_table, as_float_table,
-                         export_character_table, format_real,
-                         import_character_table, import_irreps,
-                         is_positive_type, symmetric_character_table)
+from .characters import (CharacterTable, abelian_character_table,
+                         as_float_table, export_character_table,
+                         format_real, import_character_table,
+                         import_function, import_irreps, is_positive_type,
+                         symmetric_character_table)
 from .errors import InvalidArgument, NumericalFailure
 from .graphs import (ConnectionSet, alpha, build_cayley, blowup_connection,
                      import_action_table, import_graph)
@@ -125,7 +123,7 @@ def cmd_theta(args):
     spec = CayleyGraphSpec(group, conn)
     cert = solve_theta(spec, table)
     if cert.exact:
-        print(f"theta = {Fraction(cert.objective)} (exact)")
+        print(f"theta = {format_real(cert.objective)} (exact)")
     else:
         print(f"theta ≈ {float(cert.objective):.7f}")
     if args.json:
@@ -182,7 +180,7 @@ def cmd_export_sdpa(args):
     export_sdpa(instance, args.out)
     print(f"wrote {args.out}: {len(instance.block_sizes)} block(s) "
           f"{list(instance.block_sizes)}, "
-          f"{len(instance.constraints)} constraint(s)")
+          f"{len(instance.rhs)} constraint(s)")
     return 0
 
 
@@ -205,28 +203,7 @@ def cmd_chartable(args):
 
 def cmd_bochner(args):
     group = parse_group(args.group)
-    values = []
-    with open(args.function) as fh:
-        try:
-            for v in json.load(fh):
-                if isinstance(v, str):
-                    values.append(Fraction(v))
-                elif isinstance(v, list):
-                    values.append(complex(v[0], v[1]))
-                else:
-                    values.append(Fraction(v) if isinstance(v, int)
-                                  else complex(v))
-                if isinstance(values[-1], complex) and \
-                        not cmath.isfinite(values[-1]):
-                    raise ValueError(f"value {len(values) - 1} is not finite")
-        # the JSON decoder recurses once per nesting level
-        except (ValueError, TypeError, IndexError, ZeroDivisionError,
-                RecursionError) as exc:
-            raise InvalidArgument(f"malformed function file: {exc}") from exc
-    if len(values) != group.order:
-        raise InvalidArgument(
-            f"function file must list {group.order} values")
-    f = GroupFunction(group, tuple(values))
+    f = import_function(args.function, group)
     rep = import_irreps(args.irreps, group) if args.irreps else \
         default_table(group, args.chartable)
     result = is_positive_type(f, rep)
@@ -240,10 +217,7 @@ def cmd_bochner(args):
 
 def cmd_blowup(args):
     graph = import_graph(args.graph)
-    if args.group:
-        group = parse_group(args.group)
-    else:
-        raise InvalidArgument("blowup needs --group for the action table")
+    group = parse_group(args.group)
     action = import_action_table(args.action, group)
     conn = blowup_connection(action, graph, base_point=args.base)
     print("connection set:", " ".join(str(e) for e in conn.elements))

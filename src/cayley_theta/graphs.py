@@ -28,13 +28,14 @@ import numpy as np
 
 from .errors import (InvalidArgument, NotAutomorphism, NotTransitive,
                      SchemaError, SizeLimit)
-from .groups import (FiniteGroup, GroupAction, action_from_table, load_rows,
-                     parse_ints, same_group)
+from .groups import (FiniteGroup, GroupAction, load_rows, parse_ints,
+                     same_group)
 
 # vertices of a Cayley graph or of a graph given by its edges
 CAYLEY_BOUND = 5000
 # products per group.products call in build_cayley, and adjacency entries
-# per block of rows in alpha; at order CAYLEY_BOUND a block takes 52
+# per block of rows in Graph's symmetry check and in alpha; at order
+# CAYLEY_BOUND a block takes 52
 PRODUCTS_PER_CALL = 1 << 18
 
 
@@ -131,14 +132,30 @@ class ConnectionSet:
 @dataclass(frozen=True, eq=False)
 class Graph:
     """A simple graph on the vertices 0..n-1: its symmetric n x n boolean
-    adjacency array, False on the diagonal, made read-only, not copied.
-    ``transitive``: the constructor proved the graph vertex-transitive
-    (only build_cayley does)."""
+    adjacency array, False on the diagonal, checked and made read-only,
+    not copied; symmetry is compared a block of rows at a time, so that
+    no n x n temporary is made.  ``transitive``: the constructor proved
+    the graph vertex-transitive (only build_cayley does)."""
     adjacency: np.ndarray
     transitive: bool = False
 
     def __post_init__(self):
-        self.adjacency.setflags(write=False)
+        a = self.adjacency
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise InvalidArgument(
+                f"adjacency array of shape {a.shape} is not square")
+        loops = np.flatnonzero(a.diagonal())
+        if loops.size:
+            raise InvalidArgument(f"self-loop at {loops[0]}")
+        n = len(a)
+        step = max(1, PRODUCTS_PER_CALL // max(n, 1))
+        for lo in range(0, n, step):
+            odd = a[lo:lo + step] != a[:, lo:lo + step].T
+            if odd.any():
+                u, v = divmod(int(np.argmax(odd)), n)
+                raise InvalidArgument(
+                    f"adjacency array is not symmetric at ({lo + u}, {v})")
+        a.setflags(write=False)
 
     @classmethod
     def from_edges(cls, n: int, edges):
@@ -409,4 +426,4 @@ def import_action_table(path, group: FiniteGroup) -> GroupAction:
         raise SchemaError("action table does not match the group order")
     if any(len(r) != npts for r in rows):
         raise SchemaError("ragged action table")
-    return action_from_table(group, rows)
+    return GroupAction(group, rows)

@@ -140,17 +140,17 @@ class ConjugacyClass:
 class GroupAction:
     """An action of ``group`` on points {0..point_count-1}; ``table`` has
     one row per group element giving the image of every point, kept as a
-    read-only int32 array.  Checked on construction, a block of rows at
-    a time: the first (g, h, p) with g.(h.p) != (gh).p, h a generator,
-    in the order (h, g, p)."""
+    read-only int32 array, and the point count is its width.  Checked on
+    construction, a block of rows at a time: the first (g, h, p) with
+    g.(h.p) != (gh).p, h a generator, in the order (h, g, p)."""
     group: "FiniteGroup"
-    point_count: int
     table: np.ndarray   # table[g, p] = g . p
 
     def __post_init__(self):
-        group, count = self.group, self.point_count
+        group = self.group
         if len(self.table) != group.order:
             raise InvalidArgument("action table must have one row per element")
+        count = len(self.table[0])
         if any(len(row) != count for row in self.table):
             raise InvalidArgument("ragged action table")
         act = np.asarray(self.table)     # dtype object if an entry is huge
@@ -174,6 +174,10 @@ class GroupAction:
                         f"not an action: ({rows.start + g},{h},{p})")
         act.setflags(write=False)
         object.__setattr__(self, "table", act)
+
+    @property
+    def point_count(self) -> int:
+        return self.table.shape[1]
 
 
 class FiniteGroup:
@@ -716,10 +720,6 @@ def make_from_table(table) -> TableGroup:
     return TableGroup(table)
 
 
-def conjugacy_classes(group: FiniteGroup):
-    return group.conjugacy_classes()
-
-
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     """Whether two group objects describe the identical indexed group
     (same element numbering, not merely isomorphic)."""
@@ -785,9 +785,3 @@ def import_cayley_table(path) -> TableGroup:
             f"expected {n * n} table entries, got {len(vals)}")
     return make_from_table(np.reshape(vals, (n, n)))
 
-
-def action_from_table(group: FiniteGroup, table) -> GroupAction:
-    """The action of ``group`` with the given table, on as many points as
-    its first row has; checked in full by ``GroupAction``."""
-    return GroupAction(group=group, point_count=len(next(iter(table), ())),
-                       table=table)

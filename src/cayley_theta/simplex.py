@@ -112,7 +112,6 @@ class LpSolution:
     x: Optional[tuple] = None
     objective_value: Optional[object] = None
     dual: Optional[tuple] = None
-    basis: Optional[tuple] = None
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ def _certify(instance: LpInstance, basis, keep_rows):
     dual = tuple(dual.get(i, Fraction(0)) for i in range(instance.m))
     value = sum(cj * v for cj, v in zip(c, x))
     return LpSolution(status="optimal", x=x, objective_value=value,
-                      dual=dual, basis=tuple(basis))
+                      dual=dual)
 
 
 def _proved(instance: LpInstance) -> Optional[LpSolution]:
@@ -346,7 +345,7 @@ def solve(instance: LpInstance) -> LpSolution:
     value = sum(cv * v for cv, v in zip(c.tolist(), x))
     dual = _dual_from_basis(A, c, basis, keep_rows)
     return LpSolution(status="optimal", x=tuple(x), objective_value=value,
-                      dual=dual, basis=tuple(basis))
+                      dual=dual)
 
 
 def _dual_from_basis(A, c, basis, keep_rows):

@@ -66,10 +66,6 @@ class CayleyGraphSpec:
         if not same_group(self.connection.group, self.group):
             raise InvalidArgument("connection set uses a different group")
 
-    @property
-    def conjugation_closed(self) -> bool:
-        return self.connection.conjugation_closed
-
 
 @dataclass(frozen=True)
 class ThetaLp:
@@ -95,7 +91,7 @@ class ThetaCertificate:
 # formulation (D)
 
 def build_lp_D(spec: CayleyGraphSpec, table: CharacterTable) -> ThetaLp:
-    if not spec.conjugation_closed:
+    if not spec.connection.conjugation_closed:
         raise WrongFormulation(
             "connection set is not conjugation-closed; export formulation "
             "(A) or (C) for an external SDP solver instead")
@@ -380,16 +376,6 @@ class SdpInstance:
                 raise InvalidArgument(
                     f"entry ({b[e]}, {i[e]}, {j[e]}) of matrix {k[e]} is "
                     "not an upper-triangle entry of a block")
-
-    @classmethod
-    def from_matrices(cls, block_sizes, matrices, rhs):
-        """The instance whose matrix k (F0 first) has the (block, i, j,
-        value) entries ``matrices[k]``."""
-        entries = [e for m in matrices for e in m]
-        index = np.array([e[:3] for e in entries],
-                         dtype=np.int64).reshape(-1, 3)
-        k = np.repeat(np.arange(len(matrices)), [len(m) for m in matrices])
-        return cls(block_sizes, k, *index.T, [e[3] for e in entries], rhs)
 
     def _matrix(self, k: int) -> Sequence:
         """The entries of Fk as (block, i, j, value) tuples."""

@@ -19,8 +19,10 @@ defining triple loop over the field tables and read rank(A - I) off the
 number of vectors that A fixes, with no elimination, the SDPA
 reference writer formats one entry line at a time, and the reference
 character LP keys its rows one row and one entry at a time.  The seeded
-inverse-closed sets and the permutation groups closed from generators
-(``action_from_generators``) are test inputs, kept here so that every
+inverse-closed sets, the permutation groups closed from generators
+(``action_from_generators``), SDP instances from entry lists
+(``sdp_from_matrices``) and the pointwise stabilizers in GL(n, q)
+(``gl_pointwise_stabilizer``) are test inputs, kept here so that every
 test module makes the same ones.
 """
 
@@ -427,7 +429,17 @@ def reference_build_sdp_C(spec, irreps):
                 seen.add(key)
                 matrices.append(entries)
                 rhs.append(0.0)
-    return SdpInstance.from_matrices(sizes, matrices, rhs)
+    return sdp_from_matrices(sizes, matrices, rhs)
+
+
+def sdp_from_matrices(block_sizes, matrices, rhs) -> SdpInstance:
+    """The instance whose matrix k (F0 first) has the (block, i, j,
+    value) entries ``matrices[k]``."""
+    entries = [e for m in matrices for e in m]
+    index = np.array([e[:3] for e in entries], dtype=np.int64).reshape(-1, 3)
+    k = np.repeat(np.arange(len(matrices)), [len(m) for m in matrices])
+    return SdpInstance(block_sizes, k, *index.T, [e[3] for e in entries],
+                       rhs)
 
 
 def reference_build_lp_D(spec, table):
@@ -560,6 +572,14 @@ def shift_rank(field, A) -> int:
         nullity += 1
     assert q ** nullity == fixed
     return n - nullity
+
+
+def gl_pointwise_stabilizer(group, k: int) -> list:
+    """Indices of the matrices of GL(n, q) fixing the first k standard
+    basis vectors; an explicit independent set in Cay(GL, X_{q,n,k})."""
+    columns = group.element_array[:, :, :k]
+    fixed = columns == np.eye(group.n, dtype=np.int64)[:, :k]
+    return np.flatnonzero(fixed.all(axis=(1, 2))).tolist()
 
 
 CONVOLUTION_BOUND = 5000
@@ -714,5 +734,4 @@ def action_from_generators(perms) -> GroupAction:
         for b, pb in enumerate(elements):
             table[a][b] = index[tuple(pa[pb[i]] for i in range(npts))]
     group = TableGroup(table)
-    return GroupAction(group=group, point_count=npts,
-                       table=tuple(elements))
+    return GroupAction(group, tuple(elements))

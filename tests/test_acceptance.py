@@ -19,7 +19,7 @@ from cayley_theta.characters import (ClassFunction, GroupFunction,
                                      symmetric_character_table)
 from cayley_theta.graphs import (ConnectionSet, Graph, alpha,
                                  blowup_connection, build_cayley)
-from cayley_theta.groups import (action_from_table, make_abelian_product,
+from cayley_theta.groups import (GroupAction, make_abelian_product,
                                  make_general_linear, make_symmetric,
                                  partitions)
 from cayley_theta.simplex import LpInstance, solve, verify_certificate
@@ -185,8 +185,8 @@ def test_criterion_08_blowup_identity():
     ok = True
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     z5 = make_abelian_product([5])
-    reg = action_from_table(z5, [[z5.multiply(g, p) for p in range(5)]
-                                 for g in range(5)])
+    reg = GroupAction(z5, [[z5.multiply(g, p) for p in range(5)]
+                           for g in range(5)])
     for action in (reg, action_from_generators([[1, 2, 3, 4, 0],
                                                 [0, 4, 3, 2, 1]])):
         X = blowup_connection(action, c5)

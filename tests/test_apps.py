@@ -8,13 +8,14 @@ from cayley_theta import theta
 from cayley_theta.apps import (EfpCell, count_fixing_at_least,
                                efp_cell, efp_conjectured_max, efp_connection,
                                efp_table, efp_table_csv, efp_table_grid,
-                               gl_connection, gl_lower_bound,
-                               gl_pointwise_stabilizer)
+                               gl_connection, gl_lower_bound)
 from cayley_theta.characters import symmetric_character_table
 from cayley_theta.errors import InvalidArgument
 from cayley_theta.graphs import alpha, build_cayley
 from cayley_theta.groups import (SymmetricGroup, make_general_linear,
                                  make_symmetric)
+
+from oracles import gl_pointwise_stabilizer
 
 
 def test_s10_table_and_lp_build_no_element_array(monkeypatch):
@@ -47,16 +48,17 @@ def test_efp_connection_sizes():
     # |X_{n,k}| = n! - #{>= k fixed points}
     for n in range(1, 7):
         for k in range(1, n + 1):
-            X = efp_connection(n, k)
+            X = efp_connection(n, k, make_symmetric(n))
             assert X.size == math.factorial(n) - \
                 count_fixing_at_least(n, n, k)
             assert X.conjugation_closed
-    assert efp_connection(3, 1).size == 2     # the two 3-cycles
-    assert efp_connection(4, 1).size == 9     # derangements of 4
+    s3, s4 = make_symmetric(3), make_symmetric(4)
+    assert efp_connection(3, 1, s3).size == 2     # the two 3-cycles
+    assert efp_connection(4, 1, s4).size == 9     # derangements of 4
     with pytest.raises(InvalidArgument):
-        efp_connection(3, 0)
+        efp_connection(3, 0, s3)
     with pytest.raises(InvalidArgument):
-        efp_connection(3, 4)
+        efp_connection(3, 4, s3)
 
 
 def test_efp_membership_matches_fixed_point_count():
@@ -80,16 +82,14 @@ def test_efp_conjectured_max_values():
             want = max(brute_count_fixing_at_least(n, k + 2 * i, k + i)
                        for i in range((n - k) // 2 + 1))
             assert efp_conjectured_max(n, k) == want
-    best, argmax = efp_conjectured_max(4, 2, with_argmax=True)
-    assert best == count_fixing_at_least(4, 2, 2)
-    assert 0 in argmax
+    assert efp_conjectured_max(4, 2) == count_fixing_at_least(4, 2, 2)
 
 
 def test_efp_cell_small():
-    cell = efp_cell(3, 1)
+    cell = efp_cell(symmetric_character_table(3), 1)
     assert cell.exact and cell.checkmark
     assert cell.theta == 2 == cell.conjectured_max
-    cell42 = efp_cell(4, 2)
+    cell42 = efp_cell(symmetric_character_table(4), 2)
     assert cell42.checkmark
     assert Fraction(cell42.theta) == cell42.conjectured_max
 
@@ -104,7 +104,7 @@ def test_efp_cell_builds_its_lp_once(monkeypatch):
 
     build = theta.build_lp_D
     monkeypatch.setattr(theta, "build_lp_D", counting_build)
-    cell = efp_cell(5, 2)
+    cell = efp_cell(symmetric_character_table(5), 2)
     assert shapes == [(cell.lp_rows, cell.lp_cols)]
 
 
@@ -135,11 +135,14 @@ def test_efp_table_runs_to_the_symmetric_group_bound():
 
 
 def test_gl_connection_sizes():
-    assert gl_connection(2, 2, 1).size == 2
-    assert gl_connection(3, 2, 1).size == 27
-    # k = n: everything except the identity has rank(A - I) > 0
-    assert gl_connection(2, 2, 2).size == 5
     gl = make_general_linear(2, 2)
+    assert gl_connection(2, 2, 1, gl).size == 2
+    # q and n must name the group: q = 3 was once ignored for GL(2, 2)
+    with pytest.raises(InvalidArgument, match="not GL"):
+        gl_connection(3, 2, 1, gl)
+    assert gl_connection(3, 2, 1, make_general_linear(3, 2)).size == 27
+    # k = n: everything except the identity has rank(A - I) > 0
+    assert gl_connection(2, 2, 2, gl).size == 5
     X = gl_connection(2, 2, 1, gl)
     assert X.conjugation_closed
 

@@ -4,7 +4,7 @@
 entry of its TARGETS, so renaming a traced function (say
 ``linalg.solve_square``) breaks ``perfbench/run.py --trace 1`` with a
 KeyError.  ``perfbench/checks.py`` decides whether a benchmark answer is
-right; its verdicts on the theta workloads are checked here.
+right; its verdicts on every workload are checked here.
 ``perfbench/worker.py`` clears the package's memos before every pass,
 so that each pass pays for the work it times.  The modules are run from
 their source text, so nothing is written beside them."""
@@ -57,6 +57,21 @@ def test_benchmark_checks_accept_every_theta_answer(workload, tmp_path):
         verdicts.append((op.label, *checks.check_op(op, output, 0)))
     assert [v for v in verdicts if v[1] != "ok"] == []
     assert sum(label.startswith("theta") for label, *_ in verdicts) >= 3
+
+
+def test_benchmark_checks_accept_every_cayley_graph_answer(tmp_path):
+    """The cayley_graph operations (alpha on S_6, GL(2,5) and Z_1500, and
+    the formulation-(A) export of S_6), run as the benchmark runs them,
+    are judged "ok" by its checks, which read the Graph, the SDP
+    instance and the exported bytes."""
+    workloads, checks = load("workloads"), load("checks")
+    verdicts = []
+    for op in workloads.make_ops("cayley_graph", 0):
+        output = workloads.run_op(op, {}, str(tmp_path))
+        verdicts.append((op.label, *checks.check_op(op, output, 0)))
+    assert [v for v in verdicts if v[1] != "ok"] == []
+    assert [op.kind for op in workloads.make_ops("cayley_graph", 0)] == \
+        ["alpha", "alpha", "sdpa", "alpha"]
 
 
 def test_benchmark_checks_fail_a_certificate_of_nans(tmp_path):

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from cayley_theta import simplex
 from cayley_theta.cli import cli_dispatch
 from cayley_theta.graphs import (CAYLEY_BOUND, Graph, export_action,
                                  export_graph)
-from cayley_theta.groups import (action_from_table, export_cayley_table,
+from cayley_theta.groups import (GroupAction, export_cayley_table,
                                  make_abelian_product, make_symmetric)
 
 
@@ -248,8 +249,8 @@ def test_blowup_command(capsys, tmp_path):
     gp = tmp_path / "c5.txt"
     export_graph(g, gp)
     z5 = make_abelian_product([5])
-    act = action_from_table(z5, [[z5.multiply(a, p) for p in range(5)]
-                                 for a in range(5)])
+    act = GroupAction(z5, [[z5.multiply(a, p) for p in range(5)]
+                           for a in range(5)])
     ap = tmp_path / "act.txt"
     export_action(act, ap)
     code, out, _ = run(capsys, "blowup", "--graph", str(gp),
@@ -357,7 +358,7 @@ def _malformed_z3_irreps():
     """Irreps files of Z_3, each with one fault: pi_1(2) with an entry
     that is a string pair, a 1-list or a scalar, or a NaN; one irrep
     more, or one fewer, than the degrees; degrees a float and a
-    boolean."""
+    boolean; a boolean in an entry of pi_0(1)."""
     files = {}
     for name, entry in (("string", ["a", 0]), ("pair", [1]), ("scalar", 1),
                         ("nan", [math.nan, 0])):
@@ -369,6 +370,9 @@ def _malformed_z3_irreps():
     del files["missing"]["matrices"][2]
     # once read as degrees (1, 1, 1)
     files["float_degrees"] = {**_z3_irreps(), "degrees": [1.5, 1, True]}
+    # pi_0(1) = [[1]] with the 1 a boolean: once accepted as 1
+    files["bool"] = _z3_irreps()
+    files["bool"]["matrices"][0][1] = [[[True, 0]]]
     return files
 
 
@@ -451,6 +455,9 @@ def _malformed_s3_tables():
       for argv in (_Z3_BOCHNER, _Z3_EXPORT)],
     ("bochner", "--group", "cyclic:3", "--function", "{tmp}/deep.json"),
     ("bochner", "--group", "cyclic:3", "--function", "{tmp}/zero_den.json"),
+    ("bochner", "--group", "cyclic:2", "--function", "{tmp}/bool.json"),
+    *[argv + ("--irreps", "{tmp}/irreps_bool.json")
+      for argv in (_Z3_BOCHNER, _Z3_EXPORT)],
 ])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     # a transposition's value differs from the other two in its class
@@ -486,6 +493,8 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     for name, data in _malformed_s3_tables().items():
         (tmp_path / f"table_{name}.json").write_text(json.dumps(data))
     (tmp_path / "zero_den.json").write_text('["1/0", "0", "0"]')
+    # once read as 1: "positive-type: yes"
+    (tmp_path / "bool.json").write_text("[true, 0]")
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -498,6 +507,12 @@ _TOKEN = st.one_of(st.integers(-2, 14).map(str),
                    st.sampled_from(["x", "1.5", "-", "0x3", "1e3", "edges"]))
 
 
+def mostly(good, bad):
+    """``good`` three times in four, else ``bad``."""
+    return st.sampled_from(range(4)).flatmap(
+        lambda i: bad if i == 3 else good)
+
+
 @st.composite
 def _graph_files(draw):
     """Graph file text: headers well formed or not, with counts small,
@@ -505,10 +520,6 @@ def _graph_files(draw):
     ragged or extra fields and non-integers; edge counts that match the
     edge lines or not.  Most parts are drawn well formed, so that some
     files are accepted."""
-    def mostly(good, bad):
-        return st.sampled_from(range(4)).flatmap(
-            lambda i: bad if i == 3 else good)
-
     n = draw(mostly(st.integers(0, 12), _COUNT))
     top = min(max(n, 1), 13)
     vertex = mostly(st.integers(0, top - 1), st.sampled_from([-1, 13]))
@@ -538,6 +549,87 @@ def test_graph_files_fuzzed_through_the_cli(tmp_path_factory, text):
     assert cli_dispatch(["blowup", "--graph", str(graph), "--action",
                          str(action), "--group", "cyclic:3",
                          "--alpha"]) in (0, 1, 2, 3)
+
+
+def _faulty_rows(draw, rows) -> list:
+    """The lines of a table of integers with up to three faults: an entry
+    replaced by a drawn token (which may be out of range), two adjacent
+    entries of a row swapped, a row dropped, repeated or cut short, or
+    two lines joined."""
+    rows = [[str(v) for v in row] for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.integers(0, len(rows) - 1))
+        row = rows[r]
+        fault = draw(st.sampled_from(
+            ["entry", "swap", "drop", "repeat", "cut", "join"]))
+        if fault == "entry" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_TOKEN)
+        elif fault == "swap" and len(row) > 1:
+            i = draw(st.integers(0, len(row) - 2))
+            row[i], row[i + 1] = row[i + 1], row[i]
+        elif fault == "drop" and len(rows) > 1:
+            del rows[r]
+        elif fault == "repeat":
+            rows.insert(r, list(row))
+        elif fault == "cut":
+            del row[draw(st.integers(0, len(row))):]
+        elif fault == "join" and r + 1 < len(rows):
+            row += rows.pop(r + 1)
+    return [" ".join(row) for row in rows]
+
+
+@st.composite
+def _action_files(draw):
+    """Action table files of S_3 on 3 points: the natural action with
+    ``_faulty_rows``'s faults, under a header "ORDER POINTS" drawn well
+    formed or with counts small, negative or huge, or fields missing or
+    extra."""
+    s3 = make_symmetric(3)
+    lines = _faulty_rows(draw, [s3.perm(g) for g in range(s3.order)])
+    order, points = draw(mostly(st.just(6), _COUNT)), \
+        draw(mostly(st.just(3), _COUNT))
+    header = draw(mostly(st.just(f"{order} {points}"), st.sampled_from(
+        [f"{order}", f"{order} {points} 0", f"x {points}", ""])))
+    return "\n".join([header] + lines) + "\n"
+
+
+@given(text=_action_files())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_action_files_fuzzed_through_the_cli(tmp_path_factory, text):
+    """``blowup --action`` of S_3 on the triangle exits 0-3 on every
+    action file, with no exception out of cli_dispatch."""
+    base = tmp_path_factory.getbasetemp()
+    graph, action = base / "fuzz_triangle.txt", base / "fuzz_action.txt"
+    graph.write_text("vertices 3 edges 3\n0 1\n1 2\n0 2\n")
+    action.write_text(text)
+    assert cli_dispatch(["blowup", "--graph", str(graph), "--action",
+                         str(action), "--group", "sym:3",
+                         "--alpha"]) in (0, 1, 2, 3)
+
+
+@st.composite
+def _cayley_table_files(draw):
+    """Cayley table files: the table of S_3 with ``_faulty_rows``'s
+    faults, under an order line drawn well formed or with a count small,
+    negative or huge, or an extra field."""
+    s3 = make_symmetric(3)
+    elements = np.arange(s3.order)
+    lines = _faulty_rows(draw, s3.products(elements[:, None], elements))
+    order = draw(mostly(st.just(6), _COUNT))
+    header = draw(mostly(st.just(f"{order}"), st.sampled_from(
+        [f"{order} {order}", "x", ""])))
+    return "\n".join([header] + lines) + "\n"
+
+
+@given(text=_cayley_table_files())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cayley_table_files_fuzzed_through_the_cli(tmp_path_factory, text):
+    """``alpha --group table:FILE`` exits 0-3 on every Cayley table file,
+    with no exception out of cli_dispatch."""
+    path = tmp_path_factory.getbasetemp() / "fuzz_cayley.txt"
+    path.write_text(text)
+    assert cli_dispatch(["alpha", "--group", f"table:{path}",
+                         "--connection", "empty"]) in (0, 1, 2, 3)
 
 
 def test_irreps_file_short_of_an_irrep_exits_2(capsys, tmp_path):
@@ -714,16 +806,37 @@ def test_exact_table_entries_are_rational_strings(capsys, tmp_path):
 def test_bochner_witness_on_a_real_float_table(capsys, tmp_path):
     """A float S_3 table is real, so the Fourier scalars of a rational
     function on it are floats, and the witness prints as one: f(e) = 1
-    and f = 1/2 on transpositions give 1 - 3/2 on the sign irrep."""
+    and f = 1/2 on transpositions give 1 - 3/2 on the sign irrep.  The
+    same values as JSON numbers print the same; a JSON float was once
+    read as a complex, and printed (-0.5+0j)."""
     group = make_symmetric(3)
-    values = [{0: "1", 1: "1/2"}.get(group.class_index_of(g), "0")
-              for g in range(group.order)]
     table, function = tmp_path / "table.json", tmp_path / "f.json"
     table.write_text(json.dumps(_s3_table(exact=False)))
-    function.write_text(json.dumps(values))
-    assert run(capsys, "bochner", "--group", "sym:3", "--function",
-               str(function), "--chartable", str(table)) == \
-        (0, "positive-type: no (irrep 0, witness -0.5)\n", "")
+    for one, half in (("1", "1/2"), (1, 0.5)):
+        values = [{0: one, 1: half}.get(group.class_index_of(g), 0)
+                  for g in range(group.order)]
+        function.write_text(json.dumps(values))
+        assert run(capsys, "bochner", "--group", "sym:3", "--function",
+                   str(function), "--chartable", str(table)) == \
+            (0, "positive-type: no (irrep 0, witness -0.5)\n", "")
+
+
+def test_function_value_exponents_are_bounded(capsys, tmp_path):
+    """Fraction("1e10000000") builds 10^(10^7) and once stalled
+    ``bochner`` for 9.8 s; an exponent beyond EXPONENT_BOUND (4300) is
+    refused before Fraction sees it, and one at the bound is taken
+    exactly."""
+    fn = tmp_path / "f.json"
+    for value, code in (("1e10000000", 2), ("1e-4301", 2), ("1e4300", 0),
+                        ("-2.5E-4300", 0)):
+        fn.write_text(json.dumps([value] + ["0"] * 5))
+        started = time.monotonic()
+        got, out, err = run(capsys, "bochner", "--group", "sym:3",
+                            "--function", str(fn))
+        assert time.monotonic() - started < 1
+        assert got == code, (value, out, err)
+        if code == 2:
+            assert err.startswith("error: malformed function file: value 0")
 
 
 def test_huge_abelian_group_exits_2_before_its_classes():

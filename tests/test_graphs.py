@@ -14,7 +14,7 @@ from cayley_theta.graphs import (ConnectionSet, Graph, alpha,
                                  blowup_connection, build_cayley,
                                  export_action, export_graph, import_action_table,
                                  import_graph)
-from cayley_theta.groups import (action_from_table, make_abelian_product,
+from cayley_theta.groups import (GroupAction, make_abelian_product,
                                  make_general_linear, make_symmetric)
 
 from oracles import (action_from_generators, bitmasks, brute_force_alpha,
@@ -48,6 +48,30 @@ def test_graph_adjacency_is_read_only():
         with pytest.raises(ValueError, match="read-only"):
             g.adjacency[0, 2] = True
         assert (g.adjacency == before).all()
+
+
+def test_graph_refuses_an_array_it_does_not_describe(monkeypatch):
+    """With only a[0, 1] set among 3 x 3, alpha once answered 3 with the
+    witness (0, 1, 2) while ``edges`` listed (0, 1).  That array, a
+    non-square one and one with a loop are refused; symmetry is checked
+    a block of rows at a time, with the same witness at one row per
+    block."""
+    one_way = np.zeros((3, 3), bool)
+    one_way[0, 1] = True
+    late = np.zeros((5, 5), bool)
+    late[4, 2] = True
+    loop = np.zeros((4, 4), bool)
+    loop[1, 1] = True
+    cases = [(one_way, r"not symmetric at \(0, 1\)$"),
+             (late, r"not symmetric at \(2, 4\)$"),
+             (np.zeros((2, 3), bool), r"shape \(2, 3\) is not square$"),
+             (np.zeros(3, bool), r"shape \(3,\) is not square$"),
+             (loop, "self-loop at 1$")]
+    for step in (graphs.PRODUCTS_PER_CALL, 5):
+        monkeypatch.setattr(graphs, "PRODUCTS_PER_CALL", step)
+        for a, message in cases:
+            with pytest.raises(InvalidArgument, match=message):
+                Graph(a)
 
 
 @pytest.mark.parametrize("n, error", [
@@ -453,8 +477,8 @@ def test_blowup_cycle_and_dihedral():
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     # regular action of Z5
     z5 = make_abelian_product([5])
-    act = action_from_table(z5, [[z5.multiply(g, p) for p in range(5)]
-                                 for g in range(5)])
+    act = GroupAction(z5, [[z5.multiply(g, p) for p in range(5)]
+                           for g in range(5)])
     X = blowup_connection(act, c5)
     assert sorted(X.elements) == [1, 4]
     cay = build_cayley(z5, X)
@@ -475,12 +499,12 @@ def test_blowup_rejects_bad_actions():
     bad = [[0, 1, 2, 3, 4], [1, 0, 2, 3, 4], [0, 1, 2, 4, 3],
            [1, 0, 2, 4, 3], [0, 1, 2, 3, 4]]
     with pytest.raises((NotAutomorphism, InvalidArgument)):
-        blowup_connection(action_from_table(z5, bad), c5)
+        blowup_connection(GroupAction(z5, bad), c5)
     # trivial action: fixes everything, hence not transitive
     z2 = make_abelian_product([2])
     triv = [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]]
     with pytest.raises(NotTransitive):
-        blowup_connection(action_from_table(z2, triv), c5)
+        blowup_connection(GroupAction(z2, triv), c5)
 
 
 def test_blowup_checks_automorphisms_at_every_order():
@@ -492,11 +516,11 @@ def test_blowup_checks_automorphisms_at_every_order():
     cycle = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
     z = make_abelian_product([n])
     rotations = (np.arange(n)[:, None] + np.arange(n)) % n
-    X = blowup_connection(action_from_table(z, rotations), cycle)
+    X = blowup_connection(GroupAction(z, rotations), cycle)
     assert X.elements == (1, n - 1)
     swap = np.arange(n)
     swap[[0, 5]] = [5, 0]
-    conjugated = action_from_table(z, swap[rotations[:, swap]])
+    conjugated = GroupAction(z, swap[rotations[:, swap]])
     with pytest.raises(NotAutomorphism) as caught:
         blowup_connection(conjugated, cycle)
     assert (caught.value.element, caught.value.edge) == (1, (0, 1))
@@ -553,8 +577,8 @@ def test_action_file_faults(tmp_path, text, outcome):
 
 def test_action_file_roundtrip(tmp_path):
     z5 = make_abelian_product([5])
-    act = action_from_table(z5, [[z5.multiply(g, p) for p in range(5)]
-                                 for g in range(5)])
+    act = GroupAction(z5, [[z5.multiply(g, p) for p in range(5)]
+                           for g in range(5)])
     path = tmp_path / "act.txt"
     export_action(act, path)
     act2 = import_action_table(path, z5)

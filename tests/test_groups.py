@@ -13,20 +13,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayley_theta import groups
-from cayley_theta.apps import gl_connection, gl_pointwise_stabilizer
+from cayley_theta.apps import gl_connection
 from cayley_theta.characters import abelian_character_table
 from cayley_theta.errors import InvalidArgument, NotAGroup, SchemaError
-from cayley_theta.groups import (GroupAction, action_from_table,
-                                 conjugacy_classes,
-                                 cycle_type, export_cayley_table,
-                                 import_cayley_table, make_abelian_product,
-                                 make_from_table, make_general_linear,
-                                 make_symmetric, partitions, perm_rank,
-                                 perm_unrank, same_group)
+from cayley_theta.groups import (GroupAction, cycle_type,
+                                 export_cayley_table, import_cayley_table,
+                                 make_abelian_product, make_from_table,
+                                 make_general_linear, make_symmetric,
+                                 partitions, perm_rank, perm_unrank,
+                                 same_group)
 
 from oracles import (action_axiom_failures, action_from_generators,
-                     check_axioms, matrix_product, reference_classes,
-                     shift_rank)
+                     check_axioms, gl_pointwise_stabilizer, matrix_product,
+                     reference_classes, shift_rank)
 
 
 def test_perm_rank_roundtrip():
@@ -41,8 +40,8 @@ def test_perm_rank_roundtrip():
 def test_abelian_examples():
     z5 = make_abelian_product([5])
     assert z5.order == 5
-    assert len(conjugacy_classes(z5)) == 5
-    assert all(c.size == 1 for c in conjugacy_classes(z5))
+    assert len(z5.conjugacy_classes()) == 5
+    assert all(c.size == 1 for c in z5.conjugacy_classes())
 
     klein = make_abelian_product([2, 2])
     assert klein.order == 4
@@ -62,7 +61,7 @@ def test_abelian_labels_from_the_digits_match_element_label(moduli):
     group = make_abelian_product(moduli)
     want = [group.element_label(g) for g in range(group.order)]
     assert group.element_labels() == want
-    assert [c.label for c in conjugacy_classes(group)] == want
+    assert [c.label for c in group.conjugacy_classes()] == want
     table = abelian_character_table(group)
     assert table.irrep_labels == tuple("chi" + label for label in want)
 
@@ -85,13 +84,13 @@ def test_z2xz3_isomorphic_to_z6():
 def test_symmetric_examples():
     s3 = make_symmetric(3)
     assert s3.order == 6
-    labels = [c.label for c in conjugacy_classes(s3)]
+    labels = [c.label for c in s3.conjugacy_classes()]
     assert labels == ["(1,1,1)", "(2,1)", "(3)"]
-    assert [c.size for c in conjugacy_classes(s3)] == [1, 3, 2]
+    assert [c.size for c in s3.conjugacy_classes()] == [1, 3, 2]
 
     s4 = make_symmetric(4)
     assert s4.order == 24
-    assert [c.size for c in conjugacy_classes(s4)] == [1, 6, 3, 8, 6]
+    assert [c.size for c in s4.conjugacy_classes()] == [1, 6, 3, 8, 6]
 
     s1 = make_symmetric(1)
     assert s1.order == 1
@@ -166,7 +165,7 @@ def _gl_digest(q, n):
     h.update(repr([group.invert(a) for a in range(group.order)]).encode())
     pairs = rng.integers(0, group.order, size=(500, 2)).tolist()
     h.update(repr([group.multiply(a, b) for a, b in pairs]).encode())
-    h.update(repr(conjugacy_classes(group)).encode())
+    h.update(repr(group.conjugacy_classes()).encode())
     for k in range(1, n + 1):
         conn = gl_connection(q, n, k, group)
         h.update(repr((conn.elements, conn.as_classes)).encode())
@@ -184,7 +183,7 @@ def test_gl_outputs_pinned():
 
 
 def test_gl22_classes_match_s3():
-    sizes = sorted(c.size for c in conjugacy_classes(make_general_linear(2, 2)))
+    sizes = sorted(c.size for c in make_general_linear(2, 2).conjugacy_classes())
     assert sizes == [1, 2, 3]
 
 
@@ -325,7 +324,7 @@ def test_generic_classes_match_reference():
     closure = action_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
     for group in (make_general_linear(3, 2), make_general_linear(4, 2),
                   make_general_linear(5, 2), closure.group):
-        classes = conjugacy_classes(group)
+        classes = group.conjugacy_classes()
         assert classes == reference_classes(group)
         assert all(type(v) is int for c in classes
                    for v in (c.representative, c.size, c.inverse_class,
@@ -346,15 +345,15 @@ def test_action_table_reports_first_failing_triple():
     regular = [[z5.multiply(g, p) for p in range(5)] for g in range(5)]
     regular[3][1], regular[3][2] = regular[3][2], regular[3][1]
     with pytest.raises(InvalidArgument, match=r"not an action: \(2,1,1\)$"):
-        action_from_table(z5, regular)
+        GroupAction(z5, regular)
     assert _fails(z5, regular, 2, 1, 1)
     assert (2, 1, 1) in action_axiom_failures(z5, regular)
     s5 = make_symmetric(5)
     natural = [list(s5.perm(g)) for g in range(s5.order)]
-    assert action_from_table(s5, natural).point_count == 5
+    assert GroupAction(s5, natural).point_count == 5
     natural[77][3], natural[77][4] = natural[77][4], natural[77][3]
     with pytest.raises(InvalidArgument, match=r"not an action: \(76,1,3\)$"):
-        action_from_table(s5, natural)
+        GroupAction(s5, natural)
     assert _fails(s5, natural, 76, 1, 3)
 
 
@@ -364,14 +363,14 @@ def test_action_table_rejects_entries_outside_the_points(bad):
     regular = [[z5.multiply(g, p) for p in range(5)] for g in range(5)]
     regular[2][3] = bad
     with pytest.raises(InvalidArgument, match=r"points 0\.\.4$"):
-        action_from_table(z5, regular)
+        GroupAction(z5, regular)
     # the same on Z_211: the range is checked before the action axiom
     z211 = make_abelian_product([211])
     elements = np.arange(211)
     regular = z211.products(elements[:, None], elements).tolist()
     regular[100][5] = 211 if bad > 0 else bad
     with pytest.raises(InvalidArgument, match=r"points 0\.\.210$"):
-        action_from_table(z211, regular)
+        GroupAction(z211, regular)
 
 
 def test_action_axiom_is_checked_at_every_order():
@@ -381,26 +380,27 @@ def test_action_axiom_is_checked_at_every_order():
     z211 = make_abelian_product([211])
     elements = np.arange(211)
     regular = z211.products(elements[:, None], elements)
-    assert action_from_table(z211, regular).point_count == 211
+    assert GroupAction(z211, regular).point_count == 211
     regular[3, [1, 2]] = regular[3, [2, 1]]
     with pytest.raises(InvalidArgument, match=r"not an action: \(2,1,1\)$"):
-        action_from_table(z211, regular)
+        GroupAction(z211, regular)
     z2003 = make_abelian_product([2003])
     rows = (np.arange(2003)[:, None] + np.arange(2003)) % 2003
     rows[1] = -np.arange(2003) % 2003
     with pytest.raises(InvalidArgument, match=r"not an action: \(1,1,0\)$"):
-        action_from_table(z2003, rows)
+        GroupAction(z2003, rows)
 
 
 def test_action_built_directly_is_checked():
     z5 = make_abelian_product([5])
     rows = [[(g + p) % 5 for p in range(5)] for g in range(5)]
-    assert GroupAction(group=z5, point_count=5, table=rows).table[3, 4] == 2
+    assert GroupAction(z5, rows).table[3, 4] == 2
     rows[4] = rows[3]
     with pytest.raises(InvalidArgument, match=r"not an action"):
-        GroupAction(group=z5, point_count=5, table=rows)
+        GroupAction(z5, rows)
+    rows[4] = rows[4][:4]
     with pytest.raises(InvalidArgument, match=r"ragged"):
-        GroupAction(group=z5, point_count=4, table=rows)
+        GroupAction(z5, rows)
 
 
 def test_generators_are_greedy_and_generate():
@@ -597,7 +597,7 @@ def test_table_and_action_checks_do_not_depend_on_the_blocks(monkeypatch):
         r, count = rng.randrange(group.order), len(rows[0])
         if rng.random() < 0.6:
             rows[r] = [rng.randrange(count) for _ in range(count)]
-        cases.append((action_from_table, group, rows))
+        cases.append((GroupAction, group, rows))
     default = [_check_outcome(*case) for case in cases]
     monkeypatch.setattr(groups, "BLOCK_ENTRIES", 1)
     assert [_check_outcome(*case) for case in cases] == default
@@ -614,7 +614,7 @@ def test_table_and_action_checks_do_not_depend_on_the_blocks(monkeypatch):
 MEMORY_PROBE = """
 import resource
 import numpy as np
-from cayley_theta.groups import (action_from_table, make_abelian_product,
+from cayley_theta.groups import (GroupAction, make_abelian_product,
                                  make_from_table)
 n = {n}
 table = np.add.outer(np.arange(n), np.arange(n))
@@ -627,7 +627,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 
 @pytest.mark.parametrize("n, build, bound_mb", [
     (5000, "make_from_table(table)", 160),
-    (2003, "action_from_table(make_abelian_product([n]), table)", 40),
+    (2003, "GroupAction(make_abelian_product([n]), table)", 40),
 ], ids=["table-Z5000", "action-Z2003"])
 def test_table_checks_run_in_bounded_memory(n, build, bound_mb):
     """Z_5000 as an int64 Cayley table (200 MB), and Z_2003 acting on
@@ -708,7 +708,7 @@ def test_action_check_accepts_exactly_the_actions(case):
     failures = action_axiom_failures(group, rows)
     is_action = rows[0] == list(range(len(rows[0]))) and not failures
     try:
-        action = action_from_table(group, rows)
+        action = GroupAction(group, rows)
     except InvalidArgument as exc:
         assert not is_action
         found = re.fullmatch(r"not an action: \((\d+),(\d+),(\d+)\)",
@@ -771,28 +771,28 @@ def test_class_equation_and_partition_counts():
         assert len(partitions(n)) == count
     for group in (make_symmetric(4), make_symmetric(5),
                   make_general_linear(3, 2), make_abelian_product([2, 3])):
-        classes = conjugacy_classes(group)
+        classes = group.conjugacy_classes()
         assert sum(c.size for c in classes) == group.order
 
 
 def test_inverse_class_involution():
     for group in (make_symmetric(5), make_general_linear(3, 2),
                   make_abelian_product([5])):
-        classes = conjugacy_classes(group)
+        classes = group.conjugacy_classes()
         for i, c in enumerate(classes):
             assert classes[c.inverse_class].inverse_class == i
     # S_n classes are all self-paired
     for n in range(1, 9):
-        for c in conjugacy_classes(make_symmetric(n)):
+        for c in make_symmetric(n).conjugacy_classes():
             pass
     for n in (3, 4, 5, 6, 7, 8):
-        classes = conjugacy_classes(make_symmetric(n))
+        classes = make_symmetric(n).conjugacy_classes()
         assert all(c.inverse_class == i for i, c in enumerate(classes))
 
 
 def test_class_members_mutually_conjugate():
     group = make_general_linear(3, 2)
-    classes = conjugacy_classes(group)
+    classes = group.conjugacy_classes()
     for idx, c in enumerate(classes):
         for m in c.members:
             assert group.class_index_of(m) == idx
@@ -808,7 +808,7 @@ def test_sn_class_sizes_formula():
     import math
     for n in (4, 5, 6):
         group = make_symmetric(n)
-        classes = conjugacy_classes(group)
+        classes = group.conjugacy_classes()
         assert sum(c.size for c in classes) == math.factorial(n)
         # sizes agree with exhaustive cycle-type counting
         if n <= 5:

@@ -1,11 +1,14 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and every name it defines is read.
 
-pyflakes would say the same; this needs only the standard library."""
+pyflakes would say the first; this needs only the standard library."""
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cayley_theta"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cayley_theta"
 
 
 def unused_imports(source: str) -> list:
@@ -44,12 +47,28 @@ def test_no_unused_imports_in_package():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def unused_private_names(sources: dict) -> list:
-    """(module, name) for each module-level ``_name`` (not a dunder)
-    that defines a function, a class or a variable and that no other
-    top-level statement of any of ``sources`` reads: by name, as an
-    attribute, or by importing it.  A name read only inside its own
-    definition, as by recursion, is unused."""
+def names_read(node) -> set:
+    """The names an AST node reads: by name, as an attribute, or by
+    importing it."""
+    read = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, ast.alias):
+            read.add(n.name)
+    return read
+
+
+def unread_names(sources: dict, private: bool,
+                 read_elsewhere=frozenset()) -> list:
+    """(module, name) for each module-level name, private (``_name``, not
+    a dunder) or public as ``private`` says, that defines a function, a
+    class or a variable and that neither ``read_elsewhere`` holds nor
+    another top-level statement of any of ``sources`` reads (see
+    ``names_read``).  A name read only inside its own definition, as by
+    recursion, is unread."""
     defined, reads = [], []
     for module, source in sources.items():
         for node in ast.parse(source).body:
@@ -60,19 +79,24 @@ def unused_private_names(sources: dict) -> list:
                 names = {t.id for t in node.targets
                          if isinstance(t, ast.Name)}
             defined += [(module, name, node) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
-            read = set()
-            for n in ast.walk(node):
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                    read.add(n.id)
-                elif isinstance(n, ast.Attribute):
-                    read.add(n.attr)
-                elif isinstance(n, ast.alias):
-                    read.add(n.name)
-            reads.append((node, read))
+                        if name.startswith("_") == private
+                        and not name.startswith("__")]
+            reads.append((node, names_read(node)))
     return sorted((module, name) for module, name, home in defined
-                  if not any(name in names for node, names in reads
-                             if node is not home))
+                  if name not in read_elsewhere
+                  and not any(name in names for node, names in reads
+                              if node is not home))
+
+
+def readme_names(text: str, sections) -> set:
+    """The identifiers in code (fenced or in backticks) of the README
+    sections whose ``## `` titles are in ``sections``."""
+    names = set()
+    for part in re.split(r"^## ", text, flags=re.M):
+        if part.split("\n", 1)[0].strip() in sections:
+            code = re.findall(r"```.*?```|`[^`\n]+`", part, flags=re.S)
+            names.update(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+    return names
 
 
 def test_guard_finds_an_unused_private_name():
@@ -80,11 +104,39 @@ def test_guard_finds_an_unused_private_name():
                     "def _recursive(n): return _recursive(n - 1)\n",
                "b": "from a import _read\n_read()\n_ATTR = 2\n",
                "c": "import b\nprint(b._ATTR)\n"}
-    assert unused_private_names(sources) == [("a", "_LEFT"),
-                                             ("a", "_recursive")]
+    assert unread_names(sources, private=True) == [("a", "_LEFT"),
+                                                   ("a", "_recursive")]
 
 
 def test_no_unused_private_names_in_package():
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
-    assert unused_private_names(sources) == []
+    assert unread_names(sources, private=True) == []
+
+
+def test_guard_finds_an_unread_public_name():
+    sources = {"a": "def read(): pass\nLEFT = 1\nDOCUMENTED = 2\n"
+                    "def benchmarked(): pass\ndef _hidden(): pass\n",
+               "b": "from a import read\n"}
+    elsewhere = names_read(ast.parse("a.benchmarked()")) | \
+        readme_names("## Library\n\n`a.DOCUMENTED`\n\n## Other\n`LEFT`\n",
+                     {"Library"})
+    assert unread_names(sources, private=False) == [
+        ("a", "DOCUMENTED"), ("a", "LEFT"), ("a", "benchmarked")]
+    assert unread_names(sources, private=False,
+                        read_elsewhere=elsewhere) == [("a", "LEFT")]
+
+
+def test_no_unread_public_names_in_package():
+    """Every public module-level name of the package is read by another
+    top-level statement of the package, by the benchmark, or is named in
+    the README's File formats or Library section: no entry point serves
+    only the tests."""
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    elsewhere = readme_names((ROOT / "README.md").read_text(),
+                             {"File formats", "Library"})
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        elsewhere |= names_read(ast.parse(path.read_text()))
+    assert unread_names(sources, private=False,
+                        read_elsewhere=elsewhere) == []

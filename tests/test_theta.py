@@ -30,7 +30,7 @@ from cayley_theta.theta import (WRITE_BATCH, CayleyGraphSpec, SdpInstance,
 
 from oracles import (exact_psd, inverse_closed_set, reference_build_lp_D,
                      reference_build_sdp_C, reference_export_sdpa,
-                     reference_row_key)
+                     reference_row_key, sdp_from_matrices)
 
 
 def s3_spec():
@@ -54,9 +54,7 @@ def s3_irreps():
         sign_m.append(np.array([[complex(round(sgn))]]))
         std_m.append((u @ P @ u.T).astype(complex))
         triv_m.append(np.array([[1.0 + 0j]]))
-    return IrrepMatrices(group=s3, degrees=(1, 2, 1),
-                         matrices=(tuple(sign_m), tuple(std_m),
-                                   tuple(triv_m)))
+    return IrrepMatrices(s3, (tuple(sign_m), tuple(std_m), tuple(triv_m)))
 
 
 def z3_s3_irreps():
@@ -72,8 +70,7 @@ def z3_s3_irreps():
         chi = np.exp(2j * np.pi * j * a / 3)
         for rho in rhos.matrices:
             mats.append(tuple(chi[x] * rho[g[x]] for x in range(18)))
-    return IrrepMatrices(group=group, degrees=rhos.degrees * 3,
-                         matrices=tuple(mats))
+    return IrrepMatrices(group, tuple(mats))
 
 
 def _corrupted(irreps, irrep, elements, factor=np.exp(0.5j)):
@@ -775,7 +772,7 @@ def test_sdp_export_of_odd_values_matches_reference(tmp_path):
     """Several blocks; negative, subnormal and large values; 0.0 and -0.0
     as entries; a -0.0 right-hand side and a constraint with no
     entries."""
-    sdp = SdpInstance.from_matrices(
+    sdp = sdp_from_matrices(
         (3, 1, 2),
         [[(1, 1, 1, 1.0), (1, 1, 3, -2.5), (2, 1, 1, 1e16)],
          [(1, 1, 1, 5e-324), (1, 1, 2, -0.0), (1, 2, 2, 0.0),
@@ -796,10 +793,10 @@ def test_sdpa_round_trip_without_constraints(tmp_path):
     """An instance with no constraints has an empty right-hand-side line,
     which is read as that header line; it once read as a count
     mismatch."""
-    sdp = SdpInstance.from_matrices((2,), [[(1, 1, 1, 1.0)]], [])
+    sdp = sdp_from_matrices((2,), [[(1, 1, 1, 1.0)]], [])
     text = _exports_like_reference(sdp, tmp_path)
     assert text.splitlines()[1:6] == ["0", "1", "2", "", "0 1 1 1 1.0"]
-    empty = SdpInstance.from_matrices((1,), [[]], [])
+    empty = sdp_from_matrices((1,), [[]], [])
     _exports_like_reference(empty, tmp_path)
 
 
@@ -868,7 +865,7 @@ def test_read_sdpa_refuses_indices_past_int32(tmp_path):
                                match="block size 2147483648 is not below"):
                 read_sdpa(path)
     with pytest.raises(InvalidArgument, match=r"entry \(1, 1, 4294967298\)"):
-        SdpInstance.from_matrices((3,), [[(1, 1, 2 ** 32 + 2, 1.0)]], [])
+        sdp_from_matrices((3,), [[(1, 1, 2 ** 32 + 2, 1.0)]], [])
 
 
 def test_sdp_instance_checks_every_batch():
