@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import (CorruptTable, InvalidArgument, NeedsIrreps, SchemaError,
                      SizeLimit)
-from .groups import (AbelianProductGroup, FiniteGroup, SymmetricGroup,
+from .groups import (AbelianProductGroup, FiniteGroup, SymmetricGroup, blocks,
                      parse_ints, partition_label, partitions, same_group)
 from .linalg import exact_sums, is_exact
 
@@ -61,8 +61,6 @@ Scalar = Union[Fraction, complex]
 
 # an abelian table has order**2 entries
 ABELIAN_TABLE_BOUND = 2000
-# entries per numpy block: table rows, or pairs of irrep matrices
-ROW_BLOCK = 1 << 13
 # the largest n with n * sqrt(n!) < 2^63 (see ``mn_table``)
 MN_TABLE_MAX_N = 31
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -246,10 +244,10 @@ def abelian_character_table(group: FiniteGroup) -> CharacterTable:
     modulus is 2; approximate complex otherwise.
 
     The phases come from one integer matrix N[j, x] = sum_t j_t*x_t*(L/m_t)
-    with L = lcm(moduli), built a block of rows at a time (at most
-    ROW_BLOCK entries), each block from its diagonal to the right: N is
-    symmetric, so the left part of a block is the transpose of the
-    blocks above it, which are already filled.  An exact entry is +-1 by
+    with L = lcm(moduli), built a block of rows at a time (``blocks``),
+    each block from its diagonal to the right: N is symmetric, so the
+    left part of a block is the transpose of the blocks above it, which
+    are already filled.  An exact entry is +-1 by
     the parity of N.  An approximate entry is cos(y) + i*sin(y) with
     y = (2*pi)*(N/L): N and L are below 2^53, so N/L is the correctly
     rounded phase, and (cos y, sin y) is what cmath.exp(i*y) returns
@@ -267,14 +265,13 @@ def abelian_character_table(group: FiniteGroup) -> CharacterTable:
     digits = np.stack([elements // s % m for m, s in
                        zip(moduli, group.strides)], axis=1)
     weighted = digits * np.array([L // m for m in moduli])
-    step = max(1, ROW_BLOCK // group.order)
     entries = np.empty((group.order, group.order),
                        dtype=int if exact else complex)
-    for start in range(0, group.order, step):
-        stop = start + step
-        entries[start:stop, :start] = entries[:start, start:stop].T
-        N = digits[start:stop] @ weighted[start:].T
-        block = entries[start:stop, start:]
+    for rows in blocks(group.order, entries[0].nbytes):
+        start = rows.start
+        entries[rows, :start] = entries[:start, rows].T
+        N = digits[rows] @ weighted[start:].T
+        block = entries[rows, start:]
         if exact:
             block[:] = 1 - 2 * (N % 2)
             continue
@@ -513,20 +510,6 @@ def import_character_table(path, group: FiniteGroup) -> CharacterTable:
 # ---------------------------------------------------------------------------
 # Fourier analysis
 
-def _row_blocks(table: CharacterTable, rows=None):
-    """The given rows of the table (all of them by default), about
-    ROW_BLOCK entries at a time, so that the temporaries built from a
-    block stay bounded: slices of the entry array when every row is
-    taken, else slices of the array of row indices."""
-    step = max(1, ROW_BLOCK // len(table.classes))
-    count = len(table.entries) if rows is None else len(rows)
-    for start in range(0, count, step):
-        if rows is None:
-            yield slice(start, start + step)
-        else:
-            yield rows[start:start + step]
-
-
 def _terms(w, rows):
     """The products w[k] * rows[i, k], rounded as Python rounds each up to
     the sign of a zero, which an ordered sum from 0 cannot see; rational
@@ -570,7 +553,9 @@ def row_combination(table: CharacterTable, weights) -> list:
     w = _weights(weights, "a weight is")
     acc = np.zeros(len(table.classes), dtype=np.result_type(
         w, float if table.exact else table.entries.dtype))
-    for rows in _row_blocks(table, np.flatnonzero(w)):
+    live = np.flatnonzero(w)
+    for part in blocks(len(live), table.entries[0].nbytes):
+        rows = live[part]
         acc = _ordered_sum(_terms(w[rows], table.entries[rows].T), acc)
     return acc.tolist()
 
@@ -600,7 +585,7 @@ def fourier_class_scalars(f: ClassFunction, table: CharacterTable):
         return tuple(exact)
     w = _weights(weights, "a weight |C| f(C) is")
     sums = []
-    for rows in _row_blocks(table):
+    for rows in blocks(len(table.entries), table.entries[0].nbytes):
         sums += _ordered_sum(_terms(w, table.entries[rows])).tolist()
     return tuple(s / d for s, d in zip(sums, table.degrees))
 
@@ -731,19 +716,18 @@ class IrrepMatrices:
                 raise InvalidArgument(f"irrep {i}: an entry is not finite")
             if np.abs(stack[0] - np.eye(d)).max() > tol:
                 raise InvalidArgument(f"irrep {i}: pi(e) != I")
-            block = max(1, ROW_BLOCK // (d * d))
-            for s in range(0, group.order, block):
-                part = stack[s:s + block]
+            for s in blocks(group.order, stack[0].nbytes):
+                part = stack[s]
                 defect = np.abs(part @ part.conj().transpose(0, 2, 1) -
                                 np.eye(d)).max(axis=(1, 2))
                 bad = np.flatnonzero(defect > tol)
                 if bad.size:
                     raise InvalidArgument(
-                        f"irrep {i}: pi({s + bad[0]}) not unitary")
-            for s in range(0, len(prods), block):
-                a, b = left[s:s + block], right[s:s + block]
+                        f"irrep {i}: pi({s.start + bad[0]}) not unitary")
+            for s in blocks(len(prods), stack[0].nbytes):
+                a, b = left[s], right[s]
                 defect = np.abs(stack[a] @ stack[b] -
-                                stack[prods[s:s + block]]).max(axis=(1, 2))
+                                stack[prods[s]]).max(axis=(1, 2))
                 bad = np.flatnonzero(defect > tol)
                 if bad.size:
                     k = bad[0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -211,8 +212,22 @@ def cmd_bochner(args):
         print("positive-type: yes")
     else:
         print(f"positive-type: no (irrep {result.irrep}, "
-              f"witness {result.witness})")
+              f"witness {_witness_text(result.witness)})")
     return 0
+
+
+def _witness_text(x) -> str:
+    """str(x), or for an exact value with more digits than str() may
+    give, six of its digits and its power of ten."""
+    try:
+        return str(x)
+    except ValueError:
+        p, q = abs(x.numerator), x.denominator
+        # about log10|x|; int / int rounds correctly at any size
+        e = int((p.bit_length() - q.bit_length()) * math.log10(2))
+        m = p / (q * 10 ** e) if e >= 0 else p * 10 ** -e / q
+        digits, power = f"{m:.5e}".split("e")
+        return f"{'-' if x < 0 else ''}{digits}e{int(power) + e:+d}"
 
 
 def cmd_blowup(args):

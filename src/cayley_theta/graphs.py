@@ -28,15 +28,11 @@ import numpy as np
 
 from .errors import (InvalidArgument, NotAutomorphism, NotTransitive,
                      SchemaError, SizeLimit)
-from .groups import (FiniteGroup, GroupAction, load_rows, parse_ints,
+from .groups import (FiniteGroup, GroupAction, blocks, load_rows, parse_ints,
                      same_group)
 
 # vertices of a Cayley graph or of a graph given by its edges
 CAYLEY_BOUND = 5000
-# products per group.products call in build_cayley, and adjacency entries
-# per block of rows in Graph's symmetry check and in alpha; at order
-# CAYLEY_BOUND a block takes 52
-PRODUCTS_PER_CALL = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +144,12 @@ class Graph:
         if loops.size:
             raise InvalidArgument(f"self-loop at {loops[0]}")
         n = len(a)
-        step = max(1, PRODUCTS_PER_CALL // max(n, 1))
-        for lo in range(0, n, step):
-            odd = a[lo:lo + step] != a[:, lo:lo + step].T
+        for rows in blocks(n, n * a.itemsize):
+            odd = a[rows] != a[:, rows].T
             if odd.any():
                 u, v = divmod(int(np.argmax(odd)), n)
-                raise InvalidArgument(
-                    f"adjacency array is not symmetric at ({lo + u}, {v})")
+                raise InvalidArgument(f"adjacency array is not symmetric "
+                                      f"at ({rows.start + u}, {v})")
         a.setflags(write=False)
 
     @classmethod
@@ -210,9 +205,8 @@ def build_cayley(group: FiniteGroup, connection: ConnectionSet) -> Graph:
     side = np.flatnonzero(inside == direct)
     xs = np.arange(group.order)[:, None]
     hit = np.full((group.order, group.order), not direct)
-    width = PRODUCTS_PER_CALL // group.order
-    for lo in range(0, len(side), width):
-        hit[xs, group.products(xs, side[None, lo:lo + width])] = direct
+    for cols in blocks(len(side), xs.nbytes):
+        hit[xs, group.products(xs, side[None, cols])] = direct
     # x -> gx is an automorphism: (gy)^-1 (gx) = y^-1 x
     return Graph(hit, transitive=True)
 
@@ -258,14 +252,13 @@ def alpha(graph: Graph, time_budget: Optional[float] = None) -> AlphaResult:
     # relabeling: complement-degree descending (degree ascending), index ties
     order = np.argsort(np.count_nonzero(graph.adjacency, axis=1),
                        kind="stable")
-    # adj[v]: v's complement neighbours, a bitmask; blocks of PRODUCTS_PER_CALL
-    # entries are gathered by rows, then columns (np.ix_ is 6x slower)
+    # adj[v]: v's complement neighbours, a bitmask; blocks of rows are
+    # gathered by rows, then columns (np.ix_ is 6x slower)
     adj = []
-    rows = PRODUCTS_PER_CALL // n
-    for lo in range(0, n, rows):
-        comp = graph.adjacency[order[lo:lo + rows]][:, order]
+    for rows in blocks(n, graph.adjacency[0].nbytes):
+        comp = graph.adjacency[order[rows]][:, order]
         np.logical_not(comp, out=comp)
-        np.fill_diagonal(comp[:, lo:], False)
+        np.fill_diagonal(comp[:, rows.start:], False)
         adj.extend(int.from_bytes(row.tobytes(), "little") for row in
                    np.packbits(comp, axis=1, bitorder="little"))
     order = order.tolist()

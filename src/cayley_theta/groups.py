@@ -46,15 +46,15 @@ import numpy as np
 from .errors import InvalidArgument, NotAGroup, SchemaError
 
 GENERIC_CLASS_BOUND = 10000   # orbit algorithm and abelian class cutoff
-# entries per block of rows in the checks of Cayley and action tables
-BLOCK_ENTRIES = 1 << 20
+# bytes per block of every loop that walks a large array a block at a time
+BLOCK_BYTES = 1 << 17
 
 
-def _row_blocks(rows: int, width: int) -> list:
-    """Slices of consecutive rows of a rows x width array, each of about
-    BLOCK_ENTRIES entries (at least one row)."""
-    step = max(1, BLOCK_ENTRIES // max(width, 1))
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+def blocks(count: int, item_bytes: int) -> list:
+    """Slices of 0..count-1 in order, each of about BLOCK_BYTES bytes of
+    items of item_bytes bytes (at least one item)."""
+    step = max(1, BLOCK_BYTES // max(item_bytes, 1))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +154,7 @@ class GroupAction:
         if any(len(row) != count for row in self.table):
             raise InvalidArgument("ragged action table")
         act = np.asarray(self.table)     # dtype object if an entry is huge
-        blocks = _row_blocks(group.order, count)
-        for rows in blocks:
+        for rows in blocks(group.order, act[0].nbytes):
             if ((act[rows] < 0) | (act[rows] >= count)).any():
                 raise InvalidArgument(
                     f"action table entries must be points 0..{count - 1}")
@@ -164,7 +163,7 @@ class GroupAction:
             raise InvalidArgument("identity must act trivially")
         elements = np.arange(group.order)
         for h in group.generators():
-            for rows in blocks:
+            for rows in blocks(group.order, act[0].nbytes):
                 # g.(h.p) against (gh).p, for every g of the block and p
                 bad = (np.take(act[rows], act[h], axis=1)
                        != act[group.products(elements[rows], h)])
@@ -564,12 +563,13 @@ class GeneralLinearGroup(FiniteGroup):
         field = FiniteField(q)
         if n < 1:
             raise InvalidArgument(f"need n >= 1, got {n}")
-        expected = 1
-        for i in range(n):
-            expected *= q ** n - q ** i
-        if expected > self.MAX_ORDER:
+        # the first factor, q^n - 1 >= 2^n - 1, alone exceeds the bound
+        # once n passes its bit length: no power of q is taken for such n
+        small = n <= self.MAX_ORDER.bit_length()
+        expected = prod(q ** n - q ** i for i in range(n)) if small else 0
+        if not small or expected > self.MAX_ORDER:
             raise InvalidArgument(
-                f"|GL({n},F_{q})| = {expected} exceeds bound {self.MAX_ORDER}")
+                f"|GL({n},F_{q})| exceeds the order bound {self.MAX_ORDER}")
         super().__init__(expected)
         self.q, self.n, self.field = q, n, field
         # a matrix's key reads its row-major entries as a base-q number, so
@@ -634,16 +634,16 @@ class TableGroup(FiniteGroup):
             raise InvalidArgument("table must be square and nonempty")
         T = np.asarray(table)     # dtype object if an entry is huge
         elements = np.arange(n)
-        blocks = _row_blocks(n, n)
         # a line is Latin iff it sorts to 0..n-1, so after the rows every
         # entry is an element
-        for rows in blocks:
+        for rows in blocks(n, T[0].nbytes):
             bad = (np.sort(T[rows], axis=1) != elements).any(axis=1)
             if bad.any():
                 raise NotAGroup("latin-square-row",
                                 (rows.start + int(np.argmax(bad)),))
         T = T.astype(np.int32)
-        for cols in blocks:
+        spans = blocks(n, T[0].nbytes)
+        for cols in spans:
             lines = np.ascontiguousarray(T[:, cols].T)
             lines.sort(axis=1)
             bad = (lines != elements).any(axis=1)
@@ -651,7 +651,7 @@ class TableGroup(FiniteGroup):
                 raise NotAGroup("latin-square-column",
                                 (cols.start + int(np.argmax(bad)),))
         identity_row, identity_column = np.zeros((2, n), dtype=bool)
-        for rows in blocks:
+        for rows in spans:
             identity_row[rows] = (T[rows] == elements).all(axis=1)
             identity_column[rows] = (T[:, rows].T == elements).all(axis=1)
         found = np.flatnonzero(identity_row & identity_column)
@@ -662,13 +662,13 @@ class TableGroup(FiniteGroup):
             # swap the identity e with 0: rows, columns, then entries
             T[[0, e]] = T[[e, 0]]
             T[:, [0, e]] = T[:, [e, 0]]
-            for rows in blocks:
+            for rows in spans:
                 block = T[rows]
                 zero = block == 0
                 block[block == e] = 0
                 block[zero] = e
         inverse = np.empty(n, dtype=np.int64)   # g inverse[g] = 0
-        for rows in blocks:
+        for rows in spans:
             inverse[rows] = np.argmax(T[rows] == 0, axis=1)
         bad = T[inverse, elements] != 0
         if bad.any():
@@ -678,7 +678,7 @@ class TableGroup(FiniteGroup):
         self._table = T
         self._digest = None
         for g in self.generators():
-            for rows in blocks:
+            for rows in spans:
                 # (x g) y against x (g y); np.take is faster than T[:, T[g]]
                 bad = T[T[rows, g]] != np.take(T[rows], T[g], axis=1)
                 if bad.any():

@@ -46,13 +46,12 @@ from .characters import (CharacterTable, ClassFunction, GroupFunction,
 from .errors import (InvalidArgument, NumericalFailure, SchemaError,
                      SizeLimit, WrongFormulation)
 from .graphs import ConnectionSet, build_cayley
-from .groups import FiniteGroup, parse_ints, same_group
+from .groups import FiniteGroup, blocks, parse_ints, same_group
 from .linalg import is_exact, scaled
 from .simplex import LpInstance, LpSolution, solve as lp_solve
 
 MATRIX_BOUND = 2000
 ROW_DROP_TOL = 1e-12
-WRITE_BATCH = 1 << 14   # SDPA entry lines per write, entries per check
 INDEX_BOUND = 2 ** 31   # SDP block sizes and constraint counts stay below
 CERT_TOL = 1e-8
 
@@ -321,12 +320,11 @@ class SdpInstance:
     of block block[r], with 1-based indices and i <= j.  The indices are
     int32: a block size or a constraint count of 2^31 or more is
     refused, and the columns given are checked before they are
-    narrowed, the block and triangle checks WRITE_BATCH rows at a
-    time.  The matrix numbers are
-    nondecreasing, so F0's rows come first.  ``objective`` and
-    ``constraints`` read the table as sequences of (block, i, j, value)
-    tuples without copying it; two instances are equal when their
-    tables are."""
+    narrowed, the block and triangle checks a block of rows at a time
+    (``blocks``).  The matrix numbers are nondecreasing, so F0's rows
+    come first.  ``objective`` and ``constraints`` read the table as
+    sequences of (block, i, j, value) tuples without copying it; two
+    instances are equal when their tables are."""
     block_sizes: tuple
     k: np.ndarray
     block: np.ndarray
@@ -366,8 +364,7 @@ class SdpInstance:
         if (k[1:] < k[:-1]).any():
             raise InvalidArgument("SDP entries are not ordered by matrix")
         sizes = np.array((0,) + self.block_sizes)
-        for lo in range(0, len(k), WRITE_BATCH):
-            r = slice(lo, lo + WRITE_BATCH)
+        for r in blocks(len(k), b.itemsize + i.itemsize + j.itemsize):
             bad = (b[r] < 1) | (b[r] >= len(sizes))
             bad |= ((i[r] < 1) | (i[r] > j[r])
                     | (j[r] > sizes[np.where(bad, 0, b[r])]))
@@ -531,19 +528,19 @@ def export_sdpa(instance: SdpInstance, path):
     "j " and "v\n".  One object array holds each string a part can be,
     a table per part: "b i " at row before[b - 1] + i of its table, and
     "v\n" at the value's number among the distinct values (sorted by
-    their bits, so 0.0 and -0.0 stay apart).  Lines go out WRITE_BATCH
-    at a time.  k never decreases, so a batch spans the k[0]..k[-1] of
-    its first and last lines; their "k " strings are made per batch, at
-    row k - k[0] of the first table.  One fancy index of that array then
-    gives the four parts of every line of the batch, in line order, and
-    one join writes them."""
+    their bits, so 0.0 and -0.0 stay apart).  Lines go out a batch at
+    a time, the ``blocks`` of the entry rows.  k never decreases, so a
+    batch spans the k[0]..k[-1] of its first and last lines; their "k "
+    strings are made per batch, at row k - k[0] of the first table.
+    One fancy index of that array then gives the four parts of every
+    line of the batch, in line order, and one join writes them."""
     t = instance
     bits = _distinct_bits(t.value)
+    batches = blocks(len(t.k), sum(getattr(t, column).itemsize
+                                   for column in _TABLE[:5]))
     # the "k " slots a batch needs: k[-1] - k[0] + 1 over its rows
-    ends = np.arange(WRITE_BATCH, len(t.k) + WRITE_BATCH, WRITE_BATCH)
-    span = (t.k[ends.clip(max=len(t.k)) - 1]
-            - t.k[::WRITE_BATCH]).max(initial=-1) + 1
-    tables = [[""] * int(span),
+    span = max((int(t.k[r][-1] - t.k[r][0]) + 1 for r in batches), default=0)
+    tables = [[""] * span,
               [f"{b} {i} " for b, size in enumerate(t.block_sizes, 1)
                for i in range(1, size + 1)],
               [f"{j} " for j in range(max(t.block_sizes, default=0) + 1)],
@@ -557,8 +554,7 @@ def export_sdpa(instance: SdpInstance, path):
         fh.write(f"{len(t.rhs)}\n{len(t.block_sizes)}\n")
         fh.write(" ".join(map(str, t.block_sizes)) + "\n")
         fh.write(" ".join(_reprs(t.rhs).tolist()) + "\n")
-        for lo in range(0, len(t.k), WRITE_BATCH):
-            batch = slice(lo, lo + WRITE_BATCH)
+        for batch in batches:
             k = t.k[batch]
             low, high = int(k[0]), int(k[-1])
             strings[:high + 1 - low] = [f"{c} " for c in range(low, high + 1)]

@@ -22,8 +22,9 @@ from cayley_theta.characters import (CharacterTable, ClassFunction,
                                      symmetric_character_table)
 from cayley_theta.errors import (CorruptTable, InvalidArgument, NeedsIrreps,
                                  SchemaError, SizeLimit)
-from cayley_theta.groups import (make_abelian_product, make_general_linear,
-                                 make_symmetric, partitions)
+from cayley_theta.groups import (blocks, make_abelian_product,
+                                 make_general_linear, make_symmetric,
+                                 partitions)
 
 from oracles import (convolve, exact_psd, first_orthogonality_failure,
                      group_matrix, involute, mn_character_reference,
@@ -81,7 +82,7 @@ def test_fourier_scalars_bits_match_scalar_reference():
               for m in ((12,), (3, 5), (2, 2, 2), (211,))]
     tables += [symmetric_character_table(6)]
     tables += [as_float_table(t) for t in tables if t.exact]
-    assert len(list(characters._row_blocks(tables[3]))) == 6
+    assert len(blocks(211, tables[3].entries[0].nbytes)) == 6
 
     def draw(kind):
         if kind == "mixed":

@@ -244,6 +244,18 @@ def test_bochner_takes_a_huge_rational_on_an_exact_table(capsys, tmp_path):
     assert code == 0 and out == "positive-type: yes\n"
 
 
+def test_bochner_prints_a_witness_past_the_digit_limit(capsys, tmp_path):
+    """An exact witness of 4,301 digits, more than str() of an int may
+    give, is printed by six digits and its power of ten; it once ended
+    in a traceback from str(Fraction)."""
+    fn = tmp_path / "huge_negative.json"
+    fn.write_text(json.dumps(["-1e4300"] + ["0"] * 5))
+    code, out, err = run(capsys, "bochner", "--group", "sym:3",
+                         "--function", str(fn))
+    assert (code, out, err) == (
+        0, "positive-type: no (irrep 0, witness -1.00000e+4300)\n", "")
+
+
 def test_blowup_command(capsys, tmp_path):
     g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     gp = tmp_path / "c5.txt"
@@ -404,6 +416,8 @@ def _malformed_s3_tables():
 
 
 @pytest.mark.parametrize("argv", [
+    *[("theta", "--group", f"gl:2,{n}", "--connection", "empty")
+      for n in (300, 100000, 10 ** 12)],
     ("bochner", "--group", "sym:3", "--function", "{tmp}/not_class.json"),
     ("bochner", "--group", "sym:3", "--function", "{tmp}/broken.json"),
     ("bochner", "--group", "cyclic:7", "--function", "{tmp}/nan.json"),
@@ -495,7 +509,10 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     (tmp_path / "zero_den.json").write_text('["1/0", "0", "0"]')
     # once read as 1: "positive-type: yes"
     (tmp_path / "bool.json").write_text("[true, 0]")
+    start = time.monotonic()
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    # gl:2,100000 once computed |GL(100000, F_2)| before refusing it
+    assert time.monotonic() - start < 1
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -549,6 +566,36 @@ def test_graph_files_fuzzed_through_the_cli(tmp_path_factory, text):
     assert cli_dispatch(["blowup", "--graph", str(graph), "--action",
                          str(action), "--group", "cyclic:3",
                          "--alpha"]) in (0, 1, 2, 3)
+
+
+_FIELD = mostly(st.integers(0, 9).map(str), st.one_of(_TOKEN, st.sampled_from(
+    ["", "-1", "99", "5000", str(10 ** 12), "7" * 4301])))
+
+
+@st.composite
+def _spec(draw, kinds):
+    """A spec of one of the kinds (prefix, field count; None: any count),
+    mostly with the count of fields it takes, each drawn by _FIELD."""
+    prefix, count = draw(st.sampled_from(kinds))
+    n = draw(st.integers(1, 4) if count is None else
+             mostly(st.just(count), st.integers(0, 3)))
+    return prefix + ",".join(draw(_FIELD) for _ in range(n))
+
+
+_GROUP_SPECS = _spec([("sym:", 1), ("cyclic:", None), ("gl:", 2)])
+_CONNECTION_SPECS = _spec([("efp:", 1), ("gl-rank:", 1), ("classes:", None),
+                           ("empty", 0)])
+
+
+@given(group=_GROUP_SPECS, connection=_CONNECTION_SPECS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_group_and_connection_specs_fuzzed_through_the_cli(group,
+                                                           connection):
+    """``theta`` and ``alpha`` (budget 0.05 s) exit 0-3 on every pair of
+    group and connection specs, with no exception out of cli_dispatch."""
+    argv = ["--group", group, "--connection", connection]
+    assert cli_dispatch(["theta", *argv]) in (0, 1, 2, 3)
+    assert cli_dispatch(["alpha", *argv, "--budget", "0.05"]) in (0, 1, 2, 3)
 
 
 def _faulty_rows(draw, rows) -> list:

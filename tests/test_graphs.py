@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cayley_theta import graphs
+from cayley_theta import graphs, groups
 from cayley_theta.apps import efp_connection, gl_connection, gl_lower_bound
 from cayley_theta.errors import (InvalidArgument, NotAutomorphism,
                                  NotTransitive, SchemaError, SizeLimit,
@@ -67,8 +67,8 @@ def test_graph_refuses_an_array_it_does_not_describe(monkeypatch):
              (np.zeros((2, 3), bool), r"shape \(2, 3\) is not square$"),
              (np.zeros(3, bool), r"shape \(3,\) is not square$"),
              (loop, "self-loop at 1$")]
-    for step in (graphs.PRODUCTS_PER_CALL, 5):
-        monkeypatch.setattr(graphs, "PRODUCTS_PER_CALL", step)
+    for size in (groups.BLOCK_BYTES, 5):
+        monkeypatch.setattr(groups, "BLOCK_BYTES", size)
         for a, message in cases:
             with pytest.raises(InvalidArgument, match=message):
                 Graph(a)
@@ -175,12 +175,12 @@ EITHER_SIDE = pytest.mark.parametrize("make, size", [
 
 
 class _SevenColumns:
-    """Stands in for graphs.PRODUCTS_PER_CALL: 7 products columns per
-    call in build_cayley and 7 rows per block in alpha at every order,
-    so that the blocks split a side or the vertices unevenly (or one
-    block holds them)."""
+    """Stands in for groups.BLOCK_BYTES: 7 items per block whatever their
+    size, so 7 products columns per call in build_cayley and 7 rows per
+    block in alpha at every order, so that the blocks split a side or
+    the vertices unevenly (or one block holds them)."""
 
-    def __floordiv__(self, order):
+    def __floordiv__(self, item_bytes):
         return 7
 
 
@@ -200,7 +200,7 @@ def test_build_cayley_from_either_side_matches_direct_build(make, size):
 @EITHER_SIDE
 def test_build_cayley_in_7_column_blocks_matches_direct_build(
         make, size, monkeypatch):
-    monkeypatch.setattr(graphs, "PRODUCTS_PER_CALL", _SevenColumns())
+    monkeypatch.setattr(groups, "BLOCK_BYTES", _SevenColumns())
     test_build_cayley_from_either_side_matches_direct_build(make, size)
 
 
@@ -280,7 +280,7 @@ def test_build_cayley_pinned_graphs():
 
 
 def test_build_cayley_pinned_graphs_in_7_column_blocks(monkeypatch):
-    monkeypatch.setattr(graphs, "PRODUCTS_PER_CALL", _SevenColumns())
+    monkeypatch.setattr(groups, "BLOCK_BYTES", _SevenColumns())
     test_build_cayley_pinned_graphs()
 
 
@@ -300,7 +300,7 @@ def test_alpha_in_7_row_blocks_gives_the_same_answers(monkeypatch):
             (i, j) for i in range(n) for j in range(i + 1, n)
             if rng.random() < 0.3]))
     want = [alpha(g) for g in cases]
-    monkeypatch.setattr(graphs, "PRODUCTS_PER_CALL", _SevenColumns())
+    monkeypatch.setattr(groups, "BLOCK_BYTES", _SevenColumns())
     assert [alpha(g) for g in cases] == want
 
 

@@ -557,6 +557,21 @@ def _check_outcome(make, *args):
     return made._table.dtype, _table(made), made.inverses().tolist()
 
 
+@pytest.mark.parametrize("count, item_bytes", [
+    (0, 8), (1, 8), (5, 0), (100, 1), (groups.BLOCK_BYTES // 24 * 3, 24),
+    (10 ** 6, 16), (3, 10 ** 9), (70001, 2 ** 17 + 1)])
+def test_blocks_cover_every_item_once_in_order(count, item_bytes):
+    """The slices of ``blocks`` cover 0..count-1 once, in order, each
+    holding max(1, BLOCK_BYTES // item_bytes) items but the last; no
+    items give no slices."""
+    step = max(1, groups.BLOCK_BYTES // max(item_bytes, 1))
+    parts = [range(count)[part] for part in groups.blocks(count, item_bytes)]
+    assert [i for part in parts for i in part] == list(range(count))
+    assert [len(part) for part in parts[:-1]] == [step] * (len(parts) - 1)
+    assert all(0 < len(part) <= step for part in parts)
+    assert bool(parts) == (count > 0)
+
+
 def test_table_and_action_checks_do_not_depend_on_the_blocks(monkeypatch):
     """Seeded tables and action tables, good and faulty, give the same
     group, action or error (and witness) with one row per block of the
@@ -599,7 +614,7 @@ def test_table_and_action_checks_do_not_depend_on_the_blocks(monkeypatch):
             rows[r] = [rng.randrange(count) for _ in range(count)]
         cases.append((GroupAction, group, rows))
     default = [_check_outcome(*case) for case in cases]
-    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(groups, "BLOCK_BYTES", 1)
     assert [_check_outcome(*case) for case in cases] == default
     kinds = {o[1].split(" fails")[0] if o[0] == "NotAGroup" else
              o[1].split(":")[0] if isinstance(o[0], str) else "ok"

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cayley_theta import characters, simplex, theta
+from cayley_theta import characters, groups, simplex, theta
 from cayley_theta.apps import efp_connection
 from cayley_theta.cli import cli_dispatch
 from cayley_theta.characters import (CharacterTable, IrrepMatrices,
@@ -21,7 +21,7 @@ from cayley_theta.graphs import ConnectionSet, alpha, build_cayley
 from cayley_theta.groups import (TableGroup, make_abelian_product,
                                  make_symmetric, perm_unrank)
 from cayley_theta.simplex import LpSolution, verify_certificate
-from cayley_theta.theta import (WRITE_BATCH, CayleyGraphSpec, SdpInstance,
+from cayley_theta.theta import (CayleyGraphSpec, SdpInstance,
                                 build_lp_D, build_sdp_A, build_sdp_C,
                                 certificate_to_json, export_sdpa,
                                 extract_matrix_solution, read_sdpa,
@@ -101,8 +101,9 @@ def test_irrep_validate_reports_first_failing_pair(moduli, irrep, element,
             make_abelian_product(moduli)))
     irreps.validate()
     last = irreps.group.order - 1
-    for row_block in (characters.ROW_BLOCK, 3):
-        monkeypatch.setattr(characters, "ROW_BLOCK", row_block)
+    # 48 bytes: blocks of 3 matrices of degree 1, one of higher degrees
+    for size in (groups.BLOCK_BYTES, 48):
+        monkeypatch.setattr(groups, "BLOCK_BYTES", size)
         with pytest.raises(InvalidArgument) as exc:
             _corrupted(irreps, irrep, [element]).validate()
         assert str(exc.value) == \
@@ -684,10 +685,13 @@ def _s6_spec_120():
 def test_sdp_A_export_matches_reference_across_batches(tmp_path):
     sdp = build_sdp_A(_s6_spec_120())
     assert len(sdp.constraints) == 1 + 720 * 120 // 2
-    assert len(sdp.k) > 4 * WRITE_BATCH
-    # row i = 24 of the objective crosses a batch boundary
-    assert (sdp.k[WRITE_BATCH - 1], sdp.i[WRITE_BATCH - 1]) == \
-        (sdp.k[WRITE_BATCH], sdp.i[WRITE_BATCH]) == (0, 24)
+    # a batch of lines: BLOCK_BYTES of int32 k, block, i, j and float64
+    # value columns, 24 bytes a line
+    batch = groups.BLOCK_BYTES // 24
+    assert len(sdp.k) > 4 * batch
+    # row i = 8 of the objective crosses a batch boundary
+    assert (sdp.k[batch - 1], sdp.i[batch - 1]) == \
+        (sdp.k[batch], sdp.i[batch]) == (0, 8)
     _exports_like_reference(sdp, tmp_path)
 
 
@@ -869,17 +873,19 @@ def test_read_sdpa_refuses_indices_past_int32(tmp_path):
 
 
 def test_sdp_instance_checks_every_batch():
-    """The block and triangle checks run WRITE_BATCH rows at a time: a
-    bad entry past the first batch is named.  Matrix numbers that
-    decrease anywhere are refused."""
-    rows = 2 * WRITE_BATCH + 5
+    """The block and triangle checks run a block of rows at a time,
+    BLOCK_BYTES of the block, i and j columns as given (int64 here, 24
+    bytes a row): a bad entry past the first block is named.  Matrix
+    numbers that decrease anywhere are refused."""
+    batch = groups.BLOCK_BYTES // 24
+    rows = 2 * batch + 5
     k, one = np.zeros(rows, dtype=np.int64), np.ones(rows, dtype=np.int64)
     assert len(SdpInstance((1,), k, one, one, one, one, [1.0]).k) == rows
     j = one.copy()
-    j[WRITE_BATCH + 3] = 2
+    j[batch + 3] = 2
     with pytest.raises(InvalidArgument, match=r"entry \(1, 1, 2\) of matrix 0"):
         SdpInstance((1,), k, one, one, j, one, [1.0])
-    k[WRITE_BATCH + 3] = 1
+    k[batch + 3] = 1
     with pytest.raises(InvalidArgument, match="not ordered by matrix"):
         SdpInstance((1,), k, one, one, one, one, [1.0])
 
