@@ -6,12 +6,15 @@ exact, and holds its entries in one numpy array of the matching kind.
 The symmetric-group tables are exact integers, computed by the
 Murnaghan-Nakayama rule on int64 arrays, where ``mn_table`` shows they
 cannot overflow: the table of S_m is one signed strip matrix times
-columns of the table of S_(m-r) for each smallest class part r.
-``mn_character`` is the same rule on one entry, memoised.  Abelian
-tables involve roots of unity and are stored approximately unless all
-moduli are 1 or 2.  An abelian table is symmetric, chi_j(x) = chi_x(j)
-in element order, so only the entries on and right of its diagonal are
-computed; the rest are copied.
+columns of the table of S_(m-r) for each smallest class part r, and
+each strip matrix is read off 0/1 beta-set arrays of every partition
+of m at once.  ``mn_character`` is the same rule on one entry,
+memoised, with the strips of one partition at a time
+(``_beta_strip_removals``).  Abelian tables involve roots of unity and
+are stored approximately unless all moduli are 1 or 2.  An abelian
+table is symmetric, chi_j(x) = chi_x(j) in element order, so only the
+entries on and right of its diagonal are computed; the rest are
+copied.
 
 One rule decides every exact-or-approximate test here and in ``theta``
 and ``simplex``: exact means tolerance 0.  An exact value is compared
@@ -334,30 +337,63 @@ def mn_table(n: int) -> np.ndarray:
     mu: chi_lambda(mu) = sum over the border r-strips of lambda of
     (-1)^height * chi_nu(mu without r), nu the rest of lambda.  So
     T_m[:, cols_r] = H_r @ T_(m-r)[:, mu without r], one product for
-    each r, with H_r[lambda, nu] the sign of the r-strip that leaves
-    nu (``_beta_strip_removals``; different strips leave different nu).
+    each r, with H_r[lambda, nu] the sign of the r-strip that leaves nu
+    (different strips leave different nu).
+
+    H_r is built for every lambda at once from beta-sets (James and
+    Kerber 1981): lambda padded with zeros to L = n parts has the
+    beads beta_i = lambda_i + L - 1 - i, all below 2L, held as one row
+    of the 0/1 membership array ``beads``.  A border r-strip is a bead
+    at b + r with no bead at b, so the strips of every lambda are the
+    hits of beads[:, r:] > beads[:, :2L - r]; moving the bead to b
+    leaves nu, and the height of the strip is the number of beads
+    strictly between b and b + r, a difference of prefix counts of
+    ``beads``.  A beta-set is keyed by the int64 sum_b 2^b (2L <= 62
+    bits), so nu is found by its key, key(lambda) - 2^(b+r) + 2^b, in a
+    dict of the partitions of m - r.  ``beads`` is int64, not bool: a
+    bool-to-int cast is a numpy kernel that nothing else on the S_n path
+    runs, and its first call maps code pages into the process.
+
     Every entry is at most chi_lambda(1) <= sqrt(m!) in absolute value
     and each is a sum of at most m of them, so for n <= MN_TABLE_MAX_N
     no partial sum reaches 2^63 and the int64 arithmetic is exact."""
+    if n < 0:
+        raise InvalidArgument(f"n must be non-negative, got {n}")
     if n > MN_TABLE_MAX_N:
         raise SizeLimit(f"Murnaghan-Nakayama tables limited to n <= "
                         f"{MN_TABLE_MAX_N}, got {n}")
-    tables = [np.ones((1, 1), dtype=np.int64)]
-    index = [{(): 0}]
-    for m in range(1, n + 1):
+    width = 2 * n
+    power = np.array([1 << b for b in range(width)], dtype=np.int64)
+    # (-1)^height for every height below width
+    sign = np.array([1, -1] * n, dtype=np.int64)
+    tables, at_key, index = [], [], []
+    for m in range(n + 1):
         parts = partitions(m)
+        padded = np.array([lam + (0,) * (n - len(lam)) for lam in parts],
+                          dtype=np.int64)
+        beads = np.zeros((len(parts), width), dtype=np.int64)
+        beads[np.arange(len(parts))[:, None],
+              padded + np.arange(n - 1, -1, -1)] = 1
+        key = beads @ power
+        at_key.append(dict(zip(key.tolist(), range(len(parts)))))
         index.append({lam: i for i, lam in enumerate(parts)})
+        if m == 0:
+            tables.append(np.ones((1, 1), dtype=np.int64))
+            continue
+        # counts[:, b] is the number of beads at b or below
+        counts = np.cumsum(beads, axis=1)
         T = np.empty((len(parts), len(parts)), dtype=np.int64)
         cols_of = {}
         for j, mu in enumerate(parts):
             cols_of.setdefault(mu[-1], []).append(j)
         for r, cols in cols_of.items():
-            smaller = index[m - r]
-            H = np.zeros((len(parts), len(smaller)), dtype=np.int64)
-            for i, lam in enumerate(parts):
-                for sign, nu in _beta_strip_removals(lam, r):
-                    H[i, smaller[nu]] = sign
-            rest = [smaller[parts[j][:-1]] for j in cols]
+            rows, low = np.nonzero(beads[:, r:] > beads[:, :width - r])
+            high = low + r
+            nu = [at_key[m - r][k] for k in
+                  (key[rows] - power[high] + power[low]).tolist()]
+            H = np.zeros((len(parts), len(index[m - r])), dtype=np.int64)
+            H[rows, nu] = sign[counts[rows, high - 1] - counts[rows, low]]
+            rest = [index[m - r][parts[j][:-1]] for j in cols]
             T[:, cols] = H @ tables[m - r][:, rest]
         tables.append(T)
     return tables[n]

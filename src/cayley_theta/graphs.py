@@ -242,7 +242,9 @@ def alpha(graph: Graph, time_budget: Optional[float] = None) -> AlphaResult:
     The time budget is in seconds; NaN or a negative one raises
     InvalidArgument.  If it runs out, certified lower/upper bounds
     are returned with ``exact=False``; the upper bound is the coloring
-    bound of the first frame (1 + its colors on a transitive graph).
+    bound of the first frame (1 + its colors on a transitive graph), and
+    the lower bound is at least 1, witnessed by vertex 0 alone when no
+    leaf was reached.
     """
     if time_budget is not None and not time_budget >= 0:
         raise InvalidArgument(f"time budget must be >= 0, not {time_budget}")
@@ -332,7 +334,9 @@ def alpha(graph: Graph, time_budget: Optional[float] = None) -> AlphaResult:
     witness = tuple(sorted(order[i] for i in range(n)
                            if best_mask >> i & 1))
     if timed_out:
-        return AlphaResult(best_size, upper, witness, False)
+        # no leaf yet: vertex 0 alone is independent (on a transitive
+        # graph it is v0, the root clique of the complement)
+        return AlphaResult(max(best_size, 1), upper, witness or (0,), False)
     return AlphaResult(best_size, best_size, witness, True)
 
 

@@ -298,11 +298,12 @@ def test_mn_against_reference_small_n():
                 assert mn_character(lam, mu) == mn_character_reference(lam, mu)
 
 
-@pytest.mark.parametrize("n", list(range(1, 11)) + [12])
+@pytest.mark.parametrize("n", list(range(0, 11)) + [12, 13, 15])
 def test_mn_table_matches_the_memoised_rule(n):
-    """The table built from smaller tables equals ``mn_character`` (the
+    """The table built from beta-set strips equals ``mn_character`` (the
     rule on the largest part, one entry at a time) entry by entry; n = 12
-    is past ``SymmetricGroup.MAX_N``, which the builder does not need."""
+    to 15 are past ``SymmetricGroup.MAX_N``, which the builder does not
+    need."""
     parts = partitions(n)
     table = mn_table(n)
     assert table.dtype == np.int64
@@ -321,6 +322,12 @@ def test_mn_table_bound():
     assert (n + 1) ** 2 * math.factorial(n + 1) >= 2**126
     with pytest.raises(SizeLimit):
         mn_table(n + 1)
+
+
+def test_mn_table_refuses_a_negative_n():
+    for n in (-1, -40):
+        with pytest.raises(InvalidArgument, match="non-negative"):
+            mn_table(n)
 
 
 def test_hook_length_degrees():

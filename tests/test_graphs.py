@@ -450,6 +450,28 @@ def test_alpha_budget_gives_valid_bounds():
         assert _independent(g, w)
 
 
+def test_alpha_budget_zero_gives_one_vertex():
+    """A budget that runs out before the first leaf still certifies the
+    lower bound 1 by a one-vertex witness, vertex 0, on transitive and
+    other graphs alike."""
+    z200 = make_abelian_product([200])
+    s5 = make_symmetric(5)
+    rng = random.Random(3)
+    edges = [(i, j) for i in range(40) for j in range(i + 1, 40)
+             if rng.random() < 0.2]
+    cases = [(build_cayley(z200, ConnectionSet.from_classes(z200, [1, 199])),
+              100),
+             (build_cayley(s5, efp_connection(5, 1, s5)), 27),
+             (Graph.from_edges(40, edges), None)]
+    for graph, upper in cases:
+        res = alpha(graph, time_budget=0)
+        assert not res.exact
+        assert res.lower == 1 and res.witness == (0,)
+        assert _independent(graph, res.witness)
+        assert upper is None or res.upper == upper
+        assert res.upper >= alpha(graph).value
+
+
 def test_blowup_petersen():
     # Petersen as the Kneser graph on 2-subsets of {0..4}; S5 acts on the
     # subsets, and its closure from a transposition and a 5-cycle has
