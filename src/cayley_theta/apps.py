@@ -153,7 +153,7 @@ def gl_connection(q: int, n: int, k: int,
     if (group.q, group.n) != (q, n):
         raise InvalidArgument("supplied group is not GL(n, q) for this q, n")
     f = group.field
-    shifted = f.add[group.element_array, f.neg[np.eye(n, dtype=np.int64)]]
+    shifted = f.add[group.matrices, f.neg[np.eye(n, dtype=np.int64)]]
     elems = np.flatnonzero(group.ranks(shifted) > n - k).tolist()
     # from_elements verifies inverse closure and detects the class union,
     # which certifies conjugation closure

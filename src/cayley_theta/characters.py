@@ -669,18 +669,21 @@ def is_positive_type(f, rep, tol: float = 1e-9) -> PositiveTypeResult:
 
 
 def _as_class_function(f: GroupFunction):
+    """The ClassFunction of f's value at each class's smallest member, if
+    f is constant on classes up to 1e-12; None if it is not, or if class
+    membership is unknown (S_n above the class bound)."""
     group = f.group
-    classes = group.conjugacy_classes()
-    values = []
-    for idx, cls in enumerate(classes):
-        if cls.members is None:
+    group.conjugacy_classes()     # InvalidArgument above the class bound
+    try:
+        class_of = group.class_of().tolist()
+    except InvalidArgument:
+        return None
+    # in element order, each class is first met at its smallest member
+    first = {}
+    for v, idx in zip(f.values, class_of):
+        if _ne(v, first.setdefault(idx, v), 1e-12):
             return None
-        vals = {f.values[m] for m in cls.members}
-        first = f.values[cls.members[0]]
-        if any(_ne(v, first, 1e-12) for v in vals):
-            return None
-        values.append(first)
-    return ClassFunction(group, tuple(values))
+    return ClassFunction(group, tuple(first[idx] for idx in range(len(first))))
 
 
 def _is_positive_type_irreps(f, irreps: "IrrepMatrices", tol):

@@ -81,25 +81,22 @@ class ConnectionSet:
             if group.invert(e) not in eset:
                 raise InvalidArgument(
                     f"element {e} present but its inverse is not")
-        as_classes = cls._detect_classes(group, eset)
+        as_classes = cls._detect_classes(group, elems)
         return cls(group, as_classes=as_classes, elements=elems)
 
     @staticmethod
-    def _detect_classes(group, eset):
+    def _detect_classes(group, elems):
+        """The classes whose union is the distinct ``elems``; None if it
+        is no union of classes or class membership is unknown."""
         try:
-            classes = group.conjugacy_classes()
+            class_of = group.class_of()
         except InvalidArgument:
             return None
-        picked = []
-        for i, c in enumerate(classes):
-            if c.members is None:
-                return None
-            inside = sum(1 for m in c.members if m in eset)
-            if inside == c.size:
-                picked.append(i)
-            elif inside != 0:
-                return None
-        return picked
+        sizes = [c.size for c in group.conjugacy_classes()]
+        inside = np.bincount(class_of[elems], minlength=len(sizes))
+        if ((inside != 0) & (inside != sizes)).any():
+            return None
+        return np.flatnonzero(inside).tolist()
 
     @property
     def conjugation_closed(self) -> bool:
@@ -108,10 +105,8 @@ class ConnectionSet:
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            members = []
-            for i in self.as_classes:
-                members.extend(self.group.class_members(i))
-            self._elements = tuple(sorted(members))
+            inside = np.isin(self.group.class_of(), self.as_classes)
+            self._elements = tuple(np.flatnonzero(inside).tolist())
         return self._elements
 
     @property
@@ -178,12 +173,6 @@ class Graph:
         """The edges (u, v), u < v, in row-major order."""
         us, vs = np.nonzero(np.triu(self.adjacency, 1))
         return list(zip(us.tolist(), vs.tolist()))
-
-    def has_edge(self, u, v):
-        return bool(self.adjacency[u, v])
-
-    def degree(self, v):
-        return int(np.count_nonzero(self.adjacency[v]))
 
 
 def build_cayley(group: FiniteGroup, connection: ConnectionSet) -> Graph:

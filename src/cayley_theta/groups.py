@@ -27,6 +27,11 @@ A table group keeps its Cayley table as an array, and abelian products
 compute their digits.  The arrays hold the elements in the canonical
 order above, so indexing is the same on both paths.
 
+Class membership is one read-only int array, ``class_of()``, whose entry
+g is the index of g's conjugacy class, set where the classes are
+computed.  Only S_n above GENERIC_CLASS_BOUND has none: its classes are
+cycle types, and ``class_index_of`` reads the cycle type of one element.
+
 Cayley and action tables are checked in full at every order through
 ``FiniteGroup.generators``, at most log2|G| elements: associativity
 (Light's test) and the action axiom each hold on a set closed under
@@ -133,7 +138,6 @@ class ConjugacyClass:
     size: int
     label: str
     inverse_class: int
-    members: Optional[tuple] = None   # omitted for large symmetric groups
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +186,9 @@ class GroupAction:
 class FiniteGroup:
     """Base class: an immutable indexed group.  Subclasses fix the element
     encoding and supply the bulk products; inverses and conjugacy
-    classes are cached on first request."""
+    classes are cached on first request, the classes with the one
+    ``class_of`` array of every element's class index (none on S_n above
+    GENERIC_CLASS_BOUND)."""
 
     identity = 0
 
@@ -250,6 +256,8 @@ class FiniteGroup:
     def conjugacy_classes(self):
         if self._classes is None:
             self._classes = self._compute_classes()
+            if self._class_of is not None:
+                self._class_of.setflags(write=False)
         return self._classes
 
     def _bound_classes(self):
@@ -263,37 +271,34 @@ class FiniteGroup:
         hs = np.arange(self.order)
         inv = self.inverses()
         class_of = np.full(self.order, -1)
-        member_lists = []
+        reps = []
         # the sweep visits each class first at its smallest member, which
         # is its representative; the identity 0 comes first, so class 0 is
         # the identity class
         for g in range(self.order):
             if class_of[g] < 0:
-                in_orbit = np.zeros(self.order, dtype=bool)
-                in_orbit[self.products(self.products(hs, g), inv)] = True
-                orbit = np.flatnonzero(in_orbit)
-                class_of[orbit] = len(member_lists)
-                member_lists.append(tuple(orbit.tolist()))
-        inverse_class = class_of[inv[[m[0] for m in member_lists]]].tolist()
-        self._class_of = dict(enumerate(class_of.tolist()))
+                class_of[self.products(self.products(hs, g), inv)] = len(reps)
+                reps.append(g)
+        sizes = np.bincount(class_of).tolist()
+        inverse_class = class_of[inv[reps]].tolist()
+        self._class_of = class_of
         return tuple(
-            ConjugacyClass(representative=members[0], size=len(members),
-                           label=self.element_label(members[0]),
-                           inverse_class=inverse_class[idx], members=members)
-            for idx, members in enumerate(member_lists))
+            ConjugacyClass(representative=g, size=sizes[idx],
+                           label=self.element_label(g),
+                           inverse_class=inverse_class[idx])
+            for idx, g in enumerate(reps))
+
+    def class_of(self) -> np.ndarray:
+        """The class index of every element, as one read-only int array
+        set with the classes; InvalidArgument where the classes are known
+        without it (S_n above GENERIC_CLASS_BOUND)."""
+        self.conjugacy_classes()
+        if self._class_of is None:
+            raise InvalidArgument("class membership unavailable")
+        return self._class_of
 
     def class_index_of(self, g: int) -> int:
-        if self._class_of is None:
-            self.conjugacy_classes()
-            if self._class_of is None:
-                raise InvalidArgument("class membership unavailable")
-        return self._class_of[g]
-
-    def class_members(self, idx: int):
-        members = self.conjugacy_classes()[idx].members
-        if members is None:
-            raise InvalidArgument("class members not materialized")
-        return members
+        return int(self.class_of()[g])
 
 
 class AbelianProductGroup(FiniteGroup):
@@ -356,10 +361,10 @@ class AbelianProductGroup(FiniteGroup):
     def _compute_classes(self):
         self._bound_classes()
         inverse = self.inverses().tolist()
-        self._class_of = {g: g for g in range(self.order)}
+        self._class_of = np.arange(self.order)
         return tuple(
             ConjugacyClass(representative=g, size=1, label=label,
-                           inverse_class=inverse[g], members=(g,))
+                           inverse_class=inverse[g])
             for g, label in enumerate(self.element_labels()))
 
 
@@ -458,24 +463,18 @@ class SymmetricGroup(FiniteGroup):
         return tuple(perm)
 
     def _compute_classes(self):
-        classes = []
         parts_list = partitions(self.n)
         index_of_type = {mu: i for i, mu in enumerate(parts_list)}
-        materialize = self.order <= GENERIC_CLASS_BOUND
-        members_by_type = None
-        if materialize:
-            members_by_type = {mu: [] for mu in parts_list}
-            for r, p in enumerate(self._perm_array().tolist()):
-                members_by_type[cycle_type(p)].append(r)
-        for mu in parts_list:
-            rep = perm_rank(self.canonical_of_type(mu))
-            classes.append(ConjugacyClass(
-                representative=rep,
-                size=self.class_size(mu),
-                label=partition_label(mu),
-                inverse_class=index_of_type[mu],  # every class is self-inverse
-                members=tuple(members_by_type[mu]) if materialize else None))
-        return tuple(classes)
+        if self.order <= GENERIC_CLASS_BOUND:
+            self._class_of = np.array(
+                [index_of_type[cycle_type(p)]
+                 for p in self._perm_array().tolist()])
+        return tuple(
+            ConjugacyClass(
+                representative=perm_rank(self.canonical_of_type(mu)),
+                size=self.class_size(mu), label=partition_label(mu),
+                inverse_class=index_of_type[mu])  # every class self-inverse
+            for mu in parts_list)
 
     def class_index_of(self, g):
         parts_list = partitions(self.n)
@@ -553,9 +552,9 @@ class FiniteField:
 class GeneralLinearGroup(FiniteGroup):
     """GL(n, F_q).  Elements are the invertible matrices, the identity
     first, the rest in lexicographic order of the row-major entry
-    vector.  ``element_array`` holds them as one ``(|G|, n, n)`` array,
-    found with their inverses by one Gauss-Jordan pass over ``[M | I]``
-    for every entry vector M."""
+    vector.  ``matrices`` holds them as one read-only ``(|G|, n, n)``
+    int64 array, found with their inverses by one Gauss-Jordan pass
+    over ``[M | I]`` for every entry vector M."""
 
     MAX_ORDER = GENERIC_CLASS_BOUND
 
@@ -584,9 +583,8 @@ class GeneralLinearGroup(FiniteGroup):
         keys = np.concatenate([[identity], keys[keys != identity]])
         if len(keys) != expected:
             raise NotAGroup("order-formula", (len(keys), expected))
-        self.element_array = every[keys]
-        self.matrices = tuple(tuple(map(tuple, m))
-                              for m in self.element_array.tolist())
+        self.matrices = every[keys]
+        self.matrices.setflags(write=False)
         # the index of every matrix by its key (-1: singular)
         self._index_of_key = np.full(len(every), -1)
         self._index_of_key[keys] = np.arange(expected)
@@ -603,7 +601,7 @@ class GeneralLinearGroup(FiniteGroup):
         # the key sums C[i, j] times its weight
         n, q = self.n, self.q
         mul, add = self.field.mul.ravel(), self.field.add.ravel()
-        A, B = self.element_array[a] * q, self.element_array[b]
+        A, B = self.matrices[a] * q, self.matrices[b]
         key = 0
         for (i, j), weight in np.ndenumerate(self._weights):
             c = mul[A[..., i, 0] + B[..., 0, j]]
@@ -617,7 +615,7 @@ class GeneralLinearGroup(FiniteGroup):
 
     def element_label(self, a):
         return ";".join(" ".join(str(v) for v in row)
-                        for row in self.matrices[a])
+                        for row in self.matrices[a].tolist())
 
 
 class TableGroup(FiniteGroup):

@@ -270,8 +270,7 @@ def extract_matrix_solution(cert: ThetaCertificate):
         raise SizeLimit(
             f"matrix extraction limited to order {MATRIX_BOUND}")
     inv = group.inverses()
-    f_elem = [cert.f.values[group.class_index_of(g)]
-              for g in range(group.order)]
+    f_elem = [cert.f.values[idx] for idx in group.class_of().tolist()]
     order = group.order
     return [[f_elem[i] / order for i in group.products(b, inv).tolist()]
             for b in range(order)]

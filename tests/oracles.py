@@ -520,7 +520,8 @@ def action_axiom_failures(group, table) -> list:
 def reference_classes(group):
     """Conjugacy classes by the orbit sweep over single products: the
     orbit of the smallest unswept element, in the order and layout of
-    ``FiniteGroup.conjugacy_classes``."""
+    ``FiniteGroup.conjugacy_classes``, and beside them the list of every
+    element's class index."""
     remaining = set(range(group.order))
     member_lists = []
     while remaining:
@@ -529,14 +530,16 @@ def reference_classes(group):
                  for h in range(group.order)}
         remaining -= orbit
         member_lists.append(tuple(sorted(orbit)))
-    class_of = {m: idx for idx, members in enumerate(member_lists)
-                for m in members}
-    return tuple(
+    class_of = [0] * group.order
+    for idx, members in enumerate(member_lists):
+        for m in members:
+            class_of[m] = idx
+    classes = tuple(
         ConjugacyClass(representative=members[0], size=len(members),
                        label=group.element_label(members[0]),
-                       inverse_class=class_of[group.invert(members[0])],
-                       members=members)
+                       inverse_class=class_of[group.invert(members[0])])
         for members in member_lists)
+    return classes, class_of
 
 
 def matrix_product(field, A, B) -> tuple:
@@ -577,7 +580,7 @@ def shift_rank(field, A) -> int:
 def gl_pointwise_stabilizer(group, k: int) -> list:
     """Indices of the matrices of GL(n, q) fixing the first k standard
     basis vectors; an explicit independent set in Cay(GL, X_{q,n,k})."""
-    columns = group.element_array[:, :, :k]
+    columns = group.matrices[:, :, :k]
     fixed = columns == np.eye(group.n, dtype=np.int64)[:, :k]
     return np.flatnonzero(fixed.all(axis=(1, 2))).tolist()
 

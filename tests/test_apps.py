@@ -11,7 +11,7 @@ from cayley_theta.apps import (EfpCell, count_fixing_at_least,
                                gl_connection, gl_lower_bound)
 from cayley_theta.characters import symmetric_character_table
 from cayley_theta.errors import InvalidArgument
-from cayley_theta.graphs import alpha, build_cayley
+from cayley_theta.graphs import ConnectionSet, alpha, build_cayley
 from cayley_theta.groups import (SymmetricGroup, make_general_linear,
                                  make_symmetric)
 
@@ -24,6 +24,11 @@ def test_s10_table_and_lp_build_no_element_array(monkeypatch):
 
     monkeypatch.setattr(SymmetricGroup, "_perm_array", refuse)
     table = symmetric_character_table(10)
+    s10 = table.group
+    assert not ConnectionSet.from_elements(
+        s10, [1, s10.invert(1)]).conjugation_closed
+    with pytest.raises(InvalidArgument, match="membership unavailable"):
+        s10.class_of()
     for k in range(1, 11):
         assert efp_connection(10, k, table.group).size > 0
     spec = theta.CayleyGraphSpec(table.group,

@@ -443,6 +443,25 @@ def test_non_class_function_needs_irreps():
         is_positive_type(GroupFunction(s3, tuple(vals)), table)
 
 
+def test_float_class_function_read_at_smallest_members():
+    """A float function on S_4, constant on classes up to noise of 1e-13,
+    is the class function of its values at each class's smallest member,
+    which is not the representative of every S_4 class."""
+    s4 = make_symmetric(4)
+    class_of = s4.class_of()
+    rng = np.random.default_rng(4)
+    base = rng.normal(size=len(s4.conjugacy_classes()))
+    values = base[class_of] + rng.uniform(-1e-13, 1e-13, size=s4.order)
+    f = GroupFunction(s4, tuple(values.tolist()))
+    smallest = [int(np.argmax(class_of == idx)) for idx in range(len(base))]
+    assert smallest != [c.representative for c in s4.conjugacy_classes()]
+    assert characters._as_class_function(f) == ClassFunction(
+        s4, tuple(f.values[g] for g in smallest))
+    values[s4.order - 1] += 1e-11
+    assert characters._as_class_function(
+        GroupFunction(s4, tuple(values.tolist()))) is None
+
+
 def test_convolution_identity_and_involution():
     s3 = make_symmetric(3)
     delta = GroupFunction(s3, (Fraction(1), 0, 0, 0, 0, 0))

@@ -30,9 +30,9 @@ def petersen():
 
 def test_graph_basics():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert not g.has_edge(0, 2)
-    assert g.degree(1) == 2
+    assert g.adjacency[0, 1] and g.adjacency[1, 0]
+    assert not g.adjacency[0, 2]
+    assert np.count_nonzero(g.adjacency[1]) == 2
     assert sorted(g.edges) == [(0, 1), (1, 2)]
     with pytest.raises(InvalidArgument):
         Graph.from_edges(3, [(0, 3)])
@@ -98,7 +98,7 @@ def test_connection_set_from_classes_excludes_identity():
     X = ConnectionSet.from_classes(s3, [1])
     assert X.conjugation_closed
     assert X.size == 3
-    assert X.elements == tuple(sorted(s3.class_members(1)))
+    assert X.elements == tuple(np.flatnonzero(s3.class_of() == 1).tolist())
     assert 0 not in X.elements
 
 
@@ -234,7 +234,7 @@ def test_build_cayley_memory():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert graph.degree(0) == X.size == 529
+    assert np.count_nonzero(graph.adjacency[0]) == X.size == 529
     assert peak < 5 * 2**20
 
 
@@ -326,7 +326,7 @@ def test_alpha_known_graphs():
     w = res.witness
     g = petersen()
     assert len(w) == 4
-    assert all(not g.has_edge(u, v) for u in w for v in w if u != v)
+    assert all(not g.adjacency[u, v] for u in w for v in w if u != v)
 
     cycle7 = Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
     assert alpha(cycle7).value == 3
@@ -365,7 +365,7 @@ def test_alpha_deeper_than_the_recursion_limit():
 
 
 def _independent(graph, witness):
-    return all(not graph.has_edge(u, v) for u in witness for v in witness
+    return all(not graph.adjacency[u, v] for u in witness for v in witness
                if u != v)
 
 
@@ -546,7 +546,7 @@ def test_blowup_checks_automorphisms_at_every_order():
     with pytest.raises(NotAutomorphism) as caught:
         blowup_connection(conjugated, cycle)
     assert (caught.value.element, caught.value.edge) == (1, (0, 1))
-    assert not cycle.has_edge(6, 2)
+    assert not cycle.adjacency[6, 2]
 
 
 def test_blowup_witness_is_a_broken_edge():
@@ -559,8 +559,8 @@ def test_blowup_witness_is_a_broken_edge():
     with pytest.raises(NotAutomorphism) as caught:
         blowup_connection(action, c5)
     (u, v), g = caught.value.edge, caught.value.element
-    assert c5.has_edge(u, v)
-    assert not c5.has_edge(*action.table[g, [u, v]].tolist())
+    assert c5.adjacency[u, v]
+    assert not c5.adjacency[tuple(action.table[g, [u, v]])]
 
 
 def test_graph_file_roundtrip(tmp_path):

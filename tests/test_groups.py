@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +114,8 @@ def test_symmetric_composition_convention():
 def test_general_linear_examples():
     gl22 = make_general_linear(2, 2)
     assert gl22.order == 6
-    assert gl22.matrices[0] == ((1, 0), (0, 1))
+    assert gl22.matrices[0].tolist() == [[1, 0], [0, 1]]
+    assert not gl22.matrices.flags.writeable
 
     gl23 = make_general_linear(3, 2)
     assert gl23.order == 48
@@ -127,17 +129,23 @@ def test_general_linear_examples():
         make_general_linear(3, 3)       # order 11232 > bound
 
 
+def matrix_tuples(group) -> tuple:
+    """The matrices of GL(n, q) as tuples of row tuples, the layout of
+    ``matrix_product``."""
+    return tuple(tuple(map(tuple, m)) for m in group.matrices.tolist())
+
+
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3), (5, 2)])
 def test_gl_arithmetic_against_field_table_oracles(q, n):
     group = make_general_linear(q, n)
-    f, mats = group.field, group.matrices
+    f, mats = group.field, matrix_tuples(group)
     everything = np.arange(group.order)
     table = group.products(everything[:, None], everything).tolist()
     for a, row in enumerate(table):
         assert [mats[c] for c in row] == [matrix_product(f, mats[a], B)
                                           for B in mats]
     assert not group.products(everything, group.inverses()).any()
-    shifted = f.add[group.element_array, f.neg[np.eye(n, dtype=np.int64)]]
+    shifted = f.add[group.matrices, f.neg[np.eye(n, dtype=np.int64)]]
     ranks = [shift_rank(f, A) for A in mats]
     assert group.ranks(shifted).tolist() == ranks
     for k in range(1, n + 1):
@@ -147,6 +155,10 @@ def test_gl_arithmetic_against_field_table_oracles(q, n):
 
 GL_CASES = [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (8, 2),
             (9, 2), (2, 3)]
+# the class record as the pin hashed it, with the tuple of its members
+_PinnedClass = make_dataclass(
+    "ConjugacyClass",
+    ["representative", "size", "label", "inverse_class", "members"])
 
 
 def _gl_digest(q, n):
@@ -154,7 +166,7 @@ def _gl_digest(q, n):
     connection sets and stabilizers of GL(n, q).  Products cover every
     pair up to order 500 and 64 seeded rows above it."""
     group = make_general_linear(q, n)
-    h = hashlib.sha256(repr(group.matrices).encode())
+    h = hashlib.sha256(repr(matrix_tuples(group)).encode())
     everything = np.arange(group.order)
     rng = np.random.default_rng(0)
     rows = everything if group.order <= 500 else np.sort(
@@ -165,7 +177,11 @@ def _gl_digest(q, n):
     h.update(repr([group.invert(a) for a in range(group.order)]).encode())
     pairs = rng.integers(0, group.order, size=(500, 2)).tolist()
     h.update(repr([group.multiply(a, b) for a, b in pairs]).encode())
-    h.update(repr(group.conjugacy_classes()).encode())
+    class_of = group.class_of()
+    h.update(repr(tuple(
+        _PinnedClass(c.representative, c.size, c.label, c.inverse_class,
+                     tuple(np.flatnonzero(class_of == idx).tolist()))
+        for idx, c in enumerate(group.conjugacy_classes()))).encode())
     for k in range(1, n + 1):
         conn = gl_connection(q, n, k, group)
         h.update(repr((conn.elements, conn.as_classes)).encode())
@@ -313,7 +329,7 @@ def test_symmetric_products_in_every_shape(n):
 @pytest.mark.parametrize("q", [8, 9])
 def test_gl_extension_field_products_against_oracle(q):
     group = make_general_linear(q, 2)
-    f, mats = group.field, group.matrices
+    f, mats = group.field, matrix_tuples(group)
     a, b = np.random.default_rng(q).integers(0, group.order, size=(2, 2000))
     assert [mats[c] for c in group.products(a, b).tolist()] == [
         matrix_product(f, mats[x], mats[y])
@@ -325,12 +341,42 @@ def test_generic_classes_match_reference():
     for group in (make_general_linear(3, 2), make_general_linear(4, 2),
                   make_general_linear(5, 2), closure.group):
         classes = group.conjugacy_classes()
-        assert classes == reference_classes(group)
+        assert (classes, group.class_of().tolist()) == \
+            reference_classes(group)
         assert all(type(v) is int for c in classes
-                   for v in (c.representative, c.size, c.inverse_class,
-                             *c.members))
+                   for v in (c.representative, c.size, c.inverse_class))
         assert all(type(group.class_index_of(g)) is int
                    for g in range(group.order))
+
+
+def _class_of_cases():
+    s3 = make_symmetric(3)
+    everything = np.arange(s3.order)
+    return ([make_abelian_product([12]), make_abelian_product([2, 2, 2]),
+             make_general_linear(3, 2), make_general_linear(2, 3),
+             make_from_table(s3.products(everything[:, None], everything))]
+            + [make_symmetric(n) for n in range(1, 8)])
+
+
+@pytest.mark.parametrize("group", _class_of_cases(),
+                         ids=lambda g: f"{type(g).__name__}-{g.order}")
+def test_class_of_matches_reference_membership(group):
+    classes, membership = reference_classes(group)
+    class_of = group.class_of()
+    assert class_of.shape == (group.order,)
+    assert not class_of.flags.writeable
+    # the reference numbers the classes by their smallest members, as
+    # every group does but S_n, which numbers them in partition order
+    seen = {}
+    assert [seen.setdefault(idx, len(seen))
+            for idx in class_of.tolist()] == membership
+    if not isinstance(group, groups.SymmetricGroup):
+        assert class_of.tolist() == membership
+    assert np.bincount(class_of).tolist() == [
+        c.size for c in group.conjugacy_classes()]
+    for g in range(group.order):
+        idx = group.class_index_of(g)
+        assert type(idx) is int and idx == class_of[g]
 
 
 def _fails(group, table, g, h, p):
@@ -807,16 +853,15 @@ def test_inverse_class_involution():
 
 def test_class_members_mutually_conjugate():
     group = make_general_linear(3, 2)
-    classes = group.conjugacy_classes()
-    for idx, c in enumerate(classes):
-        for m in c.members:
-            assert group.class_index_of(m) == idx
-    # spot check: conjugating stays in class
-    for idx, c in enumerate(classes):
-        g = c.representative
-        for h in range(0, group.order, 7):
-            conj = group.multiply(group.multiply(h, g), group.invert(h))
-            assert group.class_index_of(conj) == idx
+    class_of = group.class_of()
+    for idx, c in enumerate(group.conjugacy_classes()):
+        members = np.flatnonzero(class_of == idx).tolist()
+        assert len(members) == c.size and c.representative in members
+        # spot check: conjugating a member stays in its class
+        for g in members:
+            for h in range(0, group.order, 7):
+                conj = group.multiply(group.multiply(h, g), group.invert(h))
+                assert group.class_index_of(conj) == idx
 
 
 def test_sn_class_sizes_formula():

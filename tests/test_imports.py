@@ -88,6 +88,30 @@ def unread_names(sources: dict, private: bool,
                               if node is not home))
 
 
+def unread_members(sources: dict, read_elsewhere=frozenset()) -> list:
+    """(module, "Class.name") for each public method or property of a
+    module-level class whose name neither ``read_elsewhere`` holds nor
+    another statement of any of ``sources`` reads, matched by name as in
+    ``unread_names``: a read of the name on any object counts, and a
+    read inside the method's own definition does not."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.ClassDef):
+                reads.append((node, names_read(node)))
+                continue
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and \
+                        not member.name.startswith("_"):
+                    defined.append((module, node.name, member))
+                reads.append((member, names_read(member)))
+    return sorted((module, f"{cls}.{home.name}")
+                  for module, cls, home in defined
+                  if home.name not in read_elsewhere
+                  and not any(home.name in names for node, names in reads
+                              if node is not home))
+
+
 def readme_names(text: str, sections) -> set:
     """The identifiers in code (fenced or in backticks) of the README
     sections whose ``## `` titles are in ``sections``."""
@@ -140,3 +164,32 @@ def test_no_unread_public_names_in_package():
         elsewhere |= names_read(ast.parse(path.read_text()))
     assert unread_names(sources, private=False,
                         read_elsewhere=elsewhere) == []
+
+
+def test_guard_finds_an_unread_public_member():
+    sources = {"a": "class A:\n    def read(self): pass\n"
+                    "    def left(self): return self.left()\n"
+                    "    @property\n    def shown(self): pass\n"
+                    "    def _hidden(self): pass\n",
+               "b": "from a import A\nA().read()\n"
+                    "def left(): pass\n"}
+    assert unread_members(sources) == [("a", "A.left"), ("a", "A.shown")]
+    assert unread_members(sources, read_elsewhere={"shown"}) == [
+        ("a", "A.left")]
+
+
+def test_no_unread_public_members_in_package():
+    """Every public method and property of the package's classes is read
+    by name elsewhere in the package, by the benchmark, or in the
+    README's File formats or Library section."""
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    elsewhere = readme_names((ROOT / "README.md").read_text(),
+                             {"File formats", "Library"})
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        elsewhere |= names_read(ast.parse(path.read_text()))
+    # the single product, read by the test oracles as the path independent
+    # of the bulk ``products``; its S_n and abelian overrides compute
+    # scalars without whole-group arrays
+    elsewhere |= {"multiply"}
+    assert unread_members(sources, read_elsewhere=elsewhere) == []
