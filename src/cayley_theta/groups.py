@@ -18,11 +18,13 @@ Work over many pairs (Cayley graphs, conjugacy classes, group
 matrices) goes through ``products`` and ``inverses``, which act on whole
 numpy index arrays; single products ``multiply`` and ``invert`` read
 them, except in abelian products and S_n, which compute scalars.  S_n
-reads an array of its ``(n!, n)`` permutations, built on the first
+reads an int8 array of its ``(n!, n)`` permutations, built on the first
 bulk call, so a group that only ever answers class-level questions (the
-character table and LP of S_10) never builds it.  GL(n, q) builds its
-``(|G|, n, n)`` matrix array and its inverse index at construction, by
-one Gauss-Jordan elimination over F_q of every entry vector at once.
+character table and LP of S_10) never builds it; a product composes
+rows of that array and is ranked by its Lehmer code, counted from the
+composed entries.  GL(n, q) builds its ``(|G|, n, n)`` matrix array
+and its inverse index at construction, by one Gauss-Jordan elimination
+over F_q of every entry vector at once.
 A table group keeps its Cayley table as an array, and abelian products
 compute their digits.  The arrays hold the elements in the canonical
 order above, so indexing is the same on both paths.
@@ -370,8 +372,11 @@ class AbelianProductGroup(FiniteGroup):
 
 class SymmetricGroup(FiniteGroup):
     """S_n with elements indexed by Lehmer rank (identity has rank 0).
-    Conjugacy classes are classified analytically by cycle type; members
-    are enumerated lazily and only on demand."""
+    Bulk products compose rows of the int8 permutation array and rank
+    the result by its Lehmer code, computed from the composed entries;
+    no n!-long key array is kept.  Conjugacy classes are the cycle
+    types, in partition order; ``class_of`` is read from the permutation
+    array, up to GENERIC_CLASS_BOUND."""
 
     MAX_N = 10
 
@@ -412,26 +417,26 @@ class SymmetricGroup(FiniteGroup):
                     block[:, 0] = f
                     block[:, 1:] = sub + (sub >= f)
             self._perms = perms
-            # a permutation's key reads its entries as base-n digits; the
-            # keys increase with the rank, so searchsorted ranks them
-            self._keys = self._key(lambda i: perms[:, i])
         return self._perms
 
-    def _key(self, entry):
-        """The keys of the permutations whose i-th entries are entry(i),
-        by Horner's rule, one position at a time."""
-        key = entry(0).astype(np.int64)
-        for i in range(1, self.n):
-            key *= self.n
-            key += entry(i)
-        return key
-
     def products(self, a, b):
-        perms = self._perm_array()
-        # p(q(i)) is entry a * n + q(i) of the flat permutation array
-        flat, rows, b = perms.ravel(), np.asarray(a) * self.n, np.asarray(b)
-        return np.searchsorted(
-            self._keys, self._key(lambda i: flat[rows + perms[b, i]]))
+        """The Lehmer-code rank of each composed permutation p(q(.)):
+        sum of c_i (n-1-i)! where c_i counts the later entries smaller
+        than entry i, by Horner's rule in the factorial base.  Position i
+        of p(q(.)) is entry a * n + q(i) of the flat permutation array,
+        one int8 column per position; c_0 is entry 0 itself, the others
+        are int8 counts of comparisons (at most n - 1)."""
+        perms, n = self._perm_array(), self.n
+        flat, rows, b = perms.ravel(), np.asarray(a) * n, np.asarray(b)
+        cols = [flat[rows + perms[b, i]] for i in range(n)]
+        rank = cols[0].astype(np.int64)
+        for i in range(1, n - 1):
+            count = (cols[i + 1] < cols[i]).astype(np.int8)
+            for later in cols[i + 2:]:
+                count += later < cols[i]
+            rank *= n - i
+            rank += count
+        return rank
 
     def identity_key(self):
         return self.n
@@ -466,15 +471,34 @@ class SymmetricGroup(FiniteGroup):
         parts_list = partitions(self.n)
         index_of_type = {mu: i for i, mu in enumerate(parts_list)}
         if self.order <= GENERIC_CLASS_BOUND:
-            self._class_of = np.array(
-                [index_of_type[cycle_type(p)]
-                 for p in self._perm_array().tolist()])
+            self._class_of = self._class_array(parts_list)
         return tuple(
             ConjugacyClass(
                 representative=perm_rank(self.canonical_of_type(mu)),
                 size=self.class_size(mu), label=partition_label(mu),
                 inverse_class=index_of_type[mu])  # every class self-inverse
             for mu in parts_list)
+
+    def _class_array(self, parts_list) -> np.ndarray:
+        """The index in parts_list of every permutation's cycle type, read
+        from the permutation array.  Following every point through the
+        array n - 1 times gives its cycle length L; the sum over the
+        points of (n+1)^(L-1) has digit L-1 equal to L times the number
+        of L-cycles, at most n, so it is a key of the cycle type."""
+        perms, n = self._perm_array(), self.n
+        flat, rows = perms.ravel(), np.arange(len(perms))[:, None] * n
+        # a point not back by step n - 1 is on an n-cycle
+        length = np.full(perms.shape, n, dtype=np.int8)
+        image = perms
+        for step in range(1, n):
+            length[(length == n) & (image == np.arange(n))] = step
+            image = flat[rows + image]
+        weight = (n + 1) ** np.arange(n)
+        key = weight[length - 1].sum(axis=1)
+        class_of = np.empty(len(perms), dtype=np.int64)
+        for idx, mu in enumerate(parts_list):
+            class_of[key == sum(p * weight[p - 1] for p in mu)] = idx
+        return class_of
 
     def class_index_of(self, g):
         parts_list = partitions(self.n)

@@ -326,6 +326,100 @@ def test_symmetric_products_in_every_shape(n):
     assert group.products(a, b).tolist() == want
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_symmetric_products_match_multiply(n):
+    """S_n products, ranked by their Lehmer code, against the scalar
+    ``multiply``: every pair up to S_5, 2,000 seeded pairs from S_6 on."""
+    group = make_symmetric(n)
+    if n <= 5:
+        a, b = np.divmod(np.arange(group.order ** 2), group.order)
+    else:
+        a, b = np.random.default_rng(n).integers(0, group.order, (2, 2000))
+    got = group.products(a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == [group.multiply(x, y)
+                            for x, y in zip(a.tolist(), b.tolist())]
+
+
+def test_symmetric_products_broadcast_and_group_laws():
+    """S_6 products of scalars and 0-, 1- and 2-D index arrays under
+    broadcasting, against ``multiply``; the identity and inverse laws
+    through ``inverses()``."""
+    group = make_symmetric(6)
+    rng = np.random.default_rng(6)
+    x, y = (int(v) for v in rng.integers(0, group.order, 2))
+    for a, b in [(x, y), (np.int64(x), y), (np.array(x), np.array(y))]:
+        single = group.products(a, b)
+        assert np.shape(single) == () and int(single) == group.multiply(x, y)
+    a = rng.integers(0, group.order, size=(7, 1))
+    b = rng.integers(0, group.order, size=(1, 9))
+    for left, right in [(a[:, 0], y), (x, b[0]), (a, b), (a, b[0]),
+                        (a[:, 0], b[0, :7])]:
+        got = group.products(left, right)
+        want = np.vectorize(group.multiply)(left, right)
+        assert got.shape == want.shape and got.tolist() == want.tolist()
+    everything = np.arange(group.order)
+    inverse = group.inverses()
+    assert (group.products(everything, 0) == everything).all()
+    assert (group.products(0, everything) == everything).all()
+    assert not group.products(everything, inverse).any()
+    assert not group.products(inverse, everything).any()
+    # (ab)^-1 = b^-1 a^-1
+    assert (inverse[group.products(a, b)] ==
+            group.products(inverse[b], inverse[a])).all()
+    assert inverse.tolist() == [group.invert(g) for g in everything.tolist()]
+
+
+def test_symmetric_counts_fit_int8():
+    """Permutation entries and each Lehmer digit are at most n - 1, kept
+    in int8, so no S_n up to MAX_N can overflow them."""
+    assert groups.SymmetricGroup.MAX_N - 1 <= np.iinfo(np.int8).max
+
+
+def test_symmetric_kernels_run_in_bounded_memory():
+    """The S_9 permutation array is the only n!-sized array the group
+    builds: no int64 array of n! sort keys comes back beside it (that
+    array alone was 2.9 MB).  One ``build_cayley`` block of S_6 products
+    stays within a few times the block's int64 result."""
+    group = make_symmetric(9)
+    tracemalloc.start()
+    try:
+        perms = group._perm_array()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < perms.nbytes + 2 ** 16
+    assert peak < 1.5 * perms.nbytes
+    s6 = make_symmetric(6)
+    s6._perm_array()
+    xs = np.arange(s6.order)[:, None]
+    side = np.arange(1, s6.order)
+    cols = groups.blocks(len(side), xs.nbytes)[0]
+    tracemalloc.start()
+    try:
+        block = s6.products(xs, side[None, cols])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (s6.order, cols.stop)
+    assert peak < 4 * block.nbytes
+
+
+def test_symmetric_class_of_reads_the_array(monkeypatch):
+    """S_7's ``class_of`` (where one ``cycle_type`` call per element once
+    took 17 ms) is read from the permutation array: it equals the
+    per-element cycle-type oracle while ``groups.cycle_type`` raises."""
+    index_of_type = {mu: i for i, mu in enumerate(partitions(7))}
+    want = [index_of_type[cycle_type(p)]
+            for p in itertools.permutations(range(7))]
+
+    def refuse(perm):
+        raise AssertionError("cycle_type called")
+
+    monkeypatch.setattr(groups, "cycle_type", refuse)
+    assert make_symmetric(7).class_of().tolist() == want
+
+
 @pytest.mark.parametrize("q", [8, 9])
 def test_gl_extension_field_products_against_oracle(q):
     group = make_general_linear(q, 2)
