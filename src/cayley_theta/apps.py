@@ -155,8 +155,8 @@ def gl_connection(q: int, n: int, k: int,
     f = group.field
     shifted = f.add[group.matrices, f.neg[np.eye(n, dtype=np.int64)]]
     elems = np.flatnonzero(group.ranks(shifted) > n - k).tolist()
-    # from_elements verifies inverse closure and detects the class union,
-    # which certifies conjugation closure
+    # from_elements verifies inverse closure, and the class union found by
+    # conjugation_closed certifies conjugation closure
     conn = ConnectionSet.from_elements(group, elems)
     if not conn.conjugation_closed:
         raise InvalidArgument(

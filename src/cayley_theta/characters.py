@@ -100,9 +100,6 @@ class ClassFunction:
         if len(self.values) != len(self.group.conjugacy_classes()):
             raise InvalidArgument("one value per conjugacy class required")
 
-    def at_element(self, g: int) -> Scalar:
-        return self.values[self.group.class_index_of(g)]
-
     def total(self) -> Scalar:
         classes = self.group.conjugacy_classes()
         return sum(c.size * v for c, v in zip(classes, self.values))
@@ -528,8 +525,7 @@ def import_character_table(path, group: FiniteGroup) -> CharacterTable:
     entries = np.array([_parse_scalar(v, exact) for v in flat],
                        dtype=object if exact else complex)
     entries = entries.reshape(n_irreps, len(classes))[:, perm]
-    labels = data.get("irrep_labels") or [f"irrep{i}"
-                                          for i in range(n_irreps)]
+    labels = data.get("irrep_labels", [f"irrep{i}" for i in range(n_irreps)])
     if not (isinstance(labels, list) and len(labels) == n_irreps
             and all(isinstance(label, str) for label in labels)):
         raise SchemaError(f"irrep_labels must be {n_irreps} strings")
@@ -670,14 +666,9 @@ def is_positive_type(f, rep, tol: float = 1e-9) -> PositiveTypeResult:
 
 def _as_class_function(f: GroupFunction):
     """The ClassFunction of f's value at each class's smallest member, if
-    f is constant on classes up to 1e-12; None if it is not, or if class
-    membership is unknown (S_n above the class bound)."""
+    f is constant on classes up to 1e-12; None if it is not."""
     group = f.group
-    group.conjugacy_classes()     # InvalidArgument above the class bound
-    try:
-        class_of = group.class_of().tolist()
-    except InvalidArgument:
-        return None
+    class_of = group.class_of().tolist()
     # in element order, each class is first met at its smallest member
     first = {}
     for v, idx in zip(f.values, class_of):
@@ -692,7 +683,7 @@ def _is_positive_type_irreps(f, irreps: "IrrepMatrices", tol):
     the sum element by element)."""
     group = irreps.group
     if isinstance(f, ClassFunction):
-        values = [f.at_element(g) for g in range(group.order)]
+        values = [f.values[idx] for idx in group.class_of().tolist()]
     else:
         values = list(f.values)
     values = _weights(values, "a value of f is")

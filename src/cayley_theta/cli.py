@@ -103,7 +103,7 @@ def _report(args, mode, results, started, inputs=()):
     return {
         "schema": 1,
         "version": __version__,
-        "command": " ".join(sys.argv[1:]),
+        "command": " ".join(args.argv),
         "mode": mode,
         "input_digests": {p: _digest(p) for p in inputs},
         "results": results,
@@ -318,10 +318,12 @@ def build_parser():
 
 def cli_dispatch(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    args.argv = argv    # the command line of the --json report
     try:
         return args.func(args)
     except (InvalidArgument, OSError) as exc:

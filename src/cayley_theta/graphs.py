@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -41,12 +42,14 @@ CAYLEY_BOUND = 5000
 class ConnectionSet:
     """Inverse-closed, identity-free subset of a group; when the set is a
     union of conjugacy classes, ``as_classes`` holds the class indices and
-    element materialization can be skipped entirely."""
+    element materialization can be skipped entirely.  A set given by its
+    elements finds its classes on the first read of ``as_classes``, so
+    building its Cayley graph needs no class membership."""
 
     def __init__(self, group: FiniteGroup, as_classes=None, elements=None):
         self.group = group
-        self.as_classes = tuple(sorted(as_classes)) if as_classes is not None \
-            else None
+        if as_classes is not None:
+            self.as_classes = tuple(sorted(as_classes))
         self._elements = tuple(sorted(elements)) if elements is not None \
             else None
 
@@ -81,22 +84,18 @@ class ConnectionSet:
             if group.invert(e) not in eset:
                 raise InvalidArgument(
                     f"element {e} present but its inverse is not")
-        as_classes = cls._detect_classes(group, elems)
-        return cls(group, as_classes=as_classes, elements=elems)
+        return cls(group, elements=elems)
 
-    @staticmethod
-    def _detect_classes(group, elems):
-        """The classes whose union is the distinct ``elems``; None if it
-        is no union of classes or class membership is unknown."""
-        try:
-            class_of = group.class_of()
-        except InvalidArgument:
-            return None
-        sizes = [c.size for c in group.conjugacy_classes()]
-        inside = np.bincount(class_of[elems], minlength=len(sizes))
+    @cached_property
+    def as_classes(self):
+        """The classes whose union is the set; None if it is no union of
+        classes."""
+        sizes = [c.size for c in self.group.conjugacy_classes()]
+        inside = np.bincount(self.group.class_of()[list(self._elements)],
+                             minlength=len(sizes))
         if ((inside != 0) & (inside != sizes)).any():
             return None
-        return np.flatnonzero(inside).tolist()
+        return tuple(np.flatnonzero(inside).tolist())
 
     @property
     def conjugation_closed(self) -> bool:

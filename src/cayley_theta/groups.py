@@ -30,9 +30,10 @@ compute their digits.  The arrays hold the elements in the canonical
 order above, so indexing is the same on both paths.
 
 Class membership is one read-only int array, ``class_of()``, whose entry
-g is the index of g's conjugacy class, set where the classes are
-computed.  Only S_n above GENERIC_CLASS_BOUND has none: its classes are
-cycle types, and ``class_index_of`` reads the cycle type of one element.
+g is the index of g's conjugacy class.  It is set where the classes are
+computed, except on S_n, whose classes are the cycle types: there it is
+built on first request from the permutation array, so the classes alone
+build neither array.
 
 Cayley and action tables are checked in full at every order through
 ``FiniteGroup.generators``, at most log2|G| elements: associativity
@@ -85,24 +86,6 @@ def partitions(n: int) -> tuple:
 
     rec(n, n, [])
     return tuple(sorted(out))
-
-
-def cycle_type(perm: Sequence[int]) -> tuple:
-    """Cycle type of a permutation as a weakly decreasing tuple."""
-    n = len(perm)
-    seen = [False] * n
-    parts = []
-    for i in range(n):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            parts.append(length)
-    parts.sort(reverse=True)
-    return tuple(parts)
 
 
 def partition_label(parts: Sequence[int]) -> str:
@@ -189,8 +172,8 @@ class FiniteGroup:
     """Base class: an immutable indexed group.  Subclasses fix the element
     encoding and supply the bulk products; inverses and conjugacy
     classes are cached on first request, the classes with the one
-    ``class_of`` array of every element's class index (none on S_n above
-    GENERIC_CLASS_BOUND)."""
+    ``class_of`` array of every element's class index (on S_n, that
+    array on its own first request)."""
 
     identity = 0
 
@@ -292,15 +275,9 @@ class FiniteGroup:
 
     def class_of(self) -> np.ndarray:
         """The class index of every element, as one read-only int array
-        set with the classes; InvalidArgument where the classes are known
-        without it (S_n above GENERIC_CLASS_BOUND)."""
+        set with the classes."""
         self.conjugacy_classes()
-        if self._class_of is None:
-            raise InvalidArgument("class membership unavailable")
         return self._class_of
-
-    def class_index_of(self, g: int) -> int:
-        return int(self.class_of()[g])
 
 
 class AbelianProductGroup(FiniteGroup):
@@ -375,8 +352,9 @@ class SymmetricGroup(FiniteGroup):
     Bulk products compose rows of the int8 permutation array and rank
     the result by its Lehmer code, computed from the composed entries;
     no n!-long key array is kept.  Conjugacy classes are the cycle
-    types, in partition order; ``class_of`` is read from the permutation
-    array, up to GENERIC_CLASS_BOUND."""
+    types, in partition order, known without any element; ``class_of``
+    is read from the permutation array, a block of rows at a time, on
+    its first request."""
 
     MAX_N = 10
 
@@ -468,41 +446,47 @@ class SymmetricGroup(FiniteGroup):
         return tuple(perm)
 
     def _compute_classes(self):
-        parts_list = partitions(self.n)
-        index_of_type = {mu: i for i, mu in enumerate(parts_list)}
-        if self.order <= GENERIC_CLASS_BOUND:
-            self._class_of = self._class_array(parts_list)
         return tuple(
             ConjugacyClass(
                 representative=perm_rank(self.canonical_of_type(mu)),
                 size=self.class_size(mu), label=partition_label(mu),
-                inverse_class=index_of_type[mu])  # every class self-inverse
-            for mu in parts_list)
+                inverse_class=idx)    # every class is self-inverse
+            for idx, mu in enumerate(partitions(self.n)))
 
-    def _class_array(self, parts_list) -> np.ndarray:
-        """The index in parts_list of every permutation's cycle type, read
-        from the permutation array.  Following every point through the
-        array n - 1 times gives its cycle length L; the sum over the
-        points of (n+1)^(L-1) has digit L-1 equal to L times the number
-        of L-cycles, at most n, so it is a key of the cycle type."""
+    def class_of(self):
+        if self._class_of is None:
+            class_of = self._class_array()
+            class_of.setflags(write=False)
+            self._class_of = class_of
+        return self._class_of
+
+    def _class_array(self) -> np.ndarray:
+        """The partition index of every permutation's cycle type, read
+        from the permutation array a block of rows at a time.  Following
+        every point through the array n - 1 times gives its cycle length
+        L; the sum over the points of (n+1)^(L-1) has digit L-1 equal to
+        L times the number of L-cycles, at most n, so it is a key of the
+        cycle type."""
         perms, n = self._perm_array(), self.n
-        flat, rows = perms.ravel(), np.arange(len(perms))[:, None] * n
-        # a point not back by step n - 1 is on an n-cycle
-        length = np.full(perms.shape, n, dtype=np.int8)
-        image = perms
-        for step in range(1, n):
-            length[(length == n) & (image == np.arange(n))] = step
-            image = flat[rows + image]
-        weight = (n + 1) ** np.arange(n)
-        key = weight[length - 1].sum(axis=1)
+        flat, points = perms.ravel(), np.arange(n)
+        weight = (n + 1) ** points
+        # ascending in partition order: both compare the numbers of the
+        # longest cycles first
+        type_key = np.array([sum(p * weight[p - 1] for p in mu)
+                             for mu in partitions(n)])
         class_of = np.empty(len(perms), dtype=np.int64)
-        for idx, mu in enumerate(parts_list):
-            class_of[key == sum(p * weight[p - 1] for p in mu)] = idx
+        # the int64 temporaries hold n entries per row
+        for rows in blocks(len(perms), 8 * n):
+            image = perms[rows]
+            base = np.arange(*rows.indices(len(perms)))[:, None] * n
+            # a point not back by step n - 1 is on an n-cycle
+            length = np.full(image.shape, n, dtype=np.int8)
+            for step in range(1, n):
+                length[(length == n) & (image == points)] = step
+                image = flat[base + image]
+            key = weight[length - 1].sum(axis=1)
+            class_of[rows] = np.searchsorted(type_key, key)
         return class_of
-
-    def class_index_of(self, g):
-        parts_list = partitions(self.n)
-        return parts_list.index(cycle_type(self.perm(g)))
 
 
 # ---------------------------------------------------------------------------

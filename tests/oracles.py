@@ -517,6 +517,25 @@ def action_axiom_failures(group, table) -> list:
     return failures
 
 
+def cycle_type(perm) -> tuple:
+    """Cycle type of a permutation as a weakly decreasing tuple, by
+    following each cycle one point at a time."""
+    n = len(perm)
+    seen = [False] * n
+    parts = []
+    for i in range(n):
+        if not seen[i]:
+            length = 0
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            parts.append(length)
+    parts.sort(reverse=True)
+    return tuple(parts)
+
+
 def reference_classes(group):
     """Conjugacy classes by the orbit sweep over single products: the
     orbit of the smallest unswept element, in the order and layout of
@@ -617,7 +636,7 @@ def group_matrix(f) -> list:
     positive type iff M is positive semidefinite."""
     if isinstance(f, ClassFunction):
         group = f.group
-        values = [f.at_element(g) for g in range(group.order)]
+        values = [f.values[idx] for idx in group.class_of().tolist()]
     else:
         group = f.group
         values = list(f.values)

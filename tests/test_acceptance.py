@@ -239,7 +239,8 @@ def test_criterion_09_certificate_roundtrip():
         g = build_cayley(spec.group, spec.connection)
         ok &= all(A[u][v] == 0 for (u, v) in g.edges)
         f = symmetrize_matrix(A, spec.group)
-        ok &= all(f.values[gamma] == cert.f.at_element(gamma)
+        class_of = spec.group.class_of()
+        ok &= all(f.values[gamma] == cert.f.values[class_of[gamma]]
                   for gamma in range(order))
     report("criterion 9: certificates lift to exact PSD matrix solutions "
            "for all six order<=24 instances", ok)

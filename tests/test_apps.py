@@ -24,16 +24,25 @@ def test_s10_table_and_lp_build_no_element_array(monkeypatch):
 
     monkeypatch.setattr(SymmetricGroup, "_perm_array", refuse)
     table = symmetric_character_table(10)
-    s10 = table.group
-    assert not ConnectionSet.from_elements(
-        s10, [1, s10.invert(1)]).conjugation_closed
-    with pytest.raises(InvalidArgument, match="membership unavailable"):
-        s10.class_of()
     for k in range(1, 11):
         assert efp_connection(10, k, table.group).size > 0
     spec = theta.CayleyGraphSpec(table.group,
                                  efp_connection(10, 1, table.group))
     assert theta.solve_theta(spec, table).objective == math.factorial(9)
+
+
+def test_s8_element_sets_find_their_classes():
+    """S_8, above the orbit sweep's bound, reads class membership from
+    its permutation array: a transposition and its inverse are no union
+    of classes, and the elements of X_{8,2} are the union of the classes
+    of efp:2."""
+    s8 = make_symmetric(8)
+    assert not ConnectionSet.from_elements(
+        s8, [1, s8.invert(1)]).conjugation_closed
+    efp = efp_connection(8, 2, s8)
+    assert ConnectionSet.from_elements(s8, efp.elements).as_classes == \
+        efp.as_classes
+    assert s8.class_of()[1] == 1    # a transposition has cycle type (2,1^6)
 
 
 def brute_count_fixing_at_least(n, s, m):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayley_theta import simplex
+from cayley_theta.apps import efp_connection
 from cayley_theta.cli import cli_dispatch
 from cayley_theta.graphs import (CAYLEY_BOUND, Graph, export_action,
                                  export_graph)
@@ -51,6 +52,39 @@ def test_theta_json_report(capsys, tmp_path):
     assert data["mode"] == "exact"
     assert data["results"]["theta"] == "2"
     assert "runtime_ms" in data
+
+
+def test_theta_json_report_records_the_parsed_command(capsys, tmp_path):
+    """The report's ``command`` is the argument list ``cli_dispatch``
+    parsed, not the command line of the process that called it."""
+    report = tmp_path / "run.json"
+    argv = ["theta", "--group", "sym:4", "--connection", "efp:1",
+            "--json", str(report)]
+    assert run(capsys, *argv) == (0, "theta = 6 (exact)\n", "")
+    assert json.loads(report.read_text())["command"] == " ".join(argv)
+
+
+def test_s8_element_connection_is_conjugation_closed(capsys, tmp_path):
+    """The 29,665 elements of X_{8,2} given as a file are the union of the
+    classes of efp:2 on S_8, above the orbit sweep's order bound, so the
+    LP of formulation D takes them as it takes efp:2."""
+    path = tmp_path / "x82.txt"
+    s8 = make_symmetric(8)
+    elements = efp_connection(8, 2, s8).elements
+    assert len(elements) == 29665
+    path.write_text(" ".join(map(str, elements)) + "\n")
+    for connection in ("efp:2", f"elements:{path}"):
+        assert run(capsys, "theta", "--group", "sym:8", "--connection",
+                   connection, "--exact") == (0, "theta = 720 (exact)\n", "")
+
+
+def test_s8_constant_function_is_of_positive_type(capsys, tmp_path):
+    """The constant 1 on S_8 is read as a class function, as on S_7."""
+    path = tmp_path / "ones.json"
+    for n in (7, 8):
+        path.write_text(json.dumps(["1"] * math.factorial(n)))
+        assert run(capsys, "bochner", "--group", f"sym:{n}", "--function",
+                   str(path)) == (0, "positive-type: yes\n", "")
 
 
 def test_theta_bad_group_exit_code(capsys):
@@ -411,6 +445,11 @@ def _malformed_s3_tables():
             "entry_x": _s3_table(entries=["x"] + entries[1:]),
             "entry_1_0": _s3_table(entries=["1/0"] + entries[1:]),
             "labels_5": _s3_table(irrep_labels=5),
+            # present but falsy: once given the default labels
+            **{f"labels_{name}": _s3_table(irrep_labels=value)
+               for name, value in (("empty", []), ("false", False),
+                                   ("0", 0), ("blank", ""),
+                                   ("null", None))},
             "exact_no": _s3_table(exact="no"),
             "degrees_float": _s3_table(degrees=[1, 2.5, 1])}
 
@@ -850,6 +889,15 @@ def test_exact_table_entries_are_rational_strings(capsys, tmp_path):
             (2, "", f"error: bad exact entry {value!r} in entries\n")
 
 
+def test_absent_irrep_labels_get_the_defaults(capsys, tmp_path):
+    data = _s3_table()
+    del data["irrep_labels"]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "chartable", "--group", "sym:3", "--validate",
+               str(path)) == (0, "ok: 3 irreps, exact\n", "")
+
+
 def test_bochner_witness_on_a_real_float_table(capsys, tmp_path):
     """A float S_3 table is real, so the Fourier scalars of a rational
     function on it are floats, and the witness prints as one: f(e) = 1
@@ -860,8 +908,8 @@ def test_bochner_witness_on_a_real_float_table(capsys, tmp_path):
     table, function = tmp_path / "table.json", tmp_path / "f.json"
     table.write_text(json.dumps(_s3_table(exact=False)))
     for one, half in (("1", "1/2"), (1, 0.5)):
-        values = [{0: one, 1: half}.get(group.class_index_of(g), 0)
-                  for g in range(group.order)]
+        values = [{0: one, 1: half}.get(idx, 0)
+                  for idx in group.class_of().tolist()]
         function.write_text(json.dumps(values))
         assert run(capsys, "bochner", "--group", "sym:3", "--function",
                    str(function), "--chartable", str(table)) == \

@@ -514,6 +514,20 @@ def test_blowup_cycle_and_dihedral():
     assert alpha(c5).value * 10 == 5 * alpha(cay10).value
 
 
+def test_blowup_above_the_class_bound_needs_no_classes():
+    """Z_10002 acting on an edge by parity: its connection set, the odd
+    elements, is found without the group's conjugacy classes, which are
+    refused above GENERIC_CLASS_BOUND; they are asked for only when a
+    class-level question is."""
+    z = make_abelian_product([groups.GENERIC_CLASS_BOUND + 2])
+    parity = np.arange(z.order) % 2
+    action = GroupAction(z, np.stack([parity, 1 - parity], axis=1))
+    X = blowup_connection(action, Graph.from_edges(2, [(0, 1)]))
+    assert X.elements == tuple(range(1, z.order, 2))
+    with pytest.raises(InvalidArgument, match="limited to order 10000"):
+        X.conjugation_closed
+
+
 def test_blowup_rejects_bad_actions():
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     z5 = make_abelian_product([5])

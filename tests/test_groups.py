@@ -17,16 +17,16 @@ from cayley_theta import groups
 from cayley_theta.apps import gl_connection
 from cayley_theta.characters import abelian_character_table
 from cayley_theta.errors import InvalidArgument, NotAGroup, SchemaError
-from cayley_theta.groups import (GroupAction, cycle_type,
-                                 export_cayley_table, import_cayley_table,
-                                 make_abelian_product, make_from_table,
+from cayley_theta.groups import (GroupAction, export_cayley_table,
+                                 import_cayley_table, make_abelian_product,
+                                 make_from_table,
                                  make_general_linear, make_symmetric,
                                  partitions, perm_rank, perm_unrank,
                                  same_group)
 
 from oracles import (action_axiom_failures, action_from_generators,
-                     check_axioms, gl_pointwise_stabilizer, matrix_product,
-                     reference_classes, shift_rank)
+                     check_axioms, cycle_type, gl_pointwise_stabilizer,
+                     matrix_product, reference_classes, shift_rank)
 
 
 def test_perm_rank_roundtrip():
@@ -406,18 +406,64 @@ def test_symmetric_kernels_run_in_bounded_memory():
 
 
 def test_symmetric_class_of_reads_the_array(monkeypatch):
-    """S_7's ``class_of`` (where one ``cycle_type`` call per element once
+    """S_7's ``class_of`` (where one cycle-type call per element once
     took 17 ms) is read from the permutation array: it equals the
-    per-element cycle-type oracle while ``groups.cycle_type`` raises."""
+    per-element cycle-type oracle while no single permutation can be
+    unranked, and the package keeps no per-element cycle type."""
     index_of_type = {mu: i for i, mu in enumerate(partitions(7))}
     want = [index_of_type[cycle_type(p)]
             for p in itertools.permutations(range(7))]
 
-    def refuse(perm):
-        raise AssertionError("cycle_type called")
+    def refuse(r, n):
+        raise AssertionError("perm_unrank called")
 
-    monkeypatch.setattr(groups, "cycle_type", refuse)
+    monkeypatch.setattr(groups, "perm_unrank", refuse)
     assert make_symmetric(7).class_of().tolist() == want
+    assert not hasattr(groups, "cycle_type")
+
+
+def test_symmetric_class_of_at_order_40320():
+    """S_8 is above the orbit sweep's bound, GENERIC_CLASS_BOUND; its
+    ``class_of`` agrees with the cycle type of every permutation."""
+    index_of_type = {mu: i for i, mu in enumerate(partitions(8))}
+    s8 = make_symmetric(8)
+    assert s8.order > groups.GENERIC_CLASS_BOUND
+    class_of = s8.class_of()
+    assert not class_of.flags.writeable
+    assert class_of.tolist() == [index_of_type[cycle_type(p)]
+                                 for p in itertools.permutations(range(8))]
+
+
+def test_symmetric_classes_build_no_array(monkeypatch):
+    """The classes of S_n are its cycle types: at every n they are listed
+    with neither the permutation array nor ``class_of``."""
+    def refuse(self):
+        raise AssertionError("element array built")
+
+    monkeypatch.setattr(groups.SymmetricGroup, "_perm_array", refuse)
+    for n in range(1, groups.SymmetricGroup.MAX_N + 1):
+        group = make_symmetric(n)
+        assert len(group.conjugacy_classes()) == len(partitions(n))
+        assert group._class_of is None
+
+
+def test_symmetric_class_of_in_bounded_memory(monkeypatch):
+    """S_9's ``class_of`` walks the permutation array in blocks of
+    BLOCK_BYTES of int64 temporaries: with blocks of 64 KB (hundreds of
+    them; unblocked, one temporary would take 26 MB), tracemalloc sees at
+    most the class array and a few blocks above the permutation array,
+    built beforehand."""
+    monkeypatch.setattr(groups, "BLOCK_BYTES", 1 << 16)
+    s9 = make_symmetric(9)
+    s9._perm_array()
+    assert len(groups.blocks(s9.order, 8 * s9.n)) > 100
+    tracemalloc.start()
+    try:
+        class_of = s9.class_of()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < class_of.nbytes + 8 * groups.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("q", [8, 9])
@@ -439,8 +485,7 @@ def test_generic_classes_match_reference():
             reference_classes(group)
         assert all(type(v) is int for c in classes
                    for v in (c.representative, c.size, c.inverse_class))
-        assert all(type(group.class_index_of(g)) is int
-                   for g in range(group.order))
+        assert group.class_of().dtype == np.int64
 
 
 def _class_of_cases():
@@ -468,9 +513,7 @@ def test_class_of_matches_reference_membership(group):
         assert class_of.tolist() == membership
     assert np.bincount(class_of).tolist() == [
         c.size for c in group.conjugacy_classes()]
-    for g in range(group.order):
-        idx = group.class_index_of(g)
-        assert type(idx) is int and idx == class_of[g]
+    assert class_of.dtype == np.int64
 
 
 def _fails(group, table, g, h, p):
@@ -955,7 +998,7 @@ def test_class_members_mutually_conjugate():
         for g in members:
             for h in range(0, group.order, 7):
                 conj = group.multiply(group.multiply(h, g), group.invert(h))
-                assert group.class_index_of(conj) == idx
+                assert class_of[conj] == idx
 
 
 def test_sn_class_sizes_formula():
