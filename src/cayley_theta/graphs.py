@@ -79,11 +79,11 @@ class ConnectionSet:
         if group.identity in elems:
             raise InvalidArgument(
                 "connection set must not contain the identity")
-        eset = set(elems)
-        for e in elems:
-            if group.invert(e) not in eset:
-                raise InvalidArgument(
-                    f"element {e} present but its inverse is not")
+        index = np.array(elems, dtype=np.int64)
+        missing = ~np.isin(group.invert(index), index)
+        if missing.any():
+            raise InvalidArgument(f"element {elems[int(np.argmax(missing))]} "
+                                  "present but its inverse is not")
         return cls(group, elements=elems)
 
     @cached_property

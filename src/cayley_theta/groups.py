@@ -14,20 +14,21 @@ exported tables) are reproducible byte-for-byte:
 Composition convention for permutations: the right factor acts first,
 i.e. ``(p * q)(i) = p(q(i))``.
 
-Work over many pairs (Cayley graphs, conjugacy classes, group
-matrices) goes through ``products`` and ``inverses``, which act on whole
-numpy index arrays; single products ``multiply`` and ``invert`` read
-them, except in abelian products and S_n, which compute scalars.  S_n
-reads an int8 array of its ``(n!, n)`` permutations, built on the first
-bulk call, so a group that only ever answers class-level questions (the
-character table and LP of S_10) never builds it; a product composes
-rows of that array and is ranked by its Lehmer code, counted from the
-composed entries.  GL(n, q) builds its ``(|G|, n, n)`` matrix array
-and its inverse index at construction, by one Gauss-Jordan elimination
-over F_q of every entry vector at once.
-A table group keeps its Cayley table as an array, and abelian products
-compute their digits.  The arrays hold the elements in the canonical
-order above, so indexing is the same on both paths.
+Every group has two operations, ``products`` and ``invert``, both
+elementwise on numpy index arrays under broadcasting; a single index
+gives a single numpy integer.  ``inverses()`` is ``invert`` of every
+element, cached.  S_n reads an int8 array of its ``(n!, n)``
+permutations, built on the first call, so a group that only ever
+answers class-level questions (the character table and LP of S_10)
+never builds it; a product composes rows of that array, an inverse
+inverts one row, a block of rows at a time, and both are ranked by the
+one Lehmer-code ranking, counted from the entries, which also ranks the
+class representatives.  GL(n, q) builds its ``(|G|, n, n)`` matrix
+array and its inverse index at construction, by one Gauss-Jordan
+elimination over F_q of every entry vector at once.  A table group
+keeps its Cayley table as an array and its inverses beside it, and
+abelian products compute their digits.  The arrays hold the elements
+in the canonical order above.
 
 Class membership is one read-only int array, ``class_of()``, whose entry
 g is the index of g's conjugacy class.  It is set where the classes are
@@ -51,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, NotAGroup, SchemaError
+from .errors import InvalidArgument, NotAGroup, SchemaError, SizeLimit
 
 GENERIC_CLASS_BOUND = 10000   # orbit algorithm and abelian class cutoff
 # bytes per block of every loop that walks a large array a block at a time
@@ -90,18 +91,6 @@ def partitions(n: int) -> tuple:
 
 def partition_label(parts: Sequence[int]) -> str:
     return "(" + ",".join(str(p) for p in parts) + ")"
-
-
-def perm_rank(perm: Sequence[int]) -> int:
-    """Lehmer-code rank of a permutation of {0..n-1}."""
-    n = len(perm)
-    elems = list(range(n))
-    r = 0
-    for i, v in enumerate(perm):
-        j = elems.index(v)
-        r += j * factorial(n - 1 - i)
-        elems.pop(j)
-    return r
 
 
 def perm_unrank(r: int, n: int) -> tuple:
@@ -170,7 +159,7 @@ class GroupAction:
 
 class FiniteGroup:
     """Base class: an immutable indexed group.  Subclasses fix the element
-    encoding and supply the bulk products; inverses and conjugacy
+    encoding and supply ``products`` and ``invert``; inverses and conjugacy
     classes are cached on first request, the classes with the one
     ``class_of`` array of every element's class index (on S_n, that
     array on its own first request)."""
@@ -184,32 +173,24 @@ class FiniteGroup:
         self._inverses = None
 
     # -- group operations (element indices) --
-    def multiply(self, a: int, b: int) -> int:
-        return int(self.products(a, b))
-
-    def invert(self, a: int) -> int:
-        return int(self.inverses()[a])
-
     def products(self, a, b) -> np.ndarray:
         """Products ``a * b`` of index arrays, elementwise under numpy
         broadcasting; either side may be a single index."""
         raise NotImplementedError
 
+    def invert(self, a) -> np.ndarray:
+        """Inverses of an index array, elementwise; a single index gives
+        a single index.  Here they are gathered from the inverse array
+        that GL and table groups build at construction."""
+        return self.inverses()[a]
+
     def inverses(self) -> np.ndarray:
-        """The inverse of every element, as one index array, computed
-        once: g^-1 is g^(order-1) (Lagrange), raised for all g at once by
-        squaring."""
+        """The inverse of every element, as one read-only index array:
+        ``invert`` of every element, computed once."""
         if self._inverses is None:
-            result = np.zeros(self.order, dtype=np.int64)
-            power = np.arange(self.order)
-            e = self.order - 1
-            while e:
-                if e & 1:
-                    result = self.products(result, power)
-                power = self.products(power, power)
-                e >>= 1
-            result.setflags(write=False)
-            self._inverses = result
+            inverse = self.invert(np.arange(self.order))
+            inverse.setflags(write=False)
+            self._inverses = inverse
         return self._inverses
 
     def generators(self):
@@ -292,6 +273,9 @@ class AbelianProductGroup(FiniteGroup):
         if any(m < 2 for m in moduli):
             raise InvalidArgument(f"moduli must be >= 2, got {moduli}")
         order = prod(moduli)
+        if order > np.iinfo(np.int64).max:
+            raise SizeLimit(f"order {order} exceeds the int64 element "
+                            "indices")
         super().__init__(order)
         self.moduli = moduli
         # place value of each digit, the last modulus varying fastest
@@ -305,24 +289,19 @@ class AbelianProductGroup(FiniteGroup):
             out.append(r)
         return tuple(reversed(out))
 
-    def encode(self, xs) -> int:
-        a = 0
-        for x, m in zip(xs, self.moduli):
-            a = a * m + (x % m)
-        return a
-
-    def multiply(self, a, b):
-        return self.encode(x + y for x, y in
-                           zip(self.decode(a), self.decode(b)))
-
-    def invert(self, a):
-        return self.encode(-x for x in self.decode(a))
-
     def products(self, a, b):
         a, b = np.asarray(a), np.asarray(b)
         out = 0
         for m, stride in zip(self.moduli, self.strides):
             out = out + (a // stride + b // stride) % m * stride
+        return out
+
+    def invert(self, a):
+        # each digit negated mod its modulus, as products adds them
+        a = np.asarray(a)
+        out = 0
+        for m, stride in zip(self.moduli, self.strides):
+            out = out + -(a // stride) % m * stride
         return out
 
     def identity_key(self):
@@ -349,8 +328,9 @@ class AbelianProductGroup(FiniteGroup):
 
 class SymmetricGroup(FiniteGroup):
     """S_n with elements indexed by Lehmer rank (identity has rank 0).
-    Bulk products compose rows of the int8 permutation array and rank
-    the result by its Lehmer code, computed from the composed entries;
+    Products compose rows of the int8 permutation array and inverses
+    invert them; ``_rank`` ranks the results by their Lehmer code,
+    computed from the entries, as it ranks the class representatives;
     no n!-long key array is kept.  Conjugacy classes are the cycle
     types, in partition order, known without any element; ``class_of``
     is read from the permutation array, a block of rows at a time, on
@@ -367,18 +347,6 @@ class SymmetricGroup(FiniteGroup):
 
     def perm(self, a: int) -> tuple:
         return perm_unrank(a, self.n)
-
-    def multiply(self, a, b):
-        # right factor acts first: (p*q)(i) = p(q(i))
-        p, q = self.perm(a), self.perm(b)
-        return perm_rank(tuple(p[q[i]] for i in range(self.n)))
-
-    def invert(self, a):
-        p = self.perm(a)
-        inv = [0] * self.n
-        for i, v in enumerate(p):
-            inv[v] = i
-        return perm_rank(tuple(inv))
 
     def _perm_array(self) -> np.ndarray:
         """Row r is the permutation of rank r, as int8: Lehmer-rank order
@@ -397,16 +365,13 @@ class SymmetricGroup(FiniteGroup):
             self._perms = perms
         return self._perms
 
-    def products(self, a, b):
-        """The Lehmer-code rank of each composed permutation p(q(.)):
-        sum of c_i (n-1-i)! where c_i counts the later entries smaller
-        than entry i, by Horner's rule in the factorial base.  Position i
-        of p(q(.)) is entry a * n + q(i) of the flat permutation array,
-        one int8 column per position; c_0 is entry 0 itself, the others
-        are int8 counts of comparisons (at most n - 1)."""
-        perms, n = self._perm_array(), self.n
-        flat, rows, b = perms.ravel(), np.asarray(a) * n, np.asarray(b)
-        cols = [flat[rows + perms[b, i]] for i in range(n)]
+    def _rank(self, cols) -> np.ndarray:
+        """The Lehmer-code rank of permutations given as n int8 columns,
+        one per position: sum of c_i (n-1-i)! where c_i counts the later
+        entries smaller than entry i, by Horner's rule in the factorial
+        base; c_0 is entry 0 itself, the others are int8 counts of
+        comparisons (at most n - 1)."""
+        n = self.n
         rank = cols[0].astype(np.int64)
         for i in range(1, n - 1):
             count = (cols[i + 1] < cols[i]).astype(np.int8)
@@ -415,6 +380,29 @@ class SymmetricGroup(FiniteGroup):
             rank *= n - i
             rank += count
         return rank
+
+    def products(self, a, b):
+        """The rank of each composed permutation p(q(.)): position i is
+        entry a * n + q(i) of the flat permutation array."""
+        perms, n = self._perm_array(), self.n
+        flat, rows, b = perms.ravel(), np.asarray(a) * n, np.asarray(b)
+        return self._rank([flat[rows + perms[b, i]] for i in range(n)])
+
+    def invert(self, a):
+        """The rank of each inverse permutation, a block of rows at a
+        time: position p(i) of the inverse of p holds i."""
+        perms, n = self._perm_array(), self.n
+        a = np.asarray(a)
+        flat = a.ravel()
+        out = np.empty(len(flat), dtype=np.int64)
+        points = np.arange(n, dtype=np.int8)
+        # the int64 temporaries hold n entries per row
+        for rows in blocks(len(flat), 8 * n):
+            image = perms[flat[rows]]
+            inverse = np.empty((n, len(image)), dtype=np.int8)
+            inverse[image.T, np.arange(len(image))] = points[:, None]
+            out[rows] = self._rank(inverse)
+        return out.reshape(a.shape)[()]
 
     def identity_key(self):
         return self.n
@@ -446,12 +434,15 @@ class SymmetricGroup(FiniteGroup):
         return tuple(perm)
 
     def _compute_classes(self):
+        types = partitions(self.n)
+        reps = self._rank(np.array(
+            [self.canonical_of_type(mu) for mu in types], dtype=np.int8).T)
         return tuple(
             ConjugacyClass(
-                representative=perm_rank(self.canonical_of_type(mu)),
-                size=self.class_size(mu), label=partition_label(mu),
+                representative=rep, size=self.class_size(mu),
+                label=partition_label(mu),
                 inverse_class=idx)    # every class is self-inverse
-            for idx, mu in enumerate(partitions(self.n)))
+            for idx, (mu, rep) in enumerate(zip(types, reps.tolist())))
 
     def class_of(self):
         if self._class_of is None:
@@ -598,6 +589,7 @@ class GeneralLinearGroup(FiniteGroup):
         self._index_of_key[keys] = np.arange(expected)
         self._inverses = self._index_of_key[
             (reduced[keys, :, n:] * self._weights).sum(axis=(-2, -1))]
+        self._inverses.setflags(write=False)
 
     def ranks(self, stack) -> np.ndarray:
         """The rank over F_q of every matrix in a stack ``(..., n, n)``."""

@@ -475,7 +475,7 @@ def build_sdp_C(spec: CayleyGraphSpec,
               for d, s in zip(degrees, block_sizes)]
 
     xs = np.array(spec.connection.elements, dtype=np.int64)
-    pairs = np.minimum(xs, group.inverses()[xs])
+    pairs = np.minimum(xs, group.invert(xs))
     kept = pairs[np.sort(np.unique(pairs, return_index=True)[1])]
     width = sum(s * (s + 1) // 2 for s in block_sizes)
     rows = np.zeros((len(kept), 2, width))

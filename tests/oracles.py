@@ -7,8 +7,10 @@ whose status and optimum exact ``solve`` must reach from its proofs,
 the reference abelian table computes one ``cmath.exp`` per
 entry and the reference Fourier sums one product per entry, the
 independence-number oracle is a plain subset recursion, the group
-oracles use only the single-product ``multiply``/``invert`` that the
-array kernels (``products``/``inverses``) must agree with (the axiom
+oracles use the single-product ``multiply``/``invert`` below, which on
+S_n compose and invert ``perm()`` tuples and rank them by ``perm_rank``
+and on abelian products add and negate ``decode`` digits, the path
+independent of the array kernels ``products``/``invert`` (the axiom
 and action oracles try every triple, where the package checks the
 generators only), the PSD test
 is symmetric elimination over ``Fraction`` on the group matrix (the
@@ -30,13 +32,14 @@ import cmath
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 import numpy as np
 
 from cayley_theta.characters import ClassFunction, GroupFunction, conj
 from cayley_theta.errors import InvalidArgument, NotAGroup
-from cayley_theta.groups import (ConjugacyClass, GroupAction, TableGroup,
+from cayley_theta.groups import (AbelianProductGroup, ConjugacyClass,
+                                 GroupAction, SymmetricGroup, TableGroup,
                                  same_group)
 from cayley_theta.simplex import LpInstance
 from cayley_theta.theta import SdpInstance, ThetaLp
@@ -407,8 +410,8 @@ def reference_build_sdp_C(spec, irreps):
 
     kept = []
     for x in spec.connection.elements:
-        if min(x, group.invert(x)) not in kept:
-            kept.append(min(x, group.invert(x)))
+        if min(x, invert(group, x)) not in kept:
+            kept.append(min(x, invert(group, x)))
     seen = set()
     for x in kept:
         rows = ([], [])
@@ -477,6 +480,52 @@ def reference_build_lp_D(spec, table):
     return ThetaLp(instance=instance)
 
 
+def perm_rank(perm) -> int:
+    """Lehmer-code rank of a permutation of {0..n-1}, one entry at a
+    time."""
+    n = len(perm)
+    elems = list(range(n))
+    r = 0
+    for i, v in enumerate(perm):
+        j = elems.index(v)
+        r += j * factorial(n - 1 - i)
+        elems.pop(j)
+    return r
+
+
+def _encode(group, digits) -> int:
+    """The index of an abelian-product element from its digits, each
+    taken mod its modulus."""
+    a = 0
+    for x, m in zip(digits, group.moduli):
+        a = a * m + x % m
+    return a
+
+
+def multiply(group, a, b) -> int:
+    """a * b as a Python int: S_n composes the ``perm()`` tuples, the
+    right factor first, an abelian product adds the digits, and any
+    other group reads ``products`` of the two indices."""
+    if isinstance(group, SymmetricGroup):
+        p, q = group.perm(a), group.perm(b)
+        return perm_rank(tuple(p[i] for i in q))
+    if isinstance(group, AbelianProductGroup):
+        return _encode(group, [x + y for x, y in
+                               zip(group.decode(a), group.decode(b))])
+    return int(group.products(a, b))
+
+
+def invert(group, a) -> int:
+    """a^-1 as a Python int: S_n inverts the ``perm()`` tuple, an abelian
+    product negates the digits, and any other group reads ``invert``."""
+    if isinstance(group, SymmetricGroup):
+        p = group.perm(a)
+        return perm_rank(tuple(p.index(i) for i in range(len(p))))
+    if isinstance(group, AbelianProductGroup):
+        return _encode(group, [-x for x in group.decode(a)])
+    return int(group.invert(a))
+
+
 def check_axioms(group):
     """Exhaustive group-axiom check through ``multiply``/``invert``: the
     order x order table is made by one ``multiply`` call per product,
@@ -486,9 +535,9 @@ def check_axioms(group):
     lexicographic order for associativity."""
     n = group.order
     e = group.identity
-    T = np.array([[group.multiply(a, b) for b in range(n)]
+    T = np.array([[multiply(group, a, b) for b in range(n)]
                   for a in range(n)], dtype=np.int64)
-    inverses = np.array([group.invert(g) for g in range(n)], dtype=np.int64)
+    inverses = np.array([invert(group, g) for g in range(n)], dtype=np.int64)
     elements = np.arange(n)
     no_identity = (T[e] != elements) | (T[:, e] != elements)
     bad = no_identity | (T[elements, inverses] != e)
@@ -511,7 +560,7 @@ def action_axiom_failures(group, table) -> list:
     failures = []
     for g in range(group.order):
         for h in range(group.order):
-            gh = group.multiply(g, h)
+            gh = multiply(group, g, h)
             failures.extend((g, h, p) for p in points
                             if table[g][table[h][p]] != table[gh][p])
     return failures
@@ -545,7 +594,7 @@ def reference_classes(group):
     member_lists = []
     while remaining:
         g = min(remaining)
-        orbit = {group.multiply(group.multiply(h, g), group.invert(h))
+        orbit = {multiply(group, multiply(group, h, g), invert(group, h))
                  for h in range(group.order)}
         remaining -= orbit
         member_lists.append(tuple(sorted(orbit)))
@@ -556,7 +605,7 @@ def reference_classes(group):
     classes = tuple(
         ConjugacyClass(representative=members[0], size=len(members),
                        label=group.element_label(members[0]),
-                       inverse_class=class_of[group.invert(members[0])])
+                       inverse_class=class_of[invert(group, members[0])])
         for members in member_lists)
     return classes, class_of
 
@@ -628,7 +677,7 @@ def involute(f: GroupFunction) -> GroupFunction:
     """f^*(gamma) = conj(f(gamma^-1))."""
     group = f.group
     return GroupFunction(group, tuple(
-        conj(f.values[group.invert(g)]) for g in range(group.order)))
+        conj(f.values[invert(group, g)]) for g in range(group.order)))
 
 
 def group_matrix(f) -> list:

@@ -185,8 +185,7 @@ def test_criterion_08_blowup_identity():
     ok = True
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     z5 = make_abelian_product([5])
-    reg = GroupAction(z5, [[z5.multiply(g, p) for p in range(5)]
-                           for g in range(5)])
+    reg = GroupAction(z5, z5.products(np.arange(5)[:, None], np.arange(5)))
     for action in (reg, action_from_generators([[1, 2, 3, 4, 0],
                                                 [0, 4, 3, 2, 1]])):
         X = blowup_connection(action, c5)

@@ -175,7 +175,7 @@ def test_gl_lower_bound_and_stabilizer():
         for a in stab:
             for b in stab:
                 if a != b:
-                    assert group.multiply(a, group.invert(b)) not in X
+                    assert group.products(a, group.invert(b)) not in X
 
 
 def test_gl_alpha_meets_lower_bound():

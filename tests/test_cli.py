@@ -295,8 +295,7 @@ def test_blowup_command(capsys, tmp_path):
     gp = tmp_path / "c5.txt"
     export_graph(g, gp)
     z5 = make_abelian_product([5])
-    act = GroupAction(z5, [[z5.multiply(a, p) for p in range(5)]
-                           for a in range(5)])
+    act = GroupAction(z5, z5.products(np.arange(5)[:, None], np.arange(5)))
     ap = tmp_path / "act.txt"
     export_action(act, ap)
     code, out, _ = run(capsys, "blowup", "--graph", str(gp),
@@ -314,7 +313,7 @@ def test_blowup_rejects_action_entries_outside_the_points(capsys, tmp_path,
     gp = tmp_path / "c5.txt"
     export_graph(g, gp)
     z5 = make_abelian_product([5])
-    rows = [[z5.multiply(a, p) for p in range(5)] for a in range(5)]
+    rows = z5.products(np.arange(5)[:, None], np.arange(5)).tolist()
     rows[1][2] = bad
     ap = tmp_path / "act.txt"
     ap.write_text("5 5\n" + "".join(
@@ -952,6 +951,39 @@ def test_huge_abelian_group_exits_2_before_its_classes():
     assert (out.returncode, out.stderr) == (2, (
         "error: conjugacy-class computation limited to order 10000, got "
         "100000000\n"))
+
+
+def test_huge_abelian_element_set_exits_2_at_the_table_bound(tmp_path):
+    """``theta`` on Z_10^8 with a few elements checks their inverse
+    closure on the elements alone and stops at the abelian table bound.
+    The child runs with 1 GB of address space and 30 s at most."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = tmp_path / "elements.txt"
+    path.write_text("1 5 99999995 99999999\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(
+        Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "cayley_theta.cli", "theta", "--group",
+         "cyclic:100000000", "--connection", f"elements:{path}"],
+        env=env, capture_output=True, text=True, timeout=30,
+        preexec_fn=limit)
+    assert (out.returncode, out.stderr) == (2, (
+        "error: abelian character tables limited to order 2000, got "
+        "100000000\n"))
+
+
+def test_abelian_order_beyond_int64_exits_2(capsys, tmp_path):
+    """Element indices are int64: a product of cyclic groups of order
+    10^20 is refused when it is made, before an element set is read."""
+    path = tmp_path / "elements.txt"
+    path.write_text("1 99999999999999999999\n")
+    code, _, err = run(capsys, "theta", "--group",
+                       "cyclic:10000000000,10000000000",
+                       "--connection", f"elements:{path}")
+    assert (code, err) == (2, "error: order 100000000000000000000 exceeds "
+                              "the int64 element indices\n")
 
 
 @pytest.mark.parametrize("text", ["-1\n0\n", "-2\n0 0 0 0\n"],

@@ -18,7 +18,7 @@ from cayley_theta.groups import (GroupAction, make_abelian_product,
                                  make_general_linear, make_symmetric)
 
 from oracles import (action_from_generators, bitmasks, brute_force_alpha,
-                     inverse_closed_set)
+                     invert, inverse_closed_set)
 
 
 def petersen():
@@ -118,6 +118,46 @@ def test_connection_set_from_elements_checks():
     c_inv = s3.invert(c)
     X3 = ConnectionSet.from_elements(s3, [c, c_inv])
     assert X3.conjugation_closed
+
+
+@pytest.mark.parametrize("make, elements, smallest", [
+    (lambda: make_abelian_product([10]), [2, 3, 8], 3),
+    (lambda: make_abelian_product([10]), [7, 4, 3, 2, 8], 4),
+    (lambda: make_symmetric(5), [3, 4, 24, 33, 56, 80, 82], 33),
+    (lambda: make_general_linear(3, 2), [2, 5, 9, 20, 41], 2),
+])
+def test_from_elements_names_the_smallest_element_without_its_inverse(
+        make, elements, smallest):
+    """One ``invert`` of every element decides inverse closure; the
+    error names the smallest element whose inverse is missing."""
+    group = make()
+    missing = [e for e in sorted(elements)
+               if invert(group, e) not in elements]
+    assert missing[0] == smallest
+    with pytest.raises(InvalidArgument, match=(
+            f"^element {smallest} present but its inverse is not$")):
+        ConnectionSet.from_elements(group, elements)
+    closed = sorted(set(elements) | {invert(group, e) for e in elements})
+    assert ConnectionSet.from_elements(group, closed).elements == \
+        tuple(closed)
+
+
+def test_from_elements_allocates_nothing_of_a_huge_abelian_order():
+    """Z_10^8 with four elements: inverse closure is checked on the
+    elements alone, with no array of the group's order."""
+    group = make_abelian_product([10 ** 8])
+    tracemalloc.start()
+    try:
+        conn = ConnectionSet.from_elements(group, [1, 5, 10 ** 8 - 5,
+                                                   10 ** 8 - 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert conn.size == 4
+    assert peak < 1 << 16
+    with pytest.raises(InvalidArgument, match=(
+            "^element 5 present but its inverse is not$")):
+        ConnectionSet.from_elements(group, [1, 5, 10 ** 8 - 1])
 
 
 def test_build_cayley_cycle():
@@ -499,8 +539,7 @@ def test_blowup_cycle_and_dihedral():
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     # regular action of Z5
     z5 = make_abelian_product([5])
-    act = GroupAction(z5, [[z5.multiply(g, p) for p in range(5)]
-                           for g in range(5)])
+    act = GroupAction(z5, z5.products(np.arange(5)[:, None], np.arange(5)))
     X = blowup_connection(act, c5)
     assert sorted(X.elements) == [1, 4]
     cay = build_cayley(z5, X)
@@ -613,8 +652,7 @@ def test_action_file_faults(tmp_path, text, outcome):
 
 def test_action_file_roundtrip(tmp_path):
     z5 = make_abelian_product([5])
-    act = GroupAction(z5, [[z5.multiply(g, p) for p in range(5)]
-                           for g in range(5)])
+    act = GroupAction(z5, z5.products(np.arange(5)[:, None], np.arange(5)))
     path = tmp_path / "act.txt"
     export_action(act, path)
     act2 = import_action_table(path, z5)

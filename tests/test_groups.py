@@ -21,12 +21,12 @@ from cayley_theta.groups import (GroupAction, export_cayley_table,
                                  import_cayley_table, make_abelian_product,
                                  make_from_table,
                                  make_general_linear, make_symmetric,
-                                 partitions, perm_rank, perm_unrank,
-                                 same_group)
+                                 partitions, perm_unrank, same_group)
 
 from oracles import (action_axiom_failures, action_from_generators,
                      check_axioms, cycle_type, gl_pointwise_stabilizer,
-                     matrix_product, reference_classes, shift_rank)
+                     invert, matrix_product, multiply, perm_rank,
+                     reference_classes, shift_rank)
 
 
 def test_perm_rank_roundtrip():
@@ -75,7 +75,7 @@ def test_z2xz3_isomorphic_to_z6():
     for phi in itertools.permutations(range(6)):
         if phi[0] != 0:
             continue
-        if all(phi[a.multiply(x, y)] == b.multiply(phi[x], phi[y])
+        if all(phi[a.products(x, y)] == b.products(phi[x], phi[y])
                for x in range(6) for y in range(6)):
             found = True
             break
@@ -107,7 +107,7 @@ def test_symmetric_composition_convention():
     s3 = make_symmetric(3)
     p = perm_rank((1, 0, 2))   # swap 0,1
     q = perm_rank((0, 2, 1))   # swap 1,2
-    pq = s3.multiply(p, q)
+    pq = s3.products(p, q)
     assert s3.perm(pq) == tuple(s3.perm(p)[s3.perm(q)[i]] for i in range(3))
 
 
@@ -174,9 +174,9 @@ def _gl_digest(q, n):
     h.update(group.products(rows[:, None], everything)
              .astype("<i8").tobytes())
     h.update(group.inverses().astype("<i8").tobytes())
-    h.update(repr([group.invert(a) for a in range(group.order)]).encode())
-    pairs = rng.integers(0, group.order, size=(500, 2)).tolist()
-    h.update(repr([group.multiply(a, b) for a, b in pairs]).encode())
+    h.update(repr(group.invert(everything).tolist()).encode())
+    a, b = rng.integers(0, group.order, size=(500, 2)).T
+    h.update(repr(group.products(a, b).tolist()).encode())
     class_of = group.class_of()
     h.update(repr(tuple(
         _PinnedClass(c.representative, c.size, c.label, c.inverse_class,
@@ -231,11 +231,11 @@ def test_from_table_roundtrip_and_errors():
     assert make_from_table([[0]]).order == 1
 
     s3 = make_symmetric(3)
-    table = [[s3.multiply(a, b) for b in range(6)] for a in range(6)]
+    elements = np.arange(6)
+    table = s3.products(elements[:, None], elements).tolist()
     g = make_from_table(table)
     assert g.order == 6
-    assert all(g.multiply(a, b) == s3.multiply(a, b)
-               for a in range(6) for b in range(6))
+    assert g.products(elements[:, None], elements).tolist() == table
 
     # a Latin square of order 5 with identity that is not associative:
     # (1*1)*2 = 2 but 1*(1*2) = 4
@@ -266,7 +266,7 @@ def _small_table_group():
     table = [[0] * 8 for _ in range(8)]
     for a in range(8):
         for b in range(8):
-            table[sigma[a]][sigma[b]] = sigma[d4.multiply(a, b)]
+            table[sigma[a]][sigma[b]] = sigma[d4.products(a, b)]
     return make_from_table(table)
 
 
@@ -276,9 +276,9 @@ def test_array_products_match_single_products():
                   make_general_linear(4, 2), _small_table_group()):
         n = group.order
         table = group.products(np.arange(n)[:, None], np.arange(n)[None, :])
-        assert table.tolist() == [[group.multiply(a, b) for b in range(n)]
+        assert table.tolist() == [[multiply(group, a, b) for b in range(n)]
                                   for a in range(n)]
-        assert group.inverses().tolist() == [group.invert(a)
+        assert group.inverses().tolist() == [invert(group, a)
                                              for a in range(n)]
         # a single index on either side broadcasts
         assert group.products(n - 1, np.arange(n)).tolist() == \
@@ -299,20 +299,16 @@ def test_sn_element_array_is_lexicographic_int8():
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_symmetric_products_in_every_shape(n):
-    """S_n products against composing the permutation tuples, the right
-    factor first, for scalars and index arrays of every shape."""
+    """S_n products against the scalar ``multiply`` oracle, which
+    composes the permutation tuples, the right factor first, for scalars
+    and index arrays of every shape."""
     group = make_symmetric(n)
-    perms = [group.perm(r) for r in range(group.order)]
-
-    def compose(a, b):
-        return perm_rank(tuple(perms[a][i] for i in perms[b]))
-
     last = np.int64(group.order - 1)
     single = group.products(last, np.int64(group.order // 2))
-    assert single.shape == () and int(single) == compose(
-        group.order - 1, group.order // 2)
+    assert single.shape == () and int(single) == multiply(
+        group, group.order - 1, group.order // 2)
     everything = np.arange(group.order)
-    table = [[compose(a, b) for b in everything] for a in everything]
+    table = [[multiply(group, a, b) for b in everything] for a in everything]
     assert group.products(last, everything).tolist() == table[-1]
     assert group.products(everything, 0).tolist() == \
         [row[0] for row in table]
@@ -321,15 +317,16 @@ def test_symmetric_products_in_every_shape(n):
     rng = np.random.default_rng(n)
     a = rng.integers(0, group.order, size=(3, 4, 5))
     b = rng.integers(0, group.order, size=(4, 1))
-    want = [[[compose(x, y) for x in row] for row, (y,) in zip(block, b)]
-            for block in a.tolist()]
+    want = [[[multiply(group, x, y) for x in row]
+             for row, (y,) in zip(block, b)] for block in a.tolist()]
     assert group.products(a, b).tolist() == want
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_symmetric_products_match_multiply(n):
     """S_n products, ranked by their Lehmer code, against the scalar
-    ``multiply``: every pair up to S_5, 2,000 seeded pairs from S_6 on."""
+    ``multiply`` oracle: every pair up to S_5, 2,000 seeded pairs from
+    S_6 on."""
     group = make_symmetric(n)
     if n <= 5:
         a, b = np.divmod(np.arange(group.order ** 2), group.order)
@@ -337,26 +334,26 @@ def test_symmetric_products_match_multiply(n):
         a, b = np.random.default_rng(n).integers(0, group.order, (2, 2000))
     got = group.products(a, b)
     assert got.dtype == np.int64
-    assert got.tolist() == [group.multiply(x, y)
+    assert got.tolist() == [multiply(group, x, y)
                             for x, y in zip(a.tolist(), b.tolist())]
 
 
 def test_symmetric_products_broadcast_and_group_laws():
     """S_6 products of scalars and 0-, 1- and 2-D index arrays under
-    broadcasting, against ``multiply``; the identity and inverse laws
-    through ``inverses()``."""
+    broadcasting, against the scalar ``multiply`` oracle; the identity
+    and inverse laws through ``inverses()``."""
     group = make_symmetric(6)
     rng = np.random.default_rng(6)
     x, y = (int(v) for v in rng.integers(0, group.order, 2))
     for a, b in [(x, y), (np.int64(x), y), (np.array(x), np.array(y))]:
         single = group.products(a, b)
-        assert np.shape(single) == () and int(single) == group.multiply(x, y)
+        assert np.shape(single) == () and int(single) == multiply(group, x, y)
     a = rng.integers(0, group.order, size=(7, 1))
     b = rng.integers(0, group.order, size=(1, 9))
     for left, right in [(a[:, 0], y), (x, b[0]), (a, b), (a, b[0]),
                         (a[:, 0], b[0, :7])]:
         got = group.products(left, right)
-        want = np.vectorize(group.multiply)(left, right)
+        want = np.vectorize(lambda u, v: multiply(group, u, v))(left, right)
         assert got.shape == want.shape and got.tolist() == want.tolist()
     everything = np.arange(group.order)
     inverse = group.inverses()
@@ -367,7 +364,70 @@ def test_symmetric_products_broadcast_and_group_laws():
     # (ab)^-1 = b^-1 a^-1
     assert (inverse[group.products(a, b)] ==
             group.products(inverse[b], inverse[a])).all()
-    assert inverse.tolist() == [group.invert(g) for g in everything.tolist()]
+    assert inverse.tolist() == [invert(group, g) for g in everything.tolist()]
+
+
+def _invert_groups():
+    return [make_symmetric(1), make_symmetric(4), make_symmetric(5),
+            make_abelian_product([3, 4]), make_abelian_product([2, 2, 2]),
+            make_abelian_product([701]), make_general_linear(3, 2),
+            make_general_linear(4, 2), _small_table_group()]
+
+
+@pytest.mark.parametrize("group", _invert_groups(),
+                         ids=lambda g: type(g).__name__)
+def test_invert_matches_the_scalar_oracle(group):
+    """``invert`` of scalars and of index arrays of several shapes, in
+    every group kind, against the scalar ``invert`` oracle; a scalar
+    gives a hashable 0-d numpy integer."""
+    want = [invert(group, g) for g in range(group.order)]
+    last = group.order - 1
+    for x in (last, np.int64(last), np.array(last)):
+        single = group.invert(x)
+        assert np.shape(single) == () and single == want[last]
+        assert {single, last} == {want[last], last}
+    rng = np.random.default_rng(group.order)
+    for shape in [(0,), (group.order,), (3, 4), (2, 3, 5)]:
+        a = rng.integers(0, group.order, size=shape)
+        got = group.invert(a)
+        assert got.shape == a.shape
+        assert got.tolist() == np.array(want, dtype=np.int64)[a].tolist()
+    assert group.inverses().tolist() == want
+    assert not group.inverses().flags.writeable
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_symmetric_invert_matches_the_oracle(n):
+    """S_n ``invert`` against inverting the permutation tuples: every
+    element up to S_8, 2,000 seeded elements of S_9 and S_10."""
+    group = make_symmetric(n)
+    if n <= 8:
+        a = np.arange(group.order)
+    else:
+        a = np.random.default_rng(n).integers(0, group.order, 2000)
+    got = group.invert(a)
+    assert got.dtype == np.int64
+    assert got.tolist() == [invert(group, x) for x in a.tolist()]
+    assert not group.products(a, got).any()
+
+
+def test_symmetric_inverses_in_bounded_memory(monkeypatch):
+    """S_9's ``inverses()`` inverts the permutation array in blocks of
+    BLOCK_BYTES of int64 temporaries: with blocks of 64 KB, tracemalloc
+    sees at most the inverse array, the index array it inverts and a few
+    blocks above the permutation array, built beforehand."""
+    monkeypatch.setattr(groups, "BLOCK_BYTES", 1 << 16)
+    s9 = make_symmetric(9)
+    s9._perm_array()
+    assert len(groups.blocks(s9.order, 8 * s9.n)) > 100
+    tracemalloc.start()
+    try:
+        inverse = s9.inverses()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * inverse.nbytes + 8 * groups.BLOCK_BYTES
+    assert not s9.products(np.arange(s9.order), inverse).any()
 
 
 def test_symmetric_counts_fit_int8():
@@ -517,7 +577,7 @@ def test_class_of_matches_reference_membership(group):
 
 
 def _fails(group, table, g, h, p):
-    return table[g][table[h][p]] != table[group.multiply(g, h)][p]
+    return table[g][table[h][p]] != table[group.products(g, h)][p]
 
 
 def test_action_table_reports_first_failing_triple():
@@ -525,7 +585,7 @@ def test_action_table_reports_first_failing_triple():
     with g.(h.p) != (gh).p; each one a real failure of the axiom."""
     z5 = make_abelian_product([5])
     assert list(z5.generators()) == [1]
-    regular = [[z5.multiply(g, p) for p in range(5)] for g in range(5)]
+    regular = z5.products(np.arange(5)[:, None], np.arange(5)).tolist()
     regular[3][1], regular[3][2] = regular[3][2], regular[3][1]
     with pytest.raises(InvalidArgument, match=r"not an action: \(2,1,1\)$"):
         GroupAction(z5, regular)
@@ -543,7 +603,7 @@ def test_action_table_reports_first_failing_triple():
 @pytest.mark.parametrize("bad", [7, -1])
 def test_action_table_rejects_entries_outside_the_points(bad):
     z5 = make_abelian_product([5])
-    regular = [[z5.multiply(g, p) for p in range(5)] for g in range(5)]
+    regular = z5.products(np.arange(5)[:, None], np.arange(5)).tolist()
     regular[2][3] = bad
     with pytest.raises(InvalidArgument, match=r"points 0\.\.4$"):
         GroupAction(z5, regular)
@@ -598,7 +658,7 @@ def test_generators_are_greedy_and_generate():
         for g in gens:
             assert g == min(set(range(group.order)) - closure)
             while True:
-                grown = closure | {group.multiply(x, h) for x in closure
+                grown = closure | {group.products(x, h) for x in closure
                                    for h in gens[:gens.index(g) + 1]}
                 if grown == closure:
                     break
@@ -627,7 +687,7 @@ class _Square:
         self.order = len(rows)
         self.identity = 0
 
-    def multiply(self, a, b):
+    def products(self, a, b):
         return self.rows[a][b]
 
     def invert(self, g):
@@ -847,15 +907,16 @@ def _coset_action(group, k):
     sub, x = {0}, k
     while x not in sub:
         sub.add(x)
-        x = group.multiply(x, k)
+        x = group.products(x, k)
     coset_of, reps = {}, []
     for g in range(group.order):
-        coset = frozenset(group.multiply(g, h) for h in sub)
+        coset = frozenset(group.products(g, list(sub)).tolist())
         if coset not in coset_of:
             coset_of[coset] = len(reps)
             reps.append(g)
-    return [[coset_of[frozenset(group.multiply(group.multiply(g, r), h)
-                                for h in sub)] for r in reps]
+    return [[coset_of[frozenset(group.products(group.products(g, r),
+                                               list(sub)).tolist())]
+             for r in reps]
             for g in range(group.order)]
 
 
@@ -924,8 +985,8 @@ def test_same_group_needs_same_kind_and_numbering():
     s3 = make_symmetric(3)
     order_six = [s3, make_general_linear(2, 2), make_abelian_product([6]),
                  make_abelian_product([2, 3]),
-                 make_from_table([[s3.multiply(a, b) for b in range(6)]
-                                  for a in range(6)])]
+                 make_from_table(s3.products(np.arange(6)[:, None],
+                                             np.arange(6)))]
     for i, a in enumerate(order_six):
         for j, b in enumerate(order_six):
             assert same_group(a, b) == (i == j)
@@ -935,7 +996,7 @@ def test_same_group_needs_same_kind_and_numbering():
     assert not same_group(make_abelian_product([3, 2]), order_six[3])
     # table groups: the same table is the same group, a renumbered one
     # (elements 1 and 2 swapped) is not
-    table = [[s3.multiply(a, b) for b in range(6)] for a in range(6)]
+    table = s3.products(np.arange(6)[:, None], np.arange(6)).tolist()
     assert same_group(make_from_table(table), order_six[4])
     swap = [0, 2, 1, 3, 4, 5]
     renumbered = [[0] * 6 for _ in range(6)]
@@ -997,7 +1058,7 @@ def test_class_members_mutually_conjugate():
         # spot check: conjugating a member stays in its class
         for g in members:
             for h in range(0, group.order, 7):
-                conj = group.multiply(group.multiply(h, g), group.invert(h))
+                conj = group.products(group.products(h, g), group.invert(h))
                 assert class_of[conj] == idx
 
 
@@ -1023,8 +1084,9 @@ def test_cayley_table_file_roundtrip(tmp_path):
     export_cayley_table(s3, path)
     g = import_cayley_table(path)
     assert g.order == 6
-    assert all(g.multiply(a, b) == s3.multiply(a, b)
-               for a in range(6) for b in range(6))
+    elements = np.arange(6)
+    assert g.products(elements[:, None], elements).tolist() == \
+        s3.products(elements[:, None], elements).tolist()
 
 
 @pytest.mark.parametrize("text, outcome", [

@@ -188,8 +188,19 @@ def test_no_unread_public_members_in_package():
                              {"File formats", "Library"})
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         elsewhere |= names_read(ast.parse(path.read_text()))
-    # the single product, read by the test oracles as the path independent
-    # of the bulk ``products``; its S_n and abelian overrides compute
-    # scalars without whole-group arrays
-    elsewhere |= {"multiply"}
     assert unread_members(sources, read_elsewhere=elsewhere) == []
+
+
+def test_groups_have_two_operations():
+    """Every group's arithmetic is ``products`` and ``invert``: the
+    scalar ``multiply``, the abelian ``encode`` and the scalar
+    ``perm_rank`` are gone, and ``inverses()`` is the base class's
+    ``invert`` of every element in every group kind."""
+    from cayley_theta import groups
+    for name in ("multiply", "encode", "perm_rank"):
+        assert not hasattr(groups, name)
+        assert not any(hasattr(kind, name) for kind in
+                       groups.FiniteGroup.__subclasses__())
+    assert groups.FiniteGroup.__subclasses__()
+    for kind in groups.FiniteGroup.__subclasses__():
+        assert "inverses" not in vars(kind)
