@@ -19,6 +19,7 @@ of BBMC, San Segundo et al., Comput. Oper. Res. 2011).
 
 from __future__ import annotations
 
+import math
 import time
 from array import array
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import groups
 from .errors import (InvalidArgument, NotAutomorphism, NotTransitive,
                      SchemaError, SizeLimit)
 from .groups import (FiniteGroup, GroupAction, blocks, load_rows, parse_ints,
@@ -72,19 +74,29 @@ class ConnectionSet:
 
     @classmethod
     def from_elements(cls, group: FiniteGroup, elements):
-        elems = sorted(set(int(e) for e in elements))
-        for e in elems:
-            if not 0 <= e < group.order:
-                raise InvalidArgument(f"no element {e}")
-        if group.identity in elems:
+        """The set of these elements, a collection of integers, checked
+        on one sorted int64 array of the distinct ones; each fault names
+        the smallest element that has it."""
+        try:
+            given = np.sort(np.fromiter(elements, dtype=np.int64))
+        except OverflowError:
+            # every group order fits int64, so such an element is outside
+            given = np.sort(np.array([int(e) for e in elements],
+                                     dtype=object))
+        # distinct by one sort: np.unique hashes, 50x slower on the
+        # 1.3 million elements of S_10 efp:1 (numpy 2.4)
+        index = np.concatenate([given[:1], given[1:][given[1:] != given[:-1]]])
+        outside = (index < 0) | (index >= group.order)
+        if outside.any():
+            raise InvalidArgument(f"no element {index[np.argmax(outside)]}")
+        if (index == group.identity).any():
             raise InvalidArgument(
                 "connection set must not contain the identity")
-        index = np.array(elems, dtype=np.int64)
         missing = ~np.isin(group.invert(index), index)
         if missing.any():
-            raise InvalidArgument(f"element {elems[int(np.argmax(missing))]} "
+            raise InvalidArgument(f"element {index[np.argmax(missing)]} "
                                   "present but its inverse is not")
-        return cls(group, elements=elems)
+        return cls(group, elements=index.tolist())
 
     @cached_property
     def as_classes(self):
@@ -123,9 +135,10 @@ class ConnectionSet:
 class Graph:
     """A simple graph on the vertices 0..n-1: its symmetric n x n boolean
     adjacency array, False on the diagonal, checked and made read-only,
-    not copied; symmetry is compared a block of rows at a time, so that
-    no n x n temporary is made.  ``transitive``: the constructor proved
-    the graph vertex-transitive (only build_cayley does)."""
+    not copied; symmetry is compared on square tiles of the upper
+    triangle, so that no n x n temporary is made.  ``transitive``: the
+    constructor proved the graph vertex-transitive (only build_cayley
+    does)."""
     adjacency: np.ndarray
     transitive: bool = False
 
@@ -137,30 +150,52 @@ class Graph:
         loops = np.flatnonzero(a.diagonal())
         if loops.size:
             raise InvalidArgument(f"self-loop at {loops[0]}")
-        n = len(a)
-        for rows in blocks(n, n * a.itemsize):
-            odd = a[rows] != a[:, rows].T
-            if odd.any():
-                u, v = divmod(int(np.argmax(odd)), n)
-                raise InvalidArgument(f"adjacency array is not symmetric "
-                                      f"at ({rows.start + u}, {v})")
+        # tiles of about BLOCK_BYTES, a row of tiles at a time: a tile and
+        # its transposed partner stay in cache, where a transposed column
+        # slab strides across every row; the first pair (u, v) in
+        # row-major order has u < v, so tiles left of the diagonal are
+        # skipped, and the first of a tile row is the least over its tiles
+        side = math.isqrt(groups.BLOCK_BYTES // a.itemsize)
+        tiles = blocks(len(a), side * a.itemsize)
+        for i, rows in enumerate(tiles):
+            odd = []
+            for cols in tiles[i:]:
+                tile = a[rows, cols] != a[cols, rows].T
+                if tile.any():
+                    u, v = divmod(int(np.argmax(tile)), tile.shape[1])
+                    odd.append((rows.start + u, cols.start + v))
+            if odd:
+                u, v = min(odd)
+                raise InvalidArgument(
+                    f"adjacency array is not symmetric at ({u}, {v})")
         a.setflags(write=False)
 
     @classmethod
     def from_edges(cls, n: int, edges):
-        """The graph on n <= CAYLEY_BOUND vertices with these edges."""
+        """The graph on n <= CAYLEY_BOUND vertices with these edges, a
+        sequence of integer pairs, checked and set as one int64 array; a
+        faulty sequence is walked in order to name its first fault."""
         if n < 0:
             raise InvalidArgument(f"negative vertex count {n}")
         if n > CAYLEY_BOUND:
             raise SizeLimit(
                 f"graphs limited to {CAYLEY_BOUND} vertices, got {n}")
+        try:
+            pairs = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+            us, vs = pairs.T
+            clean = not ((us == vs).any() or (pairs < 0).any()
+                         or (pairs >= n).any())
+        except OverflowError:
+            # a vertex beyond int64 is out of range: the walk names it
+            clean = False
+        if not clean:
+            for u, v in edges:
+                if u == v:
+                    raise InvalidArgument(f"self-loop at {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InvalidArgument(f"edge ({u},{v}) out of range")
         adjacency = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            if u == v:
-                raise InvalidArgument(f"self-loop at {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidArgument(f"edge ({u},{v}) out of range")
-            adjacency[u, v] = adjacency[v, u] = True
+        adjacency[us, vs] = adjacency[vs, us] = True
         return cls(adjacency)
 
     @property
@@ -243,10 +278,12 @@ def alpha(graph: Graph, time_budget: Optional[float] = None) -> AlphaResult:
     order = np.argsort(np.count_nonzero(graph.adjacency, axis=1),
                        kind="stable")
     # adj[v]: v's complement neighbours, a bitmask; blocks of rows are
-    # gathered by rows, then columns (np.ix_ is 6x slower)
+    # gathered by rows, then columns (np.ix_ is 6x slower); np.take keeps
+    # the block in C order, where [:, order] returns it in Fortran order
+    # and packbits along its rows then runs about 30x slower
     adj = []
     for rows in blocks(n, graph.adjacency[0].nbytes):
-        comp = graph.adjacency[order[rows]][:, order]
+        comp = np.take(graph.adjacency[order[rows]], order, axis=1)
         np.logical_not(comp, out=comp)
         np.fill_diagonal(comp[:, rows.start:], False)
         adj.extend(int.from_bytes(row.tobytes(), "little") for row in
@@ -370,11 +407,23 @@ def blowup_connection(action: GroupAction, graph: Graph,
 # file formats
 
 def export_graph(graph: Graph, path):
-    edges = graph.edges
+    """Header 'vertices N edges K', then each edge 'u v', u < v, in
+    row-major order; the upper triangle is walked and written a block of
+    rows at a time."""
+    a = graph.adjacency
+    n = graph.vertex_count
     with open(path, "w") as fh:
-        fh.write(f"vertices {graph.vertex_count} edges {len(edges)}\n")
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
+        fh.write(f"vertices {n} edges {np.count_nonzero(a) // 2}\n")
+        for rows in blocks(n, n * a.itemsize):
+            lines = []
+            for u, row in enumerate(np.triu(a[rows], rows.start + 1),
+                                    rows.start):
+                vs = np.flatnonzero(row).tolist()
+                if vs:
+                    head = f"{u} "
+                    lines.append(head + ("\n" + head).join(map(str, vs))
+                                 + "\n")
+            fh.write("".join(lines))
 
 
 def import_graph(path) -> Graph:
@@ -383,8 +432,11 @@ def import_graph(path) -> Graph:
         if len(header) != 4 or header[0] != "vertices" or header[2] != "edges":
             raise SchemaError("expected header 'vertices N edges K'")
         n, k = parse_ints(header[1::2], f"graph header {' '.join(header)!r}")
+        lines = [line for line in fh if line.strip()]
+    edges = load_rows(lines)
+    if edges is None or len(edges) and edges.shape[1] != 2:
         edges = [parse_ints(line.split(), f"edge {line.strip()!r}", 2)
-                 for line in fh if line.strip()]
+                 for line in lines]
     if len(edges) != k:
         raise SchemaError(f"expected {k} edges, found {len(edges)}")
     return Graph.from_edges(n, edges)

@@ -74,6 +74,26 @@ def test_graph_refuses_an_array_it_does_not_describe(monkeypatch):
                 Graph(a)
 
 
+@pytest.mark.parametrize("size", [groups.BLOCK_BYTES, 5])
+def test_graph_names_the_first_asymmetric_pair_across_tiles(size,
+                                                            monkeypatch):
+    """Symmetry is compared on square tiles, a row of tiles at a time; at
+    5 bytes the tiles are 2 x 2, so the first tile of rows 0-1 that
+    differs holds (1, 2), while the first pair in row-major order, (0,
+    4), lies in a later tile of the same row: the message names it."""
+    monkeypatch.setattr(groups, "BLOCK_BYTES", size)
+    a = np.zeros((7, 7), bool)
+    a[1, 2] = a[0, 4] = a[5, 6] = True
+    message = r"^adjacency array is not symmetric at \({}, {}\)$"
+    with pytest.raises(InvalidArgument, match=message.format(0, 4)):
+        Graph(a)
+    a[2, 1] = a[4, 0] = True
+    with pytest.raises(InvalidArgument, match=message.format(5, 6)):
+        Graph(a)
+    a[6, 5] = True
+    assert Graph(a).edges == [(0, 4), (1, 2), (5, 6)]
+
+
 @pytest.mark.parametrize("n, error", [
     (-3, InvalidArgument), (graphs.CAYLEY_BOUND + 1, SizeLimit),
     (3_000_000, SizeLimit), (10 ** 12, SizeLimit)])
@@ -324,9 +344,8 @@ def test_build_cayley_pinned_graphs_in_7_column_blocks(monkeypatch):
     test_build_cayley_pinned_graphs()
 
 
-def test_alpha_in_7_row_blocks_gives_the_same_answers(monkeypatch):
-    """The complement's bitmasks are built a block of rows at a time; 7
-    rows per block split every graph here unevenly, or hold it whole."""
+def _alpha_cases():
+    """Graphs that 7 rows per block split unevenly, or hold whole."""
     s6, efp2 = _s6_efp2()
     z = make_abelian_product([1500])
     rng = random.Random(5)
@@ -339,7 +358,31 @@ def test_alpha_in_7_row_blocks_gives_the_same_answers(monkeypatch):
         cases.append(Graph.from_edges(n, [
             (i, j) for i in range(n) for j in range(i + 1, n)
             if rng.random() < 0.3]))
+    return cases
+
+
+def test_alpha_in_7_row_blocks_gives_the_same_answers(monkeypatch):
+    """The complement's bitmasks are built a block of rows at a time."""
+    cases = _alpha_cases()
     want = [alpha(g) for g in cases]
+    monkeypatch.setattr(groups, "BLOCK_BYTES", _SevenColumns())
+    assert [alpha(g) for g in cases] == want
+
+
+def test_alpha_packs_only_c_ordered_blocks(monkeypatch):
+    """packbits along the rows of a Fortran-ordered block runs about 30x
+    slower, so every block alpha packs must be C-contiguous, in 7-row
+    blocks and at the default size."""
+    packbits = np.packbits
+
+    def guard(a, *args, **kwargs):
+        assert a.flags.c_contiguous
+        return packbits(a, *args, **kwargs)
+
+    cases = _alpha_cases()
+    want = [alpha(g) for g in cases]
+    monkeypatch.setattr(np, "packbits", guard)
+    assert [alpha(g) for g in cases] == want
     monkeypatch.setattr(groups, "BLOCK_BYTES", _SevenColumns())
     assert [alpha(g) for g in cases] == want
 
@@ -623,6 +666,84 @@ def test_graph_file_roundtrip(tmp_path):
     g2 = import_graph(path)
     assert g2.vertex_count == 10
     assert sorted(g2.edges) == sorted(g.edges)
+
+
+@pytest.mark.parametrize("size", [groups.BLOCK_BYTES, 5])
+def test_graph_file_bytes_are_pinned(tmp_path, monkeypatch, size):
+    """sha256 of the file that the edge-by-edge writer made of a seeded
+    graph whose degrees vary by row; written a block of rows at a time
+    (one row per block at 5 bytes), the bytes are the same."""
+    monkeypatch.setattr(groups, "BLOCK_BYTES", size)
+    rng = random.Random(33)
+    g = Graph.from_edges(257, [(u, v) for u in range(257)
+                               for v in range(u + 1, 257)
+                               if rng.random() < (u % 7) / 10])
+    path = tmp_path / "g.txt"
+    export_graph(g, path)
+    data = path.read_bytes()
+    assert data.startswith(b"vertices 257 edges 9665\n")
+    assert hashlib.sha256(data).hexdigest() == (
+        "d37cbf89d988bbfe9655ec3df04e986a584cc232d6fb6e4541f21c8917be02a3")
+
+
+def test_graph_file_roundtrip_of_100000_edges(tmp_path):
+    """Cay(Z_1000, +-{1..100}): the writer holds one block of rows of
+    text (the list of every edge once took 13.7 MB traced), and the
+    reader gets the same adjacency back."""
+    z = make_abelian_product([1000])
+    half = np.arange(1, 101)
+    g = build_cayley(z, ConnectionSet.from_elements(
+        z, np.r_[half, z.order - half]))
+    path = tmp_path / "g.txt"
+    tracemalloc.start()
+    try:
+        export_graph(g, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 21
+    assert len(path.read_text().splitlines()) == 100_001
+    back = import_graph(path)
+    assert not back.transitive
+    assert (back.adjacency == g.adjacency).all()
+
+
+@pytest.mark.parametrize("edges, outcome", [
+    ("\n  0 3  \n\n", [(0, 3)]),
+    ("", []),
+    ("0 1\n2 2\n", (InvalidArgument, "self-loop at 2$")),
+    ("2 2\n0 9\n", (InvalidArgument, "self-loop at 2$")),
+    ("0 9\n2 2\n", (InvalidArgument, r"edge \(0,9\) out of range$")),
+    ("7 7\n", (InvalidArgument, "self-loop at 7$")),
+    ("-1 2\n", (InvalidArgument, r"edge \(-1,2\) out of range$")),
+    ("0 1\n1 x\n", (SchemaError, "malformed edge '1 x'$")),
+    ("0 1 2\n1 x\n", (SchemaError, "malformed edge '0 1 2'$")),
+    ("0 1\n1\n", (SchemaError, "malformed edge '1'$")),
+    ("0 1\n1_0 2\n", (InvalidArgument, r"edge \(10,2\) out of range$")),
+    (f"0 1\n1 {10 ** 20}\n",
+     (InvalidArgument, rf"edge \(1,{10 ** 20}\) out of range$")),
+    (f"{-2 ** 64} {-2 ** 64}\n",
+     (InvalidArgument, f"self-loop at {-2 ** 64}$")),
+])
+def test_graph_file_faults(tmp_path, edges, outcome):
+    """Edge lines of int64 are read as one array and checked at once; a
+    file with a fault is read line by line, and the message names its
+    first faulty edge in file order, a self-loop before a vertex out of
+    range."""
+    path = tmp_path / "g.txt"
+    count = sum(1 for line in edges.splitlines() if line.strip())
+    path.write_text(f"vertices 4 edges {count}\n{edges}")
+    if isinstance(outcome, list):
+        assert import_graph(path).edges == outcome
+    else:
+        with pytest.raises(outcome[0], match=outcome[1]):
+            import_graph(path)
+    if isinstance(outcome, list) or outcome[0] is not SchemaError:
+        # a wrong count is named before any edge that parses
+        path.write_text(f"vertices 4 edges {count + 1}\n{edges}")
+        with pytest.raises(SchemaError, match=(
+                f"expected {count + 1} edges, found {count}$")):
+            import_graph(path)
 
 
 @pytest.mark.parametrize("text, outcome", [
