@@ -100,10 +100,8 @@ def efp_cell(table: CharacterTable, k: int) -> EfpCell:
 
 def efp_table(n_max: int) -> list:
     """All cells 1 <= k <= n <= n_max, exact; each row shares the group
-    and character table of its n."""
-    if not 1 <= n_max <= SymmetricGroup.MAX_N:
-        raise InvalidArgument(f"efp_table needs 1 <= n_max <= "
-                              f"{SymmetricGroup.MAX_N}, not {n_max}")
+    and character table of its n.  n_max is refused where S_n_max is."""
+    SymmetricGroup(n_max)
     cells = []
     for n in range(1, n_max + 1):
         table = symmetric_character_table(n)

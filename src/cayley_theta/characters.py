@@ -57,13 +57,12 @@ import numpy as np
 from .errors import (CorruptTable, InvalidArgument, NeedsIrreps, SchemaError,
                      SizeLimit)
 from .groups import (AbelianProductGroup, FiniteGroup, SymmetricGroup, blocks,
-                     parse_ints, partition_label, partitions, same_group)
+                     check_memory, parse_ints, partition_label, partitions,
+                     same_group)
 from .linalg import exact_sums, is_exact
 
 Scalar = Union[Fraction, complex]
 
-# an abelian table has order**2 entries
-ABELIAN_TABLE_BOUND = 2000
 # the largest n with n * sqrt(n!) < 2^63 (see ``mn_table``)
 MN_TABLE_MAX_N = 31
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -255,18 +254,17 @@ def abelian_character_table(group: FiniteGroup) -> CharacterTable:
     if not isinstance(group, AbelianProductGroup):
         raise InvalidArgument("abelian_character_table needs an "
                               "abelian-product group")
-    if group.order > ABELIAN_TABLE_BOUND:
-        raise SizeLimit(f"abelian character tables limited to order "
-                        f"{ABELIAN_TABLE_BOUND}, got {group.order}")
     moduli = group.moduli
     exact = all(m <= 2 for m in moduli)
+    dtype = np.dtype(int if exact else complex)
+    check_memory(f"the character table of order {group.order}",
+                 (group.order ** 2, dtype.itemsize))
     L = lcm(*moduli)
     elements = np.arange(group.order)
     digits = np.stack([elements // s % m for m, s in
                        zip(moduli, group.strides)], axis=1)
     weighted = digits * np.array([L // m for m in moduli])
-    entries = np.empty((group.order, group.order),
-                       dtype=int if exact else complex)
+    entries = np.empty((group.order, group.order), dtype=dtype)
     for rows in blocks(group.order, entries[0].nbytes):
         start = rows.start
         entries[rows, :start] = entries[:start, rows].T
@@ -734,13 +732,10 @@ class IrrepMatrices:
                                       "square matrices of one size")
         if sum(d * d for d in self.degrees) != group.order:
             raise InvalidArgument("sum of squared degrees != group order")
-        # pi(a) pi(b) = pi(ab) on every pair, or on 2000 seeded pairs
-        if group.order > 60:
-            left, right = np.random.default_rng(0).integers(
-                0, group.order, size=(2000, 2)).T
-        else:
-            left, right = np.divmod(np.arange(group.order ** 2), group.order)
-        prods = group.products(left, right)
+        # pi(a) pi(g) = pi(ag) for every a and generator g: with pi(e) = I
+        # that is every pair, as every element is a product of generators
+        gens = np.fromiter(group.generators(), dtype=np.int64)
+        prods = group.products(np.arange(group.order)[:, None], gens)
         for i, (d, stack) in enumerate(zip(self.degrees, self.matrices)):
             if not np.isfinite(stack).all():
                 raise InvalidArgument(f"irrep {i}: an entry is not finite")
@@ -754,15 +749,15 @@ class IrrepMatrices:
                 if bad.size:
                     raise InvalidArgument(
                         f"irrep {i}: pi({s.start + bad[0]}) not unitary")
-            for s in blocks(len(prods), stack[0].nbytes):
-                a, b = left[s], right[s]
-                defect = np.abs(stack[a] @ stack[b] -
-                                stack[prods[s]]).max(axis=(1, 2))
-                bad = np.flatnonzero(defect > tol)
+            # a block of a against every g: the first (a, g) in that order
+            for s in blocks(group.order, len(gens) * stack[0].nbytes):
+                defect = np.abs(stack[s, None] @ stack[gens] -
+                                stack[prods[s]])
+                bad = np.flatnonzero(defect.max(axis=(2, 3)) > tol)
                 if bad.size:
-                    k = bad[0]
+                    a, g = divmod(int(bad[0]), len(gens))
                     raise InvalidArgument(f"irrep {i}: homomorphism fails "
-                                          f"at ({a[k]},{b[k]})")
+                                          f"at ({s.start + a},{gens[g]})")
         return self
 
 

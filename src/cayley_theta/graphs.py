@@ -30,12 +30,9 @@ import numpy as np
 
 from . import groups
 from .errors import (InvalidArgument, NotAutomorphism, NotTransitive,
-                     SchemaError, SizeLimit)
-from .groups import (FiniteGroup, GroupAction, blocks, load_rows, parse_ints,
-                     same_group)
-
-# vertices of a Cayley graph or of a graph given by its edges
-CAYLEY_BOUND = 5000
+                     SchemaError)
+from .groups import (FiniteGroup, GroupAction, blocks, check_memory, distinct,
+                     load_rows, parse_ints, same_group)
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +75,10 @@ class ConnectionSet:
         on one sorted int64 array of the distinct ones; each fault names
         the smallest element that has it."""
         try:
-            given = np.sort(np.fromiter(elements, dtype=np.int64))
+            index = distinct(np.fromiter(elements, dtype=np.int64))
         except OverflowError:
             # every group order fits int64, so such an element is outside
-            given = np.sort(np.array([int(e) for e in elements],
-                                     dtype=object))
-        # distinct by one sort: np.unique hashes, 50x slower on the
-        # 1.3 million elements of S_10 efp:1 (numpy 2.4)
-        index = np.concatenate([given[:1], given[1:][given[1:] != given[:-1]]])
+            index = distinct(np.array(list(map(int, elements)), dtype=object))
         outside = (index < 0) | (index >= group.order)
         if outside.any():
             raise InvalidArgument(f"no element {index[np.argmax(outside)]}")
@@ -172,14 +165,12 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges):
-        """The graph on n <= CAYLEY_BOUND vertices with these edges, a
-        sequence of integer pairs, checked and set as one int64 array; a
-        faulty sequence is walked in order to name its first fault."""
+        """The graph on n vertices with these edges, a sequence of integer
+        pairs, checked and set as one int64 array; a faulty sequence is
+        walked in order to name its first fault."""
         if n < 0:
             raise InvalidArgument(f"negative vertex count {n}")
-        if n > CAYLEY_BOUND:
-            raise SizeLimit(
-                f"graphs limited to {CAYLEY_BOUND} vertices, got {n}")
+        check_memory(f"a graph on {n} vertices", (n * n, 1))
         try:
             pairs = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
             us, vs = pairs.T
@@ -202,18 +193,11 @@ class Graph:
     def vertex_count(self) -> int:
         return len(self.adjacency)
 
-    @property
-    def edges(self):
-        """The edges (u, v), u < v, in row-major order."""
-        us, vs = np.nonzero(np.triu(self.adjacency, 1))
-        return list(zip(us.tolist(), vs.tolist()))
-
 
 def build_cayley(group: FiniteGroup, connection: ConnectionSet) -> Graph:
     """Cay(Gamma, X): x ~ y iff y^-1 x in X; regular of degree |X|."""
-    if group.order > CAYLEY_BOUND:
-        raise InvalidArgument(
-            f"Cayley graph materialization limited to order {CAYLEY_BOUND}")
+    check_memory(f"the Cayley graph of order {group.order}",
+                 (group.order ** 2, 1))
     if not same_group(connection.group, group):
         raise InvalidArgument("connection set belongs to a different group")
     inside = np.zeros(group.order, dtype=bool)
@@ -394,7 +378,7 @@ def blowup_connection(action: GroupAction, graph: Graph,
     orbits = []
     for p in range(graph.vertex_count):
         if not seen[p]:
-            orbit = np.unique(act[:, p])
+            orbit = distinct(act[:, p])
             seen[orbit] = True
             orbits.append(orbit.tolist())
     if len(orbits) != 1:
@@ -461,6 +445,8 @@ def import_action_table(path, group: FiniteGroup) -> GroupAction:
                 for line in lines]
     if order != group.order or len(rows) != order:
         raise SchemaError("action table does not match the group order")
-    if any(len(r) != npts for r in rows):
-        raise SchemaError("ragged action table")
-    return GroupAction(group, rows)
+    action = GroupAction(group, rows)
+    if action.point_count != npts:
+        raise SchemaError(f"action table rows have {action.point_count} "
+                          f"points, but the header says {npts}")
+    return action

@@ -40,6 +40,11 @@ Cayley and action tables are checked in full at every order through
 ``FiniteGroup.generators``, at most log2|G| elements: associativity
 (Light's test) and the action axiom each hold on a set closed under
 products, so they hold on G once they hold on a generating set.
+
+Arrays of order^2 or n! items must fit ``MEMORY_BYTES``, checked by
+``check_memory`` before they are allocated: in ``SymmetricGroup()``,
+``abelian_character_table``, ``build_cayley``, ``Graph.from_edges``,
+``build_sdp_A``, ``extract_matrix_solution`` and ``symmetrize_matrix``.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ from .errors import InvalidArgument, NotAGroup, SchemaError, SizeLimit
 GENERIC_CLASS_BOUND = 10000   # orbit algorithm and abelian class cutoff
 # bytes per block of every loop that walks a large array a block at a time
 BLOCK_BYTES = 1 << 17
+# bytes that the arrays an input makes may take together (check_memory)
+MEMORY_BYTES = 1 << 27
 
 
 def blocks(count: int, item_bytes: int) -> list:
@@ -64,6 +71,24 @@ def blocks(count: int, item_bytes: int) -> list:
     items of item_bytes bytes (at least one item)."""
     step = max(1, BLOCK_BYTES // max(item_bytes, 1))
     return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def check_memory(what: str, *arrays):
+    """SizeLimit unless the arrays that ``what`` would make, given as
+    (item count, item bytes) pairs, fit in MEMORY_BYTES together."""
+    need = sum(count * item_bytes for count, item_bytes in arrays)
+    if need > MEMORY_BYTES:
+        raise SizeLimit(f"{what} needs {need} bytes, more than the memory "
+                        f"budget of {MEMORY_BYTES} bytes")
+
+
+def distinct(values) -> np.ndarray:
+    """The sorted distinct entries of a 1-d array, as np.unique gives
+    them, by one sort: np.unique hashes (numpy 2.4), 50x slower on the
+    1.3 million elements of S_10 efp:1."""
+    ordered = np.sort(values)
+    return np.concatenate([ordered[:1],
+                           ordered[1:][ordered[1:] != ordered[:-1]]])
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +232,7 @@ class FiniteGroup:
             frontier = np.flatnonzero(inside)
             while frontier.size:
                 reached = self.products(frontier[:, None], gens).ravel()
-                frontier = np.unique(reached[~inside[reached]])
+                frontier = distinct(reached[~inside[reached]])
                 inside[frontier] = True
 
     def identity_key(self):
@@ -336,11 +361,14 @@ class SymmetricGroup(FiniteGroup):
     is read from the permutation array, a block of rows at a time, on
     its first request."""
 
-    MAX_N = 10
-
     def __init__(self, n: int):
-        if not 1 <= n <= self.MAX_N:
-            raise InvalidArgument(f"need 1 <= n <= {self.MAX_N}, got {n}")
+        if n < 1:
+            raise InvalidArgument(f"need n >= 1, got {n}")
+        # n! >= 2^(n-1): past the budget's bit length no factorial is taken
+        if n > MEMORY_BYTES.bit_length():
+            raise SizeLimit(f"the permutation array of S_{n} needs more than "
+                            f"the memory budget of {MEMORY_BYTES} bytes")
+        check_memory(f"the permutation array of S_{n}", (factorial(n), n))
         super().__init__(factorial(n))
         self.n = n
         self._perms = None

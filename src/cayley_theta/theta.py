@@ -44,16 +44,17 @@ from .characters import (CharacterTable, ClassFunction, GroupFunction,
                          IrrepMatrices, conj, format_real,
                          is_positive_type, row_combination)
 from .errors import (InvalidArgument, NumericalFailure, SchemaError,
-                     SizeLimit, WrongFormulation)
+                     WrongFormulation)
 from .graphs import ConnectionSet, build_cayley
-from .groups import FiniteGroup, blocks, parse_ints, same_group
+from .groups import (FiniteGroup, blocks, check_memory, distinct, parse_ints,
+                     same_group)
 from .linalg import is_exact, scaled
 from .simplex import LpInstance, LpSolution, solve as lp_solve
 
-MATRIX_BOUND = 2000
 ROW_DROP_TOL = 1e-12
 INDEX_BOUND = 2 ** 31   # SDP block sizes and constraint counts stay below
 CERT_TOL = 1e-8
+_VALUE_BYTES = 8 + 24   # a Python matrix entry: a list reference, a float
 
 
 @dataclass(frozen=True)
@@ -266,9 +267,8 @@ def extract_matrix_solution(cert: ThetaCertificate):
     """The formulation-(A) matrix A(beta,gamma) = f(beta gamma^-1)/|Gamma|:
     trace 1, zero on edges, entry sum = theta."""
     group = cert.spec.group
-    if group.order > MATRIX_BOUND:
-        raise SizeLimit(
-            f"matrix extraction limited to order {MATRIX_BOUND}")
+    check_memory(f"the matrix of order {group.order}",
+                 (group.order ** 2, _VALUE_BYTES))
     inv = group.inverses()
     f_elem = [cert.f.values[idx] for idx in group.class_of().tolist()]
     order = group.order
@@ -281,8 +281,7 @@ def symmetrize_matrix(A, group: FiniteGroup) -> GroupFunction:
     f(gamma) = sum_beta A(gamma beta, beta); if A is feasible for (A),
     f is feasible for (B) with the same objective."""
     order = group.order
-    if order > MATRIX_BOUND:
-        raise SizeLimit(f"symmetrization limited to order {MATRIX_BOUND}")
+    check_memory(f"the matrix of order {order}", (order ** 2, _VALUE_BYTES))
     if len(A) != order or any(len(row) != order for row in A):
         raise InvalidArgument("matrix shape does not match the group")
     exact = all(is_exact(v) for row in A for v in row)
@@ -416,13 +415,15 @@ def build_sdp_A(spec: CayleyGraphSpec) -> SdpInstance:
     all entries subject to trace 1 and a zero on every edge.  Each
     column is filled once, in place, row by row of the adjacency array:
     the objective's upper triangle, the trace's diagonal, then one
-    constraint per edge u < v."""
+    constraint per edge u < v.  Its adjacency and table (4 int32 and a
+    float64 per entry) must fit the memory budget."""
     group = spec.group
-    if group.order > MATRIX_BOUND:
-        raise SizeLimit(f"formulation (A) limited to order {MATRIX_BOUND}")
-    adjacent = build_cayley(group, spec.connection).adjacency
     n = group.order
-    triangle, edges = n * (n + 1) // 2, np.count_nonzero(adjacent) // 2
+    # Cay(G, X) is |X|-regular: n |X| / 2 edges
+    triangle, edges = n * (n + 1) // 2, n * spec.connection.size // 2
+    check_memory(f"formulation (A) of order {n}", (n * n, 1),
+                 (triangle + n + edges, 4 * 4 + 8))
+    adjacent = build_cayley(group, spec.connection).adjacency
     k, block, i, j = (np.ones(triangle + n + edges, dtype=np.int32)
                       for _ in range(4))
     k[:triangle] = 0
@@ -534,7 +535,7 @@ def export_sdpa(instance: SdpInstance, path):
     One fancy index of that array then gives the four parts of every
     line of the batch, in line order, and one join writes them."""
     t = instance
-    bits = _distinct_bits(t.value)
+    bits = distinct(t.value.view(np.int64))
     batches = blocks(len(t.k), sum(getattr(t, column).itemsize
                                    for column in _TABLE[:5]))
     # the "k " slots a batch needs: k[-1] - k[0] + 1 over its rows
@@ -565,18 +566,10 @@ def export_sdpa(instance: SdpInstance, path):
             fh.write("".join(strings[rows.ravel()].tolist()))
 
 
-def _distinct_bits(values):
-    """The distinct bit patterns of an array of doubles, sorted; by one
-    sort, as np.unique without return_inverse hashes them, ten times
-    slower on 300,000 equal values (numpy 2.4)."""
-    bits = np.sort(values.view(np.int64))
-    return np.concatenate([bits[:1], bits[1:][bits[1:] != bits[:-1]]])
-
-
 def _reprs(values):
     """The repr of each double, one repr made per distinct value (told
     apart by its bits), as an object array."""
-    bits = _distinct_bits(values)
+    bits = distinct(values.view(np.int64))
     reprs = np.array([repr(v) for v in bits.view(np.float64).tolist()],
                      dtype=object)
     return reprs[np.searchsorted(bits, values.view(np.int64))]

@@ -320,6 +320,12 @@ def inverse_closed_set(group, size, seed):
     return sorted(chosen)
 
 
+def edge_list(graph) -> list:
+    """The edges (u, v), u < v, of a graph, in row-major order."""
+    us, vs = np.nonzero(np.triu(graph.adjacency, 1))
+    return list(zip(us.tolist(), vs.tolist()))
+
+
 def bitmasks(graph) -> tuple:
     """The neighbours of each vertex as a Python int, bit u for vertex u:
     the graph format the package once stored."""

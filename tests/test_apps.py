@@ -10,7 +10,7 @@ from cayley_theta.apps import (EfpCell, count_fixing_at_least,
                                efp_table, efp_table_csv, efp_table_grid,
                                gl_connection, gl_lower_bound)
 from cayley_theta.characters import symmetric_character_table
-from cayley_theta.errors import InvalidArgument
+from cayley_theta.errors import InvalidArgument, SizeLimit
 from cayley_theta.graphs import ConnectionSet, alpha, build_cayley
 from cayley_theta.groups import (SymmetricGroup, make_general_linear,
                                  make_symmetric)
@@ -136,16 +136,17 @@ def test_efp_table_grid_and_csv(tmp_path):
 
 
 def test_efp_table_runs_to_the_symmetric_group_bound():
-    """The grid reaches n = SymmetricGroup.MAX_N with every cell exact;
-    two of its gaps above n = 8 are pinned."""
-    cells = {(c.n, c.k): c for c in efp_table(SymmetricGroup.MAX_N)}
+    """The grid reaches n = 10, the largest S_n the memory budget admits,
+    with every cell exact; two of its gaps above n = 8 are pinned.  n = 11
+    is refused as S_11 is, by the bytes of its permutation array."""
+    cells = {(c.n, c.k): c for c in efp_table(10)}
     assert len(cells) == 55 and all(c.exact for c in cells.values())
     for n, k, value, conjectured in ((9, 6, 11, 9), (10, 5, 210, 132)):
         cell = cells[n, k]
         assert cell.theta == value and not cell.checkmark
         assert cell.conjectured_max == conjectured
-    with pytest.raises(InvalidArgument, match="n_max <= 10, not 11"):
-        efp_table(SymmetricGroup.MAX_N + 1)
+    with pytest.raises(SizeLimit, match="S_11 needs 439084800 bytes"):
+        efp_table(11)
 
 
 def test_gl_connection_sizes():

@@ -302,8 +302,8 @@ def test_mn_against_reference_small_n():
 def test_mn_table_matches_the_memoised_rule(n):
     """The table built from beta-set strips equals ``mn_character`` (the
     rule on the largest part, one entry at a time) entry by entry; n = 12
-    to 15 are past ``SymmetricGroup.MAX_N``, which the builder does not
-    need."""
+    to 15 are past the S_n that the memory budget admits, which the
+    builder does not need."""
     parts = partitions(n)
     table = mn_table(n)
     assert table.dtype == np.int64

@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayley_theta import simplex
+from cayley_theta import groups, simplex
 from cayley_theta.apps import efp_connection
 from cayley_theta.cli import cli_dispatch
-from cayley_theta.graphs import (CAYLEY_BOUND, Graph, export_action,
-                                 export_graph)
+from cayley_theta.graphs import Graph, export_action, export_graph
 from cayley_theta.groups import (GroupAction, export_cayley_table,
                                  make_abelian_product, make_symmetric)
 
@@ -145,7 +144,8 @@ def test_efp_table_output(capsys, tmp_path):
 def test_efp_table_nmax_bound(capsys):
     code, _, err = run(capsys, "efp-table", "--nmax", "11")
     assert code == 2
-    assert err == "error: efp_table needs 1 <= n_max <= 10, not 11\n"
+    assert err == ("error: the permutation array of S_11 needs 439084800 "
+                   "bytes, more than the memory budget of 134217728 bytes\n")
 
 
 def test_theta_float_failure_is_clean(capsys, monkeypatch):
@@ -364,10 +364,51 @@ def test_s6_cayley_table_loads_via_cli(capsys, tmp_path):
     assert "alpha = 720" in out
 
 
+@pytest.mark.parametrize("k, value", [(3, 24), (4, 7)])
+def test_alpha_on_s7_gap_cells(capsys, k, value):
+    """S_7 (5040 vertices, a 25 MB adjacency array) is within the memory
+    budget, so search confirms the conjectured maximum at the gap cells
+    k = 3 and 4, where theta is 360/11 and 102/11."""
+    code, out, _ = run(capsys, "alpha", "--group", "sym:7",
+                       "--connection", f"efp:{k}")
+    assert (code, out) == (0, f"alpha = {value}\n")
+
+
+def test_memory_budget_refusals_exit_2_naming_the_bytes(capsys, tmp_path):
+    """The smallest inputs over the 2^27-byte budget, one per site a
+    command reaches, exit 2 naming their bytes: S_11's permutation
+    array, the complex table of Z_2897, the adjacency array of the cycle
+    on 11586 vertices and formulation (A) of the complete graph on 2317
+    vertices (25 * 2317^2 + 24 * 2317 bytes)."""
+    elements, cycle = tmp_path / "all.txt", tmp_path / "cycle.txt"
+    elements.write_text(" ".join(map(str, range(1, 2317))))
+    cycle.write_text("1 11585")
+    cases = [
+        (("theta", "--group", "sym:11", "--connection", "efp:1"),
+         "the permutation array of S_11 needs 439084800"),
+        (("chartable", "--group", "cyclic:2897"),
+         "the character table of order 2897 needs 134281744"),
+        (("alpha", "--group", "cyclic:11586", "--connection",
+          f"elements:{cycle}"),
+         "the Cayley graph of order 11586 needs 134235396"),
+        (("export-sdpa", "--formulation", "A", "--group", "cyclic:2317",
+          "--connection", f"elements:{elements}", "--out",
+          str(tmp_path / "a.dat-s")),
+         "formulation (A) of order 2317 needs 134267833"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message} bytes, more "
+                                    "than the memory budget of 134217728 "
+                                    "bytes\n")
+
+
 def test_chartable_bound_checked_before_allocating(capsys):
     code, _, err = run(capsys, "chartable", "--group", "cyclic:3000000")
     assert code == 2
-    assert "abelian character tables limited to order" in err
+    assert err == ("error: the character table of order 3000000 needs "
+                   "144000000000000 bytes, more than the memory budget of "
+                   "134217728 bytes\n")
 
 
 def test_table_group_roundtrip_via_cli(capsys, tmp_path):
@@ -556,8 +597,9 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
-_COUNT = st.one_of(st.integers(-3, 12),
-                   st.sampled_from([CAYLEY_BOUND + 1, 3_000_000, 10 ** 12]))
+# vertex counts over the memory budget: the smallest, and two far above
+_COUNT = st.one_of(st.integers(-3, 12), st.sampled_from(
+    [math.isqrt(groups.MEMORY_BYTES) + 1, 3_000_000, 10 ** 12]))
 _TOKEN = st.one_of(st.integers(-2, 14).map(str),
                    st.sampled_from(["x", "1.5", "-", "0x3", "1e3", "edges"]))
 
@@ -955,7 +997,8 @@ def test_huge_abelian_group_exits_2_before_its_classes():
 
 def test_huge_abelian_element_set_exits_2_at_the_table_bound(tmp_path):
     """``theta`` on Z_10^8 with a few elements checks their inverse
-    closure on the elements alone and stops at the abelian table bound.
+    closure on the elements alone and stops at the memory budget of its
+    abelian character table, naming the table's bytes.
     The child runs with 1 GB of address space and 30 s at most."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -970,8 +1013,9 @@ def test_huge_abelian_element_set_exits_2_at_the_table_bound(tmp_path):
         env=env, capture_output=True, text=True, timeout=30,
         preexec_fn=limit)
     assert (out.returncode, out.stderr) == (2, (
-        "error: abelian character tables limited to order 2000, got "
-        "100000000\n"))
+        "error: the character table of order 100000000 needs "
+        "160000000000000000 bytes, more than the memory budget of 134217728 "
+        "bytes\n"))
 
 
 def test_abelian_order_beyond_int64_exits_2(capsys, tmp_path):

@@ -18,7 +18,7 @@ from cayley_theta.groups import (GroupAction, make_abelian_product,
                                  make_general_linear, make_symmetric)
 
 from oracles import (action_from_generators, bitmasks, brute_force_alpha,
-                     invert, inverse_closed_set)
+                     edge_list, invert, inverse_closed_set)
 
 
 def petersen():
@@ -33,7 +33,7 @@ def test_graph_basics():
     assert g.adjacency[0, 1] and g.adjacency[1, 0]
     assert not g.adjacency[0, 2]
     assert np.count_nonzero(g.adjacency[1]) == 2
-    assert sorted(g.edges) == [(0, 1), (1, 2)]
+    assert sorted(edge_list(g)) == [(0, 1), (1, 2)]
     with pytest.raises(InvalidArgument):
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(InvalidArgument):
@@ -91,15 +91,16 @@ def test_graph_names_the_first_asymmetric_pair_across_tiles(size,
     with pytest.raises(InvalidArgument, match=message.format(5, 6)):
         Graph(a)
     a[6, 5] = True
-    assert Graph(a).edges == [(0, 4), (1, 2), (5, 6)]
+    assert edge_list(Graph(a)) == [(0, 4), (1, 2), (5, 6)]
 
 
 @pytest.mark.parametrize("n, error", [
-    (-3, InvalidArgument), (graphs.CAYLEY_BOUND + 1, SizeLimit),
+    (-3, InvalidArgument), (11586, SizeLimit),
     (3_000_000, SizeLimit), (10 ** 12, SizeLimit)])
 def test_from_edges_refuses_vertex_counts_before_allocating(n, error):
-    """A vertex count below 0 or above CAYLEY_BOUND is refused before the
-    n x n array is made; 3,000,000 vertices once took terabytes."""
+    """A vertex count below 0, or one whose n x n bool array exceeds the
+    2^27-byte memory budget (11586^2 > 2^27 >= 11585^2), is refused
+    before the array is made; 3,000,000 vertices once took terabytes."""
     tracemalloc.start()
     try:
         with pytest.raises(error) as caught:
@@ -184,7 +185,8 @@ def test_build_cayley_cycle():
     z6 = make_abelian_product([6])
     X = ConnectionSet.from_elements(z6, [1, 5])
     g = build_cayley(z6, X)
-    assert sorted(g.edges) == [(0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)]
+    assert sorted(edge_list(g)) == [(0, 1), (0, 5), (1, 2), (2, 3), (3, 4),
+                                    (4, 5)]
 
 
 def _direct_adjacency(group, elements):
@@ -265,9 +267,10 @@ def test_build_cayley_in_7_column_blocks_matches_direct_build(
 
 
 def test_build_cayley_at_the_order_bound():
-    """Z_5000 with X = +-{1..1249}: the larger direct side, 2498 of the
-    5000 elements, in blocks of whole columns."""
-    z = make_abelian_product([graphs.CAYLEY_BOUND])
+    """Z_5000 (the order bound before the memory budget) with X =
+    +-{1..1249}: the larger direct side, 2498 of the 5000 elements, in
+    blocks of whole columns."""
+    z = make_abelian_product([5000])
     half = np.arange(1, 1250)
     X = ConnectionSet.from_elements(z, np.r_[half, z.order - half])
     assert X.size == 2498
@@ -388,10 +391,11 @@ def test_alpha_packs_only_c_ordered_blocks(monkeypatch):
 
 
 def test_alpha_memory_at_the_order_bound():
-    """alpha on Cay(Z_5000, empty) holds the complement's bitmasks and one
-    block of rows beside its 25 MB graph: 8 MB traced, where unpacking
-    the graph's bitmasks and relabelling the whole complement took 54 MB."""
-    z = make_abelian_product([graphs.CAYLEY_BOUND])
+    """alpha on Cay(Z_5000, empty) (the order bound before the memory
+    budget) holds the complement's bitmasks and one block of rows beside
+    its 25 MB graph: 8 MB traced, where unpacking the graph's bitmasks
+    and relabelling the whole complement took 54 MB."""
+    z = make_abelian_product([5000])
     graph = build_cayley(z, ConnectionSet.from_classes(z, []))
     tracemalloc.start()
     try:
@@ -399,7 +403,7 @@ def test_alpha_memory_at_the_order_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.exact and res.witness == tuple(range(graphs.CAYLEY_BOUND))
+    assert res.exact and res.witness == tuple(range(5000))
     assert peak <= 16 * 2 ** 20
 
 
@@ -665,7 +669,7 @@ def test_graph_file_roundtrip(tmp_path):
     export_graph(g, path)
     g2 = import_graph(path)
     assert g2.vertex_count == 10
-    assert sorted(g2.edges) == sorted(g.edges)
+    assert sorted(edge_list(g2)) == sorted(edge_list(g))
 
 
 @pytest.mark.parametrize("size", [groups.BLOCK_BYTES, 5])
@@ -734,7 +738,7 @@ def test_graph_file_faults(tmp_path, edges, outcome):
     count = sum(1 for line in edges.splitlines() if line.strip())
     path.write_text(f"vertices 4 edges {count}\n{edges}")
     if isinstance(outcome, list):
-        assert import_graph(path).edges == outcome
+        assert edge_list(import_graph(path)) == outcome
     else:
         with pytest.raises(outcome[0], match=outcome[1]):
             import_graph(path)
@@ -750,9 +754,10 @@ def test_graph_file_faults(tmp_path, edges, outcome):
     ("2 2\n0 1\n1 0\n", None),
     ("2 2\n\n0 1\n  \n1 0\n", None),
     ("2 2\n0 1\n1 a\n", (SchemaError, "malformed action table row '1 a'$")),
-    ("2 2\n0 1\n1\n", (SchemaError, "ragged action table$")),
-    ("2 2\n0 1\n1 0 1\n", (SchemaError, "ragged action table$")),
-    ("2 3\n0 1\n1 0\n", (SchemaError, "ragged action table$")),
+    ("2 2\n0 1\n1\n", (InvalidArgument, "ragged action table$")),
+    ("2 2\n0 1\n1 0 1\n", (InvalidArgument, "ragged action table$")),
+    ("2 3\n0 1\n1 0\n",
+     (SchemaError, "rows have 2 points, but the header says 3$")),
     ("2 2\n0 1 1 0\n", (SchemaError, "does not match the group order$")),
     ("2 2\n0 1\n1 0\n1 0\n", (SchemaError, "does not match the group order$")),
     ("2 2\n", (SchemaError, "does not match the group order$")),
@@ -760,7 +765,9 @@ def test_graph_file_faults(tmp_path, edges, outcome):
 ])
 def test_action_file_faults(tmp_path, text, outcome):
     """Rows of int64 are read as one array; a file with a fault is read
-    line by line, and the message names the fault."""
+    line by line, and the message names the fault.  Ragged rows are
+    refused by the one check of ``GroupAction``, and even rows of the
+    wrong width by the header."""
     path = tmp_path / "act.txt"
     path.write_text(text)
     z2 = make_abelian_product([2])

@@ -8,20 +8,26 @@ import sys
 import tracemalloc
 from dataclasses import make_dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayley_theta import groups
+from cayley_theta import characters, graphs, groups, theta
 from cayley_theta.apps import gl_connection
 from cayley_theta.characters import abelian_character_table
-from cayley_theta.errors import InvalidArgument, NotAGroup, SchemaError
+from cayley_theta.errors import (InvalidArgument, NotAGroup, SchemaError,
+                                 SizeLimit)
+from cayley_theta.graphs import ConnectionSet, Graph, build_cayley
 from cayley_theta.groups import (GroupAction, export_cayley_table,
                                  import_cayley_table, make_abelian_product,
                                  make_from_table,
                                  make_general_linear, make_symmetric,
                                  partitions, perm_unrank, same_group)
+from cayley_theta.theta import (CayleyGraphSpec, build_sdp_A,
+                                extract_matrix_solution, solve_theta,
+                                symmetrize_matrix)
 
 from oracles import (action_axiom_failures, action_from_generators,
                      check_axioms, cycle_type, gl_pointwise_stabilizer,
@@ -430,10 +436,24 @@ def test_symmetric_inverses_in_bounded_memory(monkeypatch):
     assert not s9.products(np.arange(s9.order), inverse).any()
 
 
+def largest_symmetric_n() -> int:
+    """The largest n whose S_n the memory budget admits; the groups
+    are made, not their permutation arrays."""
+    n = 1
+    while True:
+        try:
+            make_symmetric(n + 1)
+        except SizeLimit:
+            return n
+        n += 1
+
+
 def test_symmetric_counts_fit_int8():
     """Permutation entries and each Lehmer digit are at most n - 1, kept
-    in int8, so no S_n up to MAX_N can overflow them."""
-    assert groups.SymmetricGroup.MAX_N - 1 <= np.iinfo(np.int8).max
+    in int8, so no S_n the memory budget admits (up to S_10) can overflow
+    them."""
+    largest = largest_symmetric_n()
+    assert largest == 10 and largest - 1 <= np.iinfo(np.int8).max
 
 
 def test_symmetric_kernels_run_in_bounded_memory():
@@ -501,7 +521,7 @@ def test_symmetric_classes_build_no_array(monkeypatch):
         raise AssertionError("element array built")
 
     monkeypatch.setattr(groups.SymmetricGroup, "_perm_array", refuse)
-    for n in range(1, groups.SymmetricGroup.MAX_N + 1):
+    for n in range(1, largest_symmetric_n() + 1):
         group = make_symmetric(n)
         assert len(group.conjugacy_classes()) == len(partitions(n))
         assert group._class_of is None
@@ -813,6 +833,155 @@ def test_blocks_cover_every_item_once_in_order(count, item_bytes):
     assert [len(part) for part in parts[:-1]] == [step] * (len(parts) - 1)
     assert all(0 < len(part) <= step for part in parts)
     assert bool(parts) == (count > 0)
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(0).integers(-50, 50, 1000),
+    np.random.default_rng(1).integers(-2 ** 62, 2 ** 62, 300),
+    np.zeros(0, dtype=np.int64), np.array([7]),
+    np.array([0.0, -0.0, 2.5, -0.0, np.inf, 1e-300, 0.0, 2.5, -np.inf,
+              np.nan]).view(np.int64),
+], ids=["seeded-small", "seeded-wide", "empty", "one", "float-bits"])
+def test_distinct_matches_unique(values):
+    """``distinct`` gives what np.unique gives, dtype too; the bits of
+    0.0 and -0.0 stay apart."""
+    got = groups.distinct(values)
+    assert got.dtype == values.dtype
+    assert np.array_equal(got, np.unique(values))
+
+
+# ---------------------------------------------------------------------------
+# the memory budget
+
+def _complete_graph(n):
+    """Cay(Z_n, Z_n minus 0), the complete graph on n vertices."""
+    z = make_abelian_product([n])
+    return CayleyGraphSpec(z, ConnectionSet.from_elements(z, range(1, n)))
+
+
+def _float_certificate(n):
+    """The float theta certificate of the edgeless Cay(Z_n, empty)."""
+    z = make_abelian_product([n])
+    return solve_theta(CayleyGraphSpec(z, ConnectionSet.from_classes(z, [])),
+                       abelian_character_table(z))
+
+
+def _empty_cayley(n):
+    z = make_abelian_product([n])
+    return z, ConnectionSet.from_classes(z, [])
+
+
+# each site with the bytes of its largest input the order bounds before
+# the memory budget admitted: the Z_2000 table (complex), graphs on 5000
+# vertices, formulation (A) of the complete graph on 2000 vertices (its
+# adjacency and 24 bytes for each of its 2001000 + 2000 + 1999000
+# entries), order-2000 matrices of 32-byte values, and S_10
+OLD_BOUNDS = [
+    pytest.param(lambda: abelian_character_table(
+        make_abelian_product([2000])), 16 * 2000 ** 2, id="table-Z2000"),
+    pytest.param(lambda: Graph.from_edges(5000, []), 5000 ** 2,
+                 id="graph-5000"),
+    pytest.param(lambda: build_cayley(*_empty_cayley(5000)), 5000 ** 2,
+                 id="cayley-Z5000"),
+    pytest.param(lambda: build_sdp_A(_complete_graph(2000)),
+                 2000 ** 2 + 24 * (2001000 + 2000 + 1999000),
+                 id="formulation-A-K2000"),
+    pytest.param(lambda: extract_matrix_solution(SimpleNamespace(
+        spec=SimpleNamespace(group=make_abelian_product([2000])))),
+        32 * 2000 ** 2, id="extraction-2000"),
+    pytest.param(lambda: symmetrize_matrix(None, make_abelian_product(
+        [2000])), 32 * 2000 ** 2, id="symmetrization-2000"),
+    pytest.param(lambda: make_symmetric(10), 10 * 3628800, id="S10"),
+]
+
+
+class _Admitted(Exception):
+    """Raised in place of the allocation that an admitted input starts."""
+
+
+@pytest.mark.parametrize("site, need", OLD_BOUNDS)
+def test_memory_budget_admits_what_the_order_bounds_admitted(
+        site, need, monkeypatch):
+    """Each site asks the budget for the bytes of its input before it
+    allocates, and 2^27 admits every input that ABELIAN_TABLE_BOUND,
+    CAYLEY_BOUND, MATRIX_BOUND and SymmetricGroup.MAX_N admitted: the
+    check is run, and the site stopped, with nothing allocated."""
+    asked = []
+
+    def admit(what, *arrays):
+        asked.append(sum(count * size for count, size in arrays))
+        check_memory(what, *arrays)
+        raise _Admitted
+
+    check_memory = groups.check_memory
+    for module in (groups, graphs, characters, theta):
+        monkeypatch.setattr(module, "check_memory", admit)
+    assert groups.MEMORY_BYTES == 2 ** 27
+    with pytest.raises(_Admitted):
+        site()
+    assert asked == [need] and need <= 2 ** 27
+
+
+def test_memory_budget_refuses_s11():
+    """S_11's permutation array, 11! rows of 11 int8 entries, is over
+    the budget; the refusal names its bytes."""
+    with pytest.raises(SizeLimit, match=(
+            "^the permutation array of S_11 needs 439084800 bytes, more "
+            "than the memory budget of 134217728 bytes$")):
+        make_symmetric(11)
+    with pytest.raises(SizeLimit, match="S_29 needs more than the memory"):
+        make_symmetric(29)
+    with pytest.raises(SizeLimit, match="S_1000000000000 needs more than"):
+        make_symmetric(10 ** 12)
+
+
+# each site at its largest input under a 4 MiB budget, made from the
+# input by ``prepare`` beforehand: a complex table of order 512 (16 *
+# 512^2 = 2^22), graphs on 2048 vertices, formulation (A) of the
+# complete graph on 409 vertices (25 * 409^2 + 24 * 409 bytes), 362 x
+# 362 matrices of 32-byte values, and S_9 (9! * 9 bytes)
+SMALL_BUDGET = 1 << 22
+BUDGET_EDGES = [
+    pytest.param(lambda n: make_abelian_product([n]),
+                 abelian_character_table, 512, id="table"),
+    pytest.param(lambda n: n, lambda n: Graph.from_edges(n, [(0, 1)]), 2048,
+                 id="graph"),
+    pytest.param(_empty_cayley, lambda args: build_cayley(*args), 2048,
+                 id="cayley"),
+    pytest.param(_complete_graph, build_sdp_A, 409, id="formulation-A"),
+    pytest.param(_float_certificate, extract_matrix_solution, 362,
+                 id="extraction"),
+    pytest.param(lambda n: ([[0.0] * n for _ in range(n)],
+                            make_abelian_product([n])),
+                 lambda args: symmetrize_matrix(*args), 362,
+                 id="symmetrization"),
+    pytest.param(lambda n: n, lambda n: make_symmetric(n)._perm_array(), 9,
+                 id="permutations"),
+]
+
+
+@pytest.mark.parametrize("prepare, site, largest", BUDGET_EDGES)
+def test_memory_budget_bounds_the_traced_peak(prepare, site, largest,
+                                              monkeypatch):
+    """With a budget of 4 MiB, each site's largest admitted input runs
+    within 1.5 times the budget (tracemalloc), and the next larger one is
+    refused having traced less than a sixteenth of it."""
+    monkeypatch.setattr(groups, "MEMORY_BYTES", SMALL_BUDGET)
+    for n in (largest, largest + 1):
+        made = prepare(n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                site(made)
+                refused = False
+            except SizeLimit:
+                refused = True
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert refused == (n > largest)
+        assert peak <= (SMALL_BUDGET / 16 if refused else 1.5 * SMALL_BUDGET)
 
 
 def test_table_and_action_checks_do_not_depend_on_the_blocks(monkeypatch):

@@ -28,9 +28,10 @@ from cayley_theta.theta import (CayleyGraphSpec, SdpInstance,
                                 solve_theta, symmetrize_matrix,
                                 validate_certificate)
 
-from oracles import (exact_psd, inverse_closed_set, reference_build_lp_D,
-                     reference_build_sdp_C, reference_export_sdpa,
-                     reference_row_key, sdp_from_matrices)
+from oracles import (edge_list, exact_psd, inverse_closed_set,
+                     reference_build_lp_D, reference_build_sdp_C,
+                     reference_export_sdpa, reference_row_key,
+                     sdp_from_matrices)
 
 
 def s3_spec():
@@ -83,17 +84,18 @@ def _corrupted(irreps, irrep, elements, factor=np.exp(0.5j)):
 
 
 @pytest.mark.parametrize("moduli, irrep, element, pair", [
-    (None, 1, 4, "(1,2)"),          # S_3, the degree-2 irrep, all pairs
-    ((12,), 5, 7, "(1,6)"),         # all pairs
-    ((101,), 3, 40, "(40,2)"),      # 2000 seeded pairs
-    ((5, 13), 20, 33, "(33,17)"),   # 2000 seeded pairs
+    (None, 1, 4, "(1,2)"),          # S_3, the degree-2 irrep; 1 * 2 = 4
+    ((12,), 5, 7, "(6,1)"),         # generator 1
+    ((101,), 3, 40, "(39,1)"),      # generator 1
+    ((5, 13), 20, 33, "(20,13)"),   # generators 1 and 13: 20 + 13 = 33
 ])
 def test_irrep_validate_reports_first_failing_pair(moduli, irrep, element,
                                                    pair, monkeypatch):
-    """A corrupted matrix is reported at the pair the one-pair-at-a-time
-    check reported (pinned from it), in the same words.  Two matrices
-    scaled by 2 are reported as not unitary at the first of them, as the
-    one-element-at-a-time check did, also when the blocks are tiny."""
+    """A corrupted matrix is reported at the first pair (a, g), a an
+    element and g a generator, in the order of a, then g, whatever the
+    block size.  Two matrices scaled by 2 are reported as not unitary at
+    the first of them, as the one-element-at-a-time check did, also when
+    the blocks are tiny."""
     if moduli is None:
         irreps = s3_irreps()
     else:
@@ -111,6 +113,21 @@ def test_irrep_validate_reports_first_failing_pair(moduli, irrep, element,
         with pytest.raises(InvalidArgument) as exc:
             _corrupted(irreps, irrep, [last, element], 2.0).validate()
         assert str(exc.value) == f"irrep {irrep}: pi({element}) not unitary"
+
+
+def test_irrep_validate_checks_every_element():
+    """Z_1999 with pi(39) of irrep 1 negated, still unitary: element 39
+    lay in none of the 2000 seeded pairs once checked above order 60, and
+    passed.  Every element is now checked against the generator 1."""
+    irreps = abelian_irreps(abelian_character_table(
+        make_abelian_product([1999])))
+    irreps.validate()
+    mats = list(irreps.matrices)
+    mats[1] = mats[1].copy()
+    mats[1][39] *= -1
+    with pytest.raises(InvalidArgument) as exc:
+        replace(irreps, matrices=tuple(mats)).validate()
+    assert str(exc.value) == "irrep 1: homomorphism fails at (38,1)"
 
 
 def test_s3_exact_theta():
@@ -367,7 +384,7 @@ def test_certificate_matrix_roundtrip():
     assert sum(A[i][i] for i in range(order)) == 1
     assert sum(sum(row) for row in A) == cert.objective
     g = build_cayley(spec.group, spec.connection)
-    for (u, v) in g.edges:
+    for (u, v) in edge_list(g):
         assert A[u][v] == 0
     # symmetrization is a fixed point and recovers f
     f = symmetrize_matrix(A, spec.group)
