@@ -100,8 +100,8 @@ class ClassFunction:
             raise InvalidArgument("one value per conjugacy class required")
 
     def total(self) -> Scalar:
-        classes = self.group.conjugacy_classes()
-        return sum(c.size * v for c, v in zip(classes, self.values))
+        sizes = self.group.conjugacy_classes().sizes.tolist()
+        return sum(s * v for s, v in zip(sizes, self.values))
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ class CharacterTable:
         finite: a NaN passes every "misses by more than tol" test."""
         X = self.entries
         order = self.group.order
-        sizes = [c.size for c in self.classes]
+        sizes = self.classes.sizes.tolist()
         if X.shape != (len(self.degrees), len(sizes)):
             raise CorruptTable("entry matrix shape mismatch")
         if not self.exact and not np.isfinite(X).all():
@@ -438,11 +438,10 @@ def _parse_scalar(v, exact: bool) -> Scalar:
 
 
 def export_character_table(table: CharacterTable, path):
-    classes = table.classes
     data = {
         "group_order": table.group.order,
-        "class_sizes": [c.size for c in classes],
-        "class_labels": [c.label for c in classes],
+        "class_sizes": table.classes.sizes.tolist(),
+        "class_labels": table.group.class_labels(),
         "degrees": list(table.degrees),
         "irrep_labels": list(table.irrep_labels),
         "exact": table.exact,
@@ -454,13 +453,12 @@ def export_character_table(table: CharacterTable, path):
         fh.write("\n")
 
 
-def _match_class_order(file_sizes, group_classes):
+def _match_class_order(file_sizes, group_sizes):
     """Permutation p with p[group_class] = file_column, matched by size.
 
     Positional match wins when the size sequences agree; otherwise sizes
     must determine the pairing uniquely.
     """
-    group_sizes = [c.size for c in group_classes]
     if file_sizes == group_sizes:
         return list(range(len(group_sizes)))
     if sorted(file_sizes) != sorted(group_sizes):
@@ -510,7 +508,7 @@ def import_character_table(path, group: FiniteGroup) -> CharacterTable:
     if len(sizes) != len(classes):
         raise SchemaError(
             f"file has {len(sizes)} classes, group has {len(classes)}")
-    perm = _match_class_order(sizes, classes)
+    perm = _match_class_order(sizes, classes.sizes.tolist())
     exact = data["exact"]
     if not isinstance(exact, bool):
         raise SchemaError("exact must be true or false")
@@ -609,7 +607,8 @@ def fourier_class_scalars(f: ClassFunction, table: CharacterTable):
     approximate table bit for bit as the scalar sum())."""
     if not same_group(f.group, table.group):
         raise InvalidArgument("function and table use different groups")
-    weights = [c.size * fv for c, fv in zip(table.classes, f.values)]
+    sizes = table.classes.sizes.tolist()
+    weights = [s * fv for s, fv in zip(sizes, f.values)]
     exact = exact_sums(weights, table.entries.T, table.degrees)
     if exact is not None:
         return tuple(exact)

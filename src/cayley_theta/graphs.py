@@ -54,19 +54,19 @@ class ConnectionSet:
 
     @classmethod
     def from_classes(cls, group: FiniteGroup, class_indices):
-        classes = group.conjugacy_classes()
+        inverse = group.conjugacy_classes().inverse
         idx = sorted(set(int(i) for i in class_indices))
         for i in idx:
-            if not 0 <= i < len(classes):
+            if not 0 <= i < len(inverse):
                 raise InvalidArgument(f"no conjugacy class {i}")
         if 0 in idx:
             raise InvalidArgument(
                 "connection set must not contain the identity class")
-        for i in idx:
-            if classes[i].inverse_class not in idx:
-                raise InvalidArgument(
-                    f"class {i} present but its inverse class "
-                    f"{classes[i].inverse_class} is not")
+        missing = ~np.isin(inverse[idx], idx)
+        if missing.any():
+            i = idx[np.argmax(missing)]
+            raise InvalidArgument(f"class {i} present but its inverse class "
+                                  f"{inverse[i]} is not")
         return cls(group, as_classes=idx)
 
     @classmethod
@@ -95,7 +95,7 @@ class ConnectionSet:
     def as_classes(self):
         """The classes whose union is the set; None if it is no union of
         classes."""
-        sizes = [c.size for c in self.group.conjugacy_classes()]
+        sizes = self.group.conjugacy_classes().sizes
         inside = np.bincount(self.group.class_of()[list(self._elements)],
                              minlength=len(sizes))
         if ((inside != 0) & (inside != sizes)).any():
@@ -117,8 +117,8 @@ class ConnectionSet:
     def size(self) -> int:
         if self._elements is not None:
             return len(self._elements)
-        classes = self.group.conjugacy_classes()
-        return sum(classes[i].size for i in self.as_classes)
+        sizes = self.group.conjugacy_classes().sizes
+        return int(sizes[list(self.as_classes)].sum())
 
 
 # ---------------------------------------------------------------------------

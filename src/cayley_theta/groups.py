@@ -22,28 +22,29 @@ permutations, built on the first call, so a group that only ever
 answers class-level questions (the character table and LP of S_10)
 never builds it; a product composes rows of that array, an inverse
 inverts one row, a block of rows at a time, and both are ranked by the
-one Lehmer-code ranking, counted from the entries, which also ranks the
-class representatives.  GL(n, q) builds its ``(|G|, n, n)`` matrix
-array and its inverse index at construction, by one Gauss-Jordan
-elimination over F_q of every entry vector at once.  A table group
-keeps its Cayley table as an array and its inverses beside it, and
-abelian products compute their digits.  The arrays hold the elements
-in the canonical order above.
+one Lehmer-code ranking, counted from the entries.  GL(n, q) builds its
+``(|G|, n, n)`` matrix array and its inverse index at construction, by
+one Gauss-Jordan elimination over F_q of every entry vector at once.  A
+table group keeps its Cayley table as an array and its inverses beside
+it, and abelian products compute their digits.  The arrays hold the
+elements in the canonical order above.
 
-Class membership is one read-only int array, ``class_of()``, whose entry
-g is the index of g's conjugacy class.  It is set where the classes are
+The classes are one ``ConjugacyClasses`` record of arrays, and class
+membership is one read-only int array, ``class_of()``, whose entry g is
+the index of g's conjugacy class.  It is set where the classes are
 computed, except on S_n, whose classes are the cycle types: there it is
 built on first request from the permutation array, so the classes alone
-build neither array.
+build neither array.  Labels are made only by ``class_labels()``.
 
 Cayley and action tables are checked in full at every order through
 ``FiniteGroup.generators``, at most log2|G| elements: associativity
 (Light's test) and the action axiom each hold on a set closed under
 products, so they hold on G once they hold on a generating set.
 
-Arrays of order^2 or n! items must fit ``MEMORY_BYTES``, checked by
-``check_memory`` before they are allocated: in ``SymmetricGroup()``,
-``abelian_character_table``, ``build_cayley``, ``Graph.from_edges``,
+Arrays of order^2 or n! items, and an abelian group's classes (one
+per element), must fit ``MEMORY_BYTES``, checked by ``check_memory``
+before they are allocated: in ``SymmetricGroup()``, the abelian
+classes, ``abelian_character_table``, ``build_cayley``, ``Graph.from_edges``,
 ``build_sdp_A``, ``extract_matrix_solution`` and ``symmetrize_matrix``.
 """
 
@@ -59,7 +60,7 @@ import numpy as np
 
 from .errors import InvalidArgument, NotAGroup, SchemaError, SizeLimit
 
-GENERIC_CLASS_BOUND = 10000   # orbit algorithm and abelian class cutoff
+GENERIC_CLASS_BOUND = 10000   # orbit sweep of the classes; |GL(n, q)|
 # bytes per block of every loop that walks a large array a block at a time
 BLOCK_BYTES = 1 << 17
 # bytes that the arrays an input makes may take together (check_memory)
@@ -131,12 +132,23 @@ def perm_unrank(r: int, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 # core types
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    representative: int
-    size: int
-    label: str
-    inverse_class: int
+@dataclass(frozen=True, eq=False)
+class ConjugacyClasses:
+    """The conjugacy classes of a group as two read-only int64 arrays
+    indexed by class, class 0 the identity class: ``sizes[c]`` is the
+    size of class c and ``inverse[c]`` the index of the class of the
+    inverses of its members.  ``len()`` is the number of classes."""
+    sizes: np.ndarray
+    inverse: np.ndarray
+
+    def __post_init__(self):
+        for name in ("sizes", "inverse"):
+            array = np.asarray(getattr(self, name), dtype=np.int64)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def __len__(self):
+        return len(self.sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,46 +256,43 @@ class FiniteGroup:
         return str(a)
 
     # -- conjugacy structure --
-    def conjugacy_classes(self):
+    def conjugacy_classes(self) -> ConjugacyClasses:
         if self._classes is None:
             self._classes = self._compute_classes()
             if self._class_of is not None:
                 self._class_of.setflags(write=False)
         return self._classes
 
-    def _bound_classes(self):
+    def _compute_classes(self):
         if self.order > GENERIC_CLASS_BOUND:
             raise InvalidArgument(
                 f"conjugacy-class computation limited to order "
                 f"{GENERIC_CLASS_BOUND}, got {self.order}")
-
-    def _compute_classes(self):
-        self._bound_classes()
         hs = np.arange(self.order)
         inv = self.inverses()
         class_of = np.full(self.order, -1)
-        reps = []
-        # the sweep visits each class first at its smallest member, which
-        # is its representative; the identity 0 comes first, so class 0 is
-        # the identity class
+        firsts = []
+        # the sweep visits each class first at its smallest member; the
+        # identity 0 comes first, so class 0 is the identity class
         for g in range(self.order):
             if class_of[g] < 0:
-                class_of[self.products(self.products(hs, g), inv)] = len(reps)
-                reps.append(g)
-        sizes = np.bincount(class_of).tolist()
-        inverse_class = class_of[inv[reps]].tolist()
+                class_of[self.products(self.products(hs, g), inv)] = \
+                    len(firsts)
+                firsts.append(g)
         self._class_of = class_of
-        return tuple(
-            ConjugacyClass(representative=g, size=sizes[idx],
-                           label=self.element_label(g),
-                           inverse_class=inverse_class[idx])
-            for idx, g in enumerate(reps))
+        return ConjugacyClasses(np.bincount(class_of), class_of[inv[firsts]])
 
     def class_of(self) -> np.ndarray:
         """The class index of every element, as one read-only int array
         set with the classes."""
         self.conjugacy_classes()
         return self._class_of
+
+    def class_labels(self) -> list:
+        """The label of every class, in class order: the element label of
+        its smallest member."""
+        firsts = np.unique(self.class_of(), return_index=True)[1]
+        return [self.element_label(g) for g in firsts.tolist()]
 
 
 class AbelianProductGroup(FiniteGroup):
@@ -341,25 +350,26 @@ class AbelianProductGroup(FiniteGroup):
         digits = itertools.product(*(map(str, range(m)) for m in self.moduli))
         return ["(" + ",".join(d) + ")" for d in digits]
 
+    def class_labels(self) -> list:
+        return self.element_labels()
+
     def _compute_classes(self):
-        self._bound_classes()
-        inverse = self.inverses().tolist()
+        # one class per element: the sizes, the inverses and class_of
+        check_memory(f"a class per element at order {self.order}",
+                     (3 * self.order, 8))
+        inverse = self.inverses()
         self._class_of = np.arange(self.order)
-        return tuple(
-            ConjugacyClass(representative=g, size=1, label=label,
-                           inverse_class=inverse[g])
-            for g, label in enumerate(self.element_labels()))
+        return ConjugacyClasses(np.ones(self.order, dtype=np.int64), inverse)
 
 
 class SymmetricGroup(FiniteGroup):
     """S_n with elements indexed by Lehmer rank (identity has rank 0).
     Products compose rows of the int8 permutation array and inverses
     invert them; ``_rank`` ranks the results by their Lehmer code,
-    computed from the entries, as it ranks the class representatives;
-    no n!-long key array is kept.  Conjugacy classes are the cycle
-    types, in partition order, known without any element; ``class_of``
-    is read from the permutation array, a block of rows at a time, on
-    its first request."""
+    computed from the entries; no n!-long key array is kept.  Conjugacy
+    classes are the cycle types, in partition order, known without any
+    element; ``class_of`` is read from the permutation array, a block of
+    rows at a time, on its first request."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -438,39 +448,16 @@ class SymmetricGroup(FiniteGroup):
     def element_label(self, a):
         return "[" + " ".join(str(v) for v in self.perm(a)) + "]"
 
-    @staticmethod
-    def class_size(parts) -> int:
-        """n!/z_mu with z_mu = prod_i i^{m_i} m_i! over part multiplicities."""
-        n = sum(parts)
-        z = 1
-        mult = {}
-        for p in parts:
-            mult[p] = mult.get(p, 0) + 1
-        for p, m in mult.items():
-            z *= (p ** m) * factorial(m)
-        return factorial(n) // z
-
-    @staticmethod
-    def canonical_of_type(parts) -> tuple:
-        """Permutation with cycles of the given lengths on consecutive
-        letters, longest cycle first."""
-        perm = []
-        start = 0
-        for length in sorted(parts, reverse=True):
-            perm.extend(start + (i + 1) % length for i in range(length))
-            start += length
-        return tuple(perm)
-
     def _compute_classes(self):
-        types = partitions(self.n)
-        reps = self._rank(np.array(
-            [self.canonical_of_type(mu) for mu in types], dtype=np.int8).T)
-        return tuple(
-            ConjugacyClass(
-                representative=rep, size=self.class_size(mu),
-                label=partition_label(mu),
-                inverse_class=idx)    # every class is self-inverse
-            for idx, (mu, rep) in enumerate(zip(types, reps.tolist())))
+        """Class mu has n!/z_mu members, z_mu = prod_i i^{m_i} m_i! over
+        the multiplicities m_i of the parts i; each class is self-inverse."""
+        sizes = [factorial(self.n) // prod(
+            i ** mu.count(i) * factorial(mu.count(i)) for i in set(mu))
+            for mu in partitions(self.n)]
+        return ConjugacyClasses(sizes, np.arange(len(sizes)))
+
+    def class_labels(self) -> list:
+        return [partition_label(mu) for mu in partitions(self.n)]
 
     def class_of(self):
         if self._class_of is None:
@@ -583,19 +570,17 @@ class GeneralLinearGroup(FiniteGroup):
     int64 array, found with their inverses by one Gauss-Jordan pass
     over ``[M | I]`` for every entry vector M."""
 
-    MAX_ORDER = GENERIC_CLASS_BOUND
-
     def __init__(self, q: int, n: int):
         field = FiniteField(q)
         if n < 1:
             raise InvalidArgument(f"need n >= 1, got {n}")
         # the first factor, q^n - 1 >= 2^n - 1, alone exceeds the bound
         # once n passes its bit length: no power of q is taken for such n
-        small = n <= self.MAX_ORDER.bit_length()
+        small = n <= GENERIC_CLASS_BOUND.bit_length()
         expected = prod(q ** n - q ** i for i in range(n)) if small else 0
-        if not small or expected > self.MAX_ORDER:
-            raise InvalidArgument(
-                f"|GL({n},F_{q})| exceeds the order bound {self.MAX_ORDER}")
+        if not small or expected > GENERIC_CLASS_BOUND:
+            raise InvalidArgument(f"|GL({n},F_{q})| exceeds the order bound "
+                                  f"{GENERIC_CLASS_BOUND}")
         super().__init__(expected)
         self.q, self.n, self.field = q, n, field
         # a matrix's key reads its row-major entries as a base-q number, so

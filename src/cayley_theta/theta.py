@@ -31,6 +31,7 @@ computed as one array.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +55,6 @@ from .simplex import LpInstance, LpSolution, solve as lp_solve
 ROW_DROP_TOL = 1e-12
 INDEX_BOUND = 2 ** 31   # SDP block sizes and constraint counts stay below
 CERT_TOL = 1e-8
-_VALUE_BYTES = 8 + 24   # a Python matrix entry: a list reference, a float
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,10 @@ def build_lp_D(spec: CayleyGraphSpec, table: CharacterTable) -> ThetaLp:
         raise InvalidArgument("character table uses a different group")
     degrees = table.degrees
     # one constraint per {C, C^-1} pair, on the smaller class index
-    classes = spec.group.conjugacy_classes()
-    kept = tuple(c for c in spec.connection.as_classes
-                 if min(c, classes[c].inverse_class) == c)
-    X = table.entries[:, list(kept)]
+    connection = np.array(spec.connection.as_classes, dtype=np.int64)
+    kept = connection[
+        connection <= spec.group.conjugacy_classes().inverse[connection]]
+    X = table.entries[:, kept]
     if X.dtype == complex:
         # for d > 0, d * (Re - 0 * Im) and d * (Im + 0 * Re) are the parts
         # of d * chi as Python makes them, (d + 0j) * chi, signed zeros too
@@ -203,8 +203,9 @@ def _certificate_from_lp(spec, table, solution: LpSolution, lp: ThetaLp):
         values = [Fraction(v) / group.order for v in g]
     else:
         # real symmetrization f = (g + g o inv)/2 soaks up float residue
-        values = [((v + g[cls.inverse_class]) / 2).real / group.order
-                  for v, cls in zip(g, group.conjugacy_classes())]
+        inverse = group.conjugacy_classes().inverse.tolist()
+        values = [((v + g[i]) / 2).real / group.order
+                  for v, i in zip(g, inverse)]
     f = ClassFunction(group, tuple(values))
     return ThetaCertificate(
         spec=spec, table=table, objective=solution.objective_value,
@@ -265,15 +266,26 @@ def validate_certificate(cert: ThetaCertificate) -> list:
 
 def extract_matrix_solution(cert: ThetaCertificate):
     """The formulation-(A) matrix A(beta,gamma) = f(beta gamma^-1)/|Gamma|:
-    trace 1, zero on edges, entry sum = theta."""
+    trace 1, zero on edges, entry sum = theta.  A row holds |C| entries
+    f(C)/|Gamma| of each class C, counted by ``_entry_bytes``."""
     group = cert.spec.group
-    check_memory(f"the matrix of order {group.order}",
-                 (group.order ** 2, _VALUE_BYTES))
+    order = group.order
+    sizes = group.conjugacy_classes().sizes.tolist()
+    row_bytes = sum(s * _entry_bytes(v / order)
+                    for s, v in zip(sizes, cert.f.values))
+    check_memory(f"the matrix of order {order}", (order, row_bytes))
     inv = group.inverses()
     f_elem = [cert.f.values[idx] for idx in group.class_of().tolist()]
-    order = group.order
     return [[f_elem[i] / order for i in group.products(b, inv).tolist()]
             for b in range(order)]
+
+
+def _entry_bytes(value) -> int:
+    """The bytes of a matrix entry: a list reference and the object, with
+    a Fraction's two ints (counted even where Python shares them)."""
+    parts = (value, value.numerator, value.denominator) \
+        if isinstance(value, Fraction) else (value,)
+    return 8 + sum(map(sys.getsizeof, parts))
 
 
 def symmetrize_matrix(A, group: FiniteGroup) -> GroupFunction:
@@ -281,7 +293,8 @@ def symmetrize_matrix(A, group: FiniteGroup) -> GroupFunction:
     f(gamma) = sum_beta A(gamma beta, beta); if A is feasible for (A),
     f is feasible for (B) with the same objective."""
     order = group.order
-    check_memory(f"the matrix of order {order}", (order ** 2, _VALUE_BYTES))
+    check_memory(f"the matrix of order {order}",
+                 (order ** 2, _entry_bytes(0.0)))
     if len(A) != order or any(len(row) != order for row in A):
         raise InvalidArgument("matrix shape does not match the group")
     exact = all(is_exact(v) for row in A for v in row)
@@ -617,14 +630,14 @@ def read_sdpa(path) -> SdpInstance:
 # certificate serialization
 
 def certificate_to_json(cert: ThetaCertificate) -> str:
-    classes = cert.spec.group.conjugacy_classes()
+    labels = cert.spec.group.class_labels()
     data = {
         "schema": 1,
         "exact": cert.exact,
         "theta": format_real(cert.objective),
         "a": {label: format_real(v)
               for label, v in zip(cert.table.irrep_labels, cert.a)},
-        "f": {c.label: format_real(v)
-              for c, v in zip(classes, cert.f.values)},
+        "f": {label: format_real(v)
+              for label, v in zip(labels, cert.f.values)},
     }
     return json.dumps(data, indent=1)

@@ -38,9 +38,8 @@ import numpy as np
 
 from cayley_theta.characters import ClassFunction, GroupFunction, conj
 from cayley_theta.errors import InvalidArgument, NotAGroup
-from cayley_theta.groups import (AbelianProductGroup, ConjugacyClass,
-                                 GroupAction, SymmetricGroup, TableGroup,
-                                 same_group)
+from cayley_theta.groups import (AbelianProductGroup, GroupAction,
+                                 SymmetricGroup, TableGroup, same_group)
 from cayley_theta.simplex import LpInstance
 from cayley_theta.theta import SdpInstance, ThetaLp
 
@@ -195,10 +194,11 @@ def reference_fourier_scalars(f, table):
     """c_pi = (1/d_pi) sum_C |C| f(C) chi_pi(C), one scalar product at a
     time, summed left to right from 0."""
     out = []
+    sizes = table.classes.sizes.tolist()
     for row, d in zip(table.entries.tolist(), table.degrees):
         s = 0
-        for c, fv, chi in zip(table.classes, f.values, row):
-            s += c.size * fv * chi
+        for size, fv, chi in zip(sizes, f.values, row):
+            s += size * fv * chi
         out.append(Fraction(s) / d if isinstance(s, (int, Fraction))
                    else s / d)
     return tuple(out)
@@ -209,7 +209,7 @@ def first_orthogonality_failure(table):
     that fails row or column orthogonality, found by the scalar double
     loops over Python numbers (tolerance 0 when exact); None if none."""
     X = table.entries.tolist()
-    sizes = [c.size for c in table.classes]
+    sizes = table.classes.sizes.tolist()
     order = table.group.order
     tol = 0 if table.exact else 1e-8 * max(order, 1)
     for i in range(len(X)):
@@ -457,9 +457,9 @@ def reference_build_lp_D(spec, table):
     d * chi(C) when exact, else its real and its imaginary part, each
     made by Python's int * complex product; a row is kept when its
     ``reference_row_key`` is not None and new."""
-    classes = spec.group.conjugacy_classes()
+    inverse = spec.group.conjugacy_classes().inverse.tolist()
     kept = tuple(c for c in spec.connection.as_classes
-                 if min(c, classes[c].inverse_class) == c)
+                 if min(c, inverse[c]) == c)
     degrees = table.degrees
     exact = table.exact
     num = Fraction if exact else float
@@ -593,8 +593,10 @@ def cycle_type(perm) -> tuple:
 
 def reference_classes(group):
     """Conjugacy classes by the orbit sweep over single products: the
-    orbit of the smallest unswept element, in the order and layout of
-    ``FiniteGroup.conjugacy_classes``, and beside them the list of every
+    orbit of the smallest unswept element, in the order of
+    ``FiniteGroup.conjugacy_classes``.  Returns the lists of the class
+    sizes, of the inverse class of each class and of the element label
+    of each class's smallest member, and beside them the list of every
     element's class index."""
     remaining = set(range(group.order))
     member_lists = []
@@ -608,11 +610,10 @@ def reference_classes(group):
     for idx, members in enumerate(member_lists):
         for m in members:
             class_of[m] = idx
-    classes = tuple(
-        ConjugacyClass(representative=members[0], size=len(members),
-                       label=group.element_label(members[0]),
-                       inverse_class=class_of[invert(group, members[0])])
-        for members in member_lists)
+    firsts = [members[0] for members in member_lists]
+    classes = ([len(members) for members in member_lists],
+               [class_of[invert(group, g)] for g in firsts],
+               [group.element_label(g) for g in firsts])
     return classes, class_of
 
 

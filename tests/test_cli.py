@@ -374,6 +374,16 @@ def test_alpha_on_s7_gap_cells(capsys, k, value):
     assert (code, out) == (0, f"alpha = {value}\n")
 
 
+def test_alpha_on_an_abelian_group_above_the_orbit_bound(capsys):
+    """Z_10002 is above GENERIC_CLASS_BOUND, which bounds only the orbit
+    sweep: its classes, one per element, fit the memory budget, so
+    ``empty`` names no classes and its 10002 x 10002 adjacency array
+    fits too (it exited 2 when abelian classes had that bound)."""
+    code, out, err = run(capsys, "alpha", "--group", "cyclic:10002",
+                         "--connection", "empty")
+    assert (code, out, err) == (0, "alpha = 10002\n", "")
+
+
 def test_memory_budget_refusals_exit_2_naming_the_bytes(capsys, tmp_path):
     """The smallest inputs over the 2^27-byte budget, one per site a
     command reaches, exit 2 naming their bytes: S_11's permutation
@@ -978,8 +988,9 @@ def test_function_value_exponents_are_bounded(capsys, tmp_path):
 def test_huge_abelian_group_exits_2_before_its_classes():
     """``theta`` on Z_10^8 once made one singleton class per element
     before any size bound refused it (Z_10^6: about 6 s, 430 MB).  Now its
-    classes are refused before any is made.  The child runs with 1 GB
-    of address space and 30 s at most."""
+    classes, three int64 arrays of the order (sizes, inverses and
+    ``class_of``), are refused by the memory budget before any is made.
+    The child runs with 1 GB of address space and 30 s at most."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -991,8 +1002,8 @@ def test_huge_abelian_group_exits_2_before_its_classes():
         env=env, capture_output=True, text=True, timeout=30,
         preexec_fn=limit)
     assert (out.returncode, out.stderr) == (2, (
-        "error: conjugacy-class computation limited to order 10000, got "
-        "100000000\n"))
+        "error: a class per element at order 100000000 needs 2400000000 "
+        "bytes, more than the memory budget of 134217728 bytes\n"))
 
 
 def test_huge_abelian_element_set_exits_2_at_the_table_bound(tmp_path):

@@ -212,8 +212,9 @@ def _s4_union(*sizes):
     """The union of the S_4 classes of these sizes, but the identity's;
     size 6 picks both the transpositions and the 4-cycles."""
     s4 = make_symmetric(4)
-    picked = [c for c, cls in enumerate(s4.conjugacy_classes())
-              if c and cls.size in sizes]
+    picked = [c for c, size in
+              enumerate(s4.conjugacy_classes().sizes.tolist())
+              if c and size in sizes]
     return s4, ConnectionSet.from_classes(s4, picked)
 
 
@@ -460,11 +461,11 @@ def _cayley_cases():
     """(group, connection) pairs: every inverse-closed union of classes of
     S_4, and seeded inverse-closed element sets on four groups."""
     s4 = make_symmetric(4)
-    classes = s4.conjugacy_classes()
+    inverse = s4.conjugacy_classes().inverse
     cases = []
-    for mask in range(1 << (len(classes) - 1)):
-        picked = [i + 1 for i in range(len(classes) - 1) if mask >> i & 1]
-        if all(classes[i].inverse_class in picked for i in picked):
+    for mask in range(1 << (len(inverse) - 1)):
+        picked = [i + 1 for i in range(len(inverse) - 1) if mask >> i & 1]
+        if all(inverse[i] in picked for i in picked):
             cases.append((s4, ConnectionSet.from_classes(s4, picked)))
     for group, counts in ((make_abelian_product([12]), (1, 2, 3, 4)),
                           (make_abelian_product([2, 2, 2, 2]), (3, 5, 8)),
@@ -602,16 +603,19 @@ def test_blowup_cycle_and_dihedral():
 
 def test_blowup_above_the_class_bound_needs_no_classes():
     """Z_10002 acting on an edge by parity: its connection set, the odd
-    elements, is found without the group's conjugacy classes, which are
-    refused above GENERIC_CLASS_BOUND; they are asked for only when a
-    class-level question is."""
+    elements, is found without the group's conjugacy classes; they are
+    made only when a class-level question is asked, and an abelian
+    group's classes, one per element, are made above the orbit sweep's
+    GENERIC_CLASS_BOUND too, so every set of its elements is a union of
+    classes."""
     z = make_abelian_product([groups.GENERIC_CLASS_BOUND + 2])
     parity = np.arange(z.order) % 2
     action = GroupAction(z, np.stack([parity, 1 - parity], axis=1))
     X = blowup_connection(action, Graph.from_edges(2, [(0, 1)]))
     assert X.elements == tuple(range(1, z.order, 2))
-    with pytest.raises(InvalidArgument, match="limited to order 10000"):
-        X.conjugation_closed
+    assert z._classes is None
+    assert X.conjugation_closed
+    assert X.as_classes == X.elements
 
 
 def test_blowup_rejects_bad_actions():

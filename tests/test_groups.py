@@ -48,7 +48,7 @@ def test_abelian_examples():
     z5 = make_abelian_product([5])
     assert z5.order == 5
     assert len(z5.conjugacy_classes()) == 5
-    assert all(c.size == 1 for c in z5.conjugacy_classes())
+    assert z5.conjugacy_classes().sizes.tolist() == [1] * 5
 
     klein = make_abelian_product([2, 2])
     assert klein.order == 4
@@ -68,7 +68,7 @@ def test_abelian_labels_from_the_digits_match_element_label(moduli):
     group = make_abelian_product(moduli)
     want = [group.element_label(g) for g in range(group.order)]
     assert group.element_labels() == want
-    assert [c.label for c in group.conjugacy_classes()] == want
+    assert group.class_labels() == want
     table = abelian_character_table(group)
     assert table.irrep_labels == tuple("chi" + label for label in want)
 
@@ -91,13 +91,12 @@ def test_z2xz3_isomorphic_to_z6():
 def test_symmetric_examples():
     s3 = make_symmetric(3)
     assert s3.order == 6
-    labels = [c.label for c in s3.conjugacy_classes()]
-    assert labels == ["(1,1,1)", "(2,1)", "(3)"]
-    assert [c.size for c in s3.conjugacy_classes()] == [1, 3, 2]
+    assert s3.class_labels() == ["(1,1,1)", "(2,1)", "(3)"]
+    assert s3.conjugacy_classes().sizes.tolist() == [1, 3, 2]
 
     s4 = make_symmetric(4)
     assert s4.order == 24
-    assert [c.size for c in s4.conjugacy_classes()] == [1, 6, 3, 8, 6]
+    assert s4.conjugacy_classes().sizes.tolist() == [1, 6, 3, 8, 6]
 
     s1 = make_symmetric(1)
     assert s1.order == 1
@@ -161,7 +160,8 @@ def test_gl_arithmetic_against_field_table_oracles(q, n):
 
 GL_CASES = [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (8, 2),
             (9, 2), (2, 3)]
-# the class record as the pin hashed it, with the tuple of its members
+# the per-class record as the pin hashed it, with the tuple of its
+# members; its representative is the smallest member
 _PinnedClass = make_dataclass(
     "ConjugacyClass",
     ["representative", "size", "label", "inverse_class", "members"])
@@ -183,11 +183,14 @@ def _gl_digest(q, n):
     h.update(repr(group.invert(everything).tolist()).encode())
     a, b = rng.integers(0, group.order, size=(500, 2)).T
     h.update(repr(group.products(a, b).tolist()).encode())
-    class_of = group.class_of()
+    class_of, classes = group.class_of(), group.conjugacy_classes()
+    members = [tuple(np.flatnonzero(class_of == idx).tolist())
+               for idx in range(len(classes))]
     h.update(repr(tuple(
-        _PinnedClass(c.representative, c.size, c.label, c.inverse_class,
-                     tuple(np.flatnonzero(class_of == idx).tolist()))
-        for idx, c in enumerate(group.conjugacy_classes()))).encode())
+        _PinnedClass(m[0], size, label, inverse, m)
+        for m, size, label, inverse in zip(
+            members, classes.sizes.tolist(), group.class_labels(),
+            classes.inverse.tolist()))).encode())
     for k in range(1, n + 1):
         conn = gl_connection(q, n, k, group)
         h.update(repr((conn.elements, conn.as_classes)).encode())
@@ -204,8 +207,19 @@ def test_gl_outputs_pinned():
         "ba1c6fc323dc9fd3daed5cb541417498f9fc039e6b8a2a73afc92989d3ff0a68"
 
 
+def test_gl_order_bound():
+    """GL(n, q) is admitted up to the orbit sweep's GENERIC_CLASS_BOUND:
+    GL(2, 9), of order 5760, is built; GL(3, 3), of order 11232, and
+    GL(300, 2) are refused with the same message."""
+    assert make_general_linear(9, 2).order == 5760
+    for q, n in ((3, 3), (2, 300)):
+        with pytest.raises(InvalidArgument, match=re.escape(
+                f"|GL({n},F_{q})| exceeds the order bound 10000")):
+            make_general_linear(q, n)
+
+
 def test_gl22_classes_match_s3():
-    sizes = sorted(c.size for c in make_general_linear(2, 2).conjugacy_classes())
+    sizes = sorted(make_general_linear(2, 2).conjugacy_classes().sizes)
     assert sizes == [1, 2, 3]
 
 
@@ -561,11 +575,11 @@ def test_generic_classes_match_reference():
     for group in (make_general_linear(3, 2), make_general_linear(4, 2),
                   make_general_linear(5, 2), closure.group):
         classes = group.conjugacy_classes()
-        assert (classes, group.class_of().tolist()) == \
+        assert ((classes.sizes.tolist(), classes.inverse.tolist(),
+                 group.class_labels()), group.class_of().tolist()) == \
             reference_classes(group)
-        assert all(type(v) is int for c in classes
-                   for v in (c.representative, c.size, c.inverse_class))
-        assert group.class_of().dtype == np.int64
+        for array in (classes.sizes, classes.inverse, group.class_of()):
+            assert array.dtype == np.int64 and not array.flags.writeable
 
 
 def _class_of_cases():
@@ -591,9 +605,33 @@ def test_class_of_matches_reference_membership(group):
             for idx in class_of.tolist()] == membership
     if not isinstance(group, groups.SymmetricGroup):
         assert class_of.tolist() == membership
-    assert np.bincount(class_of).tolist() == [
-        c.size for c in group.conjugacy_classes()]
+    assert np.bincount(class_of).tolist() == \
+        group.conjugacy_classes().sizes.tolist()
     assert class_of.dtype == np.int64
+
+
+def test_abelian_classes_above_the_orbit_bound_are_three_arrays():
+    """The classes of Z_1000000, one per element, are made above
+    GENERIC_CLASS_BOUND as three int64 arrays of the order: sizes all
+    one, the inverses and ``class_of`` the identity map.  tracemalloc
+    sees at most one more such array above them (the temporaries of
+    ``invert``), so no Python object is made per element."""
+    order = 10 ** 6
+    z = make_abelian_product([order])
+    tracemalloc.start()
+    try:
+        classes = z.conjugacy_classes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (classes.sizes, classes.inverse, z.class_of())
+    assert peak <= 4 * 8 * order
+    assert all(a.dtype == np.int64 and a.shape == (order,)
+               and not a.flags.writeable for a in arrays)
+    assert len(classes) == order and (classes.sizes == 1).all()
+    everything = np.arange(order)
+    assert (classes.inverse == -everything % order).all()
+    assert (z.class_of() == everything).all()
 
 
 def _fails(group, table, g, h, p):
@@ -871,27 +909,35 @@ def _empty_cayley(n):
     return z, ConnectionSet.from_classes(z, [])
 
 
+def _classes_made(group):
+    group.conjugacy_classes()
+    return group
+
+
 # each site with the bytes of its largest input the order bounds before
-# the memory budget admitted: the Z_2000 table (complex), graphs on 5000
-# vertices, formulation (A) of the complete graph on 2000 vertices (its
-# adjacency and 24 bytes for each of its 2001000 + 2000 + 1999000
-# entries), order-2000 matrices of 32-byte values, and S_10
+# the memory budget admitted, made by ``prepare`` beforehand: the Z_2000
+# table (complex), graphs on 5000 vertices, formulation (A) of the
+# complete graph on 2000 vertices (its adjacency and 24 bytes for each
+# of its 2001000 + 2000 + 1999000 entries), order-2000 matrices of
+# 32-byte values, and S_10
 OLD_BOUNDS = [
-    pytest.param(lambda: abelian_character_table(
-        make_abelian_product([2000])), 16 * 2000 ** 2, id="table-Z2000"),
-    pytest.param(lambda: Graph.from_edges(5000, []), 5000 ** 2,
+    pytest.param(lambda: make_abelian_product([2000]),
+                 abelian_character_table, 16 * 2000 ** 2, id="table-Z2000"),
+    pytest.param(lambda: 5000, lambda n: Graph.from_edges(n, []), 5000 ** 2,
                  id="graph-5000"),
-    pytest.param(lambda: build_cayley(*_empty_cayley(5000)), 5000 ** 2,
-                 id="cayley-Z5000"),
-    pytest.param(lambda: build_sdp_A(_complete_graph(2000)),
+    pytest.param(lambda: _empty_cayley(5000), lambda args: build_cayley(*args),
+                 5000 ** 2, id="cayley-Z5000"),
+    pytest.param(lambda: _complete_graph(2000), build_sdp_A,
                  2000 ** 2 + 24 * (2001000 + 2000 + 1999000),
                  id="formulation-A-K2000"),
-    pytest.param(lambda: extract_matrix_solution(SimpleNamespace(
-        spec=SimpleNamespace(group=make_abelian_product([2000])))),
-        32 * 2000 ** 2, id="extraction-2000"),
-    pytest.param(lambda: symmetrize_matrix(None, make_abelian_product(
-        [2000])), 32 * 2000 ** 2, id="symmetrization-2000"),
-    pytest.param(lambda: make_symmetric(10), 10 * 3628800, id="S10"),
+    pytest.param(lambda: SimpleNamespace(
+        spec=SimpleNamespace(group=_classes_made(make_abelian_product(
+            [2000]))), f=SimpleNamespace(values=[0.0] * 2000)),
+        extract_matrix_solution, 32 * 2000 ** 2, id="extraction-2000"),
+    pytest.param(lambda: make_abelian_product([2000]),
+                 lambda z: symmetrize_matrix(None, z), 32 * 2000 ** 2,
+                 id="symmetrization-2000"),
+    pytest.param(lambda: 10, make_symmetric, 10 * 3628800, id="S10"),
 ]
 
 
@@ -899,9 +945,9 @@ class _Admitted(Exception):
     """Raised in place of the allocation that an admitted input starts."""
 
 
-@pytest.mark.parametrize("site, need", OLD_BOUNDS)
+@pytest.mark.parametrize("prepare, site, need", OLD_BOUNDS)
 def test_memory_budget_admits_what_the_order_bounds_admitted(
-        site, need, monkeypatch):
+        prepare, site, need, monkeypatch):
     """Each site asks the budget for the bytes of its input before it
     allocates, and 2^27 admits every input that ABELIAN_TABLE_BOUND,
     CAYLEY_BOUND, MATRIX_BOUND and SymmetricGroup.MAX_N admitted: the
@@ -913,12 +959,13 @@ def test_memory_budget_admits_what_the_order_bounds_admitted(
         check_memory(what, *arrays)
         raise _Admitted
 
+    made = prepare()
     check_memory = groups.check_memory
     for module in (groups, graphs, characters, theta):
         monkeypatch.setattr(module, "check_memory", admit)
     assert groups.MEMORY_BYTES == 2 ** 27
     with pytest.raises(_Admitted):
-        site()
+        site(made)
     assert asked == [need] and need <= 2 ** 27
 
 
@@ -982,6 +1029,32 @@ def test_memory_budget_bounds_the_traced_peak(prepare, site, largest,
             tracemalloc.stop()
         assert refused == (n > largest)
         assert peak <= (SMALL_BUDGET / 16 if refused else 1.5 * SMALL_BUDGET)
+
+
+def test_exact_extraction_peaks_within_the_budget(monkeypatch):
+    """An exact matrix entry is a Fraction, counted with its numerator
+    and denominator: with the budget set to the bytes that the exact
+    certificate of Cay(Z_2^8, classes 1, 2, 4, 8) asks for, so that its
+    order is the largest admitted, its extraction traces at most the
+    budget.  Counted at 32 bytes an entry, it traced 1.8 times that."""
+    z = make_abelian_product([2] * 8)
+    cert = solve_theta(
+        CayleyGraphSpec(z, ConnectionSet.from_classes(z, [1, 2, 4, 8])),
+        abelian_character_table(z))
+    assert cert.exact
+    z.inverses()
+    monkeypatch.setattr(groups, "MEMORY_BYTES", 0)
+    with pytest.raises(SizeLimit) as refused:
+        extract_matrix_solution(cert)
+    need = int(re.search(r"needs (\d+) bytes", str(refused.value))[1])
+    monkeypatch.setattr(groups, "MEMORY_BYTES", need)
+    tracemalloc.start()
+    try:
+        matrix = extract_matrix_solution(cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(matrix) == z.order and peak <= need
 
 
 def test_table_and_action_checks_do_not_depend_on_the_blocks(monkeypatch):
@@ -1199,31 +1272,26 @@ def test_class_equation_and_partition_counts():
         assert len(partitions(n)) == count
     for group in (make_symmetric(4), make_symmetric(5),
                   make_general_linear(3, 2), make_abelian_product([2, 3])):
-        classes = group.conjugacy_classes()
-        assert sum(c.size for c in classes) == group.order
+        assert group.conjugacy_classes().sizes.sum() == group.order
 
 
 def test_inverse_class_involution():
     for group in (make_symmetric(5), make_general_linear(3, 2),
                   make_abelian_product([5])):
-        classes = group.conjugacy_classes()
-        for i, c in enumerate(classes):
-            assert classes[c.inverse_class].inverse_class == i
+        inverse = group.conjugacy_classes().inverse
+        assert (inverse[inverse] == np.arange(len(inverse))).all()
     # S_n classes are all self-paired
-    for n in range(1, 9):
-        for c in make_symmetric(n).conjugacy_classes():
-            pass
     for n in (3, 4, 5, 6, 7, 8):
-        classes = make_symmetric(n).conjugacy_classes()
-        assert all(c.inverse_class == i for i, c in enumerate(classes))
+        inverse = make_symmetric(n).conjugacy_classes().inverse
+        assert (inverse == np.arange(len(inverse))).all()
 
 
 def test_class_members_mutually_conjugate():
     group = make_general_linear(3, 2)
     class_of = group.class_of()
-    for idx, c in enumerate(group.conjugacy_classes()):
+    for idx, size in enumerate(group.conjugacy_classes().sizes.tolist()):
         members = np.flatnonzero(class_of == idx).tolist()
-        assert len(members) == c.size and c.representative in members
+        assert len(members) == size
         # spot check: conjugating a member stays in its class
         for g in members:
             for h in range(0, group.order, 7):
@@ -1235,16 +1303,16 @@ def test_sn_class_sizes_formula():
     import math
     for n in (4, 5, 6):
         group = make_symmetric(n)
-        classes = group.conjugacy_classes()
-        assert sum(c.size for c in classes) == math.factorial(n)
+        sizes = group.conjugacy_classes().sizes.tolist()
+        assert sum(sizes) == math.factorial(n)
         # sizes agree with exhaustive cycle-type counting
         if n <= 5:
             counts = {}
             for r in range(group.order):
                 t = cycle_type(perm_unrank(r, n))
                 counts[t] = counts.get(t, 0) + 1
-            for mu, c in zip(partitions(n), classes):
-                assert counts[mu] == c.size
+            for mu, size in zip(partitions(n), sizes):
+                assert counts[mu] == size
 
 
 def test_cayley_table_file_roundtrip(tmp_path):

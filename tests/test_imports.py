@@ -88,12 +88,13 @@ def unread_names(sources: dict, private: bool,
                               if node is not home))
 
 
-def unread_members(sources: dict, read_elsewhere=frozenset()) -> list:
-    """(module, "Class.name") for each public method or property of a
-    module-level class whose name neither ``read_elsewhere`` holds nor
-    another statement of any of ``sources`` reads, matched by name as in
-    ``unread_names``: a read of the name on any object counts, and a
-    read inside the method's own definition does not."""
+def _unread_in_classes(sources: dict, defines, read_elsewhere) -> list:
+    """(module, "Class.name") for each public name that ``defines(cls,
+    member)`` gives for a member of a module-level class, and that
+    neither ``read_elsewhere`` holds nor another statement of any of
+    ``sources`` reads, matched by name as in ``unread_names``: a read of
+    the name on any object counts, and a read inside the member's own
+    definition does not."""
     defined, reads = [], []
     for module, source in sources.items():
         for node in ast.parse(source).body:
@@ -101,15 +102,38 @@ def unread_members(sources: dict, read_elsewhere=frozenset()) -> list:
                 reads.append((node, names_read(node)))
                 continue
             for member in node.body:
-                if isinstance(member, ast.FunctionDef) and \
-                        not member.name.startswith("_"):
-                    defined.append((module, node.name, member))
+                name = defines(node, member)
+                if name is not None and not name.startswith("_"):
+                    defined.append((module, node.name, name, member))
                 reads.append((member, names_read(member)))
-    return sorted((module, f"{cls}.{home.name}")
-                  for module, cls, home in defined
-                  if home.name not in read_elsewhere
-                  and not any(home.name in names for node, names in reads
+    return sorted((module, f"{cls}.{name}")
+                  for module, cls, name, home in defined
+                  if name not in read_elsewhere
+                  and not any(name in names for node, names in reads
                               if node is not home))
+
+
+def unread_members(sources: dict, read_elsewhere=frozenset()) -> list:
+    """(module, "Class.name") for each public method or property of a
+    module-level class that is not read (see ``_unread_in_classes``)."""
+    return _unread_in_classes(
+        sources, lambda cls, member: member.name
+        if isinstance(member, ast.FunctionDef) else None, read_elsewhere)
+
+
+def unread_fields(sources: dict, read_elsewhere=frozenset()) -> list:
+    """(module, "Class.name") for each public field of a module-level
+    dataclass, an annotated name in its body, that is not read (see
+    ``_unread_in_classes``)."""
+    def field(cls, member):
+        dataclass = any(
+            getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+            for d in (getattr(d, "func", d) for d in cls.decorator_list))
+        if dataclass and isinstance(member, ast.AnnAssign) and \
+                isinstance(member.target, ast.Name):
+            return member.target.id
+        return None
+    return _unread_in_classes(sources, field, read_elsewhere)
 
 
 def readme_names(text: str, sections) -> set:
@@ -151,17 +175,25 @@ def test_guard_finds_an_unread_public_name():
                         read_elsewhere=elsewhere) == [("a", "LEFT")]
 
 
-def test_no_unread_public_names_in_package():
-    """Every public module-level name of the package is read by another
-    top-level statement of the package, by the benchmark, or is named in
-    the README's File formats or Library section: no entry point serves
-    only the tests."""
+def _package_and_readers():
+    """The package's sources, and the names read outside it: by the
+    benchmark, or in code of the README's File formats or Library
+    section."""
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     elsewhere = readme_names((ROOT / "README.md").read_text(),
                              {"File formats", "Library"})
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         elsewhere |= names_read(ast.parse(path.read_text()))
+    return sources, elsewhere
+
+
+def test_no_unread_public_names_in_package():
+    """Every public module-level name of the package is read by another
+    top-level statement of the package, by the benchmark, or is named in
+    the README's File formats or Library section: no entry point serves
+    only the tests."""
+    sources, elsewhere = _package_and_readers()
     assert unread_names(sources, private=False,
                         read_elsewhere=elsewhere) == []
 
@@ -182,13 +214,34 @@ def test_no_unread_public_members_in_package():
     """Every public method and property of the package's classes is read
     by name elsewhere in the package, by the benchmark, or in the
     README's File formats or Library section."""
-    sources = {path.name: path.read_text()
-               for path in sorted(PACKAGE.glob("*.py"))}
-    elsewhere = readme_names((ROOT / "README.md").read_text(),
-                             {"File formats", "Library"})
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        elsewhere |= names_read(ast.parse(path.read_text()))
+    sources, elsewhere = _package_and_readers()
     assert unread_members(sources, read_elsewhere=elsewhere) == []
+
+
+def test_guard_finds_an_unread_dataclass_field():
+    sources = {"a": "from dataclasses import dataclass\n"
+                    "import dataclasses\n"
+                    "@dataclass(frozen=True)\n"
+                    "class A:\n    read: int\n    left: int\n"
+                    "    _hidden: int\n    shown: int = 0\n"
+                    "@dataclasses.dataclass\n"
+                    "class B:\n    kept: str\n"
+                    "class C:\n    plain: int\n",
+               "b": "from a import A, B\nA(1, 2, 3).read\n"
+                    "B(kept='x')\ndef left(): pass\n"}
+    assert unread_fields(sources) == [("a", "A.left"), ("a", "A.shown"),
+                                      ("a", "B.kept")]
+    assert unread_fields(sources, read_elsewhere={"shown"}) == [
+        ("a", "A.left"), ("a", "B.kept")]
+
+
+def test_no_unread_dataclass_fields_in_package():
+    """Every public field of the package's dataclasses is read by name
+    elsewhere in the package, by the benchmark, or in the README's File
+    formats or Library section: no record carries a field that only its
+    constructor sets."""
+    sources, elsewhere = _package_and_readers()
+    assert unread_fields(sources, read_elsewhere=elsewhere) == []
 
 
 def test_groups_have_two_operations():
