@@ -31,8 +31,9 @@ import numpy as np
 from . import groups
 from .errors import (InvalidArgument, NotAutomorphism, NotTransitive,
                      SchemaError)
-from .groups import (FiniteGroup, GroupAction, blocks, check_memory, distinct,
-                     load_rows, parse_ints, same_group)
+from .groups import (FiniteGroup, GroupAction, blocks, check_memory,
+                     decimal_lines, distinct, load_rows, parse_ints,
+                     same_group)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +150,7 @@ class Graph:
         # row-major order has u < v, so tiles left of the diagonal are
         # skipped, and the first of a tile row is the least over its tiles
         side = math.isqrt(groups.BLOCK_BYTES // a.itemsize)
-        tiles = blocks(len(a), side * a.itemsize)
+        tiles = list(blocks(len(a), side * a.itemsize))
         for i, rows in enumerate(tiles):
             odd = []
             for cols in tiles[i:]:
@@ -393,21 +394,16 @@ def blowup_connection(action: GroupAction, graph: Graph,
 def export_graph(graph: Graph, path):
     """Header 'vertices N edges K', then each edge 'u v', u < v, in
     row-major order; the upper triangle is walked and written a block of
-    rows at a time."""
+    rows at a time, each block as ``decimal_lines``."""
     a = graph.adjacency
     n = graph.vertex_count
-    with open(path, "w") as fh:
-        fh.write(f"vertices {n} edges {np.count_nonzero(a) // 2}\n")
+    newline = np.array([b"\n"])
+    with open(path, "wb") as fh:
+        fh.write(f"vertices {n} edges {np.count_nonzero(a) // 2}\n".encode())
         for rows in blocks(n, n * a.itemsize):
-            lines = []
-            for u, row in enumerate(np.triu(a[rows], rows.start + 1),
-                                    rows.start):
-                vs = np.flatnonzero(row).tolist()
-                if vs:
-                    head = f"{u} "
-                    lines.append(head + ("\n" + head).join(map(str, vs))
-                                 + "\n")
-            fh.write("".join(lines))
+            u, v = np.nonzero(np.triu(a[rows], rows.start + 1))
+            u += rows.start
+            fh.write(decimal_lines([u, v], newline))
 
 
 def import_graph(path) -> Graph:

@@ -67,11 +67,38 @@ BLOCK_BYTES = 1 << 17
 MEMORY_BYTES = 1 << 27
 
 
-def blocks(count: int, item_bytes: int) -> list:
-    """Slices of 0..count-1 in order, each of about BLOCK_BYTES bytes of
-    items of item_bytes bytes (at least one item)."""
+def blocks(count: int, item_bytes: int):
+    """An iterator of slices of 0..count-1 in order, each of about
+    BLOCK_BYTES bytes of items of item_bytes bytes (at least one item)."""
     step = max(1, BLOCK_BYTES // max(item_bytes, 1))
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
+def decimal_lines(columns, tail) -> np.ndarray:
+    """One ASCII line per row of the nonnegative integer columns, as a
+    uint8 array: their entries in decimal, a space between them, then
+    the row's item of the bytes array ``tail`` (one item broadcasts).
+    Each line is a row of one uint8 array with a field per column, as
+    wide as its largest entry and a space: the digits right-aligned,
+    by division by 10 in the column's narrowest unsigned dtype, and NUL
+    where a field or ``tail`` pads.  The bytes that are not NUL are
+    the text."""
+    tops = [column.max(initial=0) for column in columns]
+    ends = list(itertools.accumulate(len(str(top)) + 1 for top in tops))
+    text = np.zeros((len(columns[0]), ends[-1] + tail.itemsize),
+                    dtype=np.uint8)
+    text[:, ends[-1]:] = tail.view(np.uint8).reshape(len(tail), -1)
+    text[:, [end - 1 for end in ends[:-1]]] = ord(" ")
+    for column, top, end in zip(columns, tops, ends):
+        rest = column.astype(np.min_scalar_type(top))
+        for place in range(end - 2, end - 2 - len(str(top)), -1):
+            high = rest // 10
+            digit = rest - high * 10 + ord("0")
+            if place < end - 2:    # past the units: NUL once rest is 0
+                digit *= rest > 0
+            text[:, place] = digit
+            rest = high
+    return text[text != 0]
 
 
 def check_memory(what: str, *arrays):
@@ -331,12 +358,17 @@ class AbelianProductGroup(FiniteGroup):
         return out
 
     def invert(self, a):
-        # each digit negated mod its modulus, as products adds them
+        # each digit negated mod its modulus, added into one array
         a = np.asarray(a)
-        out = 0
+        out = np.zeros(a.shape, dtype=np.int64)
+        digit = np.empty_like(out)
         for m, stride in zip(self.moduli, self.strides):
-            out = out + -(a // stride) % m * stride
-        return out
+            np.floor_divide(a, stride, out=digit)
+            np.negative(digit, out=digit)
+            digit %= m
+            digit *= stride
+            out += digit
+        return out[()]
 
     def identity_key(self):
         return self.moduli
@@ -653,7 +685,7 @@ class TableGroup(FiniteGroup):
                 raise NotAGroup("latin-square-row",
                                 (rows.start + int(np.argmax(bad)),))
         T = T.astype(np.int32)
-        spans = blocks(n, T[0].nbytes)
+        spans = list(blocks(n, T[0].nbytes))
         for cols in spans:
             lines = np.ascontiguousarray(T[:, cols].T)
             lines.sort(axis=1)

@@ -47,8 +47,8 @@ from .characters import (CharacterTable, ClassFunction, GroupFunction,
 from .errors import (InvalidArgument, NumericalFailure, SchemaError,
                      WrongFormulation)
 from .graphs import ConnectionSet, build_cayley
-from .groups import (FiniteGroup, blocks, check_memory, distinct, parse_ints,
-                     same_group)
+from .groups import (FiniteGroup, blocks, check_memory, decimal_lines,
+                     distinct, parse_ints, same_group)
 from .linalg import is_exact, scaled
 from .simplex import LpInstance, LpSolution, solve as lp_solve
 
@@ -266,26 +266,27 @@ def validate_certificate(cert: ThetaCertificate) -> list:
 
 def extract_matrix_solution(cert: ThetaCertificate):
     """The formulation-(A) matrix A(beta,gamma) = f(beta gamma^-1)/|Gamma|:
-    trace 1, zero on edges, entry sum = theta.  A row holds |C| entries
-    f(C)/|Gamma| of each class C, counted by ``_entry_bytes``."""
+    trace 1, zero on edges, entry sum = theta.  Each row is a list of
+    references to one shared object f(C)/|Gamma| per class C.  Counted:
+    8 bytes an entry and an item of three arrays of |Gamma| items, a
+    list per row, and the objects (``_object_bytes``)."""
     group = cert.spec.group
     order = group.order
-    sizes = group.conjugacy_classes().sizes.tolist()
-    row_bytes = sum(s * _entry_bytes(v / order)
-                    for s, v in zip(sizes, cert.f.values))
-    check_memory(f"the matrix of order {order}", (order, row_bytes))
+    values = [v / order for v in cert.f.values]
+    check_memory(f"the matrix of order {order}", (order * (order + 3), 8),
+                 (order, sys.getsizeof([])),
+                 (1, sum(map(_object_bytes, values))))
     inv = group.inverses()
-    f_elem = [cert.f.values[idx] for idx in group.class_of().tolist()]
-    return [[f_elem[i] / order for i in group.products(b, inv).tolist()]
-            for b in range(order)]
+    f_elem = np.array(values, dtype=object)[group.class_of()]
+    return [f_elem[group.products(b, inv)].tolist() for b in range(order)]
 
 
-def _entry_bytes(value) -> int:
-    """The bytes of a matrix entry: a list reference and the object, with
-    a Fraction's two ints (counted even where Python shares them)."""
+def _object_bytes(value) -> int:
+    """The bytes of a number object, with a Fraction's two ints (counted
+    even where Python shares them)."""
     parts = (value, value.numerator, value.denominator) \
         if isinstance(value, Fraction) else (value,)
-    return 8 + sum(map(sys.getsizeof, parts))
+    return sum(map(sys.getsizeof, parts))
 
 
 def symmetrize_matrix(A, group: FiniteGroup) -> GroupFunction:
@@ -294,7 +295,7 @@ def symmetrize_matrix(A, group: FiniteGroup) -> GroupFunction:
     f is feasible for (B) with the same objective."""
     order = group.order
     check_memory(f"the matrix of order {order}",
-                 (order ** 2, _entry_bytes(0.0)))
+                 (order ** 2, 8 + _object_bytes(0.0)))
     if len(A) != order or any(len(row) != order for row in A):
         raise InvalidArgument("matrix shape does not match the group")
     exact = all(is_exact(v) for row in A for v in row)
@@ -537,55 +538,33 @@ def export_sdpa(instance: SdpInstance, path):
     """SDPA sparse format (.dat-s).  Convention, stated in the header:
     the file encodes  max <F0, Y>  s.t.  <Fk, Y> = c_k,  Y PSD.
 
-    An entry line is "k b i j v", written as four parts "k ", "b i ",
-    "j " and "v\n".  One object array holds each string a part can be,
-    a table per part: "b i " at row before[b - 1] + i of its table, and
-    "v\n" at the value's number among the distinct values (sorted by
-    their bits, so 0.0 and -0.0 stay apart).  Lines go out a batch at
-    a time, the ``blocks`` of the entry rows.  k never decreases, so a
-    batch spans the k[0]..k[-1] of its first and last lines; their "k "
-    strings are made per batch, at row k - k[0] of the first table.
-    One fancy index of that array then gives the four parts of every
-    line of the batch, in line order, and one join writes them."""
+    Entry lines "k b i j v" are written a ``blocks`` batch of rows at a
+    time, as ``decimal_lines`` of k, block, i and j with a tail " v\n"
+    read from a bytes array of the distinct values (``_reprs``)."""
     t = instance
-    bits = distinct(t.value.view(np.int64))
-    batches = blocks(len(t.k), sum(getattr(t, column).itemsize
-                                   for column in _TABLE[:5]))
-    # the "k " slots a batch needs: k[-1] - k[0] + 1 over its rows
-    span = max((int(t.k[r][-1] - t.k[r][0]) + 1 for r in batches), default=0)
-    tables = [[""] * span,
-              [f"{b} {i} " for b, size in enumerate(t.block_sizes, 1)
-               for i in range(1, size + 1)],
-              [f"{j} " for j in range(max(t.block_sizes, default=0) + 1)],
-              [repr(v) + "\n" for v in bits.view(np.float64).tolist()]]
-    strings = np.array([s for table in tables for s in table], dtype=object)
-    first = np.cumsum([0] + [len(table) for table in tables[:-1]])
-    before = np.cumsum((-1,) + t.block_sizes)
-    with open(path, "w") as fh:
-        fh.write('"convention: maximize <F0,Y> subject to <Fk,Y> = c_k, '
-                 'Y block-diagonal PSD"\n')
-        fh.write(f"{len(t.rhs)}\n{len(t.block_sizes)}\n")
-        fh.write(" ".join(map(str, t.block_sizes)) + "\n")
-        fh.write(" ".join(_reprs(t.rhs).tolist()) + "\n")
-        for batch in batches:
-            k = t.k[batch]
-            low, high = int(k[0]), int(k[-1])
-            strings[:high + 1 - low] = [f"{c} " for c in range(low, high + 1)]
-            rows = first + np.stack(
-                [k - low, before[t.block[batch] - 1] + t.i[batch],
-                 t.j[batch],
-                 np.searchsorted(bits, t.value[batch].view(np.int64))],
-                axis=1)
-            fh.write("".join(strings[rows.ravel()].tolist()))
+    values = _reprs(t.value, " %r\n")
+    rhs = _reprs(t.rhs, " %r")(t.rhs).view(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(('"convention: maximize <F0,Y> subject to <Fk,Y> = c_k, '
+                  'Y block-diagonal PSD"\n'
+                  f"{len(t.rhs)}\n{len(t.block_sizes)}\n"
+                  + " ".join(map(str, t.block_sizes)) + "\n").encode()
+                 + rhs[rhs != 0].tobytes()[1:] + b"\n")
+        for r in blocks(len(t.k), sum(getattr(t, column).itemsize
+                                      for column in _TABLE[:5])):
+            fh.write(decimal_lines([t.k[r], t.block[r], t.i[r], t.j[r]],
+                                   values(t.value[r])))
 
 
-def _reprs(values):
-    """The repr of each double, one repr made per distinct value (told
-    apart by its bits), as an object array."""
+def _reprs(values, fmt):
+    """A function from float64 values in ``values`` to the bytes of
+    fmt % v of each, as a NUL-padded numpy bytes array: one item is made
+    per distinct value, told apart by its bits (so 0.0 and -0.0
+    differ)."""
     bits = distinct(values.view(np.int64))
-    reprs = np.array([repr(v) for v in bits.view(np.float64).tolist()],
-                     dtype=object)
-    return reprs[np.searchsorted(bits, values.view(np.int64))]
+    table = np.array([(fmt % v).encode()
+                      for v in bits.view(np.float64).tolist()], dtype=bytes)
+    return lambda part: table[np.searchsorted(bits, part.view(np.int64))]
 
 
 def read_sdpa(path) -> SdpInstance:

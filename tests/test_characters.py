@@ -82,7 +82,7 @@ def test_fourier_scalars_bits_match_scalar_reference():
               for m in ((12,), (3, 5), (2, 2, 2), (211,))]
     tables += [symmetric_character_table(6)]
     tables += [as_float_table(t) for t in tables if t.exact]
-    assert len(blocks(211, tables[3].entries[0].nbytes)) == 6
+    assert len(list(blocks(211, tables[3].entries[0].nbytes))) == 6
 
     def draw(kind):
         if kind == "mixed":

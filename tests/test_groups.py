@@ -439,7 +439,7 @@ def test_symmetric_inverses_in_bounded_memory(monkeypatch):
     monkeypatch.setattr(groups, "BLOCK_BYTES", 1 << 16)
     s9 = make_symmetric(9)
     s9._perm_array()
-    assert len(groups.blocks(s9.order, 8 * s9.n)) > 100
+    assert len(list(groups.blocks(s9.order, 8 * s9.n))) > 100
     tracemalloc.start()
     try:
         inverse = s9.inverses()
@@ -488,7 +488,7 @@ def test_symmetric_kernels_run_in_bounded_memory():
     s6._perm_array()
     xs = np.arange(s6.order)[:, None]
     side = np.arange(1, s6.order)
-    cols = groups.blocks(len(side), xs.nbytes)[0]
+    cols = next(groups.blocks(len(side), xs.nbytes))
     tracemalloc.start()
     try:
         block = s6.products(xs, side[None, cols])
@@ -550,7 +550,7 @@ def test_symmetric_class_of_in_bounded_memory(monkeypatch):
     monkeypatch.setattr(groups, "BLOCK_BYTES", 1 << 16)
     s9 = make_symmetric(9)
     s9._perm_array()
-    assert len(groups.blocks(s9.order, 8 * s9.n)) > 100
+    assert len(list(groups.blocks(s9.order, 8 * s9.n))) > 100
     tracemalloc.start()
     try:
         class_of = s9.class_of()
@@ -632,6 +632,23 @@ def test_abelian_classes_above_the_orbit_bound_are_three_arrays():
     everything = np.arange(order)
     assert (classes.inverse == -everything % order).all()
     assert (z.class_of() == everything).all()
+
+
+def test_abelian_classes_of_six_moduli_trace_no_more_than_one():
+    """The classes of Z_10^6 trace no more than those of Z_1000000, of
+    the same order: ``invert`` adds each digit into one array.  A new
+    array per digit traced 32 MB against 24 MB."""
+    peaks = []
+    for moduli in ([10 ** 6], [10] * 6):
+        z = make_abelian_product(moduli)
+        tracemalloc.start()
+        try:
+            z.conjugacy_classes()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (z.products(np.arange(z.order), z.inverses()) == 0).all()
+    assert peaks[1] <= peaks[0]
 
 
 def _fails(group, table, g, h, p):
@@ -897,11 +914,12 @@ def _complete_graph(n):
     return CayleyGraphSpec(z, ConnectionSet.from_elements(z, range(1, n)))
 
 
-def _float_certificate(n):
-    """The float theta certificate of the edgeless Cay(Z_n, empty)."""
-    z = make_abelian_product([n])
-    return solve_theta(CayleyGraphSpec(z, ConnectionSet.from_classes(z, [])),
-                       abelian_character_table(z))
+def _float_extraction(n):
+    """What ``extract_matrix_solution`` reads of a float certificate on
+    Z_n: the group, with its classes made, and a float per class."""
+    return SimpleNamespace(
+        spec=SimpleNamespace(group=_classes_made(make_abelian_product([n]))),
+        f=SimpleNamespace(values=[1.0] * n))
 
 
 def _empty_cayley(n):
@@ -918,7 +936,9 @@ def _classes_made(group):
 # the memory budget admitted, made by ``prepare`` beforehand: the Z_2000
 # table (complex), graphs on 5000 vertices, formulation (A) of the
 # complete graph on 2000 vertices (its adjacency and 24 bytes for each
-# of its 2001000 + 2000 + 1999000 entries), order-2000 matrices of
+# of its 2001000 + 2000 + 1999000 entries), the order-2000 matrix of
+# references to one 24-byte float per class (8 bytes an entry and for
+# three arrays of 2000 items, and a 56-byte list per row), that of
 # 32-byte values, and S_10
 OLD_BOUNDS = [
     pytest.param(lambda: make_abelian_product([2000]),
@@ -930,10 +950,8 @@ OLD_BOUNDS = [
     pytest.param(lambda: _complete_graph(2000), build_sdp_A,
                  2000 ** 2 + 24 * (2001000 + 2000 + 1999000),
                  id="formulation-A-K2000"),
-    pytest.param(lambda: SimpleNamespace(
-        spec=SimpleNamespace(group=_classes_made(make_abelian_product(
-            [2000]))), f=SimpleNamespace(values=[0.0] * 2000)),
-        extract_matrix_solution, 32 * 2000 ** 2, id="extraction-2000"),
+    pytest.param(lambda: _float_extraction(2000), extract_matrix_solution,
+                 8 * 2000 * 2003 + (56 + 24) * 2000, id="extraction-2000"),
     pytest.param(lambda: make_abelian_product([2000]),
                  lambda z: symmetrize_matrix(None, z), 32 * 2000 ** 2,
                  id="symmetrization-2000"),
@@ -985,8 +1003,10 @@ def test_memory_budget_refuses_s11():
 # each site at its largest input under a 4 MiB budget, made from the
 # input by ``prepare`` beforehand: a complex table of order 512 (16 *
 # 512^2 = 2^22), graphs on 2048 vertices, formulation (A) of the
-# complete graph on 409 vertices (25 * 409^2 + 24 * 409 bytes), 362 x
-# 362 matrices of 32-byte values, and S_9 (9! * 9 bytes)
+# complete graph on 409 vertices (25 * 409^2 + 24 * 409 bytes), the
+# 717 x 717 matrix of references to shared floats (8 * 717^2 + 104 *
+# 717 bytes), 362 x 362 matrices of 32-byte values, and S_9 (9! * 9
+# bytes)
 SMALL_BUDGET = 1 << 22
 BUDGET_EDGES = [
     pytest.param(lambda n: make_abelian_product([n]),
@@ -996,7 +1016,7 @@ BUDGET_EDGES = [
     pytest.param(_empty_cayley, lambda args: build_cayley(*args), 2048,
                  id="cayley"),
     pytest.param(_complete_graph, build_sdp_A, 409, id="formulation-A"),
-    pytest.param(_float_certificate, extract_matrix_solution, 362,
+    pytest.param(_float_extraction, extract_matrix_solution, 717,
                  id="extraction"),
     pytest.param(lambda n: ([[0.0] * n for _ in range(n)],
                             make_abelian_product([n])),
