@@ -63,7 +63,7 @@ class ConnectionSet:
         if 0 in idx:
             raise InvalidArgument(
                 "connection set must not contain the identity class")
-        missing = ~np.isin(inverse[idx], idx)
+        missing = np.bincount(idx, minlength=len(inverse))[inverse[idx]] == 0
         if missing.any():
             i = idx[np.argmax(missing)]
             raise InvalidArgument(f"class {i} present but its inverse class "
@@ -86,8 +86,12 @@ class ConnectionSet:
         if (index == group.identity).any():
             raise InvalidArgument(
                 "connection set must not contain the identity")
-        missing = ~np.isin(group.invert(index), index)
-        if missing.any():
+        # invert is one-to-one: the set is closed iff its sorted inverses
+        # are its elements; a clipped take past the end reads a smaller one
+        inverse = group.invert(index)
+        if not np.array_equal(np.sort(inverse), index):
+            missing = index.take(np.searchsorted(index, inverse),
+                                 mode="clip") != inverse
             raise InvalidArgument(f"element {index[np.argmax(missing)]} "
                                   "present but its inverse is not")
         return cls(group, elements=index.tolist())
@@ -110,7 +114,9 @@ class ConnectionSet:
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            inside = np.isin(self.group.class_of(), self.as_classes)
+            chosen = np.bincount(self.as_classes, minlength=len(
+                self.group.conjugacy_classes())) > 0
+            inside = chosen[self.group.class_of()]
             self._elements = tuple(np.flatnonzero(inside).tolist())
         return self._elements
 
@@ -393,16 +399,18 @@ def blowup_connection(action: GroupAction, graph: Graph,
 
 def export_graph(graph: Graph, path):
     """Header 'vertices N edges K', then each edge 'u v', u < v, in
-    row-major order; the upper triangle is walked and written a block of
-    rows at a time, each block as ``decimal_lines``."""
+    row-major order, written a block of rows of the upper triangle at a
+    time as ``decimal_lines`` of u and v in a vertex's narrowest dtype."""
     a = graph.adjacency
     n = graph.vertex_count
     newline = np.array([b"\n"])
+    vertices = np.arange(n, dtype=np.min_scalar_type(n))
     with open(path, "wb") as fh:
         fh.write(f"vertices {n} edges {np.count_nonzero(a) // 2}\n".encode())
-        for rows in blocks(n, n * a.itemsize):
-            u, v = np.nonzero(np.triu(a[rows], rows.start + 1))
-            u += rows.start
+        for rows in blocks(n, n * (a.itemsize + 2 * vertices.itemsize)):
+            upper = np.triu(a[rows], rows.start + 1)
+            u = np.repeat(vertices[rows], np.count_nonzero(upper, axis=1))
+            v = np.broadcast_to(vertices, upper.shape)[upper]
             fh.write(decimal_lines([u, v], newline))
 
 

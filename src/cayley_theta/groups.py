@@ -41,11 +41,11 @@ Cayley and action tables are checked in full at every order through
 (Light's test) and the action axiom each hold on a set closed under
 products, so they hold on G once they hold on a generating set.
 
-Arrays of order^2 or n! items, and an abelian group's classes (one
-per element), must fit ``MEMORY_BYTES``, checked by ``check_memory``
-before they are allocated: in ``SymmetricGroup()``, the abelian
-classes, ``abelian_character_table``, ``build_cayley``, ``Graph.from_edges``,
-``build_sdp_A``, ``extract_matrix_solution`` and ``symmetrize_matrix``.
+Arrays of order^2 or n! items, and an abelian group's classes, must
+fit ``MEMORY_BYTES``, checked by ``check_memory`` before they are made:
+in ``SymmetricGroup()``, the abelian classes, ``abelian_character_table``,
+``build_cayley``, ``Graph.from_edges``, ``build_sdp_A`` (at the bytes of
+its narrow columns), ``extract_matrix_solution`` and ``symmetrize_matrix``.
 """
 
 from __future__ import annotations

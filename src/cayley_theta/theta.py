@@ -317,9 +317,9 @@ def symmetrize_matrix(A, group: FiniteGroup) -> GroupFunction:
 # ---------------------------------------------------------------------------
 # SDP instances and SDPA sparse export
 
-_TABLE = ("k", "block", "i", "j", "value", "rhs")
+_INTS = ("k", "block", "i", "j", "code")
 # one SDPA entry line "k b i j v", read wide enough to check the indices
-_ENTRY = np.dtype([(c, np.int64) for c in _TABLE[:4]] + [("value", float)])
+_ENTRY = np.dtype([(c, np.int64) for c in _INTS[:4]] + [("value", float)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,22 +327,24 @@ class SdpInstance:
     """Maximize <F0, Y> over block-diagonal PSD Y subject to
     <Fk, Y> = rhs[k-1], k = 1..m.
 
-    Every matrix entry is one row of a table of read-only numpy columns:
-    row r says that matrix k[r] has value[r] (float64) at (i[r], j[r])
-    of block block[r], with 1-based indices and i <= j.  The indices are
-    int32: a block size or a constraint count of 2^31 or more is
-    refused, and the columns given are checked before they are
+    Each matrix entry is a row of a table of read-only numpy columns,
+    each in the narrowest unsigned dtype of its largest entry: matrix
+    k[r] has values[code[r]] at (i[r], j[r]) of block block[r], 1-based,
+    i <= j, and ``values`` holds each distinct float64 once, by its bits
+    (0.0 and -0.0 differ).  A block size or constraint count of 2^31 or
+    more is refused, and the columns given are checked before they are
     narrowed, the block and triangle checks a block of rows at a time
-    (``blocks``).  The matrix numbers are nondecreasing, so F0's rows
-    come first.  ``objective`` and ``constraints`` read the table as
-    sequences of (block, i, j, value) tuples without copying it; two
-    instances are equal when their tables are."""
+    (``blocks``).  Matrix numbers are nondecreasing.  ``objective`` and
+    ``constraints`` read the table as (block, i, j, value) tuples
+    without copying it; two instances are equal when their tables are,
+    value for value."""
     block_sizes: tuple
     k: np.ndarray
     block: np.ndarray
     i: np.ndarray
     j: np.ndarray
-    value: np.ndarray
+    values: np.ndarray
+    code: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
@@ -354,21 +356,26 @@ class SdpInstance:
         if len(self.rhs) >= INDEX_BOUND:
             raise InvalidArgument(
                 f"{len(self.rhs)} SDP constraints are not below 2^31")
-        columns = {name: np.asarray(getattr(self, name)) for name in _TABLE}
-        for name in _TABLE[:4]:
-            if columns[name].dtype.kind not in "iu":
-                columns[name] = columns[name].astype(np.int64)
-        self._check(*(columns[name] for name in _TABLE))
+        columns = {name: np.asarray(getattr(self, name)) for name in _INTS}
+        columns = {name: c if c.dtype.kind in "iu" else c.astype(np.int64)
+                   for name, c in columns.items()}
+        floats = {name: np.ascontiguousarray(getattr(self, name), dtype=float)
+                  for name in ("values", "rhs")}
+        self._check(*columns.values(), *floats.values())
         for name, column in columns.items():
-            column = np.ascontiguousarray(
-                column, dtype=float if name in ("value", "rhs") else np.int32)
+            columns[name] = np.ascontiguousarray(
+                column, dtype=np.min_scalar_type(column.max(initial=0)))
+        for name, column in {**columns, **floats}.items():
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
-    def _check(self, k, b, i, j, value, rhs):
+    def _check(self, k, b, i, j, code, values, rhs):
         """The checks of the entry table, on the columns as given."""
-        if not len(k) == len(b) == len(i) == len(j) == len(value):
+        if not len(k) == len(b) == len(i) == len(j) == len(code):
             raise InvalidArgument("SDP entry columns differ in length")
+        if len(distinct(values.view(np.int64))) < len(values) or len(code) \
+                and (code.min() < 0 or code.max() >= len(values)):
+            raise InvalidArgument("SDP codes do not index distinct values")
         if len(k) and (k[0] < 0 or k[-1] > len(rhs)):
             raise InvalidArgument(
                 f"matrix number {k[0] if k[0] < 0 else k[-1]} outside "
@@ -391,7 +398,7 @@ class SdpInstance:
         lo, hi = np.searchsorted(self.k, [k, k + 1]).tolist()
         return _View(hi - lo, lambda r: (
             int(self.block[lo + r]), int(self.i[lo + r]),
-            int(self.j[lo + r]), float(self.value[lo + r])))
+            int(self.j[lo + r]), float(self.values[self.code[lo + r]])))
 
     @property
     def objective(self) -> Sequence:
@@ -408,7 +415,10 @@ class SdpInstance:
             return NotImplemented
         return self.block_sizes == other.block_sizes and all(
             np.array_equal(getattr(self, c), getattr(other, c))
-            for c in _TABLE)
+            for c in _INTS[:4] + ("rhs",)) and all(
+            np.array_equal(self.values[self.code[r]],
+                           other.values[other.code[r]])
+            for r in blocks(len(self.code), 2 * self.values.itemsize))
 
 
 class _View(Sequence):
@@ -426,23 +436,26 @@ class _View(Sequence):
 
 def build_sdp_A(spec: CayleyGraphSpec) -> SdpInstance:
     """Formulation (A) on one block of order |Gamma|: maximize the sum of
-    all entries subject to trace 1 and a zero on every edge.  Each
-    column is filled once, in place, row by row of the adjacency array:
-    the objective's upper triangle, the trace's diagonal, then one
-    constraint per edge u < v.  Its adjacency and table (4 int32 and a
-    float64 per entry) must fit the memory budget."""
+    all entries subject to trace 1 and a zero on every edge: ``values``
+    is (1.0,) and ``code`` all 0.  k, i and j are made in the narrowest
+    dtypes of the edge count and the order and filled once, in place,
+    row by row of the adjacency array: the objective's upper triangle,
+    the trace's diagonal, then one constraint per edge u < v.  Its
+    adjacency and table must fit the memory budget."""
     group = spec.group
     n = group.order
     # Cay(G, X) is |X|-regular: n |X| / 2 edges
     triangle, edges = n * (n + 1) // 2, n * spec.connection.size // 2
+    rows = triangle + n + edges
+    kind, index = np.min_scalar_type(edges + 1), np.min_scalar_type(n)
     check_memory(f"formulation (A) of order {n}", (n * n, 1),
-                 (triangle + n + edges, 4 * 4 + 8))
+                 (rows, kind.itemsize + 2 * index.itemsize + 2))
     adjacent = build_cayley(group, spec.connection).adjacency
-    k, block, i, j = (np.ones(triangle + n + edges, dtype=np.int32)
-                      for _ in range(4))
+    k = np.ones(rows, dtype=kind)
+    i, j = np.ones(rows, dtype=index), np.ones(rows, dtype=index)
     k[:triangle] = 0
-    k[triangle + n:] = np.arange(2, edges + 2, dtype=np.int32)
-    one_to_n = np.arange(1, n + 1, dtype=np.int32)
+    k[triangle + n:] = np.arange(2, edges + 2, dtype=kind)
+    one_to_n = np.arange(1, n + 1, dtype=index)
     i[triangle:triangle + n] = j[triangle:triangle + n] = one_to_n
     top, at = 0, triangle + n
     for u in range(n):
@@ -455,8 +468,8 @@ def build_sdp_A(spec: CayleyGraphSpec) -> SdpInstance:
         at += len(vs)
     rhs = np.zeros(edges + 1)
     rhs[0] = 1.0
-    return SdpInstance(block_sizes=(n,), k=k, block=block, i=i, j=j,
-                       value=np.ones(len(k)), rhs=rhs)
+    return SdpInstance((n,), k, np.ones(rows, dtype=np.uint8), i, j, (1.0,),
+                       np.zeros(rows, dtype=np.uint8), rhs)
 
 
 def build_sdp_C(spec: CayleyGraphSpec,
@@ -531,7 +544,7 @@ def build_sdp_C(spec: CayleyGraphSpec,
                             rows[chosen][row, col]])
     rhs = np.zeros(len(chosen) + 1)
     rhs[0] = group.order
-    return SdpInstance(block_sizes, k, *index, value, rhs)
+    return SdpInstance(block_sizes, k, *index, *_encode(value), rhs)
 
 
 def export_sdpa(instance: SdpInstance, path):
@@ -540,31 +553,29 @@ def export_sdpa(instance: SdpInstance, path):
 
     Entry lines "k b i j v" are written a ``blocks`` batch of rows at a
     time, as ``decimal_lines`` of k, block, i and j with a tail " v\n"
-    read from a bytes array of the distinct values (``_reprs``)."""
+    taken by ``code`` from a bytes array of the repr of each value."""
     t = instance
-    values = _reprs(t.value, " %r\n")
-    rhs = _reprs(t.rhs, " %r")(t.rhs).view(np.uint8)
+    tails = np.array([b" %r\n" % v for v in t.values.tolist()], dtype=bytes)
+    values, code = _encode(t.rhs)
+    rhs = np.array([b" %r" % v for v in values.tolist()], dtype=bytes)[code]
     with open(path, "wb") as fh:
         fh.write(('"convention: maximize <F0,Y> subject to <Fk,Y> = c_k, '
                   'Y block-diagonal PSD"\n'
                   f"{len(t.rhs)}\n{len(t.block_sizes)}\n"
                   + " ".join(map(str, t.block_sizes)) + "\n").encode()
-                 + rhs[rhs != 0].tobytes()[1:] + b"\n")
-        for r in blocks(len(t.k), sum(getattr(t, column).itemsize
-                                      for column in _TABLE[:5])):
+                 + rhs.tobytes().replace(b"\0", b"")[1:] + b"\n")
+        for r in blocks(len(t.k), sum(getattr(t, c).itemsize for c in _INTS)):
             fh.write(decimal_lines([t.k[r], t.block[r], t.i[r], t.j[r]],
-                                   values(t.value[r])))
+                                   tails[t.code[r]]))
 
 
-def _reprs(values, fmt):
-    """A function from float64 values in ``values`` to the bytes of
-    fmt % v of each, as a NUL-padded numpy bytes array: one item is made
-    per distinct value, told apart by its bits (so 0.0 and -0.0
-    differ)."""
-    bits = distinct(values.view(np.int64))
-    table = np.array([(fmt % v).encode()
-                      for v in bits.view(np.float64).tolist()], dtype=bytes)
-    return lambda part: table[np.searchsorted(bits, part.view(np.int64))]
+def _encode(value):
+    """(values, code) of a float64 column: its distinct values, told
+    apart by their bits (so 0.0 and -0.0 differ), and the index into
+    them of each entry."""
+    bits = np.ascontiguousarray(value, dtype=float).view(np.int64)
+    values = distinct(bits)
+    return values.view(np.float64), np.searchsorted(values, bits)
 
 
 def read_sdpa(path) -> SdpInstance:
@@ -602,7 +613,8 @@ def read_sdpa(path) -> SdpInstance:
         raise SchemaError("right-hand side count mismatch in SDPA file")
     # the entries of one matrix keep their order in the file
     entries = entries[np.argsort(entries["k"], kind="stable")]
-    return SdpInstance(sizes, *(entries[c] for c in _TABLE[:5]), rhs)
+    return SdpInstance(sizes, *(entries[c] for c in _INTS[:4]),
+                       *_encode(entries["value"]), rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -355,7 +355,8 @@ def reference_export_sdpa(instance, path):
     repr per value, read row by row from the instance's columns: the
     bytes ``theta.export_sdpa`` must reproduce."""
     rows = zip(*(getattr(instance, name).tolist()
-                 for name in ("k", "block", "i", "j", "value")))
+                 for name in ("k", "block", "i", "j")),
+               instance.values[instance.code].tolist())
     with open(path, "w") as fh:
         fh.write('"convention: maximize <F0,Y> subject to <Fk,Y> = c_k, '
                  'Y block-diagonal PSD"\n')
@@ -447,7 +448,9 @@ def sdp_from_matrices(block_sizes, matrices, rhs) -> SdpInstance:
     entries = [e for m in matrices for e in m]
     index = np.array([e[:3] for e in entries], dtype=np.int64).reshape(-1, 3)
     k = np.repeat(np.arange(len(matrices)), [len(m) for m in matrices])
-    return SdpInstance(block_sizes, k, *index.T, [e[3] for e in entries],
+    bits, code = np.unique(np.array([e[3] for e in entries], dtype=float)
+                           .view(np.int64), return_inverse=True)
+    return SdpInstance(block_sizes, k, *index.T, bits.view(float), code,
                        rhs)
 
 

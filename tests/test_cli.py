@@ -388,10 +388,12 @@ def test_memory_budget_refusals_exit_2_naming_the_bytes(capsys, tmp_path):
     """The smallest inputs over the 2^27-byte budget, one per site a
     command reaches, exit 2 naming their bytes: S_11's permutation
     array, the complex table of Z_2897, the adjacency array of the cycle
-    on 11586 vertices and formulation (A) of the complete graph on 2317
-    vertices (25 * 2317^2 + 24 * 2317 bytes)."""
+    on 11586 vertices and formulation (A) of the complete graph on 3493
+    vertices (11 * 3493^2 + 10 * 3493 bytes: its adjacency and a uint32
+    k, uint16 i and j and uint8 block and code per entry; at 24 bytes an
+    entry, 2317 vertices were refused)."""
     elements, cycle = tmp_path / "all.txt", tmp_path / "cycle.txt"
-    elements.write_text(" ".join(map(str, range(1, 2317))))
+    elements.write_text(" ".join(map(str, range(1, 3493))))
     cycle.write_text("1 11585")
     cases = [
         (("theta", "--group", "sym:11", "--connection", "efp:1"),
@@ -401,10 +403,10 @@ def test_memory_budget_refusals_exit_2_naming_the_bytes(capsys, tmp_path):
         (("alpha", "--group", "cyclic:11586", "--connection",
           f"elements:{cycle}"),
          "the Cayley graph of order 11586 needs 134235396"),
-        (("export-sdpa", "--formulation", "A", "--group", "cyclic:2317",
+        (("export-sdpa", "--formulation", "A", "--group", "cyclic:3493",
           "--connection", f"elements:{elements}", "--out",
           str(tmp_path / "a.dat-s")),
-         "formulation (A) of order 2317 needs 134267833"),
+         "formulation (A) of order 3493 needs 134246469"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)

@@ -163,6 +163,28 @@ def test_from_elements_names_the_smallest_element_without_its_inverse(
         tuple(closed)
 
 
+def test_from_classes_names_the_smallest_class_without_its_inverse():
+    """Seeded class sets of Z_12 and GL(2, 3): a set that lacks some
+    inverse class names the smallest class whose inverse class is
+    missing, and a closed set lists the members of its classes."""
+    rng = random.Random(37)
+    for group in (make_abelian_product([12]), make_general_linear(2, 3)):
+        inverse = group.conjugacy_classes().inverse.tolist()
+        members = group.class_of().tolist()
+        for _ in range(40):
+            chosen = sorted(rng.sample(range(1, len(inverse)),
+                                       rng.randrange(len(inverse))))
+            missing = [c for c in chosen if inverse[c] not in chosen]
+            if missing:
+                with pytest.raises(InvalidArgument, match=(
+                        f"^class {missing[0]} present but its inverse class "
+                        f"{inverse[missing[0]]} is not$")):
+                    ConnectionSet.from_classes(group, chosen)
+            else:
+                assert ConnectionSet.from_classes(group, chosen).elements \
+                    == tuple(g for g, c in enumerate(members) if c in chosen)
+
+
 def test_from_elements_allocates_nothing_of_a_huge_abelian_order():
     """Z_10^8 with four elements: inverse closure is checked on the
     elements alone, with no array of the group's order."""
@@ -714,6 +736,30 @@ def test_graph_file_roundtrip_of_100000_edges(tmp_path):
     back = import_graph(path)
     assert not back.transitive
     assert (back.adjacency == g.adjacency).all()
+
+
+def test_graph_file_of_a_dense_graph_holds_about_one_block(tmp_path):
+    """Cay(Z_2000, +-{1..499}), 998,000 edges: a block of rows is sized
+    by its adjacency and the narrow u and v of every vertex of a row,
+    so the writer traces less than four blocks.  Sized by the adjacency
+    alone, a block held up to 2^17 edges as two int64 index arrays and
+    their text, 2.7 MB.  The bytes are those of the edge-by-edge
+    writer."""
+    z = make_abelian_product([2000])
+    half = np.arange(1, 500)
+    g = build_cayley(z, ConnectionSet.from_elements(
+        z, np.r_[half, z.order - half]))
+    path = tmp_path / "g.txt"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        export_graph(g, path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * groups.BLOCK_BYTES
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "c6c73f9ca7076ab68d3fbae40848381dd8c60bd8f69079788e8a11865be2d155")
 
 
 @pytest.mark.parametrize("edges, outcome", [

@@ -935,8 +935,9 @@ def _classes_made(group):
 # each site with the bytes of its largest input the order bounds before
 # the memory budget admitted, made by ``prepare`` beforehand: the Z_2000
 # table (complex), graphs on 5000 vertices, formulation (A) of the
-# complete graph on 2000 vertices (its adjacency and 24 bytes for each
-# of its 2001000 + 2000 + 1999000 entries), the order-2000 matrix of
+# complete graph on 2000 vertices (its adjacency and 10 bytes for each
+# of its 2001000 + 2000 + 1999000 entries: a uint32 k, uint16 i and j,
+# and a uint8 block and code; 24 bytes before), the order-2000 matrix of
 # references to one 24-byte float per class (8 bytes an entry and for
 # three arrays of 2000 items, and a 56-byte list per row), that of
 # 32-byte values, and S_10
@@ -948,7 +949,7 @@ OLD_BOUNDS = [
     pytest.param(lambda: _empty_cayley(5000), lambda args: build_cayley(*args),
                  5000 ** 2, id="cayley-Z5000"),
     pytest.param(lambda: _complete_graph(2000), build_sdp_A,
-                 2000 ** 2 + 24 * (2001000 + 2000 + 1999000),
+                 2000 ** 2 + 10 * (2001000 + 2000 + 1999000),
                  id="formulation-A-K2000"),
     pytest.param(lambda: _float_extraction(2000), extract_matrix_solution,
                  8 * 2000 * 2003 + (56 + 24) * 2000, id="extraction-2000"),
@@ -1003,10 +1004,10 @@ def test_memory_budget_refuses_s11():
 # each site at its largest input under a 4 MiB budget, made from the
 # input by ``prepare`` beforehand: a complex table of order 512 (16 *
 # 512^2 = 2^22), graphs on 2048 vertices, formulation (A) of the
-# complete graph on 409 vertices (25 * 409^2 + 24 * 409 bytes), the
-# 717 x 717 matrix of references to shared floats (8 * 717^2 + 104 *
-# 717 bytes), 362 x 362 matrices of 32-byte values, and S_9 (9! * 9
-# bytes)
+# complete graph on 617 vertices (11 * 617^2 + 10 * 617 bytes; 409 at
+# 24 bytes an entry), the 717 x 717 matrix of references to shared
+# floats (8 * 717^2 + 104 * 717 bytes), 362 x 362 matrices of 32-byte
+# values, and S_9 (9! * 9 bytes)
 SMALL_BUDGET = 1 << 22
 BUDGET_EDGES = [
     pytest.param(lambda n: make_abelian_product([n]),
@@ -1015,7 +1016,7 @@ BUDGET_EDGES = [
                  id="graph"),
     pytest.param(_empty_cayley, lambda args: build_cayley(*args), 2048,
                  id="cayley"),
-    pytest.param(_complete_graph, build_sdp_A, 409, id="formulation-A"),
+    pytest.param(_complete_graph, build_sdp_A, 617, id="formulation-A"),
     pytest.param(_float_extraction, extract_matrix_solution, 717,
                  id="extraction"),
     pytest.param(lambda n: ([[0.0] * n for _ in range(n)],

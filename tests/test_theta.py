@@ -703,13 +703,15 @@ def _s6_spec_120():
 def test_sdp_A_export_matches_reference_across_batches(tmp_path):
     sdp = build_sdp_A(_s6_spec_120())
     assert len(sdp.constraints) == 1 + 720 * 120 // 2
-    # a batch of lines: BLOCK_BYTES of int32 k, block, i, j and float64
-    # value columns, 24 bytes a line
-    batch = groups.BLOCK_BYTES // 24
+    # a batch of lines: BLOCK_BYTES of the uint16 k, i and j and uint8
+    # block and code columns, 8 bytes a line
+    assert [sdp.k.itemsize, sdp.block.itemsize, sdp.i.itemsize,
+            sdp.j.itemsize, sdp.code.itemsize] == [2, 1, 2, 2, 1]
+    batch = groups.BLOCK_BYTES // 8
     assert len(sdp.k) > 4 * batch
-    # row i = 8 of the objective crosses a batch boundary
+    # row i = 24 of the objective crosses a batch boundary
     assert (sdp.k[batch - 1], sdp.i[batch - 1]) == \
-        (sdp.k[batch], sdp.i[batch]) == (0, 8)
+        (sdp.k[batch], sdp.i[batch]) == (0, 24)
     _exports_like_reference(sdp, tmp_path)
 
 
@@ -809,6 +811,78 @@ def test_sdp_export_of_odd_values_matches_reference(tmp_path):
         "3", "3", "3 1 2", "1.0 -0.0 1.2345678901234567e+20"]
     assert "1 1 1 2 -0.0\n1 1 2 2 0.0\n" in text
     assert "0 2 1 1 1e+16\n" in text and "1 1 1 1 5e-324\n" in text
+
+
+def _narrow_round_trip(sdp, tmp_path):
+    """Each index column and the codes are in the narrowest unsigned
+    dtype of their largest entry, the values are distinct by their bits,
+    and the export reads back to the same columns, dtypes and values."""
+    for column in (sdp.k, sdp.block, sdp.i, sdp.j, sdp.code):
+        assert column.dtype == np.min_scalar_type(column.max(initial=0))
+        assert column.dtype.kind == "u" and not column.flags.writeable
+    bits = sdp.values.view(np.int64)
+    assert len(set(bits.tolist())) == len(bits)
+    path = tmp_path / "round.dat-s"
+    export_sdpa(sdp, path)
+    back = read_sdpa(path)
+    assert back == sdp
+    for name in ("k", "block", "i", "j", "values", "code", "rhs"):
+        a, b = getattr(back, name), getattr(sdp, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_sdp_A_round_trips_in_narrow_columns(tmp_path):
+    """Formulation (A) holds the one value 1.0 and codes all 0; k, i and
+    j take the narrowest dtype of the edge count and of the order: the
+    instances on S_3 and Z_5 fit uint8, and Cay(Z_300, +-{1..120}), with
+    36,000 edges on 300 vertices, needs uint16 for k, i and j."""
+    z5 = make_abelian_product([5])
+    for spec in (s3_spec(), CayleyGraphSpec(z5, ConnectionSet.from_elements(
+            z5, [1, 4]))):
+        sdp = build_sdp_A(spec)
+        assert sdp.values.tolist() == [1.0] and not sdp.code.any()
+        assert sdp.k.dtype == sdp.i.dtype == np.uint8
+        _narrow_round_trip(sdp, tmp_path)
+    z = make_abelian_product([300])
+    half = np.arange(1, 121)
+    sdp = build_sdp_A(CayleyGraphSpec(z, ConnectionSet.from_elements(
+        z, np.r_[half, 300 - half])))
+    assert (sdp.k.dtype, sdp.block.dtype, sdp.i.dtype) == \
+        (np.uint16, np.uint8, np.uint16)
+    _narrow_round_trip(sdp, tmp_path)
+
+
+def test_sdp_C_round_trips_in_narrow_columns(tmp_path):
+    """Formulation (C) encodes its float entries once: ``values`` holds
+    each distinct one, and the file reads back to the same table."""
+    irreps = z3_s3_irreps()
+    group = irreps.group
+    for size, seed in [(4, 0), (13, 3)]:
+        sdp = build_sdp_C(CayleyGraphSpec(group, ConnectionSet.from_elements(
+            group, inverse_closed_set(group, size, seed))), irreps)
+        assert len(sdp.values) < len(sdp.code)
+        _narrow_round_trip(sdp, tmp_path)
+
+
+def test_sdp_values_keep_the_sign_of_zero(tmp_path):
+    """0.0 and -0.0 are two values, told apart by their bits, and both
+    are written; equality still compares the tables value for value, so
+    two codings of the same entries are equal."""
+    sdp = SdpInstance((2,), [0, 0, 1], [1, 1, 1], [1, 1, 2], [1, 2, 2],
+                      [0.0, -0.0, 2.5], [1, 0, 2], [1.0])
+    text = _exports_like_reference(sdp, tmp_path)
+    assert text.splitlines()[-3:] == ["0 1 1 1 -0.0", "0 1 1 2 0.0",
+                                      "1 1 2 2 2.5"]
+    back = read_sdpa(tmp_path / "fast.dat-s")
+    assert np.signbit(back.values[back.code]).tolist() == [True, False,
+                                                            False]
+    assert back == SdpInstance((2,), [0, 0, 1], [1, 1, 1], [1, 1, 2],
+                               [1, 2, 2], [2.5, -0.0, 0.0], [1, 2, 0],
+                               [1.0])
+    with pytest.raises(InvalidArgument, match="codes do not index distinct"):
+        SdpInstance((1,), [0], [1], [1], [1], [1.0, 1.0], [0], [])
+    with pytest.raises(InvalidArgument, match="codes do not index distinct"):
+        SdpInstance((1,), [0], [1], [1], [1], [1.0], [1], [])
 
 
 def test_sdp_export_of_a_wide_block(tmp_path):
@@ -917,22 +991,25 @@ def test_sdp_instance_checks_every_batch():
     batch = groups.BLOCK_BYTES // 24
     rows = 2 * batch + 5
     k, one = np.zeros(rows, dtype=np.int64), np.ones(rows, dtype=np.int64)
-    assert len(SdpInstance((1,), k, one, one, one, one, [1.0]).k) == rows
+    code = np.zeros(rows, dtype=np.int64)
+    assert len(SdpInstance((1,), k, one, one, one, [1.0], code, [1.0]).k) \
+        == rows
     j = one.copy()
     j[batch + 3] = 2
     with pytest.raises(InvalidArgument, match=r"entry \(1, 1, 2\) of matrix 0"):
-        SdpInstance((1,), k, one, one, j, one, [1.0])
+        SdpInstance((1,), k, one, one, j, [1.0], code, [1.0])
     k[batch + 3] = 1
     with pytest.raises(InvalidArgument, match="not ordered by matrix"):
-        SdpInstance((1,), k, one, one, one, one, [1.0])
+        SdpInstance((1,), k, one, one, one, [1.0], code, [1.0])
 
 
 def test_sdp_A_build_and_export_memory(tmp_path):
     """Building and exporting the S_6 instance once peaked at 24 MB
     (tracemalloc): int64 columns, two int64 triangle index arrays and
-    a numbering of every value and every k at once.  With int32
-    columns filled in place and writes numbered per batch it stays
-    below 12 MB, the instance about 7.3 MB of it."""
+    a numbering of every value and every k at once; with int32 columns
+    and a float64 value column, 9.9 MB.  With narrow columns filled in
+    place and one code per value it stays within 5 MB, the instance
+    about 2.6 MB of it."""
     spec = _s6_spec_120()
     tracemalloc.start()
     try:
@@ -941,13 +1018,15 @@ def test_sdp_A_build_and_export_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak <= 5 * 2**20
 
 
 def test_sdp_A_instance_memory(capsys, tmp_path):
-    """The S_6 instance of 304,321 entries holds one table of numpy
-    columns, int32 indices and float64 values (about 7.3 MB); with int64
-    indices it held 12 MB, and as tuples of tuples 36 MB."""
+    """The S_6 instance of 303,480 entries holds one table of numpy
+    columns, 8 bytes an entry (uint16 k, i and j, uint8 block and code),
+    and 43,201 float64 right-hand sides: about 2.6 MB.  With int32
+    indices and a float64 value per entry it held 7.3 MB, with int64
+    indices 12 MB, and as tuples of tuples 36 MB."""
     spec = _s6_spec_120()
     tracemalloc.start()
     try:
@@ -957,7 +1036,7 @@ def test_sdp_A_instance_memory(capsys, tmp_path):
     finally:
         tracemalloc.stop()
     assert len(sdp.k) == 720 * 721 // 2 + 720 + 720 * 120 // 2
-    assert held < 8 * 2**20
+    assert held <= 3 * 2**20
     code = cli_dispatch(["export-sdpa", "--formulation", "A", "--group",
                          "cyclic:5", "--connection", "classes:1,4",
                          "--out", str(tmp_path / "c5.dat-s")])
